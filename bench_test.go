@@ -341,13 +341,15 @@ func BenchmarkExchange_RunAuction_64Jobs_Durable(b *testing.B) {
 	benchmarkExchangeRunAuction(b, 64, true, false)
 }
 
-// BenchmarkExchange_WALCompaction measures one snapshot + rotation on a
-// populated durable exchange (8 jobs with full KeepOutcomes=32 histories,
-// 64 nodes): the stop-the-world capture, the snapshot encode + fsync, the
-// rotation and the old-segment deletion. This is the cost a live exchange
-// pays per size- or interval-triggered compaction.
-func BenchmarkExchange_WALCompaction(b *testing.B) {
-	const jobs, bidders, rounds = 8, 64, 32
+// benchmarkWALCompaction measures one snapshot + rotation on a populated
+// durable exchange — jobs with full KeepOutcomes-round histories of
+// 64-bidder rounds: the stop-the-world capture, the snapshot stream +
+// fsync, the rotation and the old-segment deletion. This is the cost a
+// live exchange pays per size- or interval-triggered compaction. snap_MiB
+// (the snapshot written) and stw_ms (how long no round could close) come
+// from the exchange's own compaction gauges.
+func benchmarkWALCompaction(b *testing.B, jobs, keep int) {
+	const bidders = 64
 	ex, err := exchange.Open(b.TempDir(), exchange.Options{SnapshotBytes: -1})
 	if err != nil {
 		b.Fatal(err)
@@ -362,13 +364,13 @@ func BenchmarkExchange_WALCompaction(b *testing.B) {
 			ID:           fmt.Sprintf("compact-%d", j),
 			Auction:      auction.Config{Rule: rule, K: 8},
 			Seed:         int64(j),
-			KeepOutcomes: rounds,
+			KeepOutcomes: keep,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(j)))
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < keep; r++ {
 			for i := 0; i < bidders; i++ {
 				bid := auction.Bid{
 					NodeID:    i,
@@ -384,13 +386,26 @@ func BenchmarkExchange_WALCompaction(b *testing.B) {
 			}
 		}
 	}
+	var stw float64
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if err := ex.Compact(); err != nil {
 			b.Fatal(err)
 		}
+		stw += ex.Metrics().WalSnapshotStwSeconds
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(ex.Metrics().WalSnapshotBytes)/(1<<20), "snap_MiB")
+	b.ReportMetric(stw*1e3/float64(b.N), "stw_ms")
 }
+
+// The small fixture (8 jobs, 32-round histories) is the row tracked since
+// compaction landed.
+func BenchmarkExchange_WALCompaction(b *testing.B) { benchmarkWALCompaction(b, 8, 32) }
+
+// The 64-job fixture is the repo benchmark's round_churn_durable shape:
+// 64 jobs at the default KeepOutcomes of 128 — 8,192 retained rounds.
+func BenchmarkExchange_WALCompaction_64Jobs(b *testing.B) { benchmarkWALCompaction(b, 64, 128) }
 
 // ---------------------------------------------------------------------------
 // Bid intake under contention: many bidders hammering one job concurrently.

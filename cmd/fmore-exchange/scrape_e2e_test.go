@@ -89,6 +89,9 @@ func TestE2EPrometheusScrape(t *testing.T) {
 		"fmore_exchange_wal_bytes",
 		"fmore_exchange_wal_fsync_total",
 		"fmore_exchange_wal_fsync_batched_records",
+		"fmore_exchange_wal_snapshot_bytes",
+		"fmore_exchange_wal_snapshot_seconds",
+		"fmore_exchange_wal_snapshot_stw_seconds",
 		"fmore_exchange_firehose_events_total",
 		"fmore_exchange_round_latency_seconds",
 	} {

@@ -76,6 +76,9 @@
 //     out to subscribers (cloned once per round, only when subscribers
 //     exist), and the transport Engine adapter. HTTP and SSE rendering
 //     therefore never reads job-pooled memory outside the job's lock.
+//   - On a durable exchange each history entry also holds the round's
+//     encoded log record, under the same lifecycle — see "Snapshot +
+//     rotation" for who may read those bytes and when they are recycled.
 //
 // # Durability
 //
@@ -92,7 +95,15 @@
 // and appended by a dedicated writer goroutine that group-commits.
 // closeRound hands the record to a channel and never waits on disk (the
 // frame is encoded before the hand-off, so the close path's record scratch
-// is reusable immediately); the writer coalesces queued frames into one
+// is reusable immediately). A round's JSON is a write-once artefact: the
+// close encodes it exactly once, with a reflection-free append encoder
+// (roundenc.go) whose output is byte-identical to encoding/json's for the
+// same record — the on-disk format never changed, and logs written before
+// and after that encoder replay on either side. The fuzz target
+// FuzzAppendWalRound and a seeded property test hold it to that, down to
+// the float format switches at 1e-6 and 1e21, HTML/U+2028/invalid-UTF-8
+// string escaping, nil-versus-empty slices and the NaN/±Inf refusal. The
+// writer coalesces queued frames into one
 // write syscall and settles them with fdatasync (data plus size, not
 // timestamps — preallocation below keeps the size metadata stable anyway;
 // plain Sync off Linux). Two commit policies (Options.Commit):
@@ -126,19 +137,58 @@
 //
 // The protocol, in crash-safe order: (1) create, preallocate and fsync
 // the next segment; (2) stop the world (the jobs mutex plus every job's
-// closeMu — node records may still race, but replaying one is idempotent)
-// and enqueue the rotation through the writer's own channel, making the
-// cut exactly the enqueue order; (3) the writer fsyncs the old segment,
-// trims its preallocated slack and retires it before touching the new
-// one; (4) the snapshot commits via write-temp/fsync/rename; (5) old
-// segments are deleted. A kill between any two steps leaves either the
-// previous snapshot (or none) with every segment it needs, or the new
-// snapshot with its tail; Open replays snapshot + tail bit-for-bit
-// identically to a full-log replay — retained outcome responses are
-// byte-identical and post-recovery rounds draw the same tiebreak and
-// ψ-admission sequence — and deletes whatever garbage the crash left
-// (covered segments, torn temp files). A torn tail in the active segment
-// is truncated, exactly as before rotation existed.
+// closeMu — node records may still race, but replaying one is idempotent),
+// enqueue the rotation through the writer's own channel, making the cut
+// exactly the enqueue order, and capture the state; (3) the writer fsyncs
+// the old segment, trims its preallocated slack and retires it before
+// touching the new one; (4) the snapshot commits via
+// write-temp/fsync/rename; (5) old segments are deleted. A kill between
+// any two steps leaves either the previous snapshot (or none) with every
+// segment it needs, or the new snapshot with its tail; Open replays
+// snapshot + tail bit-for-bit identically to a full-log replay — retained
+// outcome responses are byte-identical and post-recovery rounds draw the
+// same tiebreak and ψ-admission sequence — and deletes whatever garbage
+// the crash left (covered segments, torn temp files). A torn tail in the
+// active segment is truncated, exactly as before rotation existed.
+//
+// The retained history is never re-encoded. Every history entry of a
+// durable exchange holds its round's record bytes — written once by the
+// close, or kept as read from disk by replay (from a segment or from the
+// previous snapshot alike, so the first compaction after a restart splices
+// too; there is no re-encoding fallback). The bytes are in the round's
+// history form: the record object without its replay-only fields (the
+// bidder list and the per-round draw count, which the snapshot carries
+// once per node and per job instead); the log's record form puts those
+// fields back in one fixed place when the frame is built (frameRound), and
+// replay cuts them out again without decoding (historyForm). So the
+// stop-the-world section of a compaction collects only scalars and slice
+// references — no outcome is cloned, nothing is encoded — and the
+// snapshot is then streamed outside every lock: a few hundred bytes of
+// header state per job, the history bytes spliced verbatim, the node table,
+// with the CRC accumulated over the stream and the 8-byte frame header
+// patched in before the fsync and the rename. exchange.snap is still one
+// CRC-framed JSON document, byte-identical to what marshalling the
+// walSnapshot schema produces, so snapshots too are readable across the
+// change in both directions. A payload the frame's uint32 length cannot
+// describe (≥ 4 GiB) is refused before the rename — counted in
+// wal_snapshot_errors, trigger re-armed, every segment kept — instead of
+// committing a snapshot the next Open would reject.
+//
+// Buffer ownership: record bytes are job-owned, immutable while their
+// entry is retained, and recycled for a later round's encode when the
+// entry leaves the KeepOutcomes window (under closeMu, like the outcome
+// buffers). The one reader outside the job's locks is the snapshot stream,
+// which holds references captured under closeMu; from the capture until
+// the file is complete (Exchange.snapStreaming) evicted buffers are left
+// to the garbage collector instead of being reused, so a round closing
+// mid-stream can never bleed into the snapshot. An in-memory exchange
+// encodes and retains nothing.
+//
+// What a compaction costs is observable: wal_snapshot_bytes is the size of
+// the last committed snapshot (÷ Options.SnapshotBytes = the write
+// amplification of retiring one segment), wal_snapshot_seconds its wall
+// time and wal_snapshot_stw_seconds the share during which no round could
+// close.
 //
 // Segments are preallocated to the rotation threshold (Options.
 // SnapshotBytes, or its default when unset/disabled) at creation —
@@ -246,6 +296,9 @@
 //	bids_rejected_total         counter    bids refused (duplicate, policy, closed, …)
 //	wal_snapshots_total         counter    completed WAL compactions
 //	wal_snapshot_errors_total   counter    failed compaction attempts
+//	wal_snapshot_bytes          gauge      size of the last committed snapshot file (÷ SnapshotBytes = write amplification)
+//	wal_snapshot_seconds        gauge      wall time of the last completed compaction
+//	wal_snapshot_stw_seconds    gauge      part of it spent under the stop-the-world locks
 //	wal_segment_count           gauge      live log segments on disk (0 in-memory)
 //	wal_bytes                   gauge      logical bytes across live segments (reservation excluded)
 //	wal_fsync_total             counter    group commits (fsyncs) of the outcome log

@@ -199,6 +199,10 @@ type Exchange struct {
 	compactMu   sync.Mutex
 	compactCh   chan struct{}
 	compactDone chan struct{}
+	// snapStreaming is true from the stop-the-world capture of a snapshot
+	// until its file is written: the writer is reading history record bytes
+	// outside every lock, so evictions must not recycle them (Job.releaseRec).
+	snapStreaming atomic.Bool
 }
 
 // New starts an exchange (its scoring workers launch immediately).

@@ -115,9 +115,17 @@ func (ro RoundOutcome) clone() RoundOutcome {
 // its Outcome. buf is nil when the entry owns its memory (failed rounds,
 // WAL-replayed rounds); gen is the buffer generation the entry was built
 // under, checked before the buffer is recycled on eviction.
+//
+// rec is the round's encoded log record object in its history form (see
+// appendWalRound), the bytes a snapshot splices instead of re-encoding the
+// outcome: written once at close (or kept as read from disk by replay),
+// immutable while the entry is retained, recycled through freeRecs at
+// eviction. Nil on an in-memory exchange, which encodes and retains
+// nothing.
 type outcomeHold struct {
 	buf *auction.OutcomeBuffer
 	gen uint64
+	rec []byte
 }
 
 // Job is one hosted FL task: an auctioneer plus a round state machine. All
@@ -165,11 +173,11 @@ type Job struct {
 	// closeMu serializes round closes; everything below it is reused across
 	// rounds so the steady-state close path allocates nothing: gather
 	// collects the drained shard buffers, scores is the pooled score vector,
-	// freeBufs recycles outcome buffers evicted from history, and walScratch
-	// is the reusable WAL round record (safe because the log appender
-	// encodes synchronously before returning). The auctioneer carries the
-	// job's pooled auction.Selector, so winner determination itself reuses
-	// its buffers round after round.
+	// freeBufs and freeRecs recycle the outcome buffers and encoded records
+	// evicted from history, and walScratch is the reusable WAL round record
+	// (safe because logRound encodes synchronously before returning). The
+	// auctioneer carries the job's pooled auction.Selector, so winner
+	// determination itself reuses its buffers round after round.
 	closeMu    sync.Mutex
 	gather     []auction.Bid
 	sorted     []auction.Bid
@@ -177,6 +185,7 @@ type Job struct {
 	scores     []float64
 	batch      batchState
 	freeBufs   []*auction.OutcomeBuffer
+	freeRecs   [][]byte
 	auct       *auction.Auctioneer
 	src        *countingSource
 	loopDone   chan struct{} // non-nil iff a bid-window goroutine runs
@@ -185,6 +194,10 @@ type Job struct {
 		winners []walWinner
 		bidders []int
 	}
+
+	// snapSpec caches the job's serialized spec for snapshots (the spec is
+	// immutable); guarded by the exchange's compactMu.
+	snapSpec []byte
 
 	// strategyOnce guards the lazy equilibrium solve; concurrent strategy
 	// requests share one solve and its cached result. strategyCfg is the
@@ -333,6 +346,34 @@ func (j *Job) releaseBuf(buf *auction.OutcomeBuffer) {
 	j.freeBufs = append(j.freeBufs, buf)
 }
 
+// takeRec pops a recycled record buffer, or sizes a new one like the
+// previous round's record (same job, same slate shape). Callers hold
+// closeMu, which also covers the read of holds: it only changes under
+// closeMu and j.mu together.
+func (j *Job) takeRec() []byte {
+	if n := len(j.freeRecs); n > 0 {
+		rec := j.freeRecs[n-1]
+		j.freeRecs = j.freeRecs[:n-1]
+		return rec[:0]
+	}
+	hint := 0
+	if n := len(j.holds); n > 0 {
+		hint = cap(j.holds[n-1].rec)
+	}
+	return make([]byte, 0, hint)
+}
+
+// releaseRec recycles an evicted round's record bytes — unless a snapshot
+// is streaming: it may reference exactly these bytes (captured under
+// closeMu, written after it dropped), so the buffer is left to the garbage
+// collector instead of being overwritten by a later round. Callers hold
+// closeMu.
+func (j *Job) releaseRec(rec []byte) {
+	if rec != nil && !j.ex.snapStreaming.Load() {
+		j.freeRecs = append(j.freeRecs, rec)
+	}
+}
+
 // CloseRound closes the job's current collecting round now and returns the
 // outcome in the job's pooled form: zero-copy for in-process embedders that
 // consume the result before the round leaves the KeepOutcomes window (see
@@ -451,7 +492,7 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 	// writer (the record bytes are encoded before it returns, so the scratch
 	// record and the pooled outcome it aliases are free to reuse). j.src.n
 	// is stable here: only RunScoredInto draws from it, and closeMu is held.
-	j.ex.logRound(&j.walScratch.rec, &j.walScratch.winners, ro, bidders, j.src.n)
+	hold.rec = j.logRound(ro, bidders)
 
 	j.mu.Lock()
 	j.scoring = false
@@ -460,9 +501,11 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 	if excess := len(j.outcomes) - j.spec.KeepOutcomes; excess > 0 {
 		// Recycle the pooled buffers leaving the window before shifting it.
 		for i := 0; i < excess; i++ {
-			if h := j.holds[i]; h.buf != nil && h.buf.Generation() == h.gen {
+			h := j.holds[i]
+			if h.buf != nil && h.buf.Generation() == h.gen {
 				j.releaseBuf(h.buf)
 			}
+			j.releaseRec(h.rec)
 		}
 		j.outcomes = append(j.outcomes[:0], j.outcomes[excess:]...)
 		j.holds = append(j.holds[:0], j.holds[excess:]...)
@@ -723,15 +766,16 @@ func (j *Job) Strategy() (*auction.Strategy, error) {
 // the replayed numbering (a record lost to a torn tail mid-history cannot
 // happen, but defend anyway) resets the retained window so outcomeLocked's
 // contiguous indexing stays valid. Replayed outcomes own their memory, so
-// their holds carry no pooled buffer.
-func (j *Job) restoreRound(ro RoundOutcome) {
+// their holds carry no pooled buffer; rec is the round's record object as
+// read from disk, kept so the next snapshot splices it like a live round's.
+func (j *Job) restoreRound(ro RoundOutcome, rec []byte) {
 	if want := j.baseRnd + len(j.outcomes) + 1; ro.Round != want {
 		j.outcomes = j.outcomes[:0]
 		j.holds = j.holds[:0]
 		j.baseRnd = ro.Round - 1
 	}
 	j.outcomes = append(j.outcomes, ro)
-	j.holds = append(j.holds, outcomeHold{})
+	j.holds = append(j.holds, outcomeHold{rec: rec})
 	j.round = ro.Round + 1
 	if excess := len(j.outcomes) - j.spec.KeepOutcomes; excess > 0 {
 		j.outcomes = append(j.outcomes[:0], j.outcomes[excess:]...)

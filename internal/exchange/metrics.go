@@ -38,6 +38,14 @@ type Metrics struct {
 	snapshots    atomic.Int64
 	snapshotErrs atomic.Int64
 
+	// The last committed compaction: its snapshot file's size, the wall
+	// time of the whole Compact, and the part of it spent holding the
+	// stop-the-world locks. Written together by Compact; snapshotBytes is
+	// seeded from the data dir at Open.
+	snapshotBytes atomic.Int64
+	snapshotNs    atomic.Int64
+	snapshotStwNs atomic.Int64
+
 	// wrongPartition counts job-scoped requests refused because the cluster
 	// map places the job on another replica — sustained growth means a stale
 	// router or SDK map.
@@ -103,6 +111,15 @@ type Snapshot struct {
 	// Both stay 0 on an in-memory exchange.
 	WalSnapshots      int64 `json:"wal_snapshots"`
 	WalSnapshotErrors int64 `json:"wal_snapshot_errors"`
+	// WalSnapshotBytes is the size of the last committed snapshot file
+	// (after a restart, the one recovery read); divided by the rotation
+	// threshold (Options.SnapshotBytes) it is the compaction's write
+	// amplification. WalSnapshotSeconds is the wall time of the compaction
+	// that wrote it and WalSnapshotStwSeconds the share of that spent
+	// holding the stop-the-world locks, when no job could close a round.
+	WalSnapshotBytes      int64   `json:"wal_snapshot_bytes"`
+	WalSnapshotSeconds    float64 `json:"wal_snapshot_seconds"`
+	WalSnapshotStwSeconds float64 `json:"wal_snapshot_stw_seconds"`
 	// WalSegmentCount and WalBytes gauge compaction pressure live: the
 	// number of log segments replay would read and their total bytes
 	// (sealed segments plus the active tail). Both 0 in-memory.
@@ -170,8 +187,11 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 		BidsRejected:      m.bidsRejected.Load(),
 		WalSnapshots:      m.snapshots.Load(),
 		WalSnapshotErrors: m.snapshotErrs.Load(),
+		WalSnapshotBytes:  m.snapshotBytes.Load(),
 		WrongPartition:    m.wrongPartition.Load(),
 	}
+	s.WalSnapshotSeconds = time.Duration(m.snapshotNs.Load()).Seconds()
+	s.WalSnapshotStwSeconds = time.Duration(m.snapshotStwNs.Load()).Seconds()
 	s.RoundsPerSec = float64(s.RoundsTotal) / elapsed
 	s.BidsPerSec = float64(s.BidsAccepted) / elapsed
 	s.RoundLatencyP50Ms, s.RoundLatencyP99Ms = m.latencyPercentiles()

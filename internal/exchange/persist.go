@@ -3,16 +3,18 @@ package exchange
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,6 +95,11 @@ type walRecord struct {
 	Node  *walNode  `json:"node,omitempty"`
 	// ID names the job of a closed/removed record.
 	ID string `json:"id,omitempty"`
+
+	// roundRaw is a replayed round record's Round object in history form
+	// (decodeRecord): the bytes read from disk minus the replay fields. The
+	// restored history entry keeps it.
+	roundRaw []byte
 }
 
 // walJob is a serialized JobSpec. The scoring rule travels as the wire-form
@@ -156,24 +163,46 @@ type walNode struct {
 // (so retained outcome responses stay byte-identical), round numbering,
 // cumulative rng draw counts (so post-recovery rounds continue bit-for-bit)
 // and the registry with per-node bid counters, meta and bans.
+//
+// These structs are the document's schema and its reader; the writer
+// (snapCapture.encode) streams the same document without building them.
 type walSnapshot struct {
 	// CutSeq is the first segment the snapshot does NOT cover.
 	CutSeq int64         `json:"cut_seq"`
 	Jobs   []walSnapJob  `json:"jobs,omitempty"`
 	Nodes  []walSnapNode `json:"nodes,omitempty"`
+
+	// size is the snapshot file's byte size, set by readSnapshot.
+	size int64
 }
 
-// walSnapJob is one job's snapshotted state. History reuses the walRound
-// form (Bidders and Draws zero — counters and the cumulative draw count are
-// snapshotted once, not per retained round).
+// walSnapJob is one job's snapshotted state. History holds the retained
+// rounds in their history form (see appendWalRound): the walRound object
+// with Bidders and Draws zero — counters and the cumulative draw count are
+// snapshotted once, not per retained round.
 type walSnapJob struct {
-	Spec      walJob     `json:"spec"`
-	Closed    bool       `json:"closed,omitempty"`
-	Round     int        `json:"round"`
-	BaseRound int        `json:"base_round"`
-	Draws     int64      `json:"draws"`
-	AuctRound int        `json:"auct_round"`
-	History   []walRound `json:"history,omitempty"`
+	Spec      walJob         `json:"spec"`
+	Closed    bool           `json:"closed,omitempty"`
+	Round     int            `json:"round"`
+	BaseRound int            `json:"base_round"`
+	Draws     int64          `json:"draws"`
+	AuctRound int            `json:"auct_round"`
+	History   []walSnapRound `json:"history,omitempty"`
+}
+
+// walSnapRound is one retained round of a snapshot being read: the decoded
+// record plus the bytes it was decoded from, which the restored history
+// entry keeps so the next snapshot can splice them again.
+type walSnapRound struct {
+	walRound
+	raw []byte
+}
+
+// UnmarshalJSON only takes a copy of the entry's bytes; readSnapshot
+// decodes the entries afterwards, on every CPU (decodeHistories).
+func (r *walSnapRound) UnmarshalJSON(b []byte) error {
+	r.raw = bytes.Clone(b)
+	return nil
 }
 
 // walSnapNode is one registry entry with its counters.
@@ -265,9 +294,10 @@ type rotateMsg struct {
 }
 
 // frameBuf is one pooled frame: an 8-byte length+CRC header followed by the
-// JSON payload, built in place by frameRecord. The bound json.Encoder
-// writes straight into the buffer, so one encode costs zero steady-state
-// allocations once the pool is warm.
+// JSON payload, built in place by frameRecord or frameRound. The bound
+// json.Encoder (every record kind but the round) writes straight into the
+// buffer, so one encode costs zero steady-state allocations once the pool
+// is warm.
 type frameBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -314,6 +344,20 @@ func (p *persister) append(rec walRecord) {
 		p.fail(err)
 		return
 	}
+	p.enqueue(fb)
+}
+
+// appendRound queues a round record whose Round object is already encoded
+// (appendWalRound's output; see frameRound). The frame is assembled around
+// a copy of round, so the caller keeps ownership of the bytes.
+func (p *persister) appendRound(round []byte, drawsAt int, bidders []int, draws int64) {
+	fb := p.bufs.Get().(*frameBuf)
+	frameRound(fb, round, drawsAt, bidders, draws)
+	p.enqueue(fb)
+}
+
+// enqueue hands a sealed frame to the writer goroutine.
+func (p *persister) enqueue(fb *frameBuf) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -607,21 +651,62 @@ func frameRecord(fb *frameBuf, rec walRecord) error {
 		return fmt.Errorf("exchange: encoding wal record: %w", err)
 	}
 	fb.buf.Truncate(fb.buf.Len() - 1) // drop the encoder's trailing newline
+	sealFrame(fb)
+	return nil
+}
+
+// frameRound builds the frame of a round record around its already-encoded
+// Round object — appendWalRound's history form, turned into the record form
+// by putting the replay fields where drawsAt says its placeholder is. The
+// payload is exactly what frameRecord produces for walRecord{Kind:
+// recRound, Round: …} (see appendWalRound's contract).
+func frameRound(fb *frameBuf, round []byte, drawsAt int, bidders []int, draws int64) {
+	var pad [8]byte
+	fb.buf.Reset()
+	fb.buf.Write(pad[:])
+	fb.buf.WriteString(walRoundPrefix)
+	fb.buf.Write(round[:drawsAt])
+	fb.buf.Write(appendReplayFields(fb.buf.AvailableBuffer(), bidders, draws))
+	fb.buf.Write(round[drawsAt+len(walRoundNoDraws):])
+	fb.buf.WriteString(walRoundSuffix)
+	sealFrame(fb)
+}
+
+// sealFrame patches the length and CRC of the payload behind fb's header
+// placeholder.
+func sealFrame(fb *frameBuf) {
 	frame := fb.buf.Bytes()
 	payload := frame[8:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return nil
 }
 
-// frameBytes frames an already-marshaled payload (the snapshot file shares
-// the record framing, so torn or bit-flipped snapshots are detectable).
-func frameBytes(payload []byte) []byte {
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame
+// decodeRecord decodes one record payload. A round record in the framing
+// every writer of this log produces is cut out by its fixed prefix, so its
+// Round object is decoded once and its bytes are kept (roundRaw); any other
+// spelling of a round record goes through the generic decode and is
+// re-encoded canonically, so replay accepts exactly what it always did.
+func decodeRecord(payload []byte) (walRecord, error) {
+	if raw, ok := bytes.CutPrefix(payload, []byte(walRoundPrefix)); ok {
+		if raw, ok = bytes.CutSuffix(raw, []byte(walRoundSuffix)); ok && len(raw) > 0 && raw[0] == '{' {
+			round := new(walRound)
+			if json.Unmarshal(raw, round) == nil {
+				return walRecord{Kind: recRound, Round: round, roundRaw: historyForm(raw)}, nil
+			}
+		}
+	}
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, err
+	}
+	if rec.Kind == recRound && rec.Round != nil {
+		raw, _, err := appendWalRound(nil, rec.Round)
+		if err != nil {
+			return rec, err
+		}
+		rec.roundRaw = raw
+	}
+	return rec, nil
 }
 
 // scanWAL reads records until EOF or the first torn/corrupt frame and
@@ -650,8 +735,8 @@ func scanWAL(f *os.File) (recs []walRecord, valid int64, err error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, valid, nil // corrupt payload
 		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			return recs, valid, nil // CRC passed but undecodable: treat as tail
 		}
 		recs = append(recs, rec)
@@ -774,24 +859,178 @@ func lockDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// writeSnapshot makes snap durable: marshal, frame, write to a temp file,
-// fsync, rename over the live snapshot, fsync the dir. The rename is the
-// commit point — a crash anywhere before it leaves the previous snapshot
-// (or none) in force, with every segment it needs still on disk.
-func writeSnapshot(dir string, snap *walSnapshot) error {
-	if err := fpWalSnapshot.Fire(); err != nil {
-		return fmt.Errorf("exchange: writing snapshot: %w", err)
+// maxSnapshotPayload is the largest payload the snapshot's frame header can
+// describe (a uint32 length). A variable only so a test can lower it.
+var maxSnapshotPayload int64 = math.MaxUint32
+
+// snapWriteBuffer sizes the buffered writer the snapshot streams through:
+// history records are a few KiB each, so this turns thousands of splices
+// into a few dozen CRC updates and write syscalls.
+const snapWriteBuffer = 256 << 10
+
+// snapCapture is what Compact collects under the stop-the-world locks:
+// scalars and references only — nothing is cloned or encoded there.
+// jobs[i] owns recs[jobs[i-1].recsEnd:jobs[i].recsEnd], the record bytes of
+// its retained rounds, oldest first; they stay immutable until
+// Exchange.snapStreaming clears (see Job.releaseRec).
+type snapCapture struct {
+	cutSeq int64
+	jobs   []snapJob
+	recs   [][]byte
+	nodes  []walSnapNode
+}
+
+// snapJob is one job's captured state (the walSnapJob fields).
+type snapJob struct {
+	job       *Job
+	closed    bool
+	round     int
+	baseRound int
+	draws     int64
+	auctRound int
+	recsEnd   int
+}
+
+// snapPayload is the file end of the snapshot stream: it sits under the
+// buffered writer, so it sees the payload in buffer-sized chunks, and
+// accumulates the length and CRC the frame header needs. A payload the
+// header cannot describe is refused as a write error.
+type snapPayload struct {
+	f   *os.File
+	n   int64
+	crc uint32
+}
+
+func (s *snapPayload) Write(p []byte) (int, error) {
+	if s.n += int64(len(p)); s.n > maxSnapshotPayload {
+		return 0, fmt.Errorf("payload exceeds the %d bytes a snapshot frame can describe", maxSnapshotPayload)
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("exchange: encoding snapshot: %w", err)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p)
+	return s.f.Write(p)
+}
+
+// finish does, outside the stop-the-world locks, what the capture left
+// undone: it orders the nodes and fills in the serialized spec of every
+// captured job that has none cached yet (specs are immutable, so each job
+// pays this once). The caller holds compactMu.
+func (c *snapCapture) finish() error {
+	slices.SortFunc(c.nodes, func(a, b walSnapNode) int { return cmp.Compare(a.ID, b.ID) })
+	for i := range c.jobs {
+		j := c.jobs[i].job
+		if j.snapSpec != nil {
+			continue
+		}
+		wj, err := walJobFromSpec(j.spec)
+		if err == nil {
+			j.snapSpec, err = json.Marshal(wj)
+		}
+		if err != nil {
+			return fmt.Errorf("exchange: snapshotting job %q: %w", j.id, err)
+		}
+	}
+	return nil
+}
+
+// encode streams the walSnapshot document — the bytes json.Marshal would
+// produce for it — with the header state encoded here and the history
+// records spliced verbatim. Write errors stick to w and surface at its
+// Flush.
+func (c *snapCapture) encode(w *bufio.Writer) {
+	str := func(s string) { w.WriteString(s) }                                      //nolint:errcheck // sticky
+	num := func(n int64) { w.Write(strconv.AppendInt(w.AvailableBuffer(), n, 10)) } //nolint:errcheck // sticky
+	// element starts the i-th element of an omitempty array member.
+	element := func(i int, open string) {
+		if i == 0 {
+			str(open)
+		} else {
+			str(",")
+		}
+	}
+	str(`{"cut_seq":`)
+	num(c.cutSeq)
+	lo := 0
+	for i := range c.jobs {
+		sj := &c.jobs[i]
+		element(i, `,"jobs":[`)
+		str(`{"spec":`)
+		w.Write(sj.job.snapSpec) //nolint:errcheck // sticky
+		if sj.closed {
+			str(`,"closed":true`)
+		}
+		str(`,"round":`)
+		num(int64(sj.round))
+		str(`,"base_round":`)
+		num(int64(sj.baseRound))
+		str(`,"draws":`)
+		num(sj.draws)
+		str(`,"auct_round":`)
+		num(int64(sj.auctRound))
+		for k, rec := range c.recs[lo:sj.recsEnd] {
+			element(k, `,"history":[`)
+			w.Write(rec) //nolint:errcheck // sticky
+		}
+		if sj.recsEnd > lo {
+			str("]")
+		}
+		lo = sj.recsEnd
+		str("}")
+	}
+	if len(c.jobs) > 0 {
+		str("]")
+	}
+	for i, n := range c.nodes {
+		element(i, `,"nodes":[`)
+		str(`{"id":`)
+		num(int64(n.ID))
+		if n.Meta != "" {
+			str(`,"meta":`)
+			w.Write(appendJSONString(w.AvailableBuffer(), n.Meta)) //nolint:errcheck // sticky
+		}
+		if n.Bids != 0 {
+			str(`,"bids":`)
+			num(n.Bids)
+		}
+		if n.Banned {
+			str(`,"banned":true`)
+		}
+		str("}")
+	}
+	if len(c.nodes) > 0 {
+		str("]")
+	}
+	str("}")
+}
+
+// writeSnapshot makes the captured state durable and returns the file's
+// size: stream the document into a temp file behind a placeholder frame
+// header, patch the header with the streamed length and CRC (the snapshot
+// shares the record framing, so a torn or bit-flipped file is detectable),
+// fsync, rename over the live snapshot, fsync the dir. The rename is the
+// commit point — a crash or a failure anywhere before it leaves the
+// previous snapshot (or none) in force, with every segment it needs still
+// on disk.
+func writeSnapshot(dir string, c *snapCapture) (int64, error) {
+	if err := fpWalSnapshot.Fire(); err != nil {
+		return 0, fmt.Errorf("exchange: writing snapshot: %w", err)
 	}
 	tmp := filepath.Join(dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("exchange: creating snapshot: %w", err)
+		return 0, fmt.Errorf("exchange: creating snapshot: %w", err)
 	}
-	_, werr := f.Write(frameBytes(payload))
+	var hdr [8]byte
+	_, werr := f.Write(hdr[:]) // placeholder, patched below
+	payload := &snapPayload{f: f}
+	if werr == nil {
+		bw := bufio.NewWriterSize(payload, snapWriteBuffer)
+		c.encode(bw)
+		werr = bw.Flush()
+	}
+	if werr == nil {
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.n)) // ≤ maxSnapshotPayload
+		binary.LittleEndian.PutUint32(hdr[4:8], payload.crc)
+		_, werr = f.WriteAt(hdr[:], 0)
+	}
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -800,12 +1039,12 @@ func writeSnapshot(dir string, snap *walSnapshot) error {
 	}
 	if werr != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of a failed write
-		return fmt.Errorf("exchange: writing snapshot: %w", werr)
+		return 0, fmt.Errorf("exchange: writing snapshot: %w", werr)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, snapFileName)); err != nil {
-		return fmt.Errorf("exchange: committing snapshot: %w", err)
+		return 0, fmt.Errorf("exchange: committing snapshot: %w", err)
 	}
-	return fsyncDir(dir)
+	return 8 + payload.n, fsyncDir(dir)
 }
 
 // readSnapshot loads the data dir's snapshot; (nil, nil) when none exists.
@@ -832,14 +1071,49 @@ func readSnapshot(dir string) (*walSnapshot, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, errors.New("exchange: snapshot failed its checksum")
 	}
-	var snap walSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
+	snap := &walSnapshot{size: int64(len(raw))}
+	if err = json.Unmarshal(payload, snap); err == nil {
+		err = decodeHistories(snap)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("exchange: decoding snapshot: %w", err)
 	}
 	if snap.CutSeq < 1 {
 		return nil, fmt.Errorf("exchange: snapshot has invalid cut %d", snap.CutSeq)
 	}
-	return &snap, nil
+	return snap, nil
+}
+
+// decodeHistories decodes the history entries walSnapRound.UnmarshalJSON
+// set aside. Keeping each entry's bytes costs a second pass over them;
+// spreading the decode — nearly all of a snapshot's decode work, and
+// independent per entry — over the CPUs keeps recovery time where one
+// pass over the whole document had it.
+func decodeHistories(snap *walSnapshot) error {
+	var entries []*walSnapRound
+	for i := range snap.Jobs {
+		h := snap.Jobs[i].History
+		for k := range h {
+			entries = append(entries, &h[k])
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(entries))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(entries); i += workers {
+				if err := json.Unmarshal(entries[i].raw, &entries[i].walRound); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // Test hooks of the compaction crash matrix: persist_test simulates a
@@ -870,6 +1144,7 @@ func (ex *Exchange) Compact() error {
 	}
 	ex.compactMu.Lock()
 	defer ex.compactMu.Unlock()
+	start := time.Now()
 
 	// Any failure re-arms the size trigger: the next over-threshold commit
 	// (or the interval) retries, instead of one transient error disabling
@@ -909,6 +1184,7 @@ func (ex *Exchange) Compact() error {
 	// the rotation message's position in the writer queue: every record
 	// enqueued before it lands in the old segments the snapshot covers,
 	// everything after lands in the tail the snapshot does not.
+	stwStart := time.Now()
 	ex.mu.Lock()
 	if ex.closed {
 		ex.mu.Unlock()
@@ -937,7 +1213,15 @@ func (ex *Exchange) Compact() error {
 		return abort(ErrExchangeClosed)
 	}
 	snap, serr := ex.captureSnapshot(jobs, newSeq)
+	// From here until the snapshot file is written, evicted history records
+	// are not recycled: the writer reads them outside every lock.
+	ex.snapStreaming.Store(true)
+	defer ex.snapStreaming.Store(false)
 	unlock()
+	stw := time.Since(stwStart)
+	if serr == nil {
+		serr = snap.finish()
+	}
 
 	<-rot.done // old segments durable, writer switched
 	ex.walSeq = newSeq
@@ -956,7 +1240,8 @@ func (ex *Exchange) Compact() error {
 		hook()
 	}
 
-	if err := writeSnapshot(ex.dir, snap); err != nil {
+	size, err := writeSnapshot(ex.dir, snap)
+	if err != nil {
 		ex.metrics.snapshotErrs.Add(1)
 		ex.wal.rearmSizeTrigger()
 		return err
@@ -978,39 +1263,41 @@ func (ex *Exchange) Compact() error {
 	ex.walSegs.Store(1)
 	ex.walSealedBytes.Store(0)
 	ex.metrics.snapshots.Add(1)
+	ex.metrics.snapshotBytes.Store(size)
+	ex.metrics.snapshotNs.Store(int64(time.Since(start)))
+	ex.metrics.snapshotStwNs.Store(int64(stw))
 	return nil
 }
 
-// captureSnapshot assembles the snapshot under the compaction locks
-// (ex.mu + every job's closeMu held by the caller; j.mu taken per job
-// here). All outcome data is deep-copied — the snapshot is encoded after
-// the locks drop, by which time the pooled history buffers may have been
-// recycled by new rounds.
-func (ex *Exchange) captureSnapshot(jobs []*Job, cutSeq int64) (*walSnapshot, error) {
-	snap := &walSnapshot{CutSeq: cutSeq}
+// captureSnapshot collects the snapshot's content under the compaction
+// locks (ex.mu + every job's closeMu held by the caller; j.mu taken per job
+// here): per-job scalars and references to the retained rounds' record
+// bytes. Nothing is copied or encoded — the references stay valid after the
+// locks drop because history records are immutable while retained and
+// Exchange.snapStreaming keeps evicted ones from being recycled.
+func (ex *Exchange) captureSnapshot(jobs []*Job, cutSeq int64) (*snapCapture, error) {
+	snap := &snapCapture{cutSeq: cutSeq, jobs: make([]snapJob, 0, len(jobs))}
 	for _, j := range jobs {
-		wj, err := walJobFromSpec(j.spec)
-		if err != nil {
-			return nil, fmt.Errorf("exchange: snapshotting job %q: %w", j.id, err)
-		}
 		j.mu.Lock()
-		sj := walSnapJob{
-			Spec:      wj,
-			Closed:    j.closed.Load(),
-			Round:     j.round,
-			BaseRound: j.baseRnd,
-			Draws:     j.src.n,
-			AuctRound: j.auct.Round(),
-		}
-		if len(j.outcomes) > 0 {
-			sj.History = make([]walRound, len(j.outcomes))
-			for i, ro := range j.outcomes {
-				ro.Outcome = ro.Outcome.Clone()
-				fillWalRound(&sj.History[i], ro, nil, 0)
+		for i, h := range j.holds {
+			if h.rec == nil {
+				// The round's encode failed at close (the log's sticky error):
+				// there are no bytes to splice, and none to invent.
+				j.mu.Unlock()
+				return nil, fmt.Errorf("exchange: snapshotting job %q: round %d has no log record", j.id, j.baseRnd+1+i)
 			}
+			snap.recs = append(snap.recs, h.rec)
 		}
+		snap.jobs = append(snap.jobs, snapJob{
+			job:       j,
+			closed:    j.closed.Load(),
+			round:     j.round,
+			baseRound: j.baseRnd,
+			draws:     j.src.n,
+			auctRound: j.auct.Round(),
+			recsEnd:   len(snap.recs),
+		})
 		j.mu.Unlock()
-		snap.Jobs = append(snap.Jobs, sj)
 	}
 	// Pending (buffered, unclosed) bids already incremented their node's
 	// live counter, but their round record will land in the tail — which
@@ -1032,7 +1319,7 @@ func (ex *Exchange) captureSnapshot(jobs []*Job, cutSeq int64) (*walSnapshot, er
 		if bids < 0 {
 			bids = 0
 		}
-		snap.Nodes = append(snap.Nodes, walSnapNode{
+		snap.nodes = append(snap.nodes, walSnapNode{
 			ID:     info.ID,
 			Meta:   info.Meta(),
 			Bids:   bids,
@@ -1043,7 +1330,6 @@ func (ex *Exchange) captureSnapshot(jobs []*Job, cutSeq int64) (*walSnapshot, er
 	for _, j := range jobs {
 		j.intake.unlockAll()
 	}
-	sort.Slice(snap.Nodes, func(a, b int) bool { return snap.Nodes[a].ID < snap.Nodes[b].ID })
 	return snap, nil
 }
 
@@ -1073,8 +1359,9 @@ func (ex *Exchange) applySnapshot(snap *walSnapshot) error {
 				ferr = fmt.Errorf("snapshot job %q: %w", spec.ID, err)
 				return
 			}
-			for _, wr := range sj.History {
-				j.restoreRound(wr.outcome(j.id))
+			for k := range sj.History {
+				wr := &sj.History[k]
+				j.restoreRound(wr.outcome(j.id), wr.raw)
 			}
 			if len(sj.History) == 0 {
 				j.round = sj.Round
@@ -1174,6 +1461,7 @@ func Open(dir string, opts Options) (*Exchange, error) {
 		if err := ex.applySnapshot(snap); err != nil {
 			return closeFail(fmt.Errorf("exchange: replaying snapshot: %w", err))
 		}
+		ex.metrics.snapshotBytes.Store(snap.size)
 	}
 
 	// Scan every live segment first, then decide where the effective tail
@@ -1381,7 +1669,7 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 		if !ok {
 			return fmt.Errorf("round for unknown job %q", rec.Round.Job)
 		}
-		j.restoreRound(rec.Round.outcome(j.id))
+		j.restoreRound(rec.Round.outcome(j.id), rec.roundRaw)
 		j.src.fastForwardTo(rec.Round.Draws)
 		j.auct.Resume(rec.Round.Round)
 		for _, id := range rec.Round.Bidders {
@@ -1513,18 +1801,16 @@ func (w *walRound) outcome(jobID string) RoundOutcome {
 	return ro
 }
 
-// fillWalRound populates one round record from a completed round. winners
-// is an optional reusable buffer for the winner slice (the hot logRound
-// path passes the job's scratch; the snapshot path passes nil and lets it
-// allocate).
-func fillWalRound(rec *walRound, ro RoundOutcome, bidders []int, draws int64) []walWinner {
+// fillWalRound populates one round record from a completed round — all of
+// it but the replay fields, which logRound hands to the frame directly —
+// reusing the winner slice rec arrives with (the job's scratch) and
+// returning it, grown or not, for the next round.
+func fillWalRound(rec *walRound, ro RoundOutcome) []walWinner {
 	prev := rec.Winners
 	*rec = walRound{
 		Job:       ro.JobID,
 		Round:     ro.Round,
 		NumBids:   ro.NumBids,
-		Bidders:   bidders,
-		Draws:     draws,
 		LatencyNS: int64(ro.Latency),
 	}
 	if ro.Err != nil {
@@ -1570,16 +1856,27 @@ func (ex *Exchange) logJobCreated(spec JobSpec) error {
 	return nil
 }
 
-// logRound appends one round record built in the caller's scratch (rec and
-// winners are reused across rounds — safe because append encodes the frame
-// before returning; see persister.append).
-func (ex *Exchange) logRound(rec *walRound, winners *[]walWinner, ro RoundOutcome, bidders []int, draws int64) {
-	if ex.wal == nil {
-		return
+// logRound encodes one completed round — once — into a recycled job-owned
+// buffer, appends it to the log, and returns the bytes for the history
+// entry to keep (nil on an in-memory exchange, and after an encode failure,
+// which sticks to the log like any other). The record is built in the
+// job's scratch, reused across rounds. Callers hold closeMu.
+func (j *Job) logRound(ro RoundOutcome, bidders []int) []byte {
+	wal := j.ex.wal
+	if wal == nil {
+		return nil
 	}
-	rec.Winners = *winners
-	*winners = fillWalRound(rec, ro, bidders, draws)
-	ex.wal.append(walRecord{Kind: recRound, Round: rec})
+	sc := &j.walScratch
+	sc.rec.Winners = sc.winners
+	sc.winners = fillWalRound(&sc.rec, ro)
+	rec, drawsAt, err := appendWalRound(j.takeRec(), &sc.rec)
+	if err != nil {
+		j.freeRecs = append(j.freeRecs, rec)
+		wal.fail(fmt.Errorf("exchange: encoding wal record: %w", err))
+		return nil
+	}
+	wal.appendRound(rec, drawsAt, bidders, j.src.n)
+	return rec
 }
 
 func (ex *Exchange) logJobClosed(id string) {

@@ -770,20 +770,7 @@ func TestCompactionSnapshotReplayIdentical(t *testing.T) {
 	for _, id := range ids {
 		job, _ := ex2.Job(id)
 		got, _ := job.OutcomesAfter(0, 0)
-		want := reference[id]
-		if len(got) != len(want) {
-			t.Errorf("job %s: %d retained rounds after recovery, want %d", id, len(got), len(want))
-			continue
-		}
-		for i := range got {
-			// Latency is wall-clock on the rounds each side ran live;
-			// everything deterministic must match bit-for-bit.
-			if got[i].Round != want[i].Round || got[i].NumBids != want[i].NumBids ||
-				!reflect.DeepEqual(got[i].Outcome, want[i].Outcome) ||
-				!reflect.DeepEqual(got[i].Err, want[i].Err) {
-				t.Errorf("job %s round %d: post-recovery outcome diverges from the uncrashed run", id, want[i].Round)
-			}
-		}
+		assertSameRounds(t, id, got, reference[id])
 	}
 }
 

@@ -40,6 +40,9 @@ func writePrometheus(w io.Writer, ex *Exchange) error {
 	counter("bids_rejected_total", "Bids refused (validation, policy, duplicate, closed job).", s.BidsRejected)
 	counter("wal_snapshots_total", "Completed WAL compactions (snapshot + segment rotation).", s.WalSnapshots)
 	counter("wal_snapshot_errors_total", "WAL compaction attempts that failed and will be retried.", s.WalSnapshotErrors)
+	gauge("wal_snapshot_bytes", "Size of the last committed snapshot file; over the rotation threshold it is the compaction's write amplification.", float64(s.WalSnapshotBytes))
+	gauge("wal_snapshot_seconds", "Wall time of the last completed WAL compaction.", s.WalSnapshotSeconds)
+	gauge("wal_snapshot_stw_seconds", "Part of the last completed WAL compaction spent holding the stop-the-world locks (no round can close).", s.WalSnapshotStwSeconds)
 	gauge("wal_segment_count", "Live WAL segments a restart would replay.", float64(s.WalSegmentCount))
 	gauge("wal_bytes", "Logical bytes across live WAL segments (sealed plus active tail; preallocated-but-unwritten space is excluded).", float64(s.WalBytes))
 	counter("wal_fsync_total", "Group commits (fsyncs) of the outcome log.", s.WalFsyncTotal)

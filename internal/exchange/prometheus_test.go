@@ -50,6 +50,9 @@ func TestPrometheusExposition(t *testing.T) {
 		"fmore_exchange_bids_rejected_total":       "counter",
 		"fmore_exchange_wal_snapshots_total":       "counter",
 		"fmore_exchange_wal_snapshot_errors_total": "counter",
+		"fmore_exchange_wal_snapshot_bytes":        "gauge",
+		"fmore_exchange_wal_snapshot_seconds":      "gauge",
+		"fmore_exchange_wal_snapshot_stw_seconds":  "gauge",
 		"fmore_exchange_wal_segment_count":         "gauge",
 		"fmore_exchange_wal_bytes":                 "gauge",
 		"fmore_exchange_firehose_events_total":     "counter",

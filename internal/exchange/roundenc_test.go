@@ -1,0 +1,231 @@
+package exchange
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// checkRoundEncoding asserts the round encoder's whole contract on one
+// record: the frame built around its output equals the reflective encoder's
+// byte for byte (or both refuse the record with the same error), the output
+// itself is the record minus its replay fields, and decodeRecord hands back
+// that same history form plus the record encoding/json would have decoded.
+func checkRoundEncoding(t *testing.T, r *walRound) {
+	t.Helper()
+	rec := walRecord{Kind: recRound, Round: r}
+	reflective := newFrameBuf()
+	wantErr := frameRecord(reflective, rec)
+	history, drawsAt, err := appendWalRound(nil, r)
+	if wantErr != nil {
+		if err == nil || "exchange: encoding wal record: "+err.Error() != wantErr.Error() {
+			t.Fatalf("encode error = %v, the reflective encoder refuses with %v", err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("encode error %v, the reflective encoder accepts: %s", err, reflective.buf.Bytes()[8:])
+	}
+	spliced := newFrameBuf()
+	frameRound(spliced, history, drawsAt, r.Bidders, r.Draws)
+	if !bytes.Equal(spliced.buf.Bytes(), reflective.buf.Bytes()) {
+		t.Fatalf("frame differs from the reflective encoder's:\n got: %s\nwant: %s", spliced.buf.Bytes()[8:], reflective.buf.Bytes()[8:])
+	}
+
+	inHistory := *r
+	inHistory.Bidders, inHistory.Draws = nil, 0
+	if want, err := json.Marshal(&inHistory); err != nil || !bytes.Equal(history, want) {
+		t.Fatalf("history form differs from encoding/json (%v):\n got: %s\nwant: %s", err, history, want)
+	}
+
+	payload := bytes.Clone(reflective.buf.Bytes()[8:])
+	back, err := decodeRecord(payload)
+	if err != nil {
+		t.Fatalf("decodeRecord: %v", err)
+	}
+	if !bytes.Equal(back.roundRaw, history) {
+		t.Fatalf("decodeRecord kept %s, the history form is %s", back.roundRaw, history)
+	}
+	var generic walRecord
+	if err := json.Unmarshal(payload, &generic); err != nil {
+		t.Fatal(err)
+	}
+	if back.Kind != recRound || !reflect.DeepEqual(back.Round, generic.Round) {
+		t.Fatalf("decodeRecord = %+v, encoding/json decodes %+v", back.Round, generic.Round)
+	}
+}
+
+// walRoundFromFuzz builds a record from fuzzer-controlled primitives. data
+// is consumed eight bytes at a time as raw float64 bit patterns, so NaNs,
+// infinities, subnormals and negative zero are all reachable; shape picks
+// nil versus empty versus filled slices.
+func walRoundFromFuzz(job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) *walRound {
+	next := func() float64 {
+		if len(data) < 8 {
+			return 0
+		}
+		f := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		return f
+	}
+	r := &walRound{Job: job, Round: round, NumBids: numBids, Draws: draws, LatencyNS: lat, Err: errStr}
+	if shape&1 != 0 {
+		r.Bidders = []int{numBids, -round, int(draws)}
+	}
+	if shape&2 != 0 {
+		r.Winners = make([]walWinner, int(shape>>4)&3)
+		for i := range r.Winners {
+			w := walWinner{NodeID: int(lat) + i, BidPayment: next(), Score: next(), Payment: next()}
+			if shape&4 != 0 {
+				w.Qualities = make([]float64, i)
+				for k := range w.Qualities {
+					w.Qualities[k] = next()
+				}
+			}
+			r.Winners[i] = w
+		}
+	}
+	if shape&8 != 0 {
+		r.Scores = []float64{}
+		for len(data) >= 8 {
+			r.Scores = append(r.Scores, next())
+		}
+	}
+	r.Profit = next()
+	return r
+}
+
+func floatBits(fs ...float64) []byte {
+	b := make([]byte, 0, 8*len(fs))
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// FuzzAppendWalRound holds the hand-written round encoder to encoding/json
+// on arbitrary records. The seed corpus names the places the two could
+// drift apart: negative zero, subnormals, the 'f'/'e' format switches at
+// 1e-6 and 1e21 (and the 1e-7 exponent clean-up), MaxFloat64, nil versus
+// empty slices, and strings that need HTML, control, U+2028 or
+// invalid-UTF-8 escaping; NaN and ±Inf must be refused identically.
+func FuzzAppendWalRound(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add("job-1", "", 7, 64, int64(3), int64(125000), uint8(0x2f), floatBits(0.25, 0.5, 0.125, 0.75, 1, 2, 3))
+	f.Add("job", "", 1, 0, int64(0), int64(0), uint8(0), []byte(nil)) // ψ zero-eligible: "w":null, "sc":null
+	f.Add("", "", 0, 0, int64(0), int64(0), uint8(0x0a), []byte(nil)) // empty, non-nil slices
+	f.Add("z", "", 1, 3, int64(9), int64(1), uint8(0x3f), floatBits(negZero, 5e-324, math.SmallestNonzeroFloat64*3, 1e-7, 1e-6, 9.999999e-7, 1e21, 9.99999999e20, math.MaxFloat64, -math.MaxFloat64, 1e-9, 123456789.125))
+	f.Add("j", `round 3: <bad> & "quoted" \ slash`+"\n\t\b\f\x00\x1f\x7f", 3, 2, int64(1), int64(2), uint8(8), floatBits(1))
+	f.Add("sep\u2028\u2029é世界", "bad utf8 \xff\xc0\xaf tail \xe2\x80", 1, 1, int64(1), int64(1), uint8(2), []byte(nil))
+	f.Add("nan", "", 1, 1, int64(1), int64(1), uint8(8), floatBits(math.NaN()))
+	f.Add("inf", "", 1, 1, int64(1), int64(1), uint8(0x1e), floatBits(1, math.Inf(1), math.Inf(-1)))
+	f.Add("neg", "", -1, -5, int64(math.MinInt64), int64(math.MaxInt64), uint8(1), []byte(nil))
+	f.Fuzz(func(t *testing.T, job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) {
+		checkRoundEncoding(t, walRoundFromFuzz(job, errStr, round, numBids, draws, lat, shape, data))
+	})
+}
+
+// TestAppendWalRoundMatchesEncodingJSON is the seeded property test: random
+// records in the shape real rounds have (and real failed rounds), floats
+// drawn across the whole exponent range.
+func TestAppendWalRoundMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	float := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Float64frombits(rng.Uint64()) // any bit pattern, NaN/Inf included
+		case 2:
+			return math.Pow(10, float64(rng.Intn(60)-30)) * (rng.Float64() - 0.5)
+		default:
+			return rng.Float64()
+		}
+	}
+	floats := func(n int) []float64 {
+		if n < 0 {
+			return nil
+		}
+		fs := make([]float64, n)
+		for i := range fs {
+			fs[i] = float()
+		}
+		return fs
+	}
+	strs := []string{"", "churn-17", "snap-job-0", `a"b\c`, "<script>&", "tab\there", "\u2028", "\xff", "日本"}
+	for i := 0; i < 2000; i++ {
+		r := &walRound{
+			Job:       strs[rng.Intn(len(strs))],
+			Round:     rng.Intn(1 << 20),
+			NumBids:   rng.Intn(128),
+			Draws:     rng.Int63n(1 << 40),
+			LatencyNS: rng.Int63n(1 << 30),
+			Scores:    floats(rng.Intn(66) - 1),
+			Profit:    float(),
+		}
+		for n := rng.Intn(4) * 16; n > 0; n-- {
+			r.Bidders = append(r.Bidders, rng.Intn(1<<16))
+		}
+		if rng.Intn(10) == 0 {
+			r.Err = "exchange: job x round 3: " + strs[rng.Intn(len(strs))]
+		}
+		if rng.Intn(5) != 0 {
+			r.Winners = make([]walWinner, rng.Intn(9))
+			for k := range r.Winners {
+				r.Winners[k] = walWinner{
+					NodeID:     rng.Intn(1 << 16),
+					Qualities:  floats(rng.Intn(5) - 1),
+					BidPayment: float(),
+					Score:      float(),
+					Payment:    float(),
+				}
+			}
+		}
+		checkRoundEncoding(t, r)
+	}
+}
+
+// TestDecodeRecordAcceptsForeignRoundSpelling: a round record that is valid
+// JSON but not in the writers' exact framing still replays, as it always
+// did, and gets canonical bytes to keep. And historyForm leaves alone what
+// it does not recognize.
+func TestDecodeRecordAcceptsForeignRoundSpelling(t *testing.T) {
+	r := &walRound{Job: "j", Round: 2, NumBids: 1, Bidders: []int{7}, Draws: 4, Scores: []float64{0.5}, Winners: []walWinner{}}
+	history, _, err := appendWalRound(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{
+		`{ "k":"round", "round": ` + string(record) + ` }`,
+		`{"round":` + string(record) + `,"k":"round"}`,
+	} {
+		rec, err := decodeRecord([]byte(payload))
+		if err != nil {
+			t.Fatalf("%s: %v", payload, err)
+		}
+		if rec.Kind != recRound || !reflect.DeepEqual(rec.Round, r) || !bytes.Equal(rec.roundRaw, history) {
+			t.Errorf("%s decoded to %+v with raw %s", payload, rec.Round, rec.roundRaw)
+		}
+	}
+	if rec, err := decodeRecord([]byte(`{"k":"round","round":null}`)); err != nil || rec.Round != nil {
+		t.Errorf("null round = (%+v, %v), want the generic decode's nil payload", rec.Round, err)
+	}
+	for _, tc := range [][2]string{
+		{`{"draws":3,"job":"j"}`, `{"draws":3,"job":"j"}`},                                               // no member before it: left alone
+		{`{"job":"j","bidders":[1],"lat":2,"draws":3}`, `{"job":"j","bidders":[1],"lat":2,"draws":0}`},   // bidders not adjacent: kept
+		{`{"job":"a,\"draws\":9","r":1,"nb":0,"lat":2}`, `{"job":"a,\"draws\":9","r":1,"nb":0,"lat":2}`}, // the key's text inside a string
+		{`{"job":"j","r":1,"nb":2,"bidders":[4,-5],"draws":-7,"lat":2}`, `{"job":"j","r":1,"nb":2,"draws":0,"lat":2}`},
+	} {
+		if got := string(historyForm([]byte(tc[0]))); got != tc[1] {
+			t.Errorf("historyForm(%s) = %s, want %s", tc[0], got, tc[1])
+		}
+	}
+}

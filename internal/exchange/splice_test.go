@@ -1,0 +1,554 @@
+package exchange
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"fmore/internal/auction"
+)
+
+// countRoundEncodes arms testHookEncodeRound for the test's lifetime and
+// returns the running count of round encodes.
+func countRoundEncodes(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	testHookEncodeRound = func() { n.Add(1) }
+	t.Cleanup(func() { testHookEncodeRound = nil })
+	return &n
+}
+
+// allPages fetches every job's outcomes page.
+func allPages(t *testing.T, ex *Exchange, ids []string) map[string][]byte {
+	t.Helper()
+	pages := make(map[string][]byte, len(ids))
+	for _, id := range ids {
+		pages[id] = outcomesPageBytes(t, ex, id)
+	}
+	return pages
+}
+
+func assertPages(t *testing.T, ex *Exchange, want map[string][]byte, when string) {
+	t.Helper()
+	for id, page := range want {
+		if got := outcomesPageBytes(t, ex, id); !bytes.Equal(got, page) {
+			t.Errorf("%s: job %s outcomes page diverged:\n got: %s\nwant: %s", when, id, got, page)
+		}
+	}
+}
+
+// assertSameRounds compares two retained histories on everything
+// deterministic (latency is wall-clock on rounds each side ran live).
+func assertSameRounds(t *testing.T, id string, got, want []RoundOutcome) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("job %s: %d retained rounds, want %d", id, len(got), len(want))
+		return
+	}
+	for i := range got {
+		if got[i].Round != want[i].Round || got[i].NumBids != want[i].NumBids ||
+			!reflect.DeepEqual(got[i].Outcome, want[i].Outcome) ||
+			!reflect.DeepEqual(got[i].Err, want[i].Err) {
+			t.Errorf("job %s round %d diverges", id, want[i].Round)
+		}
+	}
+}
+
+// TestParentWrittenDataDirReplaysAndCompacts is the cross-version format
+// test. testdata/parent-pr12 holds a data dir written by the commit before
+// rounds were encoded once (reflective encoder, re-marshalled snapshot) —
+// one exchange.snap plus a tail segment — and the outcome pages that commit
+// served from it. The dir must open with byte-identical pages, compact
+// (splicing bytes the parent wrote: no round is re-encoded anywhere in the
+// chain) and reopen with the same pages, then run a continuation round
+// bit-identical to a fork of the same dir that never compacted.
+//
+// Regenerate (only if the fixture must change) from a checkout of that
+// commit: the workload is TestCompactionSnapshotReplayIdentical's up to its
+// crash point, closed cleanly, with node 3's meta set to "edge-03 <a&b>".
+func TestParentWrittenDataDirReplaysAndCompacts(t *testing.T) {
+	const jobs, bidders = 4, 16
+	golden := filepath.Join("testdata", "parent-pr12")
+	ids := make([]string, jobs)
+	pages := make(map[string][]byte, jobs)
+	for j := range ids {
+		ids[j] = fmt.Sprintf("snap-job-%d", j)
+		page, err := os.ReadFile(filepath.Join(golden, ids[j]+".outcomes.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[ids[j]] = page
+	}
+	encodes := countRoundEncodes(t)
+	open := func(dir string) *Exchange {
+		t.Helper()
+		ex, err := Open(dir, Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatalf("opening %s: %v", dir, err)
+		}
+		return ex
+	}
+
+	dir := cloneDataDir(t, filepath.Join(golden, "data"))
+	ex := open(dir)
+	assertPages(t, ex, pages, "parent-written dir")
+	if info, ok := ex.Registry().Lookup(3); !ok || info.Meta() != "edge-03 <a&b>" {
+		t.Errorf("node 3 did not come back with its meta (found %v)", ok)
+	}
+	if err := ex.Compact(); err != nil {
+		t.Fatalf("compacting the parent-written dir: %v", err)
+	}
+	assertPages(t, ex, pages, "after compaction")
+	ex.Close()
+
+	ex = open(dir) // from the spliced snapshot alone
+	defer ex.Close()
+	assertPages(t, ex, pages, "reopened after compaction")
+	if err := ex.Compact(); err != nil { // splices what the last snapshot spliced
+		t.Fatal(err)
+	}
+	if n := encodes.Load(); n != 0 {
+		t.Errorf("recover → compact → recover → compact encoded %d rounds, want none", n)
+	}
+
+	fork := open(cloneDataDir(t, filepath.Join(golden, "data")))
+	defer fork.Close()
+	compactWorkload(t, ex, jobs, bidders-1, 2, false) // node 15 is banned in the fixture
+	compactWorkload(t, fork, jobs, bidders-1, 2, false)
+	for _, id := range ids {
+		a, _ := ex.Job(id)
+		b, _ := fork.Job(id)
+		got, _ := a.OutcomesAfter(0, 0)
+		want, _ := b.OutcomesAfter(0, 0)
+		assertSameRounds(t, id, got, want)
+	}
+}
+
+// TestRecoveryChainNeverReencodes runs the same chain on a dir this code
+// wrote: rounds are encoded when they close and never again — not by
+// replaying a segment, not by compacting replayed rounds, not by replaying
+// the snapshot and compacting that.
+func TestRecoveryChainNeverReencodes(t *testing.T) {
+	const jobs, bidders, rounds = 3, 8, 6
+	dir := t.TempDir()
+	encodes := countRoundEncodes(t)
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
+	if n := encodes.Load(); n != jobs*rounds {
+		t.Fatalf("%d rounds closed with %d encodes, want one each", jobs*rounds, n)
+	}
+	pages := allPages(t, ex, ids)
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	encodes.Store(0)
+	for _, step := range []string{"segment replay", "snapshot replay", "second snapshot replay"} {
+		ex, err := Open(dir, Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		assertPages(t, ex, pages, step)
+		if err := ex.Compact(); err != nil {
+			t.Fatalf("compact after %s: %v", step, err)
+		}
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := encodes.Load(); n != 0 {
+		t.Errorf("the recovery chain encoded %d rounds, want none", n)
+	}
+}
+
+// The snapshot schema as the parent commit declared it, history entries as
+// plain round records. A snapshot written by the streaming writer must be
+// this document.
+type parentSnapshot struct {
+	CutSeq int64           `json:"cut_seq"`
+	Jobs   []parentSnapJob `json:"jobs,omitempty"`
+	Nodes  []walSnapNode   `json:"nodes,omitempty"`
+}
+
+type parentSnapJob struct {
+	Spec      walJob     `json:"spec"`
+	Closed    bool       `json:"closed,omitempty"`
+	Round     int        `json:"round"`
+	BaseRound int        `json:"base_round"`
+	Draws     int64      `json:"draws"`
+	AuctRound int        `json:"auct_round"`
+	History   []walRound `json:"history,omitempty"`
+}
+
+// TestSnapshotIsTheParentSchemaDocument decodes a streamed snapshot with
+// the parent's structs: the frame validates, json.Marshal of the decoded
+// value reproduces the payload byte for byte (the hand-written header and
+// node encoders emit exactly the schema's document), and the histories are
+// the live exchange's. It also covers the compaction gauges.
+func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
+	const jobs, bidders, rounds = 4, 16, 6
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ex.RegisterNode(40, `meta "quoted" <&> `+"\u2028")
+	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
+	ex.BlacklistNode(2)
+	job0, _ := ex.Job(ids[0])
+	job0.Close()
+	if _, err := ex.CreateJob(JobSpec{ID: "no-history", Auction: auction.Config{Rule: testRule(t, 0), K: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if m := ex.Metrics(); m.WalSnapshotBytes != 0 || m.WalSnapshotSeconds != 0 {
+		t.Errorf("compaction gauges before any compaction: %+v", m)
+	}
+	if err := ex.Compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, snapFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSnapshot(dir); err != nil {
+		t.Fatalf("the frame does not validate: %v", err)
+	}
+	payload := raw[8:]
+	var snap parentSnapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatalf("parent-shape decode: %v", err)
+	}
+	if again, err := json.Marshal(snap); err != nil || !bytes.Equal(again, payload) {
+		t.Errorf("snapshot is not json.Marshal of its schema (%v):\n got: %s\nwant: %s", err, payload, again)
+	}
+	if len(snap.Jobs) != jobs+1 || snap.CutSeq != 2 {
+		t.Fatalf("snapshot has %d jobs at cut %d", len(snap.Jobs), snap.CutSeq)
+	}
+	for _, sj := range snap.Jobs {
+		job, ok := ex.Job(sj.Spec.ID)
+		if !ok {
+			t.Fatalf("snapshot job %q is not hosted", sj.Spec.ID)
+		}
+		live, _ := job.OutcomesAfter(0, 0)
+		if len(sj.History) != len(live) || sj.Round != job.Round() || sj.Closed != (job.State() == "closed") {
+			t.Errorf("job %s: snapshot (round %d, %d retained, closed %v) disagrees with the live job (round %d, %d retained, %s)",
+				sj.Spec.ID, sj.Round, len(sj.History), sj.Closed, job.Round(), len(live), job.State())
+			continue
+		}
+		for i := range live {
+			if got := sj.History[i].outcome(sj.Spec.ID); !reflect.DeepEqual(got, live[i]) {
+				t.Errorf("job %s round %d: snapshot holds %+v, live history %+v", sj.Spec.ID, live[i].Round, got, live[i])
+			}
+		}
+	}
+
+	m := ex.Metrics()
+	if m.WalSnapshotBytes != int64(len(raw)) {
+		t.Errorf("wal_snapshot_bytes = %d, the file is %d bytes", m.WalSnapshotBytes, len(raw))
+	}
+	if m.WalSnapshotStwSeconds <= 0 || m.WalSnapshotStwSeconds > m.WalSnapshotSeconds {
+		t.Errorf("wal_snapshot_seconds = %v with a stop-the-world share of %v", m.WalSnapshotSeconds, m.WalSnapshotStwSeconds)
+	}
+	ex2, err := Open(cloneDataDir(t, dir), Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex2.Close()
+	if m := ex2.Metrics(); m.WalSnapshotBytes != int64(len(raw)) || m.WalSnapshotSeconds != 0 {
+		t.Errorf("after a restart: wal_snapshot_bytes = %d (file: %d), wal_snapshot_seconds = %v (no compaction yet)",
+			m.WalSnapshotBytes, len(raw), m.WalSnapshotSeconds)
+	}
+}
+
+// TestSnapshotFrameOverflowRefused: a snapshot whose payload the frame's
+// uint32 length cannot describe used to commit — truncated length and all —
+// and was rejected by the next Open only after the segments it covered were
+// gone. It must be refused before the rename instead: the error returned
+// and counted, the size trigger re-armed, every segment kept.
+func TestSnapshotFrameOverflowRefused(t *testing.T) {
+	const jobs, bidders, rounds = 2, 8, 3
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
+	pages := allPages(t, ex, ids)
+
+	limit := maxSnapshotPayload
+	maxSnapshotPayload = 512
+	defer func() { maxSnapshotPayload = limit }()
+	ex.wal.notified.Store(true) // as if the size trigger had fired this compaction
+	if err := ex.Compact(); err == nil {
+		t.Fatal("compaction committed a snapshot larger than its frame can describe")
+	}
+	if m := ex.Metrics(); m.WalSnapshotErrors != 1 || m.WalSnapshots != 0 || m.WalSnapshotBytes != 0 {
+		t.Errorf("after the refusal: errors %d, snapshots %d, snapshot bytes %d", m.WalSnapshotErrors, m.WalSnapshots, m.WalSnapshotBytes)
+	}
+	if ex.wal.notified.Load() {
+		t.Error("the size trigger was not re-armed")
+	}
+	for _, name := range []string{snapFileName, snapTmpName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s exists after the refusal (err=%v)", name, err)
+		}
+	}
+	if segs, err := listSegments(dir); err != nil || !reflect.DeepEqual(segs, []int64{1, 2}) {
+		t.Errorf("segments after the refusal = %v, %v; want the covered one kept beside its successor", segs, err)
+	}
+	if err := ex.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := Open(cloneDataDir(t, dir), Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen after the refusal: %v", err)
+	}
+	assertPages(t, ex2, pages, "reopened after the refusal")
+	ex2.Close()
+
+	maxSnapshotPayload = limit
+	if err := ex.Compact(); err != nil {
+		t.Fatalf("compaction under the real limit: %v", err)
+	}
+	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []int64{3}) {
+		t.Errorf("segments after the retry = %v, want only the fresh tail", segs)
+	}
+	assertPages(t, ex, pages, "after the retry")
+}
+
+// spliceJobs creates n jobs with a two-round history window — every close
+// past the second evicts — and returns their IDs.
+func spliceJobs(t *testing.T, ex *Exchange, n int) []string {
+	t.Helper()
+	ids := make([]string, n)
+	for j := range ids {
+		ids[j] = fmt.Sprintf("evict-%d", j)
+		if _, err := ex.CreateJob(JobSpec{
+			ID:           ids[j],
+			Auction:      auction.Config{Rule: testRule(t, j), K: 2},
+			Seed:         int64(5 + j),
+			KeepOutcomes: 2,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ids
+}
+
+// closeOneRound bids and closes job jobIdx's next round. It reports rather
+// than aborts, so goroutines other than the test's may call it.
+func closeOneRound(t *testing.T, ex *Exchange, id string, jobIdx, bidders int) (RoundOutcome, bool) {
+	job, ok := ex.Job(id)
+	if !ok {
+		t.Errorf("job %s missing", id)
+		return RoundOutcome{}, false
+	}
+	for _, b := range testBids(jobIdx, job.Round(), bidders) {
+		if _, err := ex.SubmitBid(id, b); err != nil {
+			t.Errorf("bid on %s: %v", id, err)
+			return RoundOutcome{}, false
+		}
+	}
+	ro, err := ex.CloseRound(id)
+	if err != nil {
+		t.Errorf("close on %s: %v", id, err)
+		return RoundOutcome{}, false
+	}
+	return ro, true
+}
+
+// snapshotOnly turns a crash copy into what its snapshot alone holds: the
+// tail segments are dropped, so recovery starts an empty tail at the cut.
+func snapshotOnly(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range segs {
+		if err := os.Remove(filepath.Join(dir, segName(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotStreamsWhileHistoryEvicts pins the buffer-ownership rule of
+// the splice: the snapshot is written from references captured under the
+// stop-the-world locks, after they dropped — so rounds closing meanwhile
+// evict exactly the records being written, and their buffers must not be
+// reused until the file is complete. The crash copy taken the moment the
+// snapshot commits, cut down to the snapshot itself, must hold exactly the
+// history at the cut.
+func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
+	const jobs, bidders = 3, 8
+	t.Cleanup(func() {
+		testHookAfterRotate = nil
+		testHookAfterSnapshot = nil
+	})
+
+	// Deterministic: the evicting closes run between the capture and the
+	// write, on the compacting goroutine itself.
+	t.Run("closes between capture and write", func(t *testing.T) {
+		dir := t.TempDir()
+		ex, err := Open(dir, Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+		ids := spliceJobs(t, ex, jobs)
+		for r := 0; r < 3; r++ {
+			for j, id := range ids {
+				closeOneRound(t, ex, id, j, bidders)
+			}
+		}
+		var atCut map[string][]byte
+		var crashDir string
+		testHookAfterRotate = func() {
+			atCut = allPages(t, ex, ids)
+			for r := 0; r < 4; r++ { // every captured record leaves the window, twice over
+				for j, id := range ids {
+					closeOneRound(t, ex, id, j, bidders)
+				}
+			}
+		}
+		testHookAfterSnapshot = func() { crashDir = cloneDataDir(t, dir) }
+		if err := ex.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		testHookAfterRotate, testHookAfterSnapshot = nil, nil
+		snapshotOnly(t, crashDir)
+		ex2, err := Open(crashDir, Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatalf("recovering the snapshot: %v", err)
+		}
+		defer ex2.Close()
+		assertPages(t, ex2, atCut, "snapshot written while its records were evicted")
+	})
+
+	// Concurrent (the -race half): size-triggered compactions run in the
+	// background while every job keeps closing rounds.
+	t.Run("concurrent closes", func(t *testing.T) {
+		const maxRounds, copies = 20000, 4 // closers stop at the fourth committed snapshot
+		dir := t.TempDir()
+		scratch := t.TempDir()
+		ex, err := Open(dir, Options{SnapshotBytes: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+		ids := spliceJobs(t, ex, jobs)
+
+		var mu sync.Mutex
+		closed := make(map[string]map[int]RoundOutcome, jobs)
+		var crashDirs []string
+		var done atomic.Bool
+		testHookAfterSnapshot = func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(crashDirs) == copies {
+				return
+			}
+			d := filepath.Join(scratch, fmt.Sprint(len(crashDirs)))
+			if err := os.CopyFS(d, os.DirFS(dir)); err != nil {
+				t.Error(err)
+				done.Store(true)
+				return
+			}
+			crashDirs = append(crashDirs, d)
+			done.Store(len(crashDirs) == copies)
+		}
+		var wg sync.WaitGroup
+		for j, id := range ids {
+			closed[id] = make(map[int]RoundOutcome)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < maxRounds && !done.Load(); r++ {
+					ro, ok := closeOneRound(t, ex, id, j, bidders)
+					if !ok {
+						return
+					}
+					mu.Lock()
+					closed[id][ro.Round] = ro
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		if err := ex.Close(); err != nil {
+			t.Fatal(err)
+		}
+		testHookAfterSnapshot = nil
+		if len(crashDirs) < copies {
+			t.Fatalf("%d compactions committed during the run, want %d", len(crashDirs), copies)
+		}
+		for _, crashDir := range crashDirs {
+			snapshotOnly(t, crashDir)
+			ex2, err := Open(crashDir, Options{SnapshotBytes: -1})
+			if err != nil {
+				t.Fatalf("recovering %s: %v", crashDir, err)
+			}
+			for _, id := range ids {
+				job, _ := ex2.Job(id)
+				got, _ := job.OutcomesAfter(0, 0)
+				if want := min(2, job.Round()-1); len(got) != want {
+					t.Errorf("%s job %s at round %d retains %d rounds, want %d", crashDir, id, job.Round(), len(got), want)
+				}
+				for _, ro := range got {
+					if want := closed[id][ro.Round]; !reflect.DeepEqual(ro, want) {
+						t.Errorf("%s job %s round %d: snapshot holds %+v, the round closed as %+v", crashDir, id, ro.Round, ro, want)
+					}
+				}
+			}
+			ex2.Close()
+		}
+	})
+}
+
+// TestOpenRejectsUndecodableHistoryEntry: history entries are decoded apart
+// from the document around them; one that is valid JSON but not a round
+// must fail the Open like any other undecodable snapshot, not vanish.
+func TestOpenRejectsUndecodableHistoryEntry(t *testing.T) {
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactWorkload(t, ex, 1, 4, 2, true)
+	if err := ex.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ex.Close()
+	path := filepath.Join(dir, snapFileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Replace(raw[8:], []byte(`"history":[{"job":"snap-job-0"`), []byte(`"history":[{"job":1234567890.5`), 1)
+	if len(payload) != len(raw)-8 || bytes.Equal(payload, raw[8:]) {
+		t.Fatal("the fixture edit did not apply")
+	}
+	fb := newFrameBuf()
+	fb.buf.Write(make([]byte, 8))
+	fb.buf.Write(payload)
+	sealFrame(fb)
+	if err := os.WriteFile(path, fb.buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ex, err := Open(dir, Options{SnapshotBytes: -1}); err == nil {
+		ex.Close()
+		t.Fatal("opened a snapshot whose history entry does not decode")
+	}
+}
