@@ -693,8 +693,8 @@ func BenchmarkSelect_N4096K16(b *testing.B) { benchmarkSelect(b, 4096, 16) }
 
 // benchmarkSelectFullSort is the pre-refactor baseline kept for comparison:
 // score everything, sort.SliceStable the whole slate, take the top K, with
-// fresh allocations per call — what DetermineWinners did before the partial
-// top-K core. The ≥2× acceptance bar of the refactor is measured against
+// fresh allocations per call — what winner determination did before the
+// partial top-K core. The ≥2× acceptance bar of the refactor is measured against
 // this.
 func benchmarkSelectFullSort(b *testing.B, n, k int) {
 	rule, bids := selectBenchSlate(b, n)
@@ -839,11 +839,11 @@ func BenchmarkAblationPaymentRules(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		first, err := auction.DetermineWinners(rule, bids, 20, auction.FirstPrice, rand.New(rand.NewSource(2)))
+		first, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Payment: auction.FirstPrice}, rand.New(rand.NewSource(2)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		second, err := auction.DetermineWinners(rule, bids, 20, auction.SecondPrice, rand.New(rand.NewSource(2)))
+		second, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Payment: auction.SecondPrice}, rand.New(rand.NewSource(2)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -878,7 +878,7 @@ func BenchmarkAblationScoringRules(b *testing.B) {
 		}
 	}
 	winnersOf := func(r auction.ScoringRule) map[int]bool {
-		out, err := auction.DetermineWinners(r, bids, 20, auction.FirstPrice, rand.New(rand.NewSource(4)))
+		out, err := auction.Select(auction.SelectionRequest{Rule: r, Bids: bids, K: 20, Payment: auction.FirstPrice}, rand.New(rand.NewSource(4)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -924,11 +924,11 @@ func BenchmarkAblationBudget(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tight, err := auction.DetermineWinnersBudget(rule, bids, 20, 1.0, auction.FirstPrice, rand.New(rand.NewSource(8)))
+		tight, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Budget: 1.0, Payment: auction.FirstPrice}, rand.New(rand.NewSource(8)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		loose, err := auction.DetermineWinnersBudget(rule, bids, 20, 10.0, auction.FirstPrice, rand.New(rand.NewSource(8)))
+		loose, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Budget: 10.0, Payment: auction.FirstPrice}, rand.New(rand.NewSource(8)))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,9 +20,8 @@ import (
 	_ "net/http/pprof" // registered on the DefaultServeMux served at -pprof-addr
 	"os"
 
-	"fmore/internal/auction"
+	"fmore/internal/cluster"
 	"fmore/internal/data"
-	"fmore/internal/ml"
 	"fmore/internal/transport"
 )
 
@@ -56,7 +55,7 @@ func run(args []string) error {
 		}()
 	}
 
-	task, err := parseTask(*taskName)
+	task, err := data.ParseTask(*taskName)
 	if err != nil {
 		return err
 	}
@@ -67,11 +66,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	global, err := buildModel(task, rand.New(rand.NewSource(*seed+13)))
+	global, err := data.NewModel(task, rand.New(rand.NewSource(*seed+13)))
 	if err != nil {
 		return err
 	}
-	rule, err := auction.NewAdditive(0.4, 0.3, 0.3)
+	rule, err := cluster.DeploymentRule()
 	if err != nil {
 		return err
 	}
@@ -110,35 +109,4 @@ func run(args []string) error {
 	}
 	fmt.Printf("final accuracy: %.4f\n", report.FinalAccuracy)
 	return nil
-}
-
-func parseTask(s string) (data.TaskKind, error) {
-	switch s {
-	case "mnist-o":
-		return data.MNISTO, nil
-	case "mnist-f":
-		return data.MNISTF, nil
-	case "cifar-10", "cifar":
-		return data.CIFAR10, nil
-	case "hpnews":
-		return data.HPNews, nil
-	default:
-		return 0, fmt.Errorf("unknown task %q", s)
-	}
-}
-
-func buildModel(kind data.TaskKind, rng *rand.Rand) (ml.Classifier, error) {
-	switch kind {
-	case data.MNISTO, data.MNISTF:
-		return ml.NewImageCNN(ml.MNISTCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.CIFAR10:
-		return ml.NewImageCNN(ml.CIFARCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.HPNews:
-		return ml.NewLSTMClassifier(ml.LSTMConfig{
-			Vocab: data.TextVocab, Embed: 10, Hidden: 20,
-			Classes: data.NumClasses, Momentum: 0.9,
-		}, rng)
-	default:
-		return nil, fmt.Errorf("unknown task kind %v", kind)
-	}
 }

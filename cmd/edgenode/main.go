@@ -3,10 +3,10 @@
 //
 // Exchange mode (-exchange-url): the node speaks the exchange's versioned
 // /v1 HTTP API through the pkg/client SDK. It registers, fetches the job's
-// solved Theorem 1 bid curve from the server (falling back to a local solve
-// only when the job carries no equilibrium spec), subscribes to the
-// server-push round event stream, and bids into every round it sees —
-// learning outcomes the moment they close instead of long-polling:
+// solved Theorem 1 bid curve from the server (the job must carry an
+// equilibrium block), subscribes to the server-push round event stream, and
+// bids into every round it sees — learning outcomes the moment they close
+// instead of long-polling:
 //
 //	edgenode -exchange-url http://localhost:8780 -job demo -id 3 -rounds 5
 //
@@ -29,10 +29,8 @@ import (
 	"math/rand"
 	"os"
 
-	"fmore/internal/auction"
+	"fmore/internal/cluster"
 	"fmore/internal/data"
-	"fmore/internal/dist"
-	"fmore/internal/ml"
 	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
@@ -67,21 +65,16 @@ func run(args []string) error {
 
 	if *exchangeURL != "" {
 		return runExchange(exchangeConfig{
-			url:      *exchangeURL,
-			jobID:    *jobID,
-			nodeID:   *id,
-			rounds:   *rounds,
-			theta:    *theta,
-			seed:     *seed,
-			cpu:      *cpu,
-			bw:       *bandwidth,
-			dataSize: *dataSize,
-			nBidders: *nBidders,
-			k:        *k,
+			url:    *exchangeURL,
+			jobID:  *jobID,
+			nodeID: *id,
+			rounds: *rounds,
+			theta:  *theta,
+			seed:   *seed,
 		})
 	}
 
-	task, err := parseTask(*taskName)
+	task, err := data.ParseTask(*taskName)
 	if err != nil {
 		return err
 	}
@@ -91,18 +84,25 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := buildModel(task, rand.New(rand.NewSource(*seed+2000+int64(*id))))
+	model, err := data.NewModel(task, rand.New(rand.NewSource(*seed+2000+int64(*id))))
 	if err != nil {
 		return err
 	}
 
 	// Equilibrium strategy for the deployment market (additive rule
 	// 0.4/0.3/0.3 over normalized CPU/bandwidth/data, as in §V-A).
-	strategy, err := solveLocalStrategy(*nBidders, *k)
+	strategy, err := cluster.SolveDeploymentStrategy(*nBidders, *k)
 	if err != nil {
 		return err
 	}
-	myTheta := drawTheta(*theta, *seed, *id)
+	myTheta := *theta
+	if myTheta == 0 {
+		thetaDist, err := cluster.DeploymentTheta()
+		if err != nil {
+			return err
+		}
+		myTheta = thetaDist.Sample(rand.New(rand.NewSource(*seed + 3000 + int64(*id))))
+	}
 
 	qualities := []float64{*cpu / 8, *bandwidth / 100, float64(*dataSize) / 10000}
 	fmt.Printf("node %d: θ=%.3f data=%d bidding p=%.4f q=%.3v\n",
@@ -126,59 +126,18 @@ func run(args []string) error {
 	return nil
 }
 
-// solveLocalStrategy runs the Theorem 1 solver for the deployment market
-// (additive 0.4/0.3/0.3 over normalized CPU/bandwidth/data, linear cost,
-// θ ~ U[0.5, 1.5]). The TCP path always solves locally; the exchange path
-// only falls back here when the job serves no strategy.
-func solveLocalStrategy(nBidders, k int) (*auction.Strategy, error) {
-	rule, err := auction.NewAdditive(0.4, 0.3, 0.3)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := auction.NewLinearCost(0.1, 0.1, 0.1)
-	if err != nil {
-		return nil, err
-	}
-	thetaDist, err := dist.NewUniform(0.5, 1.5)
-	if err != nil {
-		return nil, err
-	}
-	return auction.SolveEquilibrium(auction.EquilibriumConfig{
-		Rule: rule, Cost: cost, Theta: thetaDist,
-		N: nBidders, K: k,
-		QLo: []float64{0, 0, 0}, QHi: []float64{1, 1, 1},
-		ThetaGridPoints: 65, QualityGridPoints: 24,
-	})
-}
-
-// drawTheta returns the node's private cost parameter: the explicit flag
-// value, or a seeded draw from the market's θ distribution.
-func drawTheta(theta float64, seed int64, id int) float64 {
-	if theta != 0 {
-		return theta
-	}
-	thetaDist, err := dist.NewUniform(0.5, 1.5)
-	if err != nil {
-		panic(err) // constants; cannot fail
-	}
-	return thetaDist.Sample(rand.New(rand.NewSource(seed + 3000 + int64(id))))
-}
-
 // exchangeConfig parameterizes exchange-mode participation.
 type exchangeConfig struct {
 	url, jobID     string
 	nodeID, rounds int
 	theta          float64
 	seed           int64
-	cpu, bw        float64
-	dataSize       int
-	nBidders, k    int
 }
 
 // runExchange participates in a hosted exchange job over the /v1 API: it
-// registers, obtains a bid (the job's server-solved strategy curve when
-// available, a local solve otherwise), and rides the server-push event
-// stream — bidding on every round_open, settling on every round_closed.
+// registers, obtains its bid from the job's server-solved strategy curve,
+// and rides the server-push event stream — bidding on every round_open,
+// settling on every round_closed.
 func runExchange(cfg exchangeConfig) error {
 	if cfg.jobID == "" {
 		return errors.New("exchange mode needs -job")
@@ -196,37 +155,24 @@ func runExchange(cfg exchangeConfig) error {
 		return fmt.Errorf("resolving job: %w", err)
 	}
 	myTheta := cfg.theta
-
-	var makeBid func() client.Bid
-	if bidder, err := c.NewBidder(ctx, cfg.jobID, cfg.nodeID, myTheta); err == nil {
-		if myTheta == 0 {
-			// Draw the private type from the game's own θ support (the
-			// curve advertises it) rather than the deployment default, so
-			// the equilibrium bid is interior, not clamped to an endpoint.
-			s := bidder.Strategy()
-			u := rand.New(rand.NewSource(cfg.seed + 3000 + int64(cfg.nodeID))).Float64()
-			myTheta = s.ThetaLo + u*(s.ThetaHi-s.ThetaLo)
-			bidder = bidder.WithTheta(myTheta)
+	bidder, err := c.NewBidder(ctx, cfg.jobID, cfg.nodeID, myTheta)
+	if err != nil {
+		if client.ErrorCode(err) == client.CodeNoStrategy {
+			return fmt.Errorf("fetching strategy: %w (create the job with an \"equilibrium\" block so the exchange can serve its bid curve)", err)
 		}
-		fmt.Printf("node %d: θ=%.3f bidding the exchange-solved strategy (p=%.4f)\n",
-			cfg.nodeID, myTheta, bidder.Bid().Payment)
-		makeBid = bidder.Bid
-	} else if client.ErrorCode(err) == client.CodeNoStrategy {
-		myTheta = drawTheta(cfg.theta, cfg.seed, cfg.nodeID)
-		strategy, serr := solveLocalStrategy(cfg.nBidders, cfg.k)
-		if serr != nil {
-			return serr
-		}
-		qualities := []float64{cfg.cpu / 8, cfg.bw / 100, float64(cfg.dataSize) / 10000}
-		payment := strategy.Payment(myTheta)
-		fmt.Printf("node %d: θ=%.3f job has no strategy endpoint; solved locally (p=%.4f)\n",
-			cfg.nodeID, myTheta, payment)
-		makeBid = func() client.Bid {
-			return client.Bid{NodeID: cfg.nodeID, Qualities: qualities, Payment: payment}
-		}
-	} else {
 		return fmt.Errorf("fetching strategy: %w", err)
 	}
+	if myTheta == 0 {
+		// Draw the private type from the game's own θ support (the curve
+		// advertises it), so the equilibrium bid is interior, not clamped
+		// to an endpoint.
+		s := bidder.Strategy()
+		u := rand.New(rand.NewSource(cfg.seed + 3000 + int64(cfg.nodeID))).Float64()
+		myTheta = s.ThetaLo + u*(s.ThetaHi-s.ThetaLo)
+		bidder = bidder.WithTheta(myTheta)
+	}
+	fmt.Printf("node %d: θ=%.3f bidding the exchange-solved strategy (p=%.4f)\n",
+		cfg.nodeID, myTheta, bidder.Bid().Payment)
 
 	// Watch from the currently collecting round: the stream opens with a
 	// round_open for it, which triggers the first bid; older history is not
@@ -242,7 +188,7 @@ func runExchange(cfg exchangeConfig) error {
 	for ev := range watch.Events() {
 		switch ev.Type {
 		case client.RoundOpen:
-			if _, err := c.SubmitBid(ctx, cfg.jobID, makeBid()); err != nil &&
+			if _, err := c.SubmitBid(ctx, cfg.jobID, bidder.Bid()); err != nil &&
 				client.ErrorCode(err) != client.CodeDuplicateBid {
 				fmt.Printf("node %d: round %d bid rejected: %v\n", cfg.nodeID, ev.Round, err)
 			}
@@ -269,35 +215,4 @@ func runExchange(cfg exchangeConfig) error {
 	}
 	fmt.Printf("node %d: rounds=%d won=%d earned=%.4f\n", cfg.nodeID, seen, won, earned)
 	return nil
-}
-
-func parseTask(s string) (data.TaskKind, error) {
-	switch s {
-	case "mnist-o":
-		return data.MNISTO, nil
-	case "mnist-f":
-		return data.MNISTF, nil
-	case "cifar-10", "cifar":
-		return data.CIFAR10, nil
-	case "hpnews":
-		return data.HPNews, nil
-	default:
-		return 0, fmt.Errorf("unknown task %q", s)
-	}
-}
-
-func buildModel(kind data.TaskKind, rng *rand.Rand) (ml.Classifier, error) {
-	switch kind {
-	case data.MNISTO, data.MNISTF:
-		return ml.NewImageCNN(ml.MNISTCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.CIFAR10:
-		return ml.NewImageCNN(ml.CIFARCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.HPNews:
-		return ml.NewLSTMClassifier(ml.LSTMConfig{
-			Vocab: data.TextVocab, Embed: 10, Hidden: 20,
-			Classes: data.NumClasses, Momentum: 0.9,
-		}, rng)
-	default:
-		return nil, fmt.Errorf("unknown task kind %v", kind)
-	}
 }

@@ -31,7 +31,6 @@ func run(args []string) error {
 	k := fs.Int("k", 8, "winners per round")
 	rounds := fs.Int("rounds", 10, "federated rounds")
 	random := fs.Bool("random", false, "RandFL baseline instead of the auction")
-	useExchange := fs.Bool("exchange", false, "delegate winner determination to an internal/exchange job")
 	psi := fs.Float64("psi", 1, "psi-FMore admission probability")
 	seed := fs.Int64("seed", 1, "seed")
 	trainN := fs.Int("train", 2000, "generated training corpus size")
@@ -45,7 +44,6 @@ func run(args []string) error {
 		Task:         data.CIFAR10,
 		TrainSamples: *trainN, TestSamples: *testN,
 		RandomSelection: *random,
-		UseExchange:     *useExchange,
 		Psi:             *psi,
 		Seed:            *seed,
 		BreachNodeID:    -1,
@@ -58,8 +56,6 @@ func run(args []string) error {
 	mode := "FMore"
 	if *random {
 		mode = "RandFL"
-	} else if *useExchange {
-		mode = "FMore-via-exchange"
 	}
 	fmt.Printf("cluster run: %d nodes, K=%d, %d rounds, %s\n", *nodes, *k, *rounds, mode)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fmore/internal/partition"
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -105,7 +104,7 @@ func TestE2EMultiReplica(t *testing.T) {
 	for _, id := range []string{job0, job1} {
 		if _, err := c.CreateJob(ctx, client.JobSpec{
 			ID:   id,
-			Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
+			Rule: client.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
 			K:    2,
 			Seed: 42,
 		}); err != nil {

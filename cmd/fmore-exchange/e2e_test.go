@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -122,7 +121,7 @@ func TestE2ESmoke(t *testing.T) {
 
 	if _, err := c.CreateJob(ctx, client.JobSpec{
 		ID:   "smoke",
-		Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
+		Rule: client.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
 		K:    2,
 		Seed: 42,
 	}); err != nil {
@@ -232,7 +231,7 @@ func TestE2ESnapshotRecovery(t *testing.T) {
 	defer cancel()
 	if _, err := c.CreateJob(ctx, client.JobSpec{
 		ID:           "rotated",
-		Rule:         transport.RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}},
+		Rule:         client.RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}},
 		K:            2,
 		Seed:         7,
 		KeepOutcomes: 8,

@@ -38,13 +38,10 @@
 // The durability/latency tradeoff is tunable without recompiling:
 // -sync-interval (default 2ms) bounds how long the log writer coalesces
 // records before an fsync when nothing is waiting on durability — the
-// crash-loss window is at most that hold plus one fsync — and -commit
-// picks the group-commit policy: "adaptive" (default) commits the moment
-// the writer's queue drains once a durability waiter is pending, so a
-// waiter never idles out the hold while records racing in behind it still
-// share its fsync; "fixed" always holds the full -sync-interval,
-// minimizing flush count at the cost of commit latency. The achieved
-// batching is observable as wal_fsync_total vs wal_fsync_batched_records
+// crash-loss window is at most that hold plus one fsync. Once a
+// durability waiter is pending the writer commits the moment its queue
+// drains, so a waiter never idles out the hold while records racing in
+// behind it still share its fsync. The achieved batching is observable as wal_fsync_total vs wal_fsync_batched_records
 // in the metric catalog.
 //
 // # Storage failure policy
@@ -183,8 +180,6 @@ func main() {
 		"additionally snapshot + rotate the WAL on this period (0 = size trigger only)")
 	syncInterval := flag.Duration("sync-interval", 0,
 		"WAL group-commit hold: how long the log writer coalesces records before each fsync when no Sync waiter is pending (0 = default 2ms); the crash-loss window is bounded by this plus one fsync")
-	commitPolicy := flag.String("commit", "adaptive",
-		`WAL group-commit policy: "adaptive" (default; commit as soon as the writer's queue drains once a durability waiter is pending) or "fixed" (always hold each commit open for the full -sync-interval)`)
 	onWALFailure := flag.String("on-wal-failure", "degrade",
 		`storage failure policy after the WAL's first sticky error: "degrade" (default; keep serving reads, answer durable writes with 503 durability_lost, report degraded on /v1/healthz) or "failstop" (exit immediately)`)
 	pprofAddr := flag.String("pprof-addr", "",
@@ -215,14 +210,6 @@ func main() {
 		SnapshotBytes:       *snapshotBytes,
 		SnapshotInterval:    *snapshotInterval,
 		SyncInterval:        *syncInterval,
-	}
-	switch *commitPolicy {
-	case "adaptive":
-		opts.Commit = exchange.CommitAdaptive
-	case "fixed":
-		opts.Commit = exchange.CommitFixed
-	default:
-		log.Fatalf(`-commit must be "adaptive" or "fixed", got %q`, *commitPolicy)
 	}
 	switch *onWALFailure {
 	case "degrade":

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fmore/internal/promtext"
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -44,7 +43,7 @@ func TestE2EPrometheusScrape(t *testing.T) {
 
 	if _, err := c.CreateJob(ctx, client.JobSpec{
 		ID:   "scrape",
-		Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
+		Rule: client.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
 		K:    2,
 		Seed: 42,
 	}); err != nil {

@@ -404,10 +404,7 @@ func (rt *router) probeOnce(ctx context.Context) {
 // envelope, consuming (and restoring nothing of) the 421 response.
 func misdirectTarget(resp *http.Response) (ownerURL, ownerPartition string) {
 	defer resp.Body.Close()
-	var envelope struct {
-		ReplicaURL string `json:"replica_url"`
-		Partition  string `json:"partition"`
-	}
+	var envelope partition.Misdirect
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&envelope); err != nil {
 		return "", ""
 	}
@@ -435,21 +432,8 @@ func (rt *router) refreshMap(ctx context.Context, fromURL string) {
 	if resp.StatusCode != http.StatusOK {
 		return
 	}
-	var cp struct {
-		Version    int64 `json:"version"`
-		Partitions []struct {
-			Partition string `json:"partition"`
-			URL       string `json:"url"`
-		} `json:"partitions"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&cp); err != nil {
-		return
-	}
-	m := &partition.Map{Version: cp.Version}
-	for _, p := range cp.Partitions {
-		m.Partitions = append(m.Partitions, partition.Replica{Partition: p.Partition, URL: p.URL})
-	}
-	if m.Validate() != nil {
+	m, err := partition.DecodeMap(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
 		return
 	}
 	if rt.routes.Advance(m) {

@@ -25,21 +25,6 @@ func main() {
 	}
 }
 
-func parseTask(s string) (data.TaskKind, error) {
-	switch s {
-	case "mnist-o":
-		return data.MNISTO, nil
-	case "mnist-f":
-		return data.MNISTF, nil
-	case "cifar-10", "cifar":
-		return data.CIFAR10, nil
-	case "hpnews":
-		return data.HPNews, nil
-	default:
-		return 0, fmt.Errorf("unknown task %q (mnist-o, mnist-f, cifar-10, hpnews)", s)
-	}
-}
-
 func parseMethod(s string) (sim.Method, error) {
 	switch s {
 	case "fmore":
@@ -70,7 +55,7 @@ func run(args []string) error {
 		return err
 	}
 
-	task, err := parseTask(*taskName)
+	task, err := data.ParseTask(*taskName)
 	if err != nil {
 		return err
 	}

@@ -17,14 +17,11 @@
 //	internal/cluster    the 1 + 31-node deployment harness (Figs. 12-13)
 //	internal/exchange   the concurrent multi-job auction exchange service:
 //	                    sharded bidder registry, pooled batch scoring,
-//	                    per-job round state machines, HTTP/JSON front end;
-//	                    also the engine behind internal/transport when
-//	                    cluster.Config.UseExchange is set
+//	                    per-job round state machines, HTTP/JSON front end
 //	internal/sim        experiment harness regenerating Figs. 4-13
 //
 // Entry points: cmd/fmore-sim, cmd/fmore-bench, cmd/fmore-cluster,
 // cmd/fmore-exchange, cmd/aggregator, cmd/edgenode, and the runnable
 // programs in examples/.
-// The benchmark suite in bench_test.go regenerates every evaluation figure;
-// see DESIGN.md and EXPERIMENTS.md for the experiment inventory.
+// The benchmark suite in bench_test.go regenerates every evaluation figure.
 package fmore

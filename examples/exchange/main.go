@@ -21,7 +21,6 @@ import (
 
 	"fmore/internal/analytics"
 	"fmore/internal/exchange"
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -93,12 +92,12 @@ func main() {
 	// its edge clients the solved Theorem 1 bid curve over
 	// GET /v1/jobs/{id}/strategy instead of each node running the solver.
 	specs := []client.JobSpec{
-		{ID: "cnn-mnist", Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}}, K: 3, Seed: 1},
-		{ID: "cnn-cifar", Rule: transport.RuleSpec{Kind: "leontief", Alpha: []float64{1, 1}}, K: 2, Seed: 2},
-		{ID: "lstm-news", Rule: transport.RuleSpec{Kind: "cobb-douglas", Alpha: []float64{0.5, 0.5}, Scale: 2}, K: 4, Seed: 3,
-			Equilibrium: &transport.EquilibriumSpec{
-				Cost:  transport.CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
-				Theta: transport.DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
+		{ID: "cnn-mnist", Rule: client.RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}}, K: 3, Seed: 1},
+		{ID: "cnn-cifar", Rule: client.RuleSpec{Kind: "leontief", Alpha: []float64{1, 1}}, K: 2, Seed: 2},
+		{ID: "lstm-news", Rule: client.RuleSpec{Kind: "cobb-douglas", Alpha: []float64{0.5, 0.5}, Scale: 2}, K: 4, Seed: 3,
+			Equilibrium: &client.EquilibriumSpec{
+				Cost:  client.CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
+				Theta: client.DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
 				N:     bidders + 1,
 				QLo:   []float64{0, 0},
 				QHi:   []float64{1, 1},

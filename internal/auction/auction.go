@@ -83,30 +83,24 @@ func (a *Auctioneer) Ask() Ask {
 // selection runs on the auctioneer's pooled Selector; the returned Outcome
 // owns all of its memory and may be retained across rounds.
 func (a *Auctioneer) Run(bids []Bid) (Outcome, error) {
-	return a.run(bids, nil)
-}
-
-// RunScored is Run with precomputed scores: scores[i] must equal
-// Score(rule, bids[i].Qualities, bids[i].Payment). It exists for callers
-// that batch rule evaluation across many concurrent auctions (see
-// internal/exchange); the score slice is read, never retained, so the
-// caller may reuse its buffer. The rng draw sequence matches Run exactly,
-// so a seeded Auctioneer yields identical outcomes on either entry point.
-func (a *Auctioneer) RunScored(bids []Bid, scores []float64) (Outcome, error) {
-	if scores == nil {
-		a.round++
-		return Outcome{}, fmt.Errorf("auction: RunScored requires a score vector")
+	out, err := a.selectRound(bids, nil)
+	if err != nil {
+		return Outcome{}, err
 	}
-	return a.run(bids, scores)
+	return out.Clone(), nil
 }
 
-// RunScoredInto is RunScored with the result deep-copied into buf's pooled
-// memory instead of freshly allocated: the returned Outcome aliases buf and
-// is valid until buf's next CloneInto or Recycle (see OutcomeBuffer's
-// ownership rules). The rng draw sequence is identical to RunScored, so a
-// seeded Auctioneer yields bit-identical outcomes on either entry point —
-// that equivalence is what lets internal/exchange's pooled round close
-// replay against logs written by the allocating path.
+// RunScoredInto is Run with precomputed scores — scores[i] must equal
+// Score(rule, bids[i].Qualities, bids[i].Payment); the slice is read, never
+// retained — and with the result deep-copied into buf's pooled memory
+// instead of freshly allocated: the returned Outcome aliases buf and is
+// valid until buf's next CloneInto or Recycle (see OutcomeBuffer's ownership
+// rules). It exists for callers that batch rule evaluation across many
+// concurrent auctions and retain outcomes round after round (see
+// internal/exchange). The rng draw sequence is identical to Run, so a seeded
+// Auctioneer yields bit-identical outcomes on either entry point — that
+// equivalence is what lets internal/exchange's pooled round close replay
+// against logs written by the allocating path.
 func (a *Auctioneer) RunScoredInto(bids []Bid, scores []float64, buf *OutcomeBuffer) (Outcome, error) {
 	if scores == nil {
 		a.round++
@@ -119,32 +113,16 @@ func (a *Auctioneer) RunScoredInto(bids []Bid, scores []float64, buf *OutcomeBuf
 	return out.CloneInto(buf), nil
 }
 
-// run is the shared round body: one Select on the pooled buffers, then a
-// clone so the caller owns the result.
-func (a *Auctioneer) run(bids []Bid, scores []float64) (Outcome, error) {
-	out, err := a.selectRound(bids, scores)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return out.Clone(), nil
-}
-
 // selectRound advances the round counter and runs one Select on the pooled
-// buffers; the result aliases the selector's scratch. Psi >= 1 maps to the
-// plain top-K path (the legacy dispatch), keeping the heap selection on the
-// default configuration's hot path.
+// buffers; the result aliases the selector's scratch.
 func (a *Auctioneer) selectRound(bids []Bid, scores []float64) (Outcome, error) {
 	a.round++
-	psi := a.cfg.Psi
-	if psi >= 1 {
-		psi = 0
-	}
 	return a.sel.Select(SelectionRequest{
 		Rule:    a.cfg.Rule,
 		Bids:    bids,
 		Scores:  scores,
 		K:       a.cfg.K,
-		Psi:     psi,
+		Psi:     a.cfg.Psi,
 		Payment: a.cfg.Payment,
 	}, a.rng)
 }

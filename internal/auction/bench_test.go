@@ -59,9 +59,9 @@ func BenchmarkStrategyBid(b *testing.B) {
 	}
 }
 
-// BenchmarkDetermineWinners measures the aggregator's sort-and-select at the
+// BenchmarkSelectOwning measures the aggregator's sort-and-select at the
 // paper's population size.
-func BenchmarkDetermineWinners(b *testing.B) {
+func BenchmarkSelectOwning(b *testing.B) {
 	rule, err := NewCobbDouglas(25, 1, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -78,14 +78,14 @@ func BenchmarkDetermineWinners(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DetermineWinners(rule, bids, 20, FirstPrice, rng); err != nil {
+		if _, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 20, Payment: FirstPrice}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDetermineWinnersPsi measures the ψ-FMore admission walk.
-func BenchmarkDetermineWinnersPsi(b *testing.B) {
+// BenchmarkSelectPsi measures the ψ-FMore admission walk.
+func BenchmarkSelectPsi(b *testing.B) {
 	rule, err := NewCobbDouglas(25, 1, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -102,7 +102,7 @@ func BenchmarkDetermineWinnersPsi(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DetermineWinnersPsi(rule, bids, 20, 0.6, FirstPrice, rng); err != nil {
+		if _, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 20, Psi: 0.6, Payment: FirstPrice}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

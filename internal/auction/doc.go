@@ -45,23 +45,29 @@
 // steady-state allocations. The returned Outcome aliases the selector's
 // buffers and the request's bids and is valid only until the next Select
 // call; Outcome.Clone produces an owning copy. The package-level Select
-// and the Auctioneer's Run/RunScored return owning outcomes. Callers that
-// retain outcomes round after round (the exchange's per-job history) use
+// and the Auctioneer's Run return owning outcomes. Callers that retain
+// outcomes round after round (the exchange's per-job history) use
 // Auctioneer.RunScoredInto with a recycled OutcomeBuffer instead: the
 // result is deep-copied into caller-pooled, generation-tagged memory —
 // same rng draw sequence, no per-round allocation — and stays valid until
 // the buffer's next reuse (see OutcomeBuffer's ownership rules).
 //
-// # Legacy entry points
+// Select / Selector.Select (one-shot / pooled) and Auctioneer.Run /
+// RunScoredInto (stateful) are the only winner-determination entry points.
+// They are bit-for-bit compatible with the original full-sort
+// implementation — identical Outcomes, identical rng draw order — which the
+// exchange's write-ahead-log replay depends on and a seeded equivalence
+// property test against a frozen copy (reference_test.go) enforces.
 //
-// DetermineWinners, DetermineWinnersScored, DetermineWinnersPsi,
-// DetermineWinnersPsiScored, DetermineWinnersBudget and
-// DetermineWinnersPsiVector predate the pipeline and are retained as thin
-// wrappers over Select. They are bit-for-bit compatible with the original
-// full-sort implementation — identical Outcomes, identical rng draw order —
-// which the exchange's write-ahead-log replay depends on and a seeded
-// equivalence property test enforces. They allocate per call; new code and
-// hot paths should prefer a pooled Selector (or an Auctioneer).
+// # Wire specs
+//
+// spec.go holds the JSON/gob-serializable descriptions of the package's
+// constructors — RuleSpec (scoring rules), CostSpec (cost families),
+// DistSpec (θ distributions) and EquilibriumSpec (a Theorem 1 solve) — each
+// with a Build method that validates and constructs, and SpecForRule as the
+// inverse for rules. Every wire form that names a rule (the TCP harness's
+// Ask, the exchange's /v1 job body, its WAL and snapshot) embeds these
+// types, so the field names and JSON tags are part of the on-disk format.
 //
 // The theoretical results of §IV are exposed as executable artifacts:
 // expected-profit curves (Theorems 2 and 3), social surplus / Pareto

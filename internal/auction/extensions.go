@@ -3,7 +3,6 @@ package auction
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // This file implements the two extensions the paper's conclusion names as
@@ -14,26 +13,9 @@ import (
 //	 probability ψ should be identical or distinct for each node remains
 //	 to be studied."
 //
-// DetermineWinnersBudget adds a per-round payment budget to winner
-// determination; DetermineWinnersPsiVector generalizes ψ-FMore to per-node
-// admission probabilities. Both are wrappers over the Select pipeline (see
-// select.go) with the same outcomes and rng draw order as the original
-// implementations.
-
-// DetermineWinnersBudget runs FMore winner determination under an
-// aggregator budget: bids are admitted in descending score order while the
-// cumulative payment stays within budget, stopping at K winners. A bid too
-// expensive for the remaining budget is skipped (not terminal), so cheaper
-// lower-score bids can still fill the set — the greedy knapsack heuristic.
-func DetermineWinnersBudget(rule ScoringRule, bids []Bid, k int, budget float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if budget <= 0 || math.IsNaN(budget) {
-		return Outcome{}, fmt.Errorf("auction: budget must be positive, got %v", budget)
-	}
-	return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Budget: budget, Payment: payment}, rng)
-}
+// SelectionRequest.Budget adds a per-round payment budget to winner
+// determination and SelectionRequest.PsiOf generalizes ψ-FMore to per-node
+// admission probabilities (see select.go); this file holds their helpers.
 
 // clampToBudget scales down second-price raises (the payment above the
 // asked price) uniformly so TotalPayment() <= budget, then recomputes the
@@ -61,21 +43,6 @@ func clampToBudget(rule ScoringRule, out *Outcome, budget float64) {
 		w.Payment = w.Bid.Payment + scale*(w.Payment-w.Bid.Payment)
 		out.AggregatorProfit += rule.Value(w.Bid.Qualities) - w.Payment
 	}
-}
-
-// DetermineWinnersPsiVector generalizes ψ-FMore to a distinct admission
-// probability per node: psiOf(nodeID) returns that node's ψ in (0, 1].
-// Nodes are visited in descending score order and admitted with their own
-// probability, with repeated passes until K winners are found or all
-// eligible bids are admitted. Uniform psiOf recovers DetermineWinnersPsi.
-func DetermineWinnersPsiVector(rule ScoringRule, bids []Bid, k int, psiOf func(nodeID int) float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if psiOf == nil {
-		return Outcome{}, fmt.Errorf("auction: psiOf is required")
-	}
-	return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, PsiOf: psiOf, Payment: payment}, rng)
 }
 
 // RankPsi builds a per-node ψ assignment that decays with score rank:

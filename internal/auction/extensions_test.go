@@ -16,10 +16,10 @@ func budgetBids() []Bid {
 	}
 }
 
-func TestDetermineWinnersBudgetRespectsBudget(t *testing.T) {
+func TestSelectBudgetRespectsBudget(t *testing.T) {
 	rule := simpleRule(t)
 	for _, budget := range []float64{0.05, 0.15, 0.3, 1.0} {
-		out, err := DetermineWinnersBudget(rule, budgetBids(), 3, budget, FirstPrice, rand.New(rand.NewSource(1)))
+		out, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 3, Budget: budget, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,12 +29,12 @@ func TestDetermineWinnersBudgetRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersBudgetSkipsExpensiveBids(t *testing.T) {
+func TestSelectBudgetSkipsExpensiveBids(t *testing.T) {
 	rule := simpleRule(t)
 	// Budget 0.16: top scorers are nodes 2/3 (0.60 each, paying 0.20/0.10).
 	// Node 2 (0.20) exceeds the budget, node 3 fits (remaining 0.06), then
 	// node 4 (0.05) fits. Node 1 (0.50) never fits.
-	out, err := DetermineWinnersBudget(rule, budgetBids(), 3, 0.16, FirstPrice, rand.New(rand.NewSource(2)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 3, Budget: 0.16, Payment: FirstPrice}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,13 @@ func TestDetermineWinnersBudgetSkipsExpensiveBids(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersBudgetGenerousBudgetMatchesPlain(t *testing.T) {
+func TestSelectBudgetGenerousBudgetMatchesPlain(t *testing.T) {
 	rule := simpleRule(t)
-	plain, err := DetermineWinners(rule, budgetBids(), 3, FirstPrice, rand.New(rand.NewSource(3)))
+	plain, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 3, Payment: FirstPrice}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := DetermineWinnersBudget(rule, budgetBids(), 3, 100, FirstPrice, rand.New(rand.NewSource(3)))
+	budgeted, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 3, Budget: 100, Payment: FirstPrice}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,27 +69,27 @@ func TestDetermineWinnersBudgetGenerousBudgetMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersBudgetValidation(t *testing.T) {
+func TestSelectBudgetValidation(t *testing.T) {
 	rule := simpleRule(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := DetermineWinnersBudget(rule, budgetBids(), 0, 1, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 0, Budget: 1, Payment: FirstPrice}, rng); err == nil {
 		t.Error("K=0: want error")
 	}
-	if _, err := DetermineWinnersBudget(rule, budgetBids(), 2, 0, FirstPrice, rng); err == nil {
-		t.Error("zero budget: want error")
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 2, Budget: -1, Payment: FirstPrice}, rng); err == nil {
+		t.Error("negative budget: want error")
 	}
-	if _, err := DetermineWinnersBudget(rule, budgetBids(), 2, math.NaN(), FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 2, Budget: math.NaN(), Payment: FirstPrice}, rng); err == nil {
 		t.Error("NaN budget: want error")
 	}
-	if _, err := DetermineWinnersBudget(rule, nil, 2, 1, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: nil, K: 2, Budget: 1, Payment: FirstPrice}, rng); err == nil {
 		t.Error("no bids: want error")
 	}
 }
 
-func TestDetermineWinnersBudgetSecondPriceClamped(t *testing.T) {
+func TestSelectBudgetSecondPriceClamped(t *testing.T) {
 	rule := simpleRule(t)
 	budget := 0.40
-	out, err := DetermineWinnersBudget(rule, budgetBids(), 2, budget, SecondPrice, rand.New(rand.NewSource(4)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 2, Budget: budget, Payment: SecondPrice}, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDetermineWinnersBudgetSecondPriceClamped(t *testing.T) {
 
 // Property: the budgeted auction never pays more than the budget and never
 // selects more than K, over random pools.
-func TestDetermineWinnersBudgetProperty(t *testing.T) {
+func TestSelectBudgetProperty(t *testing.T) {
 	rule := simpleRule(t)
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -116,7 +116,7 @@ func TestDetermineWinnersBudgetProperty(t *testing.T) {
 		for i := range bids {
 			bids[i] = Bid{NodeID: i, Qualities: []float64{rng.Float64()}, Payment: rng.Float64() * 0.4}
 		}
-		out, err := DetermineWinnersBudget(rule, bids, k, budget, FirstPrice, rng)
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Budget: budget, Payment: FirstPrice}, rng)
 		if err != nil {
 			return false
 		}
@@ -131,11 +131,11 @@ func TestPsiVectorUniformMatchesScalarPsi(t *testing.T) {
 	rule := simpleRule(t)
 	bids := budgetBids()
 	uniform := func(int) float64 { return 0.7 }
-	vec, err := DetermineWinnersPsiVector(rule, bids, 2, uniform, FirstPrice, rand.New(rand.NewSource(5)))
+	vec, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, PsiOf: uniform, Payment: FirstPrice}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := DetermineWinnersPsi(rule, bids, 2, 0.7, FirstPrice, rand.New(rand.NewSource(5)))
+	scalar, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.7, Payment: FirstPrice}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,11 @@ func TestPsiVectorUniformMatchesScalarPsi(t *testing.T) {
 func TestPsiVectorValidation(t *testing.T) {
 	rule := simpleRule(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := DetermineWinnersPsiVector(rule, budgetBids(), 2, nil, FirstPrice, rng); err == nil {
-		t.Error("nil psiOf: want error")
-	}
 	bad := func(int) float64 { return 1.5 }
-	if _, err := DetermineWinnersPsiVector(rule, budgetBids(), 2, bad, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 2, PsiOf: bad, Payment: FirstPrice}, rng); err == nil {
 		t.Error("psi > 1: want error")
 	}
-	if _, err := DetermineWinnersPsiVector(rule, budgetBids(), 0, func(int) float64 { return 1 }, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: budgetBids(), K: 0, PsiOf: func(int) float64 { return 1 }, Payment: FirstPrice}, rng); err == nil {
 		t.Error("K=0: want error")
 	}
 }
@@ -223,7 +220,7 @@ func TestRankPsiSelectionFillsK(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		out, err := DetermineWinnersPsiVector(rule, bids, 5, psiOf, FirstPrice, rand.New(rand.NewSource(seed)))
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 5, PsiOf: psiOf, Payment: FirstPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,12 +32,12 @@ func bufTestScores(t *testing.T, rule ScoringRule, bids []Bid) []float64 {
 	return scores
 }
 
-// TestRunScoredIntoMatchesRunScored pins the pooled entry point against the
+// TestRunScoredIntoMatchesRun pins the pooled entry point against the
 // allocating one: identical outcomes AND identical rng draw sequence for a
 // seeded auctioneer, across configurations with different draw patterns
 // (plain, second-price, ψ-admission). The exchange's WAL replay depends on
 // this equivalence.
-func TestRunScoredIntoMatchesRunScored(t *testing.T) {
+func TestRunScoredIntoMatchesRun(t *testing.T) {
 	rule, err := NewAdditive(0.6, 0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestRunScoredIntoMatchesRunScored(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				bids := bufTestBids(64, int64(round))
 				scores := bufTestScores(t, rule, bids)
-				want, err := a1.RunScored(bids, scores)
+				want, err := a1.Run(bids)
 				if err != nil {
 					t.Fatal(err)
 				}

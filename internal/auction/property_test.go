@@ -33,7 +33,7 @@ func TestWinnerDeterminationInvariantsProperty(t *testing.T) {
 				Payment:   rng.Float64() * 1.2, // some scores go negative
 			}
 		}
-		out, err := DetermineWinners(rule, bids, k, FirstPrice, rng)
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: FirstPrice}, rng)
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestPsiFMoreWinnersSubsetOfFMoreEligibleProperty(t *testing.T) {
 		for i := range bids {
 			bids[i] = Bid{NodeID: i, Qualities: []float64{rng.Float64()}, Payment: rng.Float64() * 0.5}
 		}
-		out, err := DetermineWinnersPsi(rule, bids, k, psi, FirstPrice, rng)
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: FirstPrice}, rng)
 		if err != nil {
 			return false
 		}
@@ -189,11 +189,11 @@ func TestSecondPriceWeaklyDominatesForWinnersProperty(t *testing.T) {
 		for i := range bids {
 			bids[i] = Bid{NodeID: i, Qualities: []float64{rng.Float64(), rng.Float64()}, Payment: rng.Float64() * 0.3}
 		}
-		first, err := DetermineWinners(rule, bids, k, FirstPrice, rand.New(rand.NewSource(seed)))
+		first, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: FirstPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
-		second, err := DetermineWinners(rule, bids, k, SecondPrice, rand.New(rand.NewSource(seed)))
+		second, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: SecondPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return false
 		}
@@ -255,7 +255,7 @@ func TestWinnerScoresDominatePopulationScores(t *testing.T) {
 			q, p := s.Bid(th)
 			bids[i] = Bid{NodeID: i, Qualities: q, Payment: p}
 		}
-		out, err := DetermineWinners(cfg.Rule, bids, k, FirstPrice, rng)
+		out, err := Select(SelectionRequest{Rule: cfg.Rule, Bids: bids, K: k, Payment: FirstPrice}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,47 +1,6 @@
 package auction
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
-
-// DetermineWinnersPsi implements ψ-FMore (§III-C): bids are visited in
-// descending score order and each is admitted to the winner set with
-// probability psi, repeating passes over the remaining candidates until K
-// winners are chosen or every eligible bid has been admitted. FMore is the
-// special case psi = 1.
-//
-// Like DetermineWinners, bids with negative scores are excluded by the
-// aggregator's individual-rationality constraint. It is a wrapper over the
-// Select pipeline with the same outcomes and rng draw order as the original
-// implementation; hot paths should hold a Selector instead.
-func DetermineWinnersPsi(rule ScoringRule, bids []Bid, k int, psi float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if psi <= 0 || psi > 1 || math.IsNaN(psi) {
-		return Outcome{}, fmt.Errorf("auction: psi must be in (0, 1], got %v", psi)
-	}
-	return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: payment}, rng)
-}
-
-// DetermineWinnersPsiScored is DetermineWinnersPsi with precomputed scores,
-// the ψ-FMore counterpart of DetermineWinnersScored: scores[i] must equal
-// Score(rule, bids[i].Qualities, bids[i].Payment) and is copied, never
-// retained. The rng draw sequence matches DetermineWinnersPsi exactly.
-func DetermineWinnersPsiScored(rule ScoringRule, bids []Bid, scores []float64, k int, psi float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if scores == nil {
-		return Outcome{}, fmt.Errorf("auction: DetermineWinnersPsiScored requires a score vector")
-	}
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if psi <= 0 || psi > 1 || math.IsNaN(psi) {
-		return Outcome{}, fmt.Errorf("auction: psi must be in (0, 1], got %v", psi)
-	}
-	return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Psi: psi, Payment: payment}, rng)
-}
+import "math"
 
 // PaperSelectionProbability is the paper's closed form (§III-C) for the
 // probability that ψ-FMore fills the winner set:

@@ -13,11 +13,11 @@ func TestPsiOneEqualsPlainFMore(t *testing.T) {
 		{NodeID: 2, Qualities: []float64{0.5}, Payment: 0.1},
 		{NodeID: 3, Qualities: []float64{0.7}, Payment: 0.1},
 	}
-	plain, err := DetermineWinners(rule, bids, 2, FirstPrice, rand.New(rand.NewSource(3)))
+	plain, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: FirstPrice}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	psi, err := DetermineWinnersPsi(rule, bids, 2, 1, FirstPrice, rand.New(rand.NewSource(3)))
+	psi, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 1, Payment: FirstPrice}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +37,12 @@ func TestPsiValidation(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{{NodeID: 1, Qualities: []float64{0.5}, Payment: 0.1}}
 	rng := rand.New(rand.NewSource(1))
-	for _, psi := range []float64{0, -0.5, 1.5, math.NaN()} {
-		if _, err := DetermineWinnersPsi(rule, bids, 1, psi, FirstPrice, rng); err == nil {
+	for _, psi := range []float64{-0.5, 1.5, math.NaN()} {
+		if _, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 1, Psi: psi, Payment: FirstPrice}, rng); err == nil {
 			t.Errorf("psi=%v: want error", psi)
 		}
 	}
-	if _, err := DetermineWinnersPsi(rule, bids, 0, 0.5, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 0, Psi: 0.5, Payment: FirstPrice}, rng); err == nil {
 		t.Error("K=0: want error")
 	}
 }
@@ -54,7 +54,7 @@ func TestPsiAlwaysFillsKWhenEnoughBids(t *testing.T) {
 		bids[i] = Bid{NodeID: i, Qualities: []float64{float64(i+1) / 10}, Payment: 0.01}
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		out, err := DetermineWinnersPsi(rule, bids, 4, 0.3, FirstPrice, rand.New(rand.NewSource(seed)))
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 4, Psi: 0.3, Payment: FirstPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestPsiSpreadsSelection(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		wins := 0
 		for trial := 0; trial < trials; trial++ {
-			out, err := DetermineWinnersPsi(rule, bids, k, psi, FirstPrice, rng)
+			out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: FirstPrice}, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestProposition2PsiNeutralUnderIdenticalTheta(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		wins := make([]int, n)
 		for trial := 0; trial < trials; trial++ {
-			out, err := DetermineWinnersPsi(rule, bids, k, psi, FirstPrice, rng)
+			out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: FirstPrice}, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestPsiExcludesNegativeScores(t *testing.T) {
 		{NodeID: 2, Qualities: []float64{0.1}, Payment: 0.9}, // score -0.8
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		out, err := DetermineWinnersPsi(rule, bids, 2, 0.5, FirstPrice, rand.New(rand.NewSource(seed)))
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.5, Payment: FirstPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestPsiExcludesNegativeScores(t *testing.T) {
 func TestPsiAllNegativeScoresYieldsEmptyOutcome(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{{NodeID: 1, Qualities: []float64{0.1}, Payment: 0.9}}
-	out, err := DetermineWinnersPsi(rule, bids, 1, 0.5, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 1, Psi: 0.5, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestWalkThroughExample(t *testing.T) {
 	wantScores1 := []float64{0.175, 0.0579, 0.1325, 0.2211, 0.300}
 
 	rng := rand.New(rand.NewSource(1))
-	out, err := DetermineWinners(rule, round1, 3, FirstPrice, rng)
+	out, err := Select(SelectionRequest{Rule: rule, Bids: round1, K: 3, Payment: FirstPrice}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestWalkThroughExample(t *testing.T) {
 		{NodeID: 4, Qualities: []float64{5000, 100}, Payment: 0.30},
 	}
 	wantScores2 := []float64{0.215, 0.1105, 0.225, 0.175, 0.200}
-	out2, err := DetermineWinners(rule, round2, 3, FirstPrice, rng)
+	out2, err := Select(SelectionRequest{Rule: rule, Bids: round2, K: 3, Payment: FirstPrice}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

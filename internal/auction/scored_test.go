@@ -38,14 +38,14 @@ func scoredFixture(t *testing.T, n int) (ScoringRule, []Bid, []float64) {
 	return rule, bids, scores
 }
 
-func TestDetermineWinnersScoredMatchesInline(t *testing.T) {
+func TestSelectScoredMatchesInline(t *testing.T) {
 	rule, bids, scores := scoredFixture(t, 50)
 	for _, payment := range []PaymentRule{FirstPrice, SecondPrice} {
-		inline, err := DetermineWinners(rule, bids, 10, payment, rand.New(rand.NewSource(99)))
+		inline, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 10, Payment: payment}, rand.New(rand.NewSource(99)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		scored, err := DetermineWinnersScored(rule, bids, scores, 10, payment, rand.New(rand.NewSource(99)))
+		scored, err := Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: 10, Payment: payment}, rand.New(rand.NewSource(99)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,13 +55,13 @@ func TestDetermineWinnersScoredMatchesInline(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersPsiScoredMatchesInline(t *testing.T) {
+func TestSelectPsiScoredMatchesInline(t *testing.T) {
 	rule, bids, scores := scoredFixture(t, 50)
-	inline, err := DetermineWinnersPsi(rule, bids, 10, 0.7, FirstPrice, rand.New(rand.NewSource(5)))
+	inline, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 10, Psi: 0.7, Payment: FirstPrice}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scored, err := DetermineWinnersPsiScored(rule, bids, scores, 10, 0.7, FirstPrice, rand.New(rand.NewSource(5)))
+	scored, err := Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: 10, Psi: 0.7, Payment: FirstPrice}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,47 +70,14 @@ func TestDetermineWinnersPsiScoredMatchesInline(t *testing.T) {
 	}
 }
 
-func TestRunScoredMatchesRun(t *testing.T) {
-	rule, bids, scores := scoredFixture(t, 40)
-	for _, psi := range []float64{1, 0.8} {
-		a1, err := NewAuctioneer(Config{Rule: rule, K: 8, Psi: psi}, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := NewAuctioneer(Config{Rule: rule, K: 8, Psi: psi}, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 3; round++ {
-			o1, err := a1.Run(bids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o2, err := a2.RunScored(bids, scores)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(o1, o2) {
-				t.Fatalf("psi=%v round %d: RunScored diverged from Run", psi, round)
-			}
-		}
-		if a1.Round() != a2.Round() {
-			t.Errorf("round counters diverged: %d vs %d", a1.Round(), a2.Round())
-		}
-	}
-}
-
-func TestDetermineWinnersScoredValidation(t *testing.T) {
+func TestSelectScoredValidation(t *testing.T) {
 	rule, bids, scores := scoredFixture(t, 10)
-	if _, err := DetermineWinnersScored(rule, bids, nil, 3, FirstPrice, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("nil scores: expected error")
-	}
-	if _, err := DetermineWinnersScored(rule, bids, scores[:5], 3, FirstPrice, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores[:5], K: 3, Payment: FirstPrice}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("short scores: expected error")
 	}
 	// The scores slice must not be retained: mutating it after the call
 	// must not affect the outcome's recorded scores.
-	out, err := DetermineWinnersScored(rule, bids, scores, 3, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: 3, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,12 +44,8 @@ type SelectionRequest struct {
 	Scores []float64
 	// K is the number of winners to select (required, >= 1).
 	K int
-	// Psi in (0, 1] runs ψ-FMore admission (§III-C); 0 means plain top-K.
-	// Psi = 1 is the deterministic admission walk of the legacy ψ entry
-	// point: it selects the same winners at the same payments as top-K but
-	// represents an empty winner set as nil (instead of empty), so the ψ
-	// wrappers stay bit-for-bit compatible. New callers wanting plain FMore
-	// should leave Psi at 0.
+	// Psi in (0, 1) runs ψ-FMore admission (§III-C); 0 means plain top-K,
+	// and so does 1 (every candidate admitted, no admission draws).
 	Psi float64
 	// PsiOf, when non-nil, runs the per-node ψ generalization: it must
 	// return an admission probability in (0, 1] for every bidding node.
@@ -93,9 +89,10 @@ type scoredBid struct {
 // The returned Outcome follows the buffer reuse rules documented on
 // Selector: it is valid until the next call and aliases the request's bids.
 //
-// The rng contract matches the legacy entry points bit for bit: exactly one
-// Float64 tiebreak draw per bid in input order, followed (for ψ variants)
-// by one admission draw per candidate visit in descending score order.
+// The rng contract matches the original full-sort implementation (frozen in
+// reference_test.go) bit for bit: exactly one Float64 tiebreak draw per bid
+// in input order, followed (for ψ variants) by one admission draw per
+// candidate visit in descending score order.
 func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error) {
 	if req.K < 1 {
 		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", req.K)
@@ -121,8 +118,6 @@ func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error)
 		return s.selectPsiVector(req, rng)
 	case req.Psi > 0 && req.Psi < 1:
 		return s.selectPsi(req, rng)
-	case req.Psi == 1:
-		return s.selectPsiOne(req)
 	case req.Budget > 0:
 		return s.selectBudget(req)
 	default:
@@ -172,7 +167,7 @@ func (s *Selector) score(req SelectionRequest, rng *rand.Rand) error {
 
 // better reports whether a outranks b: higher score, then higher coin-flip
 // key, then earlier input position. This is the strict total order the
-// legacy stable sort produced, so every ranking below reproduces it exactly.
+// original stable sort produced, so every ranking below reproduces it exactly.
 func (s *Selector) better(a, b scoredBid) bool {
 	if a.score != b.score {
 		return a.score > b.score
@@ -355,31 +350,6 @@ func (s *Selector) selectPsi(req SelectionRequest, rng *rand.Rand) (Outcome, err
 		remaining = next
 	}
 	s.selected = selected
-	refScore, hasRef := s.refAfter(len(selected))
-	return s.outcome(req, selected, refScore, hasRef), nil
-}
-
-// selectPsiOne is the ψ = 1 degenerate admission walk: every eligible
-// candidate is admitted deterministically in score order (no rng draws), so
-// the winner set equals plain top-K — only the nil representation of an
-// empty winner set differs, which the ψ wrappers' bit-for-bit contract
-// requires.
-func (s *Selector) selectPsiOne(req SelectionRequest) (Outcome, error) {
-	s.rankAll(req)
-	if cap(s.walk) < len(s.ranked) {
-		s.walk = make([]scoredBid, 0, len(s.ranked))
-	}
-	eligible := s.walk[:0]
-	for _, sb := range s.ranked {
-		if sb.score >= 0 {
-			eligible = append(eligible, sb)
-		}
-	}
-	s.walk = eligible
-	if len(eligible) == 0 {
-		return Outcome{Scores: s.scores}, nil
-	}
-	selected := eligible[:min(req.K, len(eligible))]
 	refScore, hasRef := s.refAfter(len(selected))
 	return s.outcome(req, selected, refScore, hasRef), nil
 }

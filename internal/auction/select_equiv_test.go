@@ -93,6 +93,16 @@ func runEquiv(t *testing.T, label string, seed int64,
 	}
 }
 
+// refPsi is the reference for a scalar-ψ request: Psi == 1 is plain top-K on
+// the Select side, so its reference is the plain full sort, not the frozen ψ
+// walk (which differs only in representing an empty winner set as nil).
+func refPsi(rule ScoringRule, bids []Bid, pre []float64, k int, psi float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
+	if psi == 1 {
+		return refDetermineWinners(rule, bids, pre, k, payment, rng)
+	}
+	return refDetermineWinnersPsi(rule, bids, pre, k, psi, payment, rng)
+}
+
 func TestSelectEquivalenceProperty(t *testing.T) {
 	rule, err := NewAdditive(0.5, 0.5)
 	if err != nil {
@@ -143,7 +153,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, tag+" plain", seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinners(rule, bids, k, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinners(rule, bids, nil, k, payment, rng)
@@ -151,7 +161,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, tag+" scored", seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinnersScored(rule, bids, scores, k, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinners(rule, bids, scores, k, payment, rng)
@@ -173,23 +183,23 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, fmt.Sprintf("%s psi=%v", tag, psi), seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinnersPsi(rule, bids, k, psi, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
-					return refDetermineWinnersPsi(rule, bids, nil, k, psi, payment, rng)
+					return refPsi(rule, bids, nil, k, psi, payment, rng)
 				})
 
 			runEquiv(t, fmt.Sprintf("%s psi-scored=%v", tag, psi), seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinnersPsiScored(rule, bids, scores, k, psi, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Psi: psi, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
-					return refDetermineWinnersPsi(rule, bids, scores, k, psi, payment, rng)
+					return refPsi(rule, bids, scores, k, psi, payment, rng)
 				})
 
 			runEquiv(t, fmt.Sprintf("%s budget=%v", tag, budget), seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinnersBudget(rule, bids, k, budget, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Budget: budget, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinnersBudget(rule, bids, k, budget, payment, rng)
@@ -197,7 +207,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, tag+" psi-vector", seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return DetermineWinnersPsiVector(rule, bids, k, psiOf, payment, rng)
+					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, PsiOf: psiOf, Payment: payment}, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinnersPsiVector(rule, bids, k, psiOf, payment, rng)
@@ -224,6 +234,7 @@ func TestAuctioneerEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			rngRef := rand.New(srcRef)
+			var buf OutcomeBuffer
 
 			for round := 0; round < 12; round++ {
 				n := 1 + gen.Intn(200)
@@ -240,7 +251,9 @@ func TestAuctioneerEquivalenceProperty(t *testing.T) {
 				var got Outcome
 				var gotErr error
 				if useScored {
-					got, gotErr = auctNew.RunScored(bids, scores)
+					got, gotErr = auctNew.RunScoredInto(bids, scores, &buf)
+					got = got.Clone()
+					buf.Recycle()
 				} else {
 					got, gotErr = auctNew.Run(bids)
 				}

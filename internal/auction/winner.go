@@ -3,7 +3,6 @@ package auction
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // PaymentRule selects how winners are paid. The paper supports both the
@@ -35,32 +34,3 @@ func (p PaymentRule) String() string {
 
 // ErrNoBids reports an auction round with no valid bids.
 var ErrNoBids = errors.New("auction: no bids")
-
-// DetermineWinners runs the winner-determination step of FMore: it scores
-// all bids under rule, selects the top K by score, and applies the payment
-// rule. rng drives the coin-flip tie-break. The aggregator's
-// individual-rationality constraint (V ≥ 0) is enforced per winner: bids
-// whose score is negative are never selected, because U(q) − p < 0 would
-// make the aggregator worse off than not hiring the node.
-//
-// This is a convenience wrapper over the Select pipeline (see select.go); it
-// produces bit-for-bit the outcomes and rng draw order of the original
-// full-sort implementation, but allocates a fresh Selector per call — hot
-// paths should hold a Selector (or an Auctioneer) instead.
-func DetermineWinners(rule ScoringRule, bids []Bid, k int, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: payment}, rng)
-}
-
-// DetermineWinnersScored is DetermineWinners for callers that have already
-// evaluated S(qᵢ, pᵢ) for every bid — typically a batched scoring worker
-// pool amortizing rule evaluation across many concurrent auctions (see
-// internal/exchange). scores[i] must equal Score(rule, bids[i].Qualities,
-// bids[i].Payment); it is copied, never retained, so the caller may reuse
-// the buffer. The rng draw sequence matches DetermineWinners exactly, so a
-// seeded run produces the identical Outcome on either path.
-func DetermineWinnersScored(rule ScoringRule, bids []Bid, scores []float64, k int, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if scores == nil {
-		return Outcome{}, fmt.Errorf("auction: DetermineWinnersScored requires a score vector")
-	}
-	return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Payment: payment}, rng)
-}

@@ -16,7 +16,7 @@ func simpleRule(t *testing.T) ScoringRule {
 	return r
 }
 
-func TestDetermineWinnersTopK(t *testing.T) {
+func TestSelectTopK(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{
 		{NodeID: 1, Qualities: []float64{0.9}, Payment: 0.1}, // score 0.8
@@ -24,7 +24,7 @@ func TestDetermineWinnersTopK(t *testing.T) {
 		{NodeID: 3, Qualities: []float64{0.7}, Payment: 0.1}, // score 0.6
 		{NodeID: 4, Qualities: []float64{0.3}, Payment: 0.1}, // score 0.2
 	}
-	out, err := DetermineWinners(rule, bids, 2, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestDetermineWinnersTopK(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersFewerBidsThanK(t *testing.T) {
+func TestSelectFewerBidsThanK(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{{NodeID: 1, Qualities: []float64{0.9}, Payment: 0.1}}
-	out, err := DetermineWinners(rule, bids, 5, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 5, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +49,14 @@ func TestDetermineWinnersFewerBidsThanK(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersExcludesNegativeScores(t *testing.T) {
+func TestSelectExcludesNegativeScores(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{
 		{NodeID: 1, Qualities: []float64{0.9}, Payment: 0.1},  // score 0.8
 		{NodeID: 2, Qualities: []float64{0.1}, Payment: 0.5},  // score -0.4
 		{NodeID: 3, Qualities: []float64{0.2}, Payment: 0.25}, // score -0.05
 	}
-	out, err := DetermineWinners(rule, bids, 3, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 3, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +68,19 @@ func TestDetermineWinnersExcludesNegativeScores(t *testing.T) {
 	}
 }
 
-func TestDetermineWinnersErrors(t *testing.T) {
+func TestSelectErrors(t *testing.T) {
 	rule := simpleRule(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := DetermineWinners(rule, nil, 2, FirstPrice, rng); !errors.Is(err, ErrNoBids) {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: nil, K: 2, Payment: FirstPrice}, rng); !errors.Is(err, ErrNoBids) {
 		t.Errorf("no bids: got %v, want ErrNoBids", err)
 	}
-	if _, err := DetermineWinners(rule, []Bid{{NodeID: 1, Qualities: []float64{1, 2}, Payment: 0}}, 2, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: []Bid{{NodeID: 1, Qualities: []float64{1, 2}, Payment: 0}}, K: 2, Payment: FirstPrice}, rng); err == nil {
 		t.Error("dimension mismatch: want error")
 	}
-	if _, err := DetermineWinners(rule, []Bid{{NodeID: 1, Qualities: []float64{1}, Payment: math.NaN()}}, 2, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: []Bid{{NodeID: 1, Qualities: []float64{1}, Payment: math.NaN()}}, K: 2, Payment: FirstPrice}, rng); err == nil {
 		t.Error("NaN payment: want error")
 	}
-	if _, err := DetermineWinners(rule, []Bid{{NodeID: 1, Qualities: []float64{1}, Payment: 0}}, 0, FirstPrice, rng); err == nil {
+	if _, err := Select(SelectionRequest{Rule: rule, Bids: []Bid{{NodeID: 1, Qualities: []float64{1}, Payment: 0}}, K: 0, Payment: FirstPrice}, rng); err == nil {
 		t.Error("K=0: want error")
 	}
 }
@@ -93,7 +93,7 @@ func TestTieBreakIsRandom(t *testing.T) {
 	}
 	saw := map[int]bool{}
 	for seed := int64(0); seed < 64 && len(saw) < 2; seed++ {
-		out, err := DetermineWinners(rule, bids, 1, FirstPrice, rand.New(rand.NewSource(seed)))
+		out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 1, Payment: FirstPrice}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestSecondPricePaysAtLeastFirstPrice(t *testing.T) {
 		{NodeID: 2, Qualities: []float64{0.8}, Payment: 0.15}, // score 0.65
 		{NodeID: 3, Qualities: []float64{0.7}, Payment: 0.20}, // score 0.50
 	}
-	first, err := DetermineWinners(rule, bids, 2, FirstPrice, rand.New(rand.NewSource(1)))
+	first, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := DetermineWinners(rule, bids, 2, SecondPrice, rand.New(rand.NewSource(1)))
+	second, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: SecondPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSecondPriceDegeneratesWithoutRunnerUp(t *testing.T) {
 		{NodeID: 1, Qualities: []float64{0.9}, Payment: 0.10},
 		{NodeID: 2, Qualities: []float64{0.8}, Payment: 0.15},
 	}
-	out, err := DetermineWinners(rule, bids, 2, SecondPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: SecondPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestOutcomeAccessors(t *testing.T) {
 		{NodeID: 7, Qualities: []float64{0.9}, Payment: 0.2},
 		{NodeID: 9, Qualities: []float64{0.8}, Payment: 0.3},
 	}
-	out, err := DetermineWinners(rule, bids, 2, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 2, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestOutcomeAccessors(t *testing.T) {
 func TestWinnerBidsAreDeepCopies(t *testing.T) {
 	rule := simpleRule(t)
 	bids := []Bid{{NodeID: 1, Qualities: []float64{0.9}, Payment: 0.2}}
-	out, err := DetermineWinners(rule, bids, 1, FirstPrice, rand.New(rand.NewSource(1)))
+	out, err := Select(SelectionRequest{Rule: rule, Bids: bids, K: 1, Payment: FirstPrice}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

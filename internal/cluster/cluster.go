@@ -2,28 +2,24 @@
 // deployment experiment (§V-C): one aggregator and N edge nodes connected
 // over loopback TCP, speaking the internal/transport protocol. It reproduces
 // the 1 + 31 node setup of the paper's HPC cluster, with the deterministic
-// timing model of internal/mec standing in for wall-clock measurements
-// (DESIGN.md §3, substitution 3).
+// timing model of internal/mec standing in for wall-clock measurements.
+// Winner determination runs on the aggregator's private auction.Auctioneer
+// (or the RandFL baseline); this is the paper-reproduction path and shares
+// only internal/auction with the /v1 exchange service.
 package cluster
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
 	"fmore/internal/auction"
 	"fmore/internal/data"
 	"fmore/internal/dist"
-	"fmore/internal/exchange"
 	"fmore/internal/mec"
-	"fmore/internal/ml"
 	"fmore/internal/transport"
-	"fmore/pkg/client"
 )
 
 // Config parameterizes a cluster run.
@@ -46,13 +42,6 @@ type Config struct {
 	LR                     float64
 	// RandomSelection runs the RandFL baseline instead of the auction.
 	RandomSelection bool
-	// UseExchange routes winner determination through an internal/exchange
-	// job instead of the server's private auctioneer: TCP registrations are
-	// mirrored into the exchange's node registry and every round is
-	// delegated over the transport.Engine interface, exercising the same
-	// engine the standalone exchange service runs. Ignored under
-	// RandomSelection.
-	UseExchange bool
 	// Psi enables ψ-FMore on the server when in (0, 1).
 	Psi float64
 	// Seed drives the whole run.
@@ -128,11 +117,41 @@ type Result struct {
 	ClientErrors []error
 }
 
-// clusterRule builds the deployment's scoring rule: additive with
+// DeploymentRule builds the deployment's scoring rule: additive with
 // coefficients 0.4/0.3/0.3 over (computing power, bandwidth, data size),
 // matching §V-A of the paper. Qualities are normalized client-side to [0,1].
-func clusterRule() (auction.ScoringRule, error) {
+func DeploymentRule() (auction.ScoringRule, error) {
 	return auction.NewAdditive(0.4, 0.3, 0.3)
+}
+
+// DeploymentTheta is the deployment market's distribution of the private
+// cost parameter, θ ~ U[0.5, 1.5].
+func DeploymentTheta() (dist.Uniform, error) {
+	return dist.NewUniform(0.5, 1.5)
+}
+
+// SolveDeploymentStrategy runs the Theorem 1 solver for the deployment
+// market: DeploymentRule, linear cost 0.1 per dimension, DeploymentTheta,
+// qualities in [0,1]³, nBidders competing for k winners.
+func SolveDeploymentStrategy(nBidders, k int) (*auction.Strategy, error) {
+	rule, err := DeploymentRule()
+	if err != nil {
+		return nil, err
+	}
+	cost, err := auction.NewLinearCost(0.1, 0.1, 0.1)
+	if err != nil {
+		return nil, err
+	}
+	theta, err := DeploymentTheta()
+	if err != nil {
+		return nil, err
+	}
+	return auction.SolveEquilibrium(auction.EquilibriumConfig{
+		Rule: rule, Cost: cost, Theta: theta,
+		N: nBidders, K: k,
+		QLo: []float64{0, 0, 0}, QHi: []float64{1, 1, 1},
+		ThetaGridPoints: 65, QualityGridPoints: 24,
+	})
 }
 
 // Run generates the workload, starts the aggregator and all edge-node
@@ -154,7 +173,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	theta, err := dist.NewUniform(0.5, 1.5)
+	theta, err := DeploymentTheta()
 	if err != nil {
 		return nil, err
 	}
@@ -165,20 +184,11 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	rule, err := clusterRule()
+	rule, err := DeploymentRule()
 	if err != nil {
 		return nil, err
 	}
-	cost, err := auction.NewLinearCost(0.1, 0.1, 0.1)
-	if err != nil {
-		return nil, err
-	}
-	strategy, err := auction.SolveEquilibrium(auction.EquilibriumConfig{
-		Rule: rule, Cost: cost, Theta: theta,
-		N: cfg.Nodes, K: cfg.K,
-		QLo: []float64{0, 0, 0}, QHi: []float64{1, 1, 1},
-		ThetaGridPoints: 65, QualityGridPoints: 24,
-	})
+	strategy, err := SolveDeploymentStrategy(cfg.Nodes, cfg.K)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: equilibrium: %w", err)
 	}
@@ -196,7 +206,7 @@ func Run(cfg Config) (*Result, error) {
 		offers[round] = row
 	}
 
-	global, err := buildModel(cfg.Task, rand.New(rand.NewSource(cfg.Seed+13)))
+	global, err := data.NewModel(cfg.Task, rand.New(rand.NewSource(cfg.Seed+13)))
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +217,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer listener.Close() //nolint:errcheck // harness teardown
 
-	serverCfg := transport.ServerConfig{
+	server, err := transport.NewServer(transport.ServerConfig{
 		Listener:        listener,
 		ExpectNodes:     cfg.Nodes,
 		Rounds:          cfg.Rounds,
@@ -221,64 +231,7 @@ func Run(cfg Config) (*Result, error) {
 		RegisterTimeout: 30 * time.Second,
 		BidTimeout:      30 * time.Second,
 		UpdateTimeout:   120 * time.Second,
-	}
-	var (
-		regErrMu sync.Mutex
-		regErr   error
-	)
-	if cfg.UseExchange && !cfg.RandomSelection {
-		// The exchange runs as a real HTTP service on loopback and the
-		// harness reaches it exclusively through the pkg/client SDK — the
-		// same path a separately deployed exchange would be driven over, so
-		// the cluster experiment exercises the full /v1 API surface
-		// (serialization, idempotency keys, error envelope) rather than an
-		// in-process shortcut.
-		ex := exchange.New(exchange.Options{RequireRegistration: true})
-		defer ex.Close()
-		exLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: exchange listen: %w", err)
-		}
-		exSrv := &http.Server{Handler: exchange.NewHandler(ex)}
-		go exSrv.Serve(exLn) //nolint:errcheck // closed on teardown
-		defer exSrv.Close()  //nolint:errcheck // harness teardown
-		cl, err := client.New("http://" + exLn.Addr().String())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: exchange client: %w", err)
-		}
-		ruleSpec, err := transport.SpecForRule(rule)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: exchange rule: %w", err)
-		}
-		ctx := context.Background()
-		job, err := cl.CreateJob(ctx, client.JobSpec{
-			ID:   "cluster",
-			Rule: ruleSpec,
-			K:    cfg.K,
-			Psi:  cfg.Psi,
-			Seed: cfg.Seed,
-			// BidWindow 0: the transport server owns the round cadence and
-			// drives the job manually through the engine adapter.
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: exchange job: %w", err)
-		}
-		serverCfg.Engine = client.NewEngine(ctx, cl, job.ID)
-		// The exchange requires registration, so a failed mirror here would
-		// silently drop the node from every round (its bids answer 403 and
-		// the engine tolerates individual rejections) — capture the first
-		// failure and fail the run loudly instead.
-		serverCfg.OnRegister = func(nodeID int) {
-			if err := cl.Register(ctx, nodeID, "cluster-tcp-node"); err != nil {
-				regErrMu.Lock()
-				if regErr == nil {
-					regErr = fmt.Errorf("cluster: mirroring node %d into the exchange: %w", nodeID, err)
-				}
-				regErrMu.Unlock()
-			}
-		}
-	}
-	server, err := transport.NewServer(serverCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +254,7 @@ func Run(cfg Config) (*Result, error) {
 	addr := listener.Addr().String()
 	for i := 0; i < cfg.Nodes; i++ {
 		node := pop.Nodes[i]
-		model, err := buildModel(cfg.Task, rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
+		model, err := data.NewModel(cfg.Task, rand.New(rand.NewSource(cfg.Seed+100+int64(i))))
 		if err != nil {
 			return nil, err
 		}
@@ -351,12 +304,6 @@ func Run(cfg Config) (*Result, error) {
 	if out.err != nil {
 		return nil, fmt.Errorf("cluster: server: %w", out.err)
 	}
-	regErrMu.Lock()
-	mirrorErr := regErr
-	regErrMu.Unlock()
-	if mirrorErr != nil {
-		return nil, mirrorErr
-	}
 	res.Report = out.report
 
 	// Simulated timing (Fig. 13): per round, the slowest winner gates the
@@ -400,23 +347,6 @@ func offerFor(offers [][]mec.Resources, round, id int, fallback mec.Resources) m
 		return offers[round][id]
 	}
 	return fallback
-}
-
-// buildModel constructs the task-appropriate classifier.
-func buildModel(kind data.TaskKind, rng *rand.Rand) (ml.Classifier, error) {
-	switch kind {
-	case data.MNISTO, data.MNISTF:
-		return ml.NewImageCNN(ml.MNISTCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.CIFAR10:
-		return ml.NewImageCNN(ml.CIFARCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.HPNews:
-		return ml.NewLSTMClassifier(ml.LSTMConfig{
-			Vocab: data.TextVocab, Embed: 10, Hidden: 20,
-			Classes: data.NumClasses, Momentum: 0.9,
-		}, rng)
-	default:
-		return nil, errors.New("cluster: unknown task kind")
-	}
 }
 
 // TimeToAccuracy returns the cumulative simulated time at which the

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 
 	"fmore/internal/data"
@@ -41,6 +40,9 @@ func TestClusterEndToEnd(t *testing.T) {
 		if len(r.SelectedIDs) == 0 {
 			t.Errorf("round %d selected nobody", r.Round)
 		}
+		if r.TotalPayment <= 0 {
+			t.Errorf("round %d paid %v, want positive (FMore selection pays winners)", r.Round, r.TotalPayment)
+		}
 		if r.Accuracy <= 0 || r.Accuracy > 1 {
 			t.Errorf("round %d accuracy %v out of range", r.Round, r.Accuracy)
 		}
@@ -62,34 +64,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if completed != 5 {
 		t.Errorf("completed clients = %d, want 5", completed)
-	}
-}
-
-// TestClusterUsesExchangeEngine proves the TCP harness and the exchange
-// share one auction engine: winner determination is delegated to an
-// internal/exchange job (nodes registered over the wire land in the
-// exchange's registry), and the run must still select winners and pay them
-// every round.
-func TestClusterUsesExchangeEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster integration test")
-	}
-	cfg := tinyConfig()
-	cfg.UseExchange = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(res.Report.Rounds))
-	}
-	for _, r := range res.Report.Rounds {
-		if len(r.SelectedIDs) == 0 {
-			t.Errorf("round %d selected nobody", r.Round)
-		}
-		if r.TotalPayment <= 0 {
-			t.Errorf("round %d paid %v, want positive (FMore selection pays winners)", r.Round, r.TotalPayment)
-		}
 	}
 }
 
@@ -139,21 +113,3 @@ func TestClusterConfigValidation(t *testing.T) {
 		t.Error("K=Nodes: want error")
 	}
 }
-
-func TestBuildModelPerTask(t *testing.T) {
-	for _, kind := range []data.TaskKind{data.MNISTO, data.MNISTF, data.CIFAR10, data.HPNews} {
-		m, err := buildModel(kind, newTestRNG())
-		if err != nil {
-			t.Errorf("%v: %v", kind, err)
-			continue
-		}
-		if m.NumParams() == 0 {
-			t.Errorf("%v: zero parameters", kind)
-		}
-	}
-	if _, err := buildModel(data.TaskKind(99), newTestRNG()); err == nil {
-		t.Error("unknown task: want error")
-	}
-}
-
-func newTestRNG() *rand.Rand { return rand.New(rand.NewSource(42)) }

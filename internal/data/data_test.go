@@ -304,3 +304,34 @@ func TestTaskKindString(t *testing.T) {
 		t.Error("unknown kind should still format")
 	}
 }
+
+func TestParseTaskInvertsString(t *testing.T) {
+	for _, kind := range []TaskKind{MNISTO, MNISTF, CIFAR10, HPNews} {
+		got, err := ParseTask(kind.String())
+		if err != nil || got != kind {
+			t.Errorf("ParseTask(%q) = %v, %v", kind.String(), got, err)
+		}
+	}
+	if got, err := ParseTask("cifar"); err != nil || got != CIFAR10 {
+		t.Errorf("ParseTask(cifar) = %v, %v", got, err)
+	}
+	if _, err := ParseTask("imagenet"); err == nil {
+		t.Error("unknown task: want error")
+	}
+}
+
+func TestNewModelPerTask(t *testing.T) {
+	for _, kind := range []TaskKind{MNISTO, MNISTF, CIFAR10, HPNews} {
+		m, err := NewModel(kind, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Errorf("%v: %v", kind, err)
+			continue
+		}
+		if m.NumParams() == 0 {
+			t.Errorf("%v: zero parameters", kind)
+		}
+	}
+	if _, err := NewModel(TaskKind(99), rand.New(rand.NewSource(42))); err == nil {
+		t.Error("unknown task: want error")
+	}
+}

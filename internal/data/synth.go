@@ -57,6 +57,41 @@ func (k TaskKind) String() string {
 // IsImage reports whether the task uses image features (vs token sequences).
 func (k TaskKind) IsImage() bool { return k != HPNews }
 
+// ParseTask is the inverse of TaskKind.String, for command-line flags;
+// "cifar" is accepted as shorthand for "cifar-10".
+func ParseTask(s string) (TaskKind, error) {
+	switch s {
+	case "mnist-o":
+		return MNISTO, nil
+	case "mnist-f":
+		return MNISTF, nil
+	case "cifar-10", "cifar":
+		return CIFAR10, nil
+	case "hpnews":
+		return HPNews, nil
+	default:
+		return 0, fmt.Errorf("data: unknown task %q (mnist-o, mnist-f, cifar-10, hpnews)", s)
+	}
+}
+
+// NewModel constructs the task's classifier with the paper's architecture
+// shape at reduced width.
+func NewModel(kind TaskKind, rng *rand.Rand) (ml.Classifier, error) {
+	switch kind {
+	case MNISTO, MNISTF:
+		return ml.NewImageCNN(ml.MNISTCNNConfig(ImageSize, ImageSize), rng)
+	case CIFAR10:
+		return ml.NewImageCNN(ml.CIFARCNNConfig(ImageSize, ImageSize), rng)
+	case HPNews:
+		return ml.NewLSTMClassifier(ml.LSTMConfig{
+			Vocab: TextVocab, Embed: 10, Hidden: 20,
+			Classes: NumClasses, Momentum: 0.9,
+		}, rng)
+	default:
+		return nil, fmt.Errorf("data: unknown task %v", kind)
+	}
+}
+
 // Task dimensions shared by generators and model constructors.
 const (
 	// ImageSize is the height and width of synthetic images.

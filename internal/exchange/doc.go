@@ -74,8 +74,9 @@
 //     (Outcome, Latest, WaitLatest, WaitOutcome, OutcomesAfter), the
 //     replayed history handed to Subscribe, the round_closed events fanned
 //     out to subscribers (cloned once per round, only when subscribers
-//     exist), and the transport Engine adapter. HTTP and SSE rendering
-//     therefore never reads job-pooled memory outside the job's lock.
+//     exist), and Exchange.CloseRound's return value. HTTP and SSE
+//     rendering therefore never reads job-pooled memory outside the job's
+//     lock.
 //   - On a durable exchange each history entry also holds the round's
 //     encoded log record, under the same lifecycle — see "Snapshot +
 //     rotation" for who may read those bytes and when they are recycled.
@@ -106,17 +107,12 @@
 // writer coalesces queued frames into one
 // write syscall and settles them with fdatasync (data plus size, not
 // timestamps — preallocation below keeps the size metadata stable anyway;
-// plain Sync off Linux). Two commit policies (Options.Commit):
-//
-//   - CommitAdaptive (default): while nothing is waiting on durability the
-//     writer holds the commit for up to Options.SyncInterval (default 2ms)
-//     — the hold delays nobody, since appends are fire-and-forget, and is
-//     the crash-loss cap. The moment a Sync/Close waiter is pending it
-//     commits as soon as the queue drains, absorbing records that raced in
-//     behind the waiter into the same fsync instead of idling out the
-//     window.
-//   - CommitFixed: always hold the full window. Fewest fsyncs, but a
-//     durability waiter eats the whole window as latency.
+// plain Sync off Linux). While nothing is waiting on durability the writer
+// holds the commit for up to Options.SyncInterval (default 2ms) — the hold
+// delays nobody, since appends are fire-and-forget, and is the crash-loss
+// cap. The moment a Sync/Close waiter is pending it commits as soon as the
+// queue drains, absorbing records that raced in behind the waiter into the
+// same fsync instead of idling out the window.
 //
 // wal_fsync_total counts the commits and wal_fsync_batched_records the
 // records they settled; their ratio is the achieved batch size. Sync
@@ -439,11 +435,10 @@
 // fmore_exchange_wrong_partition_total.
 //
 // cmd/fmore-exchange is the runnable front end (see its -data-dir,
-// -snapshot-bytes, -sync-interval, -commit, -on-wal-failure and
-// -pprof-addr flags), and
-// examples/exchange is a full SDK-driven quickstart including a
-// close-and-reopen pass. Engine adapts
-// one job to the transport.Engine interface for in-process embedding; the
-// cluster harness instead uses pkg/client's Engine over HTTP, exercising
-// the same API surface a deployed exchange would serve.
+// -snapshot-bytes, -sync-interval, -on-wal-failure and -pprof-addr flags),
+// and examples/exchange is a full SDK-driven quickstart including a
+// close-and-reopen pass. The paper-reproduction TCP harness
+// (internal/transport, internal/cluster) does not go through the exchange:
+// the two share only internal/auction, and a seeded job's SubmitBid +
+// CloseRound is pinned equal to a private auction.Auctioneer's Run.
 package exchange

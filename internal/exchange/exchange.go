@@ -18,19 +18,6 @@ import (
 // ErrExchangeClosed reports an operation on a shut-down exchange.
 var ErrExchangeClosed = errors.New("exchange: closed")
 
-// CommitPolicy selects how the outcome log's writer groups records per
-// fsync; see Options.Commit.
-type CommitPolicy int
-
-const (
-	// CommitAdaptive syncs as soon as the writer's queue drains once a
-	// durability waiter is pending; with no waiter it holds the full
-	// SyncInterval (default).
-	CommitAdaptive CommitPolicy = iota
-	// CommitFixed holds each group commit open for the full SyncInterval.
-	CommitFixed
-)
-
 // Options configures an Exchange.
 type Options struct {
 	// Workers sizes the shared scoring pool (default GOMAXPROCS).
@@ -51,20 +38,13 @@ type Options struct {
 	// the log writer coalesces records for up to this long before each
 	// fsync while nothing waits on durability, so it caps the crash-loss
 	// window. Smaller tightens the durability lag; larger trades lag for
-	// fewer flushes. Only meaningful with Open.
+	// fewer flushes. Appends are fire-and-forget, so holding a commit
+	// delays nobody until someone calls Sync or Close; then the writer
+	// commits the moment its queue drains — records racing in behind the
+	// waiter still share its fsync, and the waiter never idles out the rest
+	// of the window. The achieved batching is observable as wal_fsync_total
+	// vs wal_fsync_batched_records. Only meaningful with Open.
 	SyncInterval time.Duration
-	// Commit selects the outcome log's group-commit policy (only
-	// meaningful with Open). Appends are fire-and-forget, so holding a
-	// commit delays nobody until someone calls Sync or Close; the policies
-	// differ in what happens then. CommitAdaptive (the zero value) commits
-	// the moment the writer's queue drains once a waiter is pending —
-	// records racing in behind the waiter still share its fsync, and the
-	// waiter never idles out the rest of the window. CommitFixed always
-	// holds the full SyncInterval — fewest flushes (battery, shared disks,
-	// fsync-heavy co-tenants), but a waiter eats the whole window as
-	// latency. The achieved batching is observable as wal_fsync_total vs
-	// wal_fsync_batched_records.
-	Commit CommitPolicy
 	// SnapshotBytes triggers WAL compaction (snapshot + segment rotation)
 	// once the active segment exceeds this many bytes (default 8 MiB;
 	// negative disables the size trigger). Only meaningful with Open.
@@ -459,8 +439,8 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 func (ex *Exchange) Firehose() *Firehose { return ex.fh }
 
 // CloseRound closes the job's current round synchronously and returns its
-// outcome. This is the manual drive used by the transport engine adapter;
-// on timer-mode jobs it simply closes the window early. The returned
+// outcome. This is the manual drive of BidWindow-0 jobs; on timer-mode
+// jobs it simply closes the window early. The returned
 // outcome owns all of its memory (the copy is made before the close lock
 // releases, so it can never observe a later round recycling the job's
 // pooled buffers); in-process embedders that want the zero-copy pooled

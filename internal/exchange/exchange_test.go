@@ -344,26 +344,30 @@ func TestCloseRoundBelowQuorum(t *testing.T) {
 	}
 }
 
-func TestEngineAdapterRunsTransportRounds(t *testing.T) {
+// TestSubmitCloseMatchesPrivateAuctioneer is the shared-engine invariant:
+// SubmitBid×N + CloseRound on a seeded job yields exactly what a private
+// auction.Auctioneer with the same config and seed returns from Run — the
+// exchange service and the TCP harness's aggregator run one selection core.
+func TestSubmitCloseMatchesPrivateAuctioneer(t *testing.T) {
 	ex := New(Options{})
 	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{
-		Auction: auction.Config{Rule: testRule(t, 4), K: 2},
-		Seed:    31,
-	})
+	cfg := auction.Config{Rule: testRule(t, 4), K: 2}
+	job, err := ex.CreateJob(JobSpec{Auction: cfg, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(ex, job.ID())
-
-	ref, err := auction.NewAuctioneer(
-		auction.Config{Rule: testRule(t, 4), K: 2}, rand.New(rand.NewSource(31)))
+	ref, err := auction.NewAuctioneer(cfg, rand.New(rand.NewSource(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
 		bids := testBids(4, round, 10)
-		got, err := eng.RunRound(round, bids)
+		for _, b := range bids {
+			if _, err := ex.SubmitBid(job.ID(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := ex.CloseRound(job.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,12 +375,12 @@ func TestEngineAdapterRunsTransportRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("round %d: engine outcome diverges from private auctioneer", round)
+		if !reflect.DeepEqual(got.Outcome, want) {
+			t.Errorf("round %d: exchange outcome diverges from private auctioneer", round)
 		}
 	}
-	if _, err := eng.RunRound(3, nil); err == nil {
-		t.Error("zero-bid engine round: want error")
+	if _, err := ex.CloseRound(job.ID()); !errors.Is(err, ErrBelowQuorum) {
+		t.Errorf("zero-bid close: err = %v, want ErrBelowQuorum", err)
 	}
 }
 

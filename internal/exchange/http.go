@@ -16,7 +16,6 @@ import (
 	"fmore/internal/admission"
 	"fmore/internal/auction"
 	"fmore/internal/partition"
-	"fmore/internal/transport"
 )
 
 // maxWait caps how long GET /v1/jobs/{id}/outcome?wait=1 blocks.
@@ -64,17 +63,13 @@ const (
 	codeDurabilityLost = "durability_lost"
 )
 
-// errorEnvelope is the uniform v1 error shape. The partition fields are set
-// only on wrong_partition responses: they name the owning replica under the
-// responding replica's map so routers and SDKs retry against the right box
-// without a second map fetch.
+// errorEnvelope is the uniform v1 error shape. The partition.Misdirect
+// fields are set only on wrong_partition responses.
 type errorEnvelope struct {
 	Code         string `json:"code"`
 	Message      string `json:"message"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	Partition    string `json:"partition,omitempty"`
-	ReplicaURL   string `json:"replica_url,omitempty"`
-	MapVersion   int64  `json:"map_version,omitempty"`
+	partition.Misdirect
 }
 
 // NewHandler returns the exchange's HTTP front end. The versioned surface
@@ -333,22 +328,22 @@ func (h *handler) idemBegin(w http.ResponseWriter, r *http.Request, op, scope st
 
 // jobRequest is the POST /v1/jobs payload.
 type jobRequest struct {
-	ID          string             `json:"id,omitempty"`
-	Rule        transport.RuleSpec `json:"rule"`
-	K           int                `json:"k"`
-	Payment     string             `json:"payment,omitempty"` // "first-price" (default) | "second-price"
-	Psi         float64            `json:"psi,omitempty"`
-	Seed        int64              `json:"seed,omitempty"`
-	BidWindowMS int64              `json:"bid_window_ms,omitempty"` // 0 = manual rounds
-	MaxRounds   int                `json:"max_rounds,omitempty"`
-	MinBids     int                `json:"min_bids,omitempty"`
+	ID          string           `json:"id,omitempty"`
+	Rule        auction.RuleSpec `json:"rule"`
+	K           int              `json:"k"`
+	Payment     string           `json:"payment,omitempty"` // "first-price" (default) | "second-price"
+	Psi         float64          `json:"psi,omitempty"`
+	Seed        int64            `json:"seed,omitempty"`
+	BidWindowMS int64            `json:"bid_window_ms,omitempty"` // 0 = manual rounds
+	MaxRounds   int              `json:"max_rounds,omitempty"`
+	MinBids     int              `json:"min_bids,omitempty"`
 	// KeepOutcomes bounds the job's retained outcome history (0 = server
 	// default of 128); older rounds answer 410 Gone.
 	KeepOutcomes int `json:"keep_outcomes,omitempty"`
 	// Equilibrium optionally describes the bidder-side game; with it the
 	// job serves GET /v1/jobs/{id}/strategy so clients can bid the Theorem 1
 	// equilibrium without solving it locally.
-	Equilibrium *transport.EquilibriumSpec `json:"equilibrium,omitempty"`
+	Equilibrium *auction.EquilibriumSpec `json:"equilibrium,omitempty"`
 }
 
 // jobResponse describes a hosted job, spec and window behavior included so
@@ -878,16 +873,6 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, h.ex.Metrics())
 }
 
-// clusterPartitionsResponse is the GET /v1/cluster/partitions payload: the
-// replica's current cluster map plus its own partition. Routers and SDKs
-// poll this (any replica serves the same map) and advance their local handle
-// when version increases.
-type clusterPartitionsResponse struct {
-	Version    int64               `json:"version"`
-	Local      string              `json:"local"`
-	Partitions []partition.Replica `json:"partitions"`
-}
-
 // clusterPartitions serves the replica's cluster map. An unpartitioned
 // exchange answers 404 not_found — the SDK treats that as "routing off".
 func (h *handler) clusterPartitions(w http.ResponseWriter, _ *http.Request) {
@@ -900,7 +885,7 @@ func (h *handler) clusterPartitions(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusNotFound, codeNotFound, "exchange is not partitioned")
 		return
 	}
-	writeJSON(w, http.StatusOK, clusterPartitionsResponse{
+	writeJSON(w, http.StatusOK, partition.Document{
 		Version:    m.Version,
 		Local:      p.Local,
 		Partitions: m.Partitions,
@@ -1096,9 +1081,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	}
 	var wp *WrongPartitionError
 	if errors.As(err, &wp) {
-		env.Partition = wp.Partition
-		env.ReplicaURL = wp.ReplicaURL
-		env.MapVersion = wp.MapVersion
+		env.Misdirect = partition.Misdirect{Partition: wp.Partition, ReplicaURL: wp.ReplicaURL, MapVersion: wp.MapVersion}
 	}
 	var ov *OverloadError
 	if errors.As(err, &ov) {

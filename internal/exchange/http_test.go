@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -195,6 +196,40 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if _, ok := ex.Registry().Lookup(77); ok {
 		t.Error("rejected bid registered node 77 via meta")
+	}
+}
+
+// TestHTTPUnknownSpecKinds pins how POST /v1/jobs refuses a spec naming a
+// rule, cost, distribution or solver the auction package does not build:
+// 400 invalid_request, with the message prefixed by the package that owns
+// the wire specs ("auction:", not the TCP harness's package name).
+func TestHTTPUnknownSpecKinds(t *testing.T) {
+	srv, _ := httpFixture(t)
+	rule := map[string]any{"kind": "additive", "alpha": []float64{0.5, 0.5}}
+	eq := func(cost, theta, solver string) map[string]any {
+		return map[string]any{
+			"cost":  map[string]any{"kind": cost, "beta": []float64{0.5, 0.5}},
+			"theta": map[string]any{"kind": theta, "lo": 1, "hi": 2},
+			"n":     6, "q_lo": []float64{0, 0}, "q_hi": []float64{1, 1},
+			"solver": solver,
+		}
+	}
+	for name, tc := range map[string]struct {
+		body map[string]any
+		want string
+	}{
+		"rule":   {map[string]any{"k": 2, "rule": map[string]any{"kind": "martian", "alpha": []float64{1}}}, `auction: unknown rule kind "martian"`},
+		"cost":   {map[string]any{"k": 2, "rule": rule, "equilibrium": eq("cubic", "uniform", "")}, `auction: unknown cost kind "cubic"`},
+		"dist":   {map[string]any{"k": 2, "rule": rule, "equilibrium": eq("linear", "pareto", "")}, `auction: unknown distribution kind "pareto"`},
+		"solver": {map[string]any{"k": 2, "rule": rule, "equilibrium": eq("linear", "uniform", "simplex")}, `auction: unknown solver "simplex"`},
+	} {
+		resp, body := postJSON(t, srv.URL+"/v1/jobs", tc.body)
+		if resp.StatusCode != http.StatusBadRequest || body["code"] != "invalid_request" {
+			t.Errorf("%s: status %d code %v, want 400 invalid_request", name, resp.StatusCode, body["code"])
+		}
+		if msg, _ := body["message"].(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: message %q, want it to contain %q", name, msg, tc.want)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"fmore/internal/admission"
 	"fmore/internal/auction"
-	"fmore/internal/transport"
 )
 
 // Sentinel errors of the job lifecycle.
@@ -55,8 +54,7 @@ type JobSpec struct {
 	Seed int64
 	// BidWindow is the per-round bid-collection window. When positive, a
 	// job goroutine closes the round at each context deadline; when zero
-	// the job is manually driven (CloseRound), which is how the transport
-	// harness delegates its synchronous rounds.
+	// the job is manually driven (CloseRound).
 	BidWindow time.Duration
 	// MaxRounds closes the job after that many completed rounds
 	// (0 = unlimited).
@@ -72,7 +70,7 @@ type JobSpec struct {
 	// solves Theorem 1's symmetric equilibrium lazily and serves the bid
 	// curve from GET /jobs/{id}/strategy, so edge clients need not run the
 	// solver locally. Validated (not solved) at job creation.
-	Equilibrium *transport.EquilibriumSpec
+	Equilibrium *auction.EquilibriumSpec
 }
 
 func (s *JobSpec) setDefaults() {

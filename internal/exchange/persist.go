@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"fmore/internal/auction"
-	"fmore/internal/transport"
 )
 
 // The write-ahead log is a sequence of numbered segments plus at most one
@@ -52,17 +51,16 @@ const maxWalRecord = 64 << 20
 // device, which bounds memory instead of growing an unbounded queue.
 const walBuffer = 1024
 
-// defaultSyncDelay is the fixed group-commit window (CommitFixed, or any
-// explicit SyncInterval): after writing a batch the writer keeps
+// defaultSyncDelay is the default group-commit window (Options.SyncInterval
+// overrides it): after writing a batch the writer keeps
 // collecting records for up to this long before the fsync, so a storm of
 // round closes shares one disk flush instead of paying one each.
 // (Back-to-back fsyncs are not just slow — each blocking syscall also
 // steals the writer's scheduler slot, which on small machines stalls the
 // scoring goroutines too.) A crash can lose at most this window plus one
 // fsync of acknowledged-but-unflushed records, the standard contract of
-// an asynchronous WAL; Sync bypasses the wait entirely. The default
-// CommitAdaptive policy replaces the fixed hold with a drain-and-commit
-// loop — see persister.run.
+// an asynchronous WAL; Sync bypasses the wait entirely, replacing the
+// hold with a drain-and-commit loop — see persister.run.
 const defaultSyncDelay = 2 * time.Millisecond
 
 // walWriteBuffer bounds the writer-local batch buffer: queued frames are
@@ -103,22 +101,22 @@ type walRecord struct {
 }
 
 // walJob is a serialized JobSpec. The scoring rule travels as the wire-form
-// transport.RuleSpec, the same encoding the HTTP front end accepts.
+// auction.RuleSpec, the same encoding the HTTP front end accepts.
 type walJob struct {
-	ID           string             `json:"id"`
-	Rule         transport.RuleSpec `json:"rule"`
-	K            int                `json:"k"`
-	Payment      int                `json:"payment"`
-	Psi          float64            `json:"psi"`
-	Seed         int64              `json:"seed"`
-	BidWindowNS  int64              `json:"bid_window_ns,omitempty"`
-	MaxRounds    int                `json:"max_rounds,omitempty"`
-	MinBids      int                `json:"min_bids"`
-	KeepOutcomes int                `json:"keep_outcomes"`
+	ID           string           `json:"id"`
+	Rule         auction.RuleSpec `json:"rule"`
+	K            int              `json:"k"`
+	Payment      int              `json:"payment"`
+	Psi          float64          `json:"psi"`
+	Seed         int64            `json:"seed"`
+	BidWindowNS  int64            `json:"bid_window_ns,omitempty"`
+	MaxRounds    int              `json:"max_rounds,omitempty"`
+	MinBids      int              `json:"min_bids"`
+	KeepOutcomes int              `json:"keep_outcomes"`
 	// Equilibrium is the optional bidder-side game description; it is
 	// already a JSON wire form, so it persists verbatim. Absent on records
 	// written before the strategy endpoint existed.
-	Equilibrium *transport.EquilibriumSpec `json:"eq,omitempty"`
+	Equilibrium *auction.EquilibriumSpec `json:"eq,omitempty"`
 }
 
 // walWinner is one selected bid of a persisted outcome.
@@ -222,16 +220,10 @@ type walSnapNode struct {
 type persister struct {
 	f         *os.File
 	syncDelay time.Duration
-	// adaptive selects the group-commit policy: true (CommitAdaptive)
-	// commits as soon as the queue momentarily drains — the fsync's own
-	// latency is the batching window — false (CommitFixed) holds each
-	// commit open for the full syncDelay.
-	adaptive bool
-
 	// Commit telemetry, read by metrics scrapes: fsyncs counts group
 	// commits (wal_fsync_total), fsyncRecs the records those commits made
 	// durable (wal_fsync_batched_records) — their ratio is the achieved
-	// batch size, the observable of the adaptive/fixed tradeoff.
+	// batch size.
 	fsyncs    atomic.Int64
 	fsyncRecs atomic.Int64
 
@@ -309,14 +301,13 @@ func newFrameBuf() *frameBuf {
 	return fb
 }
 
-func newPersister(f *os.File, seq, size int64, syncDelay time.Duration, adaptive bool, threshold int64, onFull func(), onFail func(error)) *persister {
+func newPersister(f *os.File, seq, size int64, syncDelay time.Duration, threshold int64, onFull func(), onFail func(error)) *persister {
 	if syncDelay <= 0 {
 		syncDelay = defaultSyncDelay
 	}
 	p := &persister{
 		f:         f,
 		syncDelay: syncDelay,
-		adaptive:  adaptive,
 		seq:       seq,
 		threshold: threshold,
 		onFull:    onFull,
@@ -456,13 +447,13 @@ func (p *persister) close() error {
 // channel closes — on a disk error it keeps draining (and discarding) so
 // appenders can never wedge on a full channel.
 //
-// Group commit is adaptive by default: after the first record the writer
-// drains whatever is already queued without blocking and commits the
-// moment the queue is momentarily empty — the fsync's own latency (and
-// the write syscall before it) is the batching window, so concurrent
-// round closes still share one flush while a lone record is durable as
-// fast as the disk allows instead of idling out a fixed timer. CommitFixed
-// restores the timer: hold each commit open for up to syncDelay.
+// Group commit is adaptive: with no durability waiter the writer holds
+// each commit open for up to syncDelay; once a waiter is pending it drains
+// whatever is already queued without blocking and commits the moment the
+// queue is momentarily empty — the fsync's own latency (and the write
+// syscall before it) is the batching window, so concurrent round closes
+// still share one flush while a synced record is durable as fast as the
+// disk allows instead of idling out the timer.
 //
 // The loop deliberately never takes p.mu: appenders hold it while sending
 // (including blocking on a full channel), so a writer that needed the mutex
@@ -611,22 +602,19 @@ func (p *persister) run() {
 			}
 			timer.Stop()
 		}
-		if p.adaptive {
-			// Adaptive: a waiter is (now) pending — absorb whatever else
-			// is already queued before the flush, so the records racing
-			// in behind the Sync share its fsync instead of forcing the
-			// next one. The fixed policy commits with the queue as-is.
-		drain:
-			for len(flushes) > 0 {
-				select {
-				case m, ok := <-p.ch:
-					if !ok {
-						break drain // outer range exits next; commit below
-					}
-					write(m)
-				default:
-					break drain
+		// A waiter is (now) pending — absorb whatever else is already
+		// queued before the flush, so the records racing in behind the
+		// Sync share its fsync instead of forcing the next one.
+	drain:
+		for len(flushes) > 0 {
+			select {
+			case m, ok := <-p.ch:
+				if !ok {
+					break drain // outer range exits next; commit below
 				}
+				write(m)
+			default:
+				break drain
 			}
 		}
 		commit()
@@ -1596,7 +1584,7 @@ func Open(dir string, opts Options) (*Exchange, error) {
 	ex.walSealedBytes.Store(sealed)
 	ex.compactCh = make(chan struct{}, 1)
 	ex.compactDone = make(chan struct{})
-	ex.wal = newPersister(tail, ex.walSeq, tailValid, opts.SyncInterval, opts.Commit == CommitAdaptive, threshold, func() {
+	ex.wal = newPersister(tail, ex.walSeq, tailValid, opts.SyncInterval, threshold, func() {
 		select {
 		case ex.compactCh <- struct{}{}:
 		default:
@@ -1746,7 +1734,7 @@ func (w *walJob) spec() (JobSpec, error) {
 // unserializable rule is refused (CreateJob rejects such jobs up front on a
 // durable exchange, so this never fires for hosted jobs).
 func walJobFromSpec(spec JobSpec) (walJob, error) {
-	ruleSpec, err := transport.SpecForRule(spec.Auction.Rule)
+	ruleSpec, err := auction.SpecForRule(spec.Auction.Rule)
 	if err != nil {
 		return walJob{}, err
 	}

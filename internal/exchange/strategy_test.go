@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"fmore/internal/auction"
-	"fmore/internal/transport"
 )
 
-func equilibriumSpec() *transport.EquilibriumSpec {
-	return &transport.EquilibriumSpec{
-		Cost:  transport.CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
-		Theta: transport.DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
+func equilibriumSpec() *auction.EquilibriumSpec {
+	return &auction.EquilibriumSpec{
+		Cost:  auction.CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
+		Theta: auction.DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
 		N:     40,
 		QLo:   []float64{0, 0},
 		QHi:   []float64{1, 1},

@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -138,6 +139,12 @@ func TestJobTableChurnUnderLoad(t *testing.T) {
 	// runs end to end.
 	if _, ok := ex.Job("stable"); !ok {
 		t.Fatal("stable job lost during churn")
+	}
+	// The submitters stop mid-round, so their last bids may still be
+	// pending under the node IDs the fresh round is about to use; close
+	// that round out first (ErrBelowQuorum when nothing was pending).
+	if _, err := ex.CloseRound("stable"); err != nil && !errors.Is(err, ErrBelowQuorum) {
+		t.Fatalf("draining the churn storm's last round: %v", err)
 	}
 	for _, b := range testBids(1, 99, 4) {
 		if _, err := ex.SubmitBid("stable", b); err != nil {

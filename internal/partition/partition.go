@@ -22,7 +22,9 @@
 package partition
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"sort"
 	"strings"
@@ -81,6 +83,45 @@ func (m *Map) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Document is the GET /v1/cluster/partitions payload: a replica's current
+// cluster map plus the partition that replica serves. Every replica serves
+// the same map; routers and SDKs poll it and advance their Handle when
+// Version increases.
+type Document struct {
+	Version int64 `json:"version"`
+	// Local is the partition served by the replica that answered.
+	Local      string    `json:"local"`
+	Partitions []Replica `json:"partitions"`
+}
+
+// Map returns the validated routing map the document carries.
+func (d Document) Map() (*Map, error) {
+	m := &Map{Version: d.Version, Partitions: d.Partitions}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeMap reads one Document from r and returns its validated Map.
+func DecodeMap(r io.Reader) (*Map, error) {
+	var d Document
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return nil, fmt.Errorf("partition: decoding map document: %w", err)
+	}
+	return d.Map()
+}
+
+// Misdirect is the routing part of a wrong_partition (421) error envelope:
+// the partition owning the job under the refusing replica's map, that
+// partition's replica base URL, and the map version behind the verdict — so
+// routers and SDKs retry against the right box without a second map fetch.
+type Misdirect struct {
+	Partition  string `json:"partition,omitempty"`
+	ReplicaURL string `json:"replica_url,omitempty"`
+	MapVersion int64  `json:"map_version,omitempty"`
 }
 
 // Owner returns the replica owning jobID under rendezvous hashing: the

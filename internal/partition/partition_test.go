@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -173,5 +176,38 @@ func TestDefault(t *testing.T) {
 	d, ok := m.Default()
 	if !ok || d.Partition != "pa" {
 		t.Fatalf("Default() = %+v ok=%v, want pa", d, ok)
+	}
+}
+
+// TestDecodeMap pins the one decode path the router and the SDK share: the
+// /v1/cluster/partitions document round-trips to the map that produced it,
+// in the wire field order the API has always served, and an unroutable or
+// malformed document is refused.
+func TestDecodeMap(t *testing.T) {
+	m := twoPartitions()
+	raw, err := json.Marshal(Document{Version: m.Version, Local: "p1", Partitions: m.Partitions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"version":1,"local":"p1","partitions":[{"partition":"p0","url":"http://127.0.0.1:8780"},`
+	if !strings.HasPrefix(string(raw), want) {
+		t.Fatalf("document wire form = %s, want prefix %s", raw, want)
+	}
+	got, err := DecodeMap(strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Errorf("decoded %+v, want %+v", got, m)
+	}
+	for name, doc := range map[string]string{
+		"version 0":     `{"version":0,"partitions":[{"partition":"p0","url":"http://h:1"}]}`,
+		"no partitions": `{"version":3,"partitions":[]}`,
+		"relative url":  `{"version":3,"partitions":[{"partition":"p0","url":"h:1"}]}`,
+		"not json":      `<html>`,
+	} {
+		if _, err := DecodeMap(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }

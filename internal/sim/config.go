@@ -15,7 +15,6 @@ import (
 	"fmore/internal/dist"
 	"fmore/internal/fl"
 	"fmore/internal/mec"
-	"fmore/internal/ml"
 )
 
 // Method selects the client-selection strategy under test.
@@ -196,24 +195,6 @@ func (sa *simulatorAuction) strategy(n, k int) (*auction.Strategy, error) {
 		QLo: []float64{0, 0}, QHi: []float64{1, 1},
 		ThetaGridPoints: 65, QualityGridPoints: 32,
 	})
-}
-
-// buildModel constructs the task's classifier with the paper's architecture
-// shape at reduced width.
-func buildModel(kind data.TaskKind, rng *rand.Rand) (ml.Classifier, error) {
-	switch kind {
-	case data.MNISTO, data.MNISTF:
-		return ml.NewImageCNN(ml.MNISTCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.CIFAR10:
-		return ml.NewImageCNN(ml.CIFARCNNConfig(data.ImageSize, data.ImageSize), rng)
-	case data.HPNews:
-		return ml.NewLSTMClassifier(ml.LSTMConfig{
-			Vocab: data.TextVocab, Embed: 10, Hidden: 20,
-			Classes: data.NumClasses, Momentum: 0.9,
-		}, rng)
-	default:
-		return nil, fmt.Errorf("sim: unknown task %v", kind)
-	}
 }
 
 // buildSelector constructs the method's selector for a given population.

@@ -38,7 +38,7 @@ func RunOnce(cfg ExperimentConfig, repeat int) (*fl.History, error) {
 	if err != nil {
 		return nil, err
 	}
-	global, err := buildModel(cfg.Task, rand.New(rand.NewSource(seed+2)))
+	global, err := data.NewModel(cfg.Task, rand.New(rand.NewSource(seed+2)))
 	if err != nil {
 		return nil, err
 	}

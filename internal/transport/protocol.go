@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"fmore/internal/auction"
-	"fmore/internal/dist"
 )
 
 // MsgKind discriminates Envelope payloads.
@@ -67,193 +66,11 @@ type Hello struct {
 	NodeID int
 }
 
-// RuleSpec is the serializable description of a scoring rule, rebuilt into
-// an auction.ScoringRule on the node side. It covers the rule families of
-// §III-A, optionally min–max normalized. The JSON tags serve the exchange's
-// HTTP front end, which shares this wire form.
-type RuleSpec struct {
-	// Kind is "additive", "leontief" or "cobb-douglas".
-	Kind string `json:"kind"`
-	// Alpha holds the coefficients (exponents for Cobb–Douglas).
-	Alpha []float64 `json:"alpha"`
-	// Scale is the Cobb–Douglas scale factor (ignored otherwise).
-	Scale float64 `json:"scale,omitempty"`
-	// NormLo/NormHi, when non-empty, wrap the rule in min–max normalization.
-	NormLo []float64 `json:"norm_lo,omitempty"`
-	NormHi []float64 `json:"norm_hi,omitempty"`
-}
-
-// Build reconstructs the scoring rule.
-func (r RuleSpec) Build() (auction.ScoringRule, error) {
-	var (
-		rule auction.ScoringRule
-		err  error
-	)
-	switch r.Kind {
-	case "additive":
-		rule, err = auction.NewAdditive(r.Alpha...)
-	case "leontief":
-		rule, err = auction.NewLeontief(r.Alpha...)
-	case "cobb-douglas":
-		rule, err = auction.NewCobbDouglas(r.Scale, r.Alpha...)
-	default:
-		return nil, fmt.Errorf("transport: unknown rule kind %q", r.Kind)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: building rule: %w", err)
-	}
-	if len(r.NormLo) > 0 || len(r.NormHi) > 0 {
-		rule, err = auction.NewNormalized(rule, r.NormLo, r.NormHi)
-		if err != nil {
-			return nil, fmt.Errorf("transport: building normalizer: %w", err)
-		}
-	}
-	return rule, nil
-}
-
-// SpecForRule serializes a supported scoring rule into a RuleSpec.
-func SpecForRule(rule auction.ScoringRule) (RuleSpec, error) {
-	switch r := rule.(type) {
-	case auction.Additive:
-		return RuleSpec{Kind: "additive", Alpha: r.Alpha}, nil
-	case auction.Leontief:
-		return RuleSpec{Kind: "leontief", Alpha: r.Alpha}, nil
-	case auction.CobbDouglas:
-		return RuleSpec{Kind: "cobb-douglas", Alpha: r.Exponents, Scale: r.Scale}, nil
-	case auction.Normalized:
-		inner, err := SpecForRule(r.Rule)
-		if err != nil {
-			return RuleSpec{}, err
-		}
-		inner.NormLo, inner.NormHi = r.Lo, r.Hi
-		return inner, nil
-	default:
-		return RuleSpec{}, fmt.Errorf("transport: rule %T is not serializable", rule)
-	}
-}
-
-// CostSpec is the serializable description of a bidder cost family c(q, θ),
-// rebuilt into an auction.CostFunction. Like RuleSpec, its JSON tags serve
-// the exchange's HTTP front end.
-type CostSpec struct {
-	// Kind is "linear", "quadratic" or "power".
-	Kind string `json:"kind"`
-	// Beta holds the per-dimension coefficients.
-	Beta []float64 `json:"beta"`
-	// Gamma is the power-cost exponent (ignored otherwise).
-	Gamma float64 `json:"gamma,omitempty"`
-}
-
-// Build reconstructs the cost function.
-func (c CostSpec) Build() (auction.CostFunction, error) {
-	var (
-		cost auction.CostFunction
-		err  error
-	)
-	switch c.Kind {
-	case "linear":
-		cost, err = auction.NewLinearCost(c.Beta...)
-	case "quadratic":
-		cost, err = auction.NewQuadraticCost(c.Beta...)
-	case "power":
-		cost, err = auction.NewPowerCost(c.Gamma, c.Beta...)
-	default:
-		return nil, fmt.Errorf("transport: unknown cost kind %q", c.Kind)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: building cost: %w", err)
-	}
-	return cost, nil
-}
-
-// DistSpec is the serializable description of the private-type distribution
-// F of θ.
-type DistSpec struct {
-	// Kind is "uniform" (the paper's choice for all experiments).
-	Kind string  `json:"kind"`
-	Lo   float64 `json:"lo"`
-	Hi   float64 `json:"hi"`
-}
-
-// Build reconstructs the distribution.
-func (d DistSpec) Build() (dist.Distribution, error) {
-	switch d.Kind {
-	case "uniform":
-		u, err := dist.NewUniform(d.Lo, d.Hi)
-		if err != nil {
-			return nil, fmt.Errorf("transport: building distribution: %w", err)
-		}
-		return u, nil
-	default:
-		return nil, fmt.Errorf("transport: unknown distribution kind %q", d.Kind)
-	}
-}
-
-// EquilibriumSpec describes the bidder-side auction game of a hosted job —
-// everything SolveEquilibrium needs beyond the job's own scoring rule and
-// K. A job carrying it can serve the solved Theorem 1 strategy to its edge
-// clients (GET /jobs/{id}/strategy on the exchange), so nodes need not run
-// the equilibrium solver locally.
-type EquilibriumSpec struct {
-	// Cost is the common-knowledge cost family c(q, θ).
-	Cost CostSpec `json:"cost"`
-	// Theta is the distribution F of the private cost parameter.
-	Theta DistSpec `json:"theta"`
-	// N is the number of bidders in the game (the population size, > K).
-	N int `json:"n"`
-	// QLo, QHi bound the feasible quality box per dimension.
-	QLo []float64 `json:"q_lo"`
-	QHi []float64 `json:"q_hi"`
-	// Solver optionally names the payment solver: "quadrature" (default),
-	// "euler" or "rk4".
-	Solver string `json:"solver,omitempty"`
-}
-
-// Config assembles and validates the full equilibrium configuration for a
-// job's scoring rule and winner count.
-func (e EquilibriumSpec) Config(rule auction.ScoringRule, k int) (auction.EquilibriumConfig, error) {
-	cost, err := e.Cost.Build()
-	if err != nil {
-		return auction.EquilibriumConfig{}, err
-	}
-	theta, err := e.Theta.Build()
-	if err != nil {
-		return auction.EquilibriumConfig{}, err
-	}
-	var solver auction.SolverKind
-	switch e.Solver {
-	case "":
-		// leave zero: SolveEquilibrium applies its default
-	case "quadrature":
-		solver = auction.SolverQuadrature
-	case "euler":
-		solver = auction.SolverEuler
-	case "rk4":
-		solver = auction.SolverRK4
-	default:
-		return auction.EquilibriumConfig{}, fmt.Errorf("transport: unknown solver %q", e.Solver)
-	}
-	cfg := auction.EquilibriumConfig{
-		Rule:   rule,
-		Cost:   cost,
-		Theta:  theta,
-		N:      e.N,
-		K:      k,
-		QLo:    append([]float64(nil), e.QLo...),
-		QHi:    append([]float64(nil), e.QHi...),
-		Solver: solver,
-	}
-	if err := cfg.Validate(); err != nil {
-		return auction.EquilibriumConfig{}, err
-	}
-	return cfg, nil
-}
-
 // Ask is the round's bid ask.
 type Ask struct {
 	Round int
 	K     int
-	Rule  RuleSpec
+	Rule  auction.RuleSpec
 }
 
 // Bid is one sealed bid.

@@ -12,15 +12,6 @@ import (
 	"fmore/internal/ml"
 )
 
-// Engine abstracts winner determination so the aggregator can delegate
-// rounds to an external auction service instead of its private auctioneer.
-// internal/exchange implements it (one hosted job per server), proving the
-// TCP harness and the exchange share one auction engine.
-type Engine interface {
-	// RunRound determines the round's winners over the collected bids.
-	RunRound(round int, bids []auction.Bid) (auction.Outcome, error)
-}
-
 // ServerConfig parameterizes the aggregator server.
 type ServerConfig struct {
 	// Listener accepts node connections; the caller owns its lifecycle
@@ -35,7 +26,7 @@ type ServerConfig struct {
 	// K is the number of auction winners per round.
 	K int
 	// Rule is the broadcast scoring rule (must be serializable via
-	// SpecForRule).
+	// auction.SpecForRule).
 	Rule auction.ScoringRule
 	// Payment is the payment rule (default first-price).
 	Payment auction.PaymentRule
@@ -59,14 +50,6 @@ type ServerConfig struct {
 	// are drawn uniformly (no payments), while bid scores are still recorded
 	// for score-distribution analysis (Fig. 8).
 	RandomSelection bool
-	// Engine, when set, delegates winner determination to an external
-	// auction service (e.g. an internal/exchange job) instead of the
-	// server's private auctioneer. RandomSelection takes precedence.
-	Engine Engine
-	// OnRegister, when set, is invoked once per accepted node registration —
-	// the hook the cluster harness uses to mirror TCP registrations into the
-	// exchange's node registry.
-	OnRegister func(nodeID int)
 }
 
 func (c *ServerConfig) setDefaults() {
@@ -142,7 +125,7 @@ type nodeSession struct {
 // Server is the FMore aggregator over TCP.
 type Server struct {
 	cfg   ServerConfig
-	spec  RuleSpec
+	spec  auction.RuleSpec
 	nodes []*nodeSession
 	rng   *rand.Rand
 }
@@ -153,7 +136,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	spec, err := SpecForRule(cfg.Rule)
+	spec, err := auction.SpecForRule(cfg.Rule)
 	if err != nil {
 		return nil, err
 	}
@@ -195,18 +178,14 @@ func (s *Server) Run() (*ServerReport, error) {
 	}
 	defer s.closeAll()
 
-	var auctioneer *auction.Auctioneer
-	if s.cfg.Engine == nil {
-		var err error
-		auctioneer, err = auction.NewAuctioneer(auction.Config{
-			Rule:    s.cfg.Rule,
-			K:       s.cfg.K,
-			Payment: s.cfg.Payment,
-			Psi:     s.cfg.Psi,
-		}, rand.New(rand.NewSource(s.cfg.Seed)))
-		if err != nil {
-			return nil, err
-		}
+	auctioneer, err := auction.NewAuctioneer(auction.Config{
+		Rule:    s.cfg.Rule,
+		K:       s.cfg.K,
+		Payment: s.cfg.Payment,
+		Psi:     s.cfg.Psi,
+	}, rand.New(rand.NewSource(s.cfg.Seed)))
+	if err != nil {
+		return nil, err
 	}
 
 	report := &ServerReport{}
@@ -260,9 +239,6 @@ func (s *Server) register() error {
 		select {
 		case sess := <-sessions:
 			s.nodes = append(s.nodes, sess)
-			if s.cfg.OnRegister != nil {
-				s.cfg.OnRegister(sess.id)
-			}
 		case <-timer.C:
 			return fmt.Errorf("transport: only %d/%d nodes registered before deadline",
 				len(s.nodes), s.cfg.ExpectNodes)
@@ -334,19 +310,13 @@ func (s *Server) runRound(round int, auctioneer *auction.Auctioneer, report *Ser
 		auctionBids[i] = auction.Bid{NodeID: b.bid.NodeID, Qualities: b.bid.Qualities, Payment: b.bid.Payment}
 		byID[b.bid.NodeID] = b.sess
 	}
-	// Winner determination runs on the pooled selection core either way:
-	// the delegated engine (the exchange adapter) reuses its job's selector
-	// across rounds, and the in-process auctioneer carries its own.
 	var (
 		outcome auction.Outcome
 		err     error
 	)
-	switch {
-	case s.cfg.RandomSelection:
+	if s.cfg.RandomSelection {
 		outcome, err = s.randomOutcome(auctionBids)
-	case s.cfg.Engine != nil:
-		outcome, err = s.cfg.Engine.RunRound(round, auctionBids)
-	default:
+	} else {
 		outcome, err = auctioneer.Run(auctionBids)
 	}
 	if err != nil {

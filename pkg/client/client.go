@@ -551,9 +551,7 @@ func decodeAPIError(resp *http.Response) *APIError {
 		Code         string `json:"code"`
 		Message      string `json:"message"`
 		RetryAfterMS int64  `json:"retry_after_ms"`
-		Partition    string `json:"partition"`
-		ReplicaURL   string `json:"replica_url"`
-		MapVersion   int64  `json:"map_version"`
+		partition.Misdirect
 	}
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	if err := json.Unmarshal(raw, &env); err == nil && env.Code != "" {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"fmore/internal/exchange"
-	"fmore/internal/transport"
 )
 
 // fixture starts an in-memory exchange behind its HTTP front end and
@@ -44,7 +43,7 @@ func closeTo(a, b, eps float64) bool {
 func additiveSpec(id string, k int, seed int64) JobSpec {
 	return JobSpec{
 		ID:   id,
-		Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}},
+		Rule: RuleSpec{Kind: "additive", Alpha: []float64{0.6, 0.4}},
 		K:    k,
 		Seed: seed,
 	}
@@ -239,12 +238,12 @@ func TestClientBidder(t *testing.T) {
 	ctx := context.Background()
 	spec := JobSpec{
 		ID:   "eq",
-		Rule: transport.RuleSpec{Kind: "cobb-douglas", Alpha: []float64{1, 1}, Scale: 25},
+		Rule: RuleSpec{Kind: "cobb-douglas", Alpha: []float64{1, 1}, Scale: 25},
 		K:    3,
 		Seed: 5,
-		Equilibrium: &transport.EquilibriumSpec{
-			Cost:  transport.CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
-			Theta: transport.DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
+		Equilibrium: &EquilibriumSpec{
+			Cost:  CostSpec{Kind: "linear", Beta: []float64{0.5, 0.5}},
+			Theta: DistSpec{Kind: "uniform", Lo: 1, Hi: 2},
 			N:     20,
 			QLo:   []float64{0, 0},
 			QHi:   []float64{1, 1},

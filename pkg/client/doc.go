@@ -29,10 +29,6 @@
 //     curve once and interpolates the node's (quality, payment) bid from
 //     its private type θ — the node never runs the equilibrium solver.
 //
-//   - Engine adapts a remote job to transport.Engine, which is how the TCP
-//     aggregator harness (internal/cluster) delegates winner determination
-//     to an exchange over HTTP.
-//
 // See example_test.go for a runnable end-to-end round trip against an
 // in-process exchange.
 package client

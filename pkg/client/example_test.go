@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 
 	"fmore/internal/exchange"
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -32,7 +31,7 @@ func Example() {
 
 	job, err := c.CreateJob(ctx, client.JobSpec{
 		ID:   "demo",
-		Rule: transport.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
+		Rule: client.RuleSpec{Kind: "additive", Alpha: []float64{0.5, 0.5}},
 		K:    2,
 		Seed: 7,
 	})

@@ -9,21 +9,15 @@ import (
 	"fmore/internal/partition"
 )
 
-// PartitionReplica is one partition → replica assignment of the cluster map,
-// as served by GET /v1/cluster/partitions.
-type PartitionReplica struct {
-	Partition string `json:"partition"`
-	URL       string `json:"url"`
-}
-
-// ClusterPartitions is the cluster's partition map: which exchange replica
-// owns which partition, under which map version.
-type ClusterPartitions struct {
-	Version int64 `json:"version"`
-	// Local is the partition served by the replica that answered the fetch.
-	Local      string             `json:"local"`
-	Partitions []PartitionReplica `json:"partitions"`
-}
+type (
+	// PartitionReplica is one partition → replica assignment of the
+	// cluster map, as served by GET /v1/cluster/partitions.
+	PartitionReplica = partition.Replica
+	// ClusterPartitions is the cluster's partition map: which exchange
+	// replica owns which partition, under which map version (plus Local,
+	// the partition served by the replica that answered the fetch).
+	ClusterPartitions = partition.Document
+)
 
 // ClusterPartitionsMap fetches the exchange's partition map without changing
 // the client's routing state. An unpartitioned exchange answers
@@ -61,11 +55,8 @@ func (c *Client) RefreshPartitions(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	m := &partition.Map{Version: cp.Version}
-	for _, r := range cp.Partitions {
-		m.Partitions = append(m.Partitions, partition.Replica{Partition: r.Partition, URL: r.URL})
-	}
-	if err := m.Validate(); err != nil {
+	m, err := cp.Map()
+	if err != nil {
 		return fmt.Errorf("client: invalid partition map: %w", err)
 	}
 	c.routes.Advance(m)

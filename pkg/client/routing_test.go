@@ -87,16 +87,18 @@ func TestClientRedirectOnWrongPartition(t *testing.T) {
 		t.Fatalf("RoutingVersion after redirect = %d, want 1", got)
 	}
 
-	// Concurrent misdirected bids: strip routing state so each goroutine's
-	// first attempt really hits the wrong replica, then re-aims.
-	cold, err := New(url0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Concurrent misdirected bids: every bidder gets its own client with no
+	// routing state, so each one's first attempt really hits the wrong
+	// replica, then re-aims. (A shared cold client would not do: its first
+	// redirect refreshes the map and later bids route directly.)
 	const bidders = 16
 	var wg sync.WaitGroup
 	errs := make([]error, bidders)
 	for i := 0; i < bidders; i++ {
+		cold, err := New(url0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

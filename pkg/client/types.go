@@ -5,24 +5,24 @@ import (
 	"fmt"
 	"time"
 
-	"fmore/internal/transport"
+	"fmore/internal/auction"
 )
 
 // Wire-spec aliases. The exchange's job/equilibrium descriptions are
-// defined next to the wire protocol in internal/transport; aliasing them
-// here lets modules outside this repository populate JobSpec (Rule,
+// defined next to the constructors they build in internal/auction; aliasing
+// them here lets modules outside this repository populate JobSpec (Rule,
 // Equilibrium) without naming an internal import path.
 type (
 	// RuleSpec describes a scoring rule ("additive", "leontief",
 	// "cobb-douglas" with per-dimension coefficients).
-	RuleSpec = transport.RuleSpec
+	RuleSpec = auction.RuleSpec
 	// CostSpec describes a bidder cost family c(q, θ).
-	CostSpec = transport.CostSpec
+	CostSpec = auction.CostSpec
 	// DistSpec describes the private-type distribution F of θ.
-	DistSpec = transport.DistSpec
+	DistSpec = auction.DistSpec
 	// EquilibriumSpec describes the bidder-side game a job needs to serve
 	// the solved Theorem 1 strategy.
-	EquilibriumSpec = transport.EquilibriumSpec
+	EquilibriumSpec = auction.EquilibriumSpec
 )
 
 // Error codes of the v1 error envelope, mirrored from the exchange.
