@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per evaluation figure of the paper
-// (Figs. 4-13), the headline numbers, and ablations over the design choices
-// DESIGN.md calls out. Figures print their full series with -v; headline
-// quantities are attached as custom benchmark metrics.
+// (Figs. 4-13), the headline numbers, and ablations over the equilibrium
+// solver and win-probability model. Figures print their full series with -v;
+// headline quantities are attached as custom benchmark metrics.
 //
 //	go test -bench=Figure -benchtime=1x -v .
 //	go test -bench=Ablation -benchtime=1x .
@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -604,48 +603,8 @@ func BenchmarkExchange_SubmitBids_Parallel_Partitioned(b *testing.B) {
 		job.ID())
 }
 
-// BenchmarkExchange_SubmitBids_MutexBaseline is a frozen miniature of the
-// pre-PR 5 intake: one mutex guarding the bid buffer and the per-round dedup
-// set, exactly what Job.submit did before the striped intake shards. It runs
-// on the same worker harness so the two benchmarks differ only in the
-// ingestion structure; the ≥2× acceptance bar of the striped intake is
-// measured against this.
-func BenchmarkExchange_SubmitBids_MutexBaseline(b *testing.B) {
-	rule, err := auction.NewAdditive(0.6, 0.4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var (
-		mu   sync.Mutex
-		seen = make(map[int]struct{})
-		buf  []auction.Bid
-	)
-	benchmarkSubmitBids(b,
-		func(_ string, bid auction.Bid) error {
-			if err := bid.Validate(rule.Dims()); err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := seen[bid.NodeID]; dup {
-				return fmt.Errorf("duplicate bid from node %d", bid.NodeID)
-			}
-			seen[bid.NodeID] = struct{}{}
-			buf = append(buf, bid)
-			return nil
-		},
-		func(string) error {
-			mu.Lock()
-			defer mu.Unlock()
-			buf = buf[:0]
-			clear(seen)
-			return nil
-		},
-		"baseline")
-}
-
 // ---------------------------------------------------------------------------
-// Winner-determination core: partial top-K selection vs the full sort.
+// Winner-determination core: partial top-K selection.
 // ---------------------------------------------------------------------------
 
 // selectBenchSlate builds the N-bidder slate shared by the selection
@@ -691,62 +650,8 @@ func benchmarkSelect(b *testing.B, n, k int) {
 func BenchmarkSelect_N1024K8(b *testing.B)  { benchmarkSelect(b, 1024, 8) }
 func BenchmarkSelect_N4096K16(b *testing.B) { benchmarkSelect(b, 4096, 16) }
 
-// benchmarkSelectFullSort is the pre-refactor baseline kept for comparison:
-// score everything, sort.SliceStable the whole slate, take the top K, with
-// fresh allocations per call — what winner determination did before the
-// partial top-K core. The ≥2× acceptance bar of the refactor is measured against
-// this.
-func benchmarkSelectFullSort(b *testing.B, n, k int) {
-	rule, bids := selectBenchSlate(b, n)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		type scored struct {
-			bid   auction.Bid
-			score float64
-			pos   int
-		}
-		ranked := make([]scored, 0, len(bids))
-		scores := make([]float64, len(bids))
-		tiebreak := make([]float64, len(bids))
-		for j, bd := range bids {
-			s, err := auction.Score(rule, bd.Qualities, bd.Payment)
-			if err != nil {
-				b.Fatal(err)
-			}
-			scores[j] = s
-			tiebreak[j] = rng.Float64()
-			ranked = append(ranked, scored{bid: bd, score: s, pos: j})
-		}
-		sort.SliceStable(ranked, func(a, c int) bool {
-			if ranked[a].score != ranked[c].score {
-				return ranked[a].score > ranked[c].score
-			}
-			return tiebreak[ranked[a].pos] > tiebreak[ranked[c].pos]
-		})
-		limit := k
-		if limit > len(ranked) {
-			limit = len(ranked)
-		}
-		winners := make([]auction.Winner, 0, limit)
-		for _, sb := range ranked[:limit] {
-			if sb.score < 0 {
-				break
-			}
-			winners = append(winners, auction.Winner{Bid: sb.bid, Score: sb.score, Payment: sb.bid.Payment})
-		}
-		if len(winners) != k {
-			b.Fatalf("want %d winners, got %d", k, len(winners))
-		}
-	}
-}
-
-func BenchmarkSelect_FullSortBaseline_N1024K8(b *testing.B)  { benchmarkSelectFullSort(b, 1024, 8) }
-func BenchmarkSelect_FullSortBaseline_N4096K16(b *testing.B) { benchmarkSelectFullSort(b, 4096, 16) }
-
 // ---------------------------------------------------------------------------
-// Ablations over the design choices DESIGN.md §5 calls out.
+// Ablations over the equilibrium solver and the win-probability model.
 // ---------------------------------------------------------------------------
 
 func ablationGame(b *testing.B, solver auction.SolverKind, model auction.WinProbModel) auction.EquilibriumConfig {

@@ -34,6 +34,11 @@
 // its durable state, rotates onto a fresh segment and deletes the covered
 // ones, so replay time and disk usage stay bounded by live state instead of
 // total rounds served. Without the flag the exchange is in-memory only.
+// The files, their format and the crash-safety of every step are
+// internal/wal's (its package comment is the reference); what the records
+// say and how they replay is internal/exchange's. A record that verifies
+// on disk but no longer decodes — version skew, never a crash — fails the
+// start loudly and leaves the file untouched.
 //
 // The durability/latency tradeoff is tunable without recompiling:
 // -sync-interval (default 2ms) bounds how long the log writer coalesces
@@ -41,15 +46,15 @@
 // crash-loss window is at most that hold plus one fsync. Once a
 // durability waiter is pending the writer commits the moment its queue
 // drains, so a waiter never idles out the hold while records racing in
-// behind it still share its fsync. The achieved batching is observable as wal_fsync_total vs wal_fsync_batched_records
-// in the metric catalog.
+// behind it still share its fsync. The achieved batching is observable as
+// wal_fsync_total vs wal_fsync_batched_records in the metric catalog.
 //
 // # Storage failure policy
 //
 // -on-wal-failure picks what happens when the log takes its first sticky
 // error (EIO, ENOSPC, a failed fsync or rotation — the error never
-// clears; see the "Failure model & degraded mode" section of
-// internal/exchange's docs). "degrade" (default) keeps the replica up in
+// clears; see "Failure" in internal/wal's docs and "Failure model &
+// degraded mode" in internal/exchange's). "degrade" (default) keeps the replica up in
 // read-only-for-writes mode: bid submits, round closes and job mutations
 // answer 503 {"code":"durability_lost","retry_after_ms":N}, outcome
 // reads/pages/SSE keep serving what memory holds, GET /v1/healthz flips

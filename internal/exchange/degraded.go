@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 )
 
 // WALFailurePolicy selects what a durable exchange does when its outcome
@@ -45,43 +44,45 @@ func (e *DegradedError) Unwrap() error { return e.Err }
 // failstopExit is swapped by tests; production failstop really exits.
 var failstopExit = func(code int) { os.Exit(code) }
 
-// walFailure is the persister's onFail callback: it runs exactly once,
-// from whichever goroutine publishes the WAL's first sticky error, and
-// must never block (the writer goroutine calls it with appenders possibly
-// parked on a full channel). Store order matters: the cause and timestamp
-// land before the flag, so any reader that observes walFailed also
-// observes both.
-func (ex *Exchange) walFailure(err error) {
-	ex.walLastErr.Store(&err)
-	ex.walFailedUnix.Store(time.Now().Unix())
-	ex.walFailed.Store(true)
-	if ex.opts.OnWALFailure == WALFailstop {
-		log.Printf("exchange: outcome log failed, failstop policy: %v", err)
-		failstopExit(1)
-		return
+// walFailure is the log's OnFail callback under policy: it runs exactly
+// once, from whichever goroutine publishes the WAL's first sticky error,
+// and must never block (the writer goroutine calls it with appenders
+// possibly parked on a full channel). The degraded state itself is not
+// stored here — it is the log's sticky error, read where it lives.
+func walFailure(policy WALFailurePolicy) func(error) {
+	return func(err error) {
+		if policy == WALFailstop {
+			log.Printf("exchange: outcome log failed, failstop policy: %v", err)
+			failstopExit(1)
+			return
+		}
+		log.Printf("exchange: outcome log failed, entering degraded mode (refusing durable writes): %v", err)
 	}
-	log.Printf("exchange: outcome log failed, entering degraded mode (refusing durable writes): %v", err)
 }
 
 // Degraded reports whether the replica has lost durability (the outcome
 // log took a sticky error under the degrade policy). Always false on an
 // in-memory exchange.
-func (ex *Exchange) Degraded() bool { return ex.walFailed.Load() }
+func (ex *Exchange) Degraded() bool { return ex.degradedErr() != nil }
 
 // DegradedSince returns when durability was lost (Unix seconds), 0 while
 // healthy.
-func (ex *Exchange) DegradedSince() int64 { return ex.walFailedUnix.Load() }
+func (ex *Exchange) DegradedSince() int64 {
+	if ex.wal == nil {
+		return 0
+	}
+	return ex.wal.FailedUnix()
+}
 
 // degradedErr gates the durable write paths: nil while healthy (one
 // atomic load on the hot path), a *DegradedError carrying the root cause
 // once the WAL has failed.
 func (ex *Exchange) degradedErr() error {
-	if !ex.walFailed.Load() {
+	if ex.wal == nil {
 		return nil
 	}
-	var cause error
-	if e := ex.walLastErr.Load(); e != nil {
-		cause = *e
+	if err := ex.wal.Err(); err != nil {
+		return &DegradedError{Err: err}
 	}
-	return &DegradedError{Err: cause}
+	return nil
 }

@@ -85,143 +85,84 @@
 //
 // Open(dir, opts) backs the exchange with a write-ahead outcome log, so a
 // long-lived auctioneer's allocation history — the thing the incentive
-// mechanism's credibility rests on — survives a crash. Every durable
-// mutation appends one record: job created (full spec, rule serialized as
-// its wire form), round completed (outcome verbatim, cumulative rng draw
-// count included), job closed or removed, node registered, node
-// blacklisted. Records are framed as
+// mechanism's credibility rests on — survives a crash. The log itself is
+// internal/wal: framing, group commit, preallocation, rotation, recovery of
+// the files and the crash-safety argument for each live there, and it sees
+// every payload as opaque bytes. This package owns what the bytes say.
 //
-//	uint32 LE payload length | uint32 LE CRC-32 (IEEE) | payload JSON
+// Every durable mutation appends one JSON record: job created (full spec,
+// rule serialized as its wire form), round completed (outcome verbatim,
+// cumulative rng draw count included), job closed or removed, node
+// registered, node blacklisted. closeRound hands the record to the log and
+// never waits on disk (the payload is encoded before the hand-off, so the
+// close path's record scratch is reusable immediately); Sync flushes on
+// demand, Close on shutdown. A round's JSON is a write-once artefact: the
+// close encodes it exactly once, with a reflection-free encoder whose
+// output is byte-identical to encoding/json's (roundenc.go states the
+// contract and what pins it) — so the on-disk format never changed, and
+// logs written before and after that encoder replay on either side.
 //
-// and appended by a dedicated writer goroutine that group-commits.
-// closeRound hands the record to a channel and never waits on disk (the
-// frame is encoded before the hand-off, so the close path's record scratch
-// is reusable immediately). A round's JSON is a write-once artefact: the
-// close encodes it exactly once, with a reflection-free append encoder
-// (roundenc.go) whose output is byte-identical to encoding/json's for the
-// same record — the on-disk format never changed, and logs written before
-// and after that encoder replay on either side. The fuzz target
-// FuzzAppendWalRound and a seeded property test hold it to that, down to
-// the float format switches at 1e-6 and 1e21, HTML/U+2028/invalid-UTF-8
-// string escaping, nil-versus-empty slices and the NaN/±Inf refusal. The
-// writer coalesces queued frames into one
-// write syscall and settles them with fdatasync (data plus size, not
-// timestamps — preallocation below keeps the size metadata stable anyway;
-// plain Sync off Linux). While nothing is waiting on durability the writer
-// holds the commit for up to Options.SyncInterval (default 2ms) — the hold
-// delays nobody, since appends are fire-and-forget, and is the crash-loss
-// cap. The moment a Sync/Close waiter is pending it commits as soon as the
-// queue drains, absorbing records that raced in behind the waiter into the
-// same fsync instead of idling out the window.
-//
-// wal_fsync_total counts the commits and wal_fsync_batched_records the
-// records they settled; their ratio is the achieved batch size. Sync
-// flushes on demand; Close flushes on shutdown. A kill -9 can lose at most
-// the unflushed window — never tear what a prior fsync wrote.
+// Replay (Open) applies the snapshot, then every surviving record in order,
+// and is bit-for-bit: retained outcome responses are byte-identical, round
+// numbering is contiguous, and each job's rng is fast-forwarded to its
+// recorded draw count, so post-recovery rounds draw the same tiebreak and
+// ψ-admission sequence the uncrashed process would have. A record that
+// verified on disk but does not decode or apply fails the Open with its
+// segment and index — the log's validity rule is length and checksum only,
+// and no crash produces such a frame, so it is version skew or a bug and
+// must be loud; the file is left as it was. Bids of a round that had not
+// closed at the crash are lost (their round re-collects after restart),
+// and process-local throughput counters restart from zero — only outcomes,
+// specs and the registry are durable.
 //
 // # Snapshot + rotation (log compaction)
 //
-// The log is segmented: segment 1 is dir/exchange.wal (the historical
-// name, so pre-rotation data dirs open unchanged), later segments are
-// dir/exchange-NNNNNN.wal, and the record framing is identical in all of
-// them. Compaction (Exchange.Compact, triggered automatically once the
-// active segment passes Options.SnapshotBytes — default 8 MiB — and
-// optionally every Options.SnapshotInterval) collapses everything before a
-// cut into dir/exchange.snap: job specs, closed flags, round numbering,
+// Compaction (Exchange.Compact, triggered automatically once the active
+// segment passes Options.SnapshotBytes — default 8 MiB — and optionally
+// every Options.SnapshotInterval) collapses everything before a cut into
+// one snapshot document: job specs, closed flags, round numbering,
 // cumulative rng draw counts, the KeepOutcomes-bounded outcome history
 // verbatim, and the registry with per-node bid counters, meta and bans.
-//
-// The protocol, in crash-safe order: (1) create, preallocate and fsync
-// the next segment; (2) stop the world (the jobs mutex plus every job's
-// closeMu — node records may still race, but replaying one is idempotent),
-// enqueue the rotation through the writer's own channel, making the cut
-// exactly the enqueue order, and capture the state; (3) the writer fsyncs
-// the old segment, trims its preallocated slack and retires it before
-// touching the new one; (4) the snapshot commits via
-// write-temp/fsync/rename; (5) old segments are deleted. A kill between
-// any two steps leaves either the previous snapshot (or none) with every
-// segment it needs, or the new snapshot with its tail; Open replays
-// snapshot + tail bit-for-bit identically to a full-log replay — retained
-// outcome responses are byte-identical and post-recovery rounds draw the
-// same tiebreak and ψ-admission sequence — and deletes whatever garbage
-// the crash left (covered segments, torn temp files). A torn tail in the
-// active segment is truncated, exactly as before rotation existed.
+// The steps and their order are the log's (internal/wal, "Compaction");
+// the exchange's part is to stop the world around the cut, capture its
+// state there (captureSnapshot), and stream the document once the locks
+// are gone.
 //
 // The retained history is never re-encoded. Every history entry of a
-// durable exchange holds its round's record bytes — written once by the
-// close, or kept as read from disk by replay (from a segment or from the
-// previous snapshot alike, so the first compaction after a restart splices
-// too; there is no re-encoding fallback). The bytes are in the round's
-// history form: the record object without its replay-only fields (the
-// bidder list and the per-round draw count, which the snapshot carries
-// once per node and per job instead); the log's record form puts those
-// fields back in one fixed place when the frame is built (frameRound), and
-// replay cuts them out again without decoding (historyForm). So the
-// stop-the-world section of a compaction collects only scalars and slice
-// references — no outcome is cloned, nothing is encoded — and the
-// snapshot is then streamed outside every lock: a few hundred bytes of
-// header state per job, the history bytes spliced verbatim, the node table,
-// with the CRC accumulated over the stream and the 8-byte frame header
-// patched in before the fsync and the rename. exchange.snap is still one
-// CRC-framed JSON document, byte-identical to what marshalling the
-// walSnapshot schema produces, so snapshots too are readable across the
-// change in both directions. A payload the frame's uint32 length cannot
-// describe (≥ 4 GiB) is refused before the rename — counted in
-// wal_snapshot_errors, trigger re-armed, every segment kept — instead of
-// committing a snapshot the next Open would reject.
-//
-// Buffer ownership: record bytes are job-owned, immutable while their
-// entry is retained, and recycled for a later round's encode when the
-// entry leaves the KeepOutcomes window (under closeMu, like the outcome
-// buffers). The one reader outside the job's locks is the snapshot stream,
-// which holds references captured under closeMu; from the capture until
-// the file is complete (Exchange.snapStreaming) evicted buffers are left
-// to the garbage collector instead of being reused, so a round closing
-// mid-stream can never bleed into the snapshot. An in-memory exchange
-// encodes and retains nothing.
+// durable exchange holds its round's record bytes, in the history form
+// roundenc.go defines — written once by the close, or kept as read from
+// disk by replay (from a segment or from the previous snapshot alike, so
+// the first compaction after a restart splices too; there is no
+// re-encoding fallback). So the stop-the-world section of a compaction
+// collects only scalars and slice references — no outcome is cloned,
+// nothing is encoded — and the snapshot is then streamed outside every
+// lock: a few hundred bytes of header state per job, the history bytes
+// spliced verbatim, the node table. The document is byte-identical to what
+// marshalling the walSnapshot schema produces, so snapshots too are
+// readable across versions in both directions. Record bytes are job-owned,
+// immutable while their entry is retained and recycled when it leaves the
+// KeepOutcomes window — except while a snapshot streams
+// (Exchange.snapStreaming), its one reader outside the job's locks. An
+// in-memory exchange encodes and retains nothing.
 //
 // What a compaction costs is observable: wal_snapshot_bytes is the size of
 // the last committed snapshot (÷ Options.SnapshotBytes = the write
 // amplification of retiring one segment), wal_snapshot_seconds its wall
 // time and wal_snapshot_stw_seconds the share during which no round could
-// close.
-//
-// Segments are preallocated to the rotation threshold (Options.
-// SnapshotBytes, or its default when unset/disabled) at creation —
-// fallocate where available, truncate-extend elsewhere — so steady-state
-// appends never extend the file and each fdatasync settles data blocks
-// without an allocating size update. The reservation is trimmed back to
-// the logical size when a segment rotates or the exchange closes cleanly;
-// only a kill -9 leaves zero-fill on disk, and recovery knows the
-// difference between reservation and damage: a run of zeroes past the
-// last whole record (in the tail, or in a just-created successor segment)
-// is clean end-of-log — truncated on reopen, never treated as a torn
-// write — while nonzero garbage in a sealed segment stays a hard error. A
-// crash-reopened tail runs unpreallocated until the next rotation, so
-// recovered file sizes stay honest.
-//
-// Bids of a round that had not closed at the crash are lost (their round
-// re-collects after restart), and process-local throughput counters
-// (rounds/sec, bids/sec) restart from zero — only outcomes, specs and the
-// registry are durable.
+// close. A compaction that fails at any step counts in
+// wal_snapshot_errors and is retried by the next trigger; the replica
+// never leaves healthy service for it.
 //
 // # Failure model & degraded mode
 //
-// The storage faults the exchange is built to survive, and what each one
-// costs, are explicit. A torn tail (power loss or kill -9 mid-write) is
-// routine: recovery truncates the log to the last whole CRC-valid frame
-// and replays; everything a completed fsync settled is intact, and a
-// group-commit window's worth of fire-and-forget acks is the documented
-// loss cap. An I/O error during snapshot preallocation is a clean abort:
-// the orphan segment is removed, the rotation trigger re-arms, the
-// attempt counts in wal_snapshot_errors and the next Compact simply
-// retries — the replica never leaves healthy service.
-//
-// A sticky error on the live log — a failed frame write, fdatasync, or
-// segment seal (EIO, ENOSPC) — is different: the writer freezes the log
-// at the first failure (appending past a dropped record would leave a
-// gap that replay mis-recovers from) and the error is permanent for the
-// process. Options.OnWALFailure picks the policy:
+// A torn tail (power loss or kill -9 mid-write) is routine: a group-commit
+// window's worth of fire-and-forget acks is the documented loss cap. A
+// sticky error on the live log — a failed frame write, fdatasync, or
+// segment seal (EIO, ENOSPC), or a round that would not encode — is
+// different: the log freezes at the first failure (internal/wal,
+// "Failure") and the error is permanent for the process. The replica's
+// degraded state is that sticky error, read where it lives;
+// Options.OnWALFailure picks the policy:
 //
 //   - WALDegrade (default). The replica stays up but stops lying about
 //     durability: every durable mutation (bid submit, round close, job
@@ -243,9 +184,10 @@
 //
 // cmd/fmore-exchange exposes the choice as -on-wal-failure degrade|failstop.
 // The failpoint framework (internal/fault, FMORE_FAILPOINTS) exists to
-// prove all of the above deterministically: the crash-matrix tests and the
-// chaos harness (fmore-loadgen -scenario chaos, TestE2EChaos) inject torn
-// writes, EIO and ENOSPC at every stage and assert the contract, including
+// prove all of the above deterministically: the crash-matrix tests (file
+// level in internal/wal, outcome level here) and the chaos harness
+// (fmore-loadgen -scenario chaos, TestE2EChaos) inject torn writes, EIO
+// and ENOSPC at every stage and assert the contract, including
 // byte-identical recovery of every acknowledged outcome outside the
 // group-commit window.
 //

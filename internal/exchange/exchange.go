@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"fmore/internal/admission"
 	"fmore/internal/auction"
 	"fmore/internal/partition"
+	"fmore/internal/wal"
 )
 
 // ErrExchangeClosed reports an operation on a shut-down exchange.
@@ -138,22 +138,6 @@ type Exchange struct {
 	part    *partition.Assignment
 	adm     *admission.Controller
 
-	// WAL gauges, mirrored atomically out of the compaction machinery so a
-	// metrics scrape never touches compactMu (or the writer goroutine):
-	// walSegs is the live (replay-relevant) segment count and
-	// walSealedBytes the bytes in sealed live segments — the active
-	// segment's size lives in the persister. Both stay 0 in-memory.
-	walSegs        atomic.Int64
-	walSealedBytes atomic.Int64
-
-	// Degraded-mode state, written once by walFailure (the persister's
-	// onFail callback) and read lock-free by every durable write path,
-	// healthz and the metrics snapshot. walFailed is stored last so a
-	// reader that observes it also observes the cause and timestamp.
-	walFailed     atomic.Bool
-	walFailedUnix atomic.Int64
-	walLastErr    atomic.Pointer[error]
-
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -166,18 +150,12 @@ type Exchange struct {
 	seq    atomic.Int64
 
 	// wal is the write-ahead outcome log; nil on an in-memory exchange
-	// (New). Open attaches it after replay, along with the compaction
-	// machinery: dir/walLock identify and guard the data dir, walSeq is the
-	// active segment (guarded by compactMu, which also serializes Compact),
-	// and compactCh/compactDone drive the background compaction goroutine.
-	// See persist.go.
-	wal         *persister
-	dir         string
-	walLock     *os.File
-	walSeq      int64 // active (highest) segment
-	walFloor    int64 // lowest live segment (deletion floor)
+	// (New). Open attaches it after replay. Its sticky error is the
+	// replica's degraded state (degraded.go), its Stats the wal_* gauges.
+	// compactMu serializes Compact (the log's compaction steps run one at a
+	// time); compactDone closes when compactLoop has exited. See persist.go.
+	wal         *wal.Log
 	compactMu   sync.Mutex
-	compactCh   chan struct{}
 	compactDone chan struct{}
 	// snapStreaming is true from the stop-the-world capture of a snapshot
 	// until its file is written: the writer is reading history record bytes
@@ -477,15 +455,16 @@ func (ex *Exchange) Metrics() Snapshot {
 		}
 	}
 	s := ex.metrics.snapshot(ex.reg.Len(), active)
-	s.WalSegmentCount = ex.walSegs.Load()
-	s.WalBytes = ex.walSealedBytes.Load()
 	if ex.wal != nil {
-		s.WalBytes += ex.wal.size.Load()
-		s.WalFsyncTotal = ex.wal.fsyncs.Load()
-		s.WalFsyncBatchedRecords = ex.wal.fsyncRecs.Load()
+		st := ex.wal.Stats()
+		s.WalSegmentCount = st.Segments
+		s.WalBytes = st.Bytes
+		s.WalFsyncTotal = st.Fsyncs
+		s.WalFsyncBatchedRecords = st.FsyncRecords
+		s.WalSnapshotBytes = st.SnapshotBytes
+		s.WalFailed = ex.wal.Err() != nil
+		s.WalLastErrorUnix = ex.wal.FailedUnix()
 	}
-	s.WalFailed = ex.walFailed.Load()
-	s.WalLastErrorUnix = ex.walFailedUnix.Load()
 	s.FirehoseEvents, s.FirehoseDropped = fhStats(ex.fh)
 	if ex.adm != nil {
 		st := ex.adm.Stats()
@@ -516,7 +495,7 @@ func (ex *Exchange) Sync() error {
 	if ex.wal == nil {
 		return nil
 	}
-	return ex.wal.sync()
+	return ex.wal.Sync()
 }
 
 // Close shuts the exchange down: every job is closed, in-flight round
@@ -531,7 +510,7 @@ func (ex *Exchange) Close() error {
 	if ex.closed {
 		ex.mu.Unlock()
 		if ex.wal != nil {
-			return ex.wal.close() // idempotent: waits out the first close, reports its error
+			return ex.wal.Close() // idempotent: waits out the first close, reports its error
 		}
 		return nil
 	}
@@ -569,12 +548,8 @@ func (ex *Exchange) Close() error {
 	ex.fh.stopAll()
 	// After the barrier no append can be in flight, so the final flush sees
 	// every record.
-	var err error
 	if ex.wal != nil {
-		err = ex.wal.close()
+		return ex.wal.Close()
 	}
-	if ex.walLock != nil {
-		ex.walLock.Close() //nolint:errcheck // advisory lock dies with the fd either way
-	}
-	return err
+	return nil
 }

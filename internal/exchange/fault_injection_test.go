@@ -16,6 +16,7 @@ import (
 
 	"fmore/internal/auction"
 	"fmore/internal/fault"
+	"fmore/internal/wal"
 )
 
 // ackedOutcomes marshals every retained round outcome per job — the
@@ -260,7 +261,7 @@ func TestCrashMatrixTornWriteInPreallocatedTail(t *testing.T) {
 	}
 	// The tear must land inside a preallocated tail, not at EOF.
 	logical := ex.Metrics().WalBytes
-	if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() <= logical {
+	if fi, err := os.Stat(filepath.Join(dir, wal.SegmentName)); err != nil || fi.Size() <= logical {
 		t.Fatalf("tail not preallocated (err=%v)", err)
 	}
 	pages := make(map[string][]byte, jobs)
@@ -268,7 +269,6 @@ func TestCrashMatrixTornWriteInPreallocatedTail(t *testing.T) {
 		pages[id] = outcomesPageBytes(t, ex, id)
 	}
 
-	firedBefore := fpWalWrite.Fired()
 	if err := fault.Enable("wal/write", fault.Config{Err: fault.ErrIO, Nth: 1, Torn: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +281,6 @@ func TestCrashMatrixTornWriteInPreallocatedTail(t *testing.T) {
 	ex.CloseRound(ids[0]) //nolint:errcheck // its record is the one torn below
 	if err := ex.Sync(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Sync after torn write = %v, want EIO", err)
-	}
-	if fpWalWrite.Fired() == firedBefore {
-		t.Fatal("wal/write failpoint never fired")
 	}
 	if !ex.Degraded() {
 		t.Fatal("exchange not degraded after torn write")
@@ -340,8 +337,8 @@ func TestCrashMatrixENOSPCMidCompaction(t *testing.T) {
 		if ex.Degraded() {
 			t.Fatal("clean compaction abort degraded the replica")
 		}
-		if _, err := os.Stat(filepath.Join(dir, segName(2))); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("aborted compaction left orphan segment (err=%v)", err)
+		if segs := segmentFiles(t, dir); len(segs) != 1 {
+			t.Errorf("aborted compaction left orphan segment: %v", segs)
 		}
 
 		// A crash in this state recovers byte-identically…
@@ -403,6 +400,95 @@ func TestCrashMatrixENOSPCMidCompaction(t *testing.T) {
 		assertAcked(t, ex2, acked)
 		compactWorkload(t, ex2, jobs, bidders, 1, false)
 	})
+}
+
+// TestFailedCompactionIsCountedAndRetried: a compaction that fails after
+// its cut (here: the snapshot write) returns the error, counts once, keeps
+// every segment — a rotation without a snapshot is harmless — and the next
+// attempt compacts all of it.
+func TestFailedCompactionIsCountedAndRetried(t *testing.T) {
+	t.Cleanup(fault.DisableAll)
+	const jobs, bidders, rounds = 2, 8, 3
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
+	pages := allPages(t, ex, ids)
+
+	if err := fault.Enable("wal/snapshot", fault.Config{Err: fault.ErrIO, Nth: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Compact(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Compact with a failing snapshot write = %v, want EIO", err)
+	}
+	if m := ex.Metrics(); m.WalSnapshotErrors != 1 || m.WalSnapshots != 0 || m.WalSnapshotBytes != 0 || m.WalSegmentCount != 2 {
+		t.Errorf("after the failure: errors %d, snapshots %d, snapshot bytes %d, segments %d",
+			m.WalSnapshotErrors, m.WalSnapshots, m.WalSnapshotBytes, m.WalSegmentCount)
+	}
+	if ex.Degraded() {
+		t.Error("a failed snapshot degraded the replica")
+	}
+	if segs := segmentFiles(t, dir); len(segs) != 2 {
+		t.Errorf("segments after the failure = %v; want the covered one kept beside its successor", segs)
+	}
+	if err := ex.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := Open(cloneDataDir(t, dir), Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen after the failure: %v", err)
+	}
+	assertPages(t, ex2, pages, "reopened after the failure")
+	ex2.Close()
+
+	if err := ex.Compact(); err != nil {
+		t.Fatalf("retried Compact: %v", err)
+	}
+	if m := ex.Metrics(); m.WalSnapshots != 1 || m.WalSegmentCount != 1 {
+		t.Errorf("after the retry: snapshots %d, segments %d", m.WalSnapshots, m.WalSegmentCount)
+	}
+	if segs := segmentFiles(t, dir); len(segs) != 1 {
+		t.Errorf("segments after the retry = %v, want only the fresh tail", segs)
+	}
+	assertPages(t, ex, pages, "after the retry")
+}
+
+// TestFailedCompactionRearmsTheSizeTrigger: the size trigger fires once per
+// segment, so a background compaction that fails before its cut must re-arm
+// it — or one transient ENOSPC would end automatic compaction for as long
+// as the segment lives. With the disk full every attempt fails and is
+// counted; the attempts keep coming; the first one after space is back
+// compacts.
+func TestFailedCompactionRearmsTheSizeTrigger(t *testing.T) {
+	t.Cleanup(fault.DisableAll)
+	const jobs, bidders = 2, 8
+	ex, err := Open(t.TempDir(), Options{SnapshotBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	if err := fault.Enable("wal/prealloc", fault.Config{Err: fault.ErrNoSpace, Nth: 1, Sticky: true}); err != nil {
+		t.Fatal(err)
+	}
+	compactWorkload(t, ex, jobs, bidders, 3, true)
+	drive := func(what string, reached func(Snapshot) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !reached(ex.Metrics()); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, ex.Metrics())
+			}
+			compactWorkload(t, ex, jobs, bidders, 1, false)
+		}
+	}
+	drive("the size trigger never retried a failed compaction", func(m Snapshot) bool { return m.WalSnapshotErrors >= 2 })
+	if m := ex.Metrics(); m.WalSnapshots != 0 || m.WalSegmentCount != 1 || ex.Degraded() {
+		t.Errorf("while the disk was full: snapshots %d, segments %d, degraded %v", m.WalSnapshots, m.WalSegmentCount, ex.Degraded())
+	}
+	fault.DisableAll()
+	drive("no compaction after space came back", func(m Snapshot) bool { return m.WalSnapshots >= 1 })
 }
 
 // TestWALFailstopPolicy: with OnWALFailure set to WALFailstop the first

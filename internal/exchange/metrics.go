@@ -38,11 +38,9 @@ type Metrics struct {
 	snapshots    atomic.Int64
 	snapshotErrs atomic.Int64
 
-	// The last committed compaction: its snapshot file's size, the wall
-	// time of the whole Compact, and the part of it spent holding the
-	// stop-the-world locks. Written together by Compact; snapshotBytes is
-	// seeded from the data dir at Open.
-	snapshotBytes atomic.Int64
+	// The last committed compaction: the wall time of the whole Compact and
+	// the part of it spent holding the stop-the-world locks. (The snapshot
+	// file's size is the log's to report: wal.Stats.)
 	snapshotNs    atomic.Int64
 	snapshotStwNs atomic.Int64
 
@@ -186,7 +184,6 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 		BidsRejected:      m.bidsRejected.Load(),
 		WalSnapshots:      m.snapshots.Load(),
 		WalSnapshotErrors: m.snapshotErrs.Load(),
-		WalSnapshotBytes:  m.snapshotBytes.Load(),
 		WrongPartition:    m.wrongPartition.Load(),
 	}
 	s.WalSnapshotSeconds = time.Duration(m.snapshotNs.Load()).Seconds()

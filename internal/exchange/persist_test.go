@@ -10,29 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"fmore/internal/auction"
+	"fmore/internal/wal"
 )
-
-// cloneWALDir simulates a kill -9: the wal file is copied byte-for-byte
-// into a fresh data dir while the source exchange is still running, exactly
-// the on-disk state a crashed process would leave behind (after its last
-// fsync). The copy is then reopened as the "restarted" exchange.
-func cloneWALDir(t *testing.T, srcDir string) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(srcDir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
 
 // nodeState is the registry view the recovery tests compare.
 type nodeState struct {
@@ -142,7 +127,7 @@ func TestCrashRecoveryIdenticalHistoryAndContinuation(t *testing.T) {
 		t.FailNow()
 	}
 	crashReg := registrySnapshot(ex, bidders)
-	crashDir := cloneWALDir(t, dir) // <-- the kill -9 point
+	crashDir := cloneDataDir(t, dir) // <-- the kill -9 point
 
 	// The uncrashed exchange keeps going (node 31 is banned, so rounds 4..5
 	// run with 31 bidders).
@@ -212,107 +197,6 @@ func TestCrashRecoveryIdenticalHistoryAndContinuation(t *testing.T) {
 	}
 }
 
-// TestRecoveryTruncatesTornTail covers the three corruption shapes a crash
-// mid-append can leave: a torn header, a frame whose payload is cut short,
-// and a bit-flipped payload failing its CRC. In every case the log must
-// reopen with all complete records intact and the file physically truncated
-// back to the last valid frame.
-func TestRecoveryTruncatesTornTail(t *testing.T) {
-	buildLog := func(t *testing.T) (dir string, cleanSize int64) {
-		t.Helper()
-		dir = t.TempDir()
-		ex, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := ex.CreateJob(JobSpec{ID: "tail", Auction: auction.Config{Rule: testRule(t, 0), K: 2}, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 1; round <= 2; round++ {
-			for _, b := range testBids(0, round, 8) {
-				if _, err := ex.SubmitBid(job.ID(), b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := ex.CloseRound(job.ID()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ex.Close()
-		st, err := os.Stat(filepath.Join(dir, walFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, st.Size()
-	}
-
-	corruptions := map[string]func(t *testing.T, path string, size int64){
-		"torn header": func(t *testing.T, path string, _ int64) {
-			appendBytes(t, path, []byte{0x20, 0, 0}) // 3 of 8 header bytes
-		},
-		"torn payload": func(t *testing.T, path string, _ int64) {
-			appendBytes(t, path, []byte{0x40, 0, 0, 0, 1, 2, 3, 4, 'p', 'a', 'r', 't'}) // promises 64 bytes, has 4
-		},
-		"crc mismatch": func(t *testing.T, path string, _ int64) {
-			appendBytes(t, path, []byte{4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, '{', '}', '{', '}'})
-		},
-		"cut mid-record": func(t *testing.T, path string, size int64) {
-			if err := os.Truncate(path, size-5); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			dir, cleanSize := buildLog(t)
-			path := filepath.Join(dir, walFileName)
-			corrupt(t, path, cleanSize)
-
-			ex, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatalf("reopen over torn tail: %v", err)
-			}
-			defer ex.Close()
-			job, ok := ex.Job("tail")
-			if !ok {
-				t.Fatal("job lost with the torn tail")
-			}
-			wantRounds := 2
-			if name == "cut mid-record" {
-				wantRounds = 1 // the cut destroyed round 2's record
-			}
-			if _, err := job.Outcome(wantRounds); err != nil {
-				t.Errorf("round %d: %v, want retained", wantRounds, err)
-			}
-			if r := job.Round(); r != wantRounds+1 {
-				t.Errorf("collecting round = %d, want %d", r, wantRounds+1)
-			}
-			st, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size() > cleanSize {
-				t.Errorf("torn tail not truncated: %d bytes, want <= %d", st.Size(), cleanSize)
-			}
-		})
-	}
-}
-
-func appendBytes(t *testing.T, path string, b []byte) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestHTTPOutcomesByteIdenticalAfterRestart drives the service through its
 // JSON front end, restarts it from a crash copy, and requires the retained
 // outcome responses to be byte-identical — the externally visible form of
@@ -376,7 +260,7 @@ func TestHTTPOutcomesByteIdenticalAfterRestart(t *testing.T) {
 	if err := ex.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	ex2, err := Open(cloneWALDir(t, dir), Options{})
+	ex2, err := Open(cloneDataDir(t, dir), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,10 +610,10 @@ func TestCompactionSnapshotReplayIdentical(t *testing.T) {
 	if err := ex.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walFileName)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, wal.SegmentName)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("segment 1 survived compaction (err=%v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, wal.SnapshotName)); err != nil {
 		t.Errorf("snapshot missing after compaction: %v", err)
 	}
 
@@ -798,7 +682,7 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		// Also model a crash mid-snapshot-write: rotation done, temp file
 		// torn on disk.
 		torn := cloneDataDir(t, dir)
-		if err := os.WriteFile(filepath.Join(torn, snapTmpName), []byte{0x10, 0, 0}, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(torn, wal.SnapshotName+".tmp"), []byte{0x10, 0, 0}, 0o644); err != nil {
 			t.Error(err)
 		}
 		crashDirs["after-rotate"] = d
@@ -871,143 +755,6 @@ func TestCompactionCrashMatrix(t *testing.T) {
 		}
 		compactWorkload(t, ex2, jobs, bidders, 1, false)
 	})
-}
-
-// TestRecoveryTornTailMidRotation models a power loss in the rotation
-// window: the successor segment was created (empty, durable) before the
-// writer's barrier fsynced the retiring one, so the retiring segment has a
-// torn tail while no longer being the last file. Open must treat the torn
-// segment as the effective tail — truncate it, delete the orphaned empty
-// successor — and keep serving. A torn non-last segment followed by a
-// WRITTEN successor is impossible by the barrier ordering and must stay a
-// hard error.
-func TestRecoveryTornTailMidRotation(t *testing.T) {
-	build := func(t *testing.T) string {
-		t.Helper()
-		dir := t.TempDir()
-		ex, err := Open(dir, Options{SnapshotBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compactWorkload(t, ex, 1, 8, 2, true)
-		ex.Close()
-		// Torn tail on segment 1 + the empty successor the crash left.
-		appendBytes(t, filepath.Join(dir, walFileName), []byte{0x30, 0, 0, 0, 1, 2})
-		if err := os.WriteFile(filepath.Join(dir, segName(2)), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	t.Run("empty successor recovers", func(t *testing.T) {
-		dir := build(t)
-		ex, err := Open(dir, Options{SnapshotBytes: -1})
-		if err != nil {
-			t.Fatalf("reopen over mid-rotation crash: %v", err)
-		}
-		defer ex.Close()
-		job, ok := ex.Job("snap-job-0")
-		if !ok {
-			t.Fatal("job lost")
-		}
-		if _, err := job.Outcome(2); err != nil {
-			t.Errorf("round 2: %v, want retained", err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, segName(2))); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("orphaned empty successor not deleted (err=%v)", err)
-		}
-		compactWorkload(t, ex, 1, 8, 1, false) // keeps closing rounds
-	})
-
-	t.Run("zero-filled successor recovers", func(t *testing.T) {
-		dir := build(t)
-		// With preallocation the successor the crash leaves behind is not
-		// empty but reserved: a run of zeroes fallocate/truncate put there
-		// before any record was written. Zero-fill carries no records, so
-		// recovery must treat it exactly like the empty successor — not as
-		// a written segment contradicting the rotation barrier.
-		if err := os.WriteFile(filepath.Join(dir, segName(2)), make([]byte, 4096), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ex, err := Open(dir, Options{SnapshotBytes: -1})
-		if err != nil {
-			t.Fatalf("reopen over zero-filled successor: %v", err)
-		}
-		defer ex.Close()
-		if _, err := os.Stat(filepath.Join(dir, segName(2))); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("orphaned zero-filled successor not deleted (err=%v)", err)
-		}
-		compactWorkload(t, ex, 1, 8, 1, false)
-	})
-
-	t.Run("written successor stays fatal", func(t *testing.T) {
-		dir := build(t)
-		// A successor with real bytes contradicts the barrier ordering.
-		if err := os.WriteFile(filepath.Join(dir, segName(2)), []byte{1, 2, 3}, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if ex, err := Open(dir, Options{SnapshotBytes: -1}); err == nil {
-			ex.Close()
-			t.Fatal("Open accepted a torn mid-chain segment with a written successor")
-		}
-	})
-}
-
-// TestRecoveryPreallocatedTailZeroFill is the kill -9 inside a
-// preallocated-but-unwritten tail region: the active segment's physical
-// size is the fallocate reservation, records occupy a logical prefix, and
-// everything past them is zero-fill. Replay must read the records, treat
-// the zero tail as clean end-of-log (not a torn record), truncate the file
-// back to its logical size, and serve byte-identical outcome pages.
-func TestRecoveryPreallocatedTailZeroFill(t *testing.T) {
-	const jobs, bidders, rounds = 2, 8, 3
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{SnapshotBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
-	if err := ex.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	logical := ex.Metrics().WalBytes
-	fi, err := os.Stat(filepath.Join(dir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() <= logical {
-		t.Fatalf("tail not preallocated: physical %d <= logical %d bytes", fi.Size(), logical)
-	}
-
-	pages := make(map[string][]byte, jobs)
-	for _, id := range ids {
-		pages[id] = outcomesPageBytes(t, ex, id)
-	}
-	crashDir := cloneDataDir(t, dir) // <-- kill -9: zero-fill and all
-
-	ex2, err := Open(crashDir, Options{SnapshotBytes: -1})
-	if err != nil {
-		t.Fatalf("reopen over preallocated tail: %v", err)
-	}
-	defer ex2.Close()
-	for _, id := range ids {
-		if got := outcomesPageBytes(t, ex2, id); string(got) != string(pages[id]) {
-			t.Errorf("job %s: outcomes diverged across preallocated-tail crash", id)
-		}
-	}
-	// Recovery trims the reservation: a crash-reopened tail runs at its
-	// logical size (no re-preallocation) so recovered file sizes stay
-	// honest and a later rotation re-reserves.
-	fi2, err := os.Stat(filepath.Join(crashDir, walFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi2.Size() != logical {
-		t.Errorf("recovered tail = %d bytes, want truncated to logical %d", fi2.Size(), logical)
-	}
-	compactWorkload(t, ex2, jobs, bidders, 1, false) // keeps serving
 }
 
 // TestRemoveJobRacingCloseReplays: a round close in flight when RemoveJob
@@ -1152,29 +899,6 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesSecondProcess: the wal carries an exclusive advisory lock;
-// a second Open on a live data dir must fail fast instead of interleaving
-// appends with the first.
-func TestOpenRefusesSecondProcess(t *testing.T) {
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	if ex2, err := Open(dir, Options{}); err == nil {
-		ex2.Close()
-		t.Fatal("second Open on a live data dir succeeded; want a lock error")
-	}
-	// After the first exchange closes, the dir opens again.
-	ex.Close()
-	ex3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen after close: %v", err)
-	}
-	ex3.Close()
-}
-
 // TestOpenFreshDirIsEmptyExchange: Open on a new directory behaves exactly
 // like New, plus a durable log.
 func TestOpenFreshDirIsEmptyExchange(t *testing.T) {
@@ -1190,7 +914,80 @@ func TestOpenFreshDirIsEmptyExchange(t *testing.T) {
 	if err := ex.Sync(); err != nil {
 		t.Errorf("sync on fresh exchange: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, walFileName)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, wal.SegmentName)); err != nil {
 		t.Errorf("wal file not created: %v", err)
+	}
+}
+
+// TestOpenFailsOnUndecodableRecord: a frame that verifies on disk but does
+// not decode cannot come from a crash (zero-fill stops the scan, torn writes
+// fail the checksum), only from version skew or a bug — so it must fail the
+// Open, naming the record, and leave the evidence in place. It used to be
+// read as a torn tail: dropped with every record behind it, then truncated
+// away.
+func TestOpenFailsOnUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.CreateJob(JobSpec{ID: "kept", Auction: auction.Config{Rule: testRule(t, 0), K: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ex.RegisterNode(7, "edge-07")
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, wal.SegmentName)
+	good, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A correctly framed record from some other writer of this log.
+	log, rec, err := wal.Open(dir, wal.Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.Segments[0].Records); n != 2 {
+		t.Fatalf("fixture holds %d records, want 2", n)
+	}
+	b := log.Buf()
+	b.WriteString("not json")
+	log.Append(b)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ex, err = Open(dir, Options{SnapshotBytes: -1})
+	if err == nil {
+		ex.Close()
+		t.Fatal("Open dropped a record that verified on disk")
+	}
+	if !strings.Contains(err.Error(), "segment 1 record 2") {
+		t.Errorf("error does not name the record: %v", err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != bad.Size() {
+		t.Errorf("the failed Open changed the segment: %v bytes (err=%v), want %d", st.Size(), err, bad.Size())
+	}
+
+	// With the foreign frame removed by hand, the two records replay.
+	if err := os.Truncate(path, good.Size()); err != nil {
+		t.Fatal(err)
+	}
+	ex, err = Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	if _, ok := ex.Job("kept"); !ok {
+		t.Error("job record did not replay")
+	}
+	if info, ok := ex.Registry().Lookup(7); !ok || info.Meta() != "edge-07" {
+		t.Error("node record did not replay")
 	}
 }

@@ -22,8 +22,8 @@ import (
 // one way, historyForm the other.
 //
 // Contract: for every *walRound r, frameRound over appendWalRound's output
-// builds the frame frameRecord builds for walRecord{Kind: recRound, Round:
-// r} — payload byte-identical to encoding/json's — and appendWalRound fails
+// builds the payload json.Marshal builds for walRecord{Kind: recRound,
+// Round: r}, byte for byte, and appendWalRound fails
 // on exactly the values (NaN, ±Inf) encoding/json refuses, with the same
 // error text. That identity is what keeps logs and snapshots written before
 // and after this encoder mutually readable; FuzzAppendWalRound and the

@@ -1,9 +1,9 @@
 package exchange
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fmore/internal/auction"
+	"fmore/internal/wal"
 )
 
 // countRoundEncodes arms testHookEncodeRound for the test's lifetime and
@@ -190,7 +191,8 @@ type parentSnapJob struct {
 }
 
 // TestSnapshotIsTheParentSchemaDocument decodes a streamed snapshot with
-// the parent's structs: the frame validates, json.Marshal of the decoded
+// the parent's structs: the frame validates (the reopen at the end reads
+// it), json.Marshal of the decoded
 // value reproduces the payload byte for byte (the hand-written header and
 // node encoders emit exactly the schema's document), and the histories are
 // the live exchange's. It also covers the compaction gauges.
@@ -217,12 +219,9 @@ func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, snapFileName))
+	raw, err := os.ReadFile(filepath.Join(dir, wal.SnapshotName))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := readSnapshot(dir); err != nil {
-		t.Fatalf("the frame does not validate: %v", err)
 	}
 	payload := raw[8:]
 	var snap parentSnapshot
@@ -271,63 +270,6 @@ func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
 	}
 }
 
-// TestSnapshotFrameOverflowRefused: a snapshot whose payload the frame's
-// uint32 length cannot describe used to commit — truncated length and all —
-// and was rejected by the next Open only after the segments it covered were
-// gone. It must be refused before the rename instead: the error returned
-// and counted, the size trigger re-armed, every segment kept.
-func TestSnapshotFrameOverflowRefused(t *testing.T) {
-	const jobs, bidders, rounds = 2, 8, 3
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{SnapshotBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	ids := compactWorkload(t, ex, jobs, bidders, rounds, true)
-	pages := allPages(t, ex, ids)
-
-	limit := maxSnapshotPayload
-	maxSnapshotPayload = 512
-	defer func() { maxSnapshotPayload = limit }()
-	ex.wal.notified.Store(true) // as if the size trigger had fired this compaction
-	if err := ex.Compact(); err == nil {
-		t.Fatal("compaction committed a snapshot larger than its frame can describe")
-	}
-	if m := ex.Metrics(); m.WalSnapshotErrors != 1 || m.WalSnapshots != 0 || m.WalSnapshotBytes != 0 {
-		t.Errorf("after the refusal: errors %d, snapshots %d, snapshot bytes %d", m.WalSnapshotErrors, m.WalSnapshots, m.WalSnapshotBytes)
-	}
-	if ex.wal.notified.Load() {
-		t.Error("the size trigger was not re-armed")
-	}
-	for _, name := range []string{snapFileName, snapTmpName} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("%s exists after the refusal (err=%v)", name, err)
-		}
-	}
-	if segs, err := listSegments(dir); err != nil || !reflect.DeepEqual(segs, []int64{1, 2}) {
-		t.Errorf("segments after the refusal = %v, %v; want the covered one kept beside its successor", segs, err)
-	}
-	if err := ex.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := Open(cloneDataDir(t, dir), Options{SnapshotBytes: -1})
-	if err != nil {
-		t.Fatalf("reopen after the refusal: %v", err)
-	}
-	assertPages(t, ex2, pages, "reopened after the refusal")
-	ex2.Close()
-
-	maxSnapshotPayload = limit
-	if err := ex.Compact(); err != nil {
-		t.Fatalf("compaction under the real limit: %v", err)
-	}
-	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []int64{3}) {
-		t.Errorf("segments after the retry = %v, want only the fresh tail", segs)
-	}
-	assertPages(t, ex, pages, "after the retry")
-}
-
 // spliceJobs creates n jobs with a two-round history window — every close
 // past the second evicts — and returns their IDs.
 func spliceJobs(t *testing.T, ex *Exchange, n int) []string {
@@ -369,16 +311,22 @@ func closeOneRound(t *testing.T, ex *Exchange, id string, jobIdx, bidders int) (
 	return ro, true
 }
 
+// segmentFiles lists a data dir's log segments.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
 // snapshotOnly turns a crash copy into what its snapshot alone holds: the
 // tail segments are dropped, so recovery starts an empty tail at the cut.
 func snapshotOnly(t *testing.T, dir string) {
 	t.Helper()
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seq := range segs {
-		if err := os.Remove(filepath.Join(dir, segName(seq))); err != nil {
+	for _, seg := range segmentFiles(t, dir) {
+		if err := os.Remove(seg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,9 +417,11 @@ func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
 			crashDirs = append(crashDirs, d)
 			done.Store(len(crashDirs) == copies)
 		}
+		for _, id := range ids {
+			closed[id] = make(map[int]RoundOutcome) // before any closer reads the outer map
+		}
 		var wg sync.WaitGroup
 		for j, id := range ids {
-			closed[id] = make(map[int]RoundOutcome)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -531,20 +481,27 @@ func TestOpenRejectsUndecodableHistoryEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex.Close()
-	path := filepath.Join(dir, snapFileName)
-	raw, err := os.ReadFile(path)
+	// Re-snapshot the dir through the log itself, with one history entry
+	// edited: the frame verifies, the document around the entry decodes.
+	log, rec, err := wal.Open(dir, wal.Options{SegmentBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := bytes.Replace(raw[8:], []byte(`"history":[{"job":"snap-job-0"`), []byte(`"history":[{"job":1234567890.5`), 1)
-	if len(payload) != len(raw)-8 || bytes.Equal(payload, raw[8:]) {
+	payload := bytes.Replace(rec.Snapshot, []byte(`"history":[{"job":"snap-job-0"`), []byte(`"history":[{"job":1234567890.5`), 1)
+	if bytes.Equal(payload, rec.Snapshot) {
 		t.Fatal("the fixture edit did not apply")
 	}
-	fb := newFrameBuf()
-	fb.buf.Write(make([]byte, 8))
-	fb.buf.Write(payload)
-	sealFrame(fb)
-	if err := os.WriteFile(path, fb.buf.Bytes(), 0o644); err != nil {
+	if err := log.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	cut, _ := log.Cut()
+	log.Wait()
+	payload = bytes.Replace(payload, []byte(`{"cut_seq":2,`), fmt.Appendf(nil, `{"cut_seq":%d,`, cut), 1)
+	if err := log.WriteSnapshot(func(w *bufio.Writer) { w.Write(payload) }); err != nil { //nolint:errcheck // sticky
+		t.Fatal(err)
+	}
+	log.Prune()
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if ex, err := Open(dir, Options{SnapshotBytes: -1}); err == nil {

@@ -200,7 +200,7 @@ func (p *Population) Active() []*EdgeNode {
 func (p *Population) N() int { return len(p.Nodes) }
 
 // TimingModel converts a winner's round work into simulated wall time,
-// standing in for the paper's HPC-cluster measurements (see DESIGN.md §3).
+// standing in for the paper's HPC-cluster measurements.
 type TimingModel struct {
 	// ComputeSecPerSample is the per-sample, per-core-second training cost.
 	ComputeSecPerSample float64

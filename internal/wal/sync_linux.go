@@ -1,6 +1,6 @@
 //go:build linux
 
-package exchange
+package wal
 
 import (
 	"os"
@@ -8,7 +8,7 @@ import (
 )
 
 // fdatasync flushes f's data (and the metadata needed to read it back —
-// size, extent allocations) without forcing the inode's mtime/ctime into
+// size, extent allocations) without forcing the file's mtime/ctime into
 // the journal the way File.Sync does. For a CRC-framed log the timestamps
 // carry no recovery information, so journaling them on every group commit
 // is pure overhead; combined with segment preallocation the common-case
@@ -24,9 +24,6 @@ func fdatasync(f *os.File) error {
 // which still pins the size so fdatasync skips i_size updates. Best-effort
 // either way: recovery tolerates both exact-sized and zero-filled tails.
 func preallocate(f *os.File, size int64) {
-	if size <= 0 {
-		return
-	}
 	if err := syscall.Fallocate(int(f.Fd()), 0, 0, size); err != nil {
 		f.Truncate(size) //nolint:errcheck // best-effort fallback
 	}

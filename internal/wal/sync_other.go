@@ -1,6 +1,6 @@
 //go:build !linux
 
-package exchange
+package wal
 
 import "os"
 
@@ -15,8 +15,5 @@ func fdatasync(f *os.File) error {
 // appends never move the file size. Best-effort: recovery tolerates both
 // exact-sized and zero-filled tails.
 func preallocate(f *os.File, size int64) {
-	if size <= 0 {
-		return
-	}
 	f.Truncate(size) //nolint:errcheck // best-effort
 }
