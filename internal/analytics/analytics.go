@@ -6,11 +6,18 @@
 // GET /v1/jobs/{id}/stats and GET /v1/nodes/{id}/stats in front of the
 // exchange's own HTTP handler.
 //
-// The window is a ring of epoch-stamped buckets reset lazily in place, so
-// steady-state aggregation allocates nothing: the firehose's zero-cost
-// producer guarantee extends through the sink. Ingest takes one mutex —
-// contention-free in practice, because a single pump goroutine is the only
-// writer and readers are scrape-rate HTTP requests.
+// Memory follows activity: an entity (job or node) holds one epoch-stamped
+// bucket — three scalars and its price histogram — per window slice it was
+// actually seen in, so the aggregator costs entities × buckets touched in
+// the window, not entities × Options.Buckets. A bucket is allocated on the
+// entity's first event in a slice the entity has no expired bucket to spare
+// for; one that left the window is reset and reused in place, so once an
+// entity has as many buckets as it is ever live in at a time, aggregation
+// allocates nothing and the firehose's zero-cost producer guarantee extends
+// through the sink. The round fields (rounds, failures, profit, latency)
+// exist only on jobs. Ingest takes one mutex — contention-free in
+// practice, because a single pump goroutine is the only writer and readers
+// are scrape-rate HTTP requests.
 package analytics
 
 import (
@@ -37,7 +44,8 @@ type Options struct {
 	// Window is the sliding rollup horizon (default 10m).
 	Window time.Duration
 	// Buckets subdivides the window; finer buckets expire data in smaller
-	// steps at slightly more memory per job/node (default 30).
+	// steps, and cost memory only for entities active in many of them
+	// (default 30).
 	Buckets int
 	// PriceBounds overrides the bid-price histogram's upper bounds
 	// (ascending; a final +Inf bucket is implicit).
@@ -105,40 +113,52 @@ type NodeStats struct {
 	LastWinMS int64 `json:"last_win_ms"`
 }
 
-// counters is the shared accumulator shape behind both bucket and
-// lifetime totals.
-type counters struct {
+// tally is what every entity accumulates, per bucket and for life.
+type tally struct {
+	bids, wins int64
+	payment    float64
+}
+
+// roundTally is the part only jobs accumulate (rounds close on jobs, not on
+// nodes); a node's series and buckets carry a nil one.
+type roundTally struct {
 	rounds, failed int64
-	bids, wins     int64
-	payment        float64
 	profit         float64
 	latSumNs       int64
 	latMaxNs       int64
-	prices         []int64 // len(bounds)+1, nil for lifetime totals
 }
 
-func (c *counters) addTo(r *Rollup) {
-	r.Rounds += c.rounds
-	r.RoundsFailed += c.failed
-	r.Bids += c.bids
-	r.Wins += c.wins
-	r.TotalPayment += c.payment
-	r.AggregatorProfit += c.profit
+func (t *roundTally) closed(ev *exchange.TapEvent) {
+	lat := ev.Latency.Nanoseconds()
+	t.rounds++
+	t.profit += ev.Profit
+	t.latSumNs += lat
+	t.latMaxNs = max(t.latMaxNs, lat)
+	if ev.Failed {
+		t.failed++
+	}
 }
 
-// bucket is one window slice, valid only while its epoch is current (lazy
-// in-place reset instead of a ticker goroutine or reallocation).
+// bucket is one window slice of one entity, valid while its epoch is within
+// the window; afterwards it is spare (lazy in-place reset instead of a
+// ticker goroutine or reallocation).
 type bucket struct {
-	epoch int64 // bucketDur index; 0 = never used (epochs start at 1)
-	counters
+	epoch int64 // bucketDur index, starting at 1
+	tally
+	prices []int64     // bid-price histogram, len(bounds)+1
+	rounds *roundTally // jobs only
 }
 
-// series is one entity's (job's or node's) rollup state.
+// series is one entity's (job's or node's) rollup state. buckets holds only
+// the slices the entity was seen in, in no order except that the bucket
+// written last is first; it never outgrows Options.Buckets while the clock
+// moves forward.
 type series struct {
-	life    counters
-	buckets []bucket
-	lastBid time.Time
-	lastWin time.Time
+	life      tally
+	rounds    *roundTally // lifetime round totals; jobs only
+	buckets   []bucket
+	lastBidMS int64 // nodes only; 0 = never
+	lastWinMS int64
 }
 
 // Aggregator consumes the firehose and answers stats queries. It
@@ -186,36 +206,50 @@ func New(opts Options) *Aggregator {
 	}
 }
 
-// newSeries allocates one entity's state (once per entity lifetime; the
-// steady state only mutates in place).
-func (a *Aggregator) newSeries() *series {
-	s := &series{buckets: make([]bucket, a.nb)}
-	backing := make([]int64, a.nb*(len(a.bounds)+1))
-	for i := range s.buckets {
-		s.buckets[i].prices = backing[i*(len(a.bounds)+1) : (i+1)*(len(a.bounds)+1)]
-	}
-	return s
+// epochOf is the window slice t falls in (+1: epochs start at 1).
+func (a *Aggregator) epochOf(t time.Time) int64 {
+	return t.UnixNano()/int64(a.bucketDur) + 1
 }
 
-// at returns the entity's current write bucket, resetting it in place when
-// its epoch expired.
+// at returns the entity's bucket for epoch and leaves it first in the
+// series, where the next event of the same slice finds it without a search.
+// A slice the entity has no bucket for takes over a bucket that left the
+// window, reset in place; only when none is spare does the series grow.
 func (a *Aggregator) at(s *series, epoch int64) *bucket {
-	b := &s.buckets[epoch%int64(a.nb)]
-	if b.epoch != epoch {
-		prices := b.prices
-		for i := range prices {
-			prices[i] = 0
-		}
-		b.counters = counters{prices: prices}
-		b.epoch = epoch
+	if len(s.buckets) > 0 && s.buckets[0].epoch == epoch {
+		return &s.buckets[0]
 	}
-	return b
+	i, spare := 0, -1
+	for ; i < len(s.buckets) && s.buckets[i].epoch != epoch; i++ {
+		if s.buckets[i].epoch <= epoch-int64(a.nb) {
+			spare = i
+		}
+	}
+	switch {
+	case i < len(s.buckets): // the clock stepped back into a slice it left
+	case spare >= 0:
+		i = spare
+		b := &s.buckets[i]
+		clear(b.prices)
+		b.epoch, b.tally = epoch, tally{}
+		if b.rounds != nil {
+			*b.rounds = roundTally{}
+		}
+	default:
+		b := bucket{epoch: epoch, prices: make([]int64, len(a.bounds)+1)}
+		if s.rounds != nil {
+			b.rounds = new(roundTally)
+		}
+		s.buckets = append(s.buckets, b)
+	}
+	s.buckets[0], s.buckets[i] = s.buckets[i], s.buckets[0]
+	return &s.buckets[0]
 }
 
 func (a *Aggregator) jobSeries(id string) *series {
 	s := a.jobs[id]
 	if s == nil {
-		s = a.newSeries()
+		s = &series{rounds: new(roundTally)}
 		a.jobs[id] = s
 	}
 	return s
@@ -224,7 +258,7 @@ func (a *Aggregator) jobSeries(id string) *series {
 func (a *Aggregator) nodeSeries(id int) *series {
 	s := a.nodes[id]
 	if s == nil {
-		s = a.newSeries()
+		s = new(series)
 		a.nodes[id] = s
 	}
 	return s
@@ -241,33 +275,47 @@ func (a *Aggregator) priceBucket(p float64) int {
 }
 
 // ConsumeTap implements exchange.Sink. One batch costs one mutex
-// acquisition and in-place counter updates; the only allocations are the
-// first-contact series of a new job or node.
+// acquisition, one job lookup per run of events of the same job, and
+// in-place counter updates; the only allocations are the first contact of a
+// new job or node and a bucket for a window slice the entity has none to
+// spare for (see at).
 func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 	now := a.now()
-	epoch := now.UnixNano()/int64(a.bucketDur) + 1 // +1: epoch 0 means "never"
+	epoch := a.epochOf(now)
+	var nowMS int64
+	if !now.IsZero() {
+		nowMS = now.UnixMilli()
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.dropped += dropped
+	var job string // the current run of events' job, its series and bucket
+	var js *series
+	var jb *bucket
 	for i := range events {
 		ev := &events[i]
+		if ev.Kind < exchange.TapBidAccepted || ev.Kind > exchange.TapRoundClosed {
+			continue // no kind of ours: it names no job worth a series
+		}
+		if js == nil || ev.Job != job {
+			job, js = ev.Job, a.jobSeries(ev.Job)
+			jb = a.at(js, epoch)
+		}
 		switch ev.Kind {
 		case exchange.TapBidAccepted:
-			js := a.jobSeries(ev.Job)
-			jb := a.at(js, epoch)
+			price := a.priceBucket(ev.Price)
 			jb.bids++
-			jb.prices[a.priceBucket(ev.Price)]++
+			jb.prices[price]++
 			js.life.bids++
 
 			ns := a.nodeSeries(ev.Node)
 			nb := a.at(ns, epoch)
 			nb.bids++
-			nb.prices[a.priceBucket(ev.Price)]++
+			nb.prices[price]++
 			ns.life.bids++
-			ns.lastBid = now
+			ns.lastBidMS = nowMS
 		case exchange.TapWinner:
-			js := a.jobSeries(ev.Job)
-			a.at(js, epoch).wins++
+			jb.wins++
 			js.life.wins++
 
 			ns := a.nodeSeries(ev.Node)
@@ -276,29 +324,12 @@ func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 			nb.payment += ev.Payment
 			ns.life.wins++
 			ns.life.payment += ev.Payment
-			ns.lastWin = now
+			ns.lastWinMS = nowMS
 		case exchange.TapRoundClosed:
-			js := a.jobSeries(ev.Job)
-			jb := a.at(js, epoch)
-			lat := ev.Latency.Nanoseconds()
-			jb.rounds++
 			jb.payment += ev.Payment
-			jb.profit += ev.Profit
-			jb.latSumNs += lat
-			if lat > jb.latMaxNs {
-				jb.latMaxNs = lat
-			}
-			js.life.rounds++
+			jb.rounds.closed(ev)
 			js.life.payment += ev.Payment
-			js.life.profit += ev.Profit
-			js.life.latSumNs += lat
-			if lat > js.life.latMaxNs {
-				js.life.latMaxNs = lat
-			}
-			if ev.Failed {
-				jb.failed++
-				js.life.failed++
-			}
+			js.rounds.closed(ev)
 		}
 	}
 }
@@ -313,48 +344,57 @@ func (a *Aggregator) Dropped() uint64 {
 // windowRollup folds the live buckets (epoch within the window) into a
 // rollup plus the windowed price histogram.
 func (a *Aggregator) windowRollup(s *series) (Rollup, PriceHistogram) {
-	nowEpoch := a.now().UnixNano()/int64(a.bucketDur) + 1
-	minEpoch := nowEpoch - int64(a.nb) + 1
-	var r Rollup
-	var latSum, latMax int64
+	nb := int64(a.nb)
+	minEpoch := a.epochOf(a.now()) - nb + 1
+	var t tally
+	var rt roundTally
 	hist := PriceHistogram{
 		Bounds: a.bounds,
 		Counts: make([]int64, len(a.bounds)+1),
 	}
-	for i := range s.buckets {
-		b := &s.buckets[i]
-		if b.epoch < minEpoch || b.epoch > nowEpoch {
-			continue
-		}
-		b.counters.addTo(&r)
-		latSum += b.latSumNs
-		if b.latMaxNs > latMax {
-			latMax = b.latMaxNs
-		}
-		for k, c := range b.prices {
-			hist.Counts[k] += c
+	// Fold in ascending epoch mod Buckets — the slot order of a dense ring
+	// of Buckets slots: float sums depend on the order, and the stats bodies
+	// are pinned byte for byte against such a ring (reference_test.go).
+	for slot := int64(0); slot < nb; slot++ {
+		epoch := minEpoch + ((slot-minEpoch)%nb+nb)%nb // the window's one epoch in this slot
+		for i := range s.buckets {
+			b := &s.buckets[i]
+			if b.epoch != epoch {
+				continue
+			}
+			t.bids += b.bids
+			t.wins += b.wins
+			t.payment += b.payment
+			if r := b.rounds; r != nil {
+				rt.rounds += r.rounds
+				rt.failed += r.failed
+				rt.profit += r.profit
+				rt.latSumNs += r.latSumNs
+				rt.latMaxNs = max(rt.latMaxNs, r.latMaxNs)
+			}
+			for k, c := range b.prices {
+				hist.Counts[k] += c
+			}
 		}
 	}
-	finishRollup(&r, latSum, latMax)
-	return r, hist
+	return rollup(t, &rt), hist
 }
 
-// lifetimeRollup folds the lifetime totals.
-func lifetimeRollup(s *series) Rollup {
-	var r Rollup
-	s.life.addTo(&r)
-	finishRollup(&r, s.life.latSumNs, s.life.latMaxNs)
-	return r
-}
-
-func finishRollup(r *Rollup, latSumNs, latMaxNs int64) {
+// rollup renders totals; rt is nil for a node.
+func rollup(t tally, rt *roundTally) Rollup {
+	r := Rollup{Bids: t.bids, Wins: t.wins, TotalPayment: t.payment}
 	if r.Bids > 0 {
 		r.WinRate = float64(r.Wins) / float64(r.Bids)
 	}
-	if r.Rounds > 0 {
-		r.AvgRoundLatencyMS = float64(latSumNs) / float64(r.Rounds) / 1e6
+	if rt == nil {
+		return r
 	}
-	r.MaxRoundLatencyMS = float64(latMaxNs) / 1e6
+	r.Rounds, r.RoundsFailed, r.AggregatorProfit = rt.rounds, rt.failed, rt.profit
+	if r.Rounds > 0 {
+		r.AvgRoundLatencyMS = float64(rt.latSumNs) / float64(r.Rounds) / 1e6
+	}
+	r.MaxRoundLatencyMS = float64(rt.latMaxNs) / 1e6
+	return r
 }
 
 // JobStats returns the job's rollups; ok is false when the aggregator has
@@ -371,7 +411,7 @@ func (a *Aggregator) JobStats(id string) (JobStats, bool) {
 		Job:            id,
 		WindowSec:      int64(a.window / time.Second),
 		Window:         win,
-		Lifetime:       lifetimeRollup(s),
+		Lifetime:       rollup(s.life, s.rounds),
 		PriceHistogram: hist,
 	}, true
 }
@@ -386,20 +426,15 @@ func (a *Aggregator) NodeStats(id int) (NodeStats, bool) {
 		return NodeStats{}, false
 	}
 	win, hist := a.windowRollup(s)
-	st := NodeStats{
+	return NodeStats{
 		Node:           id,
 		WindowSec:      int64(a.window / time.Second),
 		Window:         win,
-		Lifetime:       lifetimeRollup(s),
+		Lifetime:       rollup(s.life, s.rounds),
 		PriceHistogram: hist,
-	}
-	if !s.lastBid.IsZero() {
-		st.LastBidMS = s.lastBid.UnixMilli()
-	}
-	if !s.lastWin.IsZero() {
-		st.LastWinMS = s.lastWin.UnixMilli()
-	}
-	return st, true
+		LastBidMS:      s.lastBidMS,
+		LastWinMS:      s.lastWinMS,
+	}, true
 }
 
 // NodeIDs lists every node the aggregator has seen (ascending).

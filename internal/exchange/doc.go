@@ -208,15 +208,23 @@
 //     close.
 //   - The firehose (Exchange.Firehose) is a lock-free tap of the bid and
 //     round-close streams: a fixed ring of seqlock slots (Options.
-//     FirehoseRing, default 4096) that attached Sinks consume through
-//     per-sink pump goroutines. Producers never wait — a sink that cannot
-//     keep up loses the oldest events and the loss is counted
-//     (firehose_dropped), never smeared into close latency. Until the
-//     first Attach the tap costs producers one atomic load.
+//     FirehoseRing, default 4096), each exactly one aligned cache line
+//     (a version word and seven payload words, of which an event stores
+//     only those of its kind — a bid is one fetch-add and six atomic
+//     stores), that attached Sinks consume through per-sink pump
+//     goroutines. Producers never wait — a sink that cannot keep up loses
+//     the oldest events and the loss is counted (firehose_dropped), never
+//     smeared into close latency. Nothing polls either: a pump with
+//     nothing to deliver raises a parked flag and sleeps, a producer loads
+//     that flag after publishing and wakes only a sleeper, so a busy pump
+//     costs producers one shared load and an idle exchange wakes nobody.
+//     Until the first Attach the tap costs producers one atomic load.
 //   - Rollups (internal/analytics) ride the firehose as a Sink and serve
 //     windowed + lifetime per-job and per-node aggregates over
 //     GET /v1/jobs/{id}/stats and /v1/nodes/{id}/stats; its NewHandler
-//     wraps this package's handler.
+//     wraps this package's handler. Its memory follows activity: a job or
+//     node holds one bucket per window slice it was seen in, not a whole
+//     window from first contact.
 //
 // GET /v1/metrics serves the JSON snapshot; GET /v1/metrics/prometheus
 // serves the same state in Prometheus text exposition format (0.0.4,

@@ -4,22 +4,24 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Float packing for the atomic slot words.
-func f64bits(v float64) uint64     { return math.Float64bits(v) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
-
 // The firehose is the exchange's lock-free event tap: a fixed-size ring of
-// seqlock slots written from the bid-intake and round-close hot paths and
-// pumped to attached Sinks by per-sink goroutines. It follows the event
-// stream's never-block rule end to end — a producer performs a bounded
-// handful of atomic stores and moves on, no matter how slow (or wedged) a
-// sink is; a sink that cannot keep up loses the oldest events and the loss
-// is counted, never smeared into producer latency.
+// one-cache-line seqlock slots written from the bid-intake and round-close
+// hot paths and pumped to attached Sinks by per-sink goroutines. It follows
+// the event stream's never-block rule end to end — a producer performs one
+// fetch-add, the atomic stores of its event's kind (six for a bid) and one
+// load of each pump's parked flag, then moves on, no matter how slow (or
+// wedged) a sink is; a sink that cannot keep up loses the oldest events and
+// the loss is counted, never smeared into producer latency.
+//
+// Nothing polls: a pump that runs out of published events parks, and the
+// producer that publishes next wakes it (see tapPump.park). A pump that is
+// busy is never poked, and an idle exchange wakes nobody.
 //
 // Until the first Attach the ring is not even allocated and every tap call
 // is a single atomic load, so an exchange nobody observes pays nothing.
@@ -32,10 +34,10 @@ const tapRingDefault = 4096
 // monopolize ring history.
 const tapBatch = 256
 
-// tapTick is the pump's fallback poll period, covering the benign race
-// where a producer loads the pump set just before an Attach publishes it
-// (that producer's wakeup is lost; the tick isn't).
-const tapTick = 10 * time.Millisecond
+// drainSpins is how many scheduler yields Drain spends before it falls back
+// to millisecond sleeps: a parked pump is delivering within microseconds of
+// its wake-up, a wedged sink is not worth spinning on.
+const drainSpins = 64
 
 // TapKind enumerates firehose event kinds.
 type TapKind uint8
@@ -103,34 +105,50 @@ type Sink interface {
 	ConsumeTap(events []TapEvent, dropped uint64)
 }
 
-// tapWords is the per-slot payload size. Every event field packs into a
-// fixed word so slots can be plain atomics — the seqlock stays clean under
-// the race detector, and a torn read is detected by the version recheck
-// instead of being undefined behavior.
-const tapWords = 11
+// tapWords is the per-slot payload size: with its version word a slot is
+// exactly one 64-byte cache line, and the ring (a power-of-two count of
+// slots, at least a page) starts on one, so two producers on neighbouring
+// claims and the pump behind them never share a line. Every event field
+// packs into a fixed word so slots can be plain atomics — the seqlock stays
+// clean under the race detector, and a torn read is detected by the version
+// recheck instead of being undefined behavior.
+const tapWords = 7
 
-// Payload word layout (all stored as uint64 bit patterns).
+// Payload word layout (all stored as uint64 bit patterns). Words 0 and 1
+// mean the same for every kind; a producer stores, and the pump loads, only
+// the first tapKindWords[kind] words, so a slot may hold stale words of an
+// older event of a longer kind beyond them. No field is narrowed: the kind
+// shares word 0 with the job index, which is 32 bits at its source
+// (Job.tapIdx), and every integer keeps a whole word.
 const (
-	twKind    = iota // TapKind | failed flag <<8
-	twJob            // interned job index
-	twRound          // round number
-	twNode           // node ID
-	twPrice          // asked payment (float64 bits)
-	twPayment        // granted/total payment (float64 bits)
-	twScore          // winner score (float64 bits)
-	twNumBids        // closed round's bid count
-	twWinners        // closed round's winner count
-	twLatency        // close latency (nanoseconds)
-	twProfit         // aggregator profit (float64 bits)
+	twHead    = 0 // TapKind | failed flag <<8 | interned job index <<32
+	twRound   = 1 // round number
+	twNode    = 2 // bid, winner: node ID
+	twPrice   = 3 // bid, winner: asked payment (float64 bits)
+	twNumBids = 2 // round closed: bid count
+	twWinners = 3 // round closed: winner count
+	twPayment = 4 // winner: granted payment; round closed: total (float64 bits)
+	twScore   = 5 // winner: score (float64 bits)
+	twProfit  = 5 // round closed: aggregator profit (float64 bits)
+	twLatency = 6 // round closed: close latency (nanoseconds)
 )
 
-const tapFailedFlag = 1 << 8
+const (
+	tapFailedFlag = 1 << 8
+	tapJobShift   = 32
+)
+
+// tapKindWords is how many payload words each kind stores, indexed by word
+// 0's low byte; 0 marks a byte that is no kind (only ever read from a slot
+// torn mid-copy).
+var tapKindWords = [256]uint8{TapBidAccepted: 4, TapWinner: 6, TapRoundClosed: 7}
 
 // tapSlot is one seqlock slot. ver encodes both the write state and the
 // claim the slot holds: a writer for claim index i stores 2i+1 (busy),
 // then the payload, then 2i+2 (stable). A reader accepts the payload only
 // when ver reads exactly 2i+2 before and after the copy, so a reader
-// lapped mid-copy observes the version move and discards the torn words.
+// lapped mid-copy observes the version move and discards the torn words —
+// including a word 0 that named another kind than the words after it.
 // The one theoretical hole — two producers claiming i and i+size
 // concurrently, i.e. the whole ring published within one producer's
 // ~nanoseconds-long store sequence — would require a ring many orders of
@@ -176,8 +194,8 @@ func newFirehose(ringSize int) *Firehose {
 	}
 	size := uint64(1) << bits.Len64(uint64(ringSize-1)) // round up to 2^n
 	f := &Firehose{size: size, mask: size - 1}
-	empty := make([]string, 0)
-	f.lookup.Store(&empty)
+	f.lookup.Store(new([]string))
+	f.pumps.Store(new([]*tapPump))
 	return f
 }
 
@@ -221,43 +239,38 @@ func (f *Firehose) jobName(idx uint64, names []string) string {
 	return "" // unreachable by the intern ordering; defend anyway
 }
 
-// emit claims the next slot and publishes the payload words. Producers
-// never loop, lock or wait: the cost is one fetch-add, 13 plain atomic
-// stores, and one non-blocking wakeup per pump.
+// emit claims the next slot and publishes the words of the event's kind;
+// callers have checked enabled. Producers never loop, lock or wait: the
+// cost is one fetch-add, the kind's words between two version stores (six
+// atomic stores for a bid), and one load of each pump's parked flag — only
+// a pump that is asleep is woken.
 func (f *Firehose) emit(w *[tapWords]uint64) {
-	ring := f.ring.Load()
-	if ring == nil {
-		return
-	}
 	i := f.head.Add(1) - 1
-	s := &(*ring)[i&f.mask]
+	s := &(*f.ring.Load())[i&f.mask]
 	s.ver.Store(2*i + 1)
-	for k := range w {
+	for k := range w[:tapKindWords[TapKind(w[twHead])]] {
 		s.w[k].Store(w[k])
 	}
 	s.ver.Store(2*i + 2)
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			select {
-			case p.notify <- struct{}{}:
-			default:
-			}
-		}
+	for _, p := range *f.pumps.Load() {
+		p.unpark()
 	}
 }
+
+// tapHead packs an event's word 0.
+func tapHead(k TapKind, job uint64) uint64 { return uint64(k) | job<<tapJobShift }
 
 // bidAccepted taps one accepted bid.
 func (f *Firehose) bidAccepted(j *Job, round, node int, price float64) {
 	if !f.enabled() {
 		return
 	}
-	var w [tapWords]uint64
-	w[twKind] = uint64(TapBidAccepted)
-	w[twJob] = f.intern(j)
-	w[twRound] = uint64(round)
-	w[twNode] = uint64(int64(node))
-	w[twPrice] = f64bits(price)
-	f.emit(&w)
+	f.emit(&[tapWords]uint64{
+		twHead:  tapHead(TapBidAccepted, f.intern(j)),
+		twRound: uint64(round),
+		twNode:  uint64(int64(node)),
+		twPrice: math.Float64bits(price),
+	})
 }
 
 // roundClosed taps one completed round: a TapWinner per selected bid, then
@@ -268,49 +281,51 @@ func (f *Firehose) roundClosed(j *Job, ro *RoundOutcome) {
 		return
 	}
 	idx := f.intern(j)
-	var w [tapWords]uint64
 	for i := range ro.Outcome.Winners {
 		win := &ro.Outcome.Winners[i]
-		w = [tapWords]uint64{}
-		w[twKind] = uint64(TapWinner)
-		w[twJob] = idx
-		w[twRound] = uint64(ro.Round)
-		w[twNode] = uint64(int64(win.Bid.NodeID))
-		w[twPrice] = f64bits(win.Bid.Payment)
-		w[twPayment] = f64bits(win.Payment)
-		w[twScore] = f64bits(win.Score)
-		f.emit(&w)
+		f.emit(&[tapWords]uint64{
+			twHead:    tapHead(TapWinner, idx),
+			twRound:   uint64(ro.Round),
+			twNode:    uint64(int64(win.Bid.NodeID)),
+			twPrice:   math.Float64bits(win.Bid.Payment),
+			twPayment: math.Float64bits(win.Payment),
+			twScore:   math.Float64bits(win.Score),
+		})
 	}
-	w = [tapWords]uint64{}
-	w[twKind] = uint64(TapRoundClosed)
+	head := tapHead(TapRoundClosed, idx)
 	if ro.Err != nil {
-		w[twKind] |= tapFailedFlag
+		head |= tapFailedFlag
 	}
-	w[twJob] = idx
-	w[twRound] = uint64(ro.Round)
-	w[twNumBids] = uint64(ro.NumBids)
-	w[twWinners] = uint64(len(ro.Outcome.Winners))
-	w[twPayment] = f64bits(ro.Outcome.TotalPayment())
-	w[twProfit] = f64bits(ro.Outcome.AggregatorProfit)
-	w[twLatency] = uint64(ro.Latency.Nanoseconds())
-	f.emit(&w)
+	f.emit(&[tapWords]uint64{
+		twHead:    head,
+		twRound:   uint64(ro.Round),
+		twNumBids: uint64(ro.NumBids),
+		twWinners: uint64(len(ro.Outcome.Winners)),
+		twPayment: math.Float64bits(ro.Outcome.TotalPayment()),
+		twProfit:  math.Float64bits(ro.Outcome.AggregatorProfit),
+		twLatency: uint64(ro.Latency.Nanoseconds()),
+	})
 }
 
-// decode expands slot words into the event form.
-func (f *Firehose) decode(w *[tapWords]uint64, names []string) TapEvent {
-	return TapEvent{
-		Kind:    TapKind(w[twKind] &^ tapFailedFlag),
-		Failed:  w[twKind]&tapFailedFlag != 0,
-		Job:     f.jobName(w[twJob], names),
-		Round:   int(int64(w[twRound])),
-		Node:    int(int64(w[twNode])),
-		Price:   f64frombits(w[twPrice]),
-		Payment: f64frombits(w[twPayment]),
-		Score:   f64frombits(w[twScore]),
-		NumBids: int(int64(w[twNumBids])),
-		Winners: int(int64(w[twWinners])),
-		Latency: time.Duration(w[twLatency]),
-		Profit:  f64frombits(w[twProfit]),
+// decode expands the words of the event's kind into ev; fields of other
+// kinds are zeroed.
+func decode(ev *TapEvent, w *[tapWords]uint64, job string) {
+	*ev = TapEvent{Kind: TapKind(w[twHead]), Job: job, Round: int(int64(w[twRound]))}
+	switch ev.Kind {
+	case TapWinner:
+		ev.Payment = math.Float64frombits(w[twPayment])
+		ev.Score = math.Float64frombits(w[twScore])
+		fallthrough
+	case TapBidAccepted:
+		ev.Node = int(int64(w[twNode]))
+		ev.Price = math.Float64frombits(w[twPrice])
+	case TapRoundClosed:
+		ev.Failed = w[twHead]&tapFailedFlag != 0
+		ev.NumBids = int(int64(w[twNumBids]))
+		ev.Winners = int(int64(w[twWinners]))
+		ev.Payment = math.Float64frombits(w[twPayment])
+		ev.Profit = math.Float64frombits(w[twProfit])
+		ev.Latency = time.Duration(w[twLatency])
 	}
 }
 
@@ -327,11 +342,11 @@ func (f *Firehose) Attach(s Sink) (detach func()) {
 		f.ring.Store(&ring)
 	}
 	p := &tapPump{
-		sink:   s,
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		buf:    make([]TapEvent, 0, tapBatch),
+		sink: s,
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		buf:  make([]TapEvent, 0, tapBatch),
 	}
 	p.read.Store(f.head.Load())
 	p.consumed.Store(p.read.Load())
@@ -356,22 +371,15 @@ func (f *Firehose) Attach(s Sink) (detach func()) {
 // addPump and removePump maintain the copy-on-write pump set; callers hold
 // f.mu.
 func (f *Firehose) addPump(p *tapPump) {
-	old := f.pumps.Load()
-	var grown []*tapPump
-	if old != nil {
-		grown = append(grown, *old...)
-	}
-	grown = append(grown, p)
+	old := *f.pumps.Load()
+	grown := append(old[:len(old):len(old)], p)
 	f.pumps.Store(&grown)
 }
 
 func (f *Firehose) removePump(p *tapPump) {
-	old := f.pumps.Load()
-	if old == nil {
-		return
-	}
-	kept := make([]*tapPump, 0, len(*old))
-	for _, q := range *old {
+	old := *f.pumps.Load()
+	kept := make([]*tapPump, 0, len(old))
+	for _, q := range old {
 		if q != p {
 			kept = append(kept, q)
 		}
@@ -395,10 +403,8 @@ func (f *Firehose) lag(p *tapPump) uint64 {
 func (f *Firehose) Stats() (published, dropped uint64) {
 	published = f.head.Load()
 	dropped = f.detachedDrops.Load()
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			dropped += p.dropped.Load() + f.lag(p)
-		}
+	for _, p := range *f.pumps.Load() {
+		dropped += p.dropped.Load() + f.lag(p)
 	}
 	return published, dropped
 }
@@ -408,18 +414,20 @@ func (f *Firehose) Stats() (published, dropped uint64) {
 // expires. It is a test and shutdown aid — producers never call it.
 func (f *Firehose) Drain(ctx context.Context) error {
 	target := f.head.Load()
-	for {
+	for spins := 0; ; spins++ {
 		settled := true
-		if pumps := f.pumps.Load(); pumps != nil {
-			for _, p := range *pumps {
-				if p.consumed.Load() < target {
-					settled = false
-					break
-				}
+		for _, p := range *f.pumps.Load() {
+			if p.consumed.Load() < target {
+				settled = false
+				break
 			}
 		}
 		if settled {
 			return nil
+		}
+		if spins < drainSpins {
+			runtime.Gosched()
+			continue
 		}
 		select {
 		case <-ctx.Done():
@@ -434,13 +442,11 @@ func (f *Firehose) Drain(ctx context.Context) error {
 func (f *Firehose) stopAll() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if pumps := f.pumps.Load(); pumps != nil {
-		for _, p := range *pumps {
-			select {
-			case <-p.stop:
-			default:
-				close(p.stop)
-			}
+	for _, p := range *f.pumps.Load() {
+		select {
+		case <-p.stop:
+		default:
+			close(p.stop)
 		}
 	}
 }
@@ -449,10 +455,16 @@ func (f *Firehose) stopAll() {
 // a reused buffer, and calls ConsumeTap. All ring consumption state lives
 // here, so sinks compose without sharing cursors.
 type tapPump struct {
-	sink   Sink
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
+	sink Sink
+	wake chan struct{} // capacity 1: one pending wake-up is all a sleeper needs
+	stop chan struct{}
+	done chan struct{}
+
+	// parked is true while the pump sleeps (or is about to) on wake. It is
+	// the one pump word producers load per event, so it is kept a cache
+	// line away from the cursors the pump rewrites per batch.
+	parked atomic.Bool
+	_      [64]byte
 
 	// read is the next claim index to decode; consumed trails it, advancing
 	// only after ConsumeTap returns (Drain's progress witness). dropped
@@ -466,54 +478,82 @@ type tapPump struct {
 	buf []TapEvent
 }
 
+// unpark wakes the pump if it sleeps; producers call it after publishing.
+// The flag's compare-and-swap elects one waker per sleep, so a burst of
+// producers pays one channel send between them.
+func (p *tapPump) unpark() {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		select {
+		case p.wake <- struct{}{}:
+		default: // a wake-up the pump has not taken yet is still pending
+		}
+	}
+}
+
+// park sleeps until a producer publishes after the pump raised its flag, or
+// the pump is stopped (reported as false). s is the slot the cursor waits
+// on — the next claim's, whether nobody has claimed it yet or its producer
+// is still between the fetch-add and the final version store. The pump
+// stores parked and then re-reads the version; the producer stores the
+// version and then reads parked: whichever comes second sees the other, so
+// no wake-up is lost and nothing needs to poll. A wake-up raced by the
+// pump's own re-check stays in the channel and costs one empty pass later.
+func (p *tapPump) park(s *tapSlot, want uint64) bool {
+	p.parked.Store(true)
+	if s.ver.Load() >= want {
+		p.parked.Store(false)
+		return true
+	}
+	select {
+	case <-p.stop:
+		return false
+	case <-p.wake:
+		return true
+	}
+}
+
 func (p *tapPump) run(f *Firehose) {
 	defer close(p.done)
-	tick := time.NewTicker(tapTick)
-	defer tick.Stop()
+	ring := *f.ring.Load()
+	read := p.read.Load()
 	var pendingDrop uint64
+	var w [tapWords]uint64
 	for {
-		head := f.head.Load()
-		read := p.read.Load()
-		if read == head {
-			select {
-			case <-p.stop:
-				return
-			case <-p.notify:
-			case <-tick.C:
-			}
-			continue
-		}
-		// Overrun: the ring lapped the cursor; everything older than one
-		// ring of history is gone. Count it and jump forward.
-		if behind := head - read; behind > f.size {
-			p.dropped.Add(behind - f.size)
-			pendingDrop += behind - f.size
-			read = head - f.size
-		}
-		ring := *f.ring.Load()
 		names := *f.lookup.Load()
+		job, name := ^uint64(0), "" // the run of equal job indices being decoded
 		p.buf = p.buf[:0]
-		for len(p.buf) < tapBatch && read < head {
+		for len(p.buf) < tapBatch {
 			s := &ring[read&f.mask]
 			want := 2*read + 2
-			if s.ver.Load() < want {
-				// The claim exists (read < head) but its writer has not
-				// finished publishing; take what we have and come back.
+			ver := s.ver.Load()
+			if ver < want {
+				// Nobody claimed the slot yet, or its writer has not finished
+				// publishing; take what we have and come back.
 				break
 			}
-			var w [tapWords]uint64
-			for k := range w {
-				w[k] = s.w[k].Load()
+			if ver == want {
+				w[twHead] = s.w[twHead].Load()
+				for k := 1; k < int(tapKindWords[TapKind(w[twHead])]); k++ {
+					w[k] = s.w[k].Load()
+				}
+				ver = s.ver.Load()
 			}
-			if s.ver.Load() != want {
-				// Lapped mid-copy: the words are torn, the event is lost.
-				p.dropped.Add(1)
-				pendingDrop++
-				read++
+			if ver != want {
+				// Overrun: the ring lapped the cursor, before the copy or
+				// during it (the words are torn). Everything older than one
+				// ring of history is gone; count it and jump forward.
+				lost := f.head.Load() - f.size - read
+				p.dropped.Add(lost)
+				pendingDrop += lost
+				read += lost
 				continue
 			}
-			p.buf = append(p.buf, f.decode(&w, names))
 			read++
+			if idx := w[twHead] >> tapJobShift; idx != job {
+				job, name = idx, f.jobName(idx, names)
+			}
+			p.buf = p.buf[:len(p.buf)+1]
+			decode(&p.buf[len(p.buf)-1], &w, name)
 		}
 		p.read.Store(read)
 		if len(p.buf) > 0 {
@@ -525,6 +565,11 @@ func (p *tapPump) run(f *Firehose) {
 		case <-p.stop:
 			return
 		default:
+		}
+		// Nothing deliverable at the cursor: sleep until its slot is
+		// published instead of coming straight back to look again.
+		if len(p.buf) == 0 && !p.park(&ring[read&f.mask], 2*read+2) {
+			return
 		}
 	}
 }
