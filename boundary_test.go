@@ -1,8 +1,10 @@
 package fmore_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os/exec"
 	"path/filepath"
 	"strconv"
@@ -50,14 +52,7 @@ func TestImportBoundary(t *testing.T) {
 		}
 	}
 	byteLevel := map[string]bool{"hash/crc32": true, "encoding/binary": true, "syscall": true}
-	files, err := filepath.Glob("internal/exchange/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
+	for _, file := range nonTestGoFiles(t, "internal/exchange") {
 		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
@@ -68,4 +63,135 @@ func TestImportBoundary(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWireDeclaredOnce keeps the /v1 contract in one place. pkg/api owns
+// every wire shape, so the code on either side of the wire — the handler,
+// the analytics endpoints, the SDK and the router — declares no JSON field
+// of its own and assembles no body from a map literal; pkg/api stays a leaf
+// (of this repo: the spec types in internal/auction, the map document in
+// internal/partition, and what those two link); and the two strings a 421
+// hangs on — the status and the code — are spelled where they are produced
+// (internal/exchange) and where they are interpreted (internal/partition),
+// nowhere else.
+func TestWireDeclaredOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells the go tool")
+	}
+	files := []string{"internal/exchange/http.go"}
+	for _, dir := range []string{"pkg/client", "cmd/fmore-router", "internal/analytics"} {
+		files = append(files, nonTestGoFiles(t, dir)...)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				if n.Tag != nil && strings.Contains(n.Tag.Value, `json:"`) {
+					t.Errorf("%s: struct field tagged %s — wire shapes are declared in pkg/api", fset.Position(n.Pos()), n.Tag.Value)
+				}
+			case *ast.CompositeLit:
+				if m, ok := n.Type.(*ast.MapType); ok && isIdent(m.Key, "string") && (isIdent(m.Value, "any") || isEmptyInterface(m.Value)) {
+					t.Errorf("%s: map[string]any literal — name the body in pkg/api", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+
+	out, err := exec.Command("go", "list", "-deps", "./pkg/api").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps ./pkg/api: %v\n%s", err, out)
+	}
+	leaf := map[string]bool{"fmore/pkg/api": true}
+	for _, p := range []string{"auction", "partition", "dist", "numeric"} {
+		leaf["fmore/internal/"+p] = true
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if strings.HasPrefix(dep, "fmore/") && !leaf[dep] {
+			t.Errorf("./pkg/api depends on %s", dep)
+		}
+	}
+
+	// Who may say 421, wrong_partition and the map's path.
+	spelled := map[string][]string{}
+	for _, root := range []string{"cmd", "pkg", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "StatusMisdirectedRequest" {
+						spelled["421"] = append(spelled["421"], filepath.ToSlash(filepath.Dir(path)))
+					}
+				case *ast.BasicLit:
+					if n.Value == `"wrong_partition"` || strings.HasSuffix(n.Value, `/cluster/partitions"`) {
+						spelled[n.Value] = append(spelled[n.Value], filepath.ToSlash(path))
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range spelled["421"] {
+		if dir != "internal/exchange" && dir != "internal/partition" {
+			t.Errorf("%s names http.StatusMisdirectedRequest: only internal/exchange produces a 421 and only internal/partition interprets one", dir)
+		}
+	}
+	delete(spelled, "421")
+	want := map[string][]string{
+		`"wrong_partition"`:        {"internal/partition/routes.go"},
+		`"/v1/cluster/partitions"`: {"internal/partition/routes.go"},
+		`"/cluster/partitions"`:    {"internal/exchange/http.go"}, // the handler's route, under its /v1 prefix
+	}
+	for lit, where := range spelled {
+		if strings.Join(where, " ") != strings.Join(want[lit], " ") {
+			t.Errorf("%s is spelled in %v, want only %v", lit, where, want[lit])
+		}
+	}
+	if len(spelled) != len(want) {
+		t.Errorf("found %v, want each of %v", spelled, want)
+	}
+}
+
+func nonTestGoFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	all, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, f := range all {
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s", dir)
+	}
+	return files
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+func isEmptyInterface(e ast.Expr) bool {
+	it, ok := e.(*ast.InterfaceType)
+	return ok && len(it.Methods.List) == 0
 }

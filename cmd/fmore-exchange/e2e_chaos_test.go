@@ -164,6 +164,18 @@ func TestE2EChaos(t *testing.T) {
 	if !steered {
 		t.Fatal("router never steered bid traffic away from the degraded replica")
 	}
+	// Through the router, meanwhile, the healthy partition still takes
+	// durable writes and the degraded one still serves reads.
+	if st, body := httpDo(t, http.MethodPost, routerURL+"/v1/jobs/"+job1+"/bids",
+		`{"node_id":9,"qualities":[0.5,0.5],"payment":0.1}`); st != http.StatusAccepted {
+		t.Fatalf("healthy peer bid through the router: %d %s", st, body)
+	}
+	if st, body := httpDo(t, http.MethodPost, routerURL+"/v1/jobs/"+job1+"/close", ""); st != http.StatusOK {
+		t.Fatalf("healthy peer close through the router: %d %s", st, body)
+	}
+	if st, body := httpDo(t, http.MethodGet, routerURL+"/v1/jobs/"+job0+"/outcomes", ""); st != http.StatusOK {
+		t.Fatalf("degraded p0 read through the router: %d %s", st, body)
+	}
 
 	// kill -9 the degraded replica and restart it with a healthy disk.
 	if err := cmd0.Process.Kill(); err != nil {

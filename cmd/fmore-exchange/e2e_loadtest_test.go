@@ -13,8 +13,8 @@ import (
 )
 
 // TestE2ELoadtestSmoke is the CI capacity smoke: build the real exchange
-// with tight admission limits and the loadtest-tagged fmore-loadgen, run a
-// short spike through it, and assert the overload machinery actually
+// with tight admission limits and fmore-loadgen, run a short spike
+// through it, and assert the overload machinery actually
 // engaged — healthz flipped to 503 mid-burst and back to 200 after, the
 // driver saw sheds but zero close failures (its own exit gate), and the
 // admission_* Prometheus family is present and well formed.
@@ -27,7 +27,7 @@ func TestE2ELoadtestSmoke(t *testing.T) {
 	lgBin := filepath.Join(workDir, "fmore-loadgen")
 	for _, b := range []*exec.Cmd{
 		exec.Command("go", "build", "-o", exBin, "."),
-		exec.Command("go", "build", "-tags", "loadtest", "-o", lgBin, "../fmore-loadgen"),
+		exec.Command("go", "build", "-o", lgBin, "../fmore-loadgen"),
 	} {
 		b.Env = os.Environ()
 		if out, err := b.CombinedOutput(); err != nil {

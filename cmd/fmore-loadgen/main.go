@@ -3,12 +3,6 @@
 // sustains, where it breaks, and whether admission control keeps round
 // closes healthy while the exchange sheds.
 //
-// The driver is deliberately build-tagged: the default build is a stub so
-// `go build ./...` stays fast and dependency-light, and the real harness
-// compiles with
-//
-//	go build -tags loadtest ./cmd/fmore-loadgen
-//
 // Usage against a running exchange (start it with admission limits if you
 // want to see shedding):
 //
@@ -25,17 +19,6 @@
 //	stress    step-ramp x1.5 per step until served < 90% of the step's
 //	          target rate (catches shedding and saturation alike);
 //	          prints the last sustained step and the breaking point
-//	chaos     spawns its own two-replica cluster + router from real
-//	          binaries (-exchange-bin/-router-bin required; -target is
-//	          ignored), injects storage faults via FMORE_FAILPOINTS
-//	          (ENOSPC during compaction, a torn EIO frame write), then
-//	          kill -9s the degraded replica and restarts it — asserting
-//	          clean ENOSPC absorption, the 503 durability_lost degraded
-//	          contract, router steer-away, and that no outcome acked
-//	          before the failure is missing or altered after recovery:
-//
-//	          fmore-loadgen -scenario chaos \
-//	              -exchange-bin ./fmore-exchange -router-bin ./fmore-router
 //
 // Every scenario creates its own job, runs a closer goroutine that closes
 // rounds continuously (closes must never shed — any 429 on a close fails

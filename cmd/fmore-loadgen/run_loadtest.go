@@ -1,5 +1,3 @@
-//go:build loadtest
-
 package main
 
 import (
@@ -16,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fmore/pkg/api"
 )
 
 // The harness is open-loop: bids are fired on a fixed schedule derived
@@ -36,7 +36,7 @@ type config struct {
 func run() error {
 	var cfg config
 	flag.StringVar(&cfg.target, "target", "http://localhost:8780", "base URL of the exchange under test")
-	flag.StringVar(&cfg.scenario, "scenario", "baseline", "baseline | spike | soak | stress | chaos | all")
+	flag.StringVar(&cfg.scenario, "scenario", "baseline", "baseline | spike | soak | stress | all")
 	flag.Float64Var(&cfg.rate, "rate", 500, "offered bids/sec for baseline/soak; starting step for stress")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "base step duration (soak runs 3x this)")
 	flag.IntVar(&cfg.workers, "workers", 32, "concurrent submitter goroutines")
@@ -55,14 +55,7 @@ func run() error {
 		if c.job == "" || cfg.scenario == "all" {
 			c.job = "loadgen-" + sc
 		}
-		var err error
-		if sc == "chaos" {
-			// Chaos spawns its own faulted cluster; -target is unused.
-			err = runChaos(c)
-		} else {
-			err = runScenario(c)
-		}
-		if err != nil {
+		if err := runScenario(c); err != nil {
 			log.Printf("FAIL scenario=%s: %v", sc, err)
 			failed = true
 		}
@@ -192,9 +185,7 @@ func (d *driver) closerLoop(ctx context.Context) {
 			d.closeErrs.Add(1)
 			continue
 		}
-		var env struct {
-			Code string `json:"code"`
-		}
+		var env api.Error
 		_ = json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		switch {
@@ -203,7 +194,7 @@ func (d *driver) closerLoop(ctx context.Context) {
 		case resp.StatusCode == http.StatusTooManyRequests:
 			d.closeShed.Add(1)
 			continue
-		case env.Code == "below_quorum":
+		case env.Code == api.CodeBelowQuorum:
 			// An empty round is fine; it still proves the close path answers.
 		default:
 			d.closeErrs.Add(1)

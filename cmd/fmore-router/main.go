@@ -15,7 +15,12 @@
 // GET /v1/cluster/partitions, installs the newer map, and re-forwards the
 // buffered request once to the replica the refusal named. Requests
 // therefore converge in at most one retry, and the retry carries the
-// original Idempotency-Key so a redirected POST cannot double-apply.
+// original Idempotency-Key so a redirected POST cannot double-apply. The
+// rule is partition.Routes.Reaim, shared with pkg/client: the fetch runs
+// inside the one misdirected request, from the replica that refused it,
+// bounded and single-flight — concurrent misroutes re-forward at once
+// without fetching, and a failed fetch never fails the re-forward. A 421
+// that names no usable owner is relayed as the replica sent it.
 //
 // Routing rules:
 //
@@ -71,6 +76,7 @@ import (
 	"fmore/internal/admission"
 	"fmore/internal/fault"
 	"fmore/internal/partition"
+	"fmore/pkg/api"
 )
 
 // fpForward is the router's forward-path failpoint (see internal/fault):
@@ -98,59 +104,46 @@ var jobPathRe = regexp.MustCompile(`^/v1/jobs/([^/]+)(/.*)?$`)
 // router proxies exchange requests to the owning replica, retrying once on
 // wrong_partition with a refreshed map.
 type router struct {
-	routes *partition.Handle
+	routes partition.Routes
 	hc     *http.Client
 
-	mu       sync.Mutex
-	forwards map[string]*atomic.Int64  // per-partition forward counter
-	health   map[string]*replicaHealth // per-partition overload + breaker state
+	mu    sync.Mutex
+	parts map[string]*replicaState // per-partition counters and health, filled lazily
 
-	fanouts    atomic.Int64
-	retries    atomic.Int64
-	proxyErrs  atomic.Int64
-	sheds      atomic.Int64
-	refreshing atomic.Bool
+	fanouts   atomic.Int64
+	retries   atomic.Int64
+	proxyErrs atomic.Int64
+	sheds     atomic.Int64
 }
 
-// replicaHealth is what the router knows about one replica's ability to
-// take sheddable load: the overload bit its /v1/healthz advertised on the
-// last probe (with the replica's retry hint), and a circuit breaker fed by
+// replicaState is what the router knows about one partition's replica: how
+// many requests it forwarded there, and the replica's ability to take
+// sheddable load — the overload bit its /v1/healthz advertised on the last
+// probe (with the replica's retry hint), and a circuit breaker fed by
 // forward outcomes for replicas that stop answering entirely.
-type replicaHealth struct {
+type replicaState struct {
+	forwards     atomic.Int64
 	overloaded   atomic.Bool
 	retryAfterMS atomic.Int64
 	breaker      *admission.Breaker
 }
 
 func newRouter(m *partition.Map) *router {
-	return &router{
-		routes:   partition.NewHandle(m),
-		hc:       &http.Client{},
-		forwards: make(map[string]*atomic.Int64),
-		health:   make(map[string]*replicaHealth),
-	}
+	rt := &router{hc: &http.Client{}, parts: make(map[string]*replicaState)}
+	rt.routes.Store(m)
+	return rt
 }
 
-func (rt *router) forwardCounter(part string) *atomic.Int64 {
+// part returns the partition's state, minting it on first use.
+func (rt *router) part(id string) *replicaState {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	c := rt.forwards[part]
-	if c == nil {
-		c = &atomic.Int64{}
-		rt.forwards[part] = c
+	p := rt.parts[id]
+	if p == nil {
+		p = &replicaState{breaker: admission.NewBreaker(breakerThreshold, breakerCooldown)}
+		rt.parts[id] = p
 	}
-	return c
-}
-
-func (rt *router) healthFor(part string) *replicaHealth {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	h := rt.health[part]
-	if h == nil {
-		h = &replicaHealth{breaker: admission.NewBreaker(breakerThreshold, breakerCooldown)}
-		rt.health[part] = h
-	}
-	return h
+	return p
 }
 
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -180,49 +173,45 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Bid submits are the only load the router sheds: fail fast while the
 	// replica advertises overload (healthz probe) or has stopped answering
 	// (open breaker), instead of adding our connection to its pile.
-	health := rt.healthFor(target.Partition)
+	rep := rt.part(target.Partition)
 	if sheddable(r) {
-		if health.overloaded.Load() {
+		if rep.overloaded.Load() {
 			rt.sheds.Add(1)
-			shedOverloaded(w, health.retryAfterMS.Load())
+			shedOverloaded(w, rep.retryAfterMS.Load())
 			return
 		}
-		if !health.breaker.Allow(time.Now().UnixNano()) {
+		if !rep.breaker.Allow(time.Now().UnixNano()) {
 			rt.sheds.Add(1)
 			shedOverloaded(w, defaultShedRetryMS)
 			return
 		}
 	}
-	rt.forwardCounter(target.Partition).Add(1)
+	rep.forwards.Add(1)
 
 	resp, err := rt.send(r, target.URL, body)
 	if err != nil {
-		health.breaker.Failure(time.Now().UnixNano())
+		rep.breaker.Failure(time.Now().UnixNano())
 		rt.proxyErrs.Add(1)
 		proxyError(w, http.StatusBadGateway, "forwarding to "+target.Partition+": "+err.Error())
 		return
 	}
-	health.breaker.Success()
+	rep.breaker.Success()
 	// A replica that does not own the job answers 421 with the owner's URL:
 	// refresh the map (a version bump is the usual cause) and re-forward the
 	// buffered request once. The replayed request is byte-identical,
 	// Idempotency-Key included, so redirected POSTs stay exactly-once.
-	if resp.StatusCode == http.StatusMisdirectedRequest {
-		ownerURL, ownerPart := misdirectTarget(resp) // consumes the 421 body
-		go rt.refreshMap(r.Context(), target.URL)
-		if ownerURL == "" {
-			rt.proxyErrs.Add(1)
-			proxyError(w, http.StatusBadGateway, "replica "+target.Partition+" refused the request without naming an owner")
-			return
+	if owner, ok := rt.routes.Reaim(r.Context(), rt.hc, target.URL, resp); ok {
+		if cur := rt.routes.Load(); cur != m {
+			log.Printf("partition map advanced to version %d (%s)", cur.Version, cur.Spec())
 		}
 		rt.retries.Add(1)
-		if ownerPart != "" {
-			rt.forwardCounter(ownerPart).Add(1)
+		if owner.Partition != "" {
+			rt.part(owner.Partition).forwards.Add(1)
 		}
-		resp, err = rt.send(r, ownerURL, body)
+		resp, err = rt.send(r, owner.URL, body)
 		if err != nil {
 			rt.proxyErrs.Add(1)
-			proxyError(w, http.StatusBadGateway, "retrying on "+ownerURL+": "+err.Error())
+			proxyError(w, http.StatusBadGateway, "retrying on "+owner.URL+": "+err.Error())
 			return
 		}
 	}
@@ -231,9 +220,6 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // target resolves the replica a request belongs to.
 func (rt *router) target(r *http.Request, m *partition.Map, body []byte) (partition.Replica, bool) {
-	if m == nil {
-		return partition.Replica{}, false
-	}
 	if sub := jobPathRe.FindStringSubmatch(r.URL.Path); sub != nil {
 		if id, err := url.PathUnescape(sub[1]); err == nil {
 			if owner, ok := m.Owner(id); ok {
@@ -242,10 +228,9 @@ func (rt *router) target(r *http.Request, m *partition.Map, body []byte) (partit
 		}
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-		var spec struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(body, &spec) == nil && spec.ID != "" {
+		var spec api.JobRequest
+		_ = json.Unmarshal(body, &spec) // only the id matters; the rest is the owner's to judge
+		if spec.ID != "" {
 			if owner, ok := m.Owner(spec.ID); ok {
 				return owner, true
 			}
@@ -265,7 +250,7 @@ func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Ma
 	primary, _ := m.Default()
 	var primaryResp *http.Response
 	for _, rep := range m.Partitions {
-		rt.forwardCounter(rep.Partition).Add(1)
+		rt.part(rep.Partition).forwards.Add(1)
 		resp, err := rt.send(r, rep.URL, body)
 		if err != nil {
 			rt.proxyErrs.Add(1)
@@ -339,10 +324,10 @@ func shedOverloaded(w http.ResponseWriter, retryMS int64) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusTooManyRequests)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"code":           "overloaded",
-		"message":        "replica is overloaded; retry after the hint",
-		"retry_after_ms": retryMS,
+	_ = json.NewEncoder(w).Encode(api.Error{
+		Code:         api.CodeOverloaded,
+		Message:      "replica is overloaded; retry after the hint",
+		RetryAfterMS: retryMS,
 	})
 }
 
@@ -372,7 +357,7 @@ func (rt *router) probeOnce(ctx context.Context) {
 		return
 	}
 	for _, rep := range m.Partitions {
-		h := rt.healthFor(rep.Partition)
+		h := rt.part(rep.Partition)
 		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		req, err := http.NewRequestWithContext(pctx, http.MethodGet,
 			strings.TrimRight(rep.URL, "/")+"/v1/healthz", nil)
@@ -385,9 +370,7 @@ func (rt *router) probeOnce(ctx context.Context) {
 			cancel()
 			continue
 		}
-		var hz struct {
-			RetryAfterMS int64 `json:"retry_after_ms"`
-		}
+		var hz api.Healthz
 		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&hz)
 		resp.Body.Close()
 		cancel()
@@ -397,47 +380,6 @@ func (rt *router) probeOnce(ctx context.Context) {
 		} else {
 			h.overloaded.Store(false)
 		}
-	}
-}
-
-// misdirectTarget extracts the owning replica from a wrong_partition
-// envelope, consuming (and restoring nothing of) the 421 response.
-func misdirectTarget(resp *http.Response) (ownerURL, ownerPartition string) {
-	defer resp.Body.Close()
-	var envelope partition.Misdirect
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&envelope); err != nil {
-		return "", ""
-	}
-	return strings.TrimRight(envelope.ReplicaURL, "/"), envelope.Partition
-}
-
-// refreshMap re-fetches the cluster map from a replica and installs it if
-// newer. Only one refresh runs at a time; concurrent misroutes piggyback.
-func (rt *router) refreshMap(ctx context.Context, fromURL string) {
-	if !rt.refreshing.CompareAndSwap(false, true) {
-		return
-	}
-	defer rt.refreshing.Store(false)
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(fromURL, "/")+"/v1/cluster/partitions", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	m, err := partition.DecodeMap(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return
-	}
-	if rt.routes.Advance(m) {
-		log.Printf("partition map advanced to version %d (%s)", m.Version, m.Spec())
 	}
 }
 
@@ -488,7 +430,7 @@ func isHopByHop(header string) bool {
 func proxyError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{"code": "router_error", "message": msg})
+	_ = json.NewEncoder(w).Encode(api.Error{Code: api.CodeRouterError, Message: msg})
 }
 
 // metrics serves the router's counters in Prometheus text format 0.0.4.
@@ -498,13 +440,16 @@ func (rt *router) metrics(w http.ResponseWriter) {
 	b.WriteString("# HELP fmore_router_forward_total Requests forwarded to each replica, by partition.\n")
 	b.WriteString("# TYPE fmore_router_forward_total counter\n")
 	rt.mu.Lock()
-	parts := make([]string, 0, len(rt.forwards))
-	for p := range rt.forwards {
+	parts := make([]string, 0, len(rt.parts))
+	for p := range rt.parts {
 		parts = append(parts, p)
 	}
 	sort.Strings(parts)
 	for _, p := range parts {
-		fmt.Fprintf(&b, "fmore_router_forward_total{partition=%q} %d\n", p, rt.forwards[p].Load())
+		// A partition that was only ever probed has no sample yet.
+		if n := rt.parts[p].forwards.Load(); n > 0 {
+			fmt.Fprintf(&b, "fmore_router_forward_total{partition=%q} %d\n", p, n)
+		}
 	}
 	rt.mu.Unlock()
 	b.WriteString("# HELP fmore_router_fanout_total Node-registry writes fanned out to every replica.\n")

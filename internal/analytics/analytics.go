@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"fmore/internal/exchange"
+	"fmore/pkg/api"
 )
 
 // Defaults for Options.
@@ -54,64 +55,14 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Rollup is one aggregate view — either windowed or lifetime — of a job's
-// or node's auction activity. Node rollups leave the round fields zero
-// (rounds are a job-level event).
-type Rollup struct {
-	// Rounds and RoundsFailed count completed round closes.
-	Rounds       int64 `json:"rounds"`
-	RoundsFailed int64 `json:"rounds_failed"`
-	// Bids counts accepted bids; Wins counts selected ones.
-	Bids int64 `json:"bids"`
-	Wins int64 `json:"wins"`
-	// WinRate is Wins/Bids (0 when no bids).
-	WinRate float64 `json:"win_rate"`
-	// TotalPayment sums granted payments (for a job: across its rounds;
-	// for a node: what the node was paid).
-	TotalPayment float64 `json:"total_payment"`
-	// AggregatorProfit sums round profits (jobs only).
-	AggregatorProfit float64 `json:"aggregator_profit"`
-	// AvgRoundLatencyMS / MaxRoundLatencyMS summarize close latency
-	// (jobs only).
-	AvgRoundLatencyMS float64 `json:"avg_round_latency_ms"`
-	MaxRoundLatencyMS float64 `json:"max_round_latency_ms"`
-}
-
-// PriceHistogram is a fixed-bucket bid-price distribution: Counts[i] is
-// the number of accepted bids with price <= Bounds[i], Counts[len(Bounds)]
-// catches the rest. Bounds are parallel (not a map keyed by +Inf) so the
-// histogram JSON-encodes cleanly.
-type PriceHistogram struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-}
-
-// JobStats is the payload of GET /v1/jobs/{id}/stats.
-type JobStats struct {
-	Job       string `json:"job"`
-	WindowSec int64  `json:"window_sec"`
-	// Window covers roughly the last WindowSec seconds; Lifetime covers
-	// everything since the aggregator attached.
-	Window   Rollup `json:"window"`
-	Lifetime Rollup `json:"lifetime"`
-	// PriceHistogram is the windowed distribution of accepted bid prices.
-	PriceHistogram PriceHistogram `json:"price_histogram"`
-}
-
-// NodeStats is the payload of GET /v1/nodes/{id}/stats.
-type NodeStats struct {
-	Node      int    `json:"node"`
-	WindowSec int64  `json:"window_sec"`
-	Window    Rollup `json:"window"`
-	Lifetime  Rollup `json:"lifetime"`
-	// PriceHistogram is the windowed distribution of the node's accepted
-	// bid prices.
-	PriceHistogram PriceHistogram `json:"price_histogram"`
-	// LastBidMS / LastWinMS are unix-millisecond timestamps of the node's
-	// most recent accepted bid and win (0 = never).
-	LastBidMS int64 `json:"last_bid_ms"`
-	LastWinMS int64 `json:"last_win_ms"`
-}
+// The stats endpoints' payloads are part of the /v1 contract and declared
+// in pkg/api; the aggregator fills them under these names.
+type (
+	Rollup         = api.Rollup
+	PriceHistogram = api.PriceHistogram
+	JobStats       = api.JobStats
+	NodeStats      = api.NodeStats
+)
 
 // tally is what every entity accumulates, per bucket and for life.
 type tally struct {

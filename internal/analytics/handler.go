@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"fmore/internal/exchange"
+	"fmore/pkg/api"
 )
 
 // NewHandler wraps the exchange's HTTP handler with the analytics
@@ -39,7 +40,7 @@ func (h *handler) jobStats(w http.ResponseWriter, r *http.Request) {
 		// The aggregator has seen nothing — distinguish a quiet job from a
 		// nonexistent one against the live exchange.
 		if _, hosted := h.ex.Job(id); !hosted {
-			writeErr(w, http.StatusNotFound, "unknown_job", "unknown job "+strconv.Quote(id))
+			writeErr(w, http.StatusNotFound, api.CodeUnknownJob, "unknown job "+strconv.Quote(id))
 			return
 		}
 		st = JobStats{Job: id, WindowSec: int64(h.agg.window.Seconds()), PriceHistogram: h.emptyHist()}
@@ -50,13 +51,13 @@ func (h *handler) jobStats(w http.ResponseWriter, r *http.Request) {
 func (h *handler) nodeStats(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid_request", "bad node id "+strconv.Quote(r.PathValue("id")))
+		writeErr(w, http.StatusBadRequest, api.CodeInvalidRequest, "bad node id "+strconv.Quote(r.PathValue("id")))
 		return
 	}
 	st, ok := h.agg.NodeStats(id)
 	if !ok {
 		if _, known := h.ex.Registry().Lookup(id); !known {
-			writeErr(w, http.StatusNotFound, "not_found", "unknown node "+strconv.Itoa(id))
+			writeErr(w, http.StatusNotFound, api.CodeNotFound, "unknown node "+strconv.Itoa(id))
 			return
 		}
 		st = NodeStats{Node: id, WindowSec: int64(h.agg.window.Seconds()), PriceHistogram: h.emptyHist()}
@@ -80,8 +81,5 @@ func writeJSON(w http.ResponseWriter, v any) {
 func writeErr(w http.ResponseWriter, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}{code, message})
+	_ = json.NewEncoder(w).Encode(api.Error{Code: code, Message: message})
 }

@@ -185,8 +185,8 @@
 // cmd/fmore-exchange exposes the choice as -on-wal-failure degrade|failstop.
 // The failpoint framework (internal/fault, FMORE_FAILPOINTS) exists to
 // prove all of the above deterministically: the crash-matrix tests (file
-// level in internal/wal, outcome level here) and the chaos harness
-// (fmore-loadgen -scenario chaos, TestE2EChaos) inject torn writes, EIO
+// level in internal/wal, outcome level here) and the chaos e2e test
+// (TestE2EChaos in cmd/fmore-exchange) inject torn writes, EIO
 // and ENOSPC at every stage and assert the contract, including
 // byte-identical recovery of every acknowledged outcome outside the
 // group-commit window.
@@ -267,6 +267,17 @@
 //	admission_sse_active        gauge      SSE streams currently registered
 //	admission_overloaded        gauge      1 while /v1/healthz answers 503, else 0
 //
+// A partitioned replica adds its topology (absent otherwise):
+//
+//	partition_id                gauge      constant 1; the served partition is the partition= label
+//	partition_map_version       gauge      version of the cluster map the replica routes by
+//	wrong_partition_total       counter    job-scoped requests refused because the map places the job elsewhere
+//
+// TestMetricCatalogAgrees holds the three statements of this catalog
+// together: every field of the JSON snapshot (api.Metrics) is rendered on
+// the page or listed there as JSON-only, and every family on the page has
+// its row here.
+//
 // The histogram is bucketed at write time (one atomic add per close) and
 // cumulated at scrape; its _count equals rounds_total, so the two read
 // consistently under concurrent closes.
@@ -314,11 +325,15 @@
 // # The /v1 API
 //
 // NewHandler exposes the service over a versioned HTTP/JSON surface; see
-// its doc comment for the route table. The v1 contract, which the
-// pkg/client SDK (the supported Go consumer) wraps:
+// its doc comment for the route table. Every body on it — requests,
+// responses, event payloads, the error envelope and its codes — is declared
+// once, in pkg/api: this package encodes those types, pkg/client aliases
+// them and cmd/fmore-router answers in them (TestWireDeclaredOnce keeps it
+// that way). The v1 contract, which the pkg/client SDK (the supported Go
+// consumer) wraps:
 //
-//   - Uniform errors. Every failure is {code, message, retry_after_ms?}
-//     with Content-Type application/json; code is stable API surface
+//   - Uniform errors. Every failure is api.Error, {code, message,
+//     retry_after_ms?}, as application/json; code is stable API surface
 //     (unknown_job, duplicate_bid, job_closed, below_quorum, timeout, …)
 //     mapped from the package's sentinel errors by classify.
 //   - Idempotency. POST /v1/jobs and POST /v1/jobs/{id}/bids honor an
@@ -372,10 +387,11 @@
 //     rides the existing job-lookup miss.
 //
 // GET /v1/cluster/partitions serves the replica's current map (404 on an
-// unpartitioned exchange). Consumers converge in at most one retry: the
-// pkg/client SDK re-aims a refused request at the URL in the envelope
-// (carrying the same Idempotency-Key, so redirected POSTs stay
-// exactly-once) and refreshes its map; cmd/fmore-router does the same as a
+// unpartitioned exchange). Consumers converge in at most one retry, by one
+// rule (partition.Routes.Reaim): the pkg/client SDK re-aims a refused
+// request — event streams included — at the URL in the envelope (carrying
+// the same Idempotency-Key, so redirected POSTs stay exactly-once) and
+// refreshes its map from the refuser; cmd/fmore-router does the same as a
 // reverse proxy for clients that want a single endpoint. A partitioned
 // replica opened with Open(dir, opts) keeps its WAL and snapshots under
 // dir/replica-<partition>, so replicas may share a data-dir parent without

@@ -16,6 +16,7 @@ import (
 	"fmore/internal/admission"
 	"fmore/internal/auction"
 	"fmore/internal/partition"
+	"fmore/pkg/api"
 )
 
 // maxWait caps how long GET /v1/jobs/{id}/outcome?wait=1 blocks.
@@ -25,52 +26,6 @@ const maxWait = 30 * time.Second
 // and idle-connection reapers see traffic even on a quiet job. Tests shorten
 // it.
 var sseHeartbeat = 15 * time.Second
-
-// Error codes of the v1 error envelope. Every error response is
-//
-//	{"code": "...", "message": "...", "retry_after_ms": N?}
-//
-// with Content-Type application/json; code is stable API surface, message is
-// human-readable detail.
-const (
-	codeInvalidRequest = "invalid_request"
-	codeNotFound       = "not_found"
-	codeNotAllowed     = "method_not_allowed"
-	codeUnknownJob     = "unknown_job"
-	codeRoundPending   = "round_pending"
-	codeNoStrategy     = "no_strategy"
-	codeOutcomeEvicted = "outcome_evicted"
-	codeDuplicateBid   = "duplicate_bid"
-	codeJobClosed      = "job_closed"
-	codeBelowQuorum    = "below_quorum"
-	codeExchangeClosed = "exchange_closed"
-	codeNotRegistered  = "not_registered"
-	codeBlacklisted    = "blacklisted"
-	codeTimeout        = "timeout"
-	codeInternal       = "internal_error"
-	// codeOverloaded (429) means the admission controller shed the request
-	// (rate limit or in-flight cap); the envelope's retry_after_ms says when
-	// to try again. Deliberate backpressure — retryable by contract.
-	codeOverloaded = "overloaded"
-	// codeWrongPartition (421 Misdirected Request) means the cluster map
-	// places the job on another replica; the envelope carries that replica's
-	// base URL so the caller can re-aim in one hop.
-	codeWrongPartition = "wrong_partition"
-	// codeDurabilityLost (503) means the replica's outcome log took a
-	// sticky error and it refuses durable writes (degraded mode). Reads
-	// keep serving; clients should retry the write against a healthy
-	// replica after refreshing the partition map.
-	codeDurabilityLost = "durability_lost"
-)
-
-// errorEnvelope is the uniform v1 error shape. The partition.Misdirect
-// fields are set only on wrong_partition responses.
-type errorEnvelope struct {
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	partition.Misdirect
-}
 
 // NewHandler returns the exchange's HTTP front end. The versioned surface
 // lives under /v1:
@@ -134,11 +89,11 @@ func NewHandler(ex *Exchange) http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if allowed := allowedMethods(mux, r); len(allowed) > 0 {
 			w.Header().Set("Allow", strings.Join(allowed, ", "))
-			writeError(w, http.StatusMethodNotAllowed, codeNotAllowed,
+			writeError(w, http.StatusMethodNotAllowed, api.CodeNotAllowed,
 				fmt.Sprintf("%s not allowed for %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allowed, ", ")))
 			return
 		}
-		writeError(w, http.StatusNotFound, codeNotFound,
+		writeError(w, http.StatusNotFound, api.CodeNotFound,
 			fmt.Sprintf("no route for %s %s (the versioned API lives under /v1)", r.Method, r.URL.Path))
 	})
 	return mux
@@ -324,101 +279,12 @@ func (h *handler) idemBegin(w http.ResponseWriter, r *http.Request, op, scope st
 	}
 }
 
-// --- request/response shapes ------------------------------------------------
-
-// jobRequest is the POST /v1/jobs payload.
-type jobRequest struct {
-	ID          string           `json:"id,omitempty"`
-	Rule        auction.RuleSpec `json:"rule"`
-	K           int              `json:"k"`
-	Payment     string           `json:"payment,omitempty"` // "first-price" (default) | "second-price"
-	Psi         float64          `json:"psi,omitempty"`
-	Seed        int64            `json:"seed,omitempty"`
-	BidWindowMS int64            `json:"bid_window_ms,omitempty"` // 0 = manual rounds
-	MaxRounds   int              `json:"max_rounds,omitempty"`
-	MinBids     int              `json:"min_bids,omitempty"`
-	// KeepOutcomes bounds the job's retained outcome history (0 = server
-	// default of 128); older rounds answer 410 Gone.
-	KeepOutcomes int `json:"keep_outcomes,omitempty"`
-	// Equilibrium optionally describes the bidder-side game; with it the
-	// job serves GET /v1/jobs/{id}/strategy so clients can bid the Theorem 1
-	// equilibrium without solving it locally.
-	Equilibrium *auction.EquilibriumSpec `json:"equilibrium,omitempty"`
-}
-
-// jobResponse describes a hosted job, spec and window behavior included so
-// clients can see how much history is retained and how rounds are driven.
-type jobResponse struct {
-	ID           string `json:"id"`
-	State        string `json:"state"`
-	Round        int    `json:"round"`
-	PendingBids  int    `json:"pending_bids"`
-	Rule         string `json:"rule"`
-	K            int    `json:"k"`
-	BidWindowMS  int64  `json:"bid_window_ms"` // 0 = manual rounds
-	MaxRounds    int    `json:"max_rounds"`
-	MinBids      int    `json:"min_bids"`
-	KeepOutcomes int    `json:"keep_outcomes"`
-	// HasStrategy reports whether GET /v1/jobs/{id}/strategy is available.
-	HasStrategy bool `json:"has_strategy"`
-}
-
-// jobListResponse is the GET /v1/jobs page.
-type jobListResponse struct {
-	Jobs []jobResponse `json:"jobs"`
-	// NextCursor, when non-empty, fetches the next page via ?cursor=.
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// bidRequest is the POST /v1/jobs/{id}/bids payload.
-type bidRequest struct {
-	NodeID    int       `json:"node_id"`
-	Qualities []float64 `json:"qualities"`
-	Payment   float64   `json:"payment"`
-	Meta      string    `json:"meta,omitempty"`
-}
-
-// winnerJSON is one selected bid in an outcome response. BidPayment is the
-// payment the bid asked for; Payment is what the aggregator pays (they
-// differ under the second-price rule).
-type winnerJSON struct {
-	NodeID     int       `json:"node_id"`
-	Score      float64   `json:"score"`
-	Payment    float64   `json:"payment"`
-	BidPayment float64   `json:"bid_payment"`
-	Qualities  []float64 `json:"qualities"`
-}
-
-// outcomeResponse is the GET /v1/jobs/{id}/outcome payload, and the data of
-// round_closed events. Error is set (and the winner fields zero) when the
-// round failed.
-type outcomeResponse struct {
-	Job              string       `json:"job"`
-	Round            int          `json:"round"`
-	NumBids          int          `json:"num_bids"`
-	LatencyMS        float64      `json:"latency_ms"`
-	Winners          []winnerJSON `json:"winners"`
-	TotalPayment     float64      `json:"total_payment"`
-	AggregatorProfit float64      `json:"aggregator_profit"`
-	// Scores is indexed by the round's bids in ascending node-ID order.
-	Scores []float64 `json:"scores"`
-	Error  string    `json:"error,omitempty"`
-}
-
-// outcomeListResponse is the GET /v1/jobs/{id}/outcomes page.
-type outcomeListResponse struct {
-	Outcomes []outcomeResponse `json:"outcomes"`
-	// NextCursor, when non-empty, is the round number to pass as ?cursor=
-	// for the next page.
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
 // --- handlers ---------------------------------------------------------------
 
 func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxIdempotentBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("reading job spec: %v", err))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading job spec: %v", err))
 		return
 	}
 	tok, handled := h.idemBegin(w, r, "create-job", "", raw)
@@ -426,14 +292,14 @@ func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer tok.abort()
-	var req jobRequest
+	var req api.JobRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("decoding job spec: %v", err))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding job spec: %v", err))
 		return
 	}
 	rule, err := req.Rule.Build()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, err.Error())
 		return
 	}
 	var payment auction.PaymentRule
@@ -443,7 +309,7 @@ func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
 	case "second-price":
 		payment = auction.SecondPrice
 	default:
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("unknown payment rule %q", req.Payment))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("unknown payment rule %q", req.Payment))
 		return
 	}
 	job, err := h.ex.CreateJob(JobSpec{
@@ -468,7 +334,7 @@ func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
 func (h *handler) listJobs(w http.ResponseWriter, r *http.Request) {
 	limit, err := parseLimit(r.URL.Query().Get("limit"), 100, 1000)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, err.Error())
 		return
 	}
 	cursor := r.URL.Query().Get("cursor")
@@ -478,8 +344,8 @@ func (h *handler) listJobs(w http.ResponseWriter, r *http.Request) {
 			ids = ids[1:]
 		}
 	}
-	var resp jobListResponse
-	resp.Jobs = make([]jobResponse, 0, min(limit, len(ids)))
+	var resp api.JobList
+	resp.Jobs = make([]api.Job, 0, min(limit, len(ids)))
 	for _, id := range ids {
 		if len(resp.Jobs) == limit {
 			resp.NextCursor = resp.Jobs[len(resp.Jobs)-1].ID
@@ -526,7 +392,7 @@ func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxIdempotentBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("reading bid: %v", err))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading bid: %v", err))
 		return
 	}
 	tok, handled := h.idemBegin(w, r, "submit-bid", jobID, raw)
@@ -534,9 +400,9 @@ func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer tok.abort()
-	var req bidRequest
+	var req api.Bid
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("decoding bid: %v", err))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding bid: %v", err))
 		return
 	}
 	round, err := h.ex.SubmitBid(jobID, auction.Bid{
@@ -555,7 +421,7 @@ func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
 	if req.Meta != "" && !h.ex.opts.RequireRegistration {
 		h.ex.RegisterNode(req.NodeID, req.Meta)
 	}
-	h.writeJSONIdempotent(w, http.StatusAccepted, map[string]any{"job": jobID, "round": round}, &tok)
+	h.writeJSONIdempotent(w, http.StatusAccepted, api.BidAck{Job: jobID, Round: round}, &tok)
 }
 
 func (h *handler) removeJob(w http.ResponseWriter, r *http.Request) {
@@ -563,7 +429,7 @@ func (h *handler) removeJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"job": r.PathValue("id"), "removed": true})
+	writeJSON(w, http.StatusOK, api.JobRemoved{Job: r.PathValue("id"), Removed: true})
 }
 
 // closeRound closes the collecting round now. An already-closed job answers
@@ -588,7 +454,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("wait"); s != "" {
 		v, err := strconv.ParseBool(s)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad wait %q (want a boolean)", s))
+			writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad wait %q (want a boolean)", s))
 			return
 		}
 		wait = v
@@ -596,7 +462,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 	if q.Get("round") == "" && !wait {
 		ro, ok := job.Latest()
 		if !ok {
-			writeError(w, http.StatusNotFound, codeRoundPending, "no completed rounds yet")
+			writeError(w, http.StatusNotFound, api.CodeRoundPending, "no completed rounds yet")
 			return
 		}
 		if ro.Err != nil {
@@ -618,7 +484,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 		if s := q.Get("round"); s != "" {
 			n, perr := strconv.Atoi(s)
 			if perr != nil {
-				writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad round %q", s))
+				writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad round %q", s))
 				return
 			}
 			ro, err = job.WaitOutcome(ctx, n)
@@ -637,7 +503,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := strconv.Atoi(q.Get("round"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad round %q", q.Get("round")))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad round %q", q.Get("round")))
 		return
 	}
 	ro, err := job.Outcome(n)
@@ -658,19 +524,19 @@ func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 	}
 	limit, err := parseLimit(r.URL.Query().Get("limit"), 100, 1000)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, err.Error())
 		return
 	}
 	after := 0
 	if s := r.URL.Query().Get("cursor"); s != "" {
 		after, err = strconv.Atoi(s)
 		if err != nil || after < 0 {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad cursor %q (want a round number)", s))
+			writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad cursor %q (want a round number)", s))
 			return
 		}
 	}
 	page, more := job.OutcomesAfter(after, limit)
-	resp := outcomeListResponse{Outcomes: make([]outcomeResponse, len(page))}
+	resp := api.OutcomeList{Outcomes: make([]api.Outcome, len(page))}
 	for i, ro := range page {
 		resp.Outcomes[i] = outcomeView(ro)
 	}
@@ -683,7 +549,7 @@ func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 // events streams the job's round lifecycle as Server-Sent Events:
 //
 //	event: round_open    data: {"job": "...", "round": N}
-//	event: round_closed  data: <outcomeResponse>   (id: round number)
+//	event: round_closed  data: <api.Outcome>   (id: round number)
 //	event: job_closed    data: {"job": "..."}
 //
 // round_closed events carry the outcome inline and an SSE id equal to the
@@ -700,7 +566,7 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, codeInternal, "response writer does not support streaming")
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, "response writer does not support streaming")
 		return
 	}
 	after := 0
@@ -711,7 +577,7 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	if lastID != "" {
 		n, err := strconv.Atoi(lastID)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad Last-Event-ID %q (want a round number)", lastID))
+			writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad Last-Event-ID %q (want a round number)", lastID))
 			return
 		}
 		after = n
@@ -742,11 +608,11 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		writeSSE(w, strconv.Itoa(ro.Round), EventRoundClosed, outcomeView(ro))
 	}
 	if sub == nil {
-		writeSSE(w, "", EventJobClosed, map[string]string{"job": job.ID()})
+		writeSSE(w, "", EventJobClosed, api.JobClosed{Job: job.ID()})
 		flusher.Flush()
 		return
 	}
-	writeSSE(w, "", EventRoundOpen, map[string]any{"job": job.ID(), "round": cur})
+	writeSSE(w, "", EventRoundOpen, api.RoundOpen{Job: job.ID(), Round: cur})
 	flusher.Flush()
 
 	ticker := time.NewTicker(sseHeartbeat)
@@ -768,9 +634,9 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 			case EventRoundClosed:
 				writeSSE(w, strconv.Itoa(ev.Round), EventRoundClosed, outcomeView(*ev.Outcome))
 			case EventRoundOpen:
-				writeSSE(w, "", EventRoundOpen, map[string]any{"job": ev.Job, "round": ev.Round})
+				writeSSE(w, "", EventRoundOpen, api.RoundOpen{Job: ev.Job, Round: ev.Round})
 			case EventJobClosed:
-				writeSSE(w, "", EventJobClosed, map[string]string{"job": ev.Job})
+				writeSSE(w, "", EventJobClosed, api.JobClosed{Job: ev.Job})
 				flusher.Flush()
 				return
 			}
@@ -792,19 +658,6 @@ func writeSSE(w http.ResponseWriter, id, event string, data any) {
 	_, _ = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 }
 
-// strategyResponse is the GET /v1/jobs/{id}/strategy payload: the
-// equilibrium bid curve sampled over the θ support. Clients interpolate
-// linearly between points to obtain their own (quality, payment) bid.
-type strategyResponse struct {
-	Job     string                  `json:"job"`
-	Rule    string                  `json:"rule"`
-	N       int                     `json:"n"`
-	K       int                     `json:"k"`
-	ThetaLo float64                 `json:"theta_lo"`
-	ThetaHi float64                 `json:"theta_hi"`
-	Points  []auction.StrategyPoint `json:"points"`
-}
-
 // defaultStrategySamples balances curve fidelity against payload size; the
 // solver's own θ grid has 129 points, so more than that adds nothing.
 const defaultStrategySamples = 33
@@ -818,7 +671,7 @@ func (h *handler) strategy(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("samples"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 2 || n > 1024 {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad samples %q (want an integer in [2, 1024])", s))
+			writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad samples %q (want an integer in [2, 1024])", s))
 			return
 		}
 		samples = n
@@ -830,7 +683,7 @@ func (h *handler) strategy(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := job.Spec()
 	lo, hi := strat.ThetaSupport()
-	writeJSON(w, http.StatusOK, strategyResponse{
+	writeJSON(w, http.StatusOK, api.Strategy{
 		Job:     job.ID(),
 		Rule:    spec.Auction.Rule.Name(),
 		N:       spec.Equilibrium.N,
@@ -842,31 +695,28 @@ func (h *handler) strategy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) registerNode(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		NodeID int    `json:"node_id"`
-		Meta   string `json:"meta,omitempty"`
-	}
+	var req api.NodeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("decoding node: %v", err))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding node: %v", err))
 		return
 	}
 	info := h.ex.RegisterNode(req.NodeID, req.Meta)
-	writeJSON(w, http.StatusOK, map[string]any{"node_id": info.ID, "bids": info.Bids()})
+	writeJSON(w, http.StatusOK, api.NodeRegistered{Bids: info.Bids(), NodeID: info.ID})
 }
 
 func (h *handler) blacklistNode(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, fmt.Sprintf("bad node id %q", r.PathValue("id")))
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad node id %q", r.PathValue("id")))
 		return
 	}
 	// BlacklistNode (not Registry().Blacklist) so the ban lands in the
 	// outcome log and survives a restart.
 	if !h.ex.BlacklistNode(id) {
-		writeError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("node %d is not registered", id))
+		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("node %d is not registered", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"node_id": id, "blacklisted": true})
+	writeJSON(w, http.StatusOK, api.NodeBlacklisted{Blacklisted: true, NodeID: id})
 }
 
 func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
@@ -876,34 +726,16 @@ func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
 // clusterPartitions serves the replica's cluster map. An unpartitioned
 // exchange answers 404 not_found — the SDK treats that as "routing off".
 func (h *handler) clusterPartitions(w http.ResponseWriter, _ *http.Request) {
-	p := h.ex.Partition()
-	var m *partition.Map
-	if p != nil {
-		m = p.Map.Load()
-	}
+	m := h.ex.PartitionMap()
 	if m == nil {
-		writeError(w, http.StatusNotFound, codeNotFound, "exchange is not partitioned")
+		writeError(w, http.StatusNotFound, api.CodeNotFound, "exchange is not partitioned")
 		return
 	}
 	writeJSON(w, http.StatusOK, partition.Document{
 		Version:    m.Version,
-		Local:      p.Local,
+		Local:      h.ex.Partition().Local,
 		Partitions: m.Partitions,
 	})
-}
-
-// healthzResponse is the GET /v1/healthz payload. status is "ok",
-// "overloaded" (admission backpressure, clears on its own) or "degraded"
-// (durability lost, clears only on restart/failover); the admission_*
-// fields mirror the controller's accounting (all zero when admission is
-// disabled).
-type healthzResponse struct {
-	Status        string `json:"status"`
-	RetryAfterMS  int64  `json:"retry_after_ms,omitempty"`
-	WalFailedUnix int64  `json:"wal_failed_unix,omitempty"`
-	Inflight      int64  `json:"admission_inflight"`
-	ShedTotal     int64  `json:"admission_shed_total"`
-	SSEActive     int64  `json:"admission_sse_active"`
 }
 
 // healthz is the health probe for routers and load balancers: 200 while
@@ -915,7 +747,7 @@ type healthzResponse struct {
 // is reported with or without an admission controller installed. The
 // handler itself is never shed — a prober must always get an answer.
 func (h *handler) healthz(w http.ResponseWriter, _ *http.Request) {
-	resp := healthzResponse{Status: "ok"}
+	resp := api.Healthz{Status: "ok"}
 	if adm := h.ex.Admission(); adm != nil {
 		st := adm.Stats()
 		resp.Inflight = st.Inflight
@@ -945,9 +777,9 @@ func (h *handler) metricsPrometheus(w http.ResponseWriter, _ *http.Request) {
 	_ = writePrometheus(w, h.ex)
 }
 
-func jobView(j *Job) jobResponse {
+func jobView(j *Job) api.Job {
 	spec := j.Spec()
-	return jobResponse{
+	return api.Job{
 		ID:           j.ID(),
 		State:        j.State(),
 		Round:        j.Round(),
@@ -965,8 +797,8 @@ func jobView(j *Job) jobResponse {
 // outcomeView renders a round for the wire. Failed rounds carry their error
 // string (events and the outcome listing must represent them); the scalar
 // outcome endpoints never reach this path with a failed round.
-func outcomeView(ro RoundOutcome) outcomeResponse {
-	resp := outcomeResponse{
+func outcomeView(ro RoundOutcome) api.Outcome {
+	resp := api.Outcome{
 		Job:       ro.JobID,
 		Round:     ro.Round,
 		NumBids:   ro.NumBids,
@@ -976,9 +808,9 @@ func outcomeView(ro RoundOutcome) outcomeResponse {
 		resp.Error = ro.Err.Error()
 		return resp
 	}
-	winners := make([]winnerJSON, len(ro.Outcome.Winners))
+	winners := make([]api.Winner, len(ro.Outcome.Winners))
 	for i, win := range ro.Outcome.Winners {
-		winners[i] = winnerJSON{
+		winners[i] = api.Winner{
 			NodeID:     win.Bid.NodeID,
 			Score:      win.Score,
 			Payment:    win.Payment,
@@ -1015,37 +847,37 @@ func classify(err error) (status int, code string) {
 	var dg *DegradedError
 	switch {
 	case errors.As(err, &wp):
-		return http.StatusMisdirectedRequest, codeWrongPartition
+		return http.StatusMisdirectedRequest, api.CodeWrongPartition
 	case errors.As(err, &ov):
-		return http.StatusTooManyRequests, codeOverloaded
+		return http.StatusTooManyRequests, api.CodeOverloaded
 	case errors.As(err, &dg):
-		return http.StatusServiceUnavailable, codeDurabilityLost
+		return http.StatusServiceUnavailable, api.CodeDurabilityLost
 	case errors.Is(err, ErrUnknownJob):
-		return http.StatusNotFound, codeUnknownJob
+		return http.StatusNotFound, api.CodeUnknownJob
 	case errors.Is(err, ErrRoundPending):
-		return http.StatusNotFound, codeRoundPending
+		return http.StatusNotFound, api.CodeRoundPending
 	case errors.Is(err, ErrNoStrategy):
-		return http.StatusNotFound, codeNoStrategy
+		return http.StatusNotFound, api.CodeNoStrategy
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// A long-poll (?wait=1) that ran out of time: the request was fine,
 		// the outcome just is not there yet — retryable, not a client error.
-		return http.StatusGatewayTimeout, codeTimeout
+		return http.StatusGatewayTimeout, api.CodeTimeout
 	case errors.Is(err, ErrOutcomeEvicted):
-		return http.StatusGone, codeOutcomeEvicted
+		return http.StatusGone, api.CodeOutcomeEvicted
 	case errors.Is(err, ErrDuplicateBid):
-		return http.StatusConflict, codeDuplicateBid
+		return http.StatusConflict, api.CodeDuplicateBid
 	case errors.Is(err, ErrJobClosed):
-		return http.StatusConflict, codeJobClosed
+		return http.StatusConflict, api.CodeJobClosed
 	case errors.Is(err, ErrBelowQuorum):
-		return http.StatusConflict, codeBelowQuorum
+		return http.StatusConflict, api.CodeBelowQuorum
 	case errors.Is(err, ErrExchangeClosed):
-		return http.StatusConflict, codeExchangeClosed
+		return http.StatusConflict, api.CodeExchangeClosed
 	case errors.Is(err, ErrNotRegistered):
-		return http.StatusForbidden, codeNotRegistered
+		return http.StatusForbidden, api.CodeNotRegistered
 	case errors.Is(err, ErrBlacklisted):
-		return http.StatusForbidden, codeBlacklisted
+		return http.StatusForbidden, api.CodeBlacklisted
 	default:
-		return http.StatusBadRequest, codeInvalidRequest
+		return http.StatusBadRequest, api.CodeInvalidRequest
 	}
 }
 
@@ -1060,7 +892,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (h *handler) writeJSONIdempotent(w http.ResponseWriter, status int, v any, tok *idemToken) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
 	body = append(body, '\n')
@@ -1075,7 +907,7 @@ func (h *handler) writeJSONIdempotent(w http.ResponseWriter, status int, v any, 
 // by the next round.
 func writeErr(w http.ResponseWriter, err error) {
 	status, code := classify(err)
-	env := errorEnvelope{Code: code, Message: err.Error()}
+	env := api.Error{Code: code, Message: err.Error()}
 	if status == http.StatusGatewayTimeout {
 		env.RetryAfterMS = int64(time.Second / time.Millisecond)
 	}
@@ -1112,8 +944,8 @@ func retryMS(d time.Duration) int64 {
 // exchange core (the in-flight gate) in the same envelope SubmitBid sheds
 // use.
 func writeOverloaded(w http.ResponseWriter, scope admission.Scope, retry time.Duration) {
-	writeJSON(w, http.StatusTooManyRequests, errorEnvelope{
-		Code:         codeOverloaded,
+	writeJSON(w, http.StatusTooManyRequests, api.Error{
+		Code:         api.CodeOverloaded,
 		Message:      fmt.Sprintf("exchange: overloaded (%s limit), retry advised", scope),
 		RetryAfterMS: retryMS(retry),
 	})
@@ -1122,5 +954,5 @@ func writeOverloaded(w http.ResponseWriter, scope admission.Scope, retry time.Du
 // writeError renders an explicit status/code pair (request validation and
 // routing failures that never reach the exchange core).
 func writeError(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, errorEnvelope{Code: code, Message: message})
+	writeJSON(w, status, api.Error{Code: code, Message: message})
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"fmore/pkg/api"
 )
 
 // latWindow is the sliding-window size of retained round latencies for the
@@ -88,80 +90,8 @@ func (m *Metrics) observeRound(latency time.Duration) {
 }
 
 // Snapshot is a point-in-time view of the exchange's health, the payload of
-// GET /metrics.
-type Snapshot struct {
-	UptimeSec    float64 `json:"uptime_sec"`
-	JobsActive   int64   `json:"jobs_active"`
-	JobsCreated  int64   `json:"jobs_created"`
-	NodesKnown   int     `json:"nodes_known"`
-	RoundsTotal  int64   `json:"rounds_total"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// RoundsFailed counts rounds whose scoring or winner determination
-	// errored (a poisoned bid set); a healthy exchange keeps this at 0.
-	RoundsFailed int64 `json:"rounds_failed"`
-	// IdleTicks counts bid windows that expired below the bid quorum.
-	IdleTicks    int64   `json:"idle_ticks"`
-	BidsAccepted int64   `json:"bids_accepted"`
-	BidsRejected int64   `json:"bids_rejected"`
-	BidsPerSec   float64 `json:"bids_per_sec"`
-	// WalSnapshots counts completed WAL compactions (snapshot + rotation);
-	// WalSnapshotErrors counts attempts that failed and will be retried.
-	// Both stay 0 on an in-memory exchange.
-	WalSnapshots      int64 `json:"wal_snapshots"`
-	WalSnapshotErrors int64 `json:"wal_snapshot_errors"`
-	// WalSnapshotBytes is the size of the last committed snapshot file
-	// (after a restart, the one recovery read); divided by the rotation
-	// threshold (Options.SnapshotBytes) it is the compaction's write
-	// amplification. WalSnapshotSeconds is the wall time of the compaction
-	// that wrote it and WalSnapshotStwSeconds the share of that spent
-	// holding the stop-the-world locks, when no job could close a round.
-	WalSnapshotBytes      int64   `json:"wal_snapshot_bytes"`
-	WalSnapshotSeconds    float64 `json:"wal_snapshot_seconds"`
-	WalSnapshotStwSeconds float64 `json:"wal_snapshot_stw_seconds"`
-	// WalSegmentCount and WalBytes gauge compaction pressure live: the
-	// number of log segments replay would read and their total bytes
-	// (sealed segments plus the active tail). Both 0 in-memory.
-	WalSegmentCount int64 `json:"wal_segment_count"`
-	WalBytes        int64 `json:"wal_bytes"`
-	// WalFsyncTotal counts the log's group commits (fsyncs) and
-	// WalFsyncBatchedRecords the records those commits made durable;
-	// their ratio is the achieved group-commit batch size (see
-	// Options.SyncInterval). Both 0 in-memory.
-	WalFsyncTotal          int64 `json:"wal_fsync_total"`
-	WalFsyncBatchedRecords int64 `json:"wal_fsync_batched_records"`
-	// WalFailed reports durability loss: the outcome log took a sticky
-	// error and the replica is refusing durable writes (degraded mode).
-	// WalLastErrorUnix is when (Unix seconds), 0 while healthy. Both stay
-	// healthy-valued in-memory.
-	WalFailed        bool  `json:"wal_failed"`
-	WalLastErrorUnix int64 `json:"wal_last_error_unix"`
-	// WrongPartition counts requests refused with wrong_partition — jobs
-	// the cluster map assigns to a different replica. Stays 0 unpartitioned.
-	WrongPartition int64 `json:"wrong_partition"`
-	// FirehoseEvents counts events published into the event tap since a
-	// sink first attached; FirehoseDropped counts events sinks lost to
-	// ring overrun (all sinks, past and present).
-	FirehoseEvents  int64 `json:"firehose_events"`
-	FirehoseDropped int64 `json:"firehose_dropped"`
-	// Round-close latency percentiles over the last latWindow rounds.
-	RoundLatencyP50Ms float64 `json:"round_latency_p50_ms"`
-	RoundLatencyP99Ms float64 `json:"round_latency_p99_ms"`
-	// Admission* mirror the overload-protection accounting (Options.
-	// Admission): whether the controller is installed, whether it currently
-	// reports overload, the in-flight bid-submit gauge, sheds by scope, and
-	// SSE subscriber occupancy/evictions. All zero (and Enabled false) when
-	// admission is disabled.
-	AdmissionEnabled      bool  `json:"admission_enabled"`
-	AdmissionOverloaded   bool  `json:"admission_overloaded"`
-	AdmissionInflight     int64 `json:"admission_inflight"`
-	AdmissionShedTotal    int64 `json:"admission_shed_total"`
-	AdmissionShedGlobal   int64 `json:"admission_shed_global"`
-	AdmissionShedNode     int64 `json:"admission_shed_node"`
-	AdmissionShedJob      int64 `json:"admission_shed_job"`
-	AdmissionShedInflight int64 `json:"admission_shed_inflight"`
-	AdmissionSSEActive    int64 `json:"admission_sse_active"`
-	AdmissionSSEEvicted   int64 `json:"admission_sse_evicted"`
-}
+// GET /v1/metrics; the fields and their meaning are declared in pkg/api.
+type Snapshot = api.Metrics
 
 // snapshot assembles the exported view. nodes and activeJobs are supplied
 // by the caller (the registry and the live job map own those counts;

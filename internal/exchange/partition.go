@@ -40,6 +40,31 @@ func (ex *Exchange) PartitionMap() *partition.Map {
 	return ex.part.Map.Load()
 }
 
+// misdirected returns the *WrongPartitionError naming jobID's owner, and
+// counts the refusal, when this replica is partitioned and its map places
+// the job elsewhere; nil otherwise (unpartitioned, no map yet, or ours).
+func (ex *Exchange) misdirected(jobID string) error {
+	p := ex.part
+	if p == nil {
+		return nil
+	}
+	m := p.Map.Load()
+	if m == nil {
+		return nil
+	}
+	owner, ok := m.Owner(jobID)
+	if !ok || owner.Partition == p.Local {
+		return nil
+	}
+	ex.metrics.wrongPartition.Add(1)
+	return &WrongPartitionError{
+		JobID:      jobID,
+		Partition:  owner.Partition,
+		ReplicaURL: owner.URL,
+		MapVersion: m.Version,
+	}
+}
+
 // missingJob classifies a job the exchange does not host. On a partitioned
 // replica whose map places the job elsewhere it is a routing miss —
 // *WrongPartitionError carrying the owner — so the router and SDK can
@@ -48,18 +73,8 @@ func (ex *Exchange) PartitionMap() *partition.Map {
 // correctly routed request costs zero extra work, and only lookup misses
 // pay the one atomic map-handle load plus the rendezvous hash.
 func (ex *Exchange) missingJob(jobID string) error {
-	if p := ex.part; p != nil {
-		if m := p.Map.Load(); m != nil {
-			if owner, ok := m.Owner(jobID); ok && owner.Partition != p.Local {
-				ex.metrics.wrongPartition.Add(1)
-				return &WrongPartitionError{
-					JobID:      jobID,
-					Partition:  owner.Partition,
-					ReplicaURL: owner.URL,
-					MapVersion: m.Version,
-				}
-			}
-		}
+	if err := ex.misdirected(jobID); err != nil {
+		return err
 	}
 	return fmt.Errorf("%w: %q", ErrUnknownJob, jobID)
 }
@@ -70,22 +85,8 @@ func (ex *Exchange) missingJob(jobID string) error {
 // that is ownership-strict rather than host-based — it decides where the
 // job's WAL records and outcome history will live.
 func (ex *Exchange) checkCreateOwnership(jobID string) error {
-	p := ex.part
-	if p == nil || jobID == "" {
+	if jobID == "" {
 		return nil
 	}
-	m := p.Map.Load()
-	if m == nil {
-		return nil
-	}
-	if owner, ok := m.Owner(jobID); ok && owner.Partition != p.Local {
-		ex.metrics.wrongPartition.Add(1)
-		return &WrongPartitionError{
-			JobID:      jobID,
-			Partition:  owner.Partition,
-			ReplicaURL: owner.URL,
-			MapVersion: m.Version,
-		}
-	}
-	return nil
+	return ex.misdirected(jobID)
 }

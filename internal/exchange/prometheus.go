@@ -15,7 +15,14 @@ import (
 
 // writePrometheus renders the exchange's metrics in the exposition format.
 func writePrometheus(w io.Writer, ex *Exchange) error {
-	s := ex.Metrics()
+	return renderPrometheus(w, ex, ex.Metrics())
+}
+
+// renderPrometheus renders snapshot s (plus ex's partition identity and
+// latency histogram, which no snapshot carries). Taking s as an argument is
+// what lets TestMetricCatalogAgrees show that every snapshot field reaches
+// the page.
+func renderPrometheus(w io.Writer, ex *Exchange, s Snapshot) error {
 	b := bufio.NewWriter(w)
 
 	gauge := func(name, help string, v float64) {

@@ -1,0 +1,156 @@
+package exchange
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"fmore/internal/partition"
+	"fmore/internal/promtext"
+	"fmore/pkg/api"
+)
+
+// TestWireGoldenBytes pins, byte for byte, the small acknowledgements that
+// were map literals before pkg/api named them: a map marshals its keys
+// sorted, so each struct's field order has to spell the same bytes.
+func TestWireGoldenBytes(t *testing.T) {
+	srv, _ := httpFixture(t)
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // read below
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	if st, body := do(http.MethodPost, "/v1/jobs", `{"id":"gold","k":1,"rule":{"kind":"additive","alpha":[0.5,0.5]}}`); st != http.StatusCreated {
+		t.Fatalf("create: %d %s", st, body)
+	}
+	for _, tc := range []struct {
+		what, method, path, body string
+		status                   int
+		want                     string
+	}{
+		{"node register", http.MethodPost, "/v1/nodes", `{"node_id":7,"meta":"edge-7"}`, 200, `{"bids":0,"node_id":7}`},
+		{"bid ack", http.MethodPost, "/v1/jobs/gold/bids", `{"node_id":7,"qualities":[0.5,0.5],"payment":0.1}`, 202, `{"job":"gold","round":1}`},
+		{"node register, after a bid", http.MethodPost, "/v1/nodes", `{"node_id":7}`, 200, `{"bids":1,"node_id":7}`},
+		{"node blacklist", http.MethodPost, "/v1/nodes/7/blacklist", ``, 200, `{"blacklisted":true,"node_id":7}`},
+		{"job removed", http.MethodDelete, "/v1/jobs/gold", ``, 200, `{"job":"gold","removed":true}`},
+		{"error envelope", http.MethodDelete, "/v1/jobs/gold", ``, 404, `{"code":"unknown_job","message":"exchange: unknown job: \"gold\""}`},
+	} {
+		if st, body := do(tc.method, tc.path, tc.body); st != tc.status || body != tc.want+"\n" {
+			t.Errorf("%s: got %d %q, want %d %q", tc.what, st, body, tc.status, tc.want+"\n")
+		}
+	}
+	// The two event payloads that were map literals.
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{api.RoundOpen{Job: "gold", Round: 3}, `{"job":"gold","round":3}`},
+		{api.JobClosed{Job: "gold"}, `{"job":"gold"}`},
+	} {
+		rec := httptest.NewRecorder()
+		writeSSE(rec, "", "e", tc.v)
+		if want := "event: e\ndata: " + tc.want + "\n\n"; rec.Body.String() != want {
+			t.Errorf("SSE frame %q, want %q", rec.Body.String(), want)
+		}
+	}
+}
+
+// jsonOnlyMetrics are the api.Metrics fields the Prometheus page leaves out
+// on purpose: rates a scraper derives itself with rate(), and the shed total
+// that is the sum of the page's per-reason samples.
+var jsonOnlyMetrics = map[string]bool{
+	"rounds_per_sec":       true,
+	"bids_per_sec":         true,
+	"admission_shed_total": true,
+}
+
+// TestMetricCatalogAgrees keeps the three statements of the metric catalog
+// — api.Metrics, the Prometheus page and the table in doc.go — from
+// drifting apart: a snapshot field nobody renders, or a family nobody
+// documents, fails here.
+func TestMetricCatalogAgrees(t *testing.T) {
+	m := &partition.Map{Version: 3, Partitions: []partition.Replica{{Partition: "p0", URL: "http://127.0.0.1:1"}}}
+	ex := New(Options{Partition: &partition.Assignment{Local: "p0", Map: partition.NewHandle(m)}})
+	defer ex.Close()
+	render := func(s Snapshot) string {
+		var buf bytes.Buffer
+		if err := renderPrometheus(&buf, ex, s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	// Every field either moves the page when it alone changes, or is listed.
+	base := Snapshot{AdmissionEnabled: true} // admission families render only when enabled
+	basePage := render(base)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if name == "" {
+			t.Fatalf("api.Metrics.%s has no json name", typ.Field(i).Name)
+		}
+		s := base
+		switch f := reflect.ValueOf(&s).Elem().Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7.5)
+		default:
+			t.Fatalf("api.Metrics.%s: kind %s is not handled here", typ.Field(i).Name, f.Kind())
+		}
+		switch rendered := render(s) != basePage; {
+		case !rendered && !jsonOnlyMetrics[name]:
+			t.Errorf("%s is in api.Metrics but writePrometheus never renders it (render it, or list it as JSON-only)", name)
+		case rendered && jsonOnlyMetrics[name]:
+			t.Errorf("%s is listed as JSON-only but changes the Prometheus page", name)
+		}
+	}
+
+	// Every family on the page has a row of the right type in doc.go.
+	page, err := promtext.Parse(strings.NewReader(basePage))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	doc, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, row := range regexp.MustCompile(`(?m)^//\t([a-z0-9_]+) +(gauge|counter|histogram) +\S`).FindAllStringSubmatch(string(doc), -1) {
+		rows[row[1]] = row[2]
+	}
+	for name, fam := range page.Families {
+		short, ok := strings.CutPrefix(name, "fmore_exchange_")
+		if !ok {
+			t.Errorf("family %s lacks the fmore_exchange_ prefix", name)
+			continue
+		}
+		if rows[short] != fam.Type {
+			t.Errorf("family %s (%s) has no matching row in doc.go's catalog (found %q)", name, fam.Type, rows[short])
+		}
+		delete(rows, short)
+	}
+	for short := range rows {
+		t.Errorf("doc.go documents %s, which the page does not render", short)
+	}
+}

@@ -8,6 +8,13 @@
 // cmd/fmore-router consults it to forward requests, and pkg/client fetches
 // it from GET /v1/cluster/partitions to route per-job calls directly.
 //
+// Who refreshes, from whom, how often: nobody polls. A consumer (router or
+// SDK) holds a Routes; after its first map (the router's -replicas flag,
+// the SDK's EnableRouting) it fetches again only when a replica refuses one
+// of its requests with wrong_partition — inside that request, from the
+// refuser, one fetch in flight at a time (Routes.Reaim) — and, in the SDK,
+// on a durability_lost answer, from its base URL.
+//
 // Rendezvous hashing was chosen over a ring: with P partitions the owner of
 // a job is argmax over partitions of h(partition, job), so adding or
 // removing one partition moves only the jobs that hash highest to it —
@@ -74,11 +81,7 @@ func (m *Map) Validate() error {
 			return fmt.Errorf("partition: duplicate partition %q", r.Partition)
 		}
 		seen[r.Partition] = struct{}{}
-		u, err := url.Parse(r.URL)
-		if err != nil {
-			return fmt.Errorf("partition: %s: parsing url: %w", r.Partition, err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		if !absoluteHTTP(r.URL) {
 			return fmt.Errorf("partition: %s: url %q must be absolute http(s)", r.Partition, r.URL)
 		}
 	}
@@ -87,8 +90,8 @@ func (m *Map) Validate() error {
 
 // Document is the GET /v1/cluster/partitions payload: a replica's current
 // cluster map plus the partition that replica serves. Every replica serves
-// the same map; routers and SDKs poll it and advance their Handle when
-// Version increases.
+// the same map; routers and SDKs fetch it (Routes.Refresh) and advance
+// their Handle when Version increases.
 type Document struct {
 	Version int64 `json:"version"`
 	// Local is the partition served by the replica that answered.
@@ -122,6 +125,13 @@ type Misdirect struct {
 	Partition  string `json:"partition,omitempty"`
 	ReplicaURL string `json:"replica_url,omitempty"`
 	MapVersion int64  `json:"map_version,omitempty"`
+}
+
+// absoluteHTTP reports whether raw is an absolute http(s) URL with a host —
+// the only kind of replica address a map or a 421 envelope may name.
+func absoluteHTTP(raw string) bool {
+	u, err := url.Parse(raw)
+	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
 // Owner returns the replica owning jobID under rendezvous hashing: the
@@ -213,18 +223,12 @@ func rendezvousHash(partitionID, jobID string) uint64 {
 }
 
 // Parse builds a version-1 map from the comma-separated flag form
-// "p0=http://host:port,p1=http://host:port". Use ParseVersion when the
-// caller carries an explicit map version.
+// "p0=http://host:port,p1=http://host:port".
 func Parse(spec string) (*Map, error) {
-	return ParseVersion(spec, 1)
-}
-
-// ParseVersion builds a map with the given version from the flag form.
-func ParseVersion(spec string, version int64) (*Map, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("partition: empty map spec")
 	}
-	m := &Map{Version: version}
+	m := &Map{Version: 1}
 	for _, ent := range strings.Split(spec, ",") {
 		ent = strings.TrimSpace(ent)
 		if ent == "" {

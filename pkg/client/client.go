@@ -19,10 +19,12 @@ import (
 
 	"fmore/internal/fault"
 	"fmore/internal/partition"
+	"fmore/pkg/api"
 )
 
 // fpTransport injects transport-level failures (connection errors, latency)
-// into every SDK request, exercising the client's retry/backoff/budget
+// into every SDK request — event-stream connects included, since they share
+// do's send helper — exercising the client's retry/backoff/budget
 // machinery without a flaky network. Enable via
 // FMORE_FAILPOINTS="sdk/transport=eio@p0.1" in a process that calls
 // fault.EnableFromEnv, or fault.Enable in tests.
@@ -38,9 +40,9 @@ type Client struct {
 	// retryBudget caps the total time one call may spend sleeping between
 	// retry attempts; see WithRetryBudget.
 	retryBudget time.Duration
-	// routes holds the cluster partition map once EnableRouting fetched one;
-	// with no map every request goes to base.
-	routes partition.Handle
+	// routes holds the cluster partition map once EnableRouting (or a
+	// re-aim) fetched one; with no map every request goes to base.
+	routes partition.Routes
 }
 
 // Option customizes a Client.
@@ -143,10 +145,7 @@ func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
 		if cursor != "" {
 			q.Set("cursor", cursor)
 		}
-		var page struct {
-			Jobs       []Job  `json:"jobs"`
-			NextCursor string `json:"next_cursor"`
-		}
+		var page api.JobList
 		if err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs", query: q, out: &page, retry: true}); err != nil {
 			return nil, err
 		}
@@ -168,9 +167,7 @@ func (c *Client) RemoveJob(ctx context.Context, jobID string) error {
 // so transparent retries after a transport failure cannot double-bid (the
 // exchange replays the recorded acceptance instead of answering 409).
 func (c *Client) SubmitBid(ctx context.Context, jobID string, bid Bid) (round int, err error) {
-	var resp struct {
-		Round int `json:"round"`
-	}
+	var resp api.BidAck
 	err = c.do(ctx, request{
 		method:  http.MethodPost,
 		path:    "/v1/jobs/" + url.PathEscape(jobID) + "/bids",
@@ -244,21 +241,14 @@ func (c *Client) Outcomes(ctx context.Context, jobID string, afterRound, limit i
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
-	var resp struct {
-		Outcomes   []Outcome `json:"outcomes"`
-		NextCursor string    `json:"next_cursor"`
-	}
+	var resp api.OutcomeList
 	err = c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/outcomes", query: q, out: &resp, retry: true, job: jobID})
 	return resp.Outcomes, resp.NextCursor != "", err
 }
 
 // Register adds the node to the exchange's registry (idempotent).
 func (c *Client) Register(ctx context.Context, nodeID int, meta string) error {
-	body := map[string]any{"node_id": nodeID}
-	if meta != "" {
-		body["meta"] = meta
-	}
-	return c.do(ctx, request{method: http.MethodPost, path: "/v1/nodes", body: body, retry: true})
+	return c.do(ctx, request{method: http.MethodPost, path: "/v1/nodes", body: api.NodeRequest{NodeID: nodeID, Meta: meta}, retry: true})
 }
 
 // Blacklist bans the node from all future rounds.
@@ -329,34 +319,55 @@ type request struct {
 	// retry marks the request safe to re-issue after a transient failure
 	// (GETs, and POSTs carrying an idempotency key).
 	retry bool
-	// noReaim disables the wrong_partition/durability_lost re-aim paths.
-	// Set on the partition-map fetch itself, whose re-aim handling calls
-	// back into RefreshPartitions — without the guard, an intermediary
-	// answering that endpoint with one of those codes would recurse.
-	noReaim bool
 	// job scopes the request to one job for SDK-side routing: with a
 	// partition map loaded, the request goes directly to the owning replica.
 	job string
 }
 
-// do executes one API request with context-aware retries and jittered
-// exponential backoff on transient failures. With routing enabled,
-// job-scoped requests go directly to the owning replica; a wrong_partition
-// answer re-aims at the replica the envelope names (once, immediately,
-// refreshing the map on the way — safe even for non-idempotent requests,
-// since the refusing replica executed nothing), and a replica that is
-// unreachable falls back through the client's base URL.
 // doTransport issues one HTTP request through the sdk/transport failpoint:
 // when firing it injects its configured latency and error before the
 // request leaves the process, modelling the connection failures the retry
 // loop must absorb.
-func (c *Client) doTransport(hr *http.Request) (*http.Response, error) {
+func (c *Client) doTransport(ctx context.Context, method, u string, body []byte, headers map[string]string) (*http.Response, error) {
+	hr, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("building request: %w", err)
+	}
+	if body != nil {
+		hr.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range headers {
+		hr.Header.Set(k, v)
+	}
 	if err := fpTransport.Fire(); err != nil {
 		return nil, err
 	}
 	return c.hc.Do(hr)
 }
 
+// send issues one request to base+target under the one re-aim rule
+// (partition.Routes.Reaim): a wrong_partition answer is replayed once,
+// byte for byte, against the owner it names — safe even for non-idempotent
+// requests, since the refuser executed nothing. do and connectEvents both
+// send through here, so event streams re-aim, and meet the sdk/transport
+// failpoint, like every other call.
+func (c *Client) send(ctx context.Context, method, base, target string, body []byte, headers map[string]string) (*http.Response, error) {
+	resp, err := c.doTransport(ctx, method, base+target, body, headers)
+	if err != nil {
+		return nil, err
+	}
+	if owner, ok := c.routes.Reaim(ctx, c.hc, base, resp); ok {
+		return c.doTransport(ctx, method, owner.URL+target, body, headers)
+	}
+	return resp, nil
+}
+
+// do executes one API request with context-aware retries and jittered
+// exponential backoff on transient failures. With routing enabled,
+// job-scoped requests go directly to the owning replica; a wrong_partition
+// answer re-aims at the replica the envelope names (once per attempt,
+// immediately, refreshing the map on the way — see send), and a replica
+// that is unreachable falls back through the client's base URL.
 func (c *Client) do(ctx context.Context, req request) error {
 	var bodyBytes []byte
 	if req.body != nil {
@@ -365,15 +376,17 @@ func (c *Client) do(ctx context.Context, req request) error {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
+	target := req.path
+	if len(req.query) > 0 {
+		target += "?" + req.query.Encode()
+	}
 	maxAttempts := 1
 	if req.retry {
 		maxAttempts += c.retries
 	}
-	// pinned overrides per-attempt base selection after a redirect or
-	// fallback; redirected caps wrong_partition re-aims at one per call,
-	// rerouted caps durability_lost re-aims the same way.
+	// pinned overrides per-attempt base selection after a fallback;
+	// rerouted caps durability_lost re-aims at one per call.
 	pinned := ""
-	redirected := false
 	rerouted := false
 	var slept time.Duration // total retry-sleep spent, charged against the budget
 	var lastErr error
@@ -403,21 +416,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 		if base == "" {
 			base = c.routedBase(req.job)
 		}
-		u := base + req.path
-		if len(req.query) > 0 {
-			u += "?" + req.query.Encode()
-		}
-		hr, err := http.NewRequestWithContext(ctx, req.method, u, bytes.NewReader(bodyBytes))
-		if err != nil {
-			return fmt.Errorf("client: building request: %w", err)
-		}
-		if req.body != nil {
-			hr.Header.Set("Content-Type", "application/json")
-		}
-		for k, v := range req.headers {
-			hr.Header.Set(k, v)
-		}
-		resp, err := c.doTransport(hr)
+		resp, err := c.send(ctx, req.method, base, target, bodyBytes, req.headers)
 		if err != nil {
 			lastErr = fmt.Errorf("client: %s %s: %w", req.method, req.path, err)
 			if ctx.Err() != nil {
@@ -454,17 +453,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 		}
 		apiErr := decodeAPIError(resp)
 		lastErr = apiErr
-		if apiErr.Code == CodeWrongPartition && apiErr.ReplicaURL != "" && !redirected && !req.noReaim {
-			// The replica refused without executing anything, so one
-			// immediate re-aim is safe regardless of req.retry. Refresh the
-			// map (best effort) so future calls route directly.
-			redirected = true
-			pinned = strings.TrimRight(apiErr.ReplicaURL, "/")
-			_ = c.RefreshPartitions(ctx)
-			attempt--
-			continue
-		}
-		if apiErr.Code == CodeDurabilityLost && !rerouted && !req.noReaim {
+		if apiErr.Code == CodeDurabilityLost && !rerouted {
 			// Routing feedback of the wrong_partition class: the degraded
 			// replica refused before executing anything, so one immediate
 			// re-aim — with the same headers, Idempotency-Key included — is
@@ -473,10 +462,8 @@ func (c *Client) do(ctx context.Context, req request) error {
 			// client's base (typically the router, whose healthz probe knows
 			// which replicas still take writes).
 			rerouted = true
-			_ = c.RefreshPartitions(ctx)
-			if rb := c.routedBase(req.job); rb != base {
-				pinned = rb
-			} else {
+			_ = c.routes.Refresh(ctx, c.hc, c.base)
+			if pinned = c.routedBase(req.job); pinned == base {
 				pinned = c.base
 			}
 			attempt--
@@ -547,12 +534,7 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 func decodeAPIError(resp *http.Response) *APIError {
 	defer resp.Body.Close() //nolint:errcheck // error path
 	ae := &APIError{Status: resp.StatusCode}
-	var env struct {
-		Code         string `json:"code"`
-		Message      string `json:"message"`
-		RetryAfterMS int64  `json:"retry_after_ms"`
-		partition.Misdirect
-	}
+	var env api.Error
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	if err := json.Unmarshal(raw, &env); err == nil && env.Code != "" {
 		ae.Code = env.Code
@@ -583,40 +565,22 @@ func newIdempotencyKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// wire converts the SDK spec to the POST /v1/jobs payload.
-func (s JobSpec) wire() map[string]any {
-	m := map[string]any{
-		"rule": s.Rule,
-		"k":    s.K,
+// wire converts the SDK spec to the POST /v1/jobs payload. Knobs at or
+// below zero are left out, so the server applies its defaults.
+func (s JobSpec) wire() api.JobRequest {
+	return api.JobRequest{
+		ID:           s.ID,
+		Rule:         s.Rule,
+		K:            s.K,
+		Payment:      s.Payment,
+		Psi:          s.Psi,
+		Seed:         s.Seed,
+		BidWindowMS:  max(0, int64(s.BidWindow/time.Millisecond)),
+		MaxRounds:    max(0, s.MaxRounds),
+		MinBids:      max(0, s.MinBids),
+		KeepOutcomes: max(0, s.KeepOutcomes),
+		Equilibrium:  s.Equilibrium,
 	}
-	if s.ID != "" {
-		m["id"] = s.ID
-	}
-	if s.Payment != "" {
-		m["payment"] = s.Payment
-	}
-	if s.Psi != 0 {
-		m["psi"] = s.Psi
-	}
-	if s.Seed != 0 {
-		m["seed"] = s.Seed
-	}
-	if s.BidWindow > 0 {
-		m["bid_window_ms"] = int64(s.BidWindow / time.Millisecond)
-	}
-	if s.MaxRounds > 0 {
-		m["max_rounds"] = s.MaxRounds
-	}
-	if s.MinBids > 0 {
-		m["min_bids"] = s.MinBids
-	}
-	if s.KeepOutcomes > 0 {
-		m["keep_outcomes"] = s.KeepOutcomes
-	}
-	if s.Equilibrium != nil {
-		m["equilibrium"] = s.Equilibrium
-	}
-	return m
 }
 
 // JobSpec configures a job to create. Rule and Equilibrium use the wire

@@ -11,10 +11,23 @@
 // request replayed after a network failure returns the original result
 // instead of a duplicate-ID or duplicate-bid conflict.
 //
+// The request and response types (Job, Bid, Outcome, Metrics, the stats
+// rollups, Strategy) and the Code* constants are aliases of pkg/api, the
+// one declaration of the /v1 wire that the exchange's handler encodes — the
+// SDK cannot lag behind the server by a field.
+//
+// Against a partitioned cluster (see EnableRouting) per-job calls go
+// straight to the replica owning the job, and every call — event streams
+// included — that a replica refuses with wrong_partition is replayed once,
+// unchanged, against the owner the refusal names, refreshing the map from
+// the refuser on the way. That rule is internal/partition's Routes.Reaim,
+// the same code cmd/fmore-router runs; a durability_lost answer refreshes
+// the map from the base URL and re-aims once as well.
+//
 // The request/response surface mirrors the API one-to-one — CreateJob,
 // Jobs (cursor pagination followed transparently), SubmitBid, CloseRound,
 // Outcome/LatestOutcome/WaitOutcome/Outcomes, Register, Blacklist,
-// Strategy, Metrics — plus three higher-level helpers:
+// Strategy, Metrics — plus two higher-level helpers:
 //
 //   - WatchRounds subscribes to the job's server-push round stream
 //     (GET /v1/jobs/{id}/events, Server-Sent Events). The returned Watch

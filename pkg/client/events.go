@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+
+	"fmore/pkg/api"
 )
 
 // EventType discriminates round-stream events.
@@ -121,19 +123,15 @@ func (c *Client) WatchRounds(ctx context.Context, jobID string, opts WatchOption
 	return w, nil
 }
 
-// connectEvents opens one SSE connection resuming after lastRound.
+// connectEvents opens one SSE connection resuming after lastRound. It sends
+// through the same helper as do, so a stream aimed by a cold or stale map
+// re-aims at the owner like any other call.
 func (c *Client) connectEvents(ctx context.Context, jobID string, lastRound int) (io.ReadCloser, error) {
-	u := c.routedBase(jobID) + "/v1/jobs/" + url.PathEscape(jobID) + "/events"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: building events request: %w", err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set("Cache-Control", "no-cache")
+	headers := map[string]string{"Accept": "text/event-stream", "Cache-Control": "no-cache"}
 	if lastRound > 0 {
-		req.Header.Set("Last-Event-ID", strconv.Itoa(lastRound))
+		headers["Last-Event-ID"] = strconv.Itoa(lastRound)
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, c.routedBase(jobID), "/v1/jobs/"+url.PathEscape(jobID)+"/events", nil, headers)
 	if err != nil {
 		return nil, fmt.Errorf("client: connecting events stream: %w", err)
 	}
@@ -233,10 +231,7 @@ func parseEvent(f sseFrame, jobID string) (Event, bool) {
 		}
 		return Event{Type: RoundClosed, Job: out.Job, Round: out.Round, Outcome: &out}, true
 	case RoundOpen:
-		var p struct {
-			Job   string `json:"job"`
-			Round int    `json:"round"`
-		}
+		var p api.RoundOpen
 		if err := json.Unmarshal(f.data, &p); err != nil {
 			return Event{}, false
 		}

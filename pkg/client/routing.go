@@ -24,17 +24,18 @@ type (
 // CodeNotFound.
 func (c *Client) ClusterPartitionsMap(ctx context.Context) (ClusterPartitions, error) {
 	var cp ClusterPartitions
-	err := c.do(ctx, request{method: "GET", path: "/v1/cluster/partitions", out: &cp, retry: true, noReaim: true})
+	err := c.do(ctx, request{method: "GET", path: partition.MapPath, out: &cp, retry: true})
 	return cp, err
 }
 
 // EnableRouting fetches the cluster partition map from the client's base URL
 // and turns on SDK-side routing: every per-job call is sent directly to the
 // replica owning the job under rendezvous hashing, falling back through the
-// base URL (typically the router) when a replica is unreachable, and
-// transparently re-aiming once on a wrong_partition response — refreshing
-// the map as it does, so a map version bump converges after a single
-// misroute. Idempotency keys make the redo of a redirected POST exactly-once.
+// base URL (typically the router) when a replica is unreachable. A
+// wrong_partition response is re-aimed once, transparently, whether or not
+// routing is on (see send) — refreshing the map as it does, so a map
+// version bump converges after a single misroute. Idempotency keys make
+// the redo of a redirected POST exactly-once.
 //
 // Against an unpartitioned exchange the fetch 404s; routing simply stays off
 // and EnableRouting returns nil, so callers can enable it unconditionally.
@@ -75,16 +76,10 @@ func (c *Client) RoutingVersion() int64 {
 // routedBase picks the base URL for a request: the owning replica for a
 // job-scoped call when routing is on, the client's own base otherwise.
 func (c *Client) routedBase(job string) string {
-	if job == "" {
-		return c.base
+	if job != "" {
+		if owner, ok := c.routes.Load().Owner(job); ok {
+			return strings.TrimRight(owner.URL, "/")
+		}
 	}
-	m := c.routes.Load()
-	if m == nil {
-		return c.base
-	}
-	owner, ok := m.Owner(job)
-	if !ok {
-		return c.base
-	}
-	return strings.TrimRight(owner.URL, "/")
+	return c.base
 }
