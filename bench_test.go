@@ -289,9 +289,9 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 						return
 					}
 				}
-				// Job.CloseRound is the pooled zero-copy close — the hot
-				// path this benchmark tracks; the outcome is consumed
-				// immediately (Exchange.CloseRound clones for retention).
+				// The close is the hot path this benchmark tracks; its
+				// allocs/op are the round's one owning outcome (three
+				// blocks per job) plus this loop's goroutines.
 				if _, err := job.CloseRound(); err != nil {
 					b.Error(err)
 				}
@@ -509,7 +509,7 @@ func BenchmarkExchange_SubmitBids_Parallel(b *testing.B) {
 			return err
 		},
 		func(string) error {
-			_, err := job.CloseRound() // pooled close; result discarded
+			_, err := job.CloseRound() // result discarded
 			return err
 		},
 		job.ID())
@@ -521,11 +521,12 @@ func BenchmarkExchange_SubmitBids_Parallel(b *testing.B) {
 // bid is admitted) plus the HTTP-level in-flight cap — measuring what
 // overload protection costs the hot path when it is NOT shedding. The
 // acceptance bar is parity with the unadmitted benchmark above: within 5%
-// ns/op and the same 0 allocs/op. The admit is one cached-clock load plus
-// one GCRA CAS; per-node/per-job levels left unlimited resolve to nil
-// buckets and cost nothing (each enabled extra level adds one more CAS per
-// bid — the full three-level hierarchy is measured in BENCH.md). Tracked
-// in BENCH.md; CI smokes one iteration.
+// ns/op and the same allocs/op (the submit path allocates nothing; the
+// per-iteration close allocates its one owning outcome on both rows). The
+// admit is one cached-clock load plus one GCRA CAS; per-node/per-job levels
+// left unlimited resolve to nil buckets and cost nothing (each enabled extra
+// level adds one more CAS per bid — the full three-level hierarchy is
+// measured in BENCH.md). Tracked in BENCH.md; CI smokes one iteration.
 func BenchmarkExchange_SubmitBids_Parallel_Admitted(b *testing.B) {
 	ex := exchange.New(exchange.Options{Admission: admission.NewController(admission.Config{
 		GlobalRate: 1e12, GlobalBurst: 1 << 30,

@@ -83,41 +83,30 @@ func (a *Auctioneer) Ask() Ask {
 // selection runs on the auctioneer's pooled Selector; the returned Outcome
 // owns all of its memory and may be retained across rounds.
 func (a *Auctioneer) Run(bids []Bid) (Outcome, error) {
-	out, err := a.selectRound(bids, nil)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return out.Clone(), nil
+	return a.run(bids, nil)
 }
 
-// RunScoredInto is Run with precomputed scores — scores[i] must equal
+// RunScored is Run with precomputed scores — scores[i] must equal
 // Score(rule, bids[i].Qualities, bids[i].Payment); the slice is read, never
-// retained — and with the result deep-copied into buf's pooled memory
-// instead of freshly allocated: the returned Outcome aliases buf and is
-// valid until buf's next CloneInto or Recycle (see OutcomeBuffer's ownership
-// rules). It exists for callers that batch rule evaluation across many
-// concurrent auctions and retain outcomes round after round (see
-// internal/exchange). The rng draw sequence is identical to Run, so a seeded
-// Auctioneer yields bit-identical outcomes on either entry point — that
-// equivalence is what lets internal/exchange's pooled round close replay
-// against logs written by the allocating path.
-func (a *Auctioneer) RunScoredInto(bids []Bid, scores []float64, buf *OutcomeBuffer) (Outcome, error) {
+// retained. It exists for callers that batch rule evaluation across many
+// concurrent auctions (see internal/exchange). The rng draw sequence is
+// identical to Run, so a seeded Auctioneer yields bit-identical outcomes on
+// either entry point — the exchange's write-ahead-log replay and its pinned
+// identity with a private auctioneer's Run both rest on that equivalence.
+func (a *Auctioneer) RunScored(bids []Bid, scores []float64) (Outcome, error) {
 	if scores == nil {
 		a.round++
-		return Outcome{}, fmt.Errorf("auction: RunScoredInto requires a score vector")
+		return Outcome{}, fmt.Errorf("auction: RunScored requires a score vector")
 	}
-	out, err := a.selectRound(bids, scores)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return out.CloneInto(buf), nil
+	return a.run(bids, scores)
 }
 
-// selectRound advances the round counter and runs one Select on the pooled
-// buffers; the result aliases the selector's scratch.
-func (a *Auctioneer) selectRound(bids []Bid, scores []float64) (Outcome, error) {
+// run advances the round counter, runs one Select on the pooled buffers and
+// returns an owning copy of the result, which aliases the selector's
+// scratch.
+func (a *Auctioneer) run(bids []Bid, scores []float64) (Outcome, error) {
 	a.round++
-	return a.sel.Select(SelectionRequest{
+	out, err := a.sel.Select(SelectionRequest{
 		Rule:    a.cfg.Rule,
 		Bids:    bids,
 		Scores:  scores,
@@ -125,6 +114,10 @@ func (a *Auctioneer) selectRound(bids []Bid, scores []float64) (Outcome, error) 
 		Psi:     a.cfg.Psi,
 		Payment: a.cfg.Payment,
 	}, a.rng)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return out.Clone(), nil
 }
 
 // Round returns the number of completed auction rounds.

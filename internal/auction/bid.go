@@ -73,16 +73,29 @@ type Outcome struct {
 	AggregatorProfit float64
 }
 
-// Clone returns an Outcome that owns all of its memory: winners (their bid
-// qualities included) are deep-copied and the score vector is freshly
-// allocated. Use it to retain the buffer-aliasing result of Selector.Select
-// beyond the selector's next call.
+// Clone returns an Outcome that owns all of its memory, in three
+// allocations whatever K is: the winner records, one backing array holding
+// every winner's quality vector (each slice capacity-clipped, so appending
+// to one cannot reach its neighbour), and the score vector. Nil-ness of
+// Winners, Scores and each Qualities is preserved, so the copy is
+// reflect.DeepEqual to its source. Use it to retain the buffer-aliasing
+// result of Selector.Select beyond the selector's next call, or to get a
+// private copy of an outcome shared with other readers.
 func (o Outcome) Clone() Outcome {
 	c := o
 	if o.Winners != nil {
+		need := 0
+		for i := range o.Winners {
+			need += len(o.Winners[i].Bid.Qualities)
+		}
+		quals := make([]float64, 0, need)
 		c.Winners = make([]Winner, len(o.Winners))
 		for i, w := range o.Winners {
-			w.Bid = w.Bid.Clone()
+			if w.Bid.Qualities != nil {
+				start := len(quals)
+				quals = append(quals, w.Bid.Qualities...)
+				w.Bid.Qualities = quals[start:len(quals):len(quals)]
+			}
 			c.Winners[i] = w
 		}
 	}

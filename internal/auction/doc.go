@@ -44,16 +44,16 @@
 // caller (one Selector per auction stream) runs selections with zero
 // steady-state allocations. The returned Outcome aliases the selector's
 // buffers and the request's bids and is valid only until the next Select
-// call; Outcome.Clone produces an owning copy. The package-level Select
-// and the Auctioneer's Run return owning outcomes. Callers that retain
-// outcomes round after round (the exchange's per-job history) use
-// Auctioneer.RunScoredInto with a recycled OutcomeBuffer instead: the
-// result is deep-copied into caller-pooled, generation-tagged memory —
-// same rng draw sequence, no per-round allocation — and stays valid until
-// the buffer's next reuse (see OutcomeBuffer's ownership rules).
+// call; Outcome.Clone produces an owning copy in three allocations (winner
+// records, one backing array for every winner's qualities, scores). The
+// package-level Select and the Auctioneer's Run and RunScored return such
+// owning outcomes: memory written once and never reused, so a caller that
+// retains outcomes round after round (the exchange's per-job history) may
+// share them with any number of readers as long as nobody mutates them.
 //
 // Select / Selector.Select (one-shot / pooled) and Auctioneer.Run /
-// RunScoredInto (stateful) are the only winner-determination entry points.
+// RunScored (stateful; RunScored takes precomputed scores, same rng draw
+// sequence) are the only winner-determination entry points.
 // They are bit-for-bit compatible with the original full-sort
 // implementation — identical Outcomes, identical rng draw order — which the
 // exchange's write-ahead-log replay depends on and a seeded equivalence

@@ -89,3 +89,72 @@ func TestSelectScoredValidation(t *testing.T) {
 		t.Error("Outcome.Scores aliases the caller's score buffer")
 	}
 }
+
+// TestRunScoredMatchesRun pins the precomputed-score entry point against
+// the scoring one: identical outcomes AND identical rng draw counts for a
+// seeded auctioneer, across configurations with different draw patterns
+// (plain, second-price, ψ-admission). The exchange's WAL replay depends on
+// this equivalence.
+func TestRunScoredMatchesRun(t *testing.T) {
+	rule, err := NewAdditive(0.6, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := map[string]Config{
+		"plain":        {Rule: rule, K: 8},
+		"second-price": {Rule: rule, K: 8, Payment: SecondPrice},
+		"psi":          {Rule: rule, K: 8, Psi: 0.7},
+	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			src1, src2 := newEquivSource(11), newEquivSource(11)
+			a1, err := NewAuctioneer(cfg, rand.New(src1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, err := NewAuctioneer(cfg, rand.New(src2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []Outcome
+			for round := 0; round < 5; round++ {
+				_, bids, scores := scoredFixture(t, 64)
+				for i := range bids { // a different slate per round
+					bids[i].Payment += 0.001 * float64(round*(i%7))
+					scores[i], err = Score(rule, bids[i].Qualities, bids[i].Payment)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := a1.Run(bids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := a2.RunScored(bids, scores)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: RunScored diverges from Run", round)
+				}
+				if src1.n != src2.n {
+					t.Fatalf("round %d: draw counts diverged: %d vs %d", round, src1.n, src2.n)
+				}
+				held = append(held, got, want.Clone())
+			}
+			// Every round's result owns its memory: later rounds on the same
+			// auctioneer left the earlier ones as they were returned.
+			for i := 0; i < len(held); i += 2 {
+				if !reflect.DeepEqual(held[i], held[i+1]) {
+					t.Fatalf("round %d: a later round rewrote a returned outcome", i/2)
+				}
+			}
+			if a1.Round() != a2.Round() {
+				t.Fatalf("round counters diverged: %d vs %d", a1.Round(), a2.Round())
+			}
+			if _, err := a2.RunScored(nil, nil); err == nil {
+				t.Fatal("RunScored without a score vector must fail")
+			}
+		})
+	}
+}

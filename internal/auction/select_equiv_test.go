@@ -234,7 +234,6 @@ func TestAuctioneerEquivalenceProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			rngRef := rand.New(srcRef)
-			var buf OutcomeBuffer
 
 			for round := 0; round < 12; round++ {
 				n := 1 + gen.Intn(200)
@@ -251,9 +250,7 @@ func TestAuctioneerEquivalenceProperty(t *testing.T) {
 				var got Outcome
 				var gotErr error
 				if useScored {
-					got, gotErr = auctNew.RunScoredInto(bids, scores, &buf)
-					got = got.Clone()
-					buf.Recycle()
+					got, gotErr = auctNew.RunScored(bids, scores)
 				} else {
 					got, gotErr = auctNew.Run(bids)
 				}

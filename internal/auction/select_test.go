@@ -1,7 +1,9 @@
 package auction
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -143,6 +145,62 @@ func TestSelectorBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestOutcomeCloneOwnsItsMemory pins what every holder of a retained outcome
+// relies on: the copy equals its source down to nil-ness, shares no memory
+// with it, costs three allocations whatever K is, and one winner's quality
+// slice cannot be grown into its neighbour's.
+func TestOutcomeCloneOwnsItsMemory(t *testing.T) {
+	rule := selTestRule(t)
+	var sel Selector
+	src, err := sel.Select(SelectionRequest{Rule: rule, Bids: selTestBids(256, 3), K: 12}, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := src.Clone()
+	want := fmt.Sprintf("%+v", src)
+	if !reflect.DeepEqual(kept, src) {
+		t.Fatal("Clone differs from its source")
+	}
+	// The selector moves on to a different slate; the clone must not.
+	if _, err := sel.Select(SelectionRequest{Rule: rule, Bids: selTestBids(256, 5), K: 12}, rand.New(rand.NewSource(6))); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%+v", kept); got != want {
+		t.Fatal("the selector's next round rewrote a cloned outcome")
+	}
+
+	if allocs := testing.AllocsPerRun(50, func() { cloneSink = kept.Clone() }); allocs != 3 {
+		t.Fatalf("Clone of a K=%d outcome: %v allocs, want 3 (winners, qualities, scores)", len(kept.Winners), allocs)
+	}
+
+	// Capacity-clipped: an append to winner 0's qualities reallocates
+	// instead of overwriting winner 1's first quality.
+	next := kept.Winners[1].Bid.Qualities[0]
+	q0 := kept.Winners[0].Bid.Qualities
+	if cap(q0) != len(q0) {
+		t.Fatalf("winner 0 qualities: cap %d > len %d", cap(q0), len(q0))
+	}
+	_ = append(q0, -1)
+	if kept.Winners[1].Bid.Qualities[0] != next {
+		t.Fatal("appending to one winner's qualities overwrote its neighbour's")
+	}
+
+	// Nil-ness survives: ψ-FMore's zero-eligible outcome keeps nil Winners,
+	// a zero outcome stays zero, a nil quality vector stays nil.
+	for _, o := range []Outcome{
+		{},
+		{Scores: []float64{1, 2}},
+		{Winners: []Winner{}, Scores: []float64{}},
+		{Winners: []Winner{{Bid: Bid{NodeID: 1}}, {Bid: Bid{NodeID: 2, Qualities: []float64{0.5}}}}},
+	} {
+		if got := o.Clone(); !reflect.DeepEqual(got, o) {
+			t.Fatalf("Clone(%+v) = %+v", o, got)
+		}
+	}
+}
+
+var cloneSink Outcome
 
 // TestSelectorZeroAllocSteadyState locks in the acceptance criterion: once
 // the buffers are warm, one Select on the deterministic top-K path performs

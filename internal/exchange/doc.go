@@ -36,12 +36,12 @@
 // job-wide lock either:
 //
 //   - Each Job fronts its bid collection with P intake shards (next power
-//     of two ≥ GOMAXPROCS, Options.IntakeShards to override). A node hashes
-//     to one shard — its private mutex, append-only buffer and dedup set —
-//     so concurrent POST /v1/jobs/{id}/bids serialize only on stripe
-//     collisions, never against each other globally and never against a
-//     round close in progress. The one-bid-per-node-per-round rule holds
-//     exactly because a node always lands on the same shard.
+//     of two ≥ GOMAXPROCS, at most 32). A node hashes to one shard — its
+//     private mutex, append-only buffer and dedup set — so concurrent
+//     POST /v1/jobs/{id}/bids serialize only on stripe collisions, never
+//     against each other globally and never against a round close in
+//     progress. The one-bid-per-node-per-round rule holds exactly because
+//     a node always lands on the same shard.
 //   - Each shard carries the round number its buffered bids belong to; the
 //     close drains shards one by one, advancing each shard's round at its
 //     drain. A submit racing the close is therefore labeled with the round
@@ -53,33 +53,31 @@
 //     (packed int64 (NodeID, position) keys — no per-compare closure), has
 //     the shared worker pool score it, and runs winner determination
 //     through the job's auction.Auctioneer, whose pooled Selector reuses
-//     its scratch round after round. Outcomes are bit-for-bit what the
+//     its scratch round after round and which returns the round's one
+//     owning outcome (see Ownership). Outcomes are bit-for-bit what the
 //     standalone auctioneer would produce, independent of arrival order.
 //   - Registry is a sharded node directory (striped locks, atomic per-node
 //     counters); the metrics and the event firehose are entirely lock-free
 //     on the producer side, so a slow scrape or a wedged event consumer can
 //     never stall a bid or a round close (see Observability below).
 //
-// # Ownership: the pooled outcome lifecycle
+// # Ownership
 //
-// The steady-state round close allocates nothing. Winner determination
-// copies its result into a job-owned auction.OutcomeBuffer (generation
-// tagged; see that type's rules), and the retained history holds that
-// pooled form. The boundary:
+// A closed round has one owner. Winner determination returns one owning
+// copy of its result (three allocations whatever K is), the job's history
+// keeps it, and everyone else shares it as is: both CloseRound methods, the
+// read accessors, Subscribe's replay and the round_closed events. That
+// memory is written once and never reused — eviction only drops the
+// history's reference — so it may be read outside every lock, at any pace,
+// and a round replayed from the log is the same kind of entry as one closed
+// live. Holders must not mutate it; Outcome.Clone gives a private copy.
 //
-//   - closeRound's return value and the history entries alias pooled
-//     memory, immutable until the round leaves the KeepOutcomes window —
-//     then the buffer is recycled for a future round.
-//   - Everything that escapes the job copies out: the read accessors
-//     (Outcome, Latest, WaitLatest, WaitOutcome, OutcomesAfter), the
-//     replayed history handed to Subscribe, the round_closed events fanned
-//     out to subscribers (cloned once per round, only when subscribers
-//     exist), and Exchange.CloseRound's return value. HTTP and SSE
-//     rendering therefore never reads job-pooled memory outside the job's
-//     lock.
-//   - On a durable exchange each history entry also holds the round's
-//     encoded log record, under the same lifecycle — see "Snapshot +
-//     rotation" for who may read those bytes and when they are recycled.
+// Still recycled, each for a measured beneficiary: the close's scratch
+// (see Job.closeMu), none of which outlives its close, and on a durable
+// exchange the round's encoded log record, held beside the outcome and
+// reused after eviction (see "Snapshot + rotation"). A steady-state close
+// allocates the outcome's three blocks and nothing else
+// (exchange.close_allocs = 3 in bench/'s traced run); a submit allocates 0.
 //
 // # Durability
 //
@@ -335,7 +333,9 @@
 //   - Uniform errors. Every failure is api.Error, {code, message,
 //     retry_after_ms?}, as application/json; code is stable API surface
 //     (unknown_job, duplicate_bid, job_closed, below_quorum, timeout, …)
-//     mapped from the package's sentinel errors by classify.
+//     mapped from the package's sentinel errors by classify. A request
+//     body over 8 MiB is refused with 413 invalid_request before anything
+//     is decoded or claimed — it is never truncated and parsed.
 //   - Idempotency. POST /v1/jobs and POST /v1/jobs/{id}/bids honor an
 //     Idempotency-Key header: a repeated key replays the recorded response
 //     (Idempotent-Replay: true) instead of failing on the duplicate side

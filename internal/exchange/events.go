@@ -23,10 +23,9 @@ type Event struct {
 	// Job and Round identify the transition (Round is zero for job_closed).
 	Job   string
 	Round int
-	// Outcome is set on round_closed events. It owns its memory (the
-	// publisher copies out of the job's pooled history before fan-out), so
-	// subscribers may render or retain it at any pace. It must not be
-	// mutated — every subscriber of the round shares the one copy.
+	// Outcome is set on round_closed events. Subscribers may render or
+	// retain it at any pace but must not mutate it — the job's history and
+	// every other reader of the round share it (Outcome.Clone to change it).
 	Outcome *RoundOutcome
 }
 
@@ -55,22 +54,13 @@ type Subscription struct {
 // Rounds older than the job's retained history (KeepOutcomes) cannot be
 // replayed; resumption is lossless within the retention window.
 //
-// The returned outcomes own their memory: the caller renders them outside
-// the job lock, which may be KeepOutcomes round closes later — the pooled
-// history entries they were copied from can be recycled by then.
+// The returned outcomes are the retained values themselves: the caller
+// renders them outside the job lock, at any pace — a round evicted
+// meanwhile stays intact for as long as somebody holds it.
 func (j *Job) Subscribe(afterRound int) (past []RoundOutcome, cur int, sub *Subscription) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	start := afterRound - j.baseRnd
-	if start < 0 {
-		start = 0
-	}
-	if start < len(j.outcomes) {
-		past = make([]RoundOutcome, 0, len(j.outcomes)-start)
-		for _, ro := range j.outcomes[start:] {
-			past = append(past, ro.clone())
-		}
-	}
+	past, _ = j.hist.after(afterRound, 0)
 	if j.closed.Load() {
 		return past, j.round, nil
 	}

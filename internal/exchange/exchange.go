@@ -22,13 +22,6 @@ var ErrExchangeClosed = errors.New("exchange: closed")
 type Options struct {
 	// Workers sizes the shared scoring pool (default GOMAXPROCS).
 	Workers int
-	// ScoreChunk is the bids-per-task granularity of the pool (default 128).
-	ScoreChunk int
-	// IntakeShards overrides the per-job bid-intake stripe count (rounded up
-	// to a power of two; default: GOMAXPROCS rounded up, capped at 32).
-	// Bidders serialize only when they hash to the same stripe, so more
-	// stripes buy less contention at the cost of a longer drain at close.
-	IntakeShards int
 	// RequireRegistration rejects bids from nodes that have not been
 	// registered (the deployment posture of the TCP harness, where nodes
 	// register over the wire before bidding). When false, first contact
@@ -169,7 +162,7 @@ func New(opts Options) *Exchange {
 	ex := &Exchange{
 		opts:    opts,
 		reg:     NewRegistry(),
-		pool:    newScorePool(opts.Workers, opts.ScoreChunk),
+		pool:    newScorePool(opts.Workers, defaultScoreChunk),
 		metrics: newMetrics(),
 		fh:      newFirehose(opts.FirehoseRing),
 		part:    opts.Partition,
@@ -418,17 +411,15 @@ func (ex *Exchange) Firehose() *Firehose { return ex.fh }
 
 // CloseRound closes the job's current round synchronously and returns its
 // outcome. This is the manual drive of BidWindow-0 jobs; on timer-mode
-// jobs it simply closes the window early. The returned
-// outcome owns all of its memory (the copy is made before the close lock
-// releases, so it can never observe a later round recycling the job's
-// pooled buffers); in-process embedders that want the zero-copy pooled
-// form use Job.CloseRound instead.
+// jobs it simply closes the window early. The returned outcome is the value
+// the job's history retains and every reader shares: hold it as long as
+// needed, do not mutate it (Outcome.Clone for a private copy).
 func (ex *Exchange) CloseRound(jobID string) (RoundOutcome, error) {
 	j, ok := ex.Job(jobID)
 	if !ok {
 		return RoundOutcome{}, ex.missingJob(jobID)
 	}
-	return j.closeRoundOwned()
+	return j.closeRound()
 }
 
 // WaitOutcome blocks until the job's round completes.

@@ -99,6 +99,64 @@ func degradeViaFsync(t *testing.T, ex *Exchange, jobID string, bidders int) {
 	}
 }
 
+// TestOpenAfterOversizedRecord is prefix durability across a record the log
+// cannot hold. The recovery scan reads a length above the log's 64 MiB
+// record bound as the end of the log, so a larger record, once written,
+// hides every record behind it — rounds that were acknowledged and synced
+// included. The log refuses it instead: Sync says so, the replica degrades
+// and acknowledges nothing more, and a reopen serves everything that was
+// acknowledged.
+func TestOpenAfterOversizedRecord(t *testing.T) {
+	const bidders = 6
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ids := compactWorkload(t, ex, 1, bidders, 1, true)
+	if err := ex.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 1
+
+	ex.RegisterNode(7, strings.Repeat("x", 65<<20)) // one node record of 65 MiB
+	if err := ex.Sync(); !errors.Is(err, wal.ErrRecordTooLarge) {
+		t.Errorf("Sync after a 65 MiB record = %v, want ErrRecordTooLarge", err)
+	}
+	if !ex.Degraded() {
+		t.Error("exchange not degraded after refusing a record")
+	}
+	// Whatever is acknowledged and synced behind that record must survive;
+	// the degraded replica gets there by acknowledging nothing.
+	var bidErr error
+	for _, b := range testBids(0, 2, bidders) {
+		if _, err := ex.SubmitBid(ids[0], b); err != nil {
+			bidErr = err
+		}
+	}
+	_, closeErr := ex.CloseRound(ids[0])
+	var degraded *DegradedError
+	if !errors.As(bidErr, &degraded) || !errors.As(closeErr, &degraded) {
+		t.Errorf("behind the refused record: bid = %v, close = %v; want *DegradedError", bidErr, closeErr)
+	}
+	if closeErr == nil && ex.Sync() == nil {
+		rounds = 2
+	}
+	acked := ackedOutcomes(t, ex, ids, rounds)
+	ex.Close() //nolint:errcheck // reports the sticky error checked above
+
+	ex2, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer ex2.Close()
+	if ex2.Degraded() {
+		t.Error("reopened exchange is degraded")
+	}
+	assertAcked(t, ex2, acked)
+}
+
 // TestDegradedModeAfterFsyncFailure is the end-to-end contract of the
 // degrade policy: after the WAL's first sticky error every durable write is
 // refused with *DegradedError (503 durability_lost over HTTP), reads and

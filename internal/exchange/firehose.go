@@ -274,8 +274,9 @@ func (f *Firehose) bidAccepted(j *Job, round, node int, price float64) {
 }
 
 // roundClosed taps one completed round: a TapWinner per selected bid, then
-// the TapRoundClosed summary. Callers hold the job's closeMu, so the
-// pooled outcome memory read here is stable; only scalars are copied out.
+// the TapRoundClosed summary. Callers hold the job's closeMu, which keeps a
+// job's rounds in order on the ring; only scalars are copied out of the
+// (immutable) outcome.
 func (f *Firehose) roundClosed(j *Job, ro *RoundOutcome) {
 	if !f.enabled() {
 		return

@@ -286,19 +286,22 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 		t.Fatalf("dropped total went backwards across detach: %d -> %d", before, after)
 	}
 
-	// The healthy sink shares no fate with the wedged one: it must have
-	// seen every round close. (Drain only settles now that the wedged pump
-	// is detached — it can never consume.)
+	// The healthy sink shares no fate with the wedged one: every round
+	// close reached it, or was lapped on this deliberately tiny ring (64
+	// slots, ~69 events a round, so a pump the scheduler kept off the CPU
+	// for one round is overrun) and counted in its own drops — seen or
+	// counted, never silently missing. (Drain only settles now that the
+	// wedged pump is detached — it can never consume.)
 	drainFirehose(t, ex.Firehose())
-	events, _ := healthy.snapshot()
+	events, healthyDropped := healthy.snapshot()
 	closes := 0
 	for _, ev := range events {
 		if ev.Kind == TapRoundClosed {
 			closes++
 		}
 	}
-	if closes != rounds {
-		t.Fatalf("healthy sink saw %d round closes, want %d", closes, rounds)
+	if closes > rounds || uint64(closes)+healthyDropped < rounds {
+		t.Fatalf("healthy sink saw %d round closes and counted %d drops, want %d seen or counted", closes, healthyDropped, rounds)
 	}
 }
 

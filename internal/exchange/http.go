@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -125,16 +126,39 @@ type handler struct {
 // durable across restarts).
 const idemCacheCap = 4096
 
-// maxIdempotentBody bounds the request payloads read for fingerprinting.
-const maxIdempotentBody = 8 << 20
+// maxRequestBody bounds every request body the handler reads, which also
+// keeps what one request can put into a log record far below the log's own
+// record bound.
+const maxRequestBody = 8 << 20
+
+// readBody reads a POST's body (a what). It reads one byte past the bound,
+// so a body that does not fit is refused with 413 instead of being
+// truncated and decoded as if whole. ok false: the response is written.
+func readBody(w http.ResponseWriter, r *http.Request, what string) (raw []byte, ok bool) {
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading %s: %v", what, err))
+		return nil, false
+	}
+	if len(raw) > maxRequestBody {
+		writeError(w, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest, fmt.Sprintf("%s body exceeds %d bytes", what, maxRequestBody))
+		return nil, false
+	}
+	return raw, true
+}
 
 // idemEntry is one idempotency-key slot. done closes when the first request
 // carrying the key settles; status 0 afterwards means it failed without
-// recording a response (the key is released for a clean retry).
+// recording a response (the key is released for a clean retry). key, prev
+// and next place the entry in its cache's eviction order, under the
+// cache's mutex.
 type idemEntry struct {
 	done   chan struct{}
 	status int
 	body   []byte
+
+	key        string
+	prev, next *idemEntry
 }
 
 // idemCache replays recorded responses for repeated Idempotency-Key values,
@@ -144,14 +168,18 @@ type idemEntry struct {
 // racing its own in-flight first attempt waits for that attempt's recorded
 // response instead of executing twice.
 type idemCache struct {
-	cap   int
-	mu    sync.Mutex
-	m     map[string]*idemEntry
-	order []string
+	cap int
+	mu  sync.Mutex
+	m   map[string]*idemEntry
+	// order is the sentinel of a ring through every entry of m, oldest
+	// claim first (order.next): claim, evict and abort are O(1) at any fill.
+	order idemEntry
 }
 
 func newIdemCache(cap int) *idemCache {
-	return &idemCache{cap: cap, m: make(map[string]*idemEntry)}
+	c := &idemCache{cap: cap, m: make(map[string]*idemEntry)}
+	c.order.prev, c.order.next = &c.order, &c.order
+	return c
 }
 
 // begin claims the key. owner reports whether the caller runs the operation
@@ -166,27 +194,34 @@ func (c *idemCache) begin(key string) (e *idemEntry, owner bool) {
 	if len(c.m) >= c.cap {
 		c.evictOneLocked()
 	}
-	e = &idemEntry{done: make(chan struct{})}
+	e = &idemEntry{done: make(chan struct{}), key: key}
 	c.m[key] = e
-	c.order = append(c.order, key)
+	e.prev, e.next = c.order.prev, &c.order
+	e.prev.next, e.next.prev = e, e
 	return e, true
 }
 
 // evictOneLocked drops the oldest *settled* entry. In-flight entries are
 // never evicted — losing one would let a racing duplicate become a second
 // owner and execute the operation twice; if every entry is in flight the
-// cache temporarily exceeds cap (bounded by concurrent keyed requests).
+// cache temporarily exceeds cap (bounded by concurrent keyed requests, as
+// is the number of entries the walk steps over).
 func (c *idemCache) evictOneLocked() {
-	for i, k := range c.order {
-		e := c.m[k]
+	for e := c.order.next; e != &c.order; e = e.next {
 		select {
 		case <-e.done:
-			delete(c.m, k)
-			c.order = append(c.order[:i], c.order[i+1:]...)
+			c.removeLocked(e)
 			return
 		default:
 		}
 	}
+}
+
+// removeLocked takes e out of the map and the eviction order.
+func (c *idemCache) removeLocked(e *idemEntry) {
+	delete(c.m, e.key)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // finish records the response and releases waiters.
@@ -199,18 +234,11 @@ func (c *idemCache) finish(e *idemEntry, status int, body []byte) {
 // abort releases the key after a failed attempt: waiters (and future
 // requests) get a clean slate instead of a recorded error. The key leaves
 // the eviction order too — otherwise error-dominated keyed traffic would
-// grow it without bound (and a later re-begin of the same key would appear
-// twice, letting an eviction of the stale occurrence delete the live one).
-func (c *idemCache) abort(key string, e *idemEntry) {
+// grow it without bound.
+func (c *idemCache) abort(e *idemEntry) {
 	c.mu.Lock()
-	if cur, ok := c.m[key]; ok && cur == e {
-		delete(c.m, key)
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+	if c.m[e.key] == e {
+		c.removeLocked(e)
 	}
 	c.mu.Unlock()
 	close(e.done)
@@ -220,7 +248,6 @@ func (c *idemCache) abort(key string, e *idemEntry) {
 // (no Idempotency-Key header) is inert.
 type idemToken struct {
 	c       *idemCache
-	key     string
 	e       *idemEntry
 	settled bool
 }
@@ -240,7 +267,7 @@ func (t *idemToken) abort() {
 		return
 	}
 	t.settled = true
-	t.c.abort(t.key, t.e)
+	t.c.abort(t.e)
 }
 
 // idemBegin implements the Idempotency-Key contract for one request. The
@@ -259,7 +286,7 @@ func (h *handler) idemBegin(w http.ResponseWriter, r *http.Request, op, scope st
 	for {
 		e, owner := h.idem.begin(full)
 		if owner {
-			return idemToken{c: h.idem, key: full, e: e}, false
+			return idemToken{c: h.idem, e: e}, false
 		}
 		select {
 		case <-e.done:
@@ -282,9 +309,8 @@ func (h *handler) idemBegin(w http.ResponseWriter, r *http.Request, op, scope st
 // --- handlers ---------------------------------------------------------------
 
 func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxIdempotentBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading job spec: %v", err))
+	raw, ok := readBody(w, r, "job spec")
+	if !ok {
 		return
 	}
 	tok, handled := h.idemBegin(w, r, "create-job", "", raw)
@@ -390,9 +416,8 @@ func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
 	}
 	defer adm.EndRequest()
 	jobID := r.PathValue("id")
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxIdempotentBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading bid: %v", err))
+	raw, ok := readBody(w, r, "bid")
+	if !ok {
 		return
 	}
 	tok, handled := h.idemBegin(w, r, "submit-bid", jobID, raw)
@@ -695,8 +720,12 @@ func (h *handler) strategy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) registerNode(w http.ResponseWriter, r *http.Request) {
+	raw, ok := readBody(w, r, "node")
+	if !ok {
+		return
+	}
 	var req api.NodeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding node: %v", err))
 		return
 	}

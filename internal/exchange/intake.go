@@ -1,18 +1,16 @@
 package exchange
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fmore/internal/auction"
 )
 
-// maxDefaultIntakeShards caps the GOMAXPROCS-derived default shard count:
-// beyond this, shard-selection collisions are already rare at any realistic
-// bidder concurrency and more shards only cost memory and drain work. An
-// explicit Options.IntakeShards override is honored past it.
-const maxDefaultIntakeShards = 32
+// maxIntakeShards caps the GOMAXPROCS-derived shard count: beyond this,
+// shard-selection collisions are already rare at any realistic bidder
+// concurrency and more shards only cost memory and drain work.
+const maxIntakeShards = 32
 
 // intakeShard is one stripe of a job's bid intake: an append-only buffer,
 // its dedup set, and the round number the buffered bids belong to, all
@@ -43,19 +41,12 @@ type intake struct {
 	pending atomic.Int64
 }
 
-// newIntake sizes the stripe count to the machine (next power of two ≥
-// GOMAXPROCS, capped at maxDefaultIntakeShards), or to the explicit
-// override when positive (rounded up to a power of two, uncapped — the
-// operator asked for exactly that contention profile).
-func newIntake(override int) *intake {
-	n := runtime.GOMAXPROCS(0)
-	limit := maxDefaultIntakeShards
-	if override > 0 {
-		n = override
-		limit = override
-	}
+// newIntake builds an intake of n stripes, rounded up to a power of two
+// (the shard hash masks). Jobs size it to the machine: GOMAXPROCS, capped
+// at maxIntakeShards.
+func newIntake(n int) *intake {
 	shards := 1
-	for shards < n && shards < limit {
+	for shards < n {
 		shards <<= 1
 	}
 	in := &intake{shards: make([]intakeShard, shards), mask: uint32(shards - 1)}

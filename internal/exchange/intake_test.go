@@ -200,11 +200,11 @@ func TestIntakeRoundLabelingDuringClose(t *testing.T) {
 	}
 }
 
-// TestIntakeShardOverride pins the IntakeShards option: stripe counts round
-// up to a power of two and the dedup/labeling semantics hold at any count.
+// TestIntakeShardOverride pins newIntake's sizing: stripe counts round up to
+// a power of two and the dedup/labeling semantics hold at any count.
 func TestIntakeShardOverride(t *testing.T) {
 	for _, override := range []int{1, 3, 8} {
-		ex := New(Options{IntakeShards: override})
+		ex := New(Options{})
 		job, err := ex.CreateJob(JobSpec{
 			ID:      fmt.Sprintf("shards-%d", override),
 			Auction: auction.Config{Rule: testRule(t, 0), K: 2},
@@ -212,6 +212,7 @@ func TestIntakeShardOverride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		job.intake = newIntake(override) // before the first bid: nothing reads it yet
 		if got := len(job.intake.shards); got&(got-1) != 0 || got < override {
 			t.Errorf("override %d: %d shards, want a power of two >= it", override, got)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -82,7 +83,8 @@ func (s *JobSpec) setDefaults() {
 	}
 }
 
-// RoundOutcome is one completed auction round of a job.
+// RoundOutcome is one completed auction round of a job. Every holder of a
+// round shares one Outcome: treat it as immutable (see closeRound).
 type RoundOutcome struct {
 	// JobID and Round identify the round (rounds are 1-based).
 	JobID string
@@ -99,31 +101,6 @@ type RoundOutcome struct {
 	// Err records a failed round (a poisoned bid set). Failed rounds stay
 	// in history so round numbering remains contiguous.
 	Err error
-}
-
-// clone returns a RoundOutcome that owns all of its memory. The read-side
-// accessors hand these out so callers never alias the job's pooled history
-// buffers (see the ownership rules on closeRound).
-func (ro RoundOutcome) clone() RoundOutcome {
-	ro.Outcome = ro.Outcome.Clone()
-	return ro
-}
-
-// outcomeHold pairs a retained history entry with the pooled buffer backing
-// its Outcome. buf is nil when the entry owns its memory (failed rounds,
-// WAL-replayed rounds); gen is the buffer generation the entry was built
-// under, checked before the buffer is recycled on eviction.
-//
-// rec is the round's encoded log record object in its history form (see
-// appendWalRound), the bytes a snapshot splices instead of re-encoding the
-// outcome: written once at close (or kept as read from disk by replay),
-// immutable while the entry is retained, recycled through freeRecs at
-// eviction. Nil on an in-memory exchange, which encodes and retains
-// nothing.
-type outcomeHold struct {
-	buf *auction.OutcomeBuffer
-	gen uint64
-	rec []byte
 }
 
 // Job is one hosted FL task: an auctioneer plus a round state machine. All
@@ -156,25 +133,23 @@ type Job struct {
 	// reads it without synchronization.
 	admit *admission.Bucket
 
-	// mu guards the round/history state: the round counter, outcome history
-	// (and its pooled-buffer holds), the scoring flag, the round-completion
-	// broadcast channel, and the event-stream subscriber set.
-	mu       sync.Mutex
-	scoring  bool
-	round    int // current collecting round, 1-based
-	baseRnd  int // outcomes[0] holds round baseRnd+1
-	outcomes []RoundOutcome
-	holds    []outcomeHold
-	doneCh   chan struct{} // lazily armed; closed (and cleared) on every state change
-	subs     map[*Subscription]struct{}
+	// mu guards the round/history state: the round counter, the outcome
+	// history (changed only with closeMu held as well), the scoring flag, the
+	// round-completion broadcast channel, and the event-stream subscriber set.
+	mu      sync.Mutex
+	scoring bool
+	round   int // current collecting round, 1-based
+	hist    history
+	doneCh  chan struct{} // lazily armed; closed (and cleared) on every state change
+	subs    map[*Subscription]struct{}
 
-	// closeMu serializes round closes; everything below it is reused across
-	// rounds so the steady-state close path allocates nothing: gather
-	// collects the drained shard buffers, scores is the pooled score vector,
-	// freeBufs and freeRecs recycle the outcome buffers and encoded records
-	// evicted from history, and walScratch is the reusable WAL round record
-	// (safe because logRound encodes synchronously before returning). The
-	// auctioneer carries the job's pooled auction.Selector, so winner
+	// closeMu serializes round closes; everything below it is scratch reused
+	// across rounds, so all a steady-state close allocates is the outcome it
+	// hands to the history: gather collects the drained shard buffers,
+	// scores is the pooled score vector, freeRecs recycles the encoded
+	// records evicted from history, and walScratch is the reusable WAL round
+	// record (safe because logRound encodes synchronously before returning).
+	// The auctioneer carries the job's pooled auction.Selector, so winner
 	// determination itself reuses its buffers round after round.
 	closeMu    sync.Mutex
 	gather     []auction.Bid
@@ -182,7 +157,6 @@ type Job struct {
 	sortKeys   []int64
 	scores     []float64
 	batch      batchState
-	freeBufs   []*auction.OutcomeBuffer
 	freeRecs   [][]byte
 	auct       *auction.Auctioneer
 	src        *countingSource
@@ -326,27 +300,9 @@ func (j *Job) canonicalize(bids []auction.Bid) []auction.Bid {
 	return out
 }
 
-// takeBuf pops a pooled outcome buffer (or makes the pool's next one).
-// Callers hold closeMu, the only context that touches freeBufs.
-func (j *Job) takeBuf() *auction.OutcomeBuffer {
-	if n := len(j.freeBufs); n > 0 {
-		buf := j.freeBufs[n-1]
-		j.freeBufs = j.freeBufs[:n-1]
-		return buf
-	}
-	return new(auction.OutcomeBuffer)
-}
-
-// releaseBuf recycles a buffer back to the pool, invalidating any outcome
-// built in it. Callers hold closeMu.
-func (j *Job) releaseBuf(buf *auction.OutcomeBuffer) {
-	buf.Recycle()
-	j.freeBufs = append(j.freeBufs, buf)
-}
-
 // takeRec pops a recycled record buffer, or sizes a new one like the
 // previous round's record (same job, same slate shape). Callers hold
-// closeMu, which also covers the read of holds: it only changes under
+// closeMu, which also covers the read of the history: it only changes under
 // closeMu and j.mu together.
 func (j *Job) takeRec() []byte {
 	if n := len(j.freeRecs); n > 0 {
@@ -355,8 +311,8 @@ func (j *Job) takeRec() []byte {
 		return rec[:0]
 	}
 	hint := 0
-	if n := len(j.holds); n > 0 {
-		hint = cap(j.holds[n-1].rec)
+	if n := len(j.hist.entries); n > 0 {
+		hint = cap(j.hist.entries[n-1].rec)
 	}
 	return make([]byte, 0, hint)
 }
@@ -372,47 +328,25 @@ func (j *Job) releaseRec(rec []byte) {
 	}
 }
 
-// CloseRound closes the job's current collecting round now and returns the
-// outcome in the job's pooled form: zero-copy for in-process embedders that
-// consume the result before the round leaves the KeepOutcomes window (see
-// closeRound's ownership note; Outcome.Clone to retain longer). Callers
-// that hold the result across rounds — or hand it to another goroutine —
-// should use Exchange.CloseRound, which returns an owned copy.
+// CloseRound closes the job's current collecting round now and returns its
+// outcome, the same shared value Exchange.CloseRound returns.
 func (j *Job) CloseRound() (RoundOutcome, error) {
 	return j.closeRound()
 }
 
-// closeRoundOwned is closeRound returning an owned copy. The clone runs
-// while closeMu is still held: buffer recycling happens only inside
-// closeRound (eviction) and takeBuf, both under closeMu, so a copy made
-// here can never race a later round reusing the buffer.
-func (j *Job) closeRoundOwned() (RoundOutcome, error) {
-	j.closeMu.Lock()
-	defer j.closeMu.Unlock()
-	ro, err := j.closeRoundLocked()
-	return ro.clone(), err
-}
-
-// closeRound runs one round close in the pooled form.
+// closeRound drains the intake shards, scores the round on the shared pool,
+// runs winner determination, and publishes the outcome. It returns
+// ErrBelowQuorum (round keeps collecting) when the intake is under quorum.
+//
+// Ownership: winner determination returns the one owning copy of the
+// round's outcome. The history keeps it; the caller, every read accessor
+// and every round_closed event share it as is. It is never written again —
+// eviction from the KeepOutcomes window only drops the history's reference
+// — so holders may read it at any pace from any goroutine, and none may
+// mutate it (Outcome.Clone gives a private copy).
 func (j *Job) closeRound() (RoundOutcome, error) {
 	j.closeMu.Lock()
 	defer j.closeMu.Unlock()
-	return j.closeRoundLocked()
-}
-
-// closeRoundLocked drains the intake shards, scores the round on the shared
-// pool, runs winner determination, and publishes the outcome. It returns
-// ErrBelowQuorum (round keeps collecting) when the intake is under quorum.
-// Callers hold closeMu.
-//
-// Ownership: the returned RoundOutcome (and the history entry behind it)
-// references the job's pooled outcome memory. It is immutable until the
-// round leaves the retained history window — KeepOutcomes closes later —
-// at which point the buffer is recycled for a future round. Callers that
-// outlive the window (or hand the data to another goroutine) must copy out
-// with Outcome.Clone; the exported read accessors and the event stream
-// already do.
-func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 
 	start := time.Now()
 	if j.closed.Load() {
@@ -460,13 +394,12 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 		j.scores = make([]float64, len(bids))
 	}
 	scores := j.scores[:len(bids)]
-	buf := j.takeBuf()
 	var outcome auction.Outcome
 	err := j.ex.pool.score(j.spec.Auction.Rule, bids, scores, &j.batch)
 	if err == nil {
-		// RunScoredInto copies the result into buf, so the bid buffer is
-		// free to reuse and the outcome lives in pooled job-owned memory.
-		outcome, err = j.auct.RunScoredInto(bids, scores, buf)
+		// RunScored returns an owning copy, so the bid and score buffers
+		// are free to reuse.
+		outcome, err = j.auct.RunScored(bids, scores)
 	}
 
 	ro := RoundOutcome{
@@ -476,39 +409,22 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 		Outcome: outcome,
 		Latency: time.Since(start),
 	}
-	hold := outcomeHold{buf: buf, gen: buf.Generation()}
 	if err != nil {
 		// The round's bids are consumed either way: a poisoned bid set must
 		// not wedge the job forever. The failed round is recorded so the
 		// history stays contiguous.
 		ro.Outcome = auction.Outcome{}
 		ro.Err = fmt.Errorf("exchange: job %s round %d: %w", j.id, round, err)
-		j.releaseBuf(buf)
-		hold = outcomeHold{}
 	}
 	// Persist before publishing; the append is a channel hand-off to the log
 	// writer (the record bytes are encoded before it returns, so the scratch
-	// record and the pooled outcome it aliases are free to reuse). j.src.n
-	// is stable here: only RunScoredInto draws from it, and closeMu is held.
-	hold.rec = j.logRound(ro, bidders)
+	// record is free to reuse). j.src.n is stable here: only RunScored draws
+	// from it, and closeMu is held.
+	rec := j.logRound(ro, bidders)
 
 	j.mu.Lock()
 	j.scoring = false
-	j.outcomes = append(j.outcomes, ro)
-	j.holds = append(j.holds, hold)
-	if excess := len(j.outcomes) - j.spec.KeepOutcomes; excess > 0 {
-		// Recycle the pooled buffers leaving the window before shifting it.
-		for i := 0; i < excess; i++ {
-			h := j.holds[i]
-			if h.buf != nil && h.buf.Generation() == h.gen {
-				j.releaseBuf(h.buf)
-			}
-			j.releaseRec(h.rec)
-		}
-		j.outcomes = append(j.outcomes[:0], j.outcomes[excess:]...)
-		j.holds = append(j.holds[:0], j.holds[excess:]...)
-		j.baseRnd += excess
-	}
+	j.releaseRec(j.hist.push(historyEntry{ro, rec}, j.spec.KeepOutcomes))
 	// !closed: a concurrent Close/RemoveJob may have already finished the
 	// job while we were scoring, and its close must not be redone here.
 	maxed := !j.closed.Load() && j.spec.MaxRounds > 0 && j.round > j.spec.MaxRounds
@@ -519,12 +435,10 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 	// Push the transition to event-stream subscribers inside the same
 	// critical section that appended the outcome, so a Subscribe can never
 	// observe the history without either seeing this round in it or
-	// receiving this event. Events escape to subscriber goroutines that
-	// render them after this section ends, so the outcome they carry is an
-	// owned copy, never the pooled form (skipped when nobody is watching —
-	// the steady-state close stays allocation-free).
+	// receiving this event. The header copy the event points at is made only
+	// when somebody is watching; the outcome behind it is the shared one.
 	if len(j.subs) > 0 {
-		evRo := ro.clone()
+		evRo := ro
 		j.publishLocked(Event{Type: EventRoundClosed, Job: j.id, Round: ro.Round, Outcome: &evRo})
 	}
 	switch {
@@ -535,8 +449,8 @@ func (j *Job) closeRoundLocked() (RoundOutcome, error) {
 	}
 	j.mu.Unlock()
 
-	// Tap the completed round while closeMu still pins the pooled outcome
-	// memory; only scalars are copied into the ring.
+	// Tap the completed round while closeMu still orders it before the job's
+	// next one; only scalars are copied into the ring.
 	j.ex.fh.roundClosed(j, &ro)
 	if maxed {
 		j.cancel()
@@ -631,28 +545,24 @@ func (j *Job) close(record bool) {
 }
 
 // Outcome returns the completed round without blocking. For a failed round
-// the stored error is returned alongside the record. The result owns its
-// memory (see closeRound's ownership note).
+// the stored error is returned alongside the record. Like every read
+// accessor it returns the retained value itself (see closeRound).
 func (j *Job) Outcome(round int) (RoundOutcome, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ro, err, _ := j.outcomeLocked(round)
-	return ro.clone(), err
+	return ro, err
 }
 
 // outcomeLocked resolves a round; pending reports "not completed yet" (the
-// only state WaitOutcome keeps waiting on). The returned record aliases the
-// pooled history; exported callers clone before releasing j.mu.
+// only state WaitOutcome keeps waiting on). Callers hold j.mu.
 func (j *Job) outcomeLocked(round int) (ro RoundOutcome, err error, pending bool) {
-	idx := round - 1 - j.baseRnd
+	ro, found, err := j.hist.at(round)
 	switch {
-	case round < 1:
-		return RoundOutcome{}, fmt.Errorf("exchange: round %d out of range", round), false
-	case idx < 0:
-		return RoundOutcome{}, fmt.Errorf("%w: round %d (retained: %d+)", ErrOutcomeEvicted, round, j.baseRnd+1), false
-	case idx < len(j.outcomes):
-		ro = j.outcomes[idx]
+	case found:
 		return ro, ro.Err, false
+	case err != nil:
+		return RoundOutcome{}, err, false
 	case j.closed.Load():
 		return RoundOutcome{}, ErrJobClosed, false
 	}
@@ -663,37 +573,18 @@ func (j *Job) outcomeLocked(round int) (ro RoundOutcome, err error, pending bool
 // greater than after, oldest first, and reports whether more retained
 // rounds remain past the returned page. It backs the v1 cursor-paginated
 // outcome listing; failed rounds are included (their Err set) so pages stay
-// contiguous. The page owns its memory.
+// contiguous.
 func (j *Job) OutcomesAfter(after, limit int) (page []RoundOutcome, more bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	start := after - j.baseRnd
-	if start < 0 {
-		start = 0
-	}
-	if start >= len(j.outcomes) {
-		return nil, false
-	}
-	rest := j.outcomes[start:]
-	if limit > 0 && len(rest) > limit {
-		rest, more = rest[:limit], true
-	}
-	page = make([]RoundOutcome, len(rest))
-	for i, ro := range rest {
-		page[i] = ro.clone()
-	}
-	return page, more
+	return j.hist.after(after, limit)
 }
 
-// Latest returns the most recent completed round, if any. The result owns
-// its memory.
+// Latest returns the most recent completed round, if any.
 func (j *Job) Latest() (RoundOutcome, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.outcomes) == 0 {
-		return RoundOutcome{}, false
-	}
-	return j.outcomes[len(j.outcomes)-1].clone(), true
+	return j.hist.latest()
 }
 
 // WaitLatest blocks until at least one round has completed and returns the
@@ -704,8 +595,7 @@ func (j *Job) Latest() (RoundOutcome, bool) {
 func (j *Job) WaitLatest(ctx context.Context) (RoundOutcome, error) {
 	for {
 		j.mu.Lock()
-		if n := len(j.outcomes); n > 0 {
-			ro := j.outcomes[n-1].clone()
+		if ro, ok := j.hist.latest(); ok {
 			j.mu.Unlock()
 			return ro, ro.Err
 		}
@@ -730,7 +620,6 @@ func (j *Job) WaitOutcome(ctx context.Context, round int) (RoundOutcome, error) 
 		j.mu.Lock()
 		ro, err, pending := j.outcomeLocked(round)
 		if !pending {
-			ro = ro.clone()
 			j.mu.Unlock()
 			return ro, err
 		}
@@ -760,26 +649,14 @@ func (j *Job) Strategy() (*auction.Strategy, error) {
 
 // restoreRound reinstates one persisted round during log replay. Replay is
 // single-threaded and happens before the exchange is reachable, so no locks
-// are taken (finishReplay aligns the intake shards afterwards). A gap in
-// the replayed numbering (a record lost to a torn tail mid-history cannot
-// happen, but defend anyway) resets the retained window so outcomeLocked's
-// contiguous indexing stays valid. Replayed outcomes own their memory, so
-// their holds carry no pooled buffer; rec is the round's record object as
-// read from disk, kept so the next snapshot splices it like a live round's.
+// are taken (finishReplay aligns the intake shards afterwards). The entry
+// is the kind a live close makes: ro owns its memory (the decoded record's)
+// and rec is the round's record object as read from disk, kept so the next
+// snapshot splices it like a live round's. What replay evicts is left to
+// the garbage collector; only the close path feeds freeRecs.
 func (j *Job) restoreRound(ro RoundOutcome, rec []byte) {
-	if want := j.baseRnd + len(j.outcomes) + 1; ro.Round != want {
-		j.outcomes = j.outcomes[:0]
-		j.holds = j.holds[:0]
-		j.baseRnd = ro.Round - 1
-	}
-	j.outcomes = append(j.outcomes, ro)
-	j.holds = append(j.holds, outcomeHold{rec: rec})
+	j.hist.push(historyEntry{ro, rec}, j.spec.KeepOutcomes)
 	j.round = ro.Round + 1
-	if excess := len(j.outcomes) - j.spec.KeepOutcomes; excess > 0 {
-		j.outcomes = append(j.outcomes[:0], j.outcomes[excess:]...)
-		j.holds = append(j.holds[:0], j.holds[excess:]...)
-		j.baseRnd += excess
-	}
 }
 
 // newJob wires a job into the exchange; callers hold no locks.
@@ -808,7 +685,7 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		ex:          ex,
 		ctx:         ctx,
 		cancel:      cancel,
-		intake:      newIntake(ex.opts.IntakeShards),
+		intake:      newIntake(min(runtime.GOMAXPROCS(0), maxIntakeShards)),
 		admit:       ex.adm.NewJobBucket(),
 		round:       1,
 		subs:        make(map[*Subscription]struct{}),

@@ -440,20 +440,21 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 	snap := &snapCapture{cutSeq: cut, jobs: make([]snapJob, 0, len(jobs))}
 	for _, j := range jobs {
 		j.mu.Lock()
-		for i, h := range j.holds {
-			if h.rec == nil {
+		for i := range j.hist.entries {
+			e := &j.hist.entries[i]
+			if e.rec == nil {
 				// The round's encode failed at close (the log's sticky error):
 				// there are no bytes to splice, and none to invent.
 				j.mu.Unlock()
-				return nil, fmt.Errorf("exchange: snapshotting job %q: round %d has no log record", j.id, j.baseRnd+1+i)
+				return nil, fmt.Errorf("exchange: snapshotting job %q: round %d has no log record", j.id, e.Round)
 			}
-			snap.recs = append(snap.recs, h.rec)
+			snap.recs = append(snap.recs, e.rec)
 		}
 		snap.jobs = append(snap.jobs, snapJob{
 			job:       j,
 			closed:    j.closed.Load(),
 			round:     j.round,
-			baseRound: j.baseRnd,
+			baseRound: j.hist.evictedThrough(),
 			draws:     j.src.n,
 			auctRound: j.auct.Round(),
 			recsEnd:   len(snap.recs),
@@ -526,7 +527,7 @@ func (ex *Exchange) applySnapshot(snap *walSnapshot) error {
 			}
 			if len(sj.History) == 0 {
 				j.round = sj.Round
-				j.baseRnd = sj.BaseRound
+				j.hist.reset(sj.BaseRound)
 			}
 			j.src.fastForwardTo(sj.Draws)
 			j.auct.Resume(sj.AuctRound)

@@ -7,7 +7,7 @@ import (
 	"fmore/internal/auction"
 )
 
-// scoreChunk is the default number of bids per pool task. Large enough that
+// defaultScoreChunk is the number of bids per pool task. Large enough that
 // channel hand-off cost is amortized, small enough that a 64-bid round still
 // parallelizes when several jobs close at once.
 const defaultScoreChunk = 128
@@ -60,9 +60,6 @@ type scorePool struct {
 func newScorePool(workers, chunk int) *scorePool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if chunk <= 0 {
-		chunk = defaultScoreChunk
 	}
 	p := &scorePool{
 		// 4 slots per worker of task backlog: enough that a burst of round

@@ -110,8 +110,9 @@ func TestScoreInlineEquivalence(t *testing.T) {
 	// side of the slate size — identical outcomes.
 	outcome := func(chunk int) RoundOutcome {
 		t.Helper()
-		ex := New(Options{ScoreChunk: chunk})
+		ex := New(Options{})
 		defer ex.Close()
+		ex.pool.chunk = chunk // read by score only; nothing has closed yet
 		if _, err := ex.CreateJob(JobSpec{ID: "eq", Auction: auction.Config{Rule: rule, K: 3}, Seed: 11}); err != nil {
 			t.Fatal(err)
 		}

@@ -101,7 +101,9 @@
 // # Failure
 //
 // The first error on the live log — a failed write, fdatasync, segment
-// seal or file close, or one the caller reports with Fail because it could
+// seal or file close, a record Append refuses because the recovery scan
+// would not read it back (empty, or over the 64 MiB record bound:
+// ErrRecordTooLarge), or one the caller reports with Fail because it could
 // not encode a record — is sticky. From then on the writer writes nothing:
 // a log that ends early replays correctly, a log with a gap does not. It
 // keeps draining its queue, so appenders never wedge on a full channel.

@@ -13,8 +13,9 @@ import (
 const headerSize = 8
 
 // maxRecord bounds one segment record's payload. Real records stay far
-// below it; a length above it is read as damage, as every earlier version
-// of this log read it.
+// below it; the scan reads a length above it as damage, as every earlier
+// version of this log read it, so Append refuses to write one
+// (ErrRecordTooLarge).
 const maxRecord = 64 << 20
 
 // Why a frame did not verify. A segment scan reads every one of them as

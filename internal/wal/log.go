@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"sync"
@@ -145,6 +146,10 @@ type rotation struct {
 
 var errEmptyRecord = errors.New("wal: appending an empty record")
 
+// ErrRecordTooLarge is the sticky error of a log asked to append a payload
+// the recovery scan would not read back.
+var ErrRecordTooLarge = errors.New("wal: record exceeds the largest payload recovery accepts")
+
 // start wraps an opened, positioned tail segment holding size logical bytes
 // and launches the writer goroutine.
 func start(dir string, lock, f *os.File, size int64, opts Options) *Log {
@@ -205,6 +210,14 @@ func (l *Log) Append(b *bytes.Buffer) {
 		return
 	}
 	payload := frame[headerSize:]
+	if len(payload) > maxRecord {
+		// The scan reads such a length as damage, that is as the end of the
+		// log: written, this record would hide itself and every record
+		// behind it from recovery. The log ends here instead, loudly. The
+		// buffer is left to the garbage collector, not to the pool.
+		l.Fail(fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, len(payload), maxRecord))
+		return
+	}
 	sealHeader(frame, uint32(len(payload)), crc32.ChecksumIEEE(payload))
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -728,6 +728,41 @@ func TestAppendRefusesAnEmptyRecord(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesOversizedRecord: Append and the recovery scan agree on
+// the largest record. The scan reads a length over maxRecord as the end of
+// the log, so such a record, written, would take every record behind it —
+// acknowledged and synced ones included — out of recovery. The log refuses
+// it before it is queued and ends there, loudly: what was synced before
+// comes back and nothing behind the refusal is written.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durable := records(0, 3)
+	appendAll(l, durable)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	b := l.Buf()
+	b.Grow(maxRecord + 1) // one allocation, not a doubling series
+	for chunk := bytes.Repeat([]byte("x"), 1<<20); b.Len() <= headerSize+maxRecord; {
+		b.Write(chunk[:min(len(chunk), headerSize+maxRecord+1-b.Len())])
+	}
+	size := b.Len() - headerSize
+	l.Append(b)
+	if err := l.Sync(); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("Sync after a %d-byte append = %v, want ErrRecordTooLarge", size, err)
+	}
+	appendAll(l, records(3, 6)) // behind the refusal: never written
+	if err := l.Close(); !errors.Is(err, ErrRecordTooLarge) {
+		t.Errorf("Close = %v, want the sticky ErrRecordTooLarge", err)
+	}
+	_, rec := mustOpen(t, dir, Options{})
+	wantRecords(t, rec, durable)
+}
+
 // TestCloseIsIdempotentAndFinal: appends and syncs after Close are dropped
 // without blocking, and a second Close reports what the first did.
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
