@@ -107,3 +107,72 @@ func BenchmarkSelectPsi(b *testing.B) {
 		}
 	}
 }
+
+// megaSlate is the mega_round shape: n three-dimensional bids with
+// qualities in [0.05, 1) and payments in [0.05, 0.30).
+func megaSlate(n int) []Bid {
+	rng := rand.New(rand.NewSource(1))
+	bids := make([]Bid, n)
+	for i := range bids {
+		bids[i] = Bid{
+			NodeID:    i,
+			Qualities: []float64{0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64(), 0.05 + 0.95*rng.Float64()},
+			Payment:   0.05 + 0.25*rng.Float64(),
+		}
+	}
+	return bids
+}
+
+// BenchmarkScoreKernel measures ScoreBids per rule family on one pool
+// chunk's worth of a mega_round slate; ns/op divided by 128 is the cost of
+// one bid.
+func BenchmarkScoreKernel(b *testing.B) {
+	additive, err := NewAdditive(0.5, 0.3, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leontief, err := NewLeontief(0.5, 0.3, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cobbDouglas, err := NewCobbDouglas(2, 0.5, 0.3, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bids := megaSlate(128)
+	scores := make([]float64, len(bids))
+	for _, rule := range []ScoringRule{additive, leontief, cobbDouglas} {
+		b.Run(rule.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ScoreBids(rule, bids, scores); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSelect_N16384K64_CobbDouglas_SecondPrice is the mega_round
+// selection on a pooled Selector scoring inline: the kernel, 16,384 tiebreak
+// draws, the score-first top-K and the second-price payments.
+func BenchmarkSelect_N16384K64_CobbDouglas_SecondPrice(b *testing.B) {
+	rule, err := NewCobbDouglas(2, 0.5, 0.3, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bids := megaSlate(16384)
+	req := SelectionRequest{Rule: rule, Bids: bids, K: 64, Payment: SecondPrice}
+	rng := rand.New(rand.NewSource(1))
+	var sel Selector
+	if _, err := sel.Select(req, rng); err != nil { // grow the buffers once
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sel.Select(req, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,9 +36,42 @@
 // exactly one tiebreak key per bid in input order. The rank stage is a
 // bounded partial top-K selection: a size-K min-heap over (score, tiebreak,
 // position) that also tracks the (K+1)-th reference score second-price
-// payments need, for O(N log K) winner determination at K ≪ N. Variants
-// that can look past the K-th candidate (ψ-admission, budget knapsack) fall
-// back to a full O(N log N) in-place heapsort over the same pooled buffers.
+// payments need, for O(N log K) winner determination at K ≪ N. It decides
+// on the score first: a bid scoring strictly below both the heap's root and
+// the best excluded candidate changes neither, whatever its tiebreak, and is
+// passed over before its record is built (a NaN score compares false and
+// takes the full comparison). Variants that can look past the K-th
+// candidate (ψ-admission, budget knapsack) fall back to a full O(N log N)
+// in-place heapsort over the same pooled buffers.
+//
+// # One definition of s(q)
+//
+// kernel.go defines s(q) once per built-in family (additiveValue,
+// leontiefValue, cobbDouglasValue). The rules' Value methods, Score, the
+// score stage above and ScoreBids — Score over a chunk of bids, with the
+// rule kind resolved once per chunk instead of an interface call and a
+// CheckDims per bid; it is what the exchange's scoring pool runs — all end
+// in those three functions, so a score has the same bits whichever way it
+// was computed. Normalized and caller-defined rules evaluate through
+// Value; Normalized.Value allocates nothing up to 8 dimensions over a
+// built-in family.
+//
+// A Cobb–Douglas factor qᵉ is math.Pow(q, e), bit for bit, but is not
+// always computed by calling it. Three identities are read off math.Pow's
+// portable source (go1.24):
+// Pow(q, 1) returns q for every q; Pow(q, 0.5) returns Sqrt(q) for finite
+// q > 0 (not for −0, where Pow gives +0 and Sqrt −0); and for finite q > 0
+// and 0 < e < 0.5 it returns Ldexp(Exp(e·Log(q)), 0), whose Ldexp is the
+// identity. Those three cases skip Pow's special-case ladder, Modf, Frexp
+// and squaring loop — about half its time. Everything else (q of 0, NaN or
+// ±Inf, exponents in (0.5, 1) or above 1, and every factor on s390x, whose
+// assembly Pow the identities were not read from) calls math.Pow. The
+// proof obligations are tests: a frozen math.Pow-only copy of the three
+// families in kernel_test.go, a property test and FuzzScoreKernel that
+// require math.Float64bits equality of Value, Score, ScoreBids and Select
+// against it over random and hostile inputs, and a sweep of the factor
+// itself. A Go release that changed math.Pow's decomposition would fail
+// them; the fix is to delete the shortcut, not to touch the reference.
 //
 // Buffer reuse rules: a Selector owns all scratch memory, so a long-lived
 // caller (one Selector per auction stream) runs selections with zero

@@ -66,13 +66,7 @@ func NewAdditive(alpha ...float64) (Additive, error) {
 }
 
 // Value implements ScoringRule.
-func (a Additive) Value(q []float64) float64 {
-	s := 0.0
-	for i := range a.Alpha {
-		s += a.Alpha[i] * q[i]
-	}
-	return s
-}
+func (a Additive) Value(q []float64) float64 { return additiveValue(a.Alpha, q) }
 
 // Dims implements ScoringRule.
 func (a Additive) Dims() int { return len(a.Alpha) }
@@ -98,15 +92,7 @@ func NewLeontief(alpha ...float64) (Leontief, error) {
 }
 
 // Value implements ScoringRule.
-func (l Leontief) Value(q []float64) float64 {
-	m := math.Inf(1)
-	for i := range l.Alpha {
-		if v := l.Alpha[i] * q[i]; v < m {
-			m = v
-		}
-	}
-	return m
-}
+func (l Leontief) Value(q []float64) float64 { return leontiefValue(l.Alpha, q) }
 
 // Dims implements ScoringRule.
 func (l Leontief) Dims() int { return len(l.Alpha) }
@@ -140,15 +126,7 @@ func NewCobbDouglas(scale float64, exponents ...float64) (CobbDouglas, error) {
 // Value implements ScoringRule. Qualities must be non-negative; negative
 // inputs are clamped to zero so fractional exponents stay real.
 func (c CobbDouglas) Value(q []float64) float64 {
-	v := c.Scale
-	for i := range c.Exponents {
-		qi := q[i]
-		if qi < 0 {
-			qi = 0
-		}
-		v *= math.Pow(qi, c.Exponents[i])
-	}
-	return v
+	return cobbDouglasValue(c.Scale, c.Exponents, q)
 }
 
 // Dims implements ScoringRule.
@@ -187,13 +165,36 @@ func NewNormalized(rule ScoringRule, lo, hi []float64) (Normalized, error) {
 	}, nil
 }
 
-// Value implements ScoringRule.
+// Value implements ScoringRule. Up to normStack dimensions over one of the
+// built-in rule families it allocates nothing: the normalized vector lives
+// on the stack, which it can only do while no interface call sees it.
 func (n Normalized) Value(q []float64) float64 {
-	norm := make([]float64, len(q))
-	for i := range q {
-		norm[i] = numeric.MinMaxNormalize(q[i], n.Lo[i], n.Hi[i])
+	if len(q) <= normStack {
+		var buf [normStack]float64
+		norm := buf[:len(q)]
+		n.normalize(norm, q)
+		switch r := n.Rule.(type) {
+		case Additive:
+			return additiveValue(r.Alpha, norm)
+		case Leontief:
+			return leontiefValue(r.Alpha, norm)
+		case CobbDouglas:
+			return cobbDouglasValue(r.Scale, r.Exponents, norm)
+		}
 	}
+	norm := make([]float64, len(q))
+	n.normalize(norm, q)
 	return n.Rule.Value(norm)
+}
+
+// normStack is the widest quality vector Normalized.Value normalizes on
+// the stack.
+const normStack = 8
+
+func (n Normalized) normalize(dst, q []float64) {
+	for i := range q {
+		dst[i] = numeric.MinMaxNormalize(q[i], n.Lo[i], n.Hi[i])
+	}
 }
 
 // Dims implements ScoringRule.

@@ -125,12 +125,18 @@ func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error)
 	}
 }
 
-// score validates every bid, fills s.scores (from req.Scores or by
-// evaluating the rule) and draws one tiebreak key per bid. Ties are broken
-// by a fair coin flip as the paper specifies ("ties are resolved by the flip
-// of a coin"), implemented as a random key drawn per bid in input order —
-// the draw sequence is identical whether scores are precomputed or not, so
+// score validates every bid, fills s.scores (from req.Scores or through the
+// scoring kernel) and draws one tiebreak key per bid. Ties are broken by a
+// fair coin flip as the paper specifies ("ties are resolved by the flip of a
+// coin"), implemented as a random key drawn per bid in input order — the
+// draw sequence is identical whether scores are precomputed or not, so
 // seeded runs agree bit-for-bit regardless of which path scored the bids.
+//
+// The quality vectors are checked in one tight pass (fused with the rule
+// evaluation when the scores are not precomputed), the payments in the
+// draw loop. An invalid bid is reported by Bid.Validate after exactly as
+// many draws as bids precede it, as when each bid was validated, scored and
+// drawn for in turn.
 func (s *Selector) score(req SelectionRequest, rng *rand.Rand) error {
 	n := len(req.Bids)
 	if n == 0 {
@@ -148,19 +154,21 @@ func (s *Selector) score(req SelectionRequest, rng *rand.Rand) error {
 	}
 	s.tiebreak = s.tiebreak[:n]
 	dims := req.Rule.Dims()
-	for i := range req.Bids {
-		b := &req.Bids[i]
-		if err := b.Validate(dims); err != nil {
-			return err
-		}
-		if req.Scores != nil {
-			s.scores[i] = req.Scores[i]
-		} else {
-			// Validate already proved the dimensions, so S(q, p) reduces to
-			// the rule evaluation minus the asked payment.
-			s.scores[i] = req.Rule.Value(b.Qualities) - b.Payment
+	var valid int
+	if req.Scores != nil {
+		copy(s.scores, req.Scores)
+		valid = validPrefix(req.Bids, dims)
+	} else {
+		valid = scorePrefix(req.Rule, req.Bids, s.scores)
+	}
+	for i := range req.Bids[:valid] {
+		if !finite(req.Bids[i].Payment) {
+			return req.Bids[i].Validate(dims)
 		}
 		s.tiebreak[i] = rng.Float64()
+	}
+	if valid < n {
+		return req.Bids[valid].Validate(dims)
 	}
 	return nil
 }
@@ -236,8 +244,15 @@ func (s *Selector) selectTopK(req SelectionRequest) (Outcome, error) {
 	h := s.heap[:0]
 	var excl scoredBid // best candidate not retained in the heap
 	haveExcl := false
-	for i := range req.Bids {
-		e := scoredBid{bid: req.Bids[i], score: s.scores[i], pos: i}
+	for i, sc := range s.scores {
+		// Score first: a bid strictly below both the worst retained and the
+		// best excluded candidate takes neither branch below whatever its
+		// tiebreak, so it is passed over before its record is built. A NaN
+		// compares false and falls through to the full comparison.
+		if haveExcl && sc < h[0].score && sc < excl.score {
+			continue
+		}
+		e := scoredBid{bid: req.Bids[i], score: sc, pos: i}
 		if len(h) < k {
 			h = append(h, e)
 			s.siftUp(h, len(h)-1)

@@ -49,13 +49,31 @@
 //     the drain, the next round otherwise. An atomic pending counter backs
 //     the quorum check and PendingBids without touching any shard.
 //   - closeRound (serialized per job by closeMu) drains the shards into a
-//     reused gather buffer, sorts it into canonical ascending-NodeID order
-//     (packed int64 (NodeID, position) keys — no per-compare closure), has
-//     the shared worker pool score it, and runs winner determination
-//     through the job's auction.Auctioneer, whose pooled Selector reuses
-//     its scratch round after round and which returns the round's one
-//     owning outcome (see Ownership). Outcomes are bit-for-bit what the
-//     standalone auctioneer would produce, independent of arrival order.
+//     reused gather buffer and then makes three passes over the slate.
+//     Canonical order: packed int64 (NodeID, position) keys, compare-sorted
+//     below radixMinSlate (1,024) bids and, from there up, sorted by a
+//     stable 11-bit LSD radix over only as many ID bits as the round's
+//     largest node ID has (one reused spare key buffer) — the same order
+//     either way, and the only thing slate size selects. Scoring: the
+//     shared worker pool hands 128-bid chunks (a single chunk is scored
+//     inline) to auction.ScoreBids, the auction package's batch kernel,
+//     which resolves the rule kind once per chunk and produces exactly the
+//     bits auction.Score would. Selection: the job's auction.Auctioneer,
+//     whose pooled Selector reuses its scratch round after round, draws
+//     one tiebreak per bid, keeps the top K on a heap that looks at a
+//     bid's score before it builds the bid's record, and returns the
+//     round's one owning outcome (see Ownership). Outcomes are bit-for-bit
+//     what the standalone auctioneer would produce, independent of arrival
+//     order and of which sort ran.
+//   - Who validates what, and when: a bid is validated in full
+//     (dimensions, finite qualities, finite payment) once on submit, before
+//     it may enter a shard. The close trusts none of that. The pool's
+//     kernel re-checks every quality vector as auction.Score does, in
+//     parallel, fused with the evaluation; RunScored then re-checks the
+//     quality vectors in one tight serial pass and each payment in its
+//     tiebreak loop, so no public entry point of internal/auction accepts
+//     a bid it used to refuse, and a poisoned slate fails the round with
+//     the error text and the rng position it always had.
 //   - Registry is a sharded node directory (striped locks, atomic per-node
 //     counters); the metrics and the event firehose are entirely lock-free
 //     on the producer side, so a slow scrape or a wedged event consumer can

@@ -422,15 +422,6 @@ func (ex *Exchange) CloseRound(jobID string) (RoundOutcome, error) {
 	return j.closeRound()
 }
 
-// WaitOutcome blocks until the job's round completes.
-func (ex *Exchange) WaitOutcome(ctx context.Context, jobID string, round int) (RoundOutcome, error) {
-	j, ok := ex.Job(jobID)
-	if !ok {
-		return RoundOutcome{}, ex.missingJob(jobID)
-	}
-	return j.WaitOutcome(ctx, round)
-}
-
 // Metrics returns a point-in-time health snapshot. jobs_active is derived
 // from the published job table at scrape time — not a created-minus-closed
 // counter delta, which would go stale across a restart (replay recounts

@@ -48,11 +48,17 @@ func testBids(jobIdx, round, bidders int) []auction.Bid {
 // auctioneer run bit-for-bit (per-job isolation + seed determinism,
 // regardless of arrival order).
 func TestExchangeConcurrentJobsDeterministic(t *testing.T) {
-	const (
-		jobs    = 8
-		bidders = 32
-		rounds  = 3
-	)
+	concurrentJobsDeterministic(t, 8, 32, 3)
+}
+
+// TestExchangeLargeSlateDeterministic repeats the contract on slates above
+// radixMinSlate, where the canonical order comes from the radix sort and
+// scoring from several pool chunks at once.
+func TestExchangeLargeSlateDeterministic(t *testing.T) {
+	concurrentJobsDeterministic(t, 2, radixMinSlate+radixMinSlate/4, 2)
+}
+
+func concurrentJobsDeterministic(t *testing.T, jobs, bidders, rounds int) {
 	ex := New(Options{})
 	defer ex.Close()
 

@@ -51,6 +51,9 @@ type scoreTask struct {
 // scorePool evaluates S(q, p) for bid batches on a fixed set of workers,
 // shared by every job of the exchange so scoring load from concurrent round
 // closes is batched across jobs rather than spawning per-round goroutines.
+// Each task is one call of the auction package's batch kernel
+// (auction.ScoreBids), which checks every quality vector as auction.Score
+// would and resolves the rule kind once per chunk.
 type scorePool struct {
 	tasks chan scoreTask
 	wg    sync.WaitGroup
@@ -77,14 +80,8 @@ func newScorePool(workers, chunk int) *scorePool {
 func (p *scorePool) worker() {
 	defer p.wg.Done()
 	for t := range p.tasks {
-		for i := range t.bids {
-			b := &t.bids[i]
-			s, err := auction.Score(t.rule, b.Qualities, b.Payment)
-			if err != nil {
-				t.batch.fail(err)
-				break
-			}
-			t.scores[i] = s
+		if err := auction.ScoreBids(t.rule, t.bids, t.scores); err != nil {
+			t.batch.fail(err)
 		}
 		t.batch.wg.Done()
 	}
@@ -103,15 +100,7 @@ func (p *scorePool) worker() {
 // both paths (TestScoreInlineEquivalence).
 func (p *scorePool) score(rule auction.ScoringRule, bids []auction.Bid, scores []float64, batch *batchState) error {
 	if len(bids) <= p.chunk {
-		for i := range bids {
-			b := &bids[i]
-			s, err := auction.Score(rule, b.Qualities, b.Payment)
-			if err != nil {
-				return err
-			}
-			scores[i] = s
-		}
-		return nil
+		return auction.ScoreBids(rule, bids, scores)
 	}
 	batch.reset()
 	for off := 0; off < len(bids); off += p.chunk {
