@@ -174,7 +174,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8780", "HTTP listen address (:0 picks a free port, logged on start)")
-	workers := flag.Int("workers", 0, "scoring pool workers (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "",
 		"directory for the write-ahead outcome log; replayed on start (empty = in-memory only)")
 	requireReg := flag.Bool("require-registration", false,
@@ -210,7 +209,6 @@ func main() {
 	flag.Parse()
 
 	opts := exchange.Options{
-		Workers:             *workers,
 		RequireRegistration: *requireReg,
 		SnapshotBytes:       *snapshotBytes,
 		SnapshotInterval:    *snapshotInterval,
@@ -322,8 +320,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.Serve(listener) }()
-	log.Printf("fmore-exchange listening on %s (workers=%d, require-registration=%v, data-dir=%q, partition=%q)",
-		listener.Addr(), *workers, *requireReg, *dataDir, *partitionID)
+	log.Printf("fmore-exchange listening on %s (require-registration=%v, data-dir=%q, partition=%q)",
+		listener.Addr(), *requireReg, *dataDir, *partitionID)
 
 	select {
 	case err := <-errCh:

@@ -16,8 +16,8 @@
 //	internal/transport  the aggregator/edge-node TCP protocol
 //	internal/cluster    the 1 + 31-node deployment harness (Figs. 12-13)
 //	internal/exchange   the concurrent multi-job auction exchange service:
-//	                    sharded bidder registry, pooled batch scoring,
-//	                    per-job round state machines, HTTP/JSON front end
+//	                    sharded bidder registry, per-job round state
+//	                    machines, HTTP/JSON front end
 //	internal/sim        experiment harness regenerating Figs. 4-13
 //
 // Entry points: cmd/fmore-sim, cmd/fmore-bench, cmd/fmore-cluster,

@@ -79,37 +79,15 @@ func (a *Auctioneer) Ask() Ask {
 }
 
 // Run executes winner determination over the collected sealed bids and
-// advances the round counter. With Psi < 1 it runs ψ-FMore admission. The
-// selection runs on the auctioneer's pooled Selector; the returned Outcome
-// owns all of its memory and may be retained across rounds.
+// advances the round counter, whether or not the slate turns out valid.
+// With Psi < 1 it runs ψ-FMore admission. The selection runs on the
+// auctioneer's pooled Selector; the returned Outcome is an owning copy and
+// may be retained across rounds.
 func (a *Auctioneer) Run(bids []Bid) (Outcome, error) {
-	return a.run(bids, nil)
-}
-
-// RunScored is Run with precomputed scores — scores[i] must equal
-// Score(rule, bids[i].Qualities, bids[i].Payment); the slice is read, never
-// retained. It exists for callers that batch rule evaluation across many
-// concurrent auctions (see internal/exchange). The rng draw sequence is
-// identical to Run, so a seeded Auctioneer yields bit-identical outcomes on
-// either entry point — the exchange's write-ahead-log replay and its pinned
-// identity with a private auctioneer's Run both rest on that equivalence.
-func (a *Auctioneer) RunScored(bids []Bid, scores []float64) (Outcome, error) {
-	if scores == nil {
-		a.round++
-		return Outcome{}, fmt.Errorf("auction: RunScored requires a score vector")
-	}
-	return a.run(bids, scores)
-}
-
-// run advances the round counter, runs one Select on the pooled buffers and
-// returns an owning copy of the result, which aliases the selector's
-// scratch.
-func (a *Auctioneer) run(bids []Bid, scores []float64) (Outcome, error) {
 	a.round++
 	out, err := a.sel.Select(SelectionRequest{
 		Rule:    a.cfg.Rule,
 		Bids:    bids,
-		Scores:  scores,
 		K:       a.cfg.K,
 		Psi:     a.cfg.Psi,
 		Payment: a.cfg.Payment,

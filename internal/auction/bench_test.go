@@ -2,6 +2,7 @@ package auction
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"fmore/internal/dist"
@@ -123,9 +124,9 @@ func megaSlate(n int) []Bid {
 	return bids
 }
 
-// BenchmarkScoreKernel measures ScoreBids per rule family on one pool
-// chunk's worth of a mega_round slate; ns/op divided by 128 is the cost of
-// one bid.
+// BenchmarkScoreKernel measures ScoreBids per rule family on 128 bids of a
+// mega_round slate, scored inline; ns/op divided by 128 is the cost of one
+// bid.
 func BenchmarkScoreKernel(b *testing.B) {
 	additive, err := NewAdditive(0.5, 0.3, 0.2)
 	if err != nil {
@@ -153,9 +154,37 @@ func BenchmarkScoreKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreBids is the evidence for spanMinBids: the mega_round rule
+// over slates on both sides of the cut, run at -cpu 1,2,4. At -cpu 1 every
+// size is scored inline; above it a slate of 2·spanMinBids bids and more is
+// cut into spans. To move the constant, set it to 1 and compare each size's
+// -cpu 2 row with its -cpu 1 row (BENCH.md, PR 23, has the table).
+func BenchmarkScoreBids(b *testing.B) {
+	cobbDouglas, err := NewCobbDouglas(2, 0.5, 0.3, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rule ScoringRule = cobbDouglas // boxed once, not per call
+	for _, n := range []int{512, 1024, 2048, 4096, 16384} {
+		bids := megaSlate(n)
+		scores := make([]float64, n)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ScoreBids(rule, bids, scores); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSelect_N16384K64_CobbDouglas_SecondPrice is the mega_round
-// selection on a pooled Selector scoring inline: the kernel, 16,384 tiebreak
-// draws, the score-first top-K and the second-price payments.
+// selection on a pooled Selector: the scorer, 16,384 tiebreak draws, the
+// score-first top-K and the second-price payments. At -cpu 1 the slate is
+// scored inline and the steady state allocates nothing; at -cpu P it is cut
+// into min(P, 8) spans and allocates one closure per span but the caller's
+// own (1 alloc/op at -cpu 2, 3 at -cpu 4).
 func BenchmarkSelect_N16384K64_CobbDouglas_SecondPrice(b *testing.B) {
 	rule, err := NewCobbDouglas(2, 0.5, 0.3, 0.2)
 	if err != nil {

@@ -25,17 +25,26 @@
 // # The selection pipeline
 //
 // All winner-determination variants run through one configurable core:
-// build a SelectionRequest (rule, bids, K, optional precomputed scores,
-// ψ or per-node ψ vector, budget, payment rule) and call Selector.Select.
-// The pipeline stages are
+// build a SelectionRequest (rule, bids, K, ψ or per-node ψ vector, budget,
+// payment rule) and call Selector.Select. The pipeline stages are
 //
 //	score → rank → select → pay
 //
-// The score stage validates each bid, evaluates S(qᵢ, pᵢ) (or accepts the
-// caller's precomputed vector, e.g. from a batched scoring pool) and draws
-// exactly one tiebreak key per bid in input order. The rank stage is a
-// bounded partial top-K selection: a size-K min-heap over (score, tiebreak,
-// position) that also tracks the (K+1)-th reference score second-price
+// The score stage validates each bid, evaluates S(qᵢ, pᵢ) and draws exactly
+// one tiebreak key per bid in input order. There is one way to score a
+// slate, ScoreBids, and the stage is a pass of it: below 4,096 bids
+// (2·spanMinBids) or at GOMAXPROCS 1 a loop on the calling goroutine; from
+// there up the slate is cut into at most GOMAXPROCS contiguous spans of at
+// least 2,048 bids, the caller scores the first and one goroutine each of
+// the others, and the first invalid bid of the whole slate is reported
+// exactly as the loop would report it. The choice follows from the slate's
+// size and the CPU count alone — it is not an option — and changes no bit
+// of any score (cut_test.go). A ScoringRule's Value must therefore be safe
+// for concurrent calls; every rule in the tree is a value type that only
+// reads its parameters.
+//
+// The rank stage is a bounded partial top-K selection: a size-K min-heap
+// over (score, tiebreak, position) that also tracks the (K+1)-th reference score second-price
 // payments need, for O(N log K) winner determination at K ≪ N. It decides
 // on the score first: a bid scoring strictly below both the heap's root and
 // the best excluded candidate changes neither, whatever its tiebreak, and is
@@ -47,12 +56,11 @@
 // # One definition of s(q)
 //
 // kernel.go defines s(q) once per built-in family (additiveValue,
-// leontiefValue, cobbDouglasValue). The rules' Value methods, Score, the
-// score stage above and ScoreBids — Score over a chunk of bids, with the
-// rule kind resolved once per chunk instead of an interface call and a
-// CheckDims per bid; it is what the exchange's scoring pool runs — all end
-// in those three functions, so a score has the same bits whichever way it
-// was computed. Normalized and caller-defined rules evaluate through
+// leontiefValue, cobbDouglasValue). The rules' Value methods, Score and
+// ScoreBids — Score over a slate, with the rule kind resolved once per
+// span instead of an interface call and a CheckDims per bid — all end in
+// those three functions, so a score has the same bits whichever way it was
+// computed. Normalized and caller-defined rules evaluate through
 // Value; Normalized.Value allocates nothing up to 8 dimensions over a
 // built-in family.
 //
@@ -79,15 +87,15 @@
 // buffers and the request's bids and is valid only until the next Select
 // call; Outcome.Clone produces an owning copy in three allocations (winner
 // records, one backing array for every winner's qualities, scores). The
-// package-level Select and the Auctioneer's Run and RunScored return such
-// owning outcomes: memory written once and never reused, so a caller that
+// package-level Select and the Auctioneer's Run return such owning
+// outcomes: memory written once and never reused, so a caller that
 // retains outcomes round after round (the exchange's per-job history) may
 // share them with any number of readers as long as nobody mutates them.
 //
-// Select / Selector.Select (one-shot / pooled) and Auctioneer.Run /
-// RunScored (stateful; RunScored takes precomputed scores, same rng draw
-// sequence) are the only winner-determination entry points.
-// They are bit-for-bit compatible with the original full-sort
+// Select, Selector.Select (one-shot, pooled) and Auctioneer.Run (stateful:
+// a seeded rng and a round counter that advances on every call, failed
+// rounds included) are the only winner-determination entry points. They
+// are bit-for-bit compatible with the original full-sort
 // implementation — identical Outcomes, identical rng draw order — which the
 // exchange's write-ahead-log replay depends on and a seeded equivalence
 // property test against a frozen copy (reference_test.go) enforces.

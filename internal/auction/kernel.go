@@ -6,12 +6,13 @@ import (
 )
 
 // This file is the one definition of s(q) for the three built-in rule
-// families and the batch kernel that evaluates it over a slate. The rules'
-// Value methods, Selector.score and the exchange's scoring pool all end up
-// in additiveValue / leontiefValue / cobbDouglasValue, so a score is the
-// same float64 bit pattern whichever way it was computed — the property the
-// exchange's write-ahead-log replay and RunScored's identity with Run rest
-// on (kernel_test.go pins it against a frozen math.Pow reference).
+// families and the one scorer that evaluates it over a slate. The rules'
+// Value methods, Score, ScoreBids and Selector.score all end up in
+// additiveValue / leontiefValue / cobbDouglasValue, so a score is the same
+// float64 bit pattern whichever way it was computed and however the slate
+// was cut across the CPUs — the property the exchange's write-ahead-log
+// replay rests on (kernel_test.go pins it against a frozen math.Pow
+// reference).
 
 func additiveValue(alpha, q []float64) float64 {
 	s := 0.0
@@ -96,21 +97,10 @@ func finiteDims(q []float64, dims int) bool {
 	return true
 }
 
-// validPrefix returns how many leading bids carry a quality vector CheckDims
-// accepts.
-func validPrefix(bids []Bid, dims int) int {
-	for i := range bids {
-		if !finiteDims(bids[i].Qualities, dims) {
-			return i
-		}
-	}
-	return len(bids)
-}
-
 // scorePrefix writes scores[i] = S(qᵢ, pᵢ) = s(qᵢ) − pᵢ for the leading
 // bids whose quality vector CheckDims accepts and returns their number, so
-// len(bids) means the whole chunk was scored. The rule kind is resolved
-// once per chunk, not once per bid; rules other than the three built-in
+// len(bids) means the whole span was scored. The rule kind is resolved
+// once per span, not once per bid; rules other than the three built-in
 // value types (Normalized, caller-defined ones) evaluate through
 // rule.Value.
 func scorePrefix(rule ScoringRule, bids []Bid, scores []float64) int {
@@ -153,14 +143,65 @@ func scorePrefix(rule ScoringRule, bids []Bid, scores []float64) int {
 	return len(bids)
 }
 
-// ScoreBids is Score over a chunk of bids: scores[i] = S(bids[i]) for every
-// bid, or the error Score reports for the first bid whose quality vector
-// has the wrong length or a non-finite entry (the scores past it are then
-// undefined). scores must have at least len(bids) entries. Chunks of one
-// slate may be scored concurrently; the result does not depend on how the
-// slate was cut.
+// spanMinBids is the fewest bids a goroutine is started for: a slate is cut
+// into spans only when each gets at least this many. Waking an idle CPU and
+// joining it again costs tens of microseconds — several hundred Cobb–Douglas
+// bids, thousands of additive ones — and BenchmarkScoreBids at -cpu 1,2,4
+// puts the crossover for the mega_round rule between 1,024 and 2,048 bids
+// per span (BENCH.md, PR 23): two spans of 1,024 lose 11% to the inline
+// loop, two of 2,048 win 8%.
+const spanMinBids = 2048
+
+// spanJoin brings the results of a cut slate's spans back to the caller. A
+// Selector keeps one, so cutting a slate allocates only the goroutines'
+// closures.
+type spanJoin struct{ rest chan int }
+
+// score is scorePrefix over a whole slate: it returns the index of the first
+// bid whose quality vector CheckDims rejects, len(bids) when there is none.
+// A slate of 2·spanMinBids bids and more is cut into at most GOMAXPROCS
+// contiguous spans scored concurrently, the first on the calling goroutine;
+// each score is computed exactly as it would be inline, so the cut changes
+// no bit — and the rule's Value must be safe for concurrent calls.
+func (j *spanJoin) score(rule ScoringRule, bids []Bid, scores []float64) int {
+	n := len(bids)
+	spans := min(n/spanMinBids, runtime.GOMAXPROCS(0))
+	if spans < 2 {
+		return scorePrefix(rule, bids, scores)
+	}
+	if cap(j.rest) < spans-1 {
+		j.rest = make(chan int, spans-1) // one send per goroutine below: none blocks
+	}
+	rest := j.rest
+	for i := 1; i < spans; i++ {
+		lo, hi := i*n/spans, (i+1)*n/spans
+		go func() { rest <- scoreSpan(rule, bids, scores, lo, hi) }()
+	}
+	first := scoreSpan(rule, bids, scores, 0, n/spans)
+	for i := 1; i < spans; i++ {
+		first = min(first, <-rest)
+	}
+	return first
+}
+
+// scoreSpan scores bids[lo:hi] of a slate and returns the slate index of the
+// span's first invalid bid, len(bids) when it has none.
+func scoreSpan(rule ScoringRule, bids []Bid, scores []float64, lo, hi int) int {
+	if bad := lo + scorePrefix(rule, bids[lo:hi], scores[lo:hi]); bad < hi {
+		return bad
+	}
+	return len(bids)
+}
+
+// ScoreBids is Score over a slate: scores[i] = S(bids[i]) for every bid, or
+// the error Score reports for the first bid whose quality vector has the
+// wrong length or a non-finite entry (the scores past it are then
+// undefined). scores must have at least len(bids) entries. It is the scorer
+// Selector.Select runs: inline below 2·spanMinBids bids or at GOMAXPROCS 1,
+// cut across the CPUs above (see spanJoin.score).
 func ScoreBids(rule ScoringRule, bids []Bid, scores []float64) error {
-	if i := scorePrefix(rule, bids, scores); i < len(bids) {
+	var join spanJoin
+	if i := join.score(rule, bids, scores); i < len(bids) {
 		return CheckDims(rule.Dims(), bids[i].Qualities)
 	}
 	return nil

@@ -322,8 +322,7 @@ func TestScoreBidsReportsWhatScoreReports(t *testing.T) {
 }
 
 // TestSelectInvalidBidMatchesReference pins what Select does with an invalid
-// bid anywhere in the slate, scored inline or precomputed: the frozen
-// pipeline's error text and its rng position (one draw per bid before the
+// bid anywhere in the slate: the frozen pipeline's error text and its rng position (one draw per bid before the
 // offender), which a failed round's log record carries.
 func TestSelectInvalidBidMatchesReference(t *testing.T) {
 	rule, err := NewCobbDouglas(2, 0.5, 0.3)
@@ -332,10 +331,8 @@ func TestSelectInvalidBidMatchesReference(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(9))
 	clean := make([]Bid, 30)
-	scores := make([]float64, len(clean))
 	for i := range clean {
 		clean[i] = Bid{NodeID: 100 + i, Qualities: []float64{r.Float64(), r.Float64()}, Payment: r.Float64() / 4}
-		scores[i] = rule.Value(clean[i].Qualities) - clean[i].Payment
 	}
 	poison := map[string]func(b *Bid){
 		"short":       func(b *Bid) { b.Qualities = b.Qualities[:1] },
@@ -351,16 +348,13 @@ func TestSelectInvalidBidMatchesReference(t *testing.T) {
 			if len(at) > 1 { // a second, different defect elsewhere: the earlier bid must win the report
 				bids[at[1]].Payment = math.Inf(1)
 			}
-			for _, pre := range [][]float64{nil, scores} {
-				tag := fmt.Sprintf("%s at %v precomputed=%v", name, at, pre != nil)
-				runEquiv(t, tag, 77,
-					func(rng *rand.Rand) (Outcome, error) {
-						return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: pre, K: 5, Payment: SecondPrice}, rng)
-					},
-					func(rng *rand.Rand) (Outcome, error) {
-						return refDetermineWinners(rule, bids, pre, 5, SecondPrice, rng)
-					})
-			}
+			runEquiv(t, fmt.Sprintf("%s at %v", name, at), 77,
+				func(rng *rand.Rand) (Outcome, error) {
+					return Select(SelectionRequest{Rule: rule, Bids: bids, K: 5, Payment: SecondPrice}, rng)
+				},
+				func(rng *rand.Rand) (Outcome, error) {
+					return refDetermineWinners(rule, bids, nil, 5, SecondPrice, rng)
+				})
 		}
 	}
 }
@@ -403,10 +397,34 @@ func TestNormalizedValueDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// selectWithScores runs Select's rank, select and pay stages over scores the
+// test supplies instead of the rule's — the seam between the score stage's
+// two halves (evaluate; check payments and draw) — so slates of exact ties,
+// −Inf and NaN scores, which no rule produces on demand, still reach the
+// top-K heap and the ψ walk. The bids must be valid.
+func selectWithScores(req SelectionRequest, scores []float64, rng *rand.Rand) (Outcome, error) {
+	var s Selector
+	s.scores = append([]float64(nil), scores...)
+	if err := s.draw(req, len(req.Bids), rng); err != nil {
+		return Outcome{}, err
+	}
+	var out Outcome
+	var err error
+	if req.Psi > 0 && req.Psi < 1 {
+		out, err = s.selectPsi(req, func(int) float64 { return req.Psi }, rng)
+	} else {
+		out, err = s.selectTopK(req)
+	}
+	if err != nil {
+		return Outcome{}, err
+	}
+	return out.Clone(), nil
+}
+
 // frozenTopK is the bounded-heap top-K loop as it stood before the
 // score-first skip: every bid's record is built and compared in full. It
 // shares the Selector's comparison and heap helpers, which the skip did not
-// touch, and must be called after s.score.
+// touch, and must be called after the score stage.
 func frozenTopK(s *Selector, req SelectionRequest) Outcome {
 	k := min(req.K, len(req.Bids))
 	h := make([]scoredBid, 0, k)
@@ -498,22 +516,22 @@ func TestTopKScoreFirstSkipUnderTies(t *testing.T) {
 		}
 		seed := gen.Int63()
 		for _, payment := range []PaymentRule{FirstPrice, SecondPrice} {
-			req := SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Payment: payment}
+			req := SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: payment}
 			runEquiv(t, fmt.Sprintf("iter=%d n=%d k=%d pay=%v ties", iter, n, k, payment), seed,
-				func(rng *rand.Rand) (Outcome, error) { return Select(req, rng) },
+				func(rng *rand.Rand) (Outcome, error) { return selectWithScores(req, scores, rng) },
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinners(rule, bids, scores, k, payment, rng)
 				})
 
 			// reflect.DeepEqual cannot compare outcomes holding NaN.
-			req.Scores = withNaN
 			srcNew, srcOld := newEquivSource(seed), newEquivSource(seed)
-			got, err := Select(req, rand.New(srcNew))
+			got, err := selectWithScores(req, withNaN, rand.New(srcNew))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var s Selector
-			if err := s.score(req, rand.New(srcOld)); err != nil {
+			s.scores = append([]float64(nil), withNaN...)
+			if err := s.draw(req, n, rand.New(srcOld)); err != nil {
 				t.Fatal(err)
 			}
 			if want := frozenTopK(&s, req); !sameOutcomeBits(got, want) || srcNew.n != srcOld.n {

@@ -14,7 +14,8 @@ var ErrDimensionMismatch = errors.New("auction: quality vector dimension mismatc
 
 // ScoringRule is the resource-utility part s(q₁..qₘ) of the quasi-linear
 // scoring function S(q, p) = s(q) − p the aggregator broadcasts in the bid
-// ask. Implementations must be non-decreasing in every coordinate.
+// ask. Implementations must be non-decreasing in every coordinate and safe
+// for concurrent calls: a large slate is scored from several goroutines.
 type ScoringRule interface {
 	// Value returns s(q). It panics only on programmer error; dimension
 	// mismatches are reported as NaN-free zero with ok=false via CheckDims.

@@ -9,39 +9,34 @@ import (
 // This file is the winner-determination core every public entry point of the
 // package routes through. One request type describes all supported variants
 // (plain FMore top-K, ψ-FMore, per-node ψ vectors, aggregator budgets, first-
-// and second-price payments, precomputed score vectors), and one pipeline
-// executes them:
+// and second-price payments), and one pipeline executes them:
 //
 //	score → rank → select → pay
 //
-// The score stage validates every bid, evaluates S(qᵢ, pᵢ) (or takes the
-// caller's precomputed vector) and draws exactly one coin-flip tiebreak per
-// bid in input order — the rng contract the exchange's write-ahead log
-// replay depends on. The rank stage is a bounded partial top-K selection: a
-// size-K min-heap over (score, tiebreak, position) that also tracks the best
-// excluded candidate, i.e. the (K+1)-th reference score the second-price
-// rule needs, in O(N log K) instead of the O(N log N) full sort. Variants
-// that walk past the K-th candidate (ψ-admission, budget knapsack) fall back
-// to a full in-place heapsort over the same pooled buffer. The select and
-// pay stages are shared by all variants.
+// The score stage validates every bid, evaluates S(qᵢ, pᵢ) — across the CPUs
+// when the slate is large enough to pay for it (spanJoin.score) — and draws
+// exactly one coin-flip tiebreak per bid in input order, the rng contract the
+// exchange's write-ahead log replay depends on. The rank stage is a bounded
+// partial top-K selection: a size-K min-heap over (score, tiebreak, position)
+// that also tracks the best excluded candidate, i.e. the (K+1)-th reference
+// score the second-price rule needs, in O(N log K) instead of the O(N log N)
+// full sort. Variants that walk past the K-th candidate (ψ-admission, budget
+// knapsack) fall back to a full in-place heapsort over the same pooled buffer.
+// The select and pay stages are shared by all variants.
 //
 // All scratch memory lives on the Selector, so a caller that keeps one
 // Selector per auction stream (one per exchange job, one per Auctioneer)
 // runs the whole pipeline with zero steady-state allocations.
 
 // SelectionRequest describes one winner-determination problem. The zero
-// value of every optional field means "off": Scores nil evaluates the rule
-// inline, Psi 0 (or 1) is deterministic admission, PsiOf nil uses the scalar
-// Psi, Budget 0 is unconstrained, Payment 0 is FirstPrice.
+// value of every optional field means "off": Psi 0 (or 1) is deterministic
+// admission, PsiOf nil uses the scalar Psi, Budget 0 is unconstrained,
+// Payment 0 is FirstPrice.
 type SelectionRequest struct {
 	// Rule is the broadcast scoring rule S(q, p) = Rule.Value(q) − p.
 	Rule ScoringRule
 	// Bids is the round's sealed bid slate.
 	Bids []Bid
-	// Scores optionally carries precomputed S(qᵢ, pᵢ), one entry per bid —
-	// typically from a batched scoring pool (see internal/exchange). The
-	// slice is read, never retained, and the outcome never aliases it.
-	Scores []float64
 	// K is the number of winners to select (required, >= 1).
 	K int
 	// Psi in (0, 1) runs ψ-FMore admission (§III-C); 0 means plain top-K,
@@ -76,6 +71,7 @@ type Selector struct {
 	walk     []scoredBid // ψ-admission working set
 	selected []scoredBid // winners in selection order (ψ and budget paths)
 	winners  []Winner    // outcome assembly buffer; aliased by Outcome.Winners
+	join     spanJoin    // brings a large slate's concurrently scored spans together
 }
 
 // scoredBid pairs a bid with its evaluated score and input position.
@@ -115,9 +111,9 @@ func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error)
 	}
 	switch {
 	case req.PsiOf != nil:
-		return s.selectPsiVector(req, rng)
+		return s.selectPsi(req, req.PsiOf, rng)
 	case req.Psi > 0 && req.Psi < 1:
-		return s.selectPsi(req, rng)
+		return s.selectPsi(req, func(int) float64 { return req.Psi }, rng)
 	case req.Budget > 0:
 		return s.selectBudget(req)
 	default:
@@ -125,42 +121,35 @@ func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error)
 	}
 }
 
-// score validates every bid, fills s.scores (from req.Scores or through the
-// scoring kernel) and draws one tiebreak key per bid. Ties are broken by a
-// fair coin flip as the paper specifies ("ties are resolved by the flip of a
-// coin"), implemented as a random key drawn per bid in input order — the
-// draw sequence is identical whether scores are precomputed or not, so
-// seeded runs agree bit-for-bit regardless of which path scored the bids.
-//
-// The quality vectors are checked in one tight pass (fused with the rule
-// evaluation when the scores are not precomputed), the payments in the
-// draw loop. An invalid bid is reported by Bid.Validate after exactly as
-// many draws as bids precede it, as when each bid was validated, scored and
-// drawn for in turn.
+// score evaluates S(qᵢ, pᵢ) into s.scores through the slate scorer, which
+// checks every quality vector on the way, then hands over to draw.
 func (s *Selector) score(req SelectionRequest, rng *rand.Rand) error {
 	n := len(req.Bids)
 	if n == 0 {
 		return ErrNoBids
 	}
-	if req.Scores != nil && len(req.Scores) != n {
-		return fmt.Errorf("auction: %d precomputed scores for %d bids", len(req.Scores), n)
-	}
 	if cap(s.scores) < n {
 		s.scores = make([]float64, n)
 	}
 	s.scores = s.scores[:n]
+	return s.draw(req, s.join.score(req.Rule, req.Bids, s.scores), rng)
+}
+
+// draw checks the payments of the valid leading bids whose scores are in
+// s.scores and draws one tiebreak key for each. Ties are broken by a fair
+// coin flip as the paper specifies ("ties are resolved by the flip of a
+// coin"), implemented as a random key drawn per bid in input order. An
+// invalid bid — the first non-finite payment, or the bid at index valid
+// that the scorer stopped at — is reported by Bid.Validate after exactly as
+// many draws as bids precede it, as when each bid was validated, scored and
+// drawn for in turn.
+func (s *Selector) draw(req SelectionRequest, valid int, rng *rand.Rand) error {
+	n := len(req.Bids)
 	if cap(s.tiebreak) < n {
 		s.tiebreak = make([]float64, n)
 	}
 	s.tiebreak = s.tiebreak[:n]
 	dims := req.Rule.Dims()
-	var valid int
-	if req.Scores != nil {
-		copy(s.scores, req.Scores)
-		valid = validPrefix(req.Bids, dims)
-	} else {
-		valid = scorePrefix(req.Rule, req.Bids, s.scores)
-	}
 	for i := range req.Bids[:valid] {
 		if !finite(req.Bids[i].Payment) {
 			return req.Bids[i].Validate(dims)
@@ -323,21 +312,27 @@ func (s *Selector) refAfter(nsel int) (float64, bool) {
 	return 0, false
 }
 
-// selectPsi implements ψ-FMore (§III-C): bids are visited in descending
-// score order and each is admitted with probability psi, repeating passes
-// over the remaining candidates until K winners are chosen or every eligible
-// bid has been admitted.
-func (s *Selector) selectPsi(req SelectionRequest, rng *rand.Rand) (Outcome, error) {
+// selectPsi implements ψ-FMore (§III-C) and its per-node generalization:
+// bids are visited in descending score order and each is admitted with
+// probability psiOf(node) — a constant for the scalar ψ — repeating passes
+// over the remaining candidates until K winners are chosen or every
+// eligible bid has been admitted. Each node's ψ is validated on first visit.
+func (s *Selector) selectPsi(req SelectionRequest, psiOf func(nodeID int) float64, rng *rand.Rand) (Outcome, error) {
 	s.rankAll(req)
-	// Drop IR-violating bids up front.
 	if cap(s.walk) < len(s.ranked) {
 		s.walk = make([]scoredBid, 0, len(s.ranked))
 	}
 	remaining := s.walk[:0]
 	for _, sb := range s.ranked {
-		if sb.score >= 0 {
-			remaining = append(remaining, sb)
+		if !(sb.score >= 0) {
+			continue // IR-violating (or unordered, NaN) bids are dropped up front
 		}
+		psi := psiOf(sb.bid.NodeID)
+		if psi <= 0 || psi > 1 || math.IsNaN(psi) {
+			s.walk = remaining
+			return Outcome{}, fmt.Errorf("auction: psi for node %d = %v outside (0, 1]", sb.bid.NodeID, psi)
+		}
+		remaining = append(remaining, sb)
 	}
 	s.walk = remaining
 	if len(remaining) == 0 {
@@ -356,52 +351,7 @@ func (s *Selector) selectPsi(req SelectionRequest, rng *rand.Rand) (Outcome, err
 				next = append(next, sb)
 				continue
 			}
-			if rng.Float64() < req.Psi {
-				selected = append(selected, sb)
-			} else {
-				next = append(next, sb)
-			}
-		}
-		remaining = next
-	}
-	s.selected = selected
-	refScore, hasRef := s.refAfter(len(selected))
-	return s.outcome(req, selected, refScore, hasRef), nil
-}
-
-// selectPsiVector generalizes ψ-FMore to a distinct admission probability
-// per node, validating each node's ψ on first visit.
-func (s *Selector) selectPsiVector(req SelectionRequest, rng *rand.Rand) (Outcome, error) {
-	s.rankAll(req)
-	if cap(s.walk) < len(s.ranked) {
-		s.walk = make([]scoredBid, 0, len(s.ranked))
-	}
-	remaining := s.walk[:0]
-	for _, sb := range s.ranked {
-		if sb.score < 0 {
-			continue
-		}
-		psi := req.PsiOf(sb.bid.NodeID)
-		if psi <= 0 || psi > 1 || math.IsNaN(psi) {
-			s.walk = remaining
-			return Outcome{}, fmt.Errorf("auction: psi for node %d = %v outside (0, 1]", sb.bid.NodeID, psi)
-		}
-		remaining = append(remaining, sb)
-	}
-	s.walk = remaining
-	if len(remaining) == 0 {
-		return Outcome{Scores: s.scores}, nil
-	}
-	selected := s.selectedBuf(req.K, len(remaining))
-	const maxPasses = 1 << 16
-	for pass := 0; len(selected) < req.K && len(remaining) > 0 && pass < maxPasses; pass++ {
-		next := remaining[:0]
-		for _, sb := range remaining {
-			if len(selected) >= req.K {
-				next = append(next, sb)
-				continue
-			}
-			if rng.Float64() < req.PsiOf(sb.bid.NodeID) {
+			if rng.Float64() < psiOf(sb.bid.NodeID) {
 				selected = append(selected, sb)
 			} else {
 				next = append(next, sb)

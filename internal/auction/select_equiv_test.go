@@ -161,7 +161,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, tag+" scored", seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Payment: payment}, rng)
+					return selectWithScores(SelectionRequest{Rule: rule, Bids: bids, K: k, Payment: payment}, scores, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refDetermineWinners(rule, bids, scores, k, payment, rng)
@@ -191,7 +191,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 			runEquiv(t, fmt.Sprintf("%s psi-scored=%v", tag, psi), seed,
 				func(rng *rand.Rand) (Outcome, error) {
-					return Select(SelectionRequest{Rule: rule, Bids: bids, Scores: scores, K: k, Psi: psi, Payment: payment}, rng)
+					return selectWithScores(SelectionRequest{Rule: rule, Bids: bids, K: k, Psi: psi, Payment: payment}, scores, rng)
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refPsi(rule, bids, scores, k, psi, payment, rng)
@@ -218,7 +218,8 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 
 // TestAuctioneerEquivalenceProperty replays multi-round seeded auctioneer
 // streams — the exact shape of an exchange job — against the reference
-// dispatch, including the precomputed-score path the exchange uses.
+// dispatch, which takes Score's values on every other round and evaluates
+// the rule itself on the rest.
 func TestAuctioneerEquivalenceProperty(t *testing.T) {
 	rule, err := NewAdditive(0.6, 0.4)
 	if err != nil {
@@ -247,13 +248,7 @@ func TestAuctioneerEquivalenceProperty(t *testing.T) {
 					scores[i] = s
 				}
 				useScored := round%2 == 0
-				var got Outcome
-				var gotErr error
-				if useScored {
-					got, gotErr = auctNew.RunScored(bids, scores)
-				} else {
-					got, gotErr = auctNew.Run(bids)
-				}
+				got, gotErr := auctNew.Run(bids)
 				var want Outcome
 				var wantErr error
 				if psi < 1 {

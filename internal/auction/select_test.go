@@ -260,7 +260,6 @@ func TestSelectRequestValidation(t *testing.T) {
 		{"psi+psiOf", SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.5, PsiOf: func(int) float64 { return 1 }}, "mutually exclusive"},
 		{"budget+psi", SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.5, Budget: 1}, "cannot be combined"},
 		{"no bids", SelectionRequest{Rule: rule, K: 2}, "no bids"},
-		{"scores len", SelectionRequest{Rule: rule, Bids: bids, Scores: []float64{1}, K: 2}, "precomputed scores"},
 	}
 	for _, tc := range cases {
 		if _, err := Select(tc.req, rng); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -48,32 +48,33 @@
 //     it actually joined: the closing round if it entered the buffer before
 //     the drain, the next round otherwise. An atomic pending counter backs
 //     the quorum check and PendingBids without touching any shard.
-//   - closeRound (serialized per job by closeMu) drains the shards into a
-//     reused gather buffer and then makes three passes over the slate.
-//     Canonical order: packed int64 (NodeID, position) keys, compare-sorted
-//     below radixMinSlate (1,024) bids and, from there up, sorted by a
-//     stable 11-bit LSD radix over only as many ID bits as the round's
-//     largest node ID has (one reused spare key buffer) — the same order
-//     either way, and the only thing slate size selects. Scoring: the
-//     shared worker pool hands 128-bid chunks (a single chunk is scored
-//     inline) to auction.ScoreBids, the auction package's batch kernel,
-//     which resolves the rule kind once per chunk and produces exactly the
-//     bits auction.Score would. Selection: the job's auction.Auctioneer,
-//     whose pooled Selector reuses its scratch round after round, draws
-//     one tiebreak per bid, keeps the top K on a heap that looks at a
-//     bid's score before it builds the bid's record, and returns the
-//     round's one owning outcome (see Ownership). Outcomes are bit-for-bit
-//     what the standalone auctioneer would produce, independent of arrival
-//     order and of which sort ran.
+//   - CloseRound (serialized per job by closeMu) makes two passes of its
+//     own over the slate and hands it to the auctioneer. Drain: the shards
+//     empty into a reused gather buffer. Canonical order: packed int64
+//     (NodeID, position) keys, compare-sorted below radixMinSlate (1,024)
+//     bids and, from there up, sorted by a stable 11-bit LSD radix over
+//     only as many ID bits as the round's largest node ID has (one reused
+//     spare key buffer) — the same order either way, and the only thing
+//     slate size selects here. Then Run: the job's auction.Auctioneer,
+//     whose pooled Selector reuses its scratch round after round, scores
+//     the slate (inline, or cut across the CPUs from 4,096 bids up — its
+//     business, see internal/auction), draws one tiebreak per bid, keeps
+//     the top K on a heap that looks at a bid's score before it builds the
+//     bid's record, and returns the round's one owning outcome (see
+//     Ownership). The exchange has no scoring machinery of its own, so
+//     outcomes — failed rounds included — are bit-for-bit what the
+//     standalone auctioneer would produce, independent of arrival order
+//     and of which sort ran.
 //   - Who validates what, and when: a bid is validated in full
 //     (dimensions, finite qualities, finite payment) once on submit, before
-//     it may enter a shard. The close trusts none of that. The pool's
-//     kernel re-checks every quality vector as auction.Score does, in
-//     parallel, fused with the evaluation; RunScored then re-checks the
-//     quality vectors in one tight serial pass and each payment in its
-//     tiebreak loop, so no public entry point of internal/auction accepts
-//     a bid it used to refuse, and a poisoned slate fails the round with
-//     the error text and the rng position it always had.
+//     it may enter a shard, and once more at close, where Run trusts none
+//     of that: its scorer re-checks every quality vector as auction.Score
+//     does, fused with the evaluation, and its tiebreak loop each payment.
+//     A slate poisoned in between (only an embedded caller mutating a bid
+//     it handed over can do that) fails the round with Run's error, which
+//     names the node, after one draw per bid before it; the failed round
+//     is retained and logged, and the auctioneer's round counter advances
+//     live as replay restores it.
 //   - Registry is a sharded node directory (striped locks, atomic per-node
 //     counters); the metrics and the event firehose are entirely lock-free
 //     on the producer side, so a slow scrape or a wedged event consumer can
@@ -109,7 +110,7 @@
 // Every durable mutation appends one JSON record: job created (full spec,
 // rule serialized as its wire form), round completed (outcome verbatim,
 // cumulative rng draw count included), job closed or removed, node
-// registered, node blacklisted. closeRound hands the record to the log and
+// registered, node blacklisted. CloseRound hands the record to the log and
 // never waits on disk (the payload is encoded before the hand-off, so the
 // close path's record scratch is reusable immediately); Sync flushes on
 // demand, Close on shutdown. A round's JSON is a write-once artefact: the
@@ -289,10 +290,14 @@
 //	partition_map_version       gauge      version of the cluster map the replica routes by
 //	wrong_partition_total       counter    job-scoped requests refused because the map places the job elsewhere
 //
-// TestMetricCatalogAgrees holds the three statements of this catalog
-// together: every field of the JSON snapshot (api.Metrics) is rendered on
-// the page or listed there as JSON-only, and every family on the page has
-// its row here.
+// The page is one table, metricCatalog in prometheus.go: a row per sample
+// line with its name, HELP, type, value and — for the partition and
+// admission families — the condition under which it appears. Adding a
+// metric is a field of api.Metrics, a row there and a row here;
+// TestMetricCatalogAgrees holds the three together (every field of the
+// JSON snapshot is rendered by some row or listed as JSON-only, every
+// family of the table has its row here) and TestPrometheusGoldenPages pins
+// the page's bytes.
 //
 // The histogram is bucketed at write time (one atomic add per close) and
 // cumulated at scrape; its _count equals rounds_total, so the two read
@@ -362,7 +367,7 @@
 //     ?cursor= / ?limit= and return next_cursor while more remain.
 //   - Server-push rounds. GET /v1/jobs/{id}/events is a Server-Sent Events
 //     stream (round_open, round_closed with the outcome inline, job_closed,
-//     heartbeat comments) backed by a per-job fan-out: closeRound publishes
+//     heartbeat comments) backed by a per-job fan-out: CloseRound publishes
 //     to every subscriber inside the same critical section that appends the
 //     outcome to history, so replay-then-live resumption (Last-Event-ID or
 //     ?after=) can never lose or duplicate a round within the KeepOutcomes

@@ -20,8 +20,6 @@ var ErrExchangeClosed = errors.New("exchange: closed")
 
 // Options configures an Exchange.
 type Options struct {
-	// Workers sizes the shared scoring pool (default GOMAXPROCS).
-	Workers int
 	// RequireRegistration rejects bids from nodes that have not been
 	// registered (the deployment posture of the TCP harness, where nodes
 	// register over the wire before bidding). When false, first contact
@@ -120,12 +118,10 @@ func (ex *Exchange) publishJobs(mutate func(jobs map[string]*Job)) {
 }
 
 // Exchange hosts many concurrent FL auction jobs over one shared node
-// registry, scoring pool and metrics sink. All methods are safe for
-// concurrent use.
+// registry and metrics sink. All methods are safe for concurrent use.
 type Exchange struct {
 	opts    Options
 	reg     *Registry
-	pool    *scorePool
 	metrics *Metrics
 	fh      *Firehose
 	part    *partition.Assignment
@@ -156,13 +152,12 @@ type Exchange struct {
 	snapStreaming atomic.Bool
 }
 
-// New starts an exchange (its scoring workers launch immediately).
+// New returns an in-memory exchange; it starts no goroutine.
 func New(opts Options) *Exchange {
 	ctx, cancel := context.WithCancel(context.Background())
 	ex := &Exchange{
 		opts:    opts,
 		reg:     NewRegistry(),
-		pool:    newScorePool(opts.Workers, defaultScoreChunk),
 		metrics: newMetrics(),
 		fh:      newFirehose(opts.FirehoseRing),
 		part:    opts.Partition,
@@ -253,12 +248,12 @@ func (ex *Exchange) RemoveJob(id string) error {
 	if j.loopDone != nil {
 		<-j.loopDone
 	}
-	// Same barrier Exchange.Close uses: wait out any in-flight closeRound
+	// Same barrier Exchange.Close uses: wait out any in-flight CloseRound
 	// before eviction. Ordering matters twice over: (1) a round mid-close
 	// when removal starts must append its round record before the removal
 	// record, or replay meets a round for a deleted job; (2) the job stays
 	// visible to Close's jobs snapshot until fully drained, so a shutdown
-	// racing the unfinished round cannot close the scoring pool under it.
+	// racing the unfinished round cannot close the log under it.
 	j.closeMu.Lock()
 	j.closeMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 
@@ -419,7 +414,7 @@ func (ex *Exchange) CloseRound(jobID string) (RoundOutcome, error) {
 	if !ok {
 		return RoundOutcome{}, ex.missingJob(jobID)
 	}
-	return j.closeRound()
+	return j.CloseRound()
 }
 
 // Metrics returns a point-in-time health snapshot. jobs_active is derived
@@ -481,8 +476,8 @@ func (ex *Exchange) Sync() error {
 }
 
 // Close shuts the exchange down: every job is closed, in-flight round
-// closes are drained, background compaction stops, the scoring pool is
-// stopped, and the outcome log (if any) is flushed and closed. Shutdown
+// closes are drained, background compaction stops, and the outcome log (if
+// any) is flushed and closed. Shutdown
 // does not write job-closed records — a restart via Open resumes every
 // unfinished job. Idempotent; the error is the outcome log's first sticky
 // error (a failed final write, fsync or file close — records that never
@@ -517,14 +512,13 @@ func (ex *Exchange) Close() error {
 			<-j.loopDone
 		}
 	}
-	// Barrier: a manual CloseRound that passed the closed-check is still
-	// scoring on the pool; taking each job's closeMu waits it out before
-	// the pool goes away.
+	// Barrier: a manual CloseRound that passed the closed-check may still be
+	// scoring; taking each job's closeMu waits it out, so its record is
+	// appended before the log's final flush.
 	for _, j := range jobs {
 		j.closeMu.Lock()
 		j.closeMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	}
-	ex.pool.close()
 	// Signal-only: a sink wedged inside ConsumeTap must not wedge shutdown
 	// (callers that want delivery guarantees Drain the firehose first).
 	ex.fh.stopAll()

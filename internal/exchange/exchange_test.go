@@ -52,8 +52,7 @@ func TestExchangeConcurrentJobsDeterministic(t *testing.T) {
 }
 
 // TestExchangeLargeSlateDeterministic repeats the contract on slates above
-// radixMinSlate, where the canonical order comes from the radix sort and
-// scoring from several pool chunks at once.
+// radixMinSlate, where the canonical order comes from the radix sort.
 func TestExchangeLargeSlateDeterministic(t *testing.T) {
 	concurrentJobsDeterministic(t, 2, radixMinSlate+radixMinSlate/4, 2)
 }

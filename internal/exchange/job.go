@@ -85,7 +85,7 @@ func (s *JobSpec) setDefaults() {
 }
 
 // RoundOutcome is one completed auction round of a job. Every holder of a
-// round shares one Outcome: treat it as immutable (see closeRound).
+// round shares one Outcome: treat it as immutable (see CloseRound).
 type RoundOutcome struct {
 	// JobID and Round identify the round (rounds are 1-based).
 	JobID string
@@ -147,18 +147,17 @@ type Job struct {
 	// closeMu serializes round closes; everything below it is scratch reused
 	// across rounds, so all a steady-state close allocates is the outcome it
 	// hands to the history: gather collects the drained shard buffers,
-	// scores is the pooled score vector, freeRecs recycles the encoded
-	// records evicted from history, and walScratch is the reusable WAL round
-	// record (safe because logRound encodes synchronously before returning).
-	// The auctioneer carries the job's pooled auction.Selector, so winner
-	// determination itself reuses its buffers round after round.
+	// sorted and the two key buffers hold the canonical order, freeRecs
+	// recycles the encoded records evicted from history, and walScratch is
+	// the reusable WAL round record (safe because logRound encodes
+	// synchronously before returning). The auctioneer carries the job's
+	// pooled auction.Selector, so scoring and winner determination reuse
+	// their buffers round after round too.
 	closeMu    sync.Mutex
 	gather     []auction.Bid
 	sorted     []auction.Bid
 	sortKeys   []int64
 	sortSwap   []int64
-	scores     []float64
-	batch      batchState
 	freeRecs   [][]byte
 	auct       *auction.Auctioneer
 	src        *countingSource
@@ -382,15 +381,10 @@ func (j *Job) releaseRec(rec []byte) {
 	}
 }
 
-// CloseRound closes the job's current collecting round now and returns its
-// outcome, the same shared value Exchange.CloseRound returns.
-func (j *Job) CloseRound() (RoundOutcome, error) {
-	return j.closeRound()
-}
-
-// closeRound drains the intake shards, scores the round on the shared pool,
-// runs winner determination, and publishes the outcome. It returns
-// ErrBelowQuorum (round keeps collecting) when the intake is under quorum.
+// CloseRound closes the job's current collecting round now: it drains the
+// intake shards, puts the bids in canonical order, runs the job's auctioneer
+// on them and publishes the outcome. It returns ErrBelowQuorum (round keeps
+// collecting) when the intake is under quorum.
 //
 // Ownership: winner determination returns the one owning copy of the
 // round's outcome. The history keeps it; the caller, every read accessor
@@ -398,7 +392,7 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 // eviction from the KeepOutcomes window only drops the history's reference
 // — so holders may read it at any pace from any goroutine, and none may
 // mutate it (Outcome.Clone gives a private copy).
-func (j *Job) closeRound() (RoundOutcome, error) {
+func (j *Job) CloseRound() (RoundOutcome, error) {
 	j.closeMu.Lock()
 	defer j.closeMu.Unlock()
 
@@ -444,17 +438,8 @@ func (j *Job) closeRound() (RoundOutcome, error) {
 		j.walScratch.bidders = bidders
 	}
 
-	if cap(j.scores) < len(bids) {
-		j.scores = make([]float64, len(bids))
-	}
-	scores := j.scores[:len(bids)]
-	var outcome auction.Outcome
-	err := j.ex.pool.score(j.spec.Auction.Rule, bids, scores, &j.batch)
-	if err == nil {
-		// RunScored returns an owning copy, so the bid and score buffers
-		// are free to reuse.
-		outcome, err = j.auct.RunScored(bids, scores)
-	}
+	// Run returns an owning copy, so the bid buffers are free to reuse.
+	outcome, err := j.auct.Run(bids)
 
 	ro := RoundOutcome{
 		JobID:   j.id,
@@ -467,13 +452,12 @@ func (j *Job) closeRound() (RoundOutcome, error) {
 		// The round's bids are consumed either way: a poisoned bid set must
 		// not wedge the job forever. The failed round is recorded so the
 		// history stays contiguous.
-		ro.Outcome = auction.Outcome{}
 		ro.Err = fmt.Errorf("exchange: job %s round %d: %w", j.id, round, err)
 	}
 	// Persist before publishing; the append is a channel hand-off to the log
 	// writer (the record bytes are encoded before it returns, so the scratch
-	// record is free to reuse). j.src.n is stable here: only RunScored draws
-	// from it, and closeMu is held.
+	// record is free to reuse). j.src.n is stable here: only Run draws from
+	// it, and closeMu is held.
 	rec := j.logRound(ro, bidders)
 
 	j.mu.Lock()
@@ -552,7 +536,7 @@ func (j *Job) loop() {
 		if j.ctx.Err() != nil {
 			return
 		}
-		if _, err := j.closeRound(); errors.Is(err, ErrJobClosed) {
+		if _, err := j.CloseRound(); errors.Is(err, ErrJobClosed) {
 			return
 		}
 		next = nextWindowDeadline(next, time.Now(), j.spec.BidWindow)
@@ -600,7 +584,7 @@ func (j *Job) close(record bool) {
 
 // Outcome returns the completed round without blocking. For a failed round
 // the stored error is returned alongside the record. Like every read
-// accessor it returns the retained value itself (see closeRound).
+// accessor it returns the retained value itself (see CloseRound).
 func (j *Job) Outcome(round int) (RoundOutcome, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

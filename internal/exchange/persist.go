@@ -764,7 +764,7 @@ func walJobFromSpec(spec JobSpec) (walJob, error) {
 }
 
 // outcome reconstructs the RoundOutcome of a round record. Failed rounds
-// keep a zero Outcome, exactly as closeRound published them.
+// keep a zero Outcome, exactly as CloseRound published them.
 func (w *walRound) outcome(jobID string) RoundOutcome {
 	ro := RoundOutcome{
 		JobID:   jobID,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -989,5 +990,86 @@ func TestOpenFailsOnUndecodableRecord(t *testing.T) {
 	}
 	if info, ok := ex.Registry().Lookup(7); !ok || info.Meta() != "edge-07" {
 		t.Error("node record did not replay")
+	}
+}
+
+// TestFailedRoundRecoversByteIdentical covers the one kind of round no other
+// exchange-level test produces: a failed one. An embedded caller breaks the
+// hand-over contract and poisons a quality of a bid it already submitted;
+// the close fails the way the standalone auctioneer's Run does (the error
+// names the node), the failed round is retained and logged, numbering stays
+// contiguous and the next round closes normally. The auctioneer's round
+// counter advanced on the failed round live exactly as replay restores it,
+// so a snapshot cut live and one cut after replaying the same log are the
+// same bytes.
+func TestFailedRoundRecoversByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	job, err := ex.CreateJob(JobSpec{ID: "poisoned", Auction: auction.Config{Rule: testRule(t, 0), K: 2, Payment: auction.SecondPrice}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bids := testBids(0, 1, 4)
+	for _, b := range bids {
+		if _, err := ex.SubmitBid("poisoned", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bids[2].Qualities[0] = math.NaN() // the exchange owns this memory since SubmitBid
+
+	ro, err := ex.CloseRound("poisoned")
+	if err == nil || !strings.Contains(err.Error(), "bid from node 2") {
+		t.Fatalf("poisoned close: err = %v, want one naming node 2", err)
+	}
+	if ro.Round != 1 || ro.NumBids != 4 || ro.Err == nil || len(ro.Outcome.Winners) != 0 {
+		t.Fatalf("poisoned close returned %+v", ro)
+	}
+	if kept, err := job.Outcome(1); err == nil || kept.Err == nil || kept.Round != 1 {
+		t.Fatalf("failed round not retained: %+v, %v", kept, err)
+	}
+	if got := ex.Metrics().RoundsFailed; got != 1 {
+		t.Fatalf("rounds_failed = %d, want 1", got)
+	}
+	for _, b := range testBids(0, 2, 4) {
+		if _, err := ex.SubmitBid("poisoned", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ro, err := ex.CloseRound("poisoned"); err != nil || ro.Round != 2 || len(ro.Outcome.Winners) != 2 {
+		t.Fatalf("round after the failed one: %+v, %v", ro, err)
+	}
+	if err := ex.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	page := outcomesPageBytes(t, ex, "poisoned")
+	replayDir := cloneDataDir(t, dir) // the log as it stands, before any compaction
+
+	snapshotBytes := func(ex *Exchange, dir string) []byte {
+		t.Helper()
+		if err := ex.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(filepath.Join(dir, wal.SnapshotName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	live := snapshotBytes(ex, dir)
+
+	ex2, err := Open(replayDir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex2.Close()
+	if got := outcomesPageBytes(t, ex2, "poisoned"); string(got) != string(page) {
+		t.Errorf("outcomes page diverged after replay:\n got: %s\nwant: %s", got, page)
+	}
+	if replayed := snapshotBytes(ex2, replayDir); string(replayed) != string(live) {
+		t.Errorf("snapshot cut after replay differs from the one cut live:\n live:     %s\n replayed: %s", live, replayed)
 	}
 }

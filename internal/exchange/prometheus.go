@@ -18,93 +18,119 @@ func writePrometheus(w io.Writer, ex *Exchange) error {
 	return renderPrometheus(w, ex, ex.Metrics())
 }
 
+// scrape is what one page is rendered from: a snapshot, plus the partition
+// identity no snapshot carries.
+type scrape struct {
+	Snapshot
+	partitioned bool // the replica serves a partition and has a cluster map
+	partition   string
+	mapVersion  int64
+}
+
+// metricRow declares one sample line of the page. Consecutive rows with the
+// same name are one family (HELP and TYPE are written once, from the first);
+// a counter is rendered as an integer, a gauge as the shortest exact decimal.
+type metricRow struct {
+	name    string
+	help    string
+	counter bool
+	when    func(*scrape) bool   // nil: on every page
+	label   func(*scrape) string // nil: unlabeled
+	value   func(*scrape) float64
+}
+
+// Partition families appear only on a partitioned replica, admission
+// families only when overload protection is installed.
+func partitioned(p *scrape) bool { return p.partitioned }
+func admitting(p *scrape) bool   { return p.AdmissionEnabled }
+
+func reason(scope string) func(*scrape) string {
+	return func(*scrape) string { return `reason="` + scope + `"` }
+}
+
+func oneIf(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// metricCatalog is the page, in page order, up to the latency histogram
+// (which keeps its own writer below). TestMetricCatalogAgrees holds it
+// against api.Metrics and the table in doc.go; TestPrometheusGoldenPages
+// pins the bytes.
+var metricCatalog = []metricRow{
+	{name: "uptime_seconds", help: "Seconds since the exchange started.", value: func(p *scrape) float64 { return p.UptimeSec }},
+	{name: "jobs_active", help: "Hosted jobs currently accepting or scoring bids (derived from the live job map).", value: func(p *scrape) float64 { return float64(p.JobsActive) }},
+	{name: "jobs_created_total", help: "Jobs created over this process lifetime (includes WAL-replayed creations).", counter: true, value: func(p *scrape) float64 { return float64(p.JobsCreated) }},
+	{name: "nodes_known", help: "Nodes in the shared registry.", value: func(p *scrape) float64 { return float64(p.NodesKnown) }},
+	{name: "rounds_total", help: "Completed auction rounds.", counter: true, value: func(p *scrape) float64 { return float64(p.RoundsTotal) }},
+	{name: "rounds_failed_total", help: "Rounds whose scoring or winner determination errored.", counter: true, value: func(p *scrape) float64 { return float64(p.RoundsFailed) }},
+	{name: "idle_ticks_total", help: "Bid windows that expired below the round quorum.", counter: true, value: func(p *scrape) float64 { return float64(p.IdleTicks) }},
+	{name: "bids_accepted_total", help: "Sealed bids admitted into a round.", counter: true, value: func(p *scrape) float64 { return float64(p.BidsAccepted) }},
+	{name: "bids_rejected_total", help: "Bids refused (validation, policy, duplicate, closed job).", counter: true, value: func(p *scrape) float64 { return float64(p.BidsRejected) }},
+	{name: "wal_snapshots_total", help: "Completed WAL compactions (snapshot + segment rotation).", counter: true, value: func(p *scrape) float64 { return float64(p.WalSnapshots) }},
+	{name: "wal_snapshot_errors_total", help: "WAL compaction attempts that failed and will be retried.", counter: true, value: func(p *scrape) float64 { return float64(p.WalSnapshotErrors) }},
+	{name: "wal_snapshot_bytes", help: "Size of the last committed snapshot file; over the rotation threshold it is the compaction's write amplification.", value: func(p *scrape) float64 { return float64(p.WalSnapshotBytes) }},
+	{name: "wal_snapshot_seconds", help: "Wall time of the last completed WAL compaction.", value: func(p *scrape) float64 { return p.WalSnapshotSeconds }},
+	{name: "wal_snapshot_stw_seconds", help: "Part of the last completed WAL compaction spent holding the stop-the-world locks (no round can close).", value: func(p *scrape) float64 { return p.WalSnapshotStwSeconds }},
+	{name: "wal_segment_count", help: "Live WAL segments a restart would replay.", value: func(p *scrape) float64 { return float64(p.WalSegmentCount) }},
+	{name: "wal_bytes", help: "Logical bytes across live WAL segments (sealed plus active tail; preallocated-but-unwritten space is excluded).", value: func(p *scrape) float64 { return float64(p.WalBytes) }},
+	{name: "wal_fsync_total", help: "Group commits (fsyncs) of the outcome log.", counter: true, value: func(p *scrape) float64 { return float64(p.WalFsyncTotal) }},
+	{name: "wal_fsync_batched_records", help: "Records made durable by those group commits; the ratio to wal_fsync_total is the achieved batch size.", counter: true, value: func(p *scrape) float64 { return float64(p.WalFsyncBatchedRecords) }},
+	{name: "wal_failed", help: "1 after the outcome log's first sticky error (replica degraded, refusing durable writes), else 0.", value: func(p *scrape) float64 { return oneIf(p.WalFailed) }},
+	{name: "wal_last_error_unix", help: "Unix time of the outcome log's first sticky error, 0 while healthy.", value: func(p *scrape) float64 { return float64(p.WalLastErrorUnix) }},
+	{name: "firehose_events_total", help: "Events published into the firehose tap since a sink first attached.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseEvents) }},
+	{name: "firehose_dropped_total", help: "Firehose events lost to ring overrun across all sinks.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseDropped) }},
+	// partition_id is info-style: constant 1 with the partition as a label,
+	// the idiomatic way to join other series onto topology.
+	{name: "partition_id", help: "Partition served by this replica (info-style: constant 1, partition in the label).", when: partitioned,
+		label: func(p *scrape) string { return `partition="` + p.partition + `"` }, value: func(*scrape) float64 { return 1 }},
+	{name: "partition_map_version", help: "Version of the cluster partition map this replica routes by.", when: partitioned, value: func(p *scrape) float64 { return float64(p.mapVersion) }},
+	{name: "wrong_partition_total", help: "Job-scoped requests refused because the map places the job on another replica.", counter: true, when: partitioned, value: func(p *scrape) float64 { return float64(p.WrongPartition) }},
+	{name: "admission_shed_total", help: "Requests shed by the admission controller, by limit scope.", counter: true, when: admitting, label: reason("global"), value: func(p *scrape) float64 { return float64(p.AdmissionShedGlobal) }},
+	{name: "admission_shed_total", counter: true, when: admitting, label: reason("node"), value: func(p *scrape) float64 { return float64(p.AdmissionShedNode) }},
+	{name: "admission_shed_total", counter: true, when: admitting, label: reason("job"), value: func(p *scrape) float64 { return float64(p.AdmissionShedJob) }},
+	{name: "admission_shed_total", counter: true, when: admitting, label: reason("inflight"), value: func(p *scrape) float64 { return float64(p.AdmissionShedInflight) }},
+	{name: "admission_sse_evicted_total", help: "SSE streams evicted (oldest first) to admit new subscribers at the cap.", counter: true, when: admitting, value: func(p *scrape) float64 { return float64(p.AdmissionSSEEvicted) }},
+	{name: "admission_inflight", help: "Bid-submit requests currently inside the in-flight gate.", when: admitting, value: func(p *scrape) float64 { return float64(p.AdmissionInflight) }},
+	{name: "admission_sse_active", help: "SSE streams currently registered with the admission controller.", when: admitting, value: func(p *scrape) float64 { return float64(p.AdmissionSSEActive) }},
+	{name: "admission_overloaded", help: "1 while the exchange advertises overload on /v1/healthz, else 0.", when: admitting, value: func(p *scrape) float64 { return oneIf(p.AdmissionOverloaded) }},
+	{name: "round_latency_p50_seconds", help: "Median close-to-outcome latency over the sliding percentile window.", value: func(p *scrape) float64 { return p.RoundLatencyP50Ms / 1e3 }},
+	{name: "round_latency_p99_seconds", help: "99th-percentile close-to-outcome latency over the sliding percentile window.", value: func(p *scrape) float64 { return p.RoundLatencyP99Ms / 1e3 }},
+}
+
 // renderPrometheus renders snapshot s (plus ex's partition identity and
 // latency histogram, which no snapshot carries). Taking s as an argument is
 // what lets TestMetricCatalogAgrees show that every snapshot field reaches
 // the page.
 func renderPrometheus(w io.Writer, ex *Exchange, s Snapshot) error {
 	b := bufio.NewWriter(w)
-
-	gauge := func(name, help string, v float64) {
-		b.WriteString("# HELP fmore_exchange_" + name + " " + help + "\n")
-		b.WriteString("# TYPE fmore_exchange_" + name + " gauge\n")
-		b.WriteString("fmore_exchange_" + name + " " + formatFloat(v) + "\n")
+	p := scrape{Snapshot: s}
+	if m := ex.PartitionMap(); m != nil {
+		p.partitioned, p.partition, p.mapVersion = true, ex.part.Local, m.Version
 	}
-	counter := func(name, help string, v int64) {
-		b.WriteString("# HELP fmore_exchange_" + name + " " + help + "\n")
-		b.WriteString("# TYPE fmore_exchange_" + name + " counter\n")
-		b.WriteString("fmore_exchange_" + name + " " + strconv.FormatInt(v, 10) + "\n")
-	}
-
-	gauge("uptime_seconds", "Seconds since the exchange started.", s.UptimeSec)
-	gauge("jobs_active", "Hosted jobs currently accepting or scoring bids (derived from the live job map).", float64(s.JobsActive))
-	counter("jobs_created_total", "Jobs created over this process lifetime (includes WAL-replayed creations).", s.JobsCreated)
-	gauge("nodes_known", "Nodes in the shared registry.", float64(s.NodesKnown))
-	counter("rounds_total", "Completed auction rounds.", s.RoundsTotal)
-	counter("rounds_failed_total", "Rounds whose scoring or winner determination errored.", s.RoundsFailed)
-	counter("idle_ticks_total", "Bid windows that expired below the round quorum.", s.IdleTicks)
-	counter("bids_accepted_total", "Sealed bids admitted into a round.", s.BidsAccepted)
-	counter("bids_rejected_total", "Bids refused (validation, policy, duplicate, closed job).", s.BidsRejected)
-	counter("wal_snapshots_total", "Completed WAL compactions (snapshot + segment rotation).", s.WalSnapshots)
-	counter("wal_snapshot_errors_total", "WAL compaction attempts that failed and will be retried.", s.WalSnapshotErrors)
-	gauge("wal_snapshot_bytes", "Size of the last committed snapshot file; over the rotation threshold it is the compaction's write amplification.", float64(s.WalSnapshotBytes))
-	gauge("wal_snapshot_seconds", "Wall time of the last completed WAL compaction.", s.WalSnapshotSeconds)
-	gauge("wal_snapshot_stw_seconds", "Part of the last completed WAL compaction spent holding the stop-the-world locks (no round can close).", s.WalSnapshotStwSeconds)
-	gauge("wal_segment_count", "Live WAL segments a restart would replay.", float64(s.WalSegmentCount))
-	gauge("wal_bytes", "Logical bytes across live WAL segments (sealed plus active tail; preallocated-but-unwritten space is excluded).", float64(s.WalBytes))
-	counter("wal_fsync_total", "Group commits (fsyncs) of the outcome log.", s.WalFsyncTotal)
-	counter("wal_fsync_batched_records", "Records made durable by those group commits; the ratio to wal_fsync_total is the achieved batch size.", s.WalFsyncBatchedRecords)
-	walFailed := 0.0
-	if s.WalFailed {
-		walFailed = 1
-	}
-	gauge("wal_failed", "1 after the outcome log's first sticky error (replica degraded, refusing durable writes), else 0.", walFailed)
-	gauge("wal_last_error_unix", "Unix time of the outcome log's first sticky error, 0 while healthy.", float64(s.WalLastErrorUnix))
-	counter("firehose_events_total", "Events published into the firehose tap since a sink first attached.", s.FirehoseEvents)
-	counter("firehose_dropped_total", "Firehose events lost to ring overrun across all sinks.", s.FirehoseDropped)
-	// Partition metrics appear only on a partitioned replica: an info-style
-	// gauge carrying the partition as a label (constant 1, the idiomatic way
-	// to join other series onto topology), the map version, and the
-	// misroute counter.
-	if p := ex.Partition(); p != nil {
-		if m := p.Map.Load(); m != nil {
-			b.WriteString("# HELP fmore_exchange_partition_id Partition served by this replica (info-style: constant 1, partition in the label).\n")
-			b.WriteString("# TYPE fmore_exchange_partition_id gauge\n")
-			b.WriteString(`fmore_exchange_partition_id{partition="` + p.Local + `"} 1` + "\n")
-			gauge("partition_map_version", "Version of the cluster partition map this replica routes by.", float64(m.Version))
-			counter("wrong_partition_total", "Job-scoped requests refused because the map places the job on another replica.", s.WrongPartition)
+	family := ""
+	for _, row := range metricCatalog {
+		if row.when != nil && !row.when(&p) {
+			continue
 		}
-	}
-	// Admission metrics appear only when overload protection is installed:
-	// sheds by scope on one labeled counter, SSE occupancy and evictions,
-	// the in-flight gauge, and the boolean overload state health probers
-	// read.
-	if s.AdmissionEnabled {
-		b.WriteString("# HELP fmore_exchange_admission_shed_total Requests shed by the admission controller, by limit scope.\n")
-		b.WriteString("# TYPE fmore_exchange_admission_shed_total counter\n")
-		for _, sc := range [...]struct {
-			reason string
-			v      int64
-		}{
-			{"global", s.AdmissionShedGlobal},
-			{"node", s.AdmissionShedNode},
-			{"job", s.AdmissionShedJob},
-			{"inflight", s.AdmissionShedInflight},
-		} {
-			b.WriteString(`fmore_exchange_admission_shed_total{reason="` + sc.reason + `"} ` +
-				strconv.FormatInt(sc.v, 10) + "\n")
+		v := row.value(&p)
+		typ, text := "gauge", formatFloat(v)
+		if row.counter {
+			typ, text = "counter", strconv.FormatInt(int64(v), 10)
 		}
-		counter("admission_sse_evicted_total", "SSE streams evicted (oldest first) to admit new subscribers at the cap.", s.AdmissionSSEEvicted)
-		gauge("admission_inflight", "Bid-submit requests currently inside the in-flight gate.", float64(s.AdmissionInflight))
-		gauge("admission_sse_active", "SSE streams currently registered with the admission controller.", float64(s.AdmissionSSEActive))
-		overloaded := 0.0
-		if s.AdmissionOverloaded {
-			overloaded = 1
+		if row.name != family {
+			family = row.name
+			b.WriteString("# HELP fmore_exchange_" + row.name + " " + row.help + "\n")
+			b.WriteString("# TYPE fmore_exchange_" + row.name + " " + typ + "\n")
 		}
-		gauge("admission_overloaded", "1 while the exchange advertises overload on /v1/healthz, else 0.", overloaded)
+		labels := ""
+		if row.label != nil {
+			labels = "{" + row.label(&p) + "}"
+		}
+		b.WriteString("fmore_exchange_" + row.name + labels + " " + text + "\n")
 	}
-	gauge("round_latency_p50_seconds", "Median close-to-outcome latency over the sliding percentile window.", s.RoundLatencyP50Ms/1e3)
-	gauge("round_latency_p99_seconds", "99th-percentile close-to-outcome latency over the sliding percentile window.", s.RoundLatencyP99Ms/1e3)
 
 	// The cumulative round-latency histogram, bucketed at write time by
 	// observeRound — a scrape only loads the bucket counters.
