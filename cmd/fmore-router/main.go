@@ -52,6 +52,11 @@
 // format: fmore_router_forward_total{partition=...}, fmore_router_fanout_total,
 // fmore_router_retry_total, fmore_router_proxy_error_total,
 // fmore_router_shed_total and fmore_router_map_version.
+//
+// -pprof-addr (off by default) serves net/http/pprof on a separate
+// listener for live profiling, as fmore-exchange's does; while it is up,
+// mutex contention is sampled (1 in 100). Keep it loopback-only in
+// production.
 package main
 
 import (
@@ -65,8 +70,10 @@ import (
 	"log"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registered on the DefaultServeMux served at -pprof-addr
 	"net/url"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -129,7 +136,7 @@ type replicaState struct {
 }
 
 func newRouter(m *partition.Map) *router {
-	rt := &router{hc: &http.Client{}, parts: make(map[string]*replicaState)}
+	rt := &router{hc: &http.Client{Transport: partition.Transport}, parts: make(map[string]*replicaState)}
 	rt.routes.Store(m)
 	return rt
 }
@@ -480,10 +487,24 @@ func main() {
 		`cluster partition map, "p0=http://host:port,p1=..." (same spec the replicas were started with)`)
 	healthzInterval := flag.Duration("healthz-interval", time.Second,
 		"how often to probe each replica's /v1/healthz for overload (0 disables probing and health-based shedding)")
+	pprofAddr := flag.String("pprof-addr", "",
+		"serve net/http/pprof on this address (empty = disabled); keep it loopback-only in production")
 	flag.Parse()
 
 	if err := fault.EnableFromEnv(); err != nil {
 		log.Fatalf("%s: %v", fault.EnvVar, err)
+	}
+	if *pprofAddr != "" {
+		// Its own listener: the service listener serves the router itself,
+		// never the DefaultServeMux net/http/pprof registers on. Mutex
+		// contention is sampled only while it is up, as in fmore-exchange.
+		runtime.SetMutexProfileFraction(100)
+		go func() {
+			log.Printf("pprof listening on %s", *pprofAddr)
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				log.Printf("pprof: %v", err)
+			}
+		}()
 	}
 	m, err := partition.Parse(*replicas)
 	if err != nil {

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -445,5 +447,66 @@ func TestRouterBreakerFailsFast(t *testing.T) {
 	}
 	if rt.sheds.Load() != 1 {
 		t.Fatalf("sheds = %d, want 1", rt.sheds.Load())
+	}
+}
+
+// waveBackend is a replica stand-in that holds every request until width of
+// them are in flight — so a wave needs width connections at once — and
+// counts the connections it was ever dialled on.
+func waveBackend(t *testing.T, width int) (url string, opened *atomic.Int64) {
+	t.Helper()
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	opened = new(atomic.Int64)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		mu.Lock()
+		arrived++
+		g := gate
+		if arrived == width {
+			arrived, gate = 0, make(chan struct{})
+			close(g)
+		}
+		mu.Unlock()
+		<-g
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv.URL, opened
+}
+
+// TestRouterKeepsUpstreamConnections: sixteen forwards in flight to one
+// replica, wave after wave, ride the sixteen connections the first wave
+// opened. On http.DefaultTransport (two idle connections per host) every
+// wave after the first re-dialled fourteen.
+func TestRouterKeepsUpstreamConnections(t *testing.T) {
+	const width, waves = 16, 4
+	url, opened := waveBackend(t, width)
+	m, err := partition.Parse("p0=" + url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newRouter(m)
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < width; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/j/outcome", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("forward answered %d", rec.Code)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := opened.Load(); n > width {
+		t.Errorf("%d waves of %d forwards opened %d upstream connections, want at most %d", waves, width, n, width)
 	}
 }

@@ -117,7 +117,12 @@
 // close encodes it exactly once, with a reflection-free encoder whose
 // output is byte-identical to encoding/json's (roundenc.go states the
 // contract and what pins it) — so the on-disk format never changed, and
-// logs written before and after that encoder replay on either side.
+// logs written before and after that encoder replay on either side. A
+// round record is mostly floats (every bidder's score, each winner's
+// qualities and payments), so the encoder prints them itself: shortest.go
+// is a Schubfach shortest-decimal kernel that writes, in both of
+// encoding/json's notations, the bytes strconv.AppendFloat writes; strconv
+// stays in the tree as that kernel's test oracle only.
 //
 // Replay (Open) applies the snapshot, then every surviving record in order,
 // and is bit-for-bit: retained outcome responses are byte-identical, round

@@ -29,6 +29,11 @@ import (
 // and after this encoder mutually readable; FuzzAppendWalRound and the
 // seeded property test in roundenc_test.go pin it. A field added to
 // walRound or walWinner must be added here in struct order.
+//
+// Floats are most of a record and go through one path, roundEncoder.float:
+// appendShortest (shortest.go) writes every finite float64 as
+// strconv.AppendFloat would in the notation encoding/json picks — strconv is
+// its test oracle and is called here only for integers and the NaN/±Inf text.
 const (
 	walRoundPrefix  = `{"k":"round","round":`
 	walRoundSuffix  = `}`
@@ -141,9 +146,8 @@ type roundEncoder struct {
 	err error
 }
 
-// float appends f as encoding/json does: the shortest decimal that
-// round-trips, in ES6 number-to-string form ('e' notation below 1e-6 and
-// from 1e21, exponent not zero-padded).
+// float appends f as encoding/json does — appendShortest's contract — and
+// refuses what it refuses: the first NaN or ±Inf becomes the encoder's error.
 func (e *roundEncoder) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		if e.err == nil {
@@ -151,18 +155,7 @@ func (e *roundEncoder) float(f float64) {
 		}
 		return
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json cleans it up.
-		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
-	}
+	e.b = appendShortest(e.b, f)
 }
 
 // floats appends a []float64: null when nil, like encoding/json.

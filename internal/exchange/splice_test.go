@@ -509,3 +509,80 @@ func TestOpenRejectsUndecodableHistoryEntry(t *testing.T) {
 		t.Fatal("opened a snapshot whose history entry does not decode")
 	}
 }
+
+// TestRealLogsReencodeToThemselves is the round encoder's identity on bytes
+// that exist: every round record in the tail segment and every history
+// entry in the snapshot — of testdata/parent-pr12, written by the reflective
+// encoder of the commit before rounds were encoded once, and of a compacted
+// dir this code writes — is decoded and run back through appendWalRound and
+// frameRound, and must come out as the bytes on disk. A float the encoder
+// spelled differently from the writer of those bytes would show here even
+// if both spellings parsed to the same value.
+func TestRealLogsReencodeToThemselves(t *testing.T) {
+	fresh := t.TempDir()
+	ex, err := Open(fresh, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactWorkload(t, ex, 4, 16, 6, true)
+	if err := ex.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compactWorkload(t, ex, 4, 16, 2, false)
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{"parent-pr12": filepath.Join("testdata", "parent-pr12", "data"), "written here": fresh} {
+		log, rec, err := wal.Open(cloneDataDir(t, dir), wal.Options{SegmentBytes: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Cleanup(func() { log.Close() }) //nolint:errcheck // only read
+		// reencoded is r's payload as this code writes it.
+		reencoded := func(r *walRound) []byte {
+			history, drawsAt, err := appendWalRound(nil, r)
+			if err != nil {
+				t.Fatalf("%s: job %s round %d: %v", name, r.Job, r.Round, err)
+			}
+			var b bytes.Buffer
+			frameRound(&b, history, drawsAt, r.Bidders, r.Draws)
+			return b.Bytes()
+		}
+		records, entries := 0, 0
+		for _, seg := range rec.Segments {
+			for _, payload := range seg.Records {
+				var wr walRecord
+				if err := json.Unmarshal(payload, &wr); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if wr.Kind != recRound {
+					continue
+				}
+				records++
+				if got := reencoded(wr.Round); !bytes.Equal(got, payload) {
+					t.Errorf("%s: round record re-encodes differently:\n got: %s\nwant: %s", name, got, payload)
+				}
+			}
+		}
+		var snap walSnapshot
+		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+			t.Fatalf("%s: snapshot: %v", name, err)
+		}
+		for _, job := range snap.Jobs {
+			for _, entry := range job.History {
+				var r walRound
+				if err := json.Unmarshal(entry.raw, &r); err != nil {
+					t.Fatalf("%s: history entry: %v", name, err)
+				}
+				entries++
+				want := walRoundPrefix + string(entry.raw) + walRoundSuffix
+				if got := reencoded(&r); string(got) != want {
+					t.Errorf("%s: history entry re-encodes differently:\n got: %s\nwant: %s", name, got, want)
+				}
+			}
+		}
+		if records == 0 || entries == 0 {
+			t.Errorf("%s: checked %d round records and %d history entries, want some of each", name, records, entries)
+		}
+	}
+}

@@ -26,6 +26,19 @@ const maxPeerBody = 1 << 20
 // request, against a replica that answered a moment ago. Tests shorten it.
 var refreshTimeout = 2 * time.Second
 
+// Transport is the upstream transport of everything that forwards to
+// replicas — cmd/fmore-router and pkg/client's default client:
+// http.DefaultTransport's settings with the per-host idle pool as large as
+// the whole pool. A consumer talks to a handful of hosts, and the default of
+// two idle connections per host closes every connection above two as it is
+// returned, so more than two requests in flight to one replica re-dial on
+// every wave.
+var Transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = t.MaxIdleConns
+	return t
+}()
+
 // Routes is a consumer's routing state: the map it routes by (none yet in
 // the zero value) and the re-aim rule cmd/fmore-router and pkg/client share.
 type Routes struct {

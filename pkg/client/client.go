@@ -49,7 +49,9 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the transport (timeouts, proxies, test
-// doubles). The default is a plain http.Client with keep-alive reuse.
+// doubles). The default is an http.Client on partition.Transport: the
+// standard transport, keeping every connection a burst opened to a host
+// instead of two.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
@@ -92,7 +94,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	}
 	c := &Client{
 		base:        strings.TrimRight(u.String(), "/"),
-		hc:          &http.Client{},
+		hc:          &http.Client{Transport: partition.Transport},
 		retries:     3,
 		backoff:     100 * time.Millisecond,
 		retryBudget: 5 * time.Second,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -356,5 +357,64 @@ func TestClientHonorsRetryAfterHint(t *testing.T) {
 	// the success must be a first-time accept, not a replay.
 	if ex.Metrics().BidsAccepted != 1 {
 		t.Fatalf("bids accepted = %d, want 1", ex.Metrics().BidsAccepted)
+	}
+}
+
+// waveBackend is an exchange stand-in that holds every request until width
+// of them are in flight — so a wave needs width connections at once — and
+// counts the connections it was ever dialled on. (cmd/fmore-router's tests
+// have the same server for the router's side of this.)
+func waveBackend(t *testing.T, width int) (url string, opened *atomic.Int64) {
+	t.Helper()
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	opened = new(atomic.Int64)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		mu.Lock()
+		arrived++
+		g := gate
+		if arrived == width {
+			arrived, gate = 0, make(chan struct{})
+			close(g)
+		}
+		mu.Unlock()
+		<-g
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv.URL, opened
+}
+
+// TestClientKeepsConnections: sixteen calls in flight to one exchange, wave
+// after wave, ride the sixteen connections the first wave opened. On
+// http.DefaultTransport (two idle connections per host) every wave after
+// the first re-dialled fourteen.
+func TestClientKeepsConnections(t *testing.T) {
+	const width, waves = 16, 4
+	url, opened := waveBackend(t, width)
+	c, err := New(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < width; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.PrometheusMetrics(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := opened.Load(); n > width {
+		t.Errorf("%d waves of %d calls opened %d connections, want at most %d", waves, width, n, width)
 	}
 }
