@@ -219,9 +219,11 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 	defer ex.Close()
 	if tapped {
 		// The tapped variant attaches the analytics aggregator to the
-		// firehose, so every bid and close also flows through the event tap
-		// and the rollup sink. The allocs/op must not move against the
-		// untapped row: the tap is plain atomic stores on the hot path.
+		// firehose, so every closed round — its bids, winners and summary —
+		// also flows through the event tap and the rollup sink. The allocs/op
+		// must not move against the untapped row: a close copies its slate
+		// into a recycled batch and hands it to the pump, and the pump's
+		// buffer and the aggregator's warm series are reused.
 		agg := analytics.New(analytics.Options{})
 		defer ex.Firehose().Attach(agg)()
 	}
@@ -253,9 +255,9 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 		}
 	}
 
-	// One untimed warm-up round settles first-contact state (job interning
-	// in the firehose, per-job/per-node series in the aggregator, pooled
-	// buffers), so the timed loop measures the steady-state close.
+	// One untimed warm-up round settles first-contact state (per-job and
+	// per-node series in the aggregator, the tap's batches, pooled buffers),
+	// so the timed loop measures the steady-state close.
 	for j := 0; j < jobs; j++ {
 		for _, bid := range bids[j] {
 			if _, err := ex.SubmitBid(jobHandles[j].ID(), bid); err != nil {
@@ -307,6 +309,11 @@ func benchmarkExchangeRunAuction(b *testing.B, jobs int, durable, tapped bool) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	snap := ex.Metrics()
 	b.ReportMetric(snap.RoundLatencyP99Ms, "p99-close-ms")
+	if published, dropped := ex.Firehose().Stats(); tapped && published > 0 {
+		// The share of tapped events whose rounds did not fit the tap's
+		// queue while the aggregator fell behind.
+		b.ReportMetric(float64(dropped)/float64(published), "dropped/published")
+	}
 }
 
 func BenchmarkExchange_RunAuction_1Jobs(b *testing.B) {

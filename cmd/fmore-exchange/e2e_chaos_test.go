@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -48,16 +47,7 @@ func TestE2EChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binaries")
 	}
-	workDir := t.TempDir()
-	exBin := filepath.Join(workDir, "fmore-exchange")
-	rtBin := filepath.Join(workDir, "fmore-router")
-	for target, bin := range map[string]string{".": exBin, "../fmore-router": rtBin} {
-		build := exec.Command("go", "build", "-o", bin, target)
-		build.Env = os.Environ()
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", target, err, out)
-		}
-	}
+	exBin, rtBin := buildBinary(t, "."), buildBinary(t, "../fmore-router")
 
 	port0, port1 := freePort(t), freePort(t)
 	url0 := fmt.Sprintf("http://127.0.0.1:%d", port0)
@@ -67,7 +57,7 @@ func TestE2EChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataDir := filepath.Join(workDir, "data")
+	dataDir := filepath.Join(t.TempDir(), "data")
 
 	startReplica := func(part string, port int, env []string) (func(), *exec.Cmd) {
 		_, stop, cmd := startProcEnv(t, exBin, env,

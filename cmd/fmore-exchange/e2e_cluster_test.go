@@ -51,16 +51,7 @@ func TestE2EMultiReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binaries")
 	}
-	workDir := t.TempDir()
-	exBin := filepath.Join(workDir, "fmore-exchange")
-	rtBin := filepath.Join(workDir, "fmore-router")
-	for target, bin := range map[string]string{".": exBin, "../fmore-router": rtBin} {
-		build := exec.Command("go", "build", "-o", bin, target)
-		build.Env = os.Environ()
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", target, err, out)
-		}
-	}
+	exBin, rtBin := buildBinary(t, "."), buildBinary(t, "../fmore-router")
 
 	// The replicas' URLs are part of the map spec, so reserve ports first.
 	port0, port1 := freePort(t), freePort(t)
@@ -74,7 +65,7 @@ func TestE2EMultiReplica(t *testing.T) {
 
 	// Both replicas share one -data-dir parent; each namespaces its WAL
 	// under <dir>/replica-<partition>.
-	dataDir := filepath.Join(workDir, "data")
+	dataDir := filepath.Join(t.TempDir(), "data")
 	startReplica := func(part string, port int) (func(), *exec.Cmd) {
 		_, stop, cmd := startProc(t, exBin,
 			"-addr", fmt.Sprintf("127.0.0.1:%d", port), "-data-dir", dataDir,

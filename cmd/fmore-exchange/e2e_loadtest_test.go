@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -22,20 +21,9 @@ func TestE2ELoadtestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binaries")
 	}
-	workDir := t.TempDir()
-	exBin := filepath.Join(workDir, "fmore-exchange")
-	lgBin := filepath.Join(workDir, "fmore-loadgen")
-	for _, b := range []*exec.Cmd{
-		exec.Command("go", "build", "-o", exBin, "."),
-		exec.Command("go", "build", "-o", lgBin, "../fmore-loadgen"),
-	} {
-		b.Env = os.Environ()
-		if out, err := b.CombinedOutput(); err != nil {
-			t.Fatalf("building %v: %v\n%s", b.Args, err, out)
-		}
-	}
+	exBin, lgBin := buildBinary(t, "."), buildBinary(t, "../fmore-loadgen")
 
-	url, _, _ := startExchange(t, exBin, filepath.Join(workDir, "data"),
+	url, _, _ := startExchange(t, exBin, filepath.Join(t.TempDir(), "data"),
 		"-rate-global", "200", "-max-inflight", "64", "-max-subscribers", "4")
 
 	healthz := func() int {

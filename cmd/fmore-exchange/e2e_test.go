@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -20,6 +21,49 @@ import (
 
 // listenRe scrapes the resolved listen address from the service log.
 var listenRe = regexp.MustCompile(`listening on ([^ ]+) `)
+
+// The binaries the end-to-end tests spawn, built once per test process into
+// binDir (removed by TestMain) and keyed by package directory.
+var (
+	binMu  sync.Mutex
+	binDir string
+	bins   = map[string]string{}
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir) //nolint:errcheck // best-effort cleanup of a temp dir
+	}
+	os.Exit(code)
+}
+
+// buildBinary returns the path of the command in pkg (a directory relative
+// to this one: "." or "../fmore-router"), building it on the first call of
+// the test process; every later call, from any test, reuses that binary.
+func buildBinary(t *testing.T, pkg string) string {
+	t.Helper()
+	binMu.Lock()
+	defer binMu.Unlock()
+	if bin, ok := bins[pkg]; ok {
+		return bin
+	}
+	abs, err := filepath.Abs(pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binDir == "" {
+		if binDir, err = os.MkdirTemp("", "fmore-e2e-bin-"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bin := filepath.Join(binDir, filepath.Base(abs))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
+	}
+	bins[pkg] = bin
+	return bin
+}
 
 // startExchange starts the exchange binary with the given data dir (plus
 // any extra flags), returning the base URL, a stopper that SIGTERMs the
@@ -102,14 +146,8 @@ func TestE2ESmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binary")
 	}
-	workDir := t.TempDir()
-	bin := filepath.Join(workDir, "fmore-exchange")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building binary: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(workDir, "data")
+	bin := buildBinary(t, ".")
+	dataDir := filepath.Join(t.TempDir(), "data")
 
 	url, stop, _ := startExchange(t, bin, dataDir)
 	c, err := client.New(url)
@@ -213,14 +251,8 @@ func TestE2ESnapshotRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binary")
 	}
-	workDir := t.TempDir()
-	bin := filepath.Join(workDir, "fmore-exchange")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building binary: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(workDir, "data")
+	bin := buildBinary(t, ".")
+	dataDir := filepath.Join(t.TempDir(), "data")
 
 	url, stop, cmd := startExchange(t, bin, dataDir, "-snapshot-bytes", "4096")
 	c, err := client.New(url)

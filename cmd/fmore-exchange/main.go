@@ -120,6 +120,9 @@
 //	curl -s localhost:8780/v1/jobs/demo/stats
 //	curl -s localhost:8780/v1/nodes/1/stats
 //
+// Bids are sealed until their round closes: the firehose taps closed rounds
+// only, so the rollups count a bid (and move a node's last_bid_ms) when its
+// round closes, and the bids of a round still open show nowhere in them.
 // -analytics-window sets the rollup horizon (default 10m).
 //
 // Instead of polling, subscribe to the server-push round stream (SSE;

@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,14 +21,8 @@ func TestE2EPrometheusScrape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binary")
 	}
-	workDir := t.TempDir()
-	bin := filepath.Join(workDir, "fmore-exchange")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Env = os.Environ()
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building binary: %v\n%s", err, out)
-	}
-	dataDir := filepath.Join(workDir, "data")
+	bin := buildBinary(t, ".")
+	dataDir := filepath.Join(t.TempDir(), "data")
 
 	url, stop, _ := startExchange(t, bin, dataDir, "-analytics-window", "5m")
 	defer stop()

@@ -6,6 +6,18 @@
 // GET /v1/jobs/{id}/stats and GET /v1/nodes/{id}/stats in front of the
 // exchange's own HTTP handler.
 //
+// What a rollup counts, and when: the firehose taps closed rounds only —
+// FMore's bids are sealed until the aggregator scores their round — so a
+// bid is counted (its job's and its node's bids, the price histograms) when
+// its round closes, in the window slice the aggregator saw the round in,
+// together with that round's wins, payments and summary. A rollup therefore
+// always holds whole rounds, wins and bids from the same rounds; a node's
+// last_bid_ms is the time the aggregator saw its latest bid's round; the
+// bids of a round that never closes are never counted; and nothing about an
+// open round's bids is observable through the stats endpoints. A round the
+// tap dropped whole (its queue was full) is missing whole, and Dropped
+// counts its events.
+//
 // Memory follows activity: an entity (job or node) holds one epoch-stamped
 // bucket — three scalars and its price histogram — per window slice it was
 // actually seen in, so the aggregator costs entities × buckets touched in
@@ -13,11 +25,10 @@
 // entity's first event in a slice the entity has no expired bucket to spare
 // for; one that left the window is reset and reused in place, so once an
 // entity has as many buckets as it is ever live in at a time, aggregation
-// allocates nothing and the firehose's zero-cost producer guarantee extends
-// through the sink. The round fields (rounds, failures, profit, latency)
-// exist only on jobs. Ingest takes one mutex — contention-free in
-// practice, because a single pump goroutine is the only writer and readers
-// are scrape-rate HTTP requests.
+// allocates nothing, as the tap's own steady state does. The round fields
+// (rounds, failures, profit, latency) exist only on jobs. Ingest takes one
+// mutex — contention-free in practice, because a single pump goroutine is
+// the only writer and readers are scrape-rate HTTP requests.
 package analytics
 
 import (

@@ -76,9 +76,10 @@
 //     is retained and logged, and the auctioneer's round counter advances
 //     live as replay restores it.
 //   - Registry is a sharded node directory (striped locks, atomic per-node
-//     counters); the metrics and the event firehose are entirely lock-free
-//     on the producer side, so a slow scrape or a wedged event consumer can
-//     never stall a bid or a round close (see Observability below).
+//     counters); the metrics are lock-free atomics and the event firehose
+//     is a bounded queue a close offers to without waiting, so a slow
+//     scrape or a wedged event consumer can never stall a bid or a round
+//     close (see Observability below).
 //
 // # Ownership
 //
@@ -216,8 +217,8 @@
 // # Observability: metrics and the event firehose
 //
 // The exchange observes itself on three levels, all following the same
-// never-block rule as the SSE broker — producers pay a bounded handful of
-// atomic operations and nothing a consumer does can push back:
+// never-block rule as the SSE broker — producers pay a bounded amount of
+// work and nothing a consumer does can push back:
 //
 //   - Counters and gauges (Metrics/Snapshot). Counters are plain atomics
 //     bumped inline; gauges are derived at scrape time from authoritative
@@ -228,25 +229,23 @@
 //     writer's running size. The round-latency ring (P50/P99) and the
 //     fixed-bucket latency histogram are atomic slots written once per
 //     close.
-//   - The firehose (Exchange.Firehose) is a lock-free tap of the bid and
-//     round-close streams: a fixed ring of seqlock slots (Options.
-//     FirehoseRing, default 4096), each exactly one aligned cache line
-//     (a version word and seven payload words, of which an event stores
-//     only those of its kind — a bid is one fetch-add and six atomic
-//     stores), that attached Sinks consume through per-sink pump
-//     goroutines. Producers never wait — a sink that cannot keep up loses
-//     the oldest events and the loss is counted (firehose_dropped), never
-//     smeared into close latency. Nothing polls either: a pump with
-//     nothing to deliver raises a parked flag and sleeps, a producer loads
-//     that flag after publishing and wakes only a sleeper, so a busy pump
-//     costs producers one shared load and an idle exchange wakes nobody.
-//     Until the first Attach the tap costs producers one atomic load.
-//   - Rollups (internal/analytics) ride the firehose as a Sink and serve
+//   - The firehose (Exchange.Firehose) taps closed rounds only — bids are
+//     sealed until their round is scored, and SubmitBid never touches it.
+//     CloseRound copies the canonical slate's (node, price) pairs into a
+//     recycled batch and hands it to the pump of the exchange's one Sink,
+//     which expands it into the round's bids, winners and summary. The
+//     queue between them is bounded in events: a round that does not fit
+//     is dropped whole and counted (firehose_dropped), so a slow sink never
+//     stalls a close and a sink sees whole rounds, each job's in order. An
+//     idle pump sleeps; without a sink a close pays one atomic load.
+//   - Rollups (internal/analytics) ride the firehose as the Sink and serve
 //     windowed + lifetime per-job and per-node aggregates over
 //     GET /v1/jobs/{id}/stats and /v1/nodes/{id}/stats; its NewHandler
-//     wraps this package's handler. Its memory follows activity: a job or
-//     node holds one bucket per window slice it was seen in, not a whole
-//     window from first contact.
+//     wraps this package's handler. A rollup counts a bid when its round
+//     closes: it holds whole rounds, last_bid_ms is when the aggregator saw
+//     the bid's round, and nothing of an open round's bids shows there.
+//     Its memory follows activity: one bucket per window slice an entity
+//     was seen in, not a whole window from first contact.
 //
 // GET /v1/metrics serves the JSON snapshot; GET /v1/metrics/prometheus
 // serves the same state in Prometheus text exposition format (0.0.4,
@@ -273,8 +272,8 @@
 //	wal_fsync_batched_records   counter    records those commits settled (ratio = batch size)
 //	wal_failed                  gauge      1 after the log's first sticky error (degraded), else 0
 //	wal_last_error_unix         gauge      Unix time of that first sticky error, 0 while healthy
-//	firehose_events_total       counter    events published to the firehose ring
-//	firehose_dropped_total      counter    events slow sinks missed (all sinks, ever)
+//	firehose_events_total       counter    events of the rounds closed while a sink was attached
+//	firehose_dropped_total      counter    of those, events of whole rounds the tap's full queue refused
 //	round_latency_p50_seconds   gauge      nearest-rank p50 close latency (sliding ring)
 //	round_latency_p99_seconds   gauge      nearest-rank p99 close latency (sliding ring)
 //	round_latency_seconds       histogram  cumulative close latency, le= 250µs..2.5s buckets

@@ -44,12 +44,6 @@ type Options struct {
 	// (0 disables the timer; the size trigger still applies). Only
 	// meaningful with Open.
 	SnapshotInterval time.Duration
-	// FirehoseRing sizes the event tap's ring (rounded up to a power of
-	// two; default 4096 slots). The ring is the slack between the bid and
-	// round-close producers and the slowest attached sink: a sink that
-	// falls more than a ring behind loses the overrun and the loss is
-	// counted. Memory is only committed on the first Firehose().Attach.
-	FirehoseRing int
 	// Partition scopes the exchange to one partition of a multi-replica
 	// cluster: Local names the partition this replica owns and Map is the
 	// live cluster map (swappable through its atomic handle without a
@@ -159,7 +153,7 @@ func New(opts Options) *Exchange {
 		opts:    opts,
 		reg:     NewRegistry(),
 		metrics: newMetrics(),
-		fh:      newFirehose(opts.FirehoseRing),
+		fh:      new(Firehose),
 		part:    opts.Partition,
 		adm:     opts.Admission,
 		ctx:     ctx,
@@ -395,12 +389,11 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 		return 0, err
 	}
 	ex.metrics.bidsAccepted.Add(1)
-	ex.fh.bidAccepted(j, round, bid.NodeID, bid.Payment)
 	return round, nil
 }
 
-// Firehose exposes the exchange's lock-free event tap. Attaching a sink
-// starts recording; until then the tap costs producers a single atomic
+// Firehose exposes the exchange's event tap of closed rounds. Attaching a
+// sink starts recording; until then the tap costs a close a single atomic
 // load.
 func (ex *Exchange) Firehose() *Firehose { return ex.fh }
 
@@ -521,7 +514,7 @@ func (ex *Exchange) Close() error {
 	}
 	// Signal-only: a sink wedged inside ConsumeTap must not wedge shutdown
 	// (callers that want delivery guarantees Drain the firehose first).
-	ex.fh.stopAll()
+	ex.fh.detach(nil)
 	// After the barrier no append can be in flight, so the final flush sees
 	// every record.
 	if ex.wal != nil {

@@ -2,48 +2,49 @@ package exchange
 
 import (
 	"context"
-	"math"
-	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fmore/internal/auction"
 )
 
-// The firehose is the exchange's lock-free event tap: a fixed-size ring of
-// one-cache-line seqlock slots written from the bid-intake and round-close
-// hot paths and pumped to attached Sinks by per-sink goroutines. It follows
-// the event stream's never-block rule end to end — a producer performs one
-// fetch-add, the atomic stores of its event's kind (six for a bid) and one
-// load of each pump's parked flag, then moves on, no matter how slow (or
-// wedged) a sink is; a sink that cannot keep up loses the oldest events and
-// the loss is counted, never smeared into producer latency.
+// The firehose taps closed rounds, and nothing earlier: FMore is a
+// sealed-bid auction, so an ask stays private until its round is scored.
+// Job.CloseRound, which holds the job's closeMu, the canonical slate and the
+// round's immutable outcome, copies the slate's (node, price) pairs into a
+// recycled batch and offers it to the pump of the one attached Sink; the
+// pump expands it into the round's bids in canonical order, its winners and
+// its TapRoundClosed, in ConsumeTap calls of at most tapBatch events.
 //
-// Nothing polls: a pump that runs out of published events parks, and the
-// producer that publishes next wakes it (see tapPump.park). A pump that is
-// busy is never poked, and an idle exchange wakes nobody.
-//
-// Until the first Attach the ring is not even allocated and every tap call
-// is a single atomic load, so an exchange nobody observes pays nothing.
+// Nothing a sink does pushes back on a close. The queue between them is
+// bounded in events: a round that finds it empty is always admitted, one
+// that does not fit is dropped whole and counted, so a sink only ever sees
+// whole rounds. Nothing polls: an idle pump sleeps in a channel receive.
+// Until a sink attaches, the tap costs a close one atomic load.
 
-// tapRingDefault is the ring capacity used when Options.FirehoseRing is 0.
-const tapRingDefault = 4096
-
-// tapBatch caps the events decoded and handed to a sink per ConsumeTap
-// call; it bounds the pump's scratch buffer and how long a sink call can
-// monopolize ring history.
-const tapBatch = 256
-
-// drainSpins is how many scheduler yields Drain spends before it falls back
-// to millisecond sleeps: a parked pump is delivering within microseconds of
-// its wake-up, a wedged sink is not worth spinning on.
-const drainSpins = 64
+const (
+	// tapQueueEvents bounds the events admitted and not yet handed over.
+	tapQueueEvents = 1 << 16
+	// tapBatch caps the events per ConsumeTap call (the pump's buffer).
+	tapBatch = 256
+	// tapSpareBatches is how many delivered batches the pump keeps for the
+	// next offers — more rounds than a healthy sink ever has in flight.
+	tapSpareBatches = 64
+	// drainSpins is how many scheduler yields Drain spends before it sleeps
+	// a millisecond at a time: a pump with work delivers within microseconds.
+	drainSpins = 64
+)
 
 // TapKind enumerates firehose event kinds.
 type TapKind uint8
 
 const (
-	// TapBidAccepted is one accepted sealed bid entering a round.
+	// TapBidAccepted is one sealed bid of a closed round. A round's bids
+	// arrive in canonical (ascending node) order, after the round closed and
+	// before its winners.
 	TapBidAccepted TapKind = 1 + iota
 	// TapWinner is one selected bid of a completed round (one event per
 	// winner, emitted before the round's TapRoundClosed).
@@ -67,7 +68,7 @@ func (k TapKind) String() string {
 	}
 }
 
-// TapEvent is one decoded firehose event. Fields beyond Kind/Job/Round are
+// TapEvent is one firehose event. Fields beyond Kind/Job/Round are
 // populated per kind: bids carry Node and Price; winners carry Node, Price
 // (asked), Payment (granted) and Score; round closes carry NumBids,
 // Winners, Payment (round total), Profit, Latency and Failed.
@@ -95,337 +96,119 @@ type TapEvent struct {
 	Failed bool
 }
 
-// Sink consumes firehose batches. ConsumeTap receives events in
-// publication order plus the number of events lost to ring overrun since
-// the previous delivery. The events slice is the pump's reused scratch —
-// a sink that retains events beyond the call must copy them. A sink may
-// block (the pump stalls, the producers don't), but a blocked sink drops
-// everything that laps the ring while it sleeps.
+// Sink consumes firehose batches. ConsumeTap receives whole rounds, each
+// job's in close order (a round may span calls), plus the events of the
+// rounds dropped since the previous call. The events slice is the pump's
+// reused scratch — a sink that retains events beyond the call must copy
+// them. A sink may block (the pump stalls, closes don't), but the rounds
+// that close meanwhile are dropped once the queue is full.
 type Sink interface {
 	ConsumeTap(events []TapEvent, dropped uint64)
 }
 
-// tapWords is the per-slot payload size: with its version word a slot is
-// exactly one 64-byte cache line, and the ring (a power-of-two count of
-// slots, at least a page) starts on one, so two producers on neighbouring
-// claims and the pump behind them never share a line. Every event field
-// packs into a fixed word so slots can be plain atomics — the seqlock stays
-// clean under the race detector, and a torn read is detected by the version
-// recheck instead of being undefined behavior.
-const tapWords = 7
-
-// Payload word layout (all stored as uint64 bit patterns). Words 0 and 1
-// mean the same for every kind; a producer stores, and the pump loads, only
-// the first tapKindWords[kind] words, so a slot may hold stale words of an
-// older event of a longer kind beyond them. No field is narrowed: the kind
-// shares word 0 with the job index, which is 32 bits at its source
-// (Job.tapIdx), and every integer keeps a whole word.
-const (
-	twHead    = 0 // TapKind | failed flag <<8 | interned job index <<32
-	twRound   = 1 // round number
-	twNode    = 2 // bid, winner: node ID
-	twPrice   = 3 // bid, winner: asked payment (float64 bits)
-	twNumBids = 2 // round closed: bid count
-	twWinners = 3 // round closed: winner count
-	twPayment = 4 // winner: granted payment; round closed: total (float64 bits)
-	twScore   = 5 // winner: score (float64 bits)
-	twProfit  = 5 // round closed: aggregator profit (float64 bits)
-	twLatency = 6 // round closed: close latency (nanoseconds)
-)
-
-const (
-	tapFailedFlag = 1 << 8
-	tapJobShift   = 32
-)
-
-// tapKindWords is how many payload words each kind stores, indexed by word
-// 0's low byte; 0 marks a byte that is no kind (only ever read from a slot
-// torn mid-copy).
-var tapKindWords = [256]uint8{TapBidAccepted: 4, TapWinner: 6, TapRoundClosed: 7}
-
-// tapSlot is one seqlock slot. ver encodes both the write state and the
-// claim the slot holds: a writer for claim index i stores 2i+1 (busy),
-// then the payload, then 2i+2 (stable). A reader accepts the payload only
-// when ver reads exactly 2i+2 before and after the copy, so a reader
-// lapped mid-copy observes the version move and discards the torn words —
-// including a word 0 that named another kind than the words after it.
-// The one theoretical hole — two producers claiming i and i+size
-// concurrently, i.e. the whole ring published within one producer's
-// ~nanoseconds-long store sequence — would require a ring many orders of
-// magnitude smaller than the minimum enforced below.
-type tapSlot struct {
-	ver atomic.Uint64
-	w   [tapWords]atomic.Uint64
-}
-
 // Firehose is the exchange's event tap; obtain it via Exchange.Firehose.
 type Firehose struct {
-	size uint64
-	mask uint64
+	mu   sync.Mutex // serializes Attach and detach
+	pump atomic.Pointer[tapPump]
 
-	// head counts events ever published; an event's claim index is
-	// head-before-increment and its slot is claim & mask.
-	head atomic.Uint64
-
-	// ring is nil until the first Attach — the producer fast path when
-	// nobody listens is the single pointer load.
-	ring atomic.Pointer[[]tapSlot]
-
-	// lookup is the interned job-ID table (append-only, copy-on-write).
-	// Slots store job indices because strings cannot be stored atomically.
-	lookup atomic.Pointer[[]string]
-
-	// pumps is the attached sink set (copy-on-write under mu).
-	pumps atomic.Pointer[[]*tapPump]
-
-	// detachedDrops accumulates the drop counts of detached pumps so the
-	// exchange-wide total never goes backwards.
-	detachedDrops atomic.Uint64
-
-	mu sync.Mutex // guards Attach/detach and the intern append
+	// published counts the events of every round offered to an attached
+	// sink, dropped those of the rounds the queue refused.
+	published atomic.Uint64
+	dropped   atomic.Uint64
 }
 
-func newFirehose(ringSize int) *Firehose {
-	if ringSize <= 0 {
-		ringSize = tapRingDefault
-	}
-	if ringSize < 64 {
-		ringSize = 64
-	}
-	size := uint64(1) << bits.Len64(uint64(ringSize-1)) // round up to 2^n
-	f := &Firehose{size: size, mask: size - 1}
-	f.lookup.Store(new([]string))
-	f.pumps.Store(new([]*tapPump))
-	return f
+// tapBid is one bid of a closed round, as the tap reports it.
+type tapBid struct {
+	node  int
+	price float64
 }
 
-// enabled reports whether events are being recorded (some sink attached at
-// least once). This is the producers' fast-path gate.
-func (f *Firehose) enabled() bool { return f.ring.Load() != nil }
-
-// intern maps the job to its index in the lookup table, assigning one on
-// first use. The assignment allocates (once per job lifetime, never on the
-// steady-state path) and publishes the grown table before returning, so an
-// event carrying the new index can never be decoded against a table that
-// lacks it by a reader that loads the table after reading the event.
-func (f *Firehose) intern(j *Job) uint64 {
-	if v := j.tapIdx.Load(); v != 0 {
-		return uint64(v - 1)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if v := j.tapIdx.Load(); v != 0 { // lost the race to another producer
-		return uint64(v - 1)
-	}
-	old := *f.lookup.Load()
-	grown := make([]string, len(old)+1)
-	copy(grown, old)
-	idx := uint64(len(old))
-	grown[idx] = j.id
-	f.lookup.Store(&grown)
-	j.tapIdx.Store(uint32(idx) + 1)
-	return idx
+// tapRound is one closed round on its way to the sink: its outcome, shared
+// as the history keeps it, and a copy of its slate (the close reuses it).
+type tapRound struct {
+	ro   RoundOutcome
+	bids []tapBid
 }
 
-// jobName resolves an interned index, reloading the table if the local
-// snapshot predates the index's publication.
-func (f *Firehose) jobName(idx uint64, names []string) string {
-	if idx < uint64(len(names)) {
-		return names[idx]
-	}
-	if fresh := *f.lookup.Load(); idx < uint64(len(fresh)) {
-		return fresh[idx]
-	}
-	return "" // unreachable by the intern ordering; defend anyway
-}
-
-// emit claims the next slot and publishes the words of the event's kind;
-// callers have checked enabled. Producers never loop, lock or wait: the
-// cost is one fetch-add, the kind's words between two version stores (six
-// atomic stores for a bid), and one load of each pump's parked flag — only
-// a pump that is asleep is woken.
-func (f *Firehose) emit(w *[tapWords]uint64) {
-	i := f.head.Add(1) - 1
-	s := &(*f.ring.Load())[i&f.mask]
-	s.ver.Store(2*i + 1)
-	for k := range w[:tapKindWords[TapKind(w[twHead])]] {
-		s.w[k].Store(w[k])
-	}
-	s.ver.Store(2*i + 2)
-	for _, p := range *f.pumps.Load() {
-		p.unpark()
-	}
-}
-
-// tapHead packs an event's word 0.
-func tapHead(k TapKind, job uint64) uint64 { return uint64(k) | job<<tapJobShift }
-
-// bidAccepted taps one accepted bid.
-func (f *Firehose) bidAccepted(j *Job, round, node int, price float64) {
-	if !f.enabled() {
+// offer taps one closed round. CloseRound calls it holding closeMu, which
+// keeps a job's rounds in order on the queue.
+func (f *Firehose) offer(ro *RoundOutcome, bids []auction.Bid) {
+	p := f.pump.Load()
+	if p == nil {
 		return
 	}
-	f.emit(&[tapWords]uint64{
-		twHead:  tapHead(TapBidAccepted, f.intern(j)),
-		twRound: uint64(round),
-		twNode:  uint64(int64(node)),
-		twPrice: math.Float64bits(price),
-	})
-}
-
-// roundClosed taps one completed round: a TapWinner per selected bid, then
-// the TapRoundClosed summary. Callers hold the job's closeMu, which keeps a
-// job's rounds in order on the ring; only scalars are copied out of the
-// (immutable) outcome.
-func (f *Firehose) roundClosed(j *Job, ro *RoundOutcome) {
-	if !f.enabled() {
+	n := uint64(len(bids) + len(ro.Outcome.Winners) + 1)
+	f.published.Add(n)
+	if !p.admit(n) {
+		f.dropped.Add(n)
 		return
 	}
-	idx := f.intern(j)
-	for i := range ro.Outcome.Winners {
-		win := &ro.Outcome.Winners[i]
-		f.emit(&[tapWords]uint64{
-			twHead:    tapHead(TapWinner, idx),
-			twRound:   uint64(ro.Round),
-			twNode:    uint64(int64(win.Bid.NodeID)),
-			twPrice:   math.Float64bits(win.Bid.Payment),
-			twPayment: math.Float64bits(win.Payment),
-			twScore:   math.Float64bits(win.Score),
-		})
+	var b *tapRound
+	select {
+	case b = <-p.free:
+	default:
+		b = new(tapRound)
 	}
-	head := tapHead(TapRoundClosed, idx)
-	if ro.Err != nil {
-		head |= tapFailedFlag
+	b.ro = *ro
+	b.bids = slices.Grow(b.bids[:0], len(bids))
+	for i := range bids {
+		b.bids = append(b.bids, tapBid{bids[i].NodeID, bids[i].Payment})
 	}
-	f.emit(&[tapWords]uint64{
-		twHead:    head,
-		twRound:   uint64(ro.Round),
-		twNumBids: uint64(ro.NumBids),
-		twWinners: uint64(len(ro.Outcome.Winners)),
-		twPayment: math.Float64bits(ro.Outcome.TotalPayment()),
-		twProfit:  math.Float64bits(ro.Outcome.AggregatorProfit),
-		twLatency: uint64(ro.Latency.Nanoseconds()),
-	})
+	p.rounds <- b // never blocks: an admitted round is at least one event of the bound
 }
 
-// decode expands the words of the event's kind into ev; fields of other
-// kinds are zeroed.
-func decode(ev *TapEvent, w *[tapWords]uint64, job string) {
-	*ev = TapEvent{Kind: TapKind(w[twHead]), Job: job, Round: int(int64(w[twRound]))}
-	switch ev.Kind {
-	case TapWinner:
-		ev.Payment = math.Float64frombits(w[twPayment])
-		ev.Score = math.Float64frombits(w[twScore])
-		fallthrough
-	case TapBidAccepted:
-		ev.Node = int(int64(w[twNode]))
-		ev.Price = math.Float64frombits(w[twPrice])
-	case TapRoundClosed:
-		ev.Failed = w[twHead]&tapFailedFlag != 0
-		ev.NumBids = int(int64(w[twNumBids]))
-		ev.Winners = int(int64(w[twWinners]))
-		ev.Payment = math.Float64frombits(w[twPayment])
-		ev.Profit = math.Float64frombits(w[twProfit])
-		ev.Latency = time.Duration(w[twLatency])
-	}
-}
-
-// Attach subscribes a sink from the current position of the stream (no
-// replay) and returns its detach function. The first Attach allocates the
-// ring and turns recording on; recording stays on afterwards (the tap is
-// a bounded handful of atomic stores, not worth a producer-visible toggle).
-// Detach is signal-only and idempotent: it never waits on the pump, so a
-// sink wedged inside ConsumeTap cannot wedge the caller.
+// Attach subscribes the exchange's one sink from the current position of
+// the stream (no replay) and returns its detach function; a second Attach
+// before that detach panics. Detach is signal-only and idempotent: it never
+// waits on the pump, so a sink wedged inside ConsumeTap cannot wedge the
+// caller.
 func (f *Firehose) Attach(s Sink) (detach func()) {
 	f.mu.Lock()
-	if f.ring.Load() == nil {
-		ring := make([]tapSlot, f.size)
-		f.ring.Store(&ring)
+	defer f.mu.Unlock()
+	if f.pump.Load() != nil {
+		panic("exchange: Firehose.Attach: a sink is already attached")
 	}
 	p := &tapPump{
-		sink: s,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		buf:  make([]TapEvent, 0, tapBatch),
+		fh:       f,
+		sink:     s,
+		rounds:   make(chan *tapRound, tapQueueEvents), // a slot per event of the bound
+		free:     make(chan *tapRound, tapSpareBatches),
+		stop:     make(chan struct{}),
+		buf:      make([]TapEvent, 0, tapBatch),
+		reported: f.dropped.Load(),
 	}
-	p.read.Store(f.head.Load())
-	p.consumed.Store(p.read.Load())
-	f.addPump(p)
-	f.mu.Unlock()
-	go p.run(f)
+	f.pump.Store(p)
+	go p.run()
+	return func() { f.detach(p) }
+}
 
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			f.mu.Lock()
-			f.removePump(p)
-			// Freeze the pump's loss into the exchange-wide total; drops
-			// after this point have no audience.
-			f.detachedDrops.Add(p.dropped.Load() + f.lag(p))
-			f.mu.Unlock()
-			close(p.stop)
-		})
+// detach stops p, if it is still attached, without waiting for it; a nil p
+// stops whichever pump is (Exchange.Close).
+func (f *Firehose) detach(p *tapPump) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if cur := f.pump.Load(); cur != nil && (p == nil || p == cur) {
+		f.pump.Store(nil)
+		close(cur.stop)
 	}
 }
 
-// addPump and removePump maintain the copy-on-write pump set; callers hold
-// f.mu.
-func (f *Firehose) addPump(p *tapPump) {
-	old := *f.pumps.Load()
-	grown := append(old[:len(old):len(old)], p)
-	f.pumps.Store(&grown)
-}
-
-func (f *Firehose) removePump(p *tapPump) {
-	old := *f.pumps.Load()
-	kept := make([]*tapPump, 0, len(old))
-	for _, q := range old {
-		if q != p {
-			kept = append(kept, q)
-		}
-	}
-	f.pumps.Store(&kept)
-}
-
-// lag is how many published events the pump can no longer deliver because
-// the ring has lapped past its cursor — the live component of its drop
-// count (a wedged sink's loss keeps growing here while the pump is stuck
-// inside ConsumeTap and cannot update its own counter).
-func (f *Firehose) lag(p *tapPump) uint64 {
-	if behind := f.head.Load() - p.read.Load(); behind > f.size {
-		return behind - f.size
-	}
-	return 0
-}
-
-// Stats returns the events published since recording began and the total
-// events dropped across all sinks, past and present.
+// Stats returns the events published since recording began (those of every
+// round closed while a sink was attached) and how many were dropped.
 func (f *Firehose) Stats() (published, dropped uint64) {
-	published = f.head.Load()
-	dropped = f.detachedDrops.Load()
-	for _, p := range *f.pumps.Load() {
-		dropped += p.dropped.Load() + f.lag(p)
-	}
-	return published, dropped
+	return f.published.Load(), f.dropped.Load()
 }
 
-// Drain blocks until every currently attached sink has been offered all
-// events published before the call (delivered or counted dropped), or ctx
-// expires. It is a test and shutdown aid — producers never call it.
+// Drain blocks until the attached sink has been handed every round admitted
+// before the call, the sink is detached, or ctx expires. It is a test and
+// shutdown aid — closes never call it.
 func (f *Firehose) Drain(ctx context.Context) error {
-	target := f.head.Load()
-	for spins := 0; ; spins++ {
-		settled := true
-		for _, p := range *f.pumps.Load() {
-			if p.consumed.Load() < target {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			return nil
-		}
+	p := f.pump.Load()
+	if p == nil {
+		return nil
+	}
+	target := p.admitted.Load()
+	for spins := 0; p.delivered.Load() < target && f.pump.Load() == p; spins++ {
 		if spins < drainSpins {
 			runtime.Gosched()
 			continue
@@ -436,141 +219,103 @@ func (f *Firehose) Drain(ctx context.Context) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
+	return nil
 }
 
-// stopAll signals every pump to exit without waiting for any of them (a
-// wedged sink must not wedge Exchange.Close).
-func (f *Firehose) stopAll() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, p := range *f.pumps.Load() {
-		select {
-		case <-p.stop:
-		default:
-			close(p.stop)
-		}
-	}
-}
-
-// tapPump drives one sink: it chases the ring's head, decodes batches into
-// a reused buffer, and calls ConsumeTap. All ring consumption state lives
-// here, so sinks compose without sharing cursors.
+// tapPump drives the sink: it takes rounds off the queue in order, expands
+// them into its reused buffer, and calls ConsumeTap.
 type tapPump struct {
-	sink Sink
-	wake chan struct{} // capacity 1: one pending wake-up is all a sleeper needs
-	stop chan struct{}
-	done chan struct{}
+	fh     *Firehose
+	sink   Sink
+	rounds chan *tapRound
+	free   chan *tapRound // delivered batches, for the next offers to refill
+	stop   chan struct{}
 
-	// parked is true while the pump sleeps (or is about to) on wake. It is
-	// the one pump word producers load per event, so it is kept a cache
-	// line away from the cursors the pump rewrites per batch.
-	parked atomic.Bool
-	_      [64]byte
+	// admitted and delivered count the events of the rounds let into the
+	// queue and of those handed to the sink: their difference is what the
+	// queue holds, and delivered is Drain's progress witness.
+	admitted  atomic.Uint64
+	delivered atomic.Uint64
 
-	// read is the next claim index to decode; consumed trails it, advancing
-	// only after ConsumeTap returns (Drain's progress witness). dropped
-	// accumulates overrun losses already reported (or about to be) to the
-	// sink; the still-growing loss of a currently stuck sink is the live
-	// lag, computed against read by Firehose.lag.
-	read     atomic.Uint64
-	consumed atomic.Uint64
-	dropped  atomic.Uint64
-
-	buf []TapEvent
+	buf      []TapEvent
+	reported uint64 // fh.dropped as last told to the sink
 }
 
-// unpark wakes the pump if it sleeps; producers call it after publishing.
-// The flag's compare-and-swap elects one waker per sleep, so a burst of
-// producers pays one channel send between them.
-func (p *tapPump) unpark() {
-	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
-		select {
-		case p.wake <- struct{}{}:
-		default: // a wake-up the pump has not taken yet is still pending
-		}
-	}
-}
-
-// park sleeps until a producer publishes after the pump raised its flag, or
-// the pump is stopped (reported as false). s is the slot the cursor waits
-// on — the next claim's, whether nobody has claimed it yet or its producer
-// is still between the fetch-add and the final version store. The pump
-// stores parked and then re-reads the version; the producer stores the
-// version and then reads parked: whichever comes second sees the other, so
-// no wake-up is lost and nothing needs to poll. A wake-up raced by the
-// pump's own re-check stays in the channel and costs one empty pass later.
-func (p *tapPump) park(s *tapSlot, want uint64) bool {
-	p.parked.Store(true)
-	if s.ver.Load() >= want {
-		p.parked.Store(false)
-		return true
-	}
-	select {
-	case <-p.stop:
-		return false
-	case <-p.wake:
-		return true
-	}
-}
-
-func (p *tapPump) run(f *Firehose) {
-	defer close(p.done)
-	ring := *f.ring.Load()
-	read := p.read.Load()
-	var pendingDrop uint64
-	var w [tapWords]uint64
+// admit reserves room for a round of n events, reporting false when the
+// queue holds events and n more would overflow it.
+func (p *tapPump) admit(n uint64) bool {
 	for {
-		names := *f.lookup.Load()
-		job, name := ^uint64(0), "" // the run of equal job indices being decoded
-		p.buf = p.buf[:0]
-		for len(p.buf) < tapBatch {
-			s := &ring[read&f.mask]
-			want := 2*read + 2
-			ver := s.ver.Load()
-			if ver < want {
-				// Nobody claimed the slot yet, or its writer has not finished
-				// publishing; take what we have and come back.
-				break
-			}
-			if ver == want {
-				w[twHead] = s.w[twHead].Load()
-				for k := 1; k < int(tapKindWords[TapKind(w[twHead])]); k++ {
-					w[k] = s.w[k].Load()
-				}
-				ver = s.ver.Load()
-			}
-			if ver != want {
-				// Overrun: the ring lapped the cursor, before the copy or
-				// during it (the words are torn). Everything older than one
-				// ring of history is gone; count it and jump forward.
-				lost := f.head.Load() - f.size - read
-				p.dropped.Add(lost)
-				pendingDrop += lost
-				read += lost
-				continue
-			}
-			read++
-			if idx := w[twHead] >> tapJobShift; idx != job {
-				job, name = idx, f.jobName(idx, names)
-			}
-			p.buf = p.buf[:len(p.buf)+1]
-			decode(&p.buf[len(p.buf)-1], &w, name)
+		out := p.delivered.Load() // first: delivered never passes admitted
+		in := p.admitted.Load()
+		if held := in - out; held > 0 && held+n > tapQueueEvents {
+			return false
 		}
-		p.read.Store(read)
-		if len(p.buf) > 0 {
-			p.sink.ConsumeTap(p.buf, pendingDrop)
-			pendingDrop = 0
+		if p.admitted.CompareAndSwap(in, in+n) {
+			return true
 		}
-		p.consumed.Store(read)
+	}
+}
+
+func (p *tapPump) run() {
+	for {
+		var r *tapRound
 		select {
 		case <-p.stop:
 			return
+		case r = <-p.rounds:
 		default:
+			// Nothing queued: hand over what is buffered, then sleep.
+			p.flush()
+			select {
+			case <-p.stop:
+				return
+			case r = <-p.rounds:
+			}
 		}
-		// Nothing deliverable at the cursor: sleep until its slot is
-		// published instead of coming straight back to look again.
-		if len(p.buf) == 0 && !p.park(&ring[read&f.mask], 2*read+2) {
-			return
-		}
+		p.expand(r)
 	}
+}
+
+// expand buffers one round's events and recycles its batch.
+func (p *tapPump) expand(r *tapRound) {
+	ro := &r.ro
+	for _, b := range r.bids {
+		*p.next() = TapEvent{Kind: TapBidAccepted, Job: ro.JobID, Round: ro.Round, Node: b.node, Price: b.price}
+	}
+	for i := range ro.Outcome.Winners {
+		w := &ro.Outcome.Winners[i]
+		*p.next() = TapEvent{Kind: TapWinner, Job: ro.JobID, Round: ro.Round,
+			Node: w.Bid.NodeID, Price: w.Bid.Payment, Payment: w.Payment, Score: w.Score}
+	}
+	*p.next() = TapEvent{Kind: TapRoundClosed, Job: ro.JobID, Round: ro.Round,
+		NumBids: ro.NumBids, Winners: len(ro.Outcome.Winners), Payment: ro.Outcome.TotalPayment(),
+		Profit: ro.Outcome.AggregatorProfit, Latency: ro.Latency, Failed: ro.Err != nil}
+	r.ro = RoundOutcome{} // the history decides how long the outcome lives
+	select {
+	case p.free <- r:
+	default: // enough spares already
+	}
+}
+
+// next returns the buffer slot of the next event, handing a full buffer to
+// the sink first.
+func (p *tapPump) next() *TapEvent {
+	if len(p.buf) == tapBatch {
+		p.flush()
+	}
+	p.buf = p.buf[:len(p.buf)+1]
+	return &p.buf[len(p.buf)-1]
+}
+
+// flush hands the buffered events to the sink with the drops it has not
+// been told of yet.
+func (p *tapPump) flush() {
+	if len(p.buf) == 0 {
+		return
+	}
+	dropped := p.fh.dropped.Load()
+	p.sink.ConsumeTap(p.buf, dropped-p.reported)
+	p.reported = dropped
+	p.delivered.Add(uint64(len(p.buf)))
+	p.buf = p.buf[:0]
 }

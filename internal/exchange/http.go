@@ -1,7 +1,6 @@
 package exchange
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -725,7 +724,7 @@ func (h *handler) registerNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.NodeRequest
-	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+	if err := json.Unmarshal(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding node: %v", err))
 		return
 	}

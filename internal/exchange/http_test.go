@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"fmore/internal/wal"
 )
 
 // httpFixture spins up the JSON front end over a fresh exchange.
@@ -332,5 +334,51 @@ func TestHTTPBlacklistFlow(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusForbidden {
 		t.Errorf("blacklisted bid status: %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestHTTPRegisterNodeRefusesTrailingBytes: a registration body is exactly
+// one JSON value, as job specs and bids are. Junk or a second value after the
+// first is a 400 invalid_request that registers nobody and logs nothing.
+func TestHTTPRegisterNodeRefusesTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(ex))
+	for _, body := range []string{`{"node_id":7} junk`, `{"node_id":8}{"node_id":9}`} {
+		resp, err := http.Post(srv.URL+"/v1/nodes", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decodeBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || got["code"] != "invalid_request" {
+			t.Errorf("POST /v1/nodes %s: status %d, body %v; want 400 invalid_request", body, resp.StatusCode, got)
+		}
+	}
+	if n := ex.Registry().Len(); n != 0 {
+		t.Errorf("registry holds %d nodes after two refused registrations, want 0", n)
+	}
+	srv.Close()
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, rec, err := wal.Open(dir, wal.Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close() //nolint:errcheck // read-only inspection
+	for _, seg := range rec.Segments {
+		for _, raw := range seg.Records {
+			var r walRecord
+			if err := json.Unmarshal(raw, &r); err != nil {
+				t.Fatal(err)
+			}
+			if r.Kind == recNode {
+				t.Errorf("the log holds a node record for a refused registration: %s", raw)
+			}
+		}
 	}
 }

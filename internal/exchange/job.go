@@ -119,11 +119,6 @@ type Job struct {
 	// bid-intake fast path, so bidders never touch j.mu.
 	closed atomic.Bool
 
-	// tapIdx caches the job's interned firehose index plus one (0 =
-	// unassigned); ring slots are atomic words and cannot carry the ID
-	// string itself. See Firehose.intern.
-	tapIdx atomic.Uint32
-
 	// intake is the striped bid-ingestion front: P shards, each with its own
 	// lock, buffer, dedup set and round label. Bid submission touches only
 	// its shard; the round close drains all shards once. See intake.go.
@@ -487,9 +482,10 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 	}
 	j.mu.Unlock()
 
-	// Tap the completed round while closeMu still orders it before the job's
-	// next one; only scalars are copied into the ring.
-	j.ex.fh.roundClosed(j, &ro)
+	// Tap the completed round — its sealed bids included, now that they are
+	// scored — while closeMu still orders it before the job's next one and
+	// the canonical slate is still this round's.
+	j.ex.fh.offer(&ro, bids)
 	if maxed {
 		j.cancel()
 		j.ex.logJobClosed(j.id)

@@ -80,6 +80,9 @@ var metricCatalog = []metricRow{
 	{name: "wal_fsync_batched_records", help: "Records made durable by those group commits; the ratio to wal_fsync_total is the achieved batch size.", counter: true, value: func(p *scrape) float64 { return float64(p.WalFsyncBatchedRecords) }},
 	{name: "wal_failed", help: "1 after the outcome log's first sticky error (replica degraded, refusing durable writes), else 0.", value: func(p *scrape) float64 { return oneIf(p.WalFailed) }},
 	{name: "wal_last_error_unix", help: "Unix time of the outcome log's first sticky error, 0 while healthy.", value: func(p *scrape) float64 { return float64(p.WalLastErrorUnix) }},
+	// HELP texts are pinned with the page (testdata/prometheus): the
+	// "ring overrun" of the dropped row is a whole round the tap's full
+	// queue refused.
 	{name: "firehose_events_total", help: "Events published into the firehose tap since a sink first attached.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseEvents) }},
 	{name: "firehose_dropped_total", help: "Firehose events lost to ring overrun across all sinks.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseDropped) }},
 	// partition_id is info-style: constant 1 with the partition as a label,

@@ -133,9 +133,9 @@ type Metrics struct {
 	// WrongPartition counts requests refused with wrong_partition — jobs
 	// the cluster map assigns to a different replica. Stays 0 unpartitioned.
 	WrongPartition int64 `json:"wrong_partition"`
-	// FirehoseEvents counts events published into the event tap since a
-	// sink first attached; FirehoseDropped counts events sinks lost to
-	// ring overrun (all sinks, past and present).
+	// FirehoseEvents counts the tap events (bids, winners and summary) of
+	// every round closed while a sink was attached; FirehoseDropped counts
+	// those of the rounds the tap dropped whole because its queue was full.
 	FirehoseEvents  int64 `json:"firehose_events"`
 	FirehoseDropped int64 `json:"firehose_dropped"`
 	// Round-close latency percentiles over the last latWindow (1024) rounds.
@@ -165,7 +165,8 @@ type Rollup struct {
 	// Rounds and RoundsFailed count completed round closes.
 	Rounds       int64 `json:"rounds"`
 	RoundsFailed int64 `json:"rounds_failed"`
-	// Bids counts accepted bids; Wins counts selected ones.
+	// Bids counts the accepted bids of closed rounds (a bid is counted when
+	// its round closes); Wins counts selected ones.
 	Bids int64 `json:"bids"`
 	Wins int64 `json:"wins"`
 	// WinRate is Wins/Bids (0 when no bids).
@@ -213,8 +214,10 @@ type NodeStats struct {
 	// PriceHistogram is the windowed distribution of the node's accepted
 	// bid prices.
 	PriceHistogram PriceHistogram `json:"price_histogram"`
-	// LastBidMS / LastWinMS are unix-millisecond timestamps of the node's
-	// most recent accepted bid and win (0 = never).
+	// LastBidMS / LastWinMS are unix-millisecond timestamps of when the
+	// aggregator saw the closed round of the node's most recent bid and win
+	// (0 = never). Bids are sealed: one in a round still open is not
+	// counted anywhere in these stats until that round closes.
 	LastBidMS int64 `json:"last_bid_ms"`
 	LastWinMS int64 `json:"last_win_ms"`
 }
