@@ -73,7 +73,7 @@ func TestImportBoundary(t *testing.T) {
 // internal/partition, and what those two link); and the two strings a 421
 // hangs on — the status and the code — are spelled where they are produced
 // (internal/exchange) and where they are interpreted (internal/partition),
-// nowhere else.
+// nowhere else. The event stream's names are spelled once, in pkg/api.
 func TestWireDeclaredOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells the go tool")
@@ -117,7 +117,8 @@ func TestWireDeclaredOnce(t *testing.T) {
 		}
 	}
 
-	// Who may say 421, wrong_partition and the map's path.
+	// Who may say 421, wrong_partition, the map's path and the event names.
+	eventNames := map[string]bool{`"round_open"`: true, `"round_closed"`: true, `"job_closed"`: true}
 	spelled := map[string][]string{}
 	for _, root := range []string{"cmd", "pkg", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -130,12 +131,15 @@ func TestWireDeclaredOnce(t *testing.T) {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.ValueSpec:
+					// An error code that happens to share job_closed's text.
+					return !(len(n.Names) == 1 && n.Names[0].Name == "CodeJobClosed")
 				case *ast.SelectorExpr:
 					if n.Sel.Name == "StatusMisdirectedRequest" {
 						spelled["421"] = append(spelled["421"], filepath.ToSlash(filepath.Dir(path)))
 					}
 				case *ast.BasicLit:
-					if n.Value == `"wrong_partition"` || strings.HasSuffix(n.Value, `/cluster/partitions"`) {
+					if n.Value == `"wrong_partition"` || strings.HasSuffix(n.Value, `/cluster/partitions"`) || eventNames[n.Value] {
 						spelled[n.Value] = append(spelled[n.Value], filepath.ToSlash(path))
 					}
 				}
@@ -157,6 +161,9 @@ func TestWireDeclaredOnce(t *testing.T) {
 		`"wrong_partition"`:        {"internal/partition/routes.go"},
 		`"/v1/cluster/partitions"`: {"internal/partition/routes.go"},
 		`"/cluster/partitions"`:    {"internal/exchange/http.go"}, // the handler's route, under its /v1 prefix
+		`"round_open"`:             {"pkg/api/jobs.go"},
+		`"round_closed"`:           {"pkg/api/jobs.go"},
+		`"job_closed"`:             {"pkg/api/jobs.go"},
 	}
 	for lit, where := range spelled {
 		if strings.Join(where, " ") != strings.Join(want[lit], " ") {

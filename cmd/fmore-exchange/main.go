@@ -126,8 +126,9 @@
 // -analytics-window sets the rollup horizon (default 10m).
 //
 // Instead of polling, subscribe to the server-push round stream (SSE;
-// round_open, round_closed with the outcome inline, job_closed; reconnect
-// with Last-Event-ID to replay missed rounds losslessly):
+// round_open, round_closed with the outcome inline, job_closed). A slow
+// reader is never dropped; it reads on from the job's retained rounds, and
+// a reconnect with Last-Event-ID replays the rounds it missed:
 //
 //	curl -sN localhost:8780/v1/jobs/demo/events
 //

@@ -86,7 +86,8 @@
 // A closed round has one owner. Winner determination returns one owning
 // copy of its result (three allocations whatever K is), the job's history
 // keeps it, and everyone else shares it as is: both CloseRound methods, the
-// read accessors, Subscribe's replay and the round_closed events. That
+// read accessors and the event stream's cursor, which renders its
+// round_closed events from the retained rounds themselves. That
 // memory is written once and never reused — eviction only drops the
 // history's reference — so it may be read outside every lock, at any pace,
 // and a round replayed from the log is the same kind of entry as one closed
@@ -371,14 +372,17 @@
 //     ?cursor= / ?limit= and return next_cursor while more remain.
 //   - Server-push rounds. GET /v1/jobs/{id}/events is a Server-Sent Events
 //     stream (round_open, round_closed with the outcome inline, job_closed,
-//     heartbeat comments) backed by a per-job fan-out: CloseRound publishes
-//     to every subscriber inside the same critical section that appends the
-//     outcome to history, so replay-then-live resumption (Last-Event-ID or
-//     ?after=) can never lose or duplicate a round within the KeepOutcomes
-//     retention window. Slow subscribers are dropped rather than ever
-//     blocking the round pipeline — a dropped reader reconnects and
-//     replays. This replaces outcome long-polling for edge clients
-//     (GET .../outcome?wait=1 remains for one-shot waits).
+//     heartbeat comments) served as a cursor over the job's retained
+//     rounds: each stream remembers the last round it wrote and, woken by
+//     the same broadcast the blocking outcome reads wait on, reads the
+//     rounds after it from the history. Nothing is pushed per reader, so
+//     the round pipeline never waits for one and a slow reader is never
+//     dropped — it reads on at its own pace, and only rounds that leave the
+//     KeepOutcomes window before it reaches them are skipped. Resumption
+//     (Last-Event-ID or ?after=, clamped to the latest completed round) is
+//     the same read from an earlier cursor, so within the window no round
+//     is lost or duplicated. This replaces outcome long-polling for edge
+//     clients (GET .../outcome?wait=1 remains for one-shot waits).
 //
 // # Deprecation policy
 //

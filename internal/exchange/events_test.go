@@ -3,14 +3,20 @@ package exchange
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"fmore/internal/auction"
+	"fmore/pkg/api"
 )
 
 // sseEvent is one parsed test-side SSE frame.
@@ -143,7 +149,7 @@ func TestSSEFanout32Subscribers(t *testing.T) {
 				results[i].err = err
 				return
 			}
-			if first.event != EventRoundOpen {
+			if first.event != api.EventRoundOpen {
 				results[i].err = fmt.Errorf("first event %q, want round_open", first.event)
 				return
 			}
@@ -154,7 +160,7 @@ func TestSSEFanout32Subscribers(t *testing.T) {
 					results[i].err = err
 					return
 				}
-				if ev.event == EventRoundClosed {
+				if ev.event == api.EventRoundClosed {
 					results[i].got = append(results[i].got, ev)
 				}
 			}
@@ -216,7 +222,7 @@ func TestSSEResumeLastEventID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.event != EventRoundClosed || ev.id != fmt.Sprint(want) {
+		if ev.event != api.EventRoundClosed || ev.id != fmt.Sprint(want) {
 			t.Fatalf("replay event = %q id %q, want round_closed %d", ev.event, ev.id, want)
 		}
 	}
@@ -224,7 +230,7 @@ func TestSSEResumeLastEventID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.event != EventRoundOpen || int(ev.data["round"].(float64)) != 4 {
+	if ev.event != api.EventRoundOpen || int(ev.data["round"].(float64)) != 4 {
 		t.Fatalf("post-replay event = %q %v, want round_open 4", ev.event, ev.data)
 	}
 	// A round closing after resume arrives live.
@@ -233,7 +239,7 @@ func TestSSEResumeLastEventID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.event != EventRoundClosed || ev.id != "4" {
+	if ev.event != api.EventRoundClosed || ev.id != "4" {
 		t.Fatalf("live event = %q id %q, want round_closed 4", ev.event, ev.id)
 	}
 }
@@ -251,16 +257,16 @@ func TestSSEJobClosedEndsStream(t *testing.T) {
 	}
 	r, closeBody := openStream(t, srv.URL+"/v1/jobs/short/events", "")
 	defer closeBody()
-	if ev, err := readEvent(t, r); err != nil || ev.event != EventRoundOpen {
+	if ev, err := readEvent(t, r); err != nil || ev.event != api.EventRoundOpen {
 		t.Fatalf("first event %v err %v", ev.event, err)
 	}
 	driveRound(t, srv.URL, "short", 2, 1)
 	ev, err := readEvent(t, r)
-	if err != nil || ev.event != EventRoundClosed {
+	if err != nil || ev.event != api.EventRoundClosed {
 		t.Fatalf("event %q err %v, want round_closed", ev.event, err)
 	}
 	ev, err = readEvent(t, r)
-	if err != nil || ev.event != EventJobClosed {
+	if err != nil || ev.event != api.EventJobClosed {
 		t.Fatalf("event %q err %v, want job_closed", ev.event, err)
 	}
 	if _, err := readEvent(t, r); err == nil {
@@ -271,11 +277,11 @@ func TestSSEJobClosedEndsStream(t *testing.T) {
 	r2, closeBody2 := openStream(t, srv.URL+"/v1/jobs/short/events", "")
 	defer closeBody2()
 	ev, err = readEvent(t, r2)
-	if err != nil || ev.event != EventRoundClosed || ev.id != "1" {
+	if err != nil || ev.event != api.EventRoundClosed || ev.id != "1" {
 		t.Fatalf("late replay = %q id %q err %v", ev.event, ev.id, err)
 	}
 	ev, err = readEvent(t, r2)
-	if err != nil || ev.event != EventJobClosed {
+	if err != nil || ev.event != api.EventJobClosed {
 		t.Fatalf("late final = %q err %v, want job_closed", ev.event, err)
 	}
 }
@@ -317,4 +323,251 @@ func TestSSEHeartbeat(t *testing.T) {
 			return // heartbeat observed
 		}
 	}
+}
+
+// pipeWriter is a ResponseWriter over an unbuffered pipe: every write blocks
+// until the reader takes it, so a reader that stops reading stalls the
+// handler at its next write — what a stalled connection comes to once its
+// socket buffers are full, without depending on their size.
+type pipeWriter struct {
+	header http.Header
+	w      *io.PipeWriter
+}
+
+func (p *pipeWriter) Header() http.Header         { return p.header }
+func (p *pipeWriter) Write(b []byte) (int, error) { return p.w.Write(b) }
+func (p *pipeWriter) WriteHeader(int)             {}
+func (p *pipeWriter) Flush()                      {}
+
+// pipeStream serves GET path on h over a pipe and returns the stream's
+// reader; stop ends the request and waits for the handler to return.
+func pipeStream(t *testing.T, h http.Handler, path string) (r *bufio.Reader, stop func()) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequestWithContext(ctx, http.MethodGet, path, nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(&pipeWriter{header: http.Header{}, w: pw}, req)
+		pw.Close() //nolint:errcheck // signals EOF to the reader
+	}()
+	return bufio.NewReader(pr), func() {
+		cancel()
+		pr.Close() //nolint:errcheck // unblocks a pending write
+		<-done
+	}
+}
+
+// readFrame reads one SSE frame as its field lines, heartbeats skipped.
+func readFrame(r *bufio.Reader) (string, error) {
+	var lines []string
+	for {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return strings.Join(lines, "\n"), err
+		}
+		line = strings.TrimRight(line, "\n")
+		switch {
+		case line == "" && len(lines) > 0:
+			return strings.Join(lines, "\n"), nil
+		case line != "" && !strings.HasPrefix(line, ":"):
+			lines = append(lines, line)
+		}
+	}
+}
+
+// readFrames reads n frames, failing the test on a short stream.
+func readFrames(t *testing.T, r *bufio.Reader, n int) []string {
+	t.Helper()
+	frames := make([]string, 0, n)
+	for len(frames) < n {
+		f, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("stream ended after %d of %d frames: %v", len(frames), n, err)
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// sseFrames renders the frames the stream promises for a job.
+type sseFrames struct {
+	t   *testing.T
+	job *Job
+}
+
+func (s sseFrames) frame(id, event string, data any) string {
+	b, err := json.Marshal(data)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	if id != "" {
+		id = "id: " + id + "\n"
+	}
+	return fmt.Sprintf("%sevent: %s\ndata: %s", id, event, b)
+}
+
+func (s sseFrames) open(round int) string {
+	return s.frame("", api.EventRoundOpen, api.RoundOpen{Job: s.job.ID(), Round: round})
+}
+
+func (s sseFrames) closed(round int) string {
+	ro, err := s.job.Outcome(round)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return s.frame(fmt.Sprint(round), api.EventRoundClosed, outcomeView(ro))
+}
+
+func (s sseFrames) jobClosed() string {
+	return s.frame("", api.EventJobClosed, api.JobClosed{Job: s.job.ID()})
+}
+
+// streamFixture hosts one manually driven job behind the HTTP handler.
+func streamFixture(t *testing.T, spec JobSpec) (*Exchange, http.Handler, *Job, func(round int)) {
+	t.Helper()
+	ex := New(Options{})
+	t.Cleanup(func() { ex.Close() })
+	spec.Auction = auction.Config{Rule: testRule(t, 0), K: 2, Payment: auction.SecondPrice}
+	spec.Seed = 9
+	job, err := ex.CreateJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeRound := func(round int) {
+		t.Helper()
+		for _, b := range testBids(0, round, 4) {
+			if _, err := ex.SubmitBid(job.ID(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := job.CloseRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ex, NewHandler(ex), job, closeRound
+}
+
+// TestSSESlowReaderNotDropped: a reader that stops reading while more
+// rounds close than any buffer between the job and the stream would hold is
+// not disconnected — once it reads again, the same stream delivers every
+// round in order, each round_closed followed by the next round's round_open.
+func TestSSESlowReaderNotDropped(t *testing.T) {
+	const rounds = 40
+	_, h, job, closeRound := streamFixture(t, JobSpec{ID: "slow", KeepOutcomes: 64})
+	r, stop := pipeStream(t, h, "/v1/jobs/slow/events")
+	defer stop()
+	want := sseFrames{t, job}
+	if got := readFrames(t, r, 1); got[0] != want.open(1) {
+		t.Fatalf("attach frame %q, want %q", got[0], want.open(1))
+	}
+	for round := 1; round <= rounds; round++ {
+		closeRound(round)
+	}
+	got := readFrames(t, r, 2*rounds)
+	for round := 1; round <= rounds; round++ {
+		if f := got[2*round-2]; f != want.closed(round) {
+			t.Fatalf("frame %d = %q, want round_closed %d", 2*round-2, f, round)
+		}
+		if f := got[2*round-1]; f != want.open(round+1) {
+			t.Fatalf("frame %d = %q, want round_open %d", 2*round-1, f, round+1)
+		}
+	}
+}
+
+// TestSSEFramesIndependentOfReadPace: the frames of a stream do not depend
+// on when its reader reads. For each way a job ends, a reader that drains
+// after every transition and one that reads only after the last get the
+// same frames — except that the late reader may miss the round_open of the
+// round that was collecting when the job was closed (documented on the
+// handler). A Last-Event-ID past the latest round is clamped to it, so the
+// next round still arrives live.
+func TestSSEFramesIndependentOfReadPace(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		maxRounds int
+		// end closes the job after two rounds; nil: the second round is the
+		// MaxRounds one.
+		end func(ex *Exchange, job *Job) error
+	}{
+		{name: "max_rounds", maxRounds: 2},
+		{name: "close", end: func(_ *Exchange, job *Job) error { job.Close(); return nil }},
+		{name: "remove", end: func(ex *Exchange, job *Job) error { return ex.RemoveJob(job.ID()) }},
+		{name: "shutdown", end: func(ex *Exchange, _ *Job) error { return ex.Close() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ex, h, job, closeRound := streamFixture(t, JobSpec{ID: "pace", MaxRounds: c.maxRounds})
+			eager, stopEager := pipeStream(t, h, "/v1/jobs/pace/events")
+			defer stopEager()
+			late, stopLate := pipeStream(t, h, "/v1/jobs/pace/events")
+			defer stopLate()
+			want := sseFrames{t, job}
+
+			// Both readers take the attach frame; then only eager reads on.
+			for _, r := range []*bufio.Reader{eager, late} {
+				if got := readFrames(t, r, 1); got[0] != want.open(1) {
+					t.Fatalf("attach frame %q, want %q", got[0], want.open(1))
+				}
+			}
+			all := []string{want.open(1)}
+			step := func(frames ...string) {
+				t.Helper()
+				all = append(all, frames...)
+				if got := readFrames(t, eager, len(frames)); !slices.Equal(got, frames) {
+					t.Fatalf("eager reader got %q, want %q", got, frames)
+				}
+			}
+			closeRound(1)
+			step(want.closed(1), want.open(2))
+			closeRound(2)
+			if c.end == nil {
+				step(want.closed(2), want.jobClosed())
+			} else {
+				step(want.closed(2), want.open(3))
+				if err := c.end(ex, job); err != nil {
+					t.Fatal(err)
+				}
+				step(want.jobClosed())
+			}
+			if f, err := readFrame(eager); err != io.EOF {
+				t.Fatalf("eager stream went on after job_closed: %q, %v", f, err)
+			}
+
+			var got []string
+			for {
+				f, err := readFrame(late)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, f)
+			}
+			got = append([]string{want.open(1)}, got...)
+			// The one difference allowed: no round_open for round 3, which
+			// was collecting when the job was closed.
+			withoutLateOpen := slices.Delete(slices.Clone(all), len(all)-2, len(all)-1)
+			if !slices.Equal(got, all) && (c.end == nil || !slices.Equal(got, withoutLateOpen)) {
+				t.Fatalf("late reader got\n%q\nwant\n%q", got, all)
+			}
+		})
+	}
+
+	t.Run("after_clamped", func(t *testing.T) {
+		_, h, job, closeRound := streamFixture(t, JobSpec{ID: "clamp"})
+		closeRound(1)
+		closeRound(2)
+		r, stop := pipeStream(t, h, "/v1/jobs/clamp/events?after=1000")
+		defer stop()
+		want := sseFrames{t, job}
+		if got := readFrames(t, r, 1); got[0] != want.open(3) {
+			t.Fatalf("attach frame %q, want %q", got[0], want.open(3))
+		}
+		closeRound(3)
+		if got, frames := readFrames(t, r, 2), []string{want.closed(3), want.open(4)}; !slices.Equal(got, frames) {
+			t.Fatalf("after ?after=1000 got %q, want %q", got, frames)
+		}
+	})
 }

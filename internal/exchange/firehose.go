@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fmore/internal/auction"
+	"fmore/pkg/api"
 )
 
 // The firehose taps closed rounds, and nothing earlier: FMore is a
@@ -62,7 +63,7 @@ func (k TapKind) String() string {
 	case TapWinner:
 		return "winner"
 	case TapRoundClosed:
-		return "round_closed"
+		return api.EventRoundClosed
 	default:
 		return "unknown"
 	}

@@ -28,7 +28,7 @@ type history struct {
 // round that does not continue the numbering restarts the window at it:
 // replay cannot meet such a gap, but at must index contiguously.
 func (h *history) push(e historyEntry, keep int) (evicted []byte) {
-	if e.Round != h.base+len(h.entries)+1 {
+	if e.Round != h.last()+1 {
 		h.reset(e.Round - 1)
 	}
 	if n := len(h.entries); n >= keep {
@@ -46,6 +46,10 @@ func (h *history) push(e historyEntry, keep int) (evicted []byte) {
 // records, and reset restores, so that an empty window still tells evicted
 // rounds from pending ones.
 func (h *history) evictedThrough() int { return h.base }
+
+// last is the latest completed round: the window's newest entry, or the
+// last evicted round while the window is empty.
+func (h *history) last() int { return h.base + len(h.entries) }
 
 // reset empties the window and places it after round base.
 func (h *history) reset(base int) {

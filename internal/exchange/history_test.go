@@ -32,7 +32,8 @@ func renderOutcome(t testing.TB, ro RoundOutcome) []byte {
 
 // TestRetainedOutcomesNeverChange pins the ownership contract of a closed
 // round: whatever hands an outcome out — either CloseRound, a read
-// accessor, Subscribe's replay, a live round_closed event — the holder may
+// accessor, the event stream's cursor (its attach-time replay and the
+// rounds it reads live for round_closed events) — the holder may
 // keep reading it long after the round left the KeepOutcomes window, while
 // the job goes on closing rounds. Readers render concurrently with the
 // closes, so under -race a close that wrote into handed-out memory is
@@ -133,25 +134,29 @@ func TestRetainedOutcomesNeverChange(t *testing.T) {
 				hold("Outcome (replayed)", ro, err)
 			}
 
-			past, _, sub := job.Subscribe(first - 1)
-			if len(past) != 0 || sub == nil {
-				t.Fatalf("Subscribe(%d) = %d past rounds, sub %v", first-1, len(past), sub)
+			// The event stream's cursor, attached before the live rounds close:
+			// each round it reads is what a round_closed event renders.
+			cursor := first - 1
+			if page, _, closed, _ := job.since(&cursor); len(page) != 0 || closed {
+				t.Fatalf("since(%d) = %d rounds, closed %v", first-1, len(page), closed)
 			}
-			defer job.Unsubscribe(sub)
 			holdEvent := func(round int) {
 				t.Helper()
 				for {
-					select {
-					case ev, ok := <-sub.C:
-						if !ok {
-							t.Fatal("subscription dropped")
-						}
-						if ev.Type == EventRoundClosed && ev.Round == round {
-							hold("round_closed event", *ev.Outcome, nil)
+					page, _, closed, wake := job.since(&cursor)
+					for _, ro := range page {
+						if ro.Round == round {
+							hold("round_closed cursor read", ro, nil)
 							return
 						}
+					}
+					if closed {
+						t.Fatalf("job closed before round %d", round)
+					}
+					select {
+					case <-wake:
 					case <-ctx.Done():
-						t.Fatalf("no round_closed event for round %d", round)
+						t.Fatalf("no round_closed for round %d", round)
 					}
 				}
 			}
@@ -177,9 +182,9 @@ func TestRetainedOutcomesNeverChange(t *testing.T) {
 			hold("WaitLatest", ro, err)
 			page, _ := job.OutcomesAfter(0, 0)
 			holdPage("OutcomesAfter", page)
-			replay, _, sub2 := job.Subscribe(0)
-			job.Unsubscribe(sub2)
-			holdPage("Subscribe replay", replay)
+			attach := 0
+			replay, _, _, _ := job.since(&attach)
+			holdPage("cursor replay", replay)
 
 			// Readers render what is held, and whatever the job retains right
 			// now, while the closes below push every held round out of the

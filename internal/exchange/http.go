@@ -577,12 +577,19 @@ func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 //	event: job_closed    data: {"job": "..."}
 //
 // round_closed events carry the outcome inline and an SSE id equal to the
-// round number; a reconnecting client sends Last-Event-ID (or ?after=) and
-// every retained round it missed is replayed before live events resume, so
-// a dropped subscriber loses nothing within the job's KeepOutcomes window.
-// Heartbeat comments flow every sseHeartbeat while the stream idles. The
-// stream ends after job_closed, or when the subscriber falls too far behind
-// (reconnect to resume).
+// round number. The stream is a cursor over the job's retained rounds, woken
+// by the broadcast the blocking outcome reads wait on: the job never waits
+// for a reader, and a reader that falls behind is not dropped — it reads on
+// from the history at its own pace. On attach every retained round after
+// Last-Event-ID (or ?after=, clamped to the latest completed round) is
+// replayed, then the collecting round is announced; after that each
+// round_closed is followed by the next round's round_open, and job_closed
+// ends the stream. Rounds that leave the KeepOutcomes window before the
+// cursor reaches them are skipped. A reader that keeps up sees the
+// round_open of every round that opened; one that catches up only after the
+// job closed gets none for the round that was collecting at the close, since
+// the history cannot show that a round which never completed had opened.
+// Heartbeat comments flow every sseHeartbeat while the stream idles.
 func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	job, ok := h.resolveJob(w, r.PathValue("id"))
 	if !ok {
@@ -607,11 +614,11 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 
-	// SSE subscriber cap: register the stream with the admission controller
-	// before subscribing. At the cap the controller cancels the OLDEST
-	// stream's context to make room — new subscribers always get in, and
-	// the victim's select loop unwinds through its normal Unsubscribe path.
-	// Heartbeats of admitted streams are never shed.
+	// SSE stream cap: register the stream with the admission controller
+	// before attaching. At the cap the controller cancels the OLDEST
+	// stream's context to make room — new streams always get in, and the
+	// victim's wait loop returns. Heartbeats of admitted streams are never
+	// shed.
 	if adm := h.ex.Admission(); adm != nil {
 		ctx, cancel := context.WithCancel(r.Context())
 		defer cancel()
@@ -620,53 +627,43 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(ctx)
 	}
 
-	past, cur, sub := job.Subscribe(after)
-	if sub != nil {
-		defer job.Unsubscribe(sub)
-	}
+	cursor := after
+	page, cur, closed, wake := job.since(&cursor)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	for _, ro := range past {
-		writeSSE(w, strconv.Itoa(ro.Round), EventRoundClosed, outcomeView(ro))
+	for _, ro := range page {
+		writeSSE(w, strconv.Itoa(ro.Round), api.EventRoundClosed, outcomeView(ro))
 	}
-	if sub == nil {
-		writeSSE(w, "", EventJobClosed, api.JobClosed{Job: job.ID()})
-		flusher.Flush()
-		return
+	if !closed {
+		writeSSE(w, "", api.EventRoundOpen, api.RoundOpen{Job: job.ID(), Round: cur})
 	}
-	writeSSE(w, "", EventRoundOpen, api.RoundOpen{Job: job.ID(), Round: cur})
-	flusher.Flush()
 
 	ticker := time.NewTicker(sseHeartbeat)
 	defer ticker.Stop()
-	for {
+	for !closed {
+		flusher.Flush()
 		select {
 		case <-r.Context().Done():
 			return
 		case <-ticker.C:
 			_, _ = fmt.Fprint(w, ": hb\n\n")
-			flusher.Flush()
-		case ev, ok := <-sub.C:
-			if !ok {
-				// Dropped for falling behind; the client reconnects with
-				// Last-Event-ID and replays what it missed.
-				return
+			continue
+		case <-wake:
+		}
+		page, _, closed, wake = job.since(&cursor)
+		for _, ro := range page {
+			writeSSE(w, strconv.Itoa(ro.Round), api.EventRoundClosed, outcomeView(ro))
+			// The next round provably opened if the job is still open, or if
+			// it completed as well.
+			if !closed || ro.Round < cursor {
+				writeSSE(w, "", api.EventRoundOpen, api.RoundOpen{Job: job.ID(), Round: ro.Round + 1})
 			}
-			switch ev.Type {
-			case EventRoundClosed:
-				writeSSE(w, strconv.Itoa(ev.Round), EventRoundClosed, outcomeView(*ev.Outcome))
-			case EventRoundOpen:
-				writeSSE(w, "", EventRoundOpen, api.RoundOpen{Job: ev.Job, Round: ev.Round})
-			case EventJobClosed:
-				writeSSE(w, "", EventJobClosed, api.JobClosed{Job: ev.Job})
-				flusher.Flush()
-				return
-			}
-			flusher.Flush()
 		}
 	}
+	writeSSE(w, "", api.EventJobClosed, api.JobClosed{Job: job.ID()})
+	flusher.Flush()
 }
 
 // writeSSE emits one SSE frame. data is JSON-marshaled; json.Marshal output

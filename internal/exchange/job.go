@@ -130,14 +130,13 @@ type Job struct {
 	admit *admission.Bucket
 
 	// mu guards the round/history state: the round counter, the outcome
-	// history (changed only with closeMu held as well), the scoring flag, the
-	// round-completion broadcast channel, and the event-stream subscriber set.
+	// history (changed only with closeMu held as well), the scoring flag and
+	// the round-completion broadcast channel.
 	mu      sync.Mutex
 	scoring bool
 	round   int // current collecting round, 1-based
 	hist    history
 	doneCh  chan struct{} // lazily armed; closed (and cleared) on every state change
-	subs    map[*Subscription]struct{}
 
 	// closeMu serializes round closes; everything below it is scratch reused
 	// across rounds, so all a steady-state close allocates is the outcome it
@@ -465,21 +464,6 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 		j.closed.Store(true)
 	}
 	j.broadcastLocked()
-	// Push the transition to event-stream subscribers inside the same
-	// critical section that appended the outcome, so a Subscribe can never
-	// observe the history without either seeing this round in it or
-	// receiving this event. The header copy the event points at is made only
-	// when somebody is watching; the outcome behind it is the shared one.
-	if len(j.subs) > 0 {
-		evRo := ro
-		j.publishLocked(Event{Type: EventRoundClosed, Job: j.id, Round: ro.Round, Outcome: &evRo})
-	}
-	switch {
-	case maxed:
-		j.publishLocked(Event{Type: EventJobClosed, Job: j.id})
-	case !j.closed.Load():
-		j.publishLocked(Event{Type: EventRoundOpen, Job: j.id, Round: j.round})
-	}
 	j.mu.Unlock()
 
 	// Tap the completed round — its sealed bids included, now that they are
@@ -498,9 +482,9 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 	return ro, ro.Err
 }
 
-// broadcastLocked wakes every outcome waiter; callers hold j.mu. The
-// channel is armed lazily by waitChLocked, so rounds with no waiters don't
-// allocate a fresh channel per close.
+// broadcastLocked wakes every outcome waiter and event stream; callers hold
+// j.mu. The channel is armed lazily by waitChLocked, so rounds with no
+// waiters don't allocate a fresh channel per close.
 func (j *Job) broadcastLocked() {
 	if j.doneCh != nil {
 		close(j.doneCh)
@@ -570,7 +554,6 @@ func (j *Job) close(record bool) {
 	}
 	j.closed.Store(true)
 	j.broadcastLocked()
-	j.publishLocked(Event{Type: EventJobClosed, Job: j.id})
 	j.mu.Unlock()
 	j.cancel()
 	if record {
@@ -665,6 +648,24 @@ func (j *Job) wait(ctx context.Context, resolve func() (ro RoundOutcome, err err
 	}
 }
 
+// since is the event stream's cursor read. Like wait, it reads the history
+// and arms the wake channel under one lock: it returns the retained rounds
+// numbered above *cursor, moves the cursor to the latest completed round
+// (clamping one that pointed past it), and reports the collecting round,
+// whether the job is closed and, while it is open, the channel its next
+// state change closes. Rounds evicted before the cursor reached them are
+// skipped.
+func (j *Job) since(cursor *int) (page []RoundOutcome, cur int, closed bool, wake <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	page, _ = j.hist.after(*cursor, 0)
+	*cursor = j.hist.last()
+	if closed = j.closed.Load(); !closed {
+		wake = j.waitChLocked()
+	}
+	return page, j.round, closed, wake
+}
+
 // Strategy returns the job's solved equilibrium strategy (Theorem 1),
 // solving it on first use. The solve runs once per job lifetime; its result
 // (or error) is cached. Jobs without an Equilibrium spec report
@@ -720,7 +721,6 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		intake:      newIntake(min(runtime.GOMAXPROCS(0), maxIntakeShards)),
 		admit:       ex.adm.NewJobBucket(),
 		round:       1,
-		subs:        make(map[*Subscription]struct{}),
 		auct:        auct,
 		src:         src,
 		strategyCfg: eqCfg,

@@ -127,6 +127,20 @@ type OutcomeList struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
+// Event names of the GET /v1/jobs/{id}/events stream (the SSE "event:"
+// field).
+const (
+	// EventRoundOpen announces that a round began collecting bids; its data
+	// is a RoundOpen.
+	EventRoundOpen = "round_open"
+	// EventRoundClosed announces a completed round; its data is the Outcome
+	// and its SSE id the round number.
+	EventRoundClosed = "round_closed"
+	// EventJobClosed announces the job's end; its data is a JobClosed and the
+	// stream ends after it.
+	EventJobClosed = "job_closed"
+)
+
 // RoundOpen is the data of a round_open event on GET /v1/jobs/{id}/events.
 type RoundOpen struct {
 	Job   string `json:"job"`

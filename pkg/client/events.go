@@ -21,11 +21,11 @@ type EventType string
 // Event types of the per-job stream.
 const (
 	// RoundOpen announces that a round began collecting bids.
-	RoundOpen EventType = "round_open"
+	RoundOpen EventType = api.EventRoundOpen
 	// RoundClosed announces a completed round; Outcome is set.
-	RoundClosed EventType = "round_closed"
+	RoundClosed EventType = api.EventRoundClosed
 	// JobClosed announces the job's end; the watch terminates after it.
-	JobClosed EventType = "job_closed"
+	JobClosed EventType = api.EventJobClosed
 )
 
 // Event is one server-push notification from a job's event stream.
