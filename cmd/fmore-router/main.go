@@ -270,6 +270,12 @@ func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Ma
 		if rep.Partition == primary.Partition {
 			primaryResp = resp
 		} else {
+			// Read the answer to its end before closing it: the transport
+			// drops a connection whose response was closed unread, and the
+			// next registration would dial the replica again. A registry
+			// answer is tens of bytes; the bound is against a replica that
+			// streams.
+			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 		}
 	}

@@ -510,3 +510,51 @@ func TestRouterKeepsUpstreamConnections(t *testing.T) {
 		t.Errorf("%d waves of %d forwards opened %d upstream connections, want at most %d", waves, width, n, width)
 	}
 }
+
+// TestRouterFanoutKeepsUpstreamConnections: registrations one after another
+// through a two-replica router reach the non-primary replica over the one
+// connection the first opened. A fan-out that closed that replica's answer
+// unread made the transport drop the connection, so each registration
+// dialled again.
+func TestRouterFanoutKeepsUpstreamConnections(t *testing.T) {
+	const registrations = 8
+	var urls [2]string
+	var opened [2]atomic.Int64
+	for i := range urls {
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = io.WriteString(w, `{"bids":0,"node_id":7}`+"\n")
+		}))
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened[i].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	m, err := partition.Parse("p0=" + urls[0] + ",p1=" + urls[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, _ := m.Default()
+	secondary := 1
+	if primary.URL == urls[1] {
+		secondary = 0
+	}
+	rt := newRouter(m)
+	for i := 0; i < registrations; i++ {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/nodes", strings.NewReader(`{"node_id":7}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("registration %d answered %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if n := opened[secondary].Load(); n != 1 {
+		t.Errorf("%d registrations opened %d connections to the non-primary replica, want 1", registrations, n)
+	}
+	if n := opened[1-secondary].Load(); n != 1 {
+		t.Errorf("%d registrations opened %d connections to the primary replica, want 1", registrations, n)
+	}
+}

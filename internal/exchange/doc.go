@@ -124,7 +124,12 @@
 // qualities and payments), so the encoder prints them itself: shortest.go
 // is a Schubfach shortest-decimal kernel that writes, in both of
 // encoding/json's notations, the bytes strconv.AppendFloat writes; strconv
-// stays in the tree as that kernel's test oracle only.
+// stays in the tree as that kernel's test oracle only. The same encoder
+// writes a round's third spelling, its /v1 body (appendOutcome): the close
+// answer, the outcome reads, the outcome pages and the round_closed events
+// are byte for byte what encoding/json writes for api.Outcome, built whole
+// and sent with their Content-Length, and no round's floats go through
+// reflection anywhere.
 //
 // Replay (Open) applies the snapshot, then every surviving record in order,
 // and is bit-for-bit: retained outcome responses are byte-identical, round

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -456,18 +457,21 @@ func (h *handler) removeJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.JobRemoved{Job: r.PathValue("id"), Removed: true})
 }
 
-// closeRound closes the collecting round now. An already-closed job answers
-// 409 job_closed (the job exists — the operation conflicts with its state);
-// only a job the exchange does not host answers 404.
+// closeRound closes the collecting round now and answers with its outcome
+// (writeRound). An already-closed job answers 409 job_closed (the job
+// exists — the operation conflicts with its state); only a job the exchange
+// does not host answers 404.
 func (h *handler) closeRound(w http.ResponseWriter, r *http.Request) {
 	ro, err := h.ex.CloseRound(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, outcomeView(ro))
+	writeRound(w, &ro)
 }
 
+// outcome serves one retained round through writeRound: the latest, the
+// latest or a named one waited for (?wait=1), or a named one (?round=N).
 func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 	job, ok := h.resolveJob(w, r.PathValue("id"))
 	if !ok {
@@ -495,7 +499,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, ro.Err)
 			return
 		}
-		writeJSON(w, http.StatusOK, outcomeView(ro))
+		writeRound(w, &ro)
 		return
 	}
 	if wait {
@@ -522,7 +526,7 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, outcomeView(ro))
+		writeRound(w, &ro)
 		return
 	}
 	n, err := strconv.Atoi(q.Get("round"))
@@ -535,12 +539,14 @@ func (h *handler) outcome(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, outcomeView(ro))
+	writeRound(w, &ro)
 }
 
 // listOutcomes serves the v1 paginated outcome listing: retained rounds with
 // numbers strictly greater than ?cursor=, oldest first. Failed rounds appear
-// with their error set so pages stay contiguous.
+// with their error set so pages stay contiguous. The page is api.OutcomeList
+// as encoding/json spells it, its rounds written by appendOutcome into one
+// body (writeBody).
 func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 	job, ok := h.resolveJob(w, r.PathValue("id"))
 	if !ok {
@@ -560,14 +566,27 @@ func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	page, more := job.OutcomesAfter(after, limit)
-	resp := api.OutcomeList{Outcomes: make([]api.Outcome, len(page))}
-	for i, ro := range page {
-		resp.Outcomes[i] = outcomeView(ro)
+	body := append(make([]byte, 0, roundBodyHint), `{"outcomes":[`...)
+	for i := range page {
+		if i == 1 {
+			// A job's rounds are about the same size: the first sizes the
+			// page.
+			body = slices.Grow(body, (len(page)-1)*len(body))
+		}
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = appendOutcome(body, &page[i]); err != nil {
+			break
+		}
 	}
+	body = append(body, ']')
 	if more {
-		resp.NextCursor = strconv.Itoa(page[len(page)-1].Round)
+		body = append(body, `,"next_cursor":"`...)
+		body = strconv.AppendInt(body, int64(page[len(page)-1].Round), 10)
+		body = append(body, '"')
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, append(body, '}'), err)
 }
 
 // events streams the job's round lifecycle as Server-Sent Events:
@@ -577,7 +596,8 @@ func (h *handler) listOutcomes(w http.ResponseWriter, r *http.Request) {
 //	event: job_closed    data: {"job": "..."}
 //
 // round_closed events carry the outcome inline and an SSE id equal to the
-// round number. The stream is a cursor over the job's retained rounds, woken
+// round number, each frame built whole by writeRoundClosed and sent with one
+// Write. The stream is a cursor over the job's retained rounds, woken
 // by the broadcast the blocking outcome reads wait on: the job never waits
 // for a reader, and a reader that falls behind is not dropped — it reads on
 // from the history at its own pace. On attach every retained round after
@@ -633,8 +653,9 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	for _, ro := range page {
-		writeSSE(w, strconv.Itoa(ro.Round), api.EventRoundClosed, outcomeView(ro))
+	var frame []byte
+	for i := range page {
+		frame = writeRoundClosed(w, frame, &page[i])
 	}
 	if !closed {
 		writeSSE(w, "", api.EventRoundOpen, api.RoundOpen{Job: job.ID(), Round: cur})
@@ -653,8 +674,9 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 		case <-wake:
 		}
 		page, _, closed, wake = job.since(&cursor)
-		for _, ro := range page {
-			writeSSE(w, strconv.Itoa(ro.Round), api.EventRoundClosed, outcomeView(ro))
+		for i := range page {
+			ro := &page[i]
+			frame = writeRoundClosed(w, frame, ro)
 			// The next round provably opened if the job is still open, or if
 			// it completed as well.
 			if !closed || ro.Round < cursor {
@@ -664,6 +686,22 @@ func (h *handler) events(w http.ResponseWriter, r *http.Request) {
 	}
 	writeSSE(w, "", api.EventJobClosed, api.JobClosed{Job: job.ID()})
 	flusher.Flush()
+}
+
+// writeRoundClosed writes ro's round_closed frame — id, event and the
+// appendOutcome body as data — built whole in frame (returned for the next
+// frame) and sent with one Write. A round that does not encode is skipped,
+// as writeSSE skips a payload that does not marshal.
+func writeRoundClosed(w io.Writer, frame []byte, ro *RoundOutcome) []byte {
+	frame = append(frame[:0], "id: "...)
+	frame = strconv.AppendInt(frame, int64(ro.Round), 10)
+	frame = append(frame, "\nevent: "+api.EventRoundClosed+"\ndata: "...)
+	frame, err := appendOutcome(frame, ro)
+	if err == nil {
+		frame = append(frame, "\n\n"...)
+		_, _ = w.Write(frame)
+	}
+	return frame
 }
 
 // writeSSE emits one SSE frame. data is JSON-marshaled; json.Marshal output
@@ -819,37 +857,6 @@ func jobView(j *Job) api.Job {
 	}
 }
 
-// outcomeView renders a round for the wire. Failed rounds carry their error
-// string (events and the outcome listing must represent them); the scalar
-// outcome endpoints never reach this path with a failed round.
-func outcomeView(ro RoundOutcome) api.Outcome {
-	resp := api.Outcome{
-		Job:       ro.JobID,
-		Round:     ro.Round,
-		NumBids:   ro.NumBids,
-		LatencyMS: float64(ro.Latency) / float64(time.Millisecond),
-	}
-	if ro.Err != nil {
-		resp.Error = ro.Err.Error()
-		return resp
-	}
-	winners := make([]api.Winner, len(ro.Outcome.Winners))
-	for i, win := range ro.Outcome.Winners {
-		winners[i] = api.Winner{
-			NodeID:     win.Bid.NodeID,
-			Score:      win.Score,
-			Payment:    win.Payment,
-			BidPayment: win.Bid.Payment,
-			Qualities:  win.Bid.Qualities,
-		}
-	}
-	resp.Winners = winners
-	resp.TotalPayment = ro.Outcome.TotalPayment()
-	resp.AggregatorProfit = ro.Outcome.AggregatorProfit
-	resp.Scores = ro.Outcome.Scores
-	return resp
-}
-
 // parseLimit parses a ?limit= value with a default and an upper bound.
 func parseLimit(s string, def, max int) (int, error) {
 	if s == "" {
@@ -910,6 +917,35 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// roundBodyHint is the buffer a round body starts in: a 64-bid, K=8 round
+// is ~2.6 KB.
+const roundBodyHint = 4 << 10
+
+// writeRound answers 200 with one round's /v1 body (appendOutcome). The
+// close and the scalar outcome reads answer a failed round with the error
+// envelope instead, before they get here.
+func writeRound(w http.ResponseWriter, ro *RoundOutcome) {
+	body, err := appendOutcome(make([]byte, 0, roundBodyHint), ro)
+	writeBody(w, body, err)
+}
+
+// writeBody answers 200 with a JSON body built whole — newline-terminated
+// as json.Encoder terminates it, Content-Length set, one Write — or, when
+// it did not encode, 500 internal_error with the error, as
+// writeJSONIdempotent does.
+func writeBody(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		return
+	}
+	body = append(body, '\n')
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // writeJSONIdempotent writes a success response and, when the request

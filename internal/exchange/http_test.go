@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"fmore/internal/auction"
 	"fmore/internal/wal"
 )
 
@@ -380,5 +382,71 @@ func TestHTTPRegisterNodeRefusesTrailingBytes(t *testing.T) {
 				t.Errorf("the log holds a node record for a refused registration: %s", raw)
 			}
 		}
+	}
+}
+
+// TestHTTPRoundBodiesWholeOrRefused: a round body is written whole — a
+// 64-bid round's, past net/http's 2 KB pre-chunking buffer, still arrives
+// with its Content-Length — and a round that does not encode (two winners'
+// payments of 1e308 sum to +Inf) answers 500 internal_error with
+// encoding/json's error rather than a 200 with an empty body; its
+// round_closed frame is skipped.
+func TestHTTPRoundBodiesWholeOrRefused(t *testing.T) {
+	srv, ex := httpFixture(t)
+	fetch := func(method, path string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // read below
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	for _, spec := range []JobSpec{
+		{ID: "whole", Auction: auction.Config{Rule: testRule(t, 0), K: 8}},
+		{ID: "inf", Auction: auction.Config{Rule: testRule(t, 0), K: 2}},
+	} {
+		if _, err := ex.CreateJob(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range testBids(0, 1, 64) {
+		if _, err := ex.SubmitBid("whole", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{1, 2} {
+		if _, err := ex.SubmitBid("inf", auction.Bid{NodeID: id, Qualities: []float64{1.5e308, 1.5e308}, Payment: 1e308}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The close first, then two reads of the round it closed.
+	requests := [][2]string{{http.MethodPost, "/close"}, {http.MethodGet, "/outcome?round=1"}, {http.MethodGet, "/outcomes"}}
+	for _, req := range requests {
+		resp, body := fetch(req[0], "/v1/jobs/whole"+req[1])
+		if resp.StatusCode != http.StatusOK || len(body) <= 2048 || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s %s: status %d, %d bytes, Content-Length %d, Transfer-Encoding %v; want 200 with the length of a body over 2 KB",
+				req[0], req[1], resp.StatusCode, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+	const refusal = `{"code":"internal_error","message":"json: unsupported value: +Inf"}` + "\n"
+	for _, req := range requests {
+		if resp, body := fetch(req[0], "/v1/jobs/inf"+req[1]); resp.StatusCode != http.StatusInternalServerError || string(body) != refusal {
+			t.Errorf("%s %s: %d %q, want 500 %q", req[0], req[1], resp.StatusCode, body, refusal)
+		}
+	}
+	stream, stop := pipeStream(t, NewHandler(ex), "/v1/jobs/inf/events")
+	defer stop()
+	if frame, err := readFrame(stream); err != nil || frame != `event: round_open`+"\n"+`data: {"job":"inf","round":2}` {
+		t.Errorf("first frame after an unencodable round = %q (%v), want round 2's round_open", frame, err)
 	}
 }

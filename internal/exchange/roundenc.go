@@ -5,14 +5,23 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
-// A round is encoded exactly once, when it closes: the same bytes are
-// framed into the log, kept beside the retained history entry, and later
-// spliced verbatim into snapshots. appendWalRound is that one encoder.
+// A round has three spellings, one encoder each, and none of them goes
+// through encoding/json's reflection: the record form and the history form
+// (appendWalRound, below) are what the log and the snapshots hold, and the
+// /v1 body (appendOutcome) is what the close answer, the outcome reads, the
+// outcome pages and the round_closed events carry. All three print their
+// floats through roundEncoder.float, that is appendShortest.
 //
-// A round has two spellings that differ in one span. Its history form is
+// The log's round is encoded exactly once, when it closes: the same bytes
+// are framed into the log, kept beside the retained history entry, and
+// later spliced verbatim into snapshots. The /v1 body is encoded per
+// response from the retained RoundOutcome.
+//
+// The two log spellings differ in one span. The history form is
 // the walRound object with Bidders omitted and Draws zero: what a snapshot's
 // history holds (replay takes bid counters and the draw count from the
 // snapshot's own state, not per retained round) and what a history entry
@@ -30,7 +39,14 @@ import (
 // seeded property test in roundenc_test.go pin it. A field added to
 // walRound or walWinner must be added here in struct order.
 //
-// Floats are most of a record and go through one path, roundEncoder.float:
+// The /v1 body has the same kind of contract: appendOutcome writes what
+// json.Marshal writes for the api.Outcome a round renders to (the tests'
+// outcomeView), byte for byte, and refuses the same values with the same
+// error; FuzzAppendOutcome and its seeded property test pin it, and a field
+// added to api.Outcome or api.Winner must be added to appendOutcome in
+// struct order.
+//
+// Floats are most of a round and go through one path, roundEncoder.float:
 // appendShortest (shortest.go) writes every finite float64 as
 // strconv.AppendFloat would in the notation encoding/json picks — strconv is
 // its test oracle and is called here only for integers and the NaN/±Inf text.
@@ -96,6 +112,58 @@ func appendWalRound(dst []byte, r *walRound) (out []byte, drawsAt int, err error
 	e.float(r.Profit)
 	e.b = append(e.b, '}')
 	return e.b, drawsAt, e.err
+}
+
+// appendOutcome appends ro's /v1 body, the api.Outcome spelling of a round,
+// without reflection. A failed round carries its error and no winner fields
+// (winners and scores null, totals zero); a successful one always has a
+// winner list, [] when nobody won.
+func appendOutcome(dst []byte, ro *RoundOutcome) ([]byte, error) {
+	e := roundEncoder{b: dst}
+	e.b = append(e.b, `{"job":`...)
+	e.b = appendJSONString(e.b, ro.JobID)
+	e.b = append(e.b, `,"round":`...)
+	e.b = strconv.AppendInt(e.b, int64(ro.Round), 10)
+	e.b = append(e.b, `,"num_bids":`...)
+	e.b = strconv.AppendInt(e.b, int64(ro.NumBids), 10)
+	e.b = append(e.b, `,"latency_ms":`...)
+	e.float(float64(ro.Latency) / float64(time.Millisecond))
+	if ro.Err != nil {
+		e.b = append(e.b, `,"winners":null,"total_payment":0,"aggregator_profit":0,"scores":null`...)
+		if msg := ro.Err.Error(); msg != "" {
+			e.b = append(e.b, `,"error":`...)
+			e.b = appendJSONString(e.b, msg)
+		}
+		e.b = append(e.b, '}')
+		return e.b, e.err
+	}
+	out := &ro.Outcome
+	e.b = append(e.b, `,"winners":[`...)
+	for i := range out.Winners {
+		w := &out.Winners[i]
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.b = append(e.b, `{"node_id":`...)
+		e.b = strconv.AppendInt(e.b, int64(w.Bid.NodeID), 10)
+		e.b = append(e.b, `,"score":`...)
+		e.float(w.Score)
+		e.b = append(e.b, `,"payment":`...)
+		e.float(w.Payment)
+		e.b = append(e.b, `,"bid_payment":`...)
+		e.float(w.Bid.Payment)
+		e.b = append(e.b, `,"qualities":`...)
+		e.floats(w.Bid.Qualities)
+		e.b = append(e.b, '}')
+	}
+	e.b = append(e.b, `],"total_payment":`...)
+	e.float(out.TotalPayment())
+	e.b = append(e.b, `,"aggregator_profit":`...)
+	e.float(out.AggregatorProfit)
+	e.b = append(e.b, `,"scores":`...)
+	e.floats(out.Scores)
+	e.b = append(e.b, '}')
+	return e.b, e.err
 }
 
 // appendReplayFields appends what the record form has in place of

@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
+
+	"fmore/internal/auction"
+	"fmore/pkg/api"
 )
 
 // checkRoundEncoding asserts the round encoder's whole contract on one
@@ -252,5 +259,247 @@ func BenchmarkAppendWalRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf, _, _ = appendWalRound(buf[:0], r)
+	}
+}
+
+// outcomeView renders a round as the api.Outcome value the /v1 bodies
+// spell; json.Marshal over it is appendOutcome's oracle. Failed rounds carry
+// their error string and no winner fields.
+func outcomeView(ro RoundOutcome) api.Outcome {
+	resp := api.Outcome{
+		Job:       ro.JobID,
+		Round:     ro.Round,
+		NumBids:   ro.NumBids,
+		LatencyMS: float64(ro.Latency) / float64(time.Millisecond),
+	}
+	if ro.Err != nil {
+		resp.Error = ro.Err.Error()
+		return resp
+	}
+	winners := make([]api.Winner, len(ro.Outcome.Winners))
+	for i, win := range ro.Outcome.Winners {
+		winners[i] = api.Winner{
+			NodeID:     win.Bid.NodeID,
+			Score:      win.Score,
+			Payment:    win.Payment,
+			BidPayment: win.Bid.Payment,
+			Qualities:  win.Bid.Qualities,
+		}
+	}
+	resp.Winners = winners
+	resp.TotalPayment = ro.Outcome.TotalPayment()
+	resp.AggregatorProfit = ro.Outcome.AggregatorProfit
+	resp.Scores = ro.Outcome.Scores
+	return resp
+}
+
+// checkOutcomeEncoding asserts appendOutcome's contract on one round: it
+// appends to dst exactly what json.Marshal writes for outcomeView, or
+// refuses the round with the same error.
+func checkOutcomeEncoding(t *testing.T, ro *RoundOutcome) {
+	t.Helper()
+	want, wantErr := json.Marshal(outcomeView(*ro))
+	const prefix = "data: "
+	got, err := appendOutcome([]byte(prefix), ro)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("encode error = %v, encoding/json refuses with %v", err, wantErr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("encode error %v, encoding/json accepts: %s", err, want)
+	}
+	if string(got[:len(prefix)]) != prefix || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("body differs from encoding/json's:\n got: %s\nwant: %s%s", got, prefix, want)
+	}
+}
+
+// roundFromFuzz builds a round from fuzzer-controlled primitives, data
+// consumed as raw float64 bit patterns as in walRoundFromFuzz. shape bit 0
+// fails the round (over an outcome that must not show), bit 1 makes the
+// winner list non-nil with shape>>4&3 winners, bit 2 gives them non-nil
+// qualities, bit 3 makes the scores non-nil.
+func roundFromFuzz(job, errStr string, round, numBids int, lat int64, shape uint8, data []byte) *RoundOutcome {
+	next := func() float64 {
+		if len(data) < 8 {
+			return 0
+		}
+		f := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		return f
+	}
+	ro := &RoundOutcome{JobID: job, Round: round, NumBids: numBids, Latency: time.Duration(lat)}
+	if shape&1 != 0 {
+		ro.Err = errors.New(errStr)
+	}
+	out := &ro.Outcome
+	if shape&2 != 0 {
+		out.Winners = make([]auction.Winner, int(shape>>4)&3)
+		for i := range out.Winners {
+			w := auction.Winner{Bid: auction.Bid{NodeID: numBids - i, Payment: next()}, Score: next(), Payment: next()}
+			if shape&4 != 0 {
+				w.Bid.Qualities = make([]float64, i)
+				for k := range w.Bid.Qualities {
+					w.Bid.Qualities[k] = next()
+				}
+			}
+			out.Winners[i] = w
+		}
+	}
+	out.AggregatorProfit = next()
+	if shape&8 != 0 {
+		out.Scores = []float64{}
+		for len(data) >= 8 {
+			out.Scores = append(out.Scores, next())
+		}
+	}
+	return ro
+}
+
+// FuzzAppendOutcome holds the /v1 round body to encoding/json on arbitrary
+// rounds. The seeds: failed rounds (error text that needs escaping, and an
+// empty one, which the body omits), nil and empty winner lists, nil scores
+// and qualities, job IDs that need HTML, U+2028 or invalid-UTF-8 escaping,
+// negative zero, subnormals and both sides of the 1e-6 and 1e21 notation
+// switches; NaN and ±Inf must be refused identically.
+func FuzzAppendOutcome(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add("job-1", "", 7, 64, int64(125000), uint8(0x2e), floatBits(0.25, 0.5, 0.125, 0.75, 1, 2, 3, 0.5))
+	f.Add("job", "", 1, 0, int64(0), uint8(0), []byte(nil))         // nil winners and scores: "winners":[], "scores":null
+	f.Add("", "", 0, 0, int64(0), uint8(0x0a), []byte(nil))         // empty, non-nil slices
+	f.Add("q", "", 2, 3, int64(1), uint8(0x32), floatBits(1, 2, 3)) // three winners, nil qualities
+	f.Add("z", "", 1, 3, int64(999), uint8(0x3e), floatBits(negZero, 5e-324, math.SmallestNonzeroFloat64*3, 1e-7, 1e-6, 9.999999e-7, 1e21, 9.99999999e20, math.MaxFloat64, -math.MaxFloat64, 1e-9, 123456789.125))
+	f.Add("j", `exchange: job j round 3: <bad> & "quoted" \ slash`+"\n\t\b\f\x00\x1f\x7f", 3, 2, int64(2), uint8(0x3f), floatBits(1, 2))
+	f.Add("j", "", 4, 2, int64(2), uint8(1), []byte(nil)) // failed, empty error text
+	f.Add("<a>&b\u2028\u2029é世界", "bad utf8 \xff\xc0\xaf tail \xe2\x80", 1, 1, int64(1), uint8(3), []byte(nil))
+	f.Add("inv\xffalid", "", 1, 1, int64(1), uint8(2), []byte(nil))
+	f.Add("lat", "", 1, 1, int64(math.MaxInt64), uint8(0), floatBits(1e-6))
+	f.Add("lat", "", 1, 1, int64(-1), uint8(0), floatBits(-1e21))
+	f.Add("nan", "", 1, 1, int64(1), uint8(8), floatBits(0, math.NaN()))
+	f.Add("inf", "", 1, 1, int64(1), uint8(0x1e), floatBits(1, math.Inf(1), math.Inf(-1)))
+	f.Add("sum", "", 1, 2, int64(1), uint8(0x22), floatBits(0, 0, math.MaxFloat64, 0, 0, math.MaxFloat64)) // total_payment overflows to +Inf
+	f.Add("neg", "", -1, -5, int64(math.MinInt64), uint8(1), []byte(nil))
+	f.Fuzz(func(t *testing.T, job, errStr string, round, numBids int, lat int64, shape uint8, data []byte) {
+		checkOutcomeEncoding(t, roundFromFuzz(job, errStr, round, numBids, lat, shape, data))
+	})
+}
+
+// TestAppendOutcomeMatchesEncodingJSON is the seeded property test over the
+// fuzz target's space: rounds in the shape real ones have, failed rounds,
+// nil and empty lists, floats across the whole exponent range.
+func TestAppendOutcomeMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	float := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Float64frombits(rng.Uint64()) // any bit pattern, NaN/Inf included
+		case 2:
+			return math.Pow(10, float64(rng.Intn(60)-30)) * (rng.Float64() - 0.5)
+		default:
+			return rng.Float64()
+		}
+	}
+	floats := func(n int) []float64 {
+		if n < 0 {
+			return nil
+		}
+		fs := make([]float64, n)
+		for i := range fs {
+			fs[i] = float()
+		}
+		return fs
+	}
+	strs := []string{"", "edge-3", "viaproxy-17", `a"b\c`, "<script>&", "tab\there", "\u2028", "\xff", "日本"}
+	for i := 0; i < 2000; i++ {
+		ro := &RoundOutcome{
+			JobID:   strs[rng.Intn(len(strs))],
+			Round:   rng.Intn(1 << 20),
+			NumBids: rng.Intn(128),
+			Latency: time.Duration(rng.Int63n(1 << 30)),
+		}
+		out := &ro.Outcome
+		out.Scores = floats(rng.Intn(66) - 1)
+		out.AggregatorProfit = float()
+		if rng.Intn(5) != 0 {
+			out.Winners = make([]auction.Winner, rng.Intn(9))
+			for k := range out.Winners {
+				out.Winners[k] = auction.Winner{
+					Bid:     auction.Bid{NodeID: rng.Intn(1 << 16), Qualities: floats(rng.Intn(5) - 1), Payment: float()},
+					Score:   float(),
+					Payment: float(),
+				}
+			}
+		}
+		if rng.Intn(10) == 0 {
+			ro.Err = errors.New("exchange: job x round 3: " + strs[rng.Intn(len(strs))])
+		}
+		checkOutcomeEncoding(t, ro)
+	}
+}
+
+// BenchmarkAppendOutcome prices one /v1 round body — a 64-bid, K=8 round
+// with two-dimensional winners — into a reused buffer (0 allocs/op).
+func BenchmarkAppendOutcome(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	unit := func() float64 { return unitQuality(rng) }
+	ro := &RoundOutcome{JobID: "edge-3", Round: 4211, NumBids: 64, Latency: 20417}
+	out := &ro.Outcome
+	out.Scores = make([]float64, 64)
+	for i := range out.Scores {
+		out.Scores[i] = churnScore(rng)
+	}
+	out.Winners = make([]auction.Winner, 8)
+	for i := range out.Winners {
+		out.Winners[i] = auction.Winner{
+			Bid:     auction.Bid{NodeID: i * 7, Qualities: []float64{unit(), unit()}, Payment: 0.3 * unit()},
+			Score:   out.Scores[i],
+			Payment: 0.3 * unit(),
+		}
+		out.AggregatorProfit += out.Winners[i].Score
+	}
+	buf, err := appendOutcome(nil, ro)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = appendOutcome(buf[:0], ro)
+	}
+}
+
+// BenchmarkOutcomePage prices GET /v1/jobs/{id}/outcomes over 16 retained
+// 64-bid, K=8 rounds through the handler on a recorder.
+func BenchmarkOutcomePage(b *testing.B) {
+	ex := New(Options{})
+	defer ex.Close()
+	const rounds = 16
+	if _, err := ex.CreateJob(JobSpec{ID: "page", Auction: auction.Config{Rule: testRule(b, 0), K: 8}, Seed: 1, KeepOutcomes: rounds}); err != nil {
+		b.Fatal(err)
+	}
+	for r := 1; r <= rounds; r++ {
+		for _, bid := range testBids(0, r, 64) {
+			if _, err := ex.SubmitBid("page", bid); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := ex.CloseRound("page"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := NewHandler(ex)
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/page/outcomes?limit=16", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("page answered %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

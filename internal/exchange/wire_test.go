@@ -19,7 +19,7 @@ import (
 // were map literals before pkg/api named them: a map marshals its keys
 // sorted, so each struct's field order has to spell the same bytes.
 func TestWireGoldenBytes(t *testing.T) {
-	srv, _ := httpFixture(t)
+	srv, ex := httpFixture(t)
 	do := func(method, path, body string) (int, string) {
 		t.Helper()
 		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
@@ -69,6 +69,57 @@ func TestWireGoldenBytes(t *testing.T) {
 		if want := "event: e\ndata: " + tc.want + "\n\n"; rec.Body.String() != want {
 			t.Errorf("SSE frame %q, want %q", rec.Body.String(), want)
 		}
+	}
+
+	// The round bodies of a seeded job, as encoding/json wrote them before
+	// the round encoder did. latency_ms is the one field a run does not
+	// repeat, so it is masked.
+	latency := regexp.MustCompile(`"latency_ms":[^,]*,`)
+	mask := func(s string) string { return latency.ReplaceAllString(s, `"latency_ms":LAT,`) }
+	const (
+		round1 = `{"job":"seeded","round":1,"num_bids":4,"latency_ms":LAT,"winners":[{"node_id":3,"score":0.509,"payment":0.22199999999999998,"bid_payment":0.125,"qualities":[0.81,0.37]},{"node_id":5,"score":0.46,"payment":0.248,"bid_payment":0.2,"qualities":[0.5,0.9]}],"total_payment":0.47,"aggregator_profit":0.8240000000000001,"scores":[0.509,0.46,0.41200000000000003,0.2800000000000001]}`
+		round2 = `{"job":"seeded","round":2,"num_bids":2,"latency_ms":LAT,"winners":[{"node_id":3,"score":0.6,"payment":0.1,"bid_payment":0.1,"qualities":[0.7,0.7]},{"node_id":5,"score":0.09999906,"payment":0.000001,"bid_payment":0.000001,"qualities":[1e-7,0.25]}],"total_payment":0.100001,"aggregator_profit":0.69999906,"scores":[0.6,0.09999906]}`
+	)
+	if st, body := do(http.MethodPost, "/v1/jobs", `{"id":"seeded","k":2,"seed":7,"payment":"second-price","rule":{"kind":"additive","alpha":[0.6,0.4]}}`); st != http.StatusCreated {
+		t.Fatalf("create: %d %s", st, body)
+	}
+	for _, round := range []struct {
+		bids []string
+		want string
+	}{
+		{[]string{`{"node_id":3,"qualities":[0.81,0.37],"payment":0.125}`, `{"node_id":5,"qualities":[0.5,0.9],"payment":0.2}`,
+			`{"node_id":8,"qualities":[0.33,0.66],"payment":0.05}`, `{"node_id":11,"qualities":[0.9,0.1],"payment":0.3}`}, round1},
+		{[]string{`{"node_id":3,"qualities":[0.7,0.7],"payment":0.1}`, `{"node_id":5,"qualities":[1e-7,0.25],"payment":1e-6}`}, round2},
+	} {
+		for _, bid := range round.bids {
+			if st, body := do(http.MethodPost, "/v1/jobs/seeded/bids", bid); st != http.StatusAccepted {
+				t.Fatalf("bid %s: %d %s", bid, st, body)
+			}
+		}
+		if st, body := do(http.MethodPost, "/v1/jobs/seeded/close", ``); st != http.StatusOK || mask(body) != round.want+"\n" {
+			t.Errorf("close body: got %d\n%s\nwant\n%s", st, mask(body), round.want)
+		}
+	}
+	for _, tc := range []struct{ what, path, want string }{
+		{"outcome by round", "/v1/jobs/seeded/outcome?round=1", round1},
+		{"outcome page", "/v1/jobs/seeded/outcomes?limit=1", `{"outcomes":[` + round1 + `],"next_cursor":"1"}`},
+	} {
+		if st, body := do(http.MethodGet, tc.path, ``); st != http.StatusOK || mask(body) != tc.want+"\n" {
+			t.Errorf("%s: got %d\n%s\nwant\n%s", tc.what, st, mask(body), tc.want)
+		}
+	}
+	stream, stop := pipeStream(t, NewHandler(ex), "/v1/jobs/seeded/events")
+	defer stop()
+	var frame strings.Builder
+	for !strings.HasSuffix(frame.String(), "\n\n") {
+		line, err := stream.ReadString('\n')
+		if err != nil {
+			t.Fatalf("event stream: %v after %q", err, frame.String())
+		}
+		frame.WriteString(line)
+	}
+	if want := "id: 1\nevent: round_closed\ndata: " + round1 + "\n\n"; mask(frame.String()) != want {
+		t.Errorf("round_closed frame: got\n%q\nwant\n%q", mask(frame.String()), want)
 	}
 }
 
