@@ -35,6 +35,20 @@
 //   - Everything else (listings, metrics, the cluster map itself) goes to
 //     the default replica: the lexically first partition.
 //
+// A forward runs on the request's own goroutine (upstream.go): the buffered
+// request is written to a pooled keep-alive connection and the replica's
+// answer read back on the goroutine net/http serves the request on, then
+// relayed through a pooled buffer; the connection returns to the pool when
+// the answer's body ends. An idle connection is checked before reuse (a
+// non-blocking peek), so one the replica closed is never written to. A
+// request that fails on a reused connection is sent again, once, on a fresh
+// one, only under net/http's replay rule — nothing of it was written, or it
+// is a GET (HEAD, OPTIONS, TRACE) or carries an Idempotency-Key — so an
+// unkeyed round close is never sent twice. A replica's redirect is relayed
+// to the client, never followed. https replicas, replicas behind an
+// environment proxy, and every replica on a platform without the peek go
+// through partition.Transport (net/http's transport).
+//
 // Overload protection: with -healthz-interval > 0 (default 1s) the router
 // probes each replica's GET /v1/healthz on that cadence. While a replica
 // advertises overload or durability loss (503 {"status":"overloaded"} or
@@ -72,7 +86,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registered on the DefaultServeMux served at -pprof-addr
 	"net/url"
-	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -106,7 +119,22 @@ const (
 // overloaded replica that sent no hint).
 const defaultShedRetryMS = 1000
 
-var jobPathRe = regexp.MustCompile(`^/v1/jobs/([^/]+)(/.*)?$`)
+// jobPath splits a /v1/jobs/{id}[/rest] path into the (still escaped) job
+// ID and the rest, which is empty or starts with a slash.
+func jobPath(p string) (id, rest string, ok bool) {
+	const prefix = "/v1/jobs/"
+	if !strings.HasPrefix(p, prefix) {
+		return "", "", false
+	}
+	id = p[len(prefix):]
+	if i := strings.IndexByte(id, '/'); i >= 0 {
+		id, rest = id[:i], id[i:]
+	}
+	if id == "" {
+		return "", "", false
+	}
+	return id, rest, true
+}
 
 // router proxies exchange requests to the owning replica, retrying once on
 // wrong_partition with a refreshed map.
@@ -136,7 +164,7 @@ type replicaState struct {
 }
 
 func newRouter(m *partition.Map) *router {
-	rt := &router{hc: &http.Client{Transport: partition.Transport}, parts: make(map[string]*replicaState)}
+	rt := &router{hc: &http.Client{Transport: newUpstream()}, parts: make(map[string]*replicaState)}
 	rt.routes.Store(m)
 	return rt
 }
@@ -227,8 +255,8 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // target resolves the replica a request belongs to.
 func (rt *router) target(r *http.Request, m *partition.Map, body []byte) (partition.Replica, bool) {
-	if sub := jobPathRe.FindStringSubmatch(r.URL.Path); sub != nil {
-		if id, err := url.PathUnescape(sub[1]); err == nil {
+	if id, _, ok := jobPath(r.URL.Path); ok {
+		if id, err := url.PathUnescape(id); err == nil {
 			if owner, ok := m.Owner(id); ok {
 				return owner, true
 			}
@@ -295,7 +323,8 @@ func (rt *router) send(r *http.Request, baseURL string, body []byte) (*http.Resp
 		return nil, err
 	}
 	for k, vv := range r.Header {
-		if isHopByHop(k) {
+		// Expect is the router's to answer: it holds the whole body already.
+		if isHopByHop(k) || k == "Expect" {
 			continue
 		}
 		req.Header[k] = vv
@@ -313,7 +342,9 @@ func (rt *router) send(r *http.Request, baseURL string, body []byte) (*http.Resp
 	if err := fpForward.Fire(); err != nil {
 		return nil, err
 	}
-	return rt.hc.Do(req)
+	// The transport, not the client: a replica's redirect is the client's
+	// to follow, and following it here turned a POST into a GET.
+	return rt.hc.Transport.RoundTrip(req)
 }
 
 // sheddable reports whether a request is deliberate-backpressure material:
@@ -324,8 +355,8 @@ func sheddable(r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		return false
 	}
-	sub := jobPathRe.FindStringSubmatch(r.URL.Path)
-	return sub != nil && sub[2] == "/bids"
+	_, rest, ok := jobPath(r.URL.Path)
+	return ok && rest == "/bids"
 }
 
 // shedOverloaded answers a router-level shed in the exchange's own
@@ -396,8 +427,14 @@ func (rt *router) probeOnce(ctx context.Context) {
 	}
 }
 
-// copyResponse relays status, headers and body. Event streams (SSE) are
-// flushed write-by-write so round events reach the subscriber as they
+// relayBufs are the buffers copyResponse relays answer bodies through.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// copyResponse relays status, headers and body. The body goes through a
+// pooled buffer with the ResponseWriter's ReadFrom hidden — that writes a
+// body over 512 bytes as two syscalls through a fresh 32 KiB buffer — so a
+// round close or an outcome read leaves in one write. Event streams (SSE)
+// are flushed write-by-write so round events reach the subscriber as they
 // happen rather than when a buffer fills.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
@@ -409,13 +446,15 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 		h[k] = vv
 	}
 	w.WriteHeader(resp.StatusCode)
-	var dst io.Writer = w
+	var dst io.Writer = struct{ io.Writer }{w}
 	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
 		if f, ok := w.(http.Flusher); ok {
 			dst = flushWriter{w: w, f: f}
 		}
 	}
-	_, _ = io.Copy(dst, resp.Body)
+	buf := relayBufs.Get().(*[32 << 10]byte)
+	_, _ = io.CopyBuffer(dst, resp.Body, buf[:])
+	relayBufs.Put(buf)
 }
 
 type flushWriter struct {

@@ -26,13 +26,15 @@ const maxPeerBody = 1 << 20
 // request, against a replica that answered a moment ago. Tests shorten it.
 var refreshTimeout = 2 * time.Second
 
-// Transport is the upstream transport of everything that forwards to
-// replicas — cmd/fmore-router and pkg/client's default client:
-// http.DefaultTransport's settings with the per-host idle pool as large as
-// the whole pool. A consumer talks to a handful of hosts, and the default of
-// two idle connections per host closes every connection above two as it is
-// returned, so more than two requests in flight to one replica re-dial on
-// every wave.
+// Transport is the upstream transport of pkg/client's default client and of
+// cmd/fmore-router wherever the router's own upstream does not serve: https
+// replicas, replicas behind an environment proxy, and platforms without the
+// upstream's idle-connection check. It is http.DefaultTransport's settings
+// with the per-host idle pool as large as the whole pool, the bounds the
+// router's upstream keeps too. A consumer talks to a handful of hosts, and
+// the default of two idle connections per host closes every connection
+// above two as it is returned, so more than two requests in flight to one
+// replica re-dial on every wave.
 var Transport = func() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConnsPerHost = t.MaxIdleConns
