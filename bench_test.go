@@ -134,7 +134,7 @@ func BenchmarkFigure11ImpactPsi(b *testing.B) {
 
 func BenchmarkFigure12ClusterAccuracy(b *testing.B) {
 	cs := sim.QuickClusterScale()
-	cs.Nodes, cs.K, cs.Rounds = 12, 4, 5
+	cs.N, cs.K, cs.Rounds = 12, 4, 5
 	for i := 0; i < b.N; i++ {
 		fig12, fig13, err := sim.Figures12And13(cs)
 		if err != nil {
@@ -151,7 +151,7 @@ func BenchmarkFigure12ClusterAccuracy(b *testing.B) {
 
 func BenchmarkFigure13ClusterTime(b *testing.B) {
 	cs := sim.QuickClusterScale()
-	cs.Nodes, cs.K, cs.Rounds = 12, 4, 5
+	cs.N, cs.K, cs.Rounds = 12, 4, 5
 	for i := 0; i < b.N; i++ {
 		_, fig13, err := sim.Figures12And13(cs)
 		if err != nil {
@@ -169,7 +169,7 @@ func BenchmarkHeadlineNumbers(b *testing.B) {
 	s := benchScale()
 	s.Rounds = 6
 	cs := sim.QuickClusterScale()
-	cs.Nodes, cs.K, cs.Rounds = 10, 3, 4
+	cs.N, cs.K, cs.Rounds = 10, 3, 4
 	for i := 0; i < b.N; i++ {
 		h, err := sim.HeadlineNumbers(s, cs)
 		if err != nil {

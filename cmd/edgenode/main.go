@@ -1,24 +1,15 @@
-// Command edgenode runs one standalone FMore edge node in one of two
-// transports behind the same bidding logic:
-//
-// Exchange mode (-exchange-url): the node speaks the exchange's versioned
-// /v1 HTTP API through the pkg/client SDK. It registers, fetches the job's
-// solved Theorem 1 bid curve from the server (the job must carry an
-// equilibrium block), subscribes to the server-push round event stream, and
-// bids into every round it sees — learning outcomes the moment they close
-// instead of long-polling:
+// Command edgenode runs one standalone FMore edge node against a remote
+// fmore-exchange. It speaks the exchange's versioned /v1 HTTP API through
+// the pkg/client SDK: it registers, fetches the job's solved Theorem 1 bid
+// curve from the server (the job must carry an equilibrium block),
+// subscribes to the server-push round event stream, and bids into every
+// round it sees — learning outcomes the moment they close instead of
+// long-polling:
 //
 //	edgenode -exchange-url http://localhost:8780 -job demo -id 3 -rounds 5
 //
-// Legacy TCP mode (default): the original gob/TCP aggregator protocol
-// (cmd/aggregator) with local data generation and federated training. The
-// gob dialect is kept as an optional transport; new deployments should
-// front an exchange:
-//
-//	edgenode -addr localhost:9000 -id 0 -task mnist-o -data 200 &
-//	edgenode -addr localhost:9000 -id 1 -task mnist-o -data 120 &
-//	edgenode -addr localhost:9000 -id 2 -task mnist-o -data  80 &
-//	edgenode -addr localhost:9000 -id 3 -task mnist-o -data  60
+// The paper's real-deployment experiment (§V-C, Figs. 12-13) is reproduced
+// in process by `fmore-bench -figure 12`, not with this command.
 package main
 
 import (
@@ -29,9 +20,6 @@ import (
 	"math/rand"
 	"os"
 
-	"fmore/internal/cluster"
-	"fmore/internal/data"
-	"fmore/internal/transport"
 	"fmore/pkg/client"
 )
 
@@ -44,89 +32,29 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("edgenode", flag.ContinueOnError)
-	addr := fs.String("addr", "localhost:9000", "aggregator address")
 	id := fs.Int("id", 0, "node id (unique per node)")
-	taskName := fs.String("task", "mnist-o", "workload: mnist-o, mnist-f, cifar-10, hpnews")
-	dataSize := fs.Int("data", 150, "local dataset size")
-	cpu := fs.Float64("cpu", 4, "offered CPU cores (1-8)")
-	bandwidth := fs.Float64("bw", 50, "offered bandwidth in Mbps (5-100)")
-	seed := fs.Int64("seed", 1, "shared experiment seed")
-	epochs := fs.Int("epochs", 1, "local epochs per won round")
-	theta := fs.Float64("theta", 0, "private cost parameter (0 = draw randomly)")
-	nBidders := fs.Int("bidders", 4, "expected number of competing bidders (for the equilibrium)")
-	k := fs.Int("k", 2, "expected number of winners (for the equilibrium)")
-	exchangeURL := fs.String("exchange-url", "",
-		"exchange base URL (e.g. http://localhost:8780); switches from the gob/TCP aggregator protocol to the /v1 HTTP API")
-	jobID := fs.String("job", "", "exchange job to bid into (exchange mode)")
-	rounds := fs.Int("rounds", 0, "rounds to participate in before exiting (exchange mode; 0 = until the job closes)")
+	seed := fs.Int64("seed", 1, "seed for drawing θ when -theta is 0")
+	theta := fs.Float64("theta", 0, "private cost parameter (0 = draw from the job's θ support)")
+	exchangeURL := fs.String("exchange-url", "", "exchange base URL, e.g. http://localhost:8780 (required)")
+	jobID := fs.String("job", "", "exchange job to bid into (required)")
+	rounds := fs.Int("rounds", 0, "rounds to participate in before exiting (0 = until the job closes)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	if *exchangeURL != "" {
-		return runExchange(exchangeConfig{
-			url:    *exchangeURL,
-			jobID:  *jobID,
-			nodeID: *id,
-			rounds: *rounds,
-			theta:  *theta,
-			seed:   *seed,
-		})
+	if *exchangeURL == "" || *jobID == "" {
+		return errors.New("-exchange-url and -job are required")
 	}
-
-	task, err := data.ParseTask(*taskName)
-	if err != nil {
-		return err
-	}
-	// Private local data: node-specific seed keeps shards distinct across
-	// nodes and distinct from the aggregator's test set.
-	corpus, err := data.GenerateTask(task, *dataSize, data.NumClasses, *seed+1000+int64(*id))
-	if err != nil {
-		return err
-	}
-	model, err := data.NewModel(task, rand.New(rand.NewSource(*seed+2000+int64(*id))))
-	if err != nil {
-		return err
-	}
-
-	// Equilibrium strategy for the deployment market (additive rule
-	// 0.4/0.3/0.3 over normalized CPU/bandwidth/data, as in §V-A).
-	strategy, err := cluster.SolveDeploymentStrategy(*nBidders, *k)
-	if err != nil {
-		return err
-	}
-	myTheta := *theta
-	if myTheta == 0 {
-		thetaDist, err := cluster.DeploymentTheta()
-		if err != nil {
-			return err
-		}
-		myTheta = thetaDist.Sample(rand.New(rand.NewSource(*seed + 3000 + int64(*id))))
-	}
-
-	qualities := []float64{*cpu / 8, *bandwidth / 100, float64(*dataSize) / 10000}
-	fmt.Printf("node %d: θ=%.3f data=%d bidding p=%.4f q=%.3v\n",
-		*id, myTheta, *dataSize, strategy.Payment(myTheta), qualities)
-
-	summary, err := transport.RunClient(transport.ClientConfig{
-		Addr:        *addr,
-		NodeID:      *id,
-		Model:       model,
-		Local:       corpus.Train,
-		Qualities:   func(int) []float64 { return qualities },
-		Payment:     func(int) float64 { return strategy.Payment(myTheta) },
-		LocalEpochs: *epochs,
-		Seed:        *seed + 4000 + int64(*id),
+	return runExchange(exchangeConfig{
+		url:    *exchangeURL,
+		jobID:  *jobID,
+		nodeID: *id,
+		rounds: *rounds,
+		theta:  *theta,
+		seed:   *seed,
 	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("node %d: rounds=%d won=%d earned=%.4f final-accuracy=%.4f\n",
-		*id, summary.RoundsSeen, summary.RoundsWon, summary.TotalEarned, summary.FinalAccuracy)
-	return nil
 }
 
-// exchangeConfig parameterizes exchange-mode participation.
+// exchangeConfig parameterizes participation in one exchange job.
 type exchangeConfig struct {
 	url, jobID     string
 	nodeID, rounds int
@@ -139,9 +67,6 @@ type exchangeConfig struct {
 // and rides the server-push event stream — bidding on every round_open,
 // settling on every round_closed.
 func runExchange(cfg exchangeConfig) error {
-	if cfg.jobID == "" {
-		return errors.New("exchange mode needs -job")
-	}
 	c, err := client.New(cfg.url)
 	if err != nil {
 		return err

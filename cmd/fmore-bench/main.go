@@ -36,8 +36,7 @@ func run(args []string) error {
 		return err
 	}
 
-	var scale sim.Scale
-	var cs sim.ClusterScale
+	var scale, cs sim.Scale
 	switch *scaleName {
 	case "quick":
 		scale, cs = sim.QuickScale(), sim.QuickClusterScale()
@@ -79,13 +78,10 @@ func run(args []string) error {
 		"11": func() error { fr, err := sim.Figure11(scale, *trials); return emit(fr, err) },
 		"12": func() error {
 			fig12, fig13, err := sim.Figures12And13(cs)
-			if err != nil {
+			if err := emit(fig12, err); err != nil {
 				return err
 			}
-			if err := sim.WriteFigure(os.Stdout, fig12); err != nil {
-				return err
-			}
-			return sim.WriteFigure(os.Stdout, fig13)
+			return emit(fig13, nil)
 		},
 		"headline": func() error {
 			h, err := sim.HeadlineNumbers(scale, cs)
@@ -95,7 +91,7 @@ func run(args []string) error {
 			return h.Write(os.Stdout)
 		},
 	}
-	gens["13"] = gens["12"] // figs 12 and 13 come from the same cluster runs
+	gens["13"] = gens["12"] // figs 12 and 13 come from the same deployment runs
 
 	if *figure == "all" {
 		for _, id := range []string{"4", "5", "6", "7", "8", "9", "10", "11", "12", "headline"} {

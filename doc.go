@@ -13,15 +13,20 @@
 //	                    non-IID partitioning
 //	internal/mec        edge-node population, resource dynamics, timing model
 //	internal/dist       the θ prior distributions of the bidding game
-//	internal/transport  the aggregator/edge-node TCP protocol
-//	internal/cluster    the 1 + 31-node deployment harness (Figs. 12-13)
 //	internal/exchange   the concurrent multi-job auction exchange service:
 //	                    sharded bidder registry, per-job round state
 //	                    machines, HTTP/JSON front end
-//	internal/sim        experiment harness regenerating Figs. 4-13
+//	internal/wal        the exchange's segmented write-ahead log and snapshot
+//	internal/partition  the partition map and the one re-aim rule of a
+//	                    partitioned exchange cluster
+//	internal/sim        experiment harness regenerating Figs. 4-13, the
+//	                    1 + 31-node deployment (Figs. 12-13) included, all
+//	                    on the internal/fl engine
+//	pkg/api, pkg/client the /v1 wire contract and its Go SDK
 //
-// Entry points: cmd/fmore-sim, cmd/fmore-bench, cmd/fmore-cluster,
-// cmd/fmore-exchange, cmd/aggregator, cmd/edgenode, and the runnable
-// programs in examples/.
+// Entry points: cmd/fmore-sim, cmd/fmore-bench (every figure and the
+// headline numbers), cmd/fmore-exchange, cmd/fmore-router,
+// cmd/fmore-loadgen, cmd/edgenode (a standalone bidder against a remote
+// exchange), and the runnable programs in examples/.
 // The benchmark suite in bench_test.go regenerates every evaluation figure.
 package fmore

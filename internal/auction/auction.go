@@ -47,9 +47,9 @@ func (c *Config) validate() error {
 
 // Auctioneer runs FMore auction rounds for the aggregator. It owns a pooled
 // Selector, so a long-lived auctioneer (one per exchange job, one per
-// cluster server) runs winner determination with reusable scratch buffers
-// round after round. It is not safe for concurrent use; give each goroutine
-// its own instance.
+// fl.FMoreSelector of the reproduction) runs winner determination with
+// reusable scratch buffers round after round. It is not safe for concurrent
+// use; give each goroutine its own instance.
 type Auctioneer struct {
 	cfg Config
 	rng *rand.Rand
@@ -69,13 +69,6 @@ func NewAuctioneer(cfg Config, rng *rand.Rand) (*Auctioneer, error) {
 		return nil, fmt.Errorf("auction: rng is required")
 	}
 	return &Auctioneer{cfg: cfg, rng: rng}, nil
-}
-
-// Ask returns the bid ask for the next round: the scoring rule and K. The
-// paper notes this message is a few bytes — the rule parameters, not the
-// model — so broadcasting it each round is negligible overhead.
-func (a *Auctioneer) Ask() Ask {
-	return Ask{Rule: a.cfg.Rule, K: a.cfg.K, Round: a.round}
 }
 
 // Run executes winner determination over the collected sealed bids and

@@ -36,18 +36,6 @@ func (b Bid) Clone() Bid {
 	}
 }
 
-// Ask is the bid ask the aggregator broadcasts at the start of each round:
-// the scoring rule and how many winners will be selected. Its wire encoding
-// lives in internal/transport; this is the in-memory form.
-type Ask struct {
-	// Rule is the public scoring rule S(q, p) = Rule.Value(q) − p.
-	Rule ScoringRule
-	// K is the number of winners the aggregator will select.
-	K int
-	// Round is the federated training round this ask belongs to.
-	Round int
-}
-
 // Winner records one selected bid together with its score and the payment
 // granted by the payment rule.
 type Winner struct {

@@ -102,13 +102,13 @@
 //
 // # Wire specs
 //
-// spec.go holds the JSON/gob-serializable descriptions of the package's
+// spec.go holds the JSON-serializable descriptions of the package's
 // constructors — RuleSpec (scoring rules), CostSpec (cost families),
 // DistSpec (θ distributions) and EquilibriumSpec (a Theorem 1 solve) — each
 // with a Build method that validates and constructs, and SpecForRule as the
-// inverse for rules. Every wire form that names a rule (the TCP harness's
-// Ask, the exchange's /v1 job body, its WAL and snapshot) embeds these
-// types, so the field names and JSON tags are part of the on-disk format.
+// inverse for rules. Every wire form that names a rule (the exchange's /v1
+// job body, its WAL and snapshot) embeds these types, so the field names
+// and JSON tags are part of the on-disk format.
 //
 // The theoretical results of §IV are exposed as executable artifacts:
 // expected-profit curves (Theorems 2 and 3), social surplus / Pareto

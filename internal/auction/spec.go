@@ -8,9 +8,9 @@ import (
 
 // This file holds the serializable descriptions of the package's
 // constructors. Every wire form that names a rule or a bidder game embeds
-// them — the TCP harness's Ask (gob), the exchange's /v1 job body (JSON),
-// its write-ahead log and snapshot — so the field names and JSON tags are
-// part of those formats and must not change.
+// them — the exchange's /v1 job body (JSON), its write-ahead log and
+// snapshot — so the field names and JSON tags are part of those formats and
+// must not change.
 
 // RuleSpec is the serializable description of a scoring rule, rebuilt into
 // a ScoringRule on the receiving side. It covers the rule families of

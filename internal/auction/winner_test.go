@@ -196,10 +196,6 @@ func TestAuctioneerLifecycle(t *testing.T) {
 	if a.Config().Payment != FirstPrice || a.Config().Psi != 1 {
 		t.Errorf("defaults not applied: %+v", a.Config())
 	}
-	ask := a.Ask()
-	if ask.K != 1 || ask.Round != 0 {
-		t.Errorf("Ask = %+v, want K=1 Round=0", ask)
-	}
 	if _, err := a.Run([]Bid{{NodeID: 1, Qualities: []float64{0.5}, Payment: 0.1}}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ var ErrExchangeClosed = errors.New("exchange: closed")
 // Options configures an Exchange.
 type Options struct {
 	// RequireRegistration rejects bids from nodes that have not been
-	// registered (the deployment posture of the TCP harness, where nodes
-	// register over the wire before bidding). When false, first contact
+	// registered (a closed deployment, where nodes register through
+	// POST /v1/nodes before bidding). When false, first contact
 	// auto-registers — the open posture of the HTTP front end.
 	RequireRegistration bool
 	// SyncInterval is the outcome log's group-commit window (default 2ms):

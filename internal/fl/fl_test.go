@@ -221,6 +221,44 @@ func TestNewFMoreSelectorValidation(t *testing.T) {
 	}
 }
 
+func TestClusterBidNormalizesAndClamps(t *testing.T) {
+	strat := simulatorStrategy(t, 10, 3)
+	bid := ClusterBid(strat, 8, 100, 200)
+	cases := []struct {
+		name    string
+		offered mec.Resources
+		want    []float64
+	}{
+		{"inside the box", mec.Resources{CPUCores: 4, BandwidthMbps: 25, DataSize: 150}, []float64{0.5, 0.25, 0.75}},
+		{"at the maxima", mec.Resources{CPUCores: 8, BandwidthMbps: 100, DataSize: 200}, []float64{1, 1, 1}},
+		{"above the maxima", mec.Resources{CPUCores: 16, BandwidthMbps: 250, DataSize: 900}, []float64{1, 1, 1}},
+		{"below zero", mec.Resources{CPUCores: -1, BandwidthMbps: -5, DataSize: -3}, []float64{0, 0, 0}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			node := &mec.EdgeNode{ID: 7, Theta: 1.25, Offered: c.offered}
+			b, err := bid(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b.Qualities) != len(c.want) {
+				t.Fatalf("qualities = %v, want %v", b.Qualities, c.want)
+			}
+			for i, q := range b.Qualities {
+				if q != c.want[i] {
+					t.Errorf("q[%d] = %v, want %v", i, q, c.want[i])
+				}
+			}
+			if want := strat.Payment(node.Theta); b.Payment != want {
+				t.Errorf("payment = %v, want the strategy's p(θ) = %v", b.Payment, want)
+			}
+		})
+	}
+	if _, err := ClusterBid(strat, 0, 100, 200)(&mec.EdgeNode{}); err == nil {
+		t.Error("zero CPU maximum: want error")
+	}
+}
+
 func TestRunAggregationMath(t *testing.T) {
 	// Two nodes with 10 and 30 samples; stub training adds len(samples) to
 	// every parameter. Weighted FedAvg: g' = (10(g+10) + 30(g+30))/40 =

@@ -22,7 +22,7 @@ type AuctionStats struct {
 // the outcome. This is the pure-auction Monte Carlo behind Figs. 9(b),
 // 10(b) and 11(b): all bid heterogeneity flows from the private type, as in
 // the paper's analysis.
-func auctionRoundSample(sa *simulatorAuction, strat *auction.Strategy, n, k int, psi float64, rng *rand.Rand) (*auction.Outcome, error) {
+func auctionRoundSample(sa *market, strat *auction.Strategy, n, k int, psi float64, rng *rand.Rand) (*auction.Outcome, error) {
 	bids := make([]auction.Bid, n)
 	for i := 0; i < n; i++ {
 		theta := sa.theta.Sample(rng)

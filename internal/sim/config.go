@@ -49,7 +49,8 @@ func (m Method) String() string {
 
 // Scale groups the size knobs shared by all experiments, so figures can run
 // at paper scale (N=100, K=20, averaged over 5 repeats) or at a quick scale
-// for CI and benchmarks.
+// for CI and benchmarks. The deployment of Figs. 12-13 takes a Scale too
+// (PaperClusterScale, QuickClusterScale), with N the node count.
 type Scale struct {
 	// N and K are the population and winner-set sizes.
 	N, K int
@@ -162,16 +163,23 @@ func (c *ExperimentConfig) validate() error {
 	return c.Scale.validate()
 }
 
-// simulatorAuction bundles the paper-simulator market primitives: the
-// scoring rule s(q₁, q₂) = 25·q₁·q₂ (α = 25, §V-A), a linear cost family,
-// and θ ~ Uniform[1, 2].
-type simulatorAuction struct {
+// market bundles one auction market's primitives: the public scoring rule,
+// the bidders' cost family, the θ distribution, the quality box the
+// Theorem 1 solver searches, and how a node turns its offered resources and
+// the solved strategy into a sealed bid.
+type market struct {
 	rule  auction.ScoringRule
 	cost  auction.CostFunction
 	theta dist.Distribution
+	// dims is the quality dimension; the solver searches [0, 1]^dims.
+	dims, qualityGridPoints int
+	bid                     func(strat *auction.Strategy, s Scale) fl.BidFunc
 }
 
-func newSimulatorAuction() (*simulatorAuction, error) {
+// newSimulatorAuction builds the paper simulator's market (§V-A): the
+// scoring rule s(q₁, q₂) = 25·q₁·q₂ (α = 25), a linear cost family,
+// θ ~ Uniform[1, 2], and bids over (data size, category proportion).
+func newSimulatorAuction() (*market, error) {
 	rule, err := auction.NewCobbDouglas(25, 1, 1)
 	if err != nil {
 		return nil, err
@@ -184,21 +192,60 @@ func newSimulatorAuction() (*simulatorAuction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simulatorAuction{rule: rule, cost: cost, theta: theta}, nil
+	return &market{
+		rule: rule, cost: cost, theta: theta, dims: 2, qualityGridPoints: 32,
+		bid: func(strat *auction.Strategy, s Scale) fl.BidFunc {
+			return fl.SimulatorBid(strat, float64(s.MaxNodeData))
+		},
+	}, nil
 }
 
-// strategy solves the Nash equilibrium for the simulator market at (n, k).
-func (sa *simulatorAuction) strategy(n, k int) (*auction.Strategy, error) {
+// newDeploymentAuction builds the real-deployment market (§V-A, §V-C): the
+// additive rule 0.4/0.3/0.3 over (computing power, bandwidth, data size),
+// linear cost 0.1 per dimension, θ ~ Uniform[0.5, 1.5], and bids over those
+// three resources normalized by 8 cores, 100 Mbps and the largest local
+// dataset.
+func newDeploymentAuction() (*market, error) {
+	rule, err := auction.NewAdditive(0.4, 0.3, 0.3)
+	if err != nil {
+		return nil, err
+	}
+	cost, err := auction.NewLinearCost(0.1, 0.1, 0.1)
+	if err != nil {
+		return nil, err
+	}
+	theta, err := dist.NewUniform(0.5, 1.5)
+	if err != nil {
+		return nil, err
+	}
+	return &market{
+		rule: rule, cost: cost, theta: theta, dims: 3, qualityGridPoints: 24,
+		bid: func(strat *auction.Strategy, s Scale) fl.BidFunc {
+			return fl.ClusterBid(strat, 8, 100, float64(s.MaxNodeData))
+		},
+	}, nil
+}
+
+// strategy solves the market's Nash equilibrium at (n, k).
+func (m *market) strategy(n, k int) (*auction.Strategy, error) {
 	return auction.SolveEquilibrium(auction.EquilibriumConfig{
-		Rule: sa.rule, Cost: sa.cost, Theta: sa.theta,
+		Rule: m.rule, Cost: m.cost, Theta: m.theta,
 		N: n, K: k,
-		QLo: []float64{0, 0}, QHi: []float64{1, 1},
-		ThetaGridPoints: 65, QualityGridPoints: 32,
+		QLo: make([]float64, m.dims), QHi: ones(m.dims),
+		ThetaGridPoints: 65, QualityGridPoints: m.qualityGridPoints,
 	})
 }
 
+func ones(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}
+
 // buildSelector constructs the method's selector for a given population.
-func buildSelector(cfg ExperimentConfig, sa *simulatorAuction, pop *mec.Population, seed int64) (fl.Selector, error) {
+func buildSelector(cfg ExperimentConfig, m *market, pop *mec.Population, seed int64) (fl.Selector, error) {
 	switch cfg.Method {
 	case MethodRandFL:
 		return fl.RandomSelector{K: cfg.Scale.K}, nil
@@ -209,7 +256,7 @@ func buildSelector(cfg ExperimentConfig, sa *simulatorAuction, pop *mec.Populati
 		}
 		return fl.NewFixedSelector(ids, cfg.Scale.K, rand.New(rand.NewSource(seed+31)))
 	case MethodFMore, MethodPsiFMore:
-		strat, err := sa.strategy(cfg.Scale.N, cfg.Scale.K)
+		strat, err := m.strategy(cfg.Scale.N, cfg.Scale.K)
 		if err != nil {
 			return nil, err
 		}
@@ -220,12 +267,12 @@ func buildSelector(cfg ExperimentConfig, sa *simulatorAuction, pop *mec.Populati
 			name = fmt.Sprintf("psi-FMore(%.2g)", psi)
 		}
 		auctioneer, err := auction.NewAuctioneer(auction.Config{
-			Rule: sa.rule, K: cfg.Scale.K, Psi: psi,
+			Rule: m.rule, K: cfg.Scale.K, Psi: psi,
 		}, rand.New(rand.NewSource(seed+37)))
 		if err != nil {
 			return nil, err
 		}
-		return fl.NewFMoreSelector(auctioneer, fl.SimulatorBid(strat, float64(cfg.Scale.MaxNodeData)), name)
+		return fl.NewFMoreSelector(auctioneer, m.bid(strat, cfg.Scale), name)
 	default:
 		return nil, fmt.Errorf("sim: unknown method %v", cfg.Method)
 	}

@@ -3,8 +3,8 @@ package sim
 import (
 	"fmt"
 
-	"fmore/internal/cluster"
 	"fmore/internal/data"
+	"fmore/internal/fl"
 	"fmore/internal/numeric"
 )
 
@@ -295,62 +295,64 @@ func Figure11(scale Scale, trials int) (*FigureResult, error) {
 	return fr, nil
 }
 
-// ClusterScale sizes the Figure 12/13 deployment reproduction.
-type ClusterScale struct {
-	Nodes, K, Rounds          int
-	TrainSamples, TestSamples int
-	MinNodeData, MaxNodeData  int
-	MaxSamplesPerRound        int
-	Seed                      int64
-}
-
-// PaperClusterScale mirrors the paper's 31-node cluster (data scaled down).
-func PaperClusterScale() ClusterScale {
-	return ClusterScale{
-		Nodes: 31, K: 8, Rounds: 20,
+// PaperClusterScale mirrors the paper's 31-node cluster (data scaled down)
+// for Figs. 12-13. N is the node count and K the per-round winners; the
+// deployment is one run per method, so Repeats is 1.
+func PaperClusterScale() Scale {
+	return Scale{
+		N: 31, K: 8, Rounds: 20,
 		TrainSamples: 3000, TestSamples: 500,
 		MinNodeData: 40, MaxNodeData: 200,
 		MaxSamplesPerRound: 60,
+		Repeats:            1,
 		Seed:               1,
 	}
 }
 
-// QuickClusterScale is the CI/bench preset.
-func QuickClusterScale() ClusterScale {
-	return ClusterScale{
-		Nodes: 8, K: 3, Rounds: 4,
+// QuickClusterScale is the CI/bench preset of Figs. 12-13.
+func QuickClusterScale() Scale {
+	return Scale{
+		N: 8, K: 3, Rounds: 4,
 		TrainSamples: 600, TestSamples: 150,
 		MinNodeData: 20, MaxNodeData: 80,
 		MaxSamplesPerRound: 40,
+		Repeats:            1,
 		Seed:               1,
 	}
 }
 
-// Figures12And13 runs the loopback-TCP deployment for FMore and RandFL on
-// the CIFAR-10 stand-in and assembles both figures: accuracy/loss vs round
-// (Fig. 12) and cumulative training time vs round plus time-to-accuracy
-// (Fig. 13).
-func Figures12And13(cs ClusterScale) (*FigureResult, *FigureResult, error) {
-	run := func(random bool) (*cluster.Result, error) {
-		return cluster.Run(cluster.Config{
-			Nodes: cs.Nodes, K: cs.K, Rounds: cs.Rounds,
-			Task:         data.CIFAR10,
-			TrainSamples: cs.TrainSamples, TestSamples: cs.TestSamples,
-			MinNodeData: cs.MinNodeData, MaxNodeData: cs.MaxNodeData,
-			MaxSamplesPerRound: cs.MaxSamplesPerRound,
-			RandomSelection:    random,
-			Seed:               cs.Seed,
-			BreachNodeID:       -1,
-			DropNodeID:         -1,
-		})
-	}
-	fmoreRes, err := run(false)
+// deploymentRuns runs the real-deployment experiment (§V-C) once with FMore
+// and once with RandFL on the CIFAR-10 stand-in: the deployment market's
+// population, one local epoch per round (the deployment's value), and the
+// mec timing model standing in for the cluster's wall clock. Both runs start
+// from the same corpus, population and model; cs.Repeats is not used.
+func deploymentRuns(cs Scale) (fmore, randfl *fl.History, err error) {
+	m, err := newDeploymentAuction()
 	if err != nil {
-		return nil, nil, fmt.Errorf("fig12 FMore cluster: %w", err)
+		return nil, nil, err
 	}
-	randRes, err := run(true)
+	run := func(method Method) (*fl.History, error) {
+		return runOnce(ExperimentConfig{
+			Task: data.CIFAR10, Method: method, Scale: cs,
+			LocalEpochs: 1, WithTiming: true,
+		}, 0, m)
+	}
+	if fmore, err = run(MethodFMore); err != nil {
+		return nil, nil, fmt.Errorf("fig12 FMore deployment: %w", err)
+	}
+	if randfl, err = run(MethodRandFL); err != nil {
+		return nil, nil, fmt.Errorf("fig12 RandFL deployment: %w", err)
+	}
+	return fmore, randfl, nil
+}
+
+// Figures12And13 runs the deployment for FMore and RandFL and assembles
+// both figures: accuracy/loss vs round (Fig. 12) and cumulative training
+// time vs round plus time-to-accuracy (Fig. 13).
+func Figures12And13(cs Scale) (*FigureResult, *FigureResult, error) {
+	fmoreRes, randRes, err := deploymentRuns(cs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fig12 RandFL cluster: %w", err)
+		return nil, nil, err
 	}
 
 	x := roundsAxis(cs.Rounds)
@@ -361,8 +363,8 @@ func Figures12And13(cs ClusterScale) (*FigureResult, *FigureResult, error) {
 		Series{Name: "FMore/loss", X: x, Y: fmoreRes.Losses()},
 		Series{Name: "RandFL/loss", X: x, Y: randRes.Losses()},
 	)
-	fa := fmoreRes.Accuracies()[cs.Rounds-1]
-	ra := randRes.Accuracies()[cs.Rounds-1]
+	fa := fmoreRes.Final().Accuracy
+	ra := randRes.Final().Accuracy
 	if ra > 0 {
 		fig12.Notes = append(fig12.Notes, fmt.Sprintf(
 			"final accuracy: FMore %.3f vs RandFL %.3f (%+.1f%% relative)", fa, ra, 100*(fa/ra-1)))
@@ -370,8 +372,8 @@ func Figures12And13(cs ClusterScale) (*FigureResult, *FigureResult, error) {
 
 	fig13 := &FigureResult{ID: "fig13", Title: "Realistic deployment: training time"}
 	fig13.Series = append(fig13.Series,
-		Series{Name: "FMore/cum-time", X: x, Y: fmoreRes.CumSimTimeSec},
-		Series{Name: "RandFL/cum-time", X: x, Y: randRes.CumSimTimeSec},
+		Series{Name: "FMore/cum-time", X: x, Y: cumTimes(fmoreRes)},
+		Series{Name: "RandFL/cum-time", X: x, Y: cumTimes(randRes)},
 	)
 	// Time-to-accuracy curve at interior targets.
 	maxAcc := fa
@@ -393,14 +395,23 @@ func Figures12And13(cs ClusterScale) (*FigureResult, *FigureResult, error) {
 		Series{Name: "FMore/time-to-acc", X: tx, Y: tyF},
 		Series{Name: "RandFL/time-to-acc", X: tx, Y: tyR},
 	)
-	totalF := fmoreRes.CumSimTimeSec[cs.Rounds-1]
-	totalR := randRes.CumSimTimeSec[cs.Rounds-1]
+	totalF := fmoreRes.Final().CumTimeSec
+	totalR := randRes.Final().CumTimeSec
 	if totalR > 0 {
 		fig13.Notes = append(fig13.Notes, fmt.Sprintf(
 			"total simulated training time: FMore %.1fs vs RandFL %.1fs (%.1f%% reduction)",
 			totalF, totalR, 100*(1-totalF/totalR)))
 	}
 	return fig12, fig13, nil
+}
+
+// cumTimes is a run's per-round cumulative simulated time.
+func cumTimes(h *fl.History) []float64 {
+	out := make([]float64, len(h.Rounds))
+	for i, r := range h.Rounds {
+		out[i] = r.CumTimeSec
+	}
+	return out
 }
 
 // interpolateSeries is a helper for smoothing sparse sweep outputs in

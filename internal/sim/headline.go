@@ -36,13 +36,18 @@ type TaskHeadline struct {
 	AccuracyGainPct   float64
 }
 
+// headlineTasks is the order HeadlineNumbers runs the simulated workloads
+// in, and the order Write prints them in.
+var headlineTasks = []data.TaskKind{data.MNISTO, data.MNISTF, data.CIFAR10, data.HPNews}
+
 // HeadlineNumbers reruns the four simulation workloads plus the cluster
-// deployment and derives the paper's headline quantities.
-func HeadlineNumbers(scale Scale, cs ClusterScale) (*HeadlineResult, error) {
+// deployment (sized by cs, see PaperClusterScale) and derives the paper's
+// headline quantities.
+func HeadlineNumbers(scale, cs Scale) (*HeadlineResult, error) {
 	res := &HeadlineResult{PerTask: map[string]TaskHeadline{}}
 	var reductionSum float64
 	var reductionN int
-	for _, task := range []data.TaskKind{data.MNISTO, data.MNISTF, data.CIFAR10, data.HPNews} {
+	for _, task := range headlineTasks {
 		fmore, err := RunAveraged(ExperimentConfig{Task: task, Method: MethodFMore, Scale: scale})
 		if err != nil {
 			return nil, fmt.Errorf("headline %v FMore: %w", task, err)
@@ -117,7 +122,11 @@ func (h *HeadlineResult) Write(w interface{ Write([]byte) (int, error) }) error 
 		fmt.Sprintf("  cluster accuracy gain:  paper 44.9%%  measured %.1f%%", h.ClusterAccuracyGainPct),
 		fmt.Sprintf("  cluster time reduction: paper 38.4%%  measured %.1f%%", h.ClusterTimeReductionPct),
 	}
-	for task, th := range h.PerTask {
+	for _, task := range headlineTasks {
+		th, ok := h.PerTask[task.String()]
+		if !ok {
+			continue
+		}
 		lines = append(lines, fmt.Sprintf("  %-10s rounds -%.1f%%  accuracy %+.1f%%",
 			task, th.RoundReductionPct, th.AccuracyGainPct))
 	}

@@ -12,6 +12,19 @@ import (
 // RunOnce executes one federated training run under the experiment config
 // with the given repeat index (seeds derive from Scale.Seed + repeat).
 func RunOnce(cfg ExperimentConfig, repeat int) (*fl.History, error) {
+	m, err := newSimulatorAuction()
+	if err != nil {
+		return nil, err
+	}
+	return runOnce(cfg, repeat, m)
+}
+
+// runOnce is RunOnce in the given market: it generates the corpus,
+// partitions it over a population drawn from the market's θ distribution,
+// builds the initial global model and the method's selector, and runs
+// fl.Run. Every draw derives from Scale.Seed + 1000·repeat, so two methods
+// at the same repeat start from the same corpus, population and model.
+func runOnce(cfg ExperimentConfig, repeat int, m *market) (*fl.History, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -28,12 +41,8 @@ func RunOnce(cfg ExperimentConfig, repeat int) (*fl.History, error) {
 	if err != nil {
 		return nil, err
 	}
-	sa, err := newSimulatorAuction()
-	if err != nil {
-		return nil, err
-	}
 	pop, err := mec.NewPopulation(mec.PopulationConfig{
-		N: cfg.Scale.N, Theta: sa.theta, Partition: part.Nodes, Classes: corpus.Classes,
+		N: cfg.Scale.N, Theta: m.theta, Partition: part.Nodes, Classes: corpus.Classes,
 	}, rng)
 	if err != nil {
 		return nil, err
@@ -42,7 +51,7 @@ func RunOnce(cfg ExperimentConfig, repeat int) (*fl.History, error) {
 	if err != nil {
 		return nil, err
 	}
-	selector, err := buildSelector(cfg, sa, pop, seed)
+	selector, err := buildSelector(cfg, m, pop, seed)
 	if err != nil {
 		return nil, err
 	}

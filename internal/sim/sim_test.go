@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"fmore/internal/data"
+	"fmore/internal/fl"
 )
 
 // tinyScale keeps sim tests fast.
@@ -278,7 +280,7 @@ func TestFigure11Quick(t *testing.T) {
 
 func TestFigures12And13Quick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cluster figure generation")
+		t.Skip("deployment figure generation")
 	}
 	fig12, fig13, err := Figures12And13(QuickClusterScale())
 	if err != nil {
@@ -300,6 +302,130 @@ func TestFigures12And13Quick(t *testing.T) {
 		if cumF[i] < cumF[i-1] {
 			t.Error("cumulative time must be non-decreasing")
 		}
+	}
+}
+
+func TestDeploymentFMorePaysAndRandFLDoesNot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deployment runs")
+	}
+	cs := QuickClusterScale()
+	fmore, randfl, err := deploymentRuns(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*fl.History{fmore, randfl} {
+		if len(h.Rounds) != cs.Rounds {
+			t.Fatalf("%s: rounds = %d, want %d", h.Selector, len(h.Rounds), cs.Rounds)
+		}
+		for _, r := range h.Rounds {
+			if len(r.SelectedIDs) == 0 || len(r.SelectedIDs) > cs.K {
+				t.Errorf("%s round %d selected %v, want 1..%d nodes", h.Selector, r.Round, r.SelectedIDs, cs.K)
+			}
+			if r.Accuracy <= 0 || r.Accuracy > 1 {
+				t.Errorf("%s round %d accuracy %v out of range", h.Selector, r.Round, r.Accuracy)
+			}
+		}
+	}
+	for _, r := range fmore.Rounds {
+		if r.TotalPayment <= 0 {
+			t.Errorf("FMore round %d paid %v, want positive (the auction pays its winners)", r.Round, r.TotalPayment)
+		}
+	}
+	for _, r := range randfl.Rounds {
+		if r.TotalPayment != 0 {
+			t.Errorf("RandFL round %d paid %v, want 0", r.Round, r.TotalPayment)
+		}
+	}
+}
+
+func TestDeploymentSimulatedTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deployment runs")
+	}
+	fmore, randfl, err := deploymentRuns(QuickClusterScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*fl.History{fmore, randfl} {
+		prev := 0.0
+		for _, r := range h.Rounds {
+			if r.SimTimeSec <= 0 {
+				t.Errorf("%s round %d simulated time %v, want positive", h.Selector, r.Round, r.SimTimeSec)
+			}
+			if r.CumTimeSec < prev {
+				t.Errorf("%s round %d cumulative time %v < previous %v", h.Selector, r.Round, r.CumTimeSec, prev)
+			}
+			prev = r.CumTimeSec
+		}
+	}
+}
+
+func TestDeploymentRejectsKAtLeastNodes(t *testing.T) {
+	for _, mutate := range []func(*Scale){
+		func(s *Scale) { s.K = s.N },
+		func(s *Scale) { s.K = s.N + 1 },
+		func(s *Scale) { s.N, s.K = 1, 1 },
+	} {
+		cs := QuickClusterScale()
+		mutate(&cs)
+		if _, _, err := Figures12And13(cs); err == nil {
+			t.Errorf("N=%d K=%d: want error", cs.N, cs.K)
+		}
+	}
+}
+
+// TestFigures12And13Deterministic runs the deployment twice with one seed
+// and requires the same bits at every point of every series.
+func TestFigures12And13Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deployment runs")
+	}
+	a12, a13, err := Figures12And13(QuickClusterScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b12, b13, err := Figures12And13(QuickClusterScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*FigureResult{{a12, b12}, {a13, b13}} {
+		a, b := pair[0], pair[1]
+		if len(a.Series) != len(b.Series) {
+			t.Fatalf("%s: %d vs %d series", a.ID, len(a.Series), len(b.Series))
+		}
+		for i, sa := range a.Series {
+			sb := b.Series[i]
+			if sa.Name != sb.Name || len(sa.X) != len(sb.X) || len(sa.Y) != len(sb.Y) {
+				t.Fatalf("%s series %d: %q (%d points) vs %q (%d points)", a.ID, i, sa.Name, len(sa.Y), sb.Name, len(sb.Y))
+			}
+			for j := range sa.X {
+				if math.Float64bits(sa.X[j]) != math.Float64bits(sb.X[j]) ||
+					math.Float64bits(sa.Y[j]) != math.Float64bits(sb.Y[j]) {
+					t.Errorf("%s %s point %d: (%v, %v) vs (%v, %v)", a.ID, sa.Name, j, sa.X[j], sa.Y[j], sb.X[j], sb.Y[j])
+				}
+			}
+		}
+	}
+}
+
+func TestHeadlineWritesTasksInRunOrder(t *testing.T) {
+	h := &HeadlineResult{PerTask: map[string]TaskHeadline{}}
+	for i, task := range headlineTasks {
+		h.PerTask[task.String()] = TaskHeadline{RoundReductionPct: float64(i)}
+	}
+	var buf bytes.Buffer
+	if err := h.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	last := -1
+	for _, task := range []data.TaskKind{data.MNISTO, data.MNISTF, data.CIFAR10, data.HPNews} {
+		at := strings.Index(out, "  "+task.String()+" ")
+		if at < 0 || at < last {
+			t.Fatalf("task %s missing or out of order:\n%s", task, out)
+		}
+		last = at
 	}
 }
 
