@@ -35,19 +35,26 @@
 // Past the resolve, the hot path is bid ingestion, and it never touches a
 // job-wide lock either:
 //
-//   - Each Job fronts its bid collection with P intake shards (next power
-//     of two ≥ GOMAXPROCS, at most 32). A node hashes to one shard — its
-//     private mutex, append-only buffer and dedup set — so concurrent
-//     POST /v1/jobs/{id}/bids serialize only on stripe collisions, never
-//     against each other globally and never against a round close in
-//     progress. The one-bid-per-node-per-round rule holds exactly because
-//     a node always lands on the same shard.
+//   - Each Job fronts its bid collection with P intake shards (four per
+//     GOMAXPROCS thread, rounded up to a power of two, at most 32). A node
+//     hashes to one shard — its private mutex, append-only buffer, dedup
+//     table and pending count — so concurrent POST /v1/jobs/{id}/bids
+//     serialize only on stripe collisions, never against each other
+//     globally and never against a round close in progress. The
+//     one-bid-per-node-per-round rule holds exactly because a node always
+//     lands on the same shard.
 //   - Each shard carries the round number its buffered bids belong to; the
 //     close drains shards one by one, advancing each shard's round at its
 //     drain. A submit racing the close is therefore labeled with the round
 //     it actually joined: the closing round if it entered the buffer before
-//     the drain, the next round otherwise. An atomic pending counter backs
-//     the quorum check and PendingBids without touching any shard.
+//     the drain, the next round otherwise. The dedup table is open-addressed
+//     (node, round) slots, and a slot stamped with an earlier round is free,
+//     so advancing the round is the whole reset: a drain clears nothing.
+//     Each shard's pending count is written under its lock; the quorum
+//     check and PendingBids sum the counts without taking any lock. The
+//     bids_accepted counter is striped the same way (eight padded stripes,
+//     picked by node, summed at scrape), so no counter is written by every
+//     submit.
 //   - CloseRound (serialized per job by closeMu) makes two passes of its
 //     own over the slate and hands it to the auctioneer. Drain: the shards
 //     empty into a reused gather buffer. Canonical order: packed int64

@@ -388,7 +388,7 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 		ex.metrics.bidsRejected.Add(1)
 		return 0, err
 	}
-	ex.metrics.bidsAccepted.Add(1)
+	ex.metrics.acceptBid(bid.NodeID)
 	return round, nil
 }
 

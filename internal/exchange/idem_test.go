@@ -2,10 +2,14 @@ package exchange
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
+
+	"fmore/internal/auction"
 )
 
 // idemOrder lists the cache's eviction order, oldest first, checking the
@@ -179,5 +183,79 @@ func TestHTTPOversizedBodyRefused(t *testing.T) {
 	resp, body := post(bids, "oversized", []byte(`{"node_id":3,"qualities":[0.5,0.5],"payment":0.1}`))
 	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Idempotent-Replay") != "" {
 		t.Errorf("bid after the refused one: %d %v (replay=%q), want a fresh 202", resp.StatusCode, body, resp.Header.Get("Idempotent-Replay"))
+	}
+}
+
+// TestHTTPRacingKeyedBidsOneEffect: 16 clients POST the same bid under one
+// Idempotency-Key at once. The key admits one execution: every request
+// answers 202 with the same bytes, all but the executing one are marked
+// replays, and the intake holds one bid — the round scores one, and the
+// node's accepted-bid counter reads one.
+func TestHTTPRacingKeyedBidsOneEffect(t *testing.T) {
+	const racers = 16
+	srv, ex := httpFixture(t)
+	if _, err := ex.CreateJob(JobSpec{ID: "race", Auction: auction.Config{Rule: testRule(t, 0), K: 1}, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		status int
+		replay string
+		body   []byte
+	}
+	answers := make([]answer, racers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func(a *answer) {
+			defer wg.Done()
+			req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs/race/bids",
+				bytes.NewReader([]byte(`{"node_id":11,"qualities":[0.5,0.5],"payment":0.1}`)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set("Idempotency-Key", "racing-bid")
+			<-start
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close() //nolint:errcheck // test teardown
+			a.status, a.replay = resp.StatusCode, resp.Header.Get("Idempotent-Replay")
+			if a.body, err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
+		}(&answers[i])
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	replays := 0
+	for i, a := range answers {
+		if a.status != http.StatusAccepted {
+			t.Errorf("racer %d: status %d %s, want 202", i, a.status, a.body)
+		}
+		if !bytes.Equal(a.body, answers[0].body) {
+			t.Errorf("racer %d: body %s, racer 0's %s", i, a.body, answers[0].body)
+		}
+		if a.replay == "true" {
+			replays++
+		}
+	}
+	if replays != racers-1 {
+		t.Errorf("%d answers marked Idempotent-Replay, want %d", replays, racers-1)
+	}
+	ro, err := ex.CloseRound("race")
+	if err != nil || ro.NumBids != 1 {
+		t.Errorf("close = (%d bids, %v), want 1 bid", ro.NumBids, err)
+	}
+	if info, ok := ex.Registry().Lookup(11); !ok {
+		t.Error("node 11 was not registered by its accepted bid")
+	} else if n := info.Bids(); n != 1 {
+		t.Errorf("node 11: %d accepted bids, want 1", n)
 	}
 }

@@ -1,22 +1,32 @@
 package exchange
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"fmore/internal/auction"
 )
 
-// maxIntakeShards caps the GOMAXPROCS-derived shard count: beyond this,
-// shard-selection collisions are already rare at any realistic bidder
-// concurrency and more shards only cost memory and drain work.
+// maxIntakeShards caps the stripe count (see intakeStripes): beyond this,
+// stripe collisions are already rare at any realistic bidder concurrency
+// and more stripes only cost memory and drain work.
 const maxIntakeShards = 32
 
+// intakeStripes sizes a job's intake for procs scheduler threads: four
+// stripes per thread, so two submitters running at once meet on one stripe
+// lock a quarter as often as at one stripe per thread, capped at
+// maxIntakeShards (newIntake rounds the count up to a power of two; the
+// cap already is one).
+func intakeStripes(procs int) int {
+	return min(4*procs, maxIntakeShards)
+}
+
 // intakeShard is one stripe of a job's bid intake: an append-only buffer,
-// its dedup set, and the round number the buffered bids belong to, all
+// its dedup table, and the round number the buffered bids belong to, all
 // under a shard-private mutex. A node always hashes to the same shard, so
-// the per-shard seen set implements the exchange-wide one-bid-per-node-
-// per-round rule exactly.
+// the per-shard table implements the exchange-wide one-bid-per-node-per-
+// round rule exactly.
 type intakeShard struct {
 	mu sync.Mutex
 	// round is the collecting round of the buffered bids. It advances when
@@ -25,25 +35,89 @@ type intakeShard struct {
 	// buffer before the drain, the next round otherwise.
 	round int
 	bids  []auction.Bid
-	seen  map[int]struct{}
+	// seen is the dedup table: open-addressed (node, round) slots, a power
+	// of two long, at most half of them in use. A slot is taken only while
+	// its round is the shard's current one, so advancing round empties the
+	// whole table at once and a drain clears nothing.
+	seen []seenSlot
+	// pending mirrors len(bids). It is written under mu and read without
+	// it: the quorum check and PendingBids sum it over the stripes, so no
+	// submit writes a counter another stripe's submitters share.
+	pending atomic.Int64
 	// pad rounds the shard up to two full cache lines so two bidders on
 	// adjacent shards never false-share a line.
-	_ [80]byte
+	_ [56]byte
+}
+
+// seenSlot is one entry of a shard's dedup table: node bid in round.
+type seenSlot struct {
+	node  int
+	round int
+}
+
+// minSeenSlots is the size of a shard's first dedup table.
+const minSeenSlots = 16
+
+// markSeen records that node bid in the shard's current round, reporting
+// false if it already had. The home slot is the top bits of the node's
+// 64-bit Fibonacci product — its low bits depend only on the node's low
+// bits — and collisions probe linearly. Nothing is ever removed within a
+// round, so a probe that meets a free slot has seen the whole chain.
+// Callers hold mu; the table grows (keeping its load at most one half)
+// before an insert could take it past that.
+func (sh *intakeShard) markSeen(node int) bool {
+	if 2*(len(sh.bids)+1) > len(sh.seen) {
+		sh.growSeen()
+	}
+	mask := len(sh.seen) - 1
+	i := homeSlot(node, len(sh.seen))
+	for {
+		s := &sh.seen[i]
+		if s.round != sh.round {
+			*s = seenSlot{node: node, round: sh.round}
+			return true
+		}
+		if s.node == node {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// homeSlot is node's first probe in a table of size slots (a power of two).
+func homeSlot(node, size int) int {
+	return int(uint64(node) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(size))))
+}
+
+// growSeen doubles the dedup table, re-inserting only the current round's
+// slots; callers hold mu.
+func (sh *intakeShard) growSeen() {
+	old := sh.seen
+	sh.seen = make([]seenSlot, max(2*len(old), minSeenSlots))
+	mask := len(sh.seen) - 1
+	for _, s := range old {
+		if s.round != sh.round {
+			continue
+		}
+		i := homeSlot(s.node, len(sh.seen))
+		for sh.seen[i].round == sh.round {
+			i = (i + 1) & mask
+		}
+		sh.seen[i] = s
+	}
 }
 
 // intake is a job's striped bid-ingestion front: P shards, each with its own
-// lock, so concurrent bidders only serialize when they hash to the same
-// stripe. pending counts buffered bids across all shards (the quorum check
-// and PendingBids read it without touching any shard).
+// lock, dedup table and pending count, so concurrent bidders only serialize
+// — and only share a written cache line — when they hash to the same
+// stripe.
 type intake struct {
-	shards  []intakeShard
-	mask    uint32
-	pending atomic.Int64
+	shards []intakeShard
+	mask   uint32
 }
 
 // newIntake builds an intake of n stripes, rounded up to a power of two
-// (the shard hash masks). Jobs size it to the machine: GOMAXPROCS, capped
-// at maxIntakeShards.
+// (the shard hash masks). Jobs size it with intakeStripes.
 func newIntake(n int) *intake {
 	shards := 1
 	for shards < n {
@@ -52,16 +126,29 @@ func newIntake(n int) *intake {
 	in := &intake{shards: make([]intakeShard, shards), mask: uint32(shards - 1)}
 	for i := range in.shards {
 		in.shards[i].round = 1
-		in.shards[i].seen = make(map[int]struct{})
 	}
 	return in
 }
 
-// shard maps a node to its stripe. Fibonacci hashing spreads both dense
-// (sequential IDs) and sparse node populations evenly across stripes.
+// stripeHash is the hash whose low bits pick a node's stripe. Fibonacci
+// hashing spreads both dense (sequential IDs) and sparse node populations
+// evenly across stripes.
+func stripeHash(nodeID int) uint32 {
+	return uint32(nodeID) * 2654435761 >> 16
+}
+
+// shard maps a node to its stripe.
 func (in *intake) shard(nodeID int) *intakeShard {
-	h := uint32(nodeID) * 2654435761
-	return &in.shards[(h>>16)&in.mask]
+	return &in.shards[stripeHash(nodeID)&in.mask]
+}
+
+// pending sums the shards' buffered-bid counts without taking a lock.
+func (in *intake) pending() int {
+	n := int64(0)
+	for i := range in.shards {
+		n += in.shards[i].pending.Load()
+	}
+	return int(n)
 }
 
 // submit appends one bid to the node's shard. closed is the job's
@@ -86,14 +173,13 @@ func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.In
 		sh.mu.Unlock()
 		return 0, ErrJobClosed
 	}
-	if _, dup := sh.seen[b.NodeID]; dup {
+	if !sh.markSeen(b.NodeID) {
 		sh.mu.Unlock()
 		return 0, ErrDuplicateBid
 	}
-	sh.seen[b.NodeID] = struct{}{}
 	sh.bids = append(sh.bids, b)
+	sh.pending.Store(int64(len(sh.bids)))
 	round = sh.round
-	in.pending.Add(1)
 	if accepted != nil {
 		accepted.Add(1)
 	}
@@ -136,30 +222,31 @@ func (in *intake) pendingByNodeLocked(dst map[int]int64) {
 	}
 }
 
-// drain moves every buffered bid into dst, clears the dedup sets, and
-// advances each shard's round: bids submitted after a shard's drain belong
-// to — and are labeled as — the next round. Only the round-close path calls
+// drain moves every buffered bid into dst and advances each shard's round,
+// which empties its dedup table: bids submitted after a shard's drain
+// belong to — and are labeled as — the next round. Only the round-close path calls
 // drain (serialized by the job's closeMu), so dst can be a buffer reused
 // across rounds.
 func (in *intake) drain(dst []auction.Bid) []auction.Bid {
-	before := len(dst)
 	for i := range in.shards {
 		sh := &in.shards[i]
 		sh.mu.Lock()
 		dst = append(dst, sh.bids...)
 		sh.bids = sh.bids[:0]
-		clear(sh.seen)
+		sh.pending.Store(0)
 		sh.round++
 		sh.mu.Unlock()
 	}
-	in.pending.Add(int64(before - len(dst)))
 	return dst
 }
 
 // setRound aligns every shard's collecting round (used by WAL replay, which
 // rebuilds round numbering single-threaded before the job is reachable).
+// It drops the dedup tables: a slot stamped with the new round would
+// otherwise read as taken.
 func (in *intake) setRound(round int) {
 	for i := range in.shards {
 		in.shards[i].round = round
+		in.shards[i].seen = nil
 	}
 }

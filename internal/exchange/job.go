@@ -120,8 +120,9 @@ type Job struct {
 	closed atomic.Bool
 
 	// intake is the striped bid-ingestion front: P shards, each with its own
-	// lock, buffer, dedup set and round label. Bid submission touches only
-	// its shard; the round close drains all shards once. See intake.go.
+	// lock, buffer, dedup table, pending count and round label. Bid
+	// submission touches only its shard; the round close drains all shards
+	// once. See intake.go.
 	intake *intake
 
 	// admit is the job's admission bucket (nil when admission is off or the
@@ -229,10 +230,7 @@ func (j *Job) Round() int {
 
 // PendingBids returns the size of the current round's bid buffer.
 func (j *Job) PendingBids() int {
-	if n := j.intake.pending.Load(); n > 0 {
-		return int(n)
-	}
-	return 0
+	return j.intake.pending()
 }
 
 // State describes the job for monitoring: "collecting", "scoring" or
@@ -402,7 +400,7 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 	if err := j.ex.degradedErr(); err != nil {
 		return RoundOutcome{}, err
 	}
-	if got := int(j.intake.pending.Load()); got < j.spec.MinBids {
+	if got := j.intake.pending(); got < j.spec.MinBids {
 		j.ex.metrics.idleTicks.Add(1)
 		return RoundOutcome{}, fmt.Errorf("%w: %d/%d", ErrBelowQuorum, got, j.spec.MinBids)
 	}
@@ -718,7 +716,7 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		ex:          ex,
 		ctx:         ctx,
 		cancel:      cancel,
-		intake:      newIntake(min(runtime.GOMAXPROCS(0), maxIntakeShards)),
+		intake:      newIntake(intakeStripes(runtime.GOMAXPROCS(0))),
 		admit:       ex.adm.NewJobBucket(),
 		round:       1,
 		auct:        auct,

@@ -24,6 +24,15 @@ var latencyBuckets = [...]float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
+// acceptStripes is the number of stripes of the accepted-bid counter.
+const acceptStripes = 8
+
+// paddedCounter is a counter alone on its cache line.
+type paddedCounter struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
 // Metrics aggregates exchange-wide throughput counters. Every update is
 // lock-free — including the latency ring, whose slots are atomic bit
 // patterns — so a slow /metrics scrape can never stall bid submission or a
@@ -35,7 +44,6 @@ type Metrics struct {
 	roundsTotal  atomic.Int64
 	roundsFailed atomic.Int64
 	idleTicks    atomic.Int64
-	bidsAccepted atomic.Int64
 	bidsRejected atomic.Int64
 	snapshots    atomic.Int64
 	snapshotErrs atomic.Int64
@@ -68,10 +76,33 @@ type Metrics struct {
 	// histogram total, which is roundsTotal itself.
 	latHist  [len(latencyBuckets)]atomic.Int64
 	latSumNs atomic.Int64
+
+	// bidsAccepted is the one counter every accepted bid writes, so it is
+	// striped by node (acceptBid): concurrent submitters mostly add to
+	// different cache lines, and a scrape sums the stripes. Each stripe
+	// only grows and a later scrape loads each one later, so the sum is
+	// monotone across scrapes.
+	bidsAccepted [acceptStripes]paddedCounter
 }
 
 func newMetrics() *Metrics {
 	return &Metrics{start: time.Now()}
+}
+
+// acceptBid counts one accepted bid from node. The stripe comes from the
+// hash bits that pick the node's intake stripe, so two submitters on
+// different intake stripes mostly write different counter stripes too.
+func (m *Metrics) acceptBid(node int) {
+	m.bidsAccepted[stripeHash(node)%acceptStripes].n.Add(1)
+}
+
+// accepted sums the accepted-bid stripes.
+func (m *Metrics) accepted() int64 {
+	n := int64(0)
+	for i := range m.bidsAccepted {
+		n += m.bidsAccepted[i].n.Load()
+	}
+	return n
 }
 
 // observeRound records one completed round and its close-to-outcome latency.
@@ -110,7 +141,7 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 		RoundsTotal:       m.roundsTotal.Load(),
 		RoundsFailed:      m.roundsFailed.Load(),
 		IdleTicks:         m.idleTicks.Load(),
-		BidsAccepted:      m.bidsAccepted.Load(),
+		BidsAccepted:      m.accepted(),
 		BidsRejected:      m.bidsRejected.Load(),
 		WalSnapshots:      m.snapshots.Load(),
 		WalSnapshotErrors: m.snapshotErrs.Load(),

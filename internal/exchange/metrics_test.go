@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -54,5 +55,41 @@ func TestLatencyPercentilesEmpty(t *testing.T) {
 	m := newMetrics()
 	if p50, p99 := m.latencyPercentiles(); p50 != 0 || p99 != 0 {
 		t.Errorf("empty ring percentiles = (%v, %v), want zeros", p50, p99)
+	}
+}
+
+// TestAcceptedCounterStriped: the striped accepted-bid counter sums to
+// every increment, and a scrape racing the submitters never reads less
+// than the scrape before it.
+func TestAcceptedCounterStriped(t *testing.T) {
+	const submitters, perSubmitter = 4, 5000
+	m := newMetrics()
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				m.acceptBid(g*perSubmitter + i)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	last := int64(0)
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		got := m.snapshot(0, 0).BidsAccepted
+		if got < last {
+			t.Fatalf("bids_accepted went from %d to %d between scrapes", last, got)
+		}
+		last = got
+	}
+	if last != submitters*perSubmitter {
+		t.Fatalf("bids_accepted %d, want %d", last, submitters*perSubmitter)
 	}
 }

@@ -222,10 +222,15 @@ func (fp *Failpoint) enable(cfg Config) {
 func (fp *Failpoint) disable() { fp.st.Store(nil) }
 
 // Enable arms the named failpoint with cfg. A Config with a nil Err and
-// no Latency is rejected — it would inject nothing.
+// no Latency is rejected — it would inject nothing — and so is a Prob that
+// is NaN or outside [0, 1]: eval would not read it as a probability and
+// would fire on every call instead.
 func Enable(name string, cfg Config) error {
 	if cfg.Err == nil && cfg.Latency <= 0 {
 		return fmt.Errorf("fault: enable %q: config injects neither an error nor latency", name)
+	}
+	if !(cfg.Prob >= 0 && cfg.Prob <= 1) {
+		return fmt.Errorf("fault: enable %q: probability %v is not in [0, 1]", name, cfg.Prob)
 	}
 	regMu.Lock()
 	fp, ok := registry[name]
@@ -342,7 +347,7 @@ func parseSpecRHS(rhs string) (Config, error) {
 func parseTrigger(trigger string, cfg *Config) error {
 	if f, ok := strings.CutPrefix(trigger, "p"); ok {
 		p, err := strconv.ParseFloat(f, 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("bad probability %q (want 0 < p <= 1)", trigger)
 		}
 		cfg.Prob = p

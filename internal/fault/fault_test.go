@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"syscall"
 	"testing"
 	"time"
@@ -218,6 +219,85 @@ func TestEnableSpecsErrors(t *testing.T) {
 			t.Errorf("EnableSpecs(%q) succeeded", bad)
 		}
 	}
+}
+
+// TestProbabilityOutOfRangeRejected is the regression test for a NaN
+// probability: "@pNaN" used to parse (NaN passes both p <= 0 and p > 1
+// false), and eval, which reads only Prob > 0 as probabilistic, then fired
+// the failpoint on every call. Both entry points must refuse such a
+// probability and leave the failpoint dormant.
+func TestProbabilityOutOfRangeRejected(t *testing.T) {
+	fp := tp(t)
+	for _, trigger := range []string{"pNaN", "pnan", "p-NaN", "p0", "p-0", "p-0.5", "p1.5", "pInf", "p+Inf"} {
+		if err := EnableSpecs(fp.Name() + "=eio@" + trigger); err == nil {
+			t.Errorf("EnableSpecs with @%s succeeded", trigger)
+		}
+	}
+	for _, p := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1), math.Inf(-1)} {
+		if err := Enable(fp.Name(), Config{Err: ErrIO, Prob: p}); err == nil {
+			t.Errorf("Enable with Prob %v succeeded", p)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if err := fp.Fire(); err != nil {
+			t.Fatalf("a refused spec armed the failpoint: call %d = %v", i+1, err)
+		}
+	}
+	// The ends of the accepted ranges still arm.
+	if err := EnableSpecs(fp.Name() + "=eio@p1"); err != nil {
+		t.Errorf("EnableSpecs with @p1: %v", err)
+	}
+	if err := Enable(fp.Name(), Config{Err: ErrIO, Prob: 0}); err != nil {
+		t.Errorf("Enable with Prob 0: %v", err)
+	}
+}
+
+// fuzzPoints are the failpoints FuzzEnableSpecs arms; package-level because
+// New panics on a duplicate name and the fuzz function may run more than
+// once in a process.
+var fuzzPoints = [...]*Failpoint{New("fuzz/a"), New("fuzz/b")}
+
+// FuzzEnableSpecs feeds arbitrary spec strings to EnableSpecs. It must not
+// panic, and every failpoint it armed — entries before a bad one stay
+// applied — must hold a Config that injects something and whose trigger
+// eval reads as written: Prob 0 or in (0, 1], Nth and Torn not negative.
+func FuzzEnableSpecs(f *testing.F) {
+	for _, seed := range []string{
+		"wal/fsync=eio@3+;wal/write=torn:9@5", // the package comment's example
+		"fuzz/a=eio@3+;fuzz/b=torn:9@5",
+		"fuzz/a=eio@pNaN",
+		"fuzz/a=eio@pnan",
+		"fuzz/a=enospc@p0.25; fuzz/b=lat:5ms",
+		"fuzz/b=lat:1h@1",
+		"fuzz/a=torn:0@p1",
+		"fuzz/a=eio@p1e-300;fuzz/b=eio@0x10+",
+		"fuzz/a=eio;bad;fuzz/b=eio",
+		" ; fuzz/a = eio ;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, specs string) {
+		defer DisableAll()
+		_ = EnableSpecs(specs) // an error is fine; a panic or a bad arm is not
+		regMu.Lock()
+		defer regMu.Unlock()
+		for name, fp := range registry {
+			st := fp.st.Load()
+			if st == nil {
+				continue
+			}
+			cfg := st.cfg
+			if cfg.Err == nil && cfg.Latency <= 0 {
+				t.Errorf("%q armed %s with a config that injects nothing", specs, name)
+			}
+			if cfg.Prob != 0 && !(cfg.Prob > 0 && cfg.Prob <= 1) {
+				t.Errorf("%q armed %s with probability %v", specs, name, cfg.Prob)
+			}
+			if cfg.Nth < 0 || cfg.Torn < 0 {
+				t.Errorf("%q armed %s with Nth %d, Torn %d", specs, name, cfg.Nth, cfg.Torn)
+			}
+		}
+	})
 }
 
 func TestEnableFromEnv(t *testing.T) {
