@@ -14,7 +14,7 @@
 //	internal/mec        edge-node population, resource dynamics, timing model
 //	internal/dist       the θ prior distributions of the bidding game
 //	internal/exchange   the concurrent multi-job auction exchange service:
-//	                    sharded bidder registry, per-job round state
+//	                    lock-free-read bidder registry, per-job round state
 //	                    machines, HTTP/JSON front end
 //	internal/wal        the exchange's segmented write-ahead log and snapshot
 //	internal/partition  the partition map and the one re-aim rule of a

@@ -82,11 +82,13 @@
 //     names the node, after one draw per bid before it; the failed round
 //     is retained and logged, and the auctioneer's round counter advances
 //     live as replay restores it.
-//   - Registry is a sharded node directory (striped locks, atomic per-node
-//     counters); the metrics are lock-free atomics and the event firehose
-//     is a bounded queue a close offers to without waiting, so a slow
-//     scrape or a wedged event consumer can never stall a bid or a round
-//     close (see Observability below).
+//   - Registry is a node directory that readers never write: one
+//     open-addressed table, published through an atomic pointer and probed
+//     without a lock, one mutex for the once-per-node insert, and atomic
+//     per-node counters; the metrics are lock-free atomics and the event
+//     firehose is a bounded queue a close offers to without waiting, so a
+//     slow scrape or a wedged event consumer can never stall a bid or a
+//     round close (see Observability below).
 //
 // # Ownership
 //

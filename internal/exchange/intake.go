@@ -161,9 +161,12 @@ func (in *intake) pending() int {
 // accepted, when non-nil, is the node's accepted-bid counter (registered
 // nodes — the allocation-free hot path); onAccept, when non-nil, is the
 // open posture's register-and-count slow path, run once per node lifetime.
-// Both sides of the lock ordering stay acyclic: submit holds one shard
-// lock and may take registry locks inside it, the same shard→registry
-// order the snapshot capture uses, and never waits on closeMu or ex.mu.
+// The lock ordering stays acyclic: submit holds one shard lock and may take
+// the registry's insert mutex inside it (a node's first bid registering
+// it), the only shard→registry order there is — the registry takes no lock
+// while it holds that mutex, and the snapshot capture's Range, run with
+// every shard lock held, takes none — and submit never waits on closeMu or
+// ex.mu.
 //
 // It returns the round the bid was entered into.
 func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.Int64, onAccept func()) (round int, err error) {

@@ -7,14 +7,9 @@ import (
 	"fmore/internal/admission"
 )
 
-// regShards is the stripe count of the registry. 64 stripes keep lock
-// contention negligible even with every core registering or resolving
-// bidders at once; the per-shard maps stay small enough to resize cheaply.
-const regShards = 64
-
 // NodeInfo is one registered edge node. The mutable fields are atomics so
-// the hot bid-admission path (lookup → blacklist check → bid count) touches
-// no lock beyond the shard's read lock.
+// the hot bid-admission path (lookup → blacklist check → bid count) takes
+// no lock at all.
 type NodeInfo struct {
 	// ID is the node's identifier, unique exchange-wide.
 	ID int
@@ -63,53 +58,67 @@ func (n *NodeInfo) Bids() int64 { return n.bids.Load() }
 // Blacklisted reports whether the node has been banned (contract breach).
 func (n *NodeInfo) Blacklisted() bool { return n.blacklisted.Load() }
 
-// Registry is the sharded node directory of the exchange. All methods are
-// safe for concurrent use; reads take only a per-shard RLock and all
-// per-node state updates are lock-free atomics.
+// Registry is the node directory of the exchange: one open-addressed table,
+// published through an atomic pointer, that readers probe without a lock
+// and without writing. All methods are safe for concurrent use.
 type Registry struct {
-	shards [regShards]regShard
-	size   atomic.Int64
+	table atomic.Pointer[regTable]
+	mu    sync.Mutex // serializes inserts, once per node lifetime
+	size  atomic.Int64
 }
 
-type regShard struct {
-	mu    sync.RWMutex
-	nodes map[int]*NodeInfo
-}
+// regTable is one published generation of the registry: a power-of-two
+// number of slots, at most half of them filled. A slot is written once,
+// from nil to its node, and never emptied, so a nil slot ends every probe.
+type regTable []atomic.Pointer[NodeInfo]
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns an empty registry of 64 slots.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].nodes = make(map[int]*NodeInfo)
-	}
+	r, t := &Registry{}, make(regTable, 64)
+	r.table.Store(&t)
 	return r
 }
 
-// shardFor spreads node IDs over the stripes with Fibonacci hashing, which
-// distributes both sequential and strided ID schemes evenly.
-func (r *Registry) shardFor(id int) *regShard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &r.shards[h>>(64-6)] // top 6 bits: 64 shards
+// find probes linearly from id's Fibonacci home slot. It returns the node,
+// or nil and the empty slot that ended the probe.
+func (t regTable) find(id int) (*NodeInfo, int) {
+	for i := homeSlot(id, len(t)); ; i = (i + 1) & (len(t) - 1) {
+		if n := t[i].Load(); n == nil || n.ID == id {
+			return n, i
+		}
+	}
 }
 
 // Register adds the node if absent and returns its info record. created
 // reports whether this call performed the registration. A non-empty meta
 // always updates the record (last non-empty write wins), so a node that
 // auto-registered through a bare bid can later be labeled via POST /nodes.
+//
+// Inserting re-probes under mu, publishes a doubled copy of the table before
+// the load would pass one half, and fills the empty slot atomically.
 func (r *Registry) Register(id int, meta string) (info *NodeInfo, created bool) {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	info = s.nodes[id]
-	s.mu.RUnlock()
-	if info == nil {
-		s.mu.Lock()
-		if info = s.nodes[id]; info == nil {
-			info = &NodeInfo{ID: id}
-			s.nodes[id] = info
+	if info, _ = r.table.Load().find(id); info == nil {
+		r.mu.Lock()
+		t := *r.table.Load()
+		var slot int
+		if info, slot = t.find(id); info == nil {
+			if 2*(r.Len()+1) > len(t) {
+				g := make(regTable, 2*len(t))
+				for i := range t {
+					if n := t[i].Load(); n != nil {
+						_, s := g.find(n.ID)
+						g[s].Store(n)
+					}
+				}
+				t = g
+				r.table.Store(&t)
+				_, slot = t.find(id)
+			}
+			info, created = &NodeInfo{ID: id}, true
+			t[slot].Store(info)
 			r.size.Add(1)
-			created = true
 		}
-		s.mu.Unlock()
+		r.mu.Unlock()
 	}
 	if meta != "" {
 		info.meta.Store(&meta)
@@ -119,11 +128,8 @@ func (r *Registry) Register(id int, meta string) (info *NodeInfo, created bool) 
 
 // Lookup resolves a node without write intent.
 func (r *Registry) Lookup(id int) (*NodeInfo, bool) {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	info, ok := s.nodes[id]
-	s.mu.RUnlock()
-	return info, ok
+	info, _ := r.table.Load().find(id)
+	return info, info != nil
 }
 
 // Blacklist bans the node from all future rounds. It reports whether the
@@ -150,19 +156,14 @@ func (r *Registry) restore(id int, meta string, bids int64, banned bool) {
 	info.blacklisted.Store(banned)
 }
 
-// Range calls fn for every registered node until fn returns false. It holds
-// one shard's read lock at a time, so concurrent registration in other
-// shards proceeds unhindered.
+// Range calls fn for every registered node until fn returns false. It
+// walks one loaded table without a lock: every node registered before the
+// call is visited exactly once, one registered meanwhile may or may not be.
 func (r *Registry) Range(fn func(*NodeInfo) bool) {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, info := range s.nodes {
-			if !fn(info) {
-				s.mu.RUnlock()
-				return
-			}
+	t := *r.table.Load()
+	for i := range t {
+		if n := t[i].Load(); n != nil && !fn(n) {
+			return
 		}
-		s.mu.RUnlock()
 	}
 }

@@ -1,7 +1,10 @@
 package exchange
 
 import (
+	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,7 +35,7 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers every shard from many goroutines under
+// TestRegistryConcurrent hammers the registry from many goroutines under
 // -race: concurrent registration, lookup and stat updates must be safe and
 // lose no registrations.
 func TestRegistryConcurrent(t *testing.T) {
@@ -90,21 +93,159 @@ func TestRegistryRangeEarlyStop(t *testing.T) {
 	}
 }
 
-// TestRegistryShardSpread checks that sequential IDs do not pile into a few
-// stripes (the whole point of hashing the shard index).
-func TestRegistryShardSpread(t *testing.T) {
+// probeLen is how many slots Lookup reads to reach id's node in t.
+func probeLen(t regTable, id int) int {
+	n := 1
+	for i := homeSlot(id, len(t)); t[i].Load().ID != id; i = (i + 1) & (len(t) - 1) {
+		n++
+	}
+	return n
+}
+
+// TestRegistryProbeSpread checks that the ID schemes a deployment plausibly
+// hands out (sequential, strided by powers of two, negative, the extremes)
+// land in short probes, and that Lookup finds every registered ID and none
+// absent.
+func TestRegistryProbeSpread(t *testing.T) {
+	const n = 1 << 14
+	ids := func(first, stride int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = first + i*stride
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		ids    []int
+		absent int
+	}{
+		{"sequential", ids(0, 1), n},
+		{"stride64", ids(0, 64), 1},
+		{"stride4096", ids(0, 4096), 1},
+		{"stride65536", ids(0, 65536), 1},
+		{"negative", ids(-1, -1), 0},
+		{"extremes", []int{math.MinInt, math.MaxInt}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			for _, id := range tc.ids {
+				r.Register(id, "")
+			}
+			tab := *r.table.Load()
+			sum, worst := 0, 0
+			for _, id := range tc.ids {
+				if info, ok := r.Lookup(id); !ok || info.ID != id {
+					t.Fatalf("Lookup(%d) = (%v, %v)", id, info, ok)
+				}
+				p := probeLen(tab, id)
+				sum += p
+				worst = max(worst, p)
+			}
+			if _, ok := r.Lookup(tc.absent); ok {
+				t.Errorf("Lookup(%d) found an unregistered node", tc.absent)
+			}
+			// At a load of at most one half, linear probing under a
+			// uniform hash averages about 1.5 slots per hit.
+			// A uniform hash at a load of one half averages 1.5 slots per
+			// hit; Fibonacci hashing gives sequential IDs 1.0 and the
+			// worst set here, stride 64, 2.9 (longest probe 12).
+			if mean := float64(sum) / float64(len(tc.ids)); mean > 3 || worst > 16 {
+				t.Errorf("%d slots, %d nodes: mean probe %.2f, max %d", len(tab), len(tc.ids), mean, worst)
+			}
+		})
+	}
+}
+
+// TestRegistryLookupDuringGrowth races readers against a writer that grows
+// the table from its first 64 slots past 2^17: Lookup must find every node
+// whose Register returned before the Lookup began, and Range must visit
+// each such node, and no node twice.
+func TestRegistryLookupDuringGrowth(t *testing.T) {
+	// One node past half of 2^16 slots, so the table ends at 2^17.
+	const nodes = 1<<15 + 1
+	id := func(i int) int { return i*64 - nodes } // strided, both signs
 	r := NewRegistry()
-	for id := 0; id < 64*64; id++ {
+	var done atomic.Int64 // nodes 0..done-1 have returned from Register
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for ranges := 0; ; {
+				d := int(done.Load())
+				if w == 0 && ranges < 16 {
+					ranges++
+					seen := make(map[int]bool, d)
+					twice := false
+					r.Range(func(info *NodeInfo) bool {
+						twice = seen[info.ID]
+						seen[info.ID] = true
+						return !twice
+					})
+					if twice {
+						t.Error("Range visited a node twice")
+						return
+					}
+					for i := 0; i < d; i++ {
+						if !seen[id(i)] {
+							t.Errorf("Range missed node %d, registered before it began", id(i))
+							return
+						}
+					}
+				}
+				for k := 0; k < 64 && d > 0; k++ {
+					i := d - 1 - k
+					if k%2 == 1 {
+						i = rng.Intn(d)
+					}
+					if i < 0 {
+						break
+					}
+					if info, ok := r.Lookup(id(i)); !ok || info.ID != id(i) {
+						t.Errorf("Lookup(%d) = (%v, %v) after its Register returned", id(i), info, ok)
+						return
+					}
+				}
+				if d == nodes {
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < nodes; i++ {
+		r.Register(id(i), "")
+		done.Store(int64(i + 1))
+	}
+	wg.Wait()
+	if got := len(*r.table.Load()); got < 1<<17 {
+		t.Errorf("table holds %d slots after %d nodes, want >= %d", got, nodes, 1<<17)
+	}
+	if r.Len() != nodes {
+		t.Errorf("Len() = %d, want %d", r.Len(), nodes)
+	}
+}
+
+// BenchmarkRegistryLookup is the bid path's node resolve: every CPU looks
+// up registered nodes of a 16,384-node registry at once (0 allocs/op).
+func BenchmarkRegistryLookup(b *testing.B) {
+	const n = 1 << 14
+	r := NewRegistry()
+	for id := 0; id < n; id++ {
 		r.Register(id, "")
 	}
-	max := 0
-	for i := range r.shards {
-		if n := len(r.shards[i].nodes); n > max {
-			max = n
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seed.Add(7919))
+		for pb.Next() {
+			if _, ok := r.Lookup(i & (n - 1)); !ok {
+				b.Error("registered node not found")
+				return
+			}
+			i++
 		}
-	}
-	// Perfect balance would be 64 per shard; allow generous slack.
-	if max > 3*64 {
-		t.Errorf("worst shard holds %d of %d nodes — hashing is not spreading", max, 64*64)
-	}
+	})
 }

@@ -1,7 +1,10 @@
 package promtext
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -102,4 +105,60 @@ func TestParseToleratesTimestampsAndComments(t *testing.T) {
 	if v, err := m.Value("ts_metric"); err != nil || v != 5 {
 		t.Fatalf("ts_metric = %v, %v; want 5", v, err)
 	}
+}
+
+// FuzzParse: whatever bytes a scrape returns, Parse must not panic, and a
+// page it accepts must be one its callers can read: every family indexed
+// once in declaration order, every histogram family passing
+// validateHistogram, and Value answering (a value or an error) for every
+// family name. Seeds: this file's pages and each family of the
+// exchange's golden pages.
+func FuzzParse(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "exchange", "testdata", "prometheus", "*.golden"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden pages to seed from (%v)", err)
+	}
+	for _, name := range goldens {
+		page, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// One seed per family: whole 12 KB pages leave the fuzzer
+		// minimizing for most of its budget.
+		fams := strings.Split(string(page), "\n# HELP ")
+		for i, fam := range fams {
+			if i > 0 {
+				fam = "# HELP " + fam
+			}
+			f.Add([]byte(fam + "\n"))
+		}
+	}
+	f.Add([]byte(goodPage))
+	f.Add([]byte("# TYPE h histogram\nh_bucket{le=\"0.5\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 0\nh_count 5\n"))
+	f.Add([]byte("# TYPE x_count gauge\nx_count 3 1700000000\n# other comment\n"))
+	f.Add([]byte("# TYPE x counter\nx{l=\"a,\\\"b\",m=\"\"} NaN\n"))
+	f.Fuzz(func(t *testing.T, page []byte) {
+		m, err := Parse(bytes.NewReader(page))
+		if err != nil {
+			if m != nil {
+				t.Fatalf("error %v with a page", err)
+			}
+			return
+		}
+		if len(m.Order) != len(m.Families) {
+			t.Fatalf("%d families in Order, %d indexed", len(m.Order), len(m.Families))
+		}
+		for _, name := range m.Order {
+			fam := m.Families[name]
+			if fam == nil || fam.Name != name {
+				t.Fatalf("Order names %q, indexed as %+v", name, fam)
+			}
+			if fam.Type == "histogram" {
+				if err := validateHistogram(fam); err != nil {
+					t.Fatalf("accepted a histogram validateHistogram rejects: %v", err)
+				}
+			}
+			m.Value(name)
+		}
+	})
 }
