@@ -73,7 +73,9 @@ func TestImportBoundary(t *testing.T) {
 // internal/partition, and what those two link); and the two strings a 421
 // hangs on — the status and the code — are spelled where they are produced
 // (internal/exchange) and where they are interpreted (internal/partition),
-// nowhere else. The event stream's names are spelled once, in pkg/api.
+// nowhere else. The event stream's names are spelled once, in pkg/api, and
+// so is every /v1 path: no "/v1… literal outside pkg/api's route table but
+// partition.MapPath, which pkg/api's row reads.
 func TestWireDeclaredOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells the go tool")
@@ -117,10 +119,10 @@ func TestWireDeclaredOnce(t *testing.T) {
 		}
 	}
 
-	// Who may say 421, wrong_partition, the map's path and the event names.
+	// Who may say 421, wrong_partition, a /v1 path and the event names.
 	eventNames := map[string]bool{`"round_open"`: true, `"round_closed"`: true, `"job_closed"`: true}
 	spelled := map[string][]string{}
-	for _, root := range []string{"cmd", "pkg", "internal"} {
+	for _, root := range []string{"cmd", "pkg", "internal", "examples"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -142,6 +144,9 @@ func TestWireDeclaredOnce(t *testing.T) {
 					if n.Value == `"wrong_partition"` || strings.HasSuffix(n.Value, `/cluster/partitions"`) || eventNames[n.Value] {
 						spelled[n.Value] = append(spelled[n.Value], filepath.ToSlash(path))
 					}
+					if strings.HasPrefix(n.Value, `"/v1`) && filepath.ToSlash(filepath.Dir(path)) != "pkg/api" && n.Value != `"/v1/cluster/partitions"` {
+						t.Errorf("%s: %s — /v1 paths are api.Routes rows (Route.URL, Route.Path)", fset.Position(n.Pos()), n.Value)
+					}
 				}
 				return true
 			})
@@ -159,8 +164,7 @@ func TestWireDeclaredOnce(t *testing.T) {
 	delete(spelled, "421")
 	want := map[string][]string{
 		`"wrong_partition"`:        {"internal/partition/routes.go"},
-		`"/v1/cluster/partitions"`: {"internal/partition/routes.go"},
-		`"/cluster/partitions"`:    {"internal/exchange/http.go"}, // the handler's route, under its /v1 prefix
+		`"/v1/cluster/partitions"`: {"internal/partition/routes.go"}, // partition.MapPath, api.GetPartitions's path
 		`"round_open"`:             {"pkg/api/jobs.go"},
 		`"round_closed"`:           {"pkg/api/jobs.go"},
 		`"job_closed"`:             {"pkg/api/jobs.go"},

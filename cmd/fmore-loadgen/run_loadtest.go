@@ -155,7 +155,7 @@ func newDriver(c config) *driver {
 
 func (d *driver) createJob() error {
 	spec := fmt.Sprintf(`{"id":%q,"k":2,"seed":7,"keep_outcomes":16,"rule":{"kind":"additive","alpha":[0.6,0.4]}}`, d.c.job)
-	resp, err := d.hc.Post(d.c.target+"/v1/jobs", "application/json", strings.NewReader(spec))
+	resp, err := d.hc.Post(d.c.target+api.CreateJob.Path, "application/json", strings.NewReader(spec))
 	if err != nil {
 		return fmt.Errorf("creating job: %w", err)
 	}
@@ -180,7 +180,7 @@ func (d *driver) closerLoop(ctx context.Context) {
 		case <-t.C:
 		}
 		start := time.Now()
-		resp, err := d.hc.Post(d.c.target+"/v1/jobs/"+d.c.job+"/close", "application/json", nil)
+		resp, err := d.hc.Post(d.c.target+api.CloseRound.URL(d.c.job), "application/json", nil)
 		if err != nil {
 			d.closeErrs.Add(1)
 			continue
@@ -217,7 +217,7 @@ func (d *driver) healthzLoop(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		resp, err := d.hc.Get(d.c.target + "/v1/healthz")
+		resp, err := d.hc.Get(d.c.target + api.GetHealthz.Path)
 		if err != nil {
 			continue
 		}
@@ -280,7 +280,7 @@ func (d *driver) runStep(c config, st step) stepResult {
 				body = body[:0]
 				body = fmt.Appendf(body, `{"node_id":%d,"qualities":[%.3f,%.3f],"payment":0.1}`, node, q, 1.0-q/2)
 				t0 := time.Now()
-				resp, err := d.hc.Post(d.c.target+"/v1/jobs/"+d.c.job+"/bids", "application/json", bytes.NewReader(body))
+				resp, err := d.hc.Post(d.c.target+api.SubmitBid.URL(d.c.job), "application/json", bytes.NewReader(body))
 				if err != nil {
 					errs.Add(1)
 					continue

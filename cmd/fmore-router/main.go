@@ -22,18 +22,9 @@
 // without fetching, and a failed fetch never fails the re-forward. A 421
 // that names no usable owner is relayed as the replica sent it.
 //
-// Routing rules:
-//
-//   - /v1/jobs/{id}/... goes to the replica owning {id} under rendezvous
-//     hashing — including SSE event streams, which are proxied unbuffered.
-//   - POST /v1/jobs sniffs the job "id" from the (buffered) body and routes
-//     to its owner; specs without an explicit id go to the default replica,
-//     whose exchange draws an id it owns.
-//   - POST /v1/nodes and /v1/nodes/{id}/* writes fan out to every replica
-//     (registration and blacklists gate bids on whichever replica hosts the
-//     job), answering with the primary replica's response.
-//   - Everything else (listings, metrics, the cluster map itself) goes to
-//     the default replica: the lexically first partition.
+// Each request goes where the Scope of its api.Routes row (api.Lookup)
+// says; an unmatched path goes to the default replica. Event streams are
+// proxied unbuffered.
 //
 // A forward runs on the request's own goroutine (upstream.go): the buffered
 // request is written to a pooled keep-alive connection and the replica's
@@ -85,7 +76,6 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registered on the DefaultServeMux served at -pprof-addr
-	"net/url"
 	"runtime"
 	"sort"
 	"strings"
@@ -103,10 +93,6 @@ import (
 // dormant — one atomic load — unless a test or FMORE_FAILPOINTS arms it.
 var fpForward = fault.New("router/forward")
 
-// maxBufferedBody bounds how much of a request body the router will buffer
-// for replay; exchange payloads (job specs, bids) are tiny.
-const maxBufferedBody = 8 << 20
-
 // Breaker tuning for replica forwards: three consecutive transport errors
 // open the circuit, and a probe is allowed through after one second.
 const (
@@ -118,23 +104,6 @@ const (
 // sheds without a fresher hint from the replica (breaker open, or an
 // overloaded replica that sent no hint).
 const defaultShedRetryMS = 1000
-
-// jobPath splits a /v1/jobs/{id}[/rest] path into the (still escaped) job
-// ID and the rest, which is empty or starts with a slash.
-func jobPath(p string) (id, rest string, ok bool) {
-	const prefix = "/v1/jobs/"
-	if !strings.HasPrefix(p, prefix) {
-		return "", "", false
-	}
-	id = p[len(prefix):]
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id, rest = id[:i], id[i:]
-	}
-	if id == "" {
-		return "", "", false
-	}
-	return id, rest, true
-}
 
 // router proxies exchange requests to the owning replica, retrying once on
 // wrong_partition with a refreshed map.
@@ -186,21 +155,23 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.metrics(w)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBufferedBody+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBody+1))
 	if err != nil {
 		proxyError(w, http.StatusBadGateway, "reading request body: "+err.Error())
 		return
 	}
-	if len(body) > maxBufferedBody {
+	if len(body) > api.MaxBody {
 		proxyError(w, http.StatusRequestEntityTooLarge, "request body exceeds the router's buffer")
 		return
 	}
 
 	m := rt.routes.Load()
-	if rt.fanout(w, r, m, body) {
+	route, id, _ := api.Lookup(r.Method, r.URL.EscapedPath())
+	if route.Scope == api.Fanout && m != nil {
+		rt.fanout(w, r, m, body)
 		return
 	}
-	target, ok := rt.target(r, m, body)
+	target, ok := replicaFor(route, id, m, body)
 	if !ok {
 		proxyError(w, http.StatusBadGateway, "router has no partition map")
 		return
@@ -208,8 +179,9 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Bid submits are the only load the router sheds: fail fast while the
 	// replica advertises overload (healthz probe) or has stopped answering
 	// (open breaker), instead of adding our connection to its pile.
+	// Shedding anything else would stall auctions rather than protect them.
 	rep := rt.part(target.Partition)
-	if sheddable(r) {
+	if route == api.SubmitBid {
 		if rep.overloaded.Load() {
 			rt.sheds.Add(1)
 			shedOverloaded(w, rep.retryAfterMS.Load())
@@ -253,34 +225,25 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	copyResponse(w, resp)
 }
 
-// target resolves the replica a request belongs to.
-func (rt *router) target(r *http.Request, m *partition.Map, body []byte) (partition.Replica, bool) {
-	if id, _, ok := jobPath(r.URL.Path); ok {
-		if id, err := url.PathUnescape(id); err == nil {
-			if owner, ok := m.Owner(id); ok {
-				return owner, true
-			}
-		}
-	}
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+// replicaFor resolves the replica a request belongs to by its route's
+// scope; id is the route's {id}.
+func replicaFor(route api.Route, id string, m *partition.Map, body []byte) (partition.Replica, bool) {
+	if route.Scope == api.JobBody {
 		var spec api.JobRequest
 		_ = json.Unmarshal(body, &spec) // only the id matters; the rest is the owner's to judge
-		if spec.ID != "" {
-			if owner, ok := m.Owner(spec.ID); ok {
-				return owner, true
-			}
+		id = spec.ID
+	}
+	if (route.Scope == api.JobPath || route.Scope == api.JobBody) && id != "" {
+		if owner, ok := m.Owner(id); ok {
+			return owner, true
 		}
 	}
 	return m.Default()
 }
 
-// fanout handles node-registry writes, which must reach every replica; it
-// reports whether it handled the request. The primary (default) replica's
-// response is the one returned to the client.
-func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Map, body []byte) bool {
-	if m == nil || r.Method == http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/nodes") {
-		return false
-	}
+// fanout sends a node-registry write to every replica. The primary
+// (default) replica's response is the one returned to the client.
+func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Map, body []byte) {
 	rt.fanouts.Add(1)
 	primary, _ := m.Default()
 	var primaryResp *http.Response
@@ -291,7 +254,7 @@ func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Ma
 			rt.proxyErrs.Add(1)
 			if rep.Partition == primary.Partition {
 				proxyError(w, http.StatusBadGateway, "forwarding to "+rep.Partition+": "+err.Error())
-				return true
+				return
 			}
 			continue
 		}
@@ -309,10 +272,9 @@ func (rt *router) fanout(w http.ResponseWriter, r *http.Request, m *partition.Ma
 	}
 	if primaryResp == nil {
 		proxyError(w, http.StatusBadGateway, "no replica answered the fan-out")
-		return true
+		return
 	}
 	copyResponse(w, primaryResp)
-	return true
 }
 
 // send forwards the buffered request to one replica base URL.
@@ -347,18 +309,6 @@ func (rt *router) send(r *http.Request, baseURL string, body []byte) (*http.Resp
 	return rt.hc.Transport.RoundTrip(req)
 }
 
-// sheddable reports whether a request is deliberate-backpressure material:
-// only bid submits. Round closes, job creation, registry writes and event
-// streams must always be forwarded — shedding those would stall auctions
-// rather than protect them.
-func sheddable(r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		return false
-	}
-	_, rest, ok := jobPath(r.URL.Path)
-	return ok && rest == "/bids"
-}
-
 // shedOverloaded answers a router-level shed in the exchange's own
 // overload envelope so SDK clients retry after the hint exactly as they
 // would for a replica-issued 429.
@@ -366,9 +316,7 @@ func shedOverloaded(w http.ResponseWriter, retryMS int64) {
 	if retryMS <= 0 {
 		retryMS = defaultShedRetryMS
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusTooManyRequests)
-	_ = json.NewEncoder(w).Encode(api.Error{
+	api.WriteJSON(w, http.StatusTooManyRequests, api.Error{
 		Code:         api.CodeOverloaded,
 		Message:      "replica is overloaded; retry after the hint",
 		RetryAfterMS: retryMS,
@@ -404,7 +352,7 @@ func (rt *router) probeOnce(ctx context.Context) {
 		h := rt.part(rep.Partition)
 		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		req, err := http.NewRequestWithContext(pctx, http.MethodGet,
-			strings.TrimRight(rep.URL, "/")+"/v1/healthz", nil)
+			strings.TrimRight(rep.URL, "/")+api.GetHealthz.Path, nil)
 		if err != nil {
 			cancel()
 			continue
@@ -480,9 +428,7 @@ func isHopByHop(header string) bool {
 // proxyError answers a router-level failure in the exchange's JSON envelope
 // shape so SDK clients surface it as a regular APIError.
 func proxyError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(api.Error{Code: api.CodeRouterError, Message: msg})
+	api.WriteJSON(w, status, api.Error{Code: api.CodeRouterError, Message: msg})
 }
 
 // metrics serves the router's counters in Prometheus text format 0.0.4.

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"fmore/internal/exchange"
 	"fmore/internal/partition"
 	"fmore/internal/promtext"
+	"fmore/pkg/api"
 )
 
 // cluster is a two-replica exchange cluster plus a router in front of it,
@@ -184,6 +186,43 @@ func TestRouterRoutesByJobPath(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestRouterRoutesEscapedJobIDs: a job ID that must be escaped in a path —
+// a slash, a percent sign, an escape sequence spelled out, a space — is
+// routed by the ID itself, so its requests reach the owner first try.
+func TestRouterRoutesEscapedJobIDs(t *testing.T) {
+	c := startCluster(t, exchange.Options{})
+	for _, stem := range []string{"a/b", "50%", "x%2Fy", "with space"} {
+		id := ""
+		for i := 0; id == ""; i++ {
+			if cand := fmt.Sprintf("%s-%d", stem, i); c.m.Owns("p1", cand) {
+				id = cand
+			}
+		}
+		createJob(t, c.router.URL, id)
+		resp, err := http.Get(c.router.URL + "/v1/jobs/" + url.PathEscape(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job api.Job
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || job.ID != id {
+			t.Fatalf("GET job %q through the router: %d %+v %v", id, resp.StatusCode, job, err)
+		}
+		if _, ok := c.ex[1].Job(id); !ok {
+			t.Fatalf("%q not hosted on p1", id)
+		}
+	}
+	if got, err := scrapeRouter(t, c).Value("fmore_router_retry_total"); err != nil || got != 0 {
+		t.Errorf("fmore_router_retry_total = %v (%v), want 0", got, err)
+	}
+	for i, ex := range c.ex {
+		if n := ex.Metrics().WrongPartition; n != 0 {
+			t.Errorf("replica %d refused %d requests as wrong_partition, want 0", i, n)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -346,27 +345,6 @@ func TestRouterRelaysRedirect(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMovedPermanently || resp.Header.Get("Location") != "/v1/moved" {
 		t.Fatalf("client saw %d Location %q, want the replica's 301 to /v1/moved", resp.StatusCode, resp.Header.Get("Location"))
-	}
-}
-
-// TestJobPathMatchesRegexp: jobPath splits exactly what the regular
-// expression it replaced matched.
-func TestJobPathMatchesRegexp(t *testing.T) {
-	oracle := regexp.MustCompile(`^/v1/jobs/([^/]+)(/.*)?$`)
-	for _, p := range []string{
-		"/v1/jobs/a", "/v1/jobs/a/", "/v1/jobs/a/bids", "/v1/jobs/a/bids/x",
-		"/v1/jobs/", "/v1/jobs//bids", "/v1/jobsx/a",
-		"/v1/jobs/a%2Fb/bids", "//v1/jobs/a", "",
-	} {
-		id, rest, ok := jobPath(p)
-		var wantID, wantRest string
-		sub := oracle.FindStringSubmatch(p)
-		if sub != nil {
-			wantID, wantRest = sub[1], sub[2]
-		}
-		if ok != (sub != nil) || id != wantID || rest != wantRest {
-			t.Errorf("jobPath(%q) = %q, %q, %v; the regexp says %q, %q, %v", p, id, rest, ok, wantID, wantRest, sub != nil)
-		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"fmore/internal/analytics"
 	"fmore/internal/exchange"
+	"fmore/pkg/api"
 	"fmore/pkg/client"
 )
 
@@ -208,7 +209,7 @@ func main() {
 	if err := ex.Firehose().Drain(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nper-node rollups from GET /v1/nodes/{id}/stats:")
+	fmt.Println("\nper-node rollups from GET " + api.GetNodeStats.Path + ":")
 	fmt.Println("  node      bids  wins  win-rate  paid")
 	for _, node := range append(nodeIDs(bidders), watcherNode) {
 		st, err := c.NodeStats(ctx, node)

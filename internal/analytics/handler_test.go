@@ -10,6 +10,7 @@ import (
 
 	"fmore/internal/auction"
 	"fmore/internal/exchange"
+	"fmore/pkg/api"
 )
 
 // fixture runs a real exchange with the aggregator on its firehose and the
@@ -134,6 +135,20 @@ func TestStatsErrors(t *testing.T) {
 	}
 	if code := get(t, srv, "/v1/nodes/not-a-number/stats", nil); code != 400 {
 		t.Errorf("malformed node id status = %d, want 400", code)
+	}
+	// A wrong method on a stats route is 405 with Allow, like on any other
+	// route, though the exchange handler behind this one does not serve it.
+	for _, path := range []string{"/v1/jobs/busy/stats", "/v1/nodes/1/stats"} {
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.Error
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || env.Code != api.CodeNotAllowed || resp.Header.Get("Allow") != "GET" {
+			t.Errorf("POST %s = %d %q, Allow %q; want 405 %s, Allow GET", path, resp.StatusCode, env.Code, resp.Header.Get("Allow"), api.CodeNotAllowed)
+		}
 	}
 }
 

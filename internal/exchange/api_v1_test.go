@@ -82,6 +82,37 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestStatsRoutesOnBareHandler: without the analytics wrapper in front, a
+// stats route is not served (404) but still known: a wrong method on it is
+// 405 with Allow: GET.
+func TestStatsRoutesOnBareHandler(t *testing.T) {
+	srv, _ := httpFixture(t)
+	for _, c := range []struct {
+		method string
+		status int
+		code   string
+	}{
+		{http.MethodGet, http.StatusNotFound, "not_found"},
+		{http.MethodPost, http.StatusMethodNotAllowed, "method_not_allowed"},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+"/v1/jobs/x/stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allow := resp.Header.Get("Allow")
+		if body := decodeBody(t, resp); resp.StatusCode != c.status || body["code"] != c.code {
+			t.Errorf("%s /v1/jobs/x/stats = %d %v, want %d %s", c.method, resp.StatusCode, body, c.status, c.code)
+		}
+		if c.status == http.StatusMethodNotAllowed && allow != "GET" {
+			t.Errorf("%s /v1/jobs/x/stats Allow = %q, want GET", c.method, allow)
+		}
+	}
+}
+
 // TestCloseRoundStatusRegression pins the 404-vs-409 split on close: a job
 // the exchange hosts but whose lifecycle conflicts (already closed, below
 // quorum) answers 409 with a code naming the conflict; only a job the

@@ -364,9 +364,9 @@
 //
 // # The /v1 API
 //
-// NewHandler exposes the service over a versioned HTTP/JSON surface; see
-// its doc comment for the route table. Every body on it — requests,
-// responses, event payloads, the error envelope and its codes — is declared
+// NewHandler exposes the service over a versioned HTTP/JSON surface, the
+// rows of api.Routes. Every body on it — requests, responses, event
+// payloads, the error envelope and its codes — and every route is declared
 // once, in pkg/api: this package encodes those types, pkg/client aliases
 // them and cmd/fmore-router answers in them (TestWireDeclaredOnce keeps it
 // that way). The v1 contract, which the pkg/client SDK (the supported Go
@@ -375,9 +375,9 @@
 //   - Uniform errors. Every failure is api.Error, {code, message,
 //     retry_after_ms?}, as application/json; code is stable API surface
 //     (unknown_job, duplicate_bid, job_closed, below_quorum, timeout, …)
-//     mapped from the package's sentinel errors by classify. A request
-//     body over 8 MiB is refused with 413 invalid_request before anything
-//     is decoded or claimed — it is never truncated and parsed.
+//     mapped from the package's sentinel errors by classify. A body over
+//     api.MaxBody is refused with 413 invalid_request before anything is
+//     decoded or claimed — it is never truncated and parsed.
 //   - Idempotency. POST /v1/jobs and POST /v1/jobs/{id}/bids honor an
 //     Idempotency-Key header: a repeated key replays the recorded response
 //     (Idempotent-Replay: true) instead of failing on the duplicate side

@@ -28,90 +28,48 @@ const maxWait = 30 * time.Second
 // it.
 var sseHeartbeat = 15 * time.Second
 
-// NewHandler returns the exchange's HTTP front end. The versioned surface
-// lives under /v1:
-//
-//	POST   /v1/jobs                  create a job (Idempotency-Key honored)
-//	GET    /v1/jobs                  list jobs (cursor pagination)
-//	GET    /v1/jobs/{id}             job status
-//	DELETE /v1/jobs/{id}             close and evict a job
-//	POST   /v1/jobs/{id}/bids        submit one sealed bid (Idempotency-Key)
-//	POST   /v1/jobs/{id}/close       close the current round now
-//	GET    /v1/jobs/{id}/outcome     fetch a round outcome (?round=N, ?wait=1)
-//	GET    /v1/jobs/{id}/outcomes    list retained outcomes (cursor pagination)
-//	GET    /v1/jobs/{id}/events      SSE round stream (Last-Event-ID resume)
-//	GET    /v1/jobs/{id}/strategy    solved equilibrium bid curve (?samples=N)
-//	POST   /v1/nodes                 register a node
-//	POST   /v1/nodes/{id}/blacklist  ban a node
-//	GET    /v1/metrics               throughput and latency snapshot (JSON)
-//	GET    /v1/metrics/prometheus    the same counters in Prometheus text format
-//	GET    /v1/cluster/partitions    the replica's cluster map (404 unpartitioned)
-//	GET    /v1/healthz               overload state (503 + retry_after_ms when shedding)
-//
-// The pre-v1 unversioned aliases from the original API were removed after
-// their one-release deprecation window; pre-v1 paths now 404 with the v1
-// JSON envelope. All errors use the {code, message, retry_after_ms?}
-// envelope; wrong_partition (421) additionally names the owning replica. The
-// per-job and per-node rollup endpoints (GET /v1/jobs/{id}/stats,
-// GET /v1/nodes/{id}/stats) are served by the internal/analytics wrapper
-// handler, which embeds this one.
+// NewHandler returns the exchange's HTTP front end: every row of api.Routes
+// but the two stats routes, which the internal/analytics wrapper handler
+// serves in front of this one. Every error, a removed pre-v1 path's 404
+// included, is the api.Error envelope.
 func NewHandler(ex *Exchange) http.Handler {
 	h := &handler{ex: ex, idem: newIdemCache(idemCacheCap)}
 	mux := http.NewServeMux()
-	routes := []struct {
-		method, path string
-		fn           http.HandlerFunc
-	}{
-		{http.MethodPost, "/jobs", h.createJob},
-		{http.MethodGet, "/jobs", h.listJobs},
-		{http.MethodGet, "/jobs/{id}", h.jobStatus},
-		{http.MethodDelete, "/jobs/{id}", h.removeJob},
-		{http.MethodPost, "/jobs/{id}/bids", h.submitBid},
-		{http.MethodPost, "/jobs/{id}/close", h.closeRound},
-		{http.MethodGet, "/jobs/{id}/outcome", h.outcome},
-		{http.MethodGet, "/jobs/{id}/outcomes", h.listOutcomes},
-		{http.MethodGet, "/jobs/{id}/events", h.events},
-		{http.MethodGet, "/jobs/{id}/strategy", h.strategy},
-		{http.MethodPost, "/nodes", h.registerNode},
-		{http.MethodPost, "/nodes/{id}/blacklist", h.blacklistNode},
-		{http.MethodGet, "/metrics", h.metrics},
-		{http.MethodGet, "/metrics/prometheus", h.metricsPrometheus},
-		{http.MethodGet, "/cluster/partitions", h.clusterPartitions},
-		{http.MethodGet, "/healthz", h.healthz},
-	}
-	for _, rt := range routes {
-		mux.HandleFunc(rt.method+" /v1"+rt.path, rt.fn)
+	for rt, fn := range map[api.Route]http.HandlerFunc{
+		api.ListJobs:      h.listJobs,
+		api.CreateJob:     h.createJob,
+		api.GetJob:        h.jobStatus,
+		api.RemoveJob:     h.removeJob,
+		api.SubmitBid:     h.submitBid,
+		api.CloseRound:    h.closeRound,
+		api.GetOutcome:    h.outcome,
+		api.ListOutcomes:  h.listOutcomes,
+		api.WatchEvents:   h.events,
+		api.GetStrategy:   h.strategy,
+		api.RegisterNode:  h.registerNode,
+		api.BlacklistNode: h.blacklistNode,
+		api.GetMetrics:    h.metrics,
+		api.GetPrometheus: h.metricsPrometheus,
+		api.GetPartitions: h.clusterPartitions,
+		api.GetHealthz:    h.healthz,
+	} {
+		mux.HandleFunc(rt.Method+" "+rt.Path, fn)
 	}
 	// Fallback for everything the typed routes miss. The method-less "/"
 	// pattern outranks the mux's built-in 405 handling, so wrong-method
-	// requests land here too: re-probe the mux per method to tell "no such
-	// route" (404) from "route exists under another method" (405 with
-	// Allow) — both in the JSON envelope, never the mux's text/plain.
+	// requests land here too: 405 with Allow for a path a row serves under
+	// another method, else 404 — in the JSON envelope, not the mux's text.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if allowed := allowedMethods(mux, r); len(allowed) > 0 {
-			w.Header().Set("Allow", strings.Join(allowed, ", "))
+		if route, _, allow := api.Lookup(r.Method, r.URL.EscapedPath()); route == (api.Route{}) && len(allow) > 0 {
+			w.Header().Set("Allow", strings.Join(allow, ", "))
 			writeError(w, http.StatusMethodNotAllowed, api.CodeNotAllowed,
-				fmt.Sprintf("%s not allowed for %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allowed, ", ")))
+				fmt.Sprintf("%s not allowed for %s (allow: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")))
 			return
 		}
 		writeError(w, http.StatusNotFound, api.CodeNotFound,
 			fmt.Sprintf("no route for %s %s (the versioned API lives under /v1)", r.Method, r.URL.Path))
 	})
 	return mux
-}
-
-// allowedMethods returns the methods under which the request's path matches
-// a specific route (the catch-all excluded).
-func allowedMethods(mux *http.ServeMux, r *http.Request) []string {
-	var allowed []string
-	for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
-		probe := r.Clone(r.Context())
-		probe.Method = m
-		if _, pattern := mux.Handler(probe); pattern != "" && pattern != "/" {
-			allowed = append(allowed, m)
-		}
-	}
-	return allowed
 }
 
 type handler struct {
@@ -126,22 +84,17 @@ type handler struct {
 // durable across restarts).
 const idemCacheCap = 4096
 
-// maxRequestBody bounds every request body the handler reads, which also
-// keeps what one request can put into a log record far below the log's own
-// record bound.
-const maxRequestBody = 8 << 20
-
 // readBody reads a POST's body (a what). It reads one byte past the bound,
 // so a body that does not fit is refused with 413 instead of being
 // truncated and decoded as if whole. ok false: the response is written.
 func readBody(w http.ResponseWriter, r *http.Request, what string) (raw []byte, ok bool) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBody+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("reading %s: %v", what, err))
 		return nil, false
 	}
-	if len(raw) > maxRequestBody {
-		writeError(w, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest, fmt.Sprintf("%s body exceeds %d bytes", what, maxRequestBody))
+	if len(raw) > api.MaxBody {
+		writeError(w, http.StatusRequestEntityTooLarge, api.CodeInvalidRequest, fmt.Sprintf("%s body exceeds %d bytes", what, api.MaxBody))
 		return nil, false
 	}
 	return raw, true
@@ -381,7 +334,7 @@ func (h *handler) listJobs(w http.ResponseWriter, r *http.Request) {
 			resp.Jobs = append(resp.Jobs, jobView(job))
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // resolveJob looks up a hosted job; on a miss it writes unknown_job — or
@@ -401,7 +354,7 @@ func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, jobView(job))
+	api.WriteJSON(w, http.StatusOK, jobView(job))
 }
 
 func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
@@ -454,7 +407,7 @@ func (h *handler) removeJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.JobRemoved{Job: r.PathValue("id"), Removed: true})
+	api.WriteJSON(w, http.StatusOK, api.JobRemoved{Job: r.PathValue("id"), Removed: true})
 }
 
 // closeRound closes the collecting round now and answers with its outcome
@@ -742,7 +695,7 @@ func (h *handler) strategy(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := job.Spec()
 	lo, hi := strat.ThetaSupport()
-	writeJSON(w, http.StatusOK, api.Strategy{
+	api.WriteJSON(w, http.StatusOK, api.Strategy{
 		Job:     job.ID(),
 		Rule:    spec.Auction.Rule.Name(),
 		N:       spec.Equilibrium.N,
@@ -764,7 +717,7 @@ func (h *handler) registerNode(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := h.ex.RegisterNode(req.NodeID, req.Meta)
-	writeJSON(w, http.StatusOK, api.NodeRegistered{Bids: info.Bids(), NodeID: info.ID})
+	api.WriteJSON(w, http.StatusOK, api.NodeRegistered{Bids: info.Bids(), NodeID: info.ID})
 }
 
 func (h *handler) blacklistNode(w http.ResponseWriter, r *http.Request) {
@@ -779,11 +732,11 @@ func (h *handler) blacklistNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("node %d is not registered", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.NodeBlacklisted{Blacklisted: true, NodeID: id})
+	api.WriteJSON(w, http.StatusOK, api.NodeBlacklisted{Blacklisted: true, NodeID: id})
 }
 
 func (h *handler) metrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, h.ex.Metrics())
+	api.WriteJSON(w, http.StatusOK, h.ex.Metrics())
 }
 
 // clusterPartitions serves the replica's cluster map. An unpartitioned
@@ -794,7 +747,7 @@ func (h *handler) clusterPartitions(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "exchange is not partitioned")
 		return
 	}
-	writeJSON(w, http.StatusOK, partition.Document{
+	api.WriteJSON(w, http.StatusOK, partition.Document{
 		Version:    m.Version,
 		Local:      h.ex.Partition().Local,
 		Partitions: m.Partitions,
@@ -830,7 +783,7 @@ func (h *handler) healthz(w http.ResponseWriter, _ *http.Request) {
 	if resp.Status != "ok" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	api.WriteJSON(w, status, resp)
 }
 
 // metricsPrometheus serves the same health counters in the Prometheus text
@@ -913,12 +866,6 @@ func classify(err error) (status int, code string) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // roundBodyHint is the buffer a round body starts in: a 64-bid, K=8 round
 // is ~2.6 KB.
 const roundBodyHint = 4 << 10
@@ -988,7 +935,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		// stale map re-resolve quickly.
 		env.RetryAfterMS = retryMS(time.Second)
 	}
-	writeJSON(w, status, env)
+	api.WriteJSON(w, status, env)
 }
 
 // retryMS renders a retry hint as whole milliseconds, clamped to ≥ 1 so a
@@ -1005,7 +952,7 @@ func retryMS(d time.Duration) int64 {
 // exchange core (the in-flight gate) in the same envelope SubmitBid sheds
 // use.
 func writeOverloaded(w http.ResponseWriter, scope admission.Scope, retry time.Duration) {
-	writeJSON(w, http.StatusTooManyRequests, api.Error{
+	api.WriteJSON(w, http.StatusTooManyRequests, api.Error{
 		Code:         api.CodeOverloaded,
 		Message:      fmt.Sprintf("exchange: overloaded (%s limit), retry advised", scope),
 		RetryAfterMS: retryMS(retry),
@@ -1015,5 +962,5 @@ func writeOverloaded(w http.ResponseWriter, scope admission.Scope, retry time.Du
 // writeError renders an explicit status/code pair (request validation and
 // routing failures that never reach the exchange core).
 func writeError(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, api.Error{Code: code, Message: message})
+	api.WriteJSON(w, status, api.Error{Code: code, Message: message})
 }

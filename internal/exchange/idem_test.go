@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fmore/internal/auction"
+	"fmore/pkg/api"
 )
 
 // idemOrder lists the cache's eviction order, oldest first, checking the
@@ -138,7 +139,7 @@ func TestHTTPOversizedBodyRefused(t *testing.T) {
 		t.Fatalf("create: %d %v", resp.StatusCode, body)
 	}
 	// Valid JSON all the way through: only its size is wrong.
-	pad := bytes.Repeat([]byte("x"), maxRequestBody)
+	pad := bytes.Repeat([]byte("x"), api.MaxBody)
 	oversized := func(prefix string) []byte {
 		return append(append([]byte(prefix+`,"meta":"`), pad...), `"}`...)
 	}
@@ -164,7 +165,7 @@ func TestHTTPOversizedBodyRefused(t *testing.T) {
 	} {
 		resp, body := post(c.path, "oversized", oversized(c.prefix))
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || body["code"] != "invalid_request" {
-			t.Errorf("POST %s with a %d-byte body: %d %v, want 413 invalid_request", c.path, maxRequestBody+len(c.prefix), resp.StatusCode, body)
+			t.Errorf("POST %s with a %d-byte body: %d %v, want 413 invalid_request", c.path, api.MaxBody+len(c.prefix), resp.StatusCode, body)
 		}
 	}
 	if _, ok := ex.Job("huge"); ok {

@@ -1,8 +1,8 @@
-// Package api declares the exchange's /v1 HTTP contract once: every request
-// and response body, the error envelope and its stable codes. The handler
-// (internal/exchange, internal/analytics) encodes these types, pkg/client
-// aliases them and cmd/fmore-router answers in them, so a field added here
-// is on the wire and in the SDK at once. Declared elsewhere, each next to
+// Package api declares the exchange's /v1 HTTP contract once: every route,
+// request and response body, the error envelope and its stable codes. The
+// handler (internal/exchange, internal/analytics) serves and encodes these,
+// pkg/client calls and aliases them and cmd/fmore-router routes by and
+// answers in them, so a field or route added here is on the wire at once. Declared elsewhere, each next to
 // the code that gives it meaning: the rule and equilibrium specs a job
 // request carries (internal/auction/spec.go), the cluster map document and
 // the routing part of a 421 envelope (internal/partition), and the WAL's

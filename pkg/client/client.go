@@ -120,13 +120,12 @@ func (c *Client) CreateJob(ctx context.Context, spec JobSpec) (Job, error) {
 	}
 	var job Job
 	err := c.do(ctx, request{
-		method:  http.MethodPost,
-		path:    "/v1/jobs",
+		route:   api.CreateJob,
+		id:      spec.ID,
 		body:    spec.wire(),
 		headers: map[string]string{"Idempotency-Key": key},
 		out:     &job,
 		retry:   true,
-		job:     spec.ID,
 	})
 	return job, err
 }
@@ -134,7 +133,7 @@ func (c *Client) CreateJob(ctx context.Context, spec JobSpec) (Job, error) {
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, jobID string) (Job, error) {
 	var job Job
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID), out: &job, retry: true, job: jobID})
+	err := c.do(ctx, request{route: api.GetJob, id: jobID, out: &job, retry: true})
 	return job, err
 }
 
@@ -148,7 +147,7 @@ func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
 			q.Set("cursor", cursor)
 		}
 		var page api.JobList
-		if err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs", query: q, out: &page, retry: true}); err != nil {
+		if err := c.do(ctx, request{route: api.ListJobs, query: q, out: &page, retry: true}); err != nil {
 			return nil, err
 		}
 		all = append(all, page.Jobs...)
@@ -161,7 +160,7 @@ func (c *Client) Jobs(ctx context.Context) ([]Job, error) {
 
 // RemoveJob closes the job and evicts it from the exchange.
 func (c *Client) RemoveJob(ctx context.Context, jobID string) error {
-	return c.do(ctx, request{method: http.MethodDelete, path: "/v1/jobs/" + url.PathEscape(jobID), job: jobID})
+	return c.do(ctx, request{route: api.RemoveJob, id: jobID})
 }
 
 // SubmitBid submits one sealed bid into the job's collecting round and
@@ -171,13 +170,12 @@ func (c *Client) RemoveJob(ctx context.Context, jobID string) error {
 func (c *Client) SubmitBid(ctx context.Context, jobID string, bid Bid) (round int, err error) {
 	var resp api.BidAck
 	err = c.do(ctx, request{
-		method:  http.MethodPost,
-		path:    "/v1/jobs/" + url.PathEscape(jobID) + "/bids",
+		route:   api.SubmitBid,
+		id:      jobID,
 		body:    bid,
 		headers: map[string]string{"Idempotency-Key": newIdempotencyKey()},
 		out:     &resp,
 		retry:   true,
-		job:     jobID,
 	})
 	return resp.Round, err
 }
@@ -187,7 +185,7 @@ func (c *Client) SubmitBid(ctx context.Context, jobID string, bid Bid) (round in
 // the next round too).
 func (c *Client) CloseRound(ctx context.Context, jobID string) (Outcome, error) {
 	var out Outcome
-	err := c.do(ctx, request{method: http.MethodPost, path: "/v1/jobs/" + url.PathEscape(jobID) + "/close", out: &out, job: jobID})
+	err := c.do(ctx, request{route: api.CloseRound, id: jobID, out: &out})
 	return out, err
 }
 
@@ -195,14 +193,14 @@ func (c *Client) CloseRound(ctx context.Context, jobID string) (Outcome, error) 
 func (c *Client) Outcome(ctx context.Context, jobID string, round int) (Outcome, error) {
 	q := url.Values{"round": {strconv.Itoa(round)}}
 	var out Outcome
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/outcome", query: q, out: &out, retry: true, job: jobID})
+	err := c.do(ctx, request{route: api.GetOutcome, id: jobID, query: q, out: &out, retry: true})
 	return out, err
 }
 
 // LatestOutcome fetches the most recent completed round without blocking.
 func (c *Client) LatestOutcome(ctx context.Context, jobID string) (Outcome, error) {
 	var out Outcome
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/outcome", out: &out, retry: true, job: jobID})
+	err := c.do(ctx, request{route: api.GetOutcome, id: jobID, out: &out, retry: true})
 	return out, err
 }
 
@@ -216,7 +214,7 @@ func (c *Client) WaitOutcome(ctx context.Context, jobID string, round int) (Outc
 	}
 	for {
 		var out Outcome
-		err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/outcome", query: q, out: &out, retry: true, job: jobID})
+		err := c.do(ctx, request{route: api.GetOutcome, id: jobID, query: q, out: &out, retry: true})
 		if err == nil {
 			return out, nil
 		}
@@ -244,18 +242,18 @@ func (c *Client) Outcomes(ctx context.Context, jobID string, afterRound, limit i
 		q.Set("limit", strconv.Itoa(limit))
 	}
 	var resp api.OutcomeList
-	err = c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/outcomes", query: q, out: &resp, retry: true, job: jobID})
+	err = c.do(ctx, request{route: api.ListOutcomes, id: jobID, query: q, out: &resp, retry: true})
 	return resp.Outcomes, resp.NextCursor != "", err
 }
 
 // Register adds the node to the exchange's registry (idempotent).
 func (c *Client) Register(ctx context.Context, nodeID int, meta string) error {
-	return c.do(ctx, request{method: http.MethodPost, path: "/v1/nodes", body: api.NodeRequest{NodeID: nodeID, Meta: meta}, retry: true})
+	return c.do(ctx, request{route: api.RegisterNode, body: api.NodeRequest{NodeID: nodeID, Meta: meta}, retry: true})
 }
 
 // Blacklist bans the node from all future rounds.
 func (c *Client) Blacklist(ctx context.Context, nodeID int) error {
-	return c.do(ctx, request{method: http.MethodPost, path: "/v1/nodes/" + strconv.Itoa(nodeID) + "/blacklist", retry: true})
+	return c.do(ctx, request{route: api.BlacklistNode, id: strconv.Itoa(nodeID), retry: true})
 }
 
 // Strategy fetches the job's solved Theorem 1 equilibrium bid curve with
@@ -267,7 +265,7 @@ func (c *Client) Strategy(ctx context.Context, jobID string, samples int) (*Stra
 		q.Set("samples", strconv.Itoa(samples))
 	}
 	var s Strategy
-	if err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/strategy", query: q, out: &s, retry: true, job: jobID}); err != nil {
+	if err := c.do(ctx, request{route: api.GetStrategy, id: jobID, query: q, out: &s, retry: true}); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -276,7 +274,7 @@ func (c *Client) Strategy(ctx context.Context, jobID string, samples int) (*Stra
 // Metrics fetches the exchange's health snapshot.
 func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 	var m Metrics
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/metrics", out: &m, retry: true})
+	err := c.do(ctx, request{route: api.GetMetrics, out: &m, retry: true})
 	return m, err
 }
 
@@ -284,7 +282,7 @@ func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 // (GET /v1/metrics/prometheus) verbatim.
 func (c *Client) PrometheusMetrics(ctx context.Context) (string, error) {
 	var text string
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/metrics/prometheus", rawOut: &text, retry: true})
+	err := c.do(ctx, request{route: api.GetPrometheus, rawOut: &text, retry: true})
 	return text, err
 }
 
@@ -293,7 +291,7 @@ func (c *Client) PrometheusMetrics(ctx context.Context) (string, error) {
 // the analytics wrapper handler; a bare exchange answers 404.
 func (c *Client) JobStats(ctx context.Context, jobID string) (JobStats, error) {
 	var st JobStats
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(jobID) + "/stats", out: &st, retry: true, job: jobID})
+	err := c.do(ctx, request{route: api.GetJobStats, id: jobID, out: &st, retry: true})
 	return st, err
 }
 
@@ -301,16 +299,16 @@ func (c *Client) JobStats(ctx context.Context, jobID string) (JobStats, error) {
 // (GET /v1/nodes/{id}/stats). See JobStats for availability.
 func (c *Client) NodeStats(ctx context.Context, nodeID int) (NodeStats, error) {
 	var st NodeStats
-	err := c.do(ctx, request{method: http.MethodGet, path: "/v1/nodes/" + strconv.Itoa(nodeID) + "/stats", out: &st, retry: true})
+	err := c.do(ctx, request{route: api.GetNodeStats, id: strconv.Itoa(nodeID), out: &st, retry: true})
 	return st, err
 }
 
 // --- transport core ---------------------------------------------------------
 
-// request is one API call description for do.
+// request is one API call description for do: a route and its {id}.
 type request struct {
-	method  string
-	path    string
+	route   api.Route
+	id      string
 	query   url.Values
 	body    any
 	headers map[string]string
@@ -321,9 +319,6 @@ type request struct {
 	// retry marks the request safe to re-issue after a transient failure
 	// (GETs, and POSTs carrying an idempotency key).
 	retry bool
-	// job scopes the request to one job for SDK-side routing: with a
-	// partition map loaded, the request goes directly to the owning replica.
-	job string
 }
 
 // doTransport issues one HTTP request through the sdk/transport failpoint:
@@ -378,7 +373,8 @@ func (c *Client) do(ctx context.Context, req request) error {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
 	}
-	target := req.path
+	path := req.route.URL(req.id)
+	target := path
 	if len(req.query) > 0 {
 		target += "?" + req.query.Encode()
 	}
@@ -416,11 +412,11 @@ func (c *Client) do(ctx context.Context, req request) error {
 		}
 		base := pinned
 		if base == "" {
-			base = c.routedBase(req.job)
+			base = c.routedBase(req.route, req.id)
 		}
-		resp, err := c.send(ctx, req.method, base, target, bodyBytes, req.headers)
+		resp, err := c.send(ctx, req.route.Method, base, target, bodyBytes, req.headers)
 		if err != nil {
-			lastErr = fmt.Errorf("client: %s %s: %w", req.method, req.path, err)
+			lastErr = fmt.Errorf("client: %s %s: %w", req.route.Method, path, err)
 			if ctx.Err() != nil {
 				return lastErr
 			}
@@ -436,7 +432,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 				raw, err := io.ReadAll(resp.Body)
 				resp.Body.Close() //nolint:errcheck // read
 				if err != nil {
-					return fmt.Errorf("client: reading %s %s response: %w", req.method, req.path, err)
+					return fmt.Errorf("client: reading %s %s response: %w", req.route.Method, path, err)
 				}
 				*req.rawOut = string(raw)
 				return nil
@@ -449,7 +445,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 			err := json.NewDecoder(resp.Body).Decode(req.out)
 			resp.Body.Close() //nolint:errcheck // decoded
 			if err != nil {
-				return fmt.Errorf("client: decoding %s %s response: %w", req.method, req.path, err)
+				return fmt.Errorf("client: decoding %s %s response: %w", req.route.Method, path, err)
 			}
 			return nil
 		}
@@ -465,7 +461,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 			// which replicas still take writes).
 			rerouted = true
 			_ = c.routes.Refresh(ctx, c.hc, c.base)
-			if pinned = c.routedBase(req.job); pinned == base {
+			if pinned = c.routedBase(req.route, req.id); pinned == base {
 				pinned = c.base
 			}
 			attempt--

@@ -13,8 +13,8 @@
 //
 // The request and response types (Job, Bid, Outcome, Metrics, the stats
 // rollups, Strategy) and the Code* constants are aliases of pkg/api, the
-// one declaration of the /v1 wire that the exchange's handler encodes — the
-// SDK cannot lag behind the server by a field.
+// one declaration of the /v1 wire and its routes (api.Routes) that the
+// exchange's handler serves — the SDK cannot lag behind the server by a field.
 //
 // Against a partitioned cluster (see EnableRouting) per-job calls go
 // straight to the replica owning the job, and every call — event streams

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"fmore/pkg/api"
@@ -131,7 +130,7 @@ func (c *Client) connectEvents(ctx context.Context, jobID string, lastRound int)
 	if lastRound > 0 {
 		headers["Last-Event-ID"] = strconv.Itoa(lastRound)
 	}
-	resp, err := c.send(ctx, http.MethodGet, c.routedBase(jobID), "/v1/jobs/"+url.PathEscape(jobID)+"/events", nil, headers)
+	resp, err := c.send(ctx, api.WatchEvents.Method, c.routedBase(api.WatchEvents, jobID), api.WatchEvents.URL(jobID), nil, headers)
 	if err != nil {
 		return nil, fmt.Errorf("client: connecting events stream: %w", err)
 	}

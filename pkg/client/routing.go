@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"fmore/internal/partition"
+	"fmore/pkg/api"
 )
 
 type (
@@ -24,7 +25,7 @@ type (
 // CodeNotFound.
 func (c *Client) ClusterPartitionsMap(ctx context.Context) (ClusterPartitions, error) {
 	var cp ClusterPartitions
-	err := c.do(ctx, request{method: "GET", path: partition.MapPath, out: &cp, retry: true})
+	err := c.do(ctx, request{route: api.GetPartitions, out: &cp, retry: true})
 	return cp, err
 }
 
@@ -73,11 +74,12 @@ func (c *Client) RoutingVersion() int64 {
 	return 0
 }
 
-// routedBase picks the base URL for a request: the owning replica for a
-// job-scoped call when routing is on, the client's own base otherwise.
-func (c *Client) routedBase(job string) string {
-	if job != "" {
-		if owner, ok := c.routes.Load().Owner(job); ok {
+// routedBase picks the base URL for a call of route on id: the replica
+// owning the job when the route is job-scoped and routing is on, the
+// client's own base otherwise.
+func (c *Client) routedBase(route api.Route, id string) string {
+	if (route.Scope == api.JobPath || route.Scope == api.JobBody) && id != "" {
+		if owner, ok := c.routes.Load().Owner(id); ok {
 			return strings.TrimRight(owner.URL, "/")
 		}
 	}
