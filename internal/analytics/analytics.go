@@ -26,12 +26,25 @@
 // for; one that left the window is reset and reused in place, so once an
 // entity has as many buckets as it is ever live in at a time, aggregation
 // allocates nothing, as the tap's own steady state does. The round fields
-// (rounds, failures, profit, latency) exist only on jobs. Ingest takes one
-// mutex — contention-free in practice, because a single pump goroutine is
-// the only writer and readers are scrape-rate HTTP requests.
+// (rounds, failures, profit, latency) exist only on jobs.
+//
+// A node's state lives by value in one append-only arena, in first-contact
+// order, found through an open-addressed index of 4-byte arena positions
+// (Fibonacci home slot, linear probe, at most half full, doubled by
+// re-inserting the arena). A node costs its 80-byte series in the arena
+// (plus the arena's spare capacity), 8 to 16 bytes of index, and its
+// buckets; a lookup reads one index slot, usually, and the arena entry it
+// names, and nodes first seen together, such as one round's slate, are
+// neighbours there. Jobs are few and keyed by string: they stay in a map of
+// pointers.
+//
+// Ingest takes one mutex — contention-free in practice, because a single
+// pump goroutine is the only writer and readers are scrape-rate HTTP
+// requests.
 package analytics
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -115,7 +128,13 @@ type bucket struct {
 // the slices the entity was seen in, in no order except that the bucket
 // written last is first; it never outgrows Options.Buckets while the clock
 // moves forward.
+//
+// A node's series lives in the aggregator's arena, so a *series of a node
+// is valid only until the next first contact of a node, which may move the
+// arena: use it at once and look it up again afterwards. A job's series is
+// its own allocation and stays put.
 type series struct {
+	id        int // nodes only: the arena entry's key
 	life      tally
 	rounds    *roundTally // lifetime round totals; jobs only
 	buckets   []bucket
@@ -134,9 +153,13 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*series
-	nodes   map[int]*series
+	nodes   []series // the node arena, in first-contact order
+	nodeIdx []int32  // open-addressed index of nodes: 1 + arena index, 0 = empty
 	dropped uint64
 }
+
+// minNodeSlots is the size of the first node index.
+const minNodeSlots = 64
 
 // New builds an aggregator. Zero Options give a 10-minute window over 30
 // buckets and the default price bounds.
@@ -164,7 +187,7 @@ func New(opts Options) *Aggregator {
 		bounds:    opts.PriceBounds,
 		now:       opts.Now,
 		jobs:      make(map[string]*series),
-		nodes:     make(map[int]*series),
+		nodeIdx:   make([]int32, minNodeSlots),
 	}
 }
 
@@ -217,13 +240,48 @@ func (a *Aggregator) jobSeries(id string) *series {
 	return s
 }
 
+// nodeSeries returns the node's series, appending it to the arena on first
+// contact (valid until the next first contact; see series).
 func (a *Aggregator) nodeSeries(id int) *series {
-	s := a.nodes[id]
-	if s == nil {
-		s = new(series)
-		a.nodes[id] = s
+	i := a.nodeSlot(id)
+	if at := a.nodeIdx[i]; at != 0 {
+		return &a.nodes[at-1]
 	}
-	return s
+	if 2*(len(a.nodes)+1) > len(a.nodeIdx) {
+		a.growNodeIdx()
+		i = a.nodeSlot(id)
+	}
+	a.nodes = append(a.nodes, series{id: id})
+	a.nodeIdx[i] = int32(len(a.nodes))
+	return &a.nodes[len(a.nodes)-1]
+}
+
+// nodeSlot probes the node index linearly from id's home slot (the top
+// bits of its 64-bit Fibonacci product, as the exchange's registry and
+// intake place nodes). It returns the slot that holds id, or the empty slot
+// that ended the probe: nodes are never removed, so that slot proves id
+// absent.
+func (a *Aggregator) nodeSlot(id int) int {
+	mask := len(a.nodeIdx) - 1
+	i := nodeHome(id, len(a.nodeIdx))
+	for at := a.nodeIdx[i]; at != 0 && a.nodes[at-1].id != id; at = a.nodeIdx[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// nodeHome is id's first probe in a node index of size slots (a power of
+// two).
+func nodeHome(id, size int) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(size))))
+}
+
+// growNodeIdx doubles the node index and re-inserts the arena into it.
+func (a *Aggregator) growNodeIdx() {
+	a.nodeIdx = make([]int32, 2*len(a.nodeIdx))
+	for k := range a.nodes {
+		a.nodeIdx[a.nodeSlot(a.nodes[k].id)] = int32(k + 1)
+	}
 }
 
 // priceBucket maps a bid price onto its histogram slot.
@@ -237,10 +295,11 @@ func (a *Aggregator) priceBucket(p float64) int {
 }
 
 // ConsumeTap implements exchange.Sink. One batch costs one mutex
-// acquisition, one job lookup per run of events of the same job, and
-// in-place counter updates; the only allocations are the first contact of a
-// new job or node and a bucket for a window slice the entity has none to
-// spare for (see at).
+// acquisition, one job lookup per run of events of the same job, one node
+// index probe per bid or win, and in-place counter updates. The only
+// allocations are a new job's series, the node arena growing (as append
+// grows a slice) and its index doubling on a new node's first contact, and
+// a bucket for a window slice the entity has none to spare for (see at).
 func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 	now := a.now()
 	epoch := a.epochOf(now)
@@ -383,10 +442,11 @@ func (a *Aggregator) JobStats(id string) (JobStats, bool) {
 func (a *Aggregator) NodeStats(id int) (NodeStats, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s, ok := a.nodes[id]
-	if !ok {
+	at := a.nodeIdx[a.nodeSlot(id)]
+	if at == 0 {
 		return NodeStats{}, false
 	}
+	s := &a.nodes[at-1]
 	win, hist := a.windowRollup(s)
 	return NodeStats{
 		Node:           id,
@@ -403,9 +463,9 @@ func (a *Aggregator) NodeStats(id int) (NodeStats, bool) {
 func (a *Aggregator) NodeIDs() []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ids := make([]int, 0, len(a.nodes))
-	for id := range a.nodes {
-		ids = append(ids, id)
+	ids := make([]int, len(a.nodes))
+	for k := range a.nodes {
+		ids[k] = a.nodes[k].id
 	}
 	slices.Sort(ids)
 	return ids

@@ -281,7 +281,10 @@ func (p *tapPump) run() {
 func (p *tapPump) expand(r *tapRound) {
 	ro := &r.ro
 	for _, b := range r.bids {
-		*p.next() = TapEvent{Kind: TapBidAccepted, Job: ro.JobID, Round: ro.Round, Node: b.node, Price: b.price}
+		// In place: a composite literal would be built aside and copied in.
+		e := p.next()
+		*e = TapEvent{}
+		e.Kind, e.Job, e.Round, e.Node, e.Price = TapBidAccepted, ro.JobID, ro.Round, b.node, b.price
 	}
 	for i := range ro.Outcome.Winners {
 		w := &ro.Outcome.Winners[i]

@@ -286,10 +286,11 @@ func TestFirehoseParkedPumpAlwaysWakes(t *testing.T) {
 	}
 }
 
-// tapRoundFixture is one 64-bid, K=8 round: the round_churn_durable shape.
-func tapRoundFixture() (RoundOutcome, []auction.Bid) {
-	slate := testBids(7, 1, 64)
-	winners := make([]auction.Winner, 8)
+// tapRoundFixture is one round of n bids and k winners: 64 and 8 are the
+// round_churn_durable shape, 16,384 and 64 the mega_round one.
+func tapRoundFixture(n, k int) (RoundOutcome, []auction.Bid) {
+	slate := testBids(7, 1, n)
+	winners := make([]auction.Winner, k)
 	for i := range winners {
 		winners[i] = auction.Winner{Bid: slate[i], Payment: slate[i].Payment, Score: float64(i)}
 	}
@@ -312,7 +313,7 @@ func offerAndWait(f *Firehose, ro *RoundOutcome, slate []auction.Bid) {
 func TestFirehoseEmitAllocatesNothing(t *testing.T) {
 	f := new(Firehose)
 	defer f.Attach(discardSink{})()
-	ro, slate := tapRoundFixture()
+	ro, slate := tapRoundFixture(64, 8)
 	offerAndWait(f, &ro, slate)
 	if n := testing.AllocsPerRun(1000, func() { offerAndWait(f, &ro, slate) }); n != 0 {
 		t.Errorf("attached offer: %v allocs per round, want 0", n)
@@ -325,18 +326,29 @@ type discardSink struct{}
 
 func (discardSink) ConsumeTap([]TapEvent, uint64) {}
 
-// BenchmarkFirehoseRound offers one 64-bid, K=8 round and waits until the
-// pump has delivered it into a sink that discards everything: the tap's
-// whole cost per round, closer and pump side. 0 allocs/op.
+// BenchmarkFirehoseRound offers one round and waits until the pump has
+// delivered it into a sink that discards everything: the tap's whole cost
+// per round, closer and pump side, on the round_churn_durable shape (64
+// bids, K=8) and the mega_round one (16,384 bids, K=64). 0 allocs/op.
 func BenchmarkFirehoseRound(b *testing.B) {
-	f := new(Firehose)
-	defer f.Attach(discardSink{})()
-	ro, slate := tapRoundFixture()
-	offerAndWait(f, &ro, slate) // the one batch the loop recycles
-	b.ReportAllocs()
-	for b.Loop() {
-		offerAndWait(f, &ro, slate)
+	for _, shape := range []struct {
+		name string
+		n, k int
+	}{
+		{"64bids_K8", 64, 8},
+		{"16384bids_K64", 16384, 64},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			f := new(Firehose)
+			defer f.Attach(discardSink{})()
+			ro, slate := tapRoundFixture(shape.n, shape.k)
+			offerAndWait(f, &ro, slate) // the one batch the loop recycles
+			b.ReportAllocs()
+			for b.Loop() {
+				offerAndWait(f, &ro, slate)
+			}
+			events := len(slate) + len(ro.Outcome.Winners) + 1
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
 	}
-	events := len(slate) + len(ro.Outcome.Winners) + 1
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }
