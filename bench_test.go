@@ -494,7 +494,10 @@ func benchmarkSubmitBids(b *testing.B, submit func(jobID string, bid auction.Bid
 
 // BenchmarkExchange_SubmitBids_Parallel is the real exchange path: 64
 // concurrent bidders against one hosted job (registry policy, dedup, intake
-// buffering included). Tracked in BENCH.md; CI smokes one iteration.
+// buffering included). An op is 2,048 submits and one round close. Every
+// failpoint is compiled in but disabled, so the fault framework must cost
+// the hot path one nil atomic pointer load. Tracked in BENCH.md; CI smokes
+// one iteration, and TestSubmitCloseAllocations pins the allocations.
 func BenchmarkExchange_SubmitBids_Parallel(b *testing.B) {
 	ex := exchange.New(exchange.Options{})
 	defer ex.Close()

@@ -45,8 +45,8 @@ func clusterJob(t *testing.T, m *partition.Map, part string) string {
 // exchange and router binaries, start two partitioned replicas sharing one
 // data-dir parent plus a router, create jobs hashing to both partitions
 // through the SDK, drive a round on each, check routed and direct reads are
-// byte-identical, then kill -9 one replica, restart it, and require its
-// outcome pages unchanged.
+// byte-identical and wrong_partition converges in one retry, then kill -9
+// one replica, restart it, and require its outcome pages unchanged.
 func TestE2EMultiReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binaries")

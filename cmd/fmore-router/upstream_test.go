@@ -280,7 +280,9 @@ func TestUpstreamLeavesRequestAlone(t *testing.T) {
 
 // TestUpstreamClientLeavesStream: a client that hangs up in the middle of an
 // event stream ends the replica's request within a second — the router
-// tears its upstream connection down instead of reading on for nobody.
+// tears its upstream connection down instead of reading on for nobody. The
+// teardown runs from the request context's AfterFunc while the forwarding
+// goroutine may still be reading the connection.
 func TestUpstreamClientLeavesStream(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr http.RoundTripper) {
 		ended := make(chan struct{})

@@ -81,7 +81,9 @@ func TestScoreCutBitIdentical(t *testing.T) {
 // invalid bid of the whole slate — whichever span met it, whether its defect
 // is a quality the scorer stops at or a payment the draw loop does, and
 // whatever later spans found — with the frozen pipeline's error text after
-// the frozen pipeline's number of draws. The four rule kinds (each has its
+// the frozen pipeline's number of draws. The spans share only the join
+// that collects that bid, so a mistake there is a data race or a report
+// that depends on which span finished last. The four rule kinds (each has its
 // own loop in scorePrefix) take turns over the cases.
 func TestScoreCutFirstInvalidBid(t *testing.T) {
 	gen := rand.New(rand.NewSource(29))

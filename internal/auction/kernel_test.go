@@ -235,7 +235,9 @@ func TestPowFactorMatchesPow(t *testing.T) {
 
 // FuzzScoreKernel lets the fuzzer pick the rule family, its coefficients
 // and one three-dimensional bid; whatever the constructors accept must
-// score to the frozen reference's bits on every path.
+// score to the frozen reference's bits on every path (Value, Score,
+// ScoreBids, Select): logged outcomes and seeded replays were written with
+// those bits.
 func FuzzScoreKernel(f *testing.F) {
 	f.Add(uint8(2), 2.0, 0.5, 0.3, 0.2, 0.7, 0.4, 0.9, 0.1)
 	f.Add(uint8(2), 25.0, 1.0, 1.0, 0.49999999999999994, 0.0, 1.0, math.MaxFloat64, 0.0)

@@ -199,8 +199,11 @@
 // segment seal (EIO, ENOSPC), or a round that would not encode — is
 // different: the log freezes at the first failure (internal/wal,
 // "Failure") and the error is permanent for the process. The replica's
-// degraded state is that sticky error, read where it lives;
-// Options.OnWALFailure picks the policy:
+// degraded state is that sticky error, read where it lives. A bid whose
+// score s(q) − p is not finite (finite qualities can overflow it: 1.7e308
+// twice under additive [1,1]) is refused at submit with 400
+// invalid_request and counted in bids_rejected, so no bid's score keeps
+// its round from encoding. Options.OnWALFailure picks the policy:
 //
 //   - WALDegrade (default). The replica stays up but stops lying about
 //     durability: every durable mutation (bid submit, round close, job
@@ -381,7 +384,14 @@
 //   - Idempotency. POST /v1/jobs and POST /v1/jobs/{id}/bids honor an
 //     Idempotency-Key header: a repeated key replays the recorded response
 //     (Idempotent-Replay: true) instead of failing on the duplicate side
-//     effect, making client retries safe. Keys are process-local.
+//     effect, making client retries safe. Keys are process-local: a
+//     restart forgets them, and no state is kept to remember them. A keyed
+//     job POST retried after a crash finds its durable job and answers 400
+//     invalid_request ("already exists"), not the recorded 201. A keyed
+//     bid retried after a crash whose round had not closed was lost with
+//     that round, so the retry is its one effect; one whose round closed
+//     durably keeps that effect, and the retry joins the next round
+//     (TestKeyedRetryAfterRestart).
 //   - Pagination. GET /v1/jobs and GET /v1/jobs/{id}/outcomes page with
 //     ?cursor= / ?limit= and return next_cursor while more remain.
 //   - Server-push rounds. GET /v1/jobs/{id}/events is a Server-Sent Events

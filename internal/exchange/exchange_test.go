@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fmore/internal/admission"
 	"fmore/internal/auction"
 )
 
@@ -402,5 +404,108 @@ func TestExchangeCloseRejectsWork(t *testing.T) {
 	}
 	if _, err := ex.CreateJob(JobSpec{Auction: auction.Config{Rule: testRule(t, 5), K: 1}}); !errors.Is(err, ErrExchangeClosed) {
 		t.Errorf("CreateJob after Close: err = %v, want ErrExchangeClosed", err)
+	}
+}
+
+// TestSubmitCloseAllocations pins the bid and close paths' allocation
+// figures on warm state: a registered node's SubmitBid allocates nothing —
+// the finite-score check included — with or without an admission
+// controller installed, and a CloseRound allocates the three blocks of the
+// one owning outcome the job's history keeps.
+func TestSubmitCloseAllocations(t *testing.T) {
+	const nodes, k = 256, 8
+	bids := testBids(0, 1, nodes)
+	measure := func(t *testing.T, opts Options) (submit, closeRound float64) {
+		ex := New(opts)
+		defer ex.Close() //nolint:errcheck // test teardown
+		job, err := ex.CreateJob(JobSpec{ID: "allocs", Auction: auction.Config{Rule: testRule(t, 0), K: k}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		submitNext := func() {
+			if _, err := ex.SubmitBid("allocs", bids[next%nodes]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for _, b := range bids {
+			ex.RegisterNode(b.NodeID, "")
+		}
+		// Warm: every node's admission bucket minted, the intake's tables
+		// and the close's scratch at size, the outcome history full.
+		for r := 0; r < 130; r++ {
+			for range bids {
+				submitNext()
+			}
+			if _, err := job.CloseRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		submit = testing.AllocsPerRun(nodes-1, submitNext)
+		if _, err := job.CloseRound(); err != nil {
+			t.Fatal(err)
+		}
+		closeRound = testing.AllocsPerRun(50, func() {
+			for range k {
+				submitNext()
+			}
+			if _, err := job.CloseRound(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return submit, closeRound
+	}
+	submit, closeRound := measure(t, Options{})
+	if submit != 0 {
+		t.Errorf("SubmitBid: %v allocs, want 0", submit)
+	}
+	if closeRound != 3 {
+		t.Errorf("CloseRound: %v allocs, want 3", closeRound)
+	}
+	// A global ceiling nothing reaches: the admit runs on every bid and
+	// sheds none.
+	admitted, _ := measure(t, Options{Admission: admission.NewController(admission.Config{
+		GlobalRate: 1e12, GlobalBurst: 1 << 30, MaxInflight: 1 << 20,
+	})})
+	if admitted != submit {
+		t.Errorf("admitted SubmitBid: %v allocs, unadmitted %v", admitted, submit)
+	}
+}
+
+// TestScoreFiniteMatchesScore holds submit's finite-score check, box fast
+// path included, to evaluating s(q) − p, on bids from ordinary to
+// overflowing under each rule family, and checks that the box covers
+// ordinary bids (so they are not scored at submit).
+func TestScoreFiniteMatchesScore(t *testing.T) {
+	additive, _ := auction.NewAdditive(1, 1)
+	leontief, _ := auction.NewLeontief(0.5, 2)
+	cd11, _ := auction.NewCobbDouglas(1, 1, 1)
+	fractional, _ := auction.NewCobbDouglas(2, 0.5, 0.3)
+	normalized, _ := auction.NewNormalized(additive, []float64{-1e308, 0}, []float64{1e308, 1})
+	ex := New(Options{})
+	defer ex.Close() //nolint:errcheck // test teardown
+	magnitudes := []float64{0, 1, 1e100, 1e154, 1e200, 1e298, 1e307, math.MaxFloat64}
+	for i, rule := range []auction.ScoringRule{additive, leontief, cd11, fractional, normalized} {
+		job, err := ex.CreateJob(JobSpec{ID: fmt.Sprint("finite-", i), Auction: auction.Config{Rule: rule, K: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.finiteQ < 1e150 {
+			t.Errorf("%s: box bound %v leaves ordinary bids to be scored", rule.Name(), job.finiteQ)
+		}
+		for _, q0 := range magnitudes {
+			for _, q1 := range magnitudes {
+				for _, sign := range []float64{1, -1} {
+					for _, p := range []float64{0.1, math.MaxFloat64, -math.MaxFloat64} {
+						b := auction.Bid{Qualities: []float64{sign * q0, q1}, Payment: p}
+						s := rule.Value(b.Qualities) - p
+						if want := !math.IsInf(s, 0) && !math.IsNaN(s); job.scoreFinite(b) != want {
+							t.Errorf("%s: scoreFinite(%v, p=%v) = %v, score %v", rule.Name(), b.Qualities, p, !want, s)
+						}
+					}
+				}
+			}
+		}
 	}
 }

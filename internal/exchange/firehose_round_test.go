@@ -309,14 +309,18 @@ func offerAndWait(f *Firehose, ro *RoundOutcome, slate []auction.Bid) {
 
 // TestFirehoseEmitAllocatesNothing: with a sink attached, a steady-state
 // offer allocates nothing on either side of the queue — the batch and its
-// slate copy are recycled, the pump's buffer is reused.
+// slate copy are recycled, the pump's buffer is reused — for a
+// round_churn_durable round and a mega_round one.
 func TestFirehoseEmitAllocatesNothing(t *testing.T) {
-	f := new(Firehose)
-	defer f.Attach(discardSink{})()
-	ro, slate := tapRoundFixture(64, 8)
-	offerAndWait(f, &ro, slate)
-	if n := testing.AllocsPerRun(1000, func() { offerAndWait(f, &ro, slate) }); n != 0 {
-		t.Errorf("attached offer: %v allocs per round, want 0", n)
+	for _, shape := range []struct{ n, k, runs int }{{64, 8, 1000}, {16384, 64, 50}} {
+		f := new(Firehose)
+		detach := f.Attach(discardSink{})
+		ro, slate := tapRoundFixture(shape.n, shape.k)
+		offerAndWait(f, &ro, slate)
+		if n := testing.AllocsPerRun(shape.runs, func() { offerAndWait(f, &ro, slate) }); n != 0 {
+			t.Errorf("attached offer of %d bids, K=%d: %v allocs per round, want 0", shape.n, shape.k, n)
+		}
+		detach()
 	}
 }
 

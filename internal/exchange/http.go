@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -274,6 +275,12 @@ func (h *handler) createJob(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding job spec: %v", err))
+		return
+	}
+	// A larger window would overflow time.Duration, and a wrapped one
+	// reads as manual mode.
+	if req.BidWindowMS < 0 || req.BidWindowMS > math.MaxInt64/int64(time.Millisecond) {
+		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bid_window_ms %d is negative or too large", req.BidWindowMS))
 		return
 	}
 	rule, err := req.Rule.Build()

@@ -12,6 +12,7 @@ import (
 
 	"fmore/internal/auction"
 	"fmore/internal/wal"
+	"fmore/pkg/api"
 )
 
 // httpFixture spins up the JSON front end over a fresh exchange.
@@ -449,4 +450,110 @@ func TestHTTPRoundBodiesWholeOrRefused(t *testing.T) {
 	if frame, err := readFrame(stream); err != nil || frame != `event: round_open`+"\n"+`data: {"job":"inf","round":2}` {
 		t.Errorf("first frame after an unencodable round = %q (%v), want round 2's round_open", frame, err)
 	}
+}
+
+// TestHTTPNonFiniteScoreRefused: qualities that are each finite can still
+// score +Inf — 1.7e308 + 1.7e308 under additive [1,1], 1e200 · 1e200 under
+// Cobb-Douglas [1,1]. Such a bid is refused with 400 invalid_request and
+// counted in bids_rejected. Accepted, its round record would not encode and
+// the durable exchange would answer every later write 503
+// durability_lost; refused, an ordinary round then closes and /v1/healthz
+// stays 200.
+func TestHTTPNonFiniteScoreRefused(t *testing.T) {
+	ex, err := Open(t.TempDir(), Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(ex))
+	t.Cleanup(func() {
+		srv.Close()
+		ex.Close() //nolint:errcheck // test teardown
+	})
+	for i, c := range []struct {
+		kind string
+		rule map[string]any
+		q    float64
+	}{
+		{"additive", map[string]any{"kind": "additive", "alpha": []float64{1, 1}}, 1.7e308},
+		{"cobb-douglas", map[string]any{"kind": "cobb-douglas", "alpha": []float64{1, 1}, "scale": 1}, 1e200},
+	} {
+		job := srv.URL + "/v1/jobs/" + c.kind
+		if resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]any{"id": c.kind, "k": 1, "rule": c.rule}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", c.kind, resp.StatusCode, body)
+		}
+		resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 1, "qualities": []float64{c.q, c.q}, "payment": 0.1})
+		if resp.StatusCode != http.StatusBadRequest || body["code"] != "invalid_request" {
+			t.Errorf("%s: bid scoring +Inf: %d %v, want 400 invalid_request", c.kind, resp.StatusCode, body)
+		}
+		if got := ex.Metrics().BidsRejected; got != int64(i+1) {
+			t.Errorf("%s: bids_rejected = %d, want %d", c.kind, got, i+1)
+		}
+		if resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 2, "qualities": []float64{0.5, 0.5}, "payment": 0.1}); resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s: ordinary bid: %d %v, want 202", c.kind, resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, job+"/close", nil); resp.StatusCode != http.StatusOK || body["num_bids"] != 1.0 {
+			t.Errorf("%s: close: %d %v, want 200 with one bid", c.kind, resp.StatusCode, body)
+		}
+	}
+	if resp, body := getJSON(t, srv.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the refused bids: %d %v, want 200", resp.StatusCode, body)
+	}
+}
+
+// FuzzCreateJob feeds arbitrary POST /v1/jobs bodies through NewHandler.
+// No body panics or answers 5xx; a 201 is an api.Job that echoes the
+// request's k and bid_window_ms; any other answer is the api.Error
+// envelope. Seeds: the rule families, the jobs of
+// TestHTTPNonFiniteScoreRefused, and a bid_window_ms whose product with
+// time.Millisecond overflowed into a manual-mode job echoing -1.
+func FuzzCreateJob(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"add","k":1,"rule":{"kind":"additive","alpha":[1,1]}}`,
+		`{"id":"cd","k":1,"rule":{"kind":"cobb-douglas","alpha":[1,1],"scale":1}}`,
+		`{"k":2,"bid_window_ms":9223372036854775807,"rule":{"kind":"additive","alpha":[0.5,0.5]}}`,
+		`{"k":2,"bid_window_ms":-1,"rule":{"kind":"additive","alpha":[0.5,0.5]}}`,
+		`{"k":3,"bid_window_ms":300,"payment":"second-price","psi":0.5,"min_bids":2,"max_rounds":4,"keep_outcomes":8,"rule":{"kind":"leontief","alpha":[1,2]}}`,
+		`{"k":2,"rule":{"kind":"additive","alpha":[0.5,0.5]},"equilibrium":{"cost":{"kind":"linear","beta":[0.5,0.5]},"theta":{"kind":"uniform","lo":1,"hi":2},"n":6,"q_lo":[0,0],"q_hi":[1,1]}}`,
+		`{"k":0,"rule":{"kind":"additive","alpha":[1]}}`,
+		`{"k":1,"payment":"third-price","rule":{"kind":"additive","alpha":[1]}}`,
+		`{"k":1,"rule":{"kind":"additive","alpha":[1]}} trailing`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	ex := New(Options{})
+	defer ex.Close() //nolint:errcheck // test teardown
+	h := NewHandler(ex)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%q: %d %s", body, rec.Code, rec.Body)
+		}
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		if rec.Code != http.StatusCreated {
+			var env api.Error
+			if err := dec.Decode(&env); err != nil || env.Code == "" || env.Message == "" {
+				t.Fatalf("%q: %d answered outside the error envelope (%v)", body, rec.Code, err)
+			}
+			return
+		}
+		var req api.JobRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%q: 201 for a body that does not decode: %v", body, err)
+		}
+		var job api.Job
+		if err := dec.Decode(&job); err != nil {
+			t.Fatalf("%q: 201 body is not an api.Job: %v", body, err)
+		}
+		if job.K != req.K || job.BidWindowMS != req.BidWindowMS {
+			t.Fatalf("%q: created k=%d bid_window_ms=%d, asked for k=%d bid_window_ms=%d", body, job.K, job.BidWindowMS, req.K, req.BidWindowMS)
+		}
+		// The fuzzer reuses IDs; a removed job frees its own.
+		if err := ex.RemoveJob(job.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"sync"
@@ -258,5 +259,77 @@ func TestHTTPRacingKeyedBidsOneEffect(t *testing.T) {
 		t.Error("node 11 was not registered by its accepted bid")
 	} else if n := info.Bids(); n != 1 {
 		t.Errorf("node 11: %d accepted bids, want 1", n)
+	}
+}
+
+// TestKeyedRetryAfterRestart pins what a keyed POST retried after a crash
+// gets. Keys are process-local, so the reopened replica has forgotten
+// both; nothing new is stored to remember them.
+//   - The job POST finds its durable job: 400 invalid_request ("already
+//     exists"), not a replay of the 201.
+//   - A bid whose round was still open was lost with that round, so the
+//     retry is its one effect: 202 for the same round, which then scores
+//     one bid.
+//   - A bid whose round closed durably keeps its effect there, and the
+//     retry is a new bid in the next round.
+func TestKeyedRetryAfterRestart(t *testing.T) {
+	jobBody := map[string]any{"id": "retry", "k": 1, "rule": map[string]any{"kind": "additive", "alpha": []float64{1, 1}}}
+	bidBody := map[string]any{"node_id": 4, "qualities": []float64{0.5, 0.5}, "payment": 0.1}
+	for _, c := range []struct {
+		name        string
+		closeBefore bool
+		retryRound  float64
+	}{{"round open", false, 1}, {"round closed", true, 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ex, err := Open(dir, Options{SnapshotBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(NewHandler(ex))
+			if resp, body := postJSONKeyed(t, srv.URL+"/v1/jobs", "job-key", jobBody); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create: %d %v", resp.StatusCode, body)
+			}
+			if resp, body := postJSONKeyed(t, srv.URL+"/v1/jobs/retry/bids", "bid-key", bidBody); resp.StatusCode != http.StatusAccepted || body["round"] != 1.0 {
+				t.Fatalf("bid: %d %v, want 202 for round 1", resp.StatusCode, body)
+			}
+			if c.closeBefore {
+				if _, err := ex.CloseRound("retry"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ex.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			crashDir := cloneDataDir(t, dir) // kill -9 after the last sync
+			srv.Close()
+			ex.Close() //nolint:errcheck // the clone is what restarts
+
+			ex, err = Open(crashDir, Options{SnapshotBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close() //nolint:errcheck // test teardown
+			srv = httptest.NewServer(NewHandler(ex))
+			defer srv.Close()
+			resp, body := postJSONKeyed(t, srv.URL+"/v1/jobs", "job-key", jobBody)
+			if resp.StatusCode != http.StatusBadRequest || body["code"] != "invalid_request" || resp.Header.Get("Idempotent-Replay") != "" {
+				t.Errorf("job POST retried: %d %v (replay=%q), want a fresh 400 invalid_request", resp.StatusCode, body, resp.Header.Get("Idempotent-Replay"))
+			}
+			resp, body = postJSONKeyed(t, srv.URL+"/v1/jobs/retry/bids", "bid-key", bidBody)
+			if resp.StatusCode != http.StatusAccepted || body["round"] != c.retryRound || resp.Header.Get("Idempotent-Replay") != "" {
+				t.Errorf("bid POST retried: %d %v (replay=%q), want a fresh 202 for round %v", resp.StatusCode, body, resp.Header.Get("Idempotent-Replay"), c.retryRound)
+			}
+			ro, err := ex.CloseRound("retry")
+			if err != nil || ro.Round != int(c.retryRound) || ro.NumBids != 1 {
+				t.Errorf("close after the retry = (round %d, %d bids, %v), want round %v with 1 bid", ro.Round, ro.NumBids, err, c.retryRound)
+			}
+			if c.closeBefore {
+				job, _ := ex.Job("retry")
+				if first, err := job.Outcome(1); err != nil || first.NumBids != 1 {
+					t.Errorf("round 1 after the restart = (%d bids, %v), want the original bid kept", first.NumBids, err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -175,6 +176,10 @@ type Job struct {
 	strategyCfg  *auction.EquilibriumConfig
 	strategy     *auction.Strategy
 	strategyErr  error
+
+	// finiteQ bounds the qualities whose score submit need not evaluate
+	// to know it is finite (finiteQualityBound).
+	finiteQ float64
 }
 
 // countingSource wraps the job's seeded rng source and counts every step it
@@ -253,12 +258,54 @@ func (j *Job) State() string {
 // The fast path touches only the node's intake shard — never j.mu — so
 // concurrent bidders serialize only on stripe collisions. accepted and
 // onAccept are the acceptance side effects, run inside the shard critical
-// section (see intake.submit).
+// section (see intake.submit). A bid whose score is not finite — finite
+// qualities can still overflow s(q) — is refused here: its round record
+// could not be encoded, and a durable exchange would degrade on it.
 func (j *Job) submit(b auction.Bid, accepted *atomic.Int64, onAccept func()) (round int, err error) {
 	if err := b.Validate(j.spec.Auction.Rule.Dims()); err != nil {
 		return 0, err
 	}
+	if !j.scoreFinite(b) {
+		return 0, fmt.Errorf("bid from node %d: score %v is not finite", b.NodeID, j.spec.Auction.Rule.Value(b.Qualities)-b.Payment)
+	}
 	return j.intake.submit(b, &j.closed, accepted, onAccept)
+}
+
+// scoreFinite reports whether the bid's score s(q) − p is finite. A bid
+// inside the job's finiteQ box scores finitely by construction (see
+// finiteQualityBound), so only one outside it pays for evaluating s(q).
+func (j *Job) scoreFinite(b auction.Bid) bool {
+	inside := math.Abs(b.Payment) <= math.MaxFloat64/2
+	for _, q := range b.Qualities {
+		inside = inside && math.Abs(q) <= j.finiteQ
+	}
+	if inside {
+		return true
+	}
+	s := j.spec.Auction.Rule.Value(b.Qualities) - b.Payment
+	return !math.IsInf(s, 0) && !math.IsNaN(s)
+}
+
+// finiteQualityBound returns a bound T such that every quality vector in
+// [−T, T]^m scores within ±MaxFloat64/2 under rule, so that with a payment
+// of at most MaxFloat64/2 the score s(q) − p is finite. A rule is
+// non-decreasing in every coordinate, so s(q) lies between s(−T, …, −T)
+// and s(T, …, T); the largest T tried whose two corners are inside is
+// returned, and 0 (no box: every bid is scored) when none is.
+func finiteQualityBound(rule auction.ScoringRule) float64 {
+	corner := make([]float64, rule.Dims())
+	inside := func(t float64) bool {
+		for i := range corner {
+			corner[i] = t
+		}
+		return math.Abs(rule.Value(corner)) <= math.MaxFloat64/2
+	}
+	for t := math.MaxFloat64 / 2; t >= 1; t /= 1 << 32 {
+		if inside(t) && inside(-t) {
+			return t
+		}
+	}
+	return 0
 }
 
 // canonicalize orders a round's bid set ascending by NodeID. Node IDs that
@@ -722,5 +769,6 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		auct:        auct,
 		src:         src,
 		strategyCfg: eqCfg,
+		finiteQ:     finiteQualityBound(spec.Auction.Rule),
 	}, nil
 }

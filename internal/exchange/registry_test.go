@@ -227,8 +227,26 @@ func TestRegistryLookupDuringGrowth(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupAllocatesNothing: the bid path's node resolve, hit or
+// miss, allocates nothing.
+func TestRegistryLookupAllocatesNothing(t *testing.T) {
+	const n = 1 << 14
+	r := NewRegistry()
+	for id := 0; id < n; id++ {
+		r.Register(id, "")
+	}
+	id := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.Lookup(id & (2*n - 1)) // half of the IDs are not registered
+		id += 7919
+	}); allocs != 0 {
+		t.Errorf("Lookup: %v allocs, want 0", allocs)
+	}
+}
+
 // BenchmarkRegistryLookup is the bid path's node resolve: every CPU looks
-// up registered nodes of a 16,384-node registry at once (0 allocs/op).
+// up registered nodes of a 16,384-node registry at once (0 allocs/op,
+// TestRegistryLookupAllocatesNothing).
 func BenchmarkRegistryLookup(b *testing.B) {
 	const n = 1 << 14
 	r := NewRegistry()

@@ -114,11 +114,15 @@ func floatBits(fs ...float64) []byte {
 }
 
 // FuzzAppendWalRound holds the hand-written round encoder to encoding/json
-// on arbitrary records. The seed corpus names the places the two could
+// on arbitrary records: the log and the snapshots stay readable across
+// versions only while the two write the same bytes. The seed corpus names the places the two could
 // drift apart: negative zero, subnormals, the 'f'/'e' format switches at
 // 1e-6 and 1e21 (and the 1e-7 exponent clean-up), MaxFloat64, nil versus
 // empty slices, and strings that need HTML, control, U+2028 or
-// invalid-UTF-8 escaping; NaN and ±Inf must be refused identically.
+// invalid-UTF-8 escaping; NaN and ±Inf must be refused identically. The
+// bytes it guards are on disk, so CI fuzzes it twice as long as the rest.
+//
+//ci:fuzztime 20s
 func FuzzAppendWalRound(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	f.Add("job-1", "", 7, 64, int64(3), int64(125000), uint8(0x2f), floatBits(0.25, 0.5, 0.125, 0.75, 1, 2, 3))
@@ -236,10 +240,9 @@ func TestDecodeRecordAcceptsForeignRoundSpelling(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendWalRound prices the one encode of a round_churn_durable
-// round: 64 scores and K=8 two-dimensional winners into a recycled buffer
-// (0 allocs/op).
-func BenchmarkAppendWalRound(b *testing.B) {
+// churnWalRound is a round_churn_durable round's record: 64 scores and K=8
+// two-dimensional winners.
+func churnWalRound() *walRound {
 	rng := rand.New(rand.NewSource(24))
 	unit := func() float64 { return unitQuality(rng) }
 	r := &walRound{Job: "churn-17", Round: 4211, NumBids: 64, LatencyNS: 20417, Scores: make([]float64, 64), Winners: make([]walWinner, 8)}
@@ -250,6 +253,56 @@ func BenchmarkAppendWalRound(b *testing.B) {
 		r.Winners[i] = walWinner{NodeID: i * 7, Qualities: []float64{unit(), unit()}, BidPayment: 0.3 * unit(), Score: r.Scores[i], Payment: 0.3 * unit()}
 		r.Profit += r.Winners[i].Score
 	}
+	return r
+}
+
+// churnOutcome is the same shape of round as the /v1 body spells it.
+func churnOutcome() *RoundOutcome {
+	rng := rand.New(rand.NewSource(24))
+	unit := func() float64 { return unitQuality(rng) }
+	ro := &RoundOutcome{JobID: "edge-3", Round: 4211, NumBids: 64, Latency: 20417}
+	out := &ro.Outcome
+	out.Scores = make([]float64, 64)
+	for i := range out.Scores {
+		out.Scores[i] = churnScore(rng)
+	}
+	out.Winners = make([]auction.Winner, 8)
+	for i := range out.Winners {
+		out.Winners[i] = auction.Winner{
+			Bid:     auction.Bid{NodeID: i * 7, Qualities: []float64{unit(), unit()}, Payment: 0.3 * unit()},
+			Score:   out.Scores[i],
+			Payment: 0.3 * unit(),
+		}
+		out.AggregatorProfit += out.Winners[i].Score
+	}
+	return ro
+}
+
+// TestRoundEncodersAllocateNothing: a round's record and its /v1 body,
+// each encoded into a recycled buffer, allocate nothing.
+func TestRoundEncodersAllocateNothing(t *testing.T) {
+	r, ro := churnWalRound(), churnOutcome()
+	rec, _, err := appendWalRound(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := appendOutcome(nil, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { rec, _, _ = appendWalRound(rec[:0], r) }); n != 0 {
+		t.Errorf("appendWalRound into a recycled buffer: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { body, _ = appendOutcome(body[:0], ro) }); n != 0 {
+		t.Errorf("appendOutcome into a recycled buffer: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkAppendWalRound prices the one encode of a round_churn_durable
+// round: 64 scores and K=8 two-dimensional winners into a recycled buffer
+// (0 allocs/op, TestRoundEncodersAllocateNothing).
+func BenchmarkAppendWalRound(b *testing.B) {
+	r := churnWalRound()
 	buf, _, err := appendWalRound(nil, r)
 	if err != nil {
 		b.Fatal(err)
@@ -358,7 +411,9 @@ func roundFromFuzz(job, errStr string, round, numBids int, lat int64, shape uint
 }
 
 // FuzzAppendOutcome holds the /v1 round body to encoding/json on arbitrary
-// rounds. The seeds: failed rounds (error text that needs escaping, and an
+// rounds: the close answer, the outcome reads and pages and the
+// round_closed frames are appendOutcome's, and clients read the same bytes
+// only while the two agree. The seeds: failed rounds (error text that needs escaping, and an
 // empty one, which the body omits), nil and empty winner lists, nil scores
 // and qualities, job IDs that need HTML, U+2028 or invalid-UTF-8 escaping,
 // negative zero, subnormals and both sides of the 1e-6 and 1e21 notation
@@ -441,25 +496,10 @@ func TestAppendOutcomeMatchesEncodingJSON(t *testing.T) {
 }
 
 // BenchmarkAppendOutcome prices one /v1 round body — a 64-bid, K=8 round
-// with two-dimensional winners — into a reused buffer (0 allocs/op).
+// with two-dimensional winners — into a reused buffer (0 allocs/op,
+// TestRoundEncodersAllocateNothing).
 func BenchmarkAppendOutcome(b *testing.B) {
-	rng := rand.New(rand.NewSource(24))
-	unit := func() float64 { return unitQuality(rng) }
-	ro := &RoundOutcome{JobID: "edge-3", Round: 4211, NumBids: 64, Latency: 20417}
-	out := &ro.Outcome
-	out.Scores = make([]float64, 64)
-	for i := range out.Scores {
-		out.Scores[i] = churnScore(rng)
-	}
-	out.Winners = make([]auction.Winner, 8)
-	for i := range out.Winners {
-		out.Winners[i] = auction.Winner{
-			Bid:     auction.Bid{NodeID: i * 7, Qualities: []float64{unit(), unit()}, Payment: 0.3 * unit()},
-			Score:   out.Scores[i],
-			Payment: 0.3 * unit(),
-		}
-		out.AggregatorProfit += out.Winners[i].Score
-	}
+	ro := churnOutcome()
 	buf, err := appendOutcome(nil, ro)
 	if err != nil {
 		b.Fatal(err)

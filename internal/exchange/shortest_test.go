@@ -56,7 +56,8 @@ func (c *shortestChecker) neighbours(f float64) {
 }
 
 // FuzzShortestFloat holds the float kernel to its oracle on arbitrary bit
-// patterns. The seeds are where a shortest-decimal printer goes wrong: the
+// patterns: a round record's bytes stay what encoding/json would have
+// written only while the two agree, in both notations. The seeds are where a shortest-decimal printer goes wrong: the
 // zeros, the ends of the range, the smallest normal number (whose lower
 // neighbour is a subnormal), 2^52 and 2^53 (where the integer fast path
 // ends), both notation switches with the double either side of each, powers

@@ -260,7 +260,9 @@ var fuzzPoints = [...]*Failpoint{New("fuzz/a"), New("fuzz/b")}
 // FuzzEnableSpecs feeds arbitrary spec strings to EnableSpecs. It must not
 // panic, and every failpoint it armed — entries before a bad one stay
 // applied — must hold a Config that injects something and whose trigger
-// eval reads as written: Prob 0 or in (0, 1], Nth and Torn not negative.
+// eval reads as written: Prob 0 or in (0, 1], Nth and Torn not negative (a
+// NaN probability once armed a fault that fired on every call). Seeds: the
+// package comment's examples and the NaN case.
 func FuzzEnableSpecs(f *testing.F) {
 	for _, seed := range []string{
 		"wal/fsync=eio@3+;wal/write=torn:9@5", // the package comment's example

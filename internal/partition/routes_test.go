@@ -145,7 +145,8 @@ func readAll(t *testing.T, resp *http.Response) string {
 
 // TestRoutesReaimContract is the ≤1-retry convergence contract, once, next
 // to the rule: what is routing feedback, what is not, and what the caller
-// gets back in each case.
+// gets back in each case. Concurrent misroutes share one map fetch (the
+// single-flight refresh).
 func TestRoutesReaimContract(t *testing.T) {
 	body := []byte(`{"node_id":1,"qualities":[0.5,0.5],"payment":0.1}`)
 
@@ -360,7 +361,7 @@ func FuzzDecodeMap(f *testing.F) {
 
 // FuzzReaim: whatever a replica puts in a 421, Reaim never panics, never
 // names an owner that is not absolute http(s), and when it declines leaves
-// the body exactly as sent.
+// the body exactly as sent. The seeds are the contract table's.
 func FuzzReaim(f *testing.F) {
 	for _, seed := range notFeedback {
 		f.Add(seed)

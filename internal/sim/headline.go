@@ -127,8 +127,10 @@ func (h *HeadlineResult) Write(w interface{ Write([]byte) (int, error) }) error 
 		if !ok {
 			continue
 		}
-		lines = append(lines, fmt.Sprintf("  %-10s rounds -%.1f%%  accuracy %+.1f%%",
-			task, th.RoundReductionPct, th.AccuracyGainPct))
+		// A reduction prints as the signed change in rounds, so a run that
+		// took more rounds reads "+5.0%", not "--5.0%".
+		lines = append(lines, fmt.Sprintf("  %-10s rounds %+.1f%%  accuracy %+.1f%%",
+			task, -th.RoundReductionPct, th.AccuracyGainPct))
 	}
 	for _, l := range lines {
 		if _, err := w.Write([]byte(l + "\n")); err != nil {

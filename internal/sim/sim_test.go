@@ -414,11 +414,21 @@ func TestHeadlineWritesTasksInRunOrder(t *testing.T) {
 	for i, task := range headlineTasks {
 		h.PerTask[task.String()] = TaskHeadline{RoundReductionPct: float64(i)}
 	}
+	// A negative reduction (FMore took more rounds) prints one sign.
+	h.PerTask[headlineTasks[1].String()] = TaskHeadline{RoundReductionPct: -5}
 	var buf bytes.Buffer
 	if err := h.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	for _, want := range []string{"rounds -0.0%", "rounds +5.0%", "rounds -2.0%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "--") {
+		t.Errorf("a reduction printed with two signs:\n%s", out)
+	}
 	last := -1
 	for _, task := range []data.TaskKind{data.MNISTO, data.MNISTF, data.CIFAR10, data.HPNews} {
 		at := strings.Index(out, "  "+task.String()+" ")

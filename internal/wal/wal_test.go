@@ -786,10 +786,15 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	wantRecords(t, rec, records(0, 2))
 }
 
-// FuzzScan feeds arbitrary bytes to the segment scan: it never panics,
-// never allocates past the file size, accepts a prefix that is exactly the
-// concatenation of the frames of the payloads it returns, and scanning that
-// prefix again returns the same payloads.
+// FuzzScan feeds arbitrary bytes to the segment scan — whatever a crash, a
+// bad disk or another program left where a segment should be: it never
+// panics, never allocates past the file size, accepts a prefix that is
+// exactly the concatenation of the frames of the payloads it returns, and
+// scanning that prefix again returns the same payloads. The seeds are the
+// crash matrix's torn tails. The bytes it reads are on disk, so CI fuzzes
+// it twice as long as the rest.
+//
+//ci:fuzztime 20s
 func FuzzScan(f *testing.F) {
 	var clean []byte
 	for _, p := range records(0, 6) {

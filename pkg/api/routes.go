@@ -112,7 +112,11 @@ func match(pattern, path string) (id string, ok bool) {
 		seg, rest, more := strings.Cut(path, "/")
 		switch {
 		case lit == "{id}" && seg != "":
-			id = unescape(seg)
+			// ServeMux reads a segment that unescapes to "/" as a trailing
+			// slash, which no {id} matches.
+			if id = unescape(seg); id == "/" {
+				return "", false
+			}
 		case seg != lit && unescape(seg) != lit:
 			return "", false
 		}
