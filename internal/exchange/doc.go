@@ -199,11 +199,15 @@
 // segment seal (EIO, ENOSPC), or a round that would not encode — is
 // different: the log freezes at the first failure (internal/wal,
 // "Failure") and the error is permanent for the process. The replica's
-// degraded state is that sticky error, read where it lives. A bid whose
-// score s(q) − p is not finite (finite qualities can overflow it: 1.7e308
-// twice under additive [1,1]) is refused at submit with 400
-// invalid_request and counted in bids_rejected, so no bid's score keeps
-// its round from encoding. Options.OnWALFailure picks the policy:
+// degraded state is that sticky error, read where it lives. Finite
+// qualities and payments can still overflow a round record: one bid's
+// score s(q) − p (1.7e308 twice under additive [1,1]), or the aggregator
+// profit summed over K winners. So submit refuses, with 400
+// invalid_request counted in bids_rejected, a bid whose score lies outside
+// ±MaxFloat64/(2K); within it every score and the profit stay finite, and
+// no bid keeps its round's record from encoding. (The total payment, which
+// only the /v1 body carries, can still overflow; that body is then refused
+// whole with 500 internal_error.) Options.OnWALFailure picks the policy:
 //
 //   - WALDegrade (default). The replica stays up but stops lying about
 //     durability: every durable mutation (bid submit, round close, job

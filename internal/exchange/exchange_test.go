@@ -473,11 +473,14 @@ func TestSubmitCloseAllocations(t *testing.T) {
 	}
 }
 
-// TestScoreFiniteMatchesScore holds submit's finite-score check, box fast
-// path included, to evaluating s(q) − p, on bids from ordinary to
-// overflowing under each rule family, and checks that the box covers
-// ordinary bids (so they are not scored at submit).
-func TestScoreFiniteMatchesScore(t *testing.T) {
+// TestScoreInRangeMatchesScore holds submit's range check, box fast path
+// included, to evaluating s(q) − p, on bids from ordinary to overflowing
+// under each rule family at K = 1 and 64, and checks that the box covers
+// ordinary bids (so they are not scored at submit). Then K+1 bids at each
+// corner of the range — scores ±MaxFloat64/(2K), values from small to
+// MaxFloat64/2 — select, under both payment rules, K winners whose scores,
+// payments and profit are all finite.
+func TestScoreInRangeMatchesScore(t *testing.T) {
 	additive, _ := auction.NewAdditive(1, 1)
 	leontief, _ := auction.NewLeontief(0.5, 2)
 	cd11, _ := auction.NewCobbDouglas(1, 1, 1)
@@ -485,25 +488,60 @@ func TestScoreFiniteMatchesScore(t *testing.T) {
 	normalized, _ := auction.NewNormalized(additive, []float64{-1e308, 0}, []float64{1e308, 1})
 	ex := New(Options{})
 	defer ex.Close() //nolint:errcheck // test teardown
-	magnitudes := []float64{0, 1, 1e100, 1e154, 1e200, 1e298, 1e307, math.MaxFloat64}
-	for i, rule := range []auction.ScoringRule{additive, leontief, cd11, fractional, normalized} {
-		job, err := ex.CreateJob(JobSpec{ID: fmt.Sprint("finite-", i), Auction: auction.Config{Rule: rule, K: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.finiteQ < 1e150 {
-			t.Errorf("%s: box bound %v leaves ordinary bids to be scored", rule.Name(), job.finiteQ)
-		}
-		for _, q0 := range magnitudes {
-			for _, q1 := range magnitudes {
-				for _, sign := range []float64{1, -1} {
-					for _, p := range []float64{0.1, math.MaxFloat64, -math.MaxFloat64} {
-						b := auction.Bid{Qualities: []float64{sign * q0, q1}, Payment: p}
-						s := rule.Value(b.Qualities) - p
-						if want := !math.IsInf(s, 0) && !math.IsNaN(s); job.scoreFinite(b) != want {
-							t.Errorf("%s: scoreFinite(%v, p=%v) = %v, score %v", rule.Name(), b.Qualities, p, !want, s)
+	magnitudes := []float64{0, 1, 1e100, 1e154, 1e200, 1e298, 1e306, 1e307, math.MaxFloat64}
+	for _, k := range []int{1, 64} {
+		scoreMax := math.MaxFloat64 / float64(2*k)
+		payments := []float64{0.1, scoreMax / 2, -scoreMax / 2, scoreMax, -math.Nextafter(scoreMax, math.Inf(1)), math.MaxFloat64, -math.MaxFloat64}
+		for i, rule := range []auction.ScoringRule{additive, leontief, cd11, fractional, normalized} {
+			job, err := ex.CreateJob(JobSpec{ID: fmt.Sprint("range-", k, "-", i), Auction: auction.Config{Rule: rule, K: k}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job.valueBox < 1e150 {
+				t.Errorf("%s K=%d: box bound %v leaves ordinary bids to be scored", rule.Name(), k, job.valueBox)
+			}
+			for _, q0 := range magnitudes {
+				for _, q1 := range magnitudes {
+					for _, sign := range []float64{1, -1} {
+						for _, p := range payments {
+							b := auction.Bid{Qualities: []float64{sign * q0, q1}, Payment: p}
+							s := rule.Value(b.Qualities) - p
+							if want := math.Abs(s) <= scoreMax; job.scoreInRange(b) != want {
+								t.Errorf("%s K=%d: scoreInRange(%v, p=%v) = %v, score %v", rule.Name(), k, b.Qualities, p, !want, s)
+							}
 						}
 					}
+				}
+			}
+		}
+		// Additive [1,1] values v at q = (v/2, v/2), each paying v − score,
+		// nudged toward v until the job accepts it.
+		job, _ := ex.Job(fmt.Sprint("range-", k, "-0"))
+		var slate []auction.Bid
+		for _, v := range []float64{scoreMax / 2, -scoreMax / 2, math.MaxFloat64 / 2, -math.MaxFloat64 / 2} {
+			for _, score := range []float64{scoreMax, -scoreMax} {
+				for n := 0; n <= k; n++ {
+					b := auction.Bid{NodeID: len(slate), Qualities: []float64{v / 2, v / 2}, Payment: v - score}
+					for !job.scoreInRange(b) {
+						b.Payment = math.Nextafter(b.Payment, v)
+					}
+					slate = append(slate, b)
+				}
+			}
+		}
+		for _, pay := range []auction.PaymentRule{auction.FirstPrice, auction.SecondPrice} {
+			out, err := auction.Select(auction.SelectionRequest{Rule: additive, Bids: slate, K: k, Payment: pay}, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			figures := append([]float64{out.AggregatorProfit}, out.Scores...)
+			for _, w := range out.Winners {
+				figures = append(figures, w.Score, w.Payment)
+			}
+			for _, x := range figures {
+				if math.IsInf(x, 0) || math.IsNaN(x) {
+					t.Errorf("K=%d payment rule %v: the corner slate selects a non-finite figure (profit %v)", k, pay, out.AggregatorProfit)
+					break
 				}
 			}
 		}

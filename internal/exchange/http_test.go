@@ -425,7 +425,7 @@ func TestHTTPRoundBodiesWholeOrRefused(t *testing.T) {
 		}
 	}
 	for _, id := range []int{1, 2} {
-		if _, err := ex.SubmitBid("inf", auction.Bid{NodeID: id, Qualities: []float64{1.5e308, 1.5e308}, Payment: 1e308}); err != nil {
+		if _, err := ex.SubmitBid("inf", auction.Bid{NodeID: id, Qualities: []float64{1.4e308, 1.4e308}, Payment: 1e308}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,14 +452,17 @@ func TestHTTPRoundBodiesWholeOrRefused(t *testing.T) {
 	}
 }
 
-// TestHTTPNonFiniteScoreRefused: qualities that are each finite can still
-// score +Inf — 1.7e308 + 1.7e308 under additive [1,1], 1e200 · 1e200 under
-// Cobb-Douglas [1,1]. Such a bid is refused with 400 invalid_request and
-// counted in bids_rejected. Accepted, its round record would not encode and
-// the durable exchange would answer every later write 503
-// durability_lost; refused, an ordinary round then closes and /v1/healthz
-// stays 200.
-func TestHTTPNonFiniteScoreRefused(t *testing.T) {
+// TestHTTPOverflowingBidRefused: qualities and payments that are each
+// finite can still overflow a round record. One bid can score +Inf —
+// 1.7e308 + 1.7e308 under additive [1,1], 1e200 · 1e200 under Cobb-Douglas
+// [1,1] — and at K = 2 two finite scores of 1.7e308 (a payment of
+// −1.7e308, or qualities 8e307) sum to an aggregator profit of +Inf. Each
+// such bid is refused with 400 invalid_request and counted in
+// bids_rejected. Accepted, its round record would not encode and the
+// durable exchange would answer every later write 503 durability_lost;
+// refused, an ordinary round of K bids then closes and /v1/healthz stays
+// 200.
+func TestHTTPOverflowingBidRefused(t *testing.T) {
 	ex, err := Open(t.TempDir(), Options{SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -469,30 +472,41 @@ func TestHTTPNonFiniteScoreRefused(t *testing.T) {
 		srv.Close()
 		ex.Close() //nolint:errcheck // test teardown
 	})
-	for i, c := range []struct {
-		kind string
+	additive := map[string]any{"kind": "additive", "alpha": []float64{1, 1}}
+	type bid struct{ q, p float64 }
+	rejected := int64(0)
+	for _, c := range []struct {
+		id   string
 		rule map[string]any
-		q    float64
+		k    int
+		bids []bid // refused, each from its own node
 	}{
-		{"additive", map[string]any{"kind": "additive", "alpha": []float64{1, 1}}, 1.7e308},
-		{"cobb-douglas", map[string]any{"kind": "cobb-douglas", "alpha": []float64{1, 1}, "scale": 1}, 1e200},
+		{"additive", additive, 1, []bid{{1.7e308, 0.1}}},
+		{"cobb-douglas", map[string]any{"kind": "cobb-douglas", "alpha": []float64{1, 1}, "scale": 1}, 1, []bid{{1e200, 0.1}}},
+		{"profit-by-payment", additive, 2, []bid{{0.5, -1.7e308}, {0.5, -1.7e308}}},
+		{"profit-by-quality", additive, 2, []bid{{8e307, 0.1}, {8e307, 0.1}}},
 	} {
-		job := srv.URL + "/v1/jobs/" + c.kind
-		if resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]any{"id": c.kind, "k": 1, "rule": c.rule}); resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create %s: %d %v", c.kind, resp.StatusCode, body)
+		job := srv.URL + "/v1/jobs/" + c.id
+		if resp, body := postJSON(t, srv.URL+"/v1/jobs", map[string]any{"id": c.id, "k": c.k, "rule": c.rule}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", c.id, resp.StatusCode, body)
 		}
-		resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 1, "qualities": []float64{c.q, c.q}, "payment": 0.1})
-		if resp.StatusCode != http.StatusBadRequest || body["code"] != "invalid_request" {
-			t.Errorf("%s: bid scoring +Inf: %d %v, want 400 invalid_request", c.kind, resp.StatusCode, body)
+		for n, b := range c.bids {
+			resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 1 + n, "qualities": []float64{b.q, b.q}, "payment": b.p})
+			if resp.StatusCode != http.StatusBadRequest || body["code"] != "invalid_request" {
+				t.Errorf("%s: bid %v: %d %v, want 400 invalid_request", c.id, b, resp.StatusCode, body)
+			}
+			rejected++
 		}
-		if got := ex.Metrics().BidsRejected; got != int64(i+1) {
-			t.Errorf("%s: bids_rejected = %d, want %d", c.kind, got, i+1)
+		if got := ex.Metrics().BidsRejected; got != rejected {
+			t.Errorf("%s: bids_rejected = %d, want %d", c.id, got, rejected)
 		}
-		if resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 2, "qualities": []float64{0.5, 0.5}, "payment": 0.1}); resp.StatusCode != http.StatusAccepted {
-			t.Errorf("%s: ordinary bid: %d %v, want 202", c.kind, resp.StatusCode, body)
+		for n := range c.k {
+			if resp, body := postJSON(t, job+"/bids", map[string]any{"node_id": 101 + n, "qualities": []float64{0.5, 0.5}, "payment": 0.1}); resp.StatusCode != http.StatusAccepted {
+				t.Errorf("%s: ordinary bid: %d %v, want 202", c.id, resp.StatusCode, body)
+			}
 		}
-		if resp, body := postJSON(t, job+"/close", nil); resp.StatusCode != http.StatusOK || body["num_bids"] != 1.0 {
-			t.Errorf("%s: close: %d %v, want 200 with one bid", c.kind, resp.StatusCode, body)
+		if resp, body := postJSON(t, job+"/close", nil); resp.StatusCode != http.StatusOK || body["num_bids"] != float64(c.k) {
+			t.Errorf("%s: close: %d %v, want 200 with %d bids", c.id, resp.StatusCode, body, c.k)
 		}
 	}
 	if resp, body := getJSON(t, srv.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
@@ -504,7 +518,7 @@ func TestHTTPNonFiniteScoreRefused(t *testing.T) {
 // No body panics or answers 5xx; a 201 is an api.Job that echoes the
 // request's k and bid_window_ms; any other answer is the api.Error
 // envelope. Seeds: the rule families, the jobs of
-// TestHTTPNonFiniteScoreRefused, and a bid_window_ms whose product with
+// TestHTTPOverflowingBidRefused, and a bid_window_ms whose product with
 // time.Millisecond overflowed into a manual-mode job echoing -1.
 func FuzzCreateJob(f *testing.F) {
 	for _, seed := range []string{

@@ -177,9 +177,10 @@ type Job struct {
 	strategy     *auction.Strategy
 	strategyErr  error
 
-	// finiteQ bounds the qualities whose score submit need not evaluate
-	// to know it is finite (finiteQualityBound).
-	finiteQ float64
+	// scoreMax bounds an accepted bid's |s(q) − p|, MaxFloat64/(2K);
+	// valueBox bounds the qualities whose s(q) submit need not evaluate to
+	// know it is within scoreMax/2 (scoreInRange).
+	scoreMax, valueBox float64
 }
 
 // countingSource wraps the job's seeded rng source and counts every step it
@@ -258,54 +259,56 @@ func (j *Job) State() string {
 // The fast path touches only the node's intake shard — never j.mu — so
 // concurrent bidders serialize only on stripe collisions. accepted and
 // onAccept are the acceptance side effects, run inside the shard critical
-// section (see intake.submit). A bid whose score is not finite — finite
-// qualities can still overflow s(q) — is refused here: its round record
-// could not be encoded, and a durable exchange would degrade on it.
+// section (see intake.submit). A bid whose score s(q) − p lies outside
+// ±MaxFloat64/(2K) is refused here (see scoreInRange): finite qualities
+// and payments can still overflow a score, or the aggregator profit over K
+// winners, and a round record that will not encode degrades a durable
+// exchange.
 func (j *Job) submit(b auction.Bid, accepted *atomic.Int64, onAccept func()) (round int, err error) {
 	if err := b.Validate(j.spec.Auction.Rule.Dims()); err != nil {
 		return 0, err
 	}
-	if !j.scoreFinite(b) {
-		return 0, fmt.Errorf("bid from node %d: score %v is not finite", b.NodeID, j.spec.Auction.Rule.Value(b.Qualities)-b.Payment)
+	if !j.scoreInRange(b) {
+		return 0, fmt.Errorf("bid from node %d: score %v outside ±%v, the bound that keeps a %d-winner round's profit finite",
+			b.NodeID, j.spec.Auction.Rule.Value(b.Qualities)-b.Payment, j.scoreMax, j.spec.Auction.K)
 	}
 	return j.intake.submit(b, &j.closed, accepted, onAccept)
 }
 
-// scoreFinite reports whether the bid's score s(q) − p is finite. A bid
-// inside the job's finiteQ box scores finitely by construction (see
-// finiteQualityBound), so only one outside it pays for evaluating s(q).
-func (j *Job) scoreFinite(b auction.Bid) bool {
-	inside := math.Abs(b.Payment) <= math.MaxFloat64/2
+// scoreInRange reports whether the bid's score s(q) − p lies within
+// ±scoreMax, MaxFloat64/(2K). Then each winner's term s(q) − pay of the
+// aggregator profit is within about ±scoreMax too (pay is p, or s(q) minus
+// a score in [0, scoreMax] under second price), so their sum over K
+// winners is finite. A bid inside the job's valueBox, with |p| at most
+// scoreMax/2, scores within ±scoreMax by construction, so only one outside
+// it pays for evaluating s(q).
+func (j *Job) scoreInRange(b auction.Bid) bool {
+	inside := math.Abs(b.Payment) <= j.scoreMax/2
 	for _, q := range b.Qualities {
-		inside = inside && math.Abs(q) <= j.finiteQ
+		inside = inside && math.Abs(q) <= j.valueBox
 	}
-	if inside {
-		return true
-	}
-	s := j.spec.Auction.Rule.Value(b.Qualities) - b.Payment
-	return !math.IsInf(s, 0) && !math.IsNaN(s)
+	return inside || math.Abs(j.spec.Auction.Rule.Value(b.Qualities)-b.Payment) <= j.scoreMax
 }
 
-// finiteQualityBound returns a bound T such that every quality vector in
-// [−T, T]^m scores within ±MaxFloat64/2 under rule, so that with a payment
-// of at most MaxFloat64/2 the score s(q) − p is finite. A rule is
-// non-decreasing in every coordinate, so s(q) lies between s(−T, …, −T)
-// and s(T, …, T); the largest T tried whose two corners are inside is
-// returned, and 0 (no box: every bid is scored) when none is.
-func finiteQualityBound(rule auction.ScoringRule) float64 {
+// valueBoxFor returns a bound T such that every quality vector in
+// [−T, T]^m has |s(q)| ≤ bound under rule. A rule is non-decreasing in
+// every coordinate, so s(q) lies between s(−T, …, −T) and s(T, …, T); the
+// largest T tried whose two corners are inside is returned, and −1 (no
+// box: every bid is evaluated) when none is.
+func valueBoxFor(rule auction.ScoringRule, bound float64) float64 {
 	corner := make([]float64, rule.Dims())
 	inside := func(t float64) bool {
 		for i := range corner {
 			corner[i] = t
 		}
-		return math.Abs(rule.Value(corner)) <= math.MaxFloat64/2
+		return math.Abs(rule.Value(corner)) <= bound
 	}
-	for t := math.MaxFloat64 / 2; t >= 1; t /= 1 << 32 {
+	for t := math.MaxFloat64; t >= 1; t /= 16 {
 		if inside(t) && inside(-t) {
 			return t
 		}
 	}
-	return 0
+	return -1
 }
 
 // canonicalize orders a round's bid set ascending by NodeID. Node IDs that
@@ -756,6 +759,7 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		}
 		eqCfg = &cfg
 	}
+	scoreMax := math.MaxFloat64 / (2 * float64(spec.Auction.K))
 	ctx, cancel := context.WithCancel(ex.ctx)
 	return &Job{
 		id:          id,
@@ -769,6 +773,7 @@ func newJob(ex *Exchange, id string, spec JobSpec) (*Job, error) {
 		auct:        auct,
 		src:         src,
 		strategyCfg: eqCfg,
-		finiteQ:     finiteQualityBound(spec.Auction.Rule),
+		scoreMax:    scoreMax,
+		valueBox:    valueBoxFor(spec.Auction.Rule, scoreMax/2),
 	}, nil
 }
