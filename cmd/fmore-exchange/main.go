@@ -29,11 +29,12 @@
 // replayed on the next start: a crashed or restarted exchange serves the
 // identical retained outcome history and continues its jobs with
 // consistent round numbering and the same deterministic draw sequence.
-// The log compacts itself: once the active segment passes -snapshot-bytes
-// (default 8 MiB; -snapshot-interval adds a timer) the exchange snapshots
-// its durable state, rotates onto a fresh segment and deletes the covered
-// ones, so replay time and disk usage stay bounded by live state instead of
-// total rounds served. Without the flag the exchange is in-memory only.
+// The log compacts itself: once the active segment reaches -snapshot-bytes
+// (default 8 MiB) or twice the last snapshot, whichever is larger
+// (-snapshot-interval adds a timer), the exchange snapshots its durable
+// state, rotates onto a fresh segment and deletes the covered ones, so
+// replay time and disk usage stay bounded by live state instead of total
+// rounds served. Without the flag the exchange is in-memory only.
 // The files, their format and the crash-safety of every step are
 // internal/wal's (its package comment is the reference); what the records
 // say and how they replay is internal/exchange's. A record that verifies
@@ -183,7 +184,7 @@ func main() {
 	requireReg := flag.Bool("require-registration", false,
 		"reject bids from nodes that have not registered via POST /v1/nodes")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0,
-		"WAL segment size that triggers snapshot + log rotation (0 = default 8 MiB, negative disables)")
+		"floor of the WAL segment size that triggers snapshot + log rotation; the trigger is this or twice the last snapshot, whichever is larger (0 = default 8 MiB, negative disables)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0,
 		"additionally snapshot + rotate the WAL on this period (0 = size trigger only)")
 	syncInterval := flag.Duration("sync-interval", 0,

@@ -156,8 +156,9 @@
 // # Snapshot + rotation (log compaction)
 //
 // Compaction (Exchange.Compact, triggered automatically once the active
-// segment passes Options.SnapshotBytes — default 8 MiB — and optionally
-// every Options.SnapshotInterval) collapses everything before a cut into
+// segment reaches Options.SnapshotBytes — default 8 MiB — or twice the last
+// snapshot, whichever is larger, and optionally every
+// Options.SnapshotInterval) collapses everything before a cut into
 // one snapshot document: job specs, closed flags, round numbering,
 // cumulative rng draw counts, the KeepOutcomes-bounded outcome history
 // verbatim, and the registry with per-node bid counters, meta and bans.
@@ -183,13 +184,31 @@
 // (Exchange.snapStreaming), its one reader outside the job's locks. An
 // in-memory exchange encodes and retains nothing.
 //
+// Why twice the snapshot: a compaction rewrites the whole retained state to
+// retire one segment, and that state does not shrink as rounds churn
+// through full KeepOutcomes windows. Triggered at SnapshotBytes alone, an
+// exchange whose snapshot outgrew it would write the snapshot again for
+// every SnapshotBytes of log (64 churning jobs: a ~19 MB snapshot per
+// 8 MiB segment). Scaled with the snapshot, retiring log costs at most half
+// a snapshot byte per log byte while the snapshot holds its size, as it
+// does once the KeepOutcomes windows are full: write amplification, log
+// and snapshot bytes over log bytes, stays at or below 1.5 however large
+// the state is. The price is a longer log. On disk, the log is at most the
+// snapshot plus max(SnapshotBytes, 2 × snapshot), plus the segment a
+// compaction in flight is retiring; a restart replays up to that much log
+// behind the snapshot, and the recovery scan reads each segment whole into
+// memory, so a restarting replica's peak memory grows with the segment
+// too. SnapshotBytes stays the floor: an exchange whose snapshot is under
+// half of it compacts exactly as before.
+//
 // What a compaction costs is observable: wal_snapshot_bytes is the size of
-// the last committed snapshot (÷ Options.SnapshotBytes = the write
-// amplification of retiring one segment), wal_snapshot_seconds its wall
-// time and wal_snapshot_stw_seconds the share during which no round could
-// close. A compaction that fails at any step counts in
-// wal_snapshot_errors and is retried by the next trigger; the replica
-// never leaves healthy service for it.
+// the last committed snapshot, which the next compaction writes about once
+// more to retire at least twice as much log (or SnapshotBytes, when
+// larger); wal_snapshot_seconds is its wall time and
+// wal_snapshot_stw_seconds the share during which no round could close. A
+// compaction that fails at any step counts in wal_snapshot_errors and is
+// retried by the next trigger; the replica never leaves healthy service
+// for it.
 //
 // # Failure model & degraded mode
 //
@@ -285,7 +304,7 @@
 //	bids_rejected_total         counter    bids refused (duplicate, policy, closed, …)
 //	wal_snapshots_total         counter    completed WAL compactions
 //	wal_snapshot_errors_total   counter    failed compaction attempts
-//	wal_snapshot_bytes          gauge      size of the last committed snapshot file (÷ SnapshotBytes = write amplification)
+//	wal_snapshot_bytes          gauge      size of the last committed snapshot file; twice it (or SnapshotBytes, if larger) is the next size trigger
 //	wal_snapshot_seconds        gauge      wall time of the last completed compaction
 //	wal_snapshot_stw_seconds    gauge      part of it spent under the stop-the-world locks
 //	wal_segment_count           gauge      live log segments on disk (0 in-memory)

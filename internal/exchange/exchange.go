@@ -36,9 +36,15 @@ type Options struct {
 	// of the window. The achieved batching is observable as wal_fsync_total
 	// vs wal_fsync_batched_records. Only meaningful with Open.
 	SyncInterval time.Duration
-	// SnapshotBytes triggers WAL compaction (snapshot + segment rotation)
-	// once the active segment exceeds this many bytes (default 8 MiB;
-	// negative disables the size trigger). Only meaningful with Open.
+	// SnapshotBytes is the floor of the WAL's size trigger (default 8 MiB;
+	// negative disables the size trigger): compaction (snapshot + segment
+	// rotation) runs once the active segment reaches this many bytes or
+	// twice the last snapshot, whichever is larger, so a compaction writes
+	// at most half a snapshot byte per log byte it retires while the
+	// snapshot holds its size. The log on disk, and what a restart
+	// replays, is then at most the snapshot plus that trigger plus a
+	// segment being retired — see "Snapshot + rotation" in the package
+	// comment. Only meaningful with Open.
 	SnapshotBytes int64
 	// SnapshotInterval additionally compacts the WAL on a fixed period
 	// (0 disables the timer; the size trigger still applies). Only

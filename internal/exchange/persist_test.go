@@ -758,6 +758,192 @@ func TestCompactionCrashMatrix(t *testing.T) {
 	})
 }
 
+// churnShaped is the durable shape of a churning aggregator at test scale:
+// several jobs whose KeepOutcomes windows are full, compacted once, so the
+// snapshot in the returned (closed) dir holds every retained round. Opened
+// with churnSegment as SnapshotBytes, the snapshot is several times larger
+// than the trigger's floor.
+const churnJobs, churnBidders, churnSegment = 6, 16, 2 << 10
+
+func churnShaped(t *testing.T) (dir string, ids []string, snapBytes int64) {
+	t.Helper()
+	dir = t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = compactWorkload(t, ex, churnJobs, churnBidders, 6, true) // 6 rounds > KeepOutcomes 4
+	if err := ex.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snapBytes = ex.Metrics().WalSnapshotBytes
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snapBytes < 4*churnSegment {
+		t.Fatalf("a %d-byte snapshot is not several times the %d-byte floor", snapBytes, churnSegment)
+	}
+	return dir, ids, snapBytes
+}
+
+// churnStep closes one round of every churnShaped job and lets the log
+// catch up: two Syncs return only once the size trigger has judged the
+// commit holding the round, and taking compactMu waits out a compaction
+// that has begun. So a compaction cuts at most about one step past its
+// trigger, where an unpaced loop would run far past it while the snapshot
+// is written.
+func churnStep(t *testing.T, ex *Exchange) {
+	t.Helper()
+	compactWorkload(t, ex, churnJobs, churnBidders, 1, false)
+	for range 2 {
+		if err := ex.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex.compactMu.Lock()
+	ex.compactMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
+}
+
+// retiredBytes sums the sizes of dir's segments below the highest, the
+// active one: what a compaction retires, read between its snapshot commit
+// and the prune. Segment names are internal/wal's ("On disk").
+func retiredBytes(dir string) (int64, error) {
+	segs, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil {
+		return 0, err
+	}
+	var total, active, activeSize int64
+	for _, seg := range segs {
+		seq := int64(1)
+		if filepath.Base(seg) != wal.SegmentName {
+			if _, err := fmt.Sscanf(filepath.Base(seg), "exchange-%d.wal", &seq); err != nil {
+				return 0, fmt.Errorf("segment name %s: %w", seg, err)
+			}
+		}
+		st, err := os.Stat(seg)
+		if err != nil {
+			return 0, err
+		}
+		total += st.Size()
+		if seq > active {
+			active, activeSize = seq, st.Size()
+		}
+	}
+	return total - activeSize, nil
+}
+
+// TestCompactionWriteAmplification: the size trigger scales with the
+// snapshot, so retiring log costs at most half a snapshot byte per log
+// byte — write amplification (log + snapshot bytes) ÷ log bytes at most
+// 1.5 — however many times the snapshot outgrows SnapshotBytes. Measured
+// over the automatic compactions of a churn-shaped exchange, from the
+// files each one leaves just after its snapshot commits: the snapshot, and
+// the segments below the new active one, which it retires. (With the
+// trigger at SnapshotBytes alone this reads 4.93: each ~20 KB snapshot
+// retired ~5 KB of log.)
+func TestCompactionWriteAmplification(t *testing.T) {
+	dir, _, _ := churnShaped(t)
+	var mu sync.Mutex
+	var compactions, snapWritten, logRetired int64
+	testHookAfterSnapshot = func() { // on the compaction goroutine
+		st, err := os.Stat(filepath.Join(dir, wal.SnapshotName))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		retired, err := retiredBytes(dir)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		compactions++
+		snapWritten += st.Size()
+		logRetired += retired
+	}
+	defer func() { testHookAfterSnapshot = nil }()
+	done := func() int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return compactions
+	}
+
+	ex, err := Open(dir, Options{SnapshotBytes: churnSegment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	deadline := time.Now().Add(20 * time.Second)
+	for done() < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d automatic compactions in 20 s, want 5", done())
+		}
+		churnStep(t, ex)
+	}
+	if n := ex.Metrics().WalSnapshotErrors; n != 0 {
+		t.Fatalf("%d compaction errors", n)
+	}
+	if err := ex.Close(); err != nil { // waits out a compaction in flight
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	amp := float64(logRetired+snapWritten) / float64(logRetired)
+	t.Logf("%d compactions: %d log bytes retired, %d snapshot bytes written, amplification %.3f",
+		compactions, logRetired, snapWritten, amp)
+	if amp > 1.5 {
+		t.Errorf("write amplification %.3f over %d compactions, want at most 1.5", amp, compactions)
+	}
+}
+
+// TestCompactionCrashBelowTheScaledTrigger is a row of the crash matrix
+// the scaled trigger opens: a kill -9 while the active segment holds more
+// than SnapshotBytes but less than twice the snapshot, so the segment is
+// live, uncompacted and larger than the floor alone would ever let it
+// grow. Recovery replays all of it behind the snapshot, and every job's
+// outcome pages come back byte-identical.
+func TestCompactionCrashBelowTheScaledTrigger(t *testing.T) {
+	dir, ids, snapBytes := churnShaped(t)
+	opts := Options{SnapshotBytes: churnSegment}
+	ex, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	for m := ex.Metrics(); m.WalBytes < snapBytes; m = ex.Metrics() { // midway between the floor and 2× the snapshot
+		if m.WalSnapshots != 0 {
+			t.Fatalf("compacted on the way, %d log bytes behind a %d-byte snapshot", m.WalBytes, snapBytes)
+		}
+		churnStep(t, ex)
+	}
+	m := ex.Metrics()
+	if m.WalSnapshots != 0 || m.WalBytes <= churnSegment || m.WalBytes >= 2*snapBytes {
+		t.Fatalf("%d compactions, %d log bytes: not between the %d-byte floor and twice the %d-byte snapshot",
+			m.WalSnapshots, m.WalBytes, churnSegment, snapBytes)
+	}
+	pages := make(map[string][]byte, len(ids))
+	for _, id := range ids {
+		pages[id] = outcomesPageBytes(t, ex, id)
+	}
+	crashDir := cloneDataDir(t, dir) // <-- kill -9
+
+	ex2, err := Open(crashDir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer ex2.Close()
+	if got := ex2.Metrics().WalBytes; got != m.WalBytes {
+		t.Errorf("recovery kept %d log bytes, want all %d", got, m.WalBytes)
+	}
+	for _, id := range ids {
+		if got := outcomesPageBytes(t, ex2, id); string(got) != string(pages[id]) {
+			t.Errorf("job %s: outcomes diverged after a crash below the scaled trigger", id)
+		}
+	}
+	compactWorkload(t, ex2, churnJobs, churnBidders, 1, false)
+}
+
 // TestRemoveJobRacingCloseReplays: a round close in flight when RemoveJob
 // starts must land its round record before the removal record (the closeMu
 // barrier), or replay would meet an outcome for a job the log already

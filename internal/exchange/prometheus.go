@@ -71,7 +71,7 @@ var metricCatalog = []metricRow{
 	{name: "bids_rejected_total", help: "Bids refused (validation, policy, duplicate, closed job).", counter: true, value: func(p *scrape) float64 { return float64(p.BidsRejected) }},
 	{name: "wal_snapshots_total", help: "Completed WAL compactions (snapshot + segment rotation).", counter: true, value: func(p *scrape) float64 { return float64(p.WalSnapshots) }},
 	{name: "wal_snapshot_errors_total", help: "WAL compaction attempts that failed and will be retried.", counter: true, value: func(p *scrape) float64 { return float64(p.WalSnapshotErrors) }},
-	{name: "wal_snapshot_bytes", help: "Size of the last committed snapshot file; over the rotation threshold it is the compaction's write amplification.", value: func(p *scrape) float64 { return float64(p.WalSnapshotBytes) }},
+	{name: "wal_snapshot_bytes", help: "Size of the last committed snapshot file; the log compacts again once its active segment reaches twice this, or the snapshot-bytes floor if larger.", value: func(p *scrape) float64 { return float64(p.WalSnapshotBytes) }},
 	{name: "wal_snapshot_seconds", help: "Wall time of the last completed WAL compaction.", value: func(p *scrape) float64 { return p.WalSnapshotSeconds }},
 	{name: "wal_snapshot_stw_seconds", help: "Part of the last completed WAL compaction spent holding the stop-the-world locks (no round can close).", value: func(p *scrape) float64 { return p.WalSnapshotStwSeconds }},
 	{name: "wal_segment_count", help: "Live WAL segments a restart would replay.", value: func(p *scrape) float64 { return float64(p.WalSegmentCount) }},

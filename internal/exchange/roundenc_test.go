@@ -5,15 +5,20 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"fmore/internal/auction"
+	"fmore/internal/wal"
 	"fmore/pkg/api"
 )
 
@@ -136,6 +141,77 @@ func FuzzAppendWalRound(f *testing.F) {
 	f.Add("neg", "", -1, -5, int64(math.MinInt64), int64(math.MaxInt64), uint8(1), []byte(nil))
 	f.Fuzz(func(t *testing.T, job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) {
 		checkRoundEncoding(t, walRoundFromFuzz(job, errStr, round, numBids, draws, lat, shape, data))
+	})
+}
+
+// FuzzDecodeHistories feeds arbitrary bytes to replay as one history entry
+// of a snapshot. decodeHistories must refuse or decode them without a
+// panic, and what it decodes is a fixed point of the history form:
+// appendWalRound writes it in bytes that decode to the same round (less
+// the replay fields the history form drops) and encode to the same bytes.
+// Entries an exchange wrote — the parent-pr12 fixture's snapshot, and
+// rounds of the shapes the encoder tests use — come back byte-identical.
+func FuzzDecodeHistories(f *testing.F) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-pr12", "data", wal.SnapshotName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var fixture walSnapshot
+	if err := json.Unmarshal(raw[8:], &fixture); err != nil { // the payload behind the frame header
+		f.Fatal(err)
+	}
+	written := map[string]bool{}
+	for _, j := range fixture.Jobs {
+		for _, h := range j.History {
+			written[string(h.raw)] = true
+		}
+	}
+	failed := &walRound{Job: "job-2", Round: 9, NumBids: 3, LatencyNS: 77, Err: `auction: no "valid" bid`, Scores: []float64{}}
+	for _, r := range []*walRound{churnWalRound(), failed, {Job: "psi", Round: 1}} {
+		b, _, err := appendWalRound(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		written[string(b)] = true
+	}
+	if len(written) < 8 {
+		f.Fatalf("%d written entries to seed with", len(written))
+	}
+	for _, entry := range slices.Sorted(maps.Keys(written)) {
+		f.Add([]byte(entry))
+	}
+	f.Add([]byte(`{"job":"x","r":1,"nb":2,"bidders":[4,5],"draws":7,"lat":1,"w":[null,{"q":[]}],"sc":[-0,1e-7]}`))
+	f.Add([]byte(`{"JOB":"\ud800","r":1,"job":"y","sc":null}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"r":1e3}`))
+	decode := func(entry []byte) (*walRound, error) {
+		snap := &walSnapshot{Jobs: []walSnapJob{{History: []walSnapRound{{raw: entry}}}}}
+		err := decodeHistories(snap)
+		return &snap.Jobs[0].History[0].walRound, err
+	}
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		first, err := decode(entry)
+		if err != nil {
+			return
+		}
+		enc, _, err := appendWalRound(nil, first)
+		if err != nil {
+			t.Fatalf("a decoded entry does not encode: %v", err)
+		}
+		second, err := decode(enc)
+		if err != nil {
+			t.Fatalf("history form %s does not decode: %v", enc, err)
+		}
+		first.Bidders, first.Draws = nil, 0
+		if !reflect.DeepEqual(second, first) {
+			t.Fatalf("decode → encode → decode changed the round:\n got %+v\nwant %+v", second, first)
+		}
+		if again, _, _ := appendWalRound(nil, second); !bytes.Equal(again, enc) {
+			t.Fatalf("history form is not a fixed point:\n%s\n%s", enc, again)
+		}
+		if written[string(entry)] && !bytes.Equal(enc, entry) {
+			t.Fatalf("a written entry came back changed:\n got %s\nwant %s", enc, entry)
+		}
 	})
 }
 

@@ -24,8 +24,9 @@ var maxSnapshotPayload int64 = math.MaxUint32
 const snapWriteBuffer = 256 << 10
 
 // Rotate is step 1 of a compaction (package comment: Compaction): it
-// creates the next segment, reserves its space and makes both durable. The
-// writer keeps appending to the current segment until Cut.
+// creates the next segment, reserves its space — the size trigger as the
+// committed snapshot sets it now — and makes both durable. The writer keeps
+// appending to the current segment until Cut.
 func (l *Log) Rotate() error {
 	path := filepath.Join(l.dir, segName(l.seq.Load()+1))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -38,7 +39,7 @@ func (l *Log) Rotate() error {
 	if err := fpPrealloc.Fire(); err != nil {
 		return fmt.Errorf("wal: preallocating segment: %w", err)
 	}
-	preallocate(f, l.prealloc)
+	preallocate(f, scaled(l.prealloc, l.snapBytes.Load()))
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}

@@ -39,9 +39,17 @@
 // behind the waiter share its fsync and a synced record is durable as fast
 // as the disk allows.
 //
-// Segments are created with Options.SegmentBytes reserved (preallocate has
-// the how and the why) and trimmed to their logical size when sealed or
-// cleanly closed; only a crash leaves zero-fill on disk.
+// The size trigger (Full) fires once the active segment reaches
+// Options.SegmentBytes or twice the committed snapshot, whichever is
+// larger, so a compaction writes at most half a snapshot byte per log byte
+// it retires while the snapshot holds its size. Segments are created with
+// that same size reserved — by Rotate, and for a fresh tail by Open, from
+// the snapshot committed when they do (preallocate has the how and the
+// why) — and trimmed to their logical size when sealed or cleanly closed;
+// only a crash leaves zero-fill on disk. Rotate runs before its
+// compaction's snapshot is written, so a segment whose new snapshot came
+// out larger grows past its reservation by twice the difference before it
+// retires.
 //
 // # Compaction, in crash-safe order
 //

@@ -44,17 +44,24 @@ const (
 	// defaultSegmentBytes is large enough that compaction is rare, small
 	// enough that replay and disk usage stay bounded for a long-lived log.
 	defaultSegmentBytes = 8 << 20
+	// snapshotFactor scales the size trigger with the committed snapshot: a
+	// segment retires once it holds this many snapshots' worth of log, so
+	// while the snapshot holds its size, however large that is, a
+	// compaction writes at most 1/snapshotFactor snapshot byte per log byte
+	// it retires.
+	snapshotFactor = 2
 )
 
 // Options configures a Log.
 type Options struct {
 	// SyncInterval is the group-commit window; <= 0 means 2ms.
 	SyncInterval time.Duration
-	// SegmentBytes is the active segment size past which Full signals, and
-	// the reservation a new segment is created with (a segment rotates just
-	// where it would first have to grow). 0 means 8 MiB; negative disables
-	// the signal and reserves the default, so appends still never extend
-	// the file.
+	// SegmentBytes is the floor of the size trigger: Full signals once the
+	// active segment reaches SegmentBytes or twice the committed snapshot,
+	// whichever is larger, and a new segment is created with that much
+	// reserved (a segment rotates just where it would first have to grow).
+	// 0 means 8 MiB; negative disables the signal and reserves the default
+	// (or twice the snapshot), so appends still never extend the file.
 	SegmentBytes int64
 	// OnFail, when set, is invoked exactly once with the log's first sticky
 	// error, by whichever goroutine publishes it (the writer included, with
@@ -87,15 +94,15 @@ type Log struct {
 	lock      *os.File // dir lock, held until Close
 	f         *os.File // active segment; the writer's until it exits
 	syncDelay time.Duration
-	threshold int64 // size trigger, <= 0 when disabled
-	prealloc  int64 // reservation of a new segment
+	threshold int64 // floor of the size trigger, <= 0 when disabled
+	prealloc  int64 // floor of a new segment's reservation
 	onFail    func(error)
 
 	fsyncs    atomic.Int64
 	fsyncRecs atomic.Int64
 	size      atomic.Int64 // active segment's logical bytes; the writer is its sole writer
 	sealed    atomic.Int64 // bytes in the other live segments
-	snapBytes atomic.Int64 // committed snapshot's file size
+	snapBytes atomic.Int64 // committed snapshot's file size; scales both floors
 
 	// notified latches the size trigger per segment; atomic because Abort
 	// re-arms it from outside the writer.
@@ -150,9 +157,10 @@ var errEmptyRecord = errors.New("wal: appending an empty record")
 // the recovery scan would not read back.
 var ErrRecordTooLarge = errors.New("wal: record exceeds the largest payload recovery accepts")
 
-// start wraps an opened, positioned tail segment holding size logical bytes
-// and launches the writer goroutine.
-func start(dir string, lock, f *os.File, size int64, opts Options) *Log {
+// start wraps an opened, positioned tail segment holding size logical bytes,
+// behind a committed snapshot of snapBytes (0 when there is none), and
+// launches the writer goroutine.
+func start(dir string, lock, f *os.File, size, snapBytes int64, opts Options) *Log {
 	l := &Log{
 		dir:       dir,
 		lock:      lock,
@@ -172,17 +180,25 @@ func start(dir string, lock, f *os.File, size int64, opts Options) *Log {
 		l.threshold = defaultSegmentBytes
 	}
 	l.size.Store(size)
+	l.snapBytes.Store(snapBytes)
 	l.bufs.New = func() any { return new(bytes.Buffer) }
 	go l.run()
 	return l
 }
 
-// reservation is the size a new segment is preallocated to.
+// reservation is the floor of the size a new segment is preallocated to.
 func reservation(opts Options) int64 {
 	if opts.SegmentBytes > 0 {
 		return opts.SegmentBytes
 	}
 	return defaultSegmentBytes
+}
+
+// scaled is floor, or snapshotFactor times a snapshot of snapBytes when
+// that is larger: the size trigger from Options.SegmentBytes, and a new
+// segment's reservation from its floor.
+func scaled(floor, snapBytes int64) int64 {
+	return max(floor, snapshotFactor*snapBytes)
 }
 
 // Buf returns a pooled buffer with the frame header reserved: the caller
@@ -246,7 +262,8 @@ func (l *Log) Sync() error {
 }
 
 // Full signals, at most once per segment, that a commit left the active
-// segment past Options.SegmentBytes. Abort re-arms it.
+// segment at or past the size trigger: Options.SegmentBytes, or twice the
+// committed snapshot when that is larger. Abort re-arms it.
 func (l *Log) Full() <-chan struct{} { return l.full }
 
 // Err returns the log's sticky error, nil while healthy.
@@ -408,7 +425,7 @@ func (l *Log) run() {
 	}
 	commit := func() {
 		settle()
-		if l.threshold > 0 && l.size.Load() >= l.threshold && l.notified.CompareAndSwap(false, true) {
+		if l.threshold > 0 && l.size.Load() >= scaled(l.threshold, l.snapBytes.Load()) && l.notified.CompareAndSwap(false, true) {
 			select {
 			case l.full <- struct{}{}:
 			default:

@@ -255,11 +255,15 @@ func Open(dir string, opts Options) (_ *Log, _ *Recovery, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening segment %d: %w", tail.Seq, err)
 	}
+	var snapBytes int64
+	if snap != nil {
+		snapBytes = headerSize + int64(len(snap))
+	}
 	if tail.size == 0 {
 		// A brand-new tail (fresh dir, or a post-cut segment that was never
 		// written) gets the full reservation, like every segment Rotate
 		// creates.
-		preallocate(f, reservation(opts))
+		preallocate(f, scaled(reservation(opts), snapBytes))
 	} else if tail.size > tail.valid {
 		// Cuts torn garbage AND preallocated zero-fill alike.
 		err = f.Truncate(tail.valid)
@@ -275,7 +279,7 @@ func Open(dir string, opts Options) (_ *Log, _ *Recovery, err error) {
 		return nil, nil, fmt.Errorf("wal: preparing segment %d: %w", tail.Seq, err)
 	}
 
-	l := start(dir, lock, f, tail.valid, opts)
+	l := start(dir, lock, f, tail.valid, snapBytes, opts)
 	l.seq.Store(tail.Seq)
 	l.floor.Store(scans[0].Seq)
 	// Seed the byte gauge from the scan: the sealed segments (all but the
@@ -283,9 +287,6 @@ func Open(dir string, opts Options) (_ *Log, _ *Recovery, err error) {
 	// reservation.
 	for _, s := range scans[:tailIdx] {
 		l.sealed.Add(s.valid)
-	}
-	if snap != nil {
-		l.snapBytes.Store(headerSize + int64(len(snap)))
 	}
 	return l, &Recovery{Snapshot: snap, Segments: scans}, nil
 }

@@ -675,27 +675,36 @@ func TestRotationSealErrorSticks(t *testing.T) {
 	}
 }
 
+// commit returns once the log has committed everything appended so far and
+// judged the size trigger on it: the trigger is judged after a commit
+// released its waiters, and the second Sync returns only once the first
+// one's commit is over.
+func commit(t *testing.T, l *Log) {
+	t.Helper()
+	for range 2 {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fired reports, and takes, a pending size-trigger signal.
+func fired(l *Log) bool {
+	select {
+	case <-l.Full():
+		return true
+	default:
+		return false
+	}
+}
+
 // TestSizeTriggerSignalsOncePerSegment: Full fires when a commit leaves the
 // active segment past the threshold, stays quiet until the rotation (or an
 // Abort) re-arms it, and a disabled trigger never fires.
 func TestSizeTriggerSignalsOncePerSegment(t *testing.T) {
 	fill := func(l *Log) {
 		appendAll(l, [][]byte{bytes.Repeat([]byte("f"), 2<<10)})
-		// The trigger is judged after a commit released its waiters; the
-		// second Sync returns only once the first one's commit is over.
-		for range 2 {
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fired := func(l *Log) bool {
-		select {
-		case <-l.Full():
-			return true
-		default:
-			return false
-		}
+		commit(t, l)
 	}
 	l, _ := mustOpen(t, t.TempDir(), Options{SegmentBytes: 1 << 10})
 	if fill(l); !fired(l) {
@@ -715,6 +724,99 @@ func TestSizeTriggerSignalsOncePerSegment(t *testing.T) {
 	off, _ := mustOpen(t, t.TempDir(), Options{SegmentBytes: -1})
 	if fill(off); fired(off) {
 		t.Error("a disabled trigger fired")
+	}
+}
+
+// TestSnapshotTriggerScalesWithTheSnapshot: behind a committed snapshot of
+// B bytes, the size trigger sits at max(SegmentBytes, 2B), on either side
+// of the crossover. Full stays quiet at every commit below it, signals at
+// the commit that reaches it exactly, signals once, and re-arms after an
+// Abort. The reservation follows the same threshold: a segment Rotate
+// creates, and the fresh tail of a log reopened behind that snapshot,
+// whose trigger is the snapshot's too.
+func TestSnapshotTriggerScalesWithTheSnapshot(t *testing.T) {
+	// approach grows the active segment, one committed frame of at most
+	// 1 KiB at a time, to exactly want bytes.
+	approach := func(t *testing.T, l *Log, want int64) {
+		t.Helper()
+		for left := want - l.Stats().Bytes; left > 0; left = want - l.Stats().Bytes {
+			if fired(l) {
+				t.Fatalf("Full at %d bytes, below the %d-byte trigger", want-left, want)
+			}
+			n := left // the frame that lands on want
+			if left > 1<<10 {
+				n = min(1<<10, left-2*headerSize) // leaves room for one more frame
+			}
+			appendAll(l, [][]byte{bytes.Repeat([]byte("a"), int(n-headerSize))})
+			commit(t, l)
+		}
+		if !fired(l) {
+			t.Fatalf("no signal at the %d-byte trigger", want)
+		}
+	}
+	more := func(t *testing.T, l *Log) {
+		t.Helper()
+		appendAll(l, records(0, 3))
+		commit(t, l)
+	}
+	cases := []struct {
+		name     string
+		segment  int64
+		snapshot int  // bytes of state in the snapshot document
+		scaled   bool // twice the snapshot is the larger
+	}{
+		{"segment above twice the snapshot", 8 << 10, 1 << 10, false},
+		{"twice the snapshot above the segment", 4 << 10, 6 << 10, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: tc.segment}
+			l, _, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close() //nolint:errcheck // closed below; idempotent
+			state := strings.Repeat("s", tc.snapshot)
+			compact(t, l, state)
+			b := l.Stats().SnapshotBytes
+			want := max(tc.segment, 2*b)
+			if (2*b > tc.segment) != tc.scaled {
+				t.Fatalf("a %d-byte snapshot is on the wrong side of the crossover", b)
+			}
+
+			if err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			segs := segments(t, dir)
+			if got := fileSize(t, filepath.Join(dir, segName(segs[len(segs)-1]))); got != want {
+				t.Errorf("Rotate reserved %d bytes, want the %d-byte trigger", got, want)
+			}
+			l.Abort()
+
+			approach(t, l, want)
+			if more(t, l); fired(l) {
+				t.Error("second signal for the same crossing")
+			}
+			l.Abort()
+			if more(t, l); !fired(l) {
+				t.Error("no signal after the re-arm")
+			}
+
+			compact(t, l, state) // same size: the cut keeps its digit count
+			if got := l.Stats().SnapshotBytes; got != b {
+				t.Fatalf("second snapshot is %d bytes, want %d", got, b)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, _ = mustOpen(t, dir, opts)
+			segs = segments(t, dir)
+			if got := fileSize(t, filepath.Join(dir, segName(segs[len(segs)-1]))); got != want {
+				t.Errorf("reopened fresh tail reserved %d bytes, want the %d-byte trigger", got, want)
+			}
+			approach(t, l, want)
+		})
 	}
 }
 

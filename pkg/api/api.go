@@ -105,9 +105,9 @@ type Metrics struct {
 	WalSnapshots      int64 `json:"wal_snapshots"`
 	WalSnapshotErrors int64 `json:"wal_snapshot_errors"`
 	// WalSnapshotBytes is the size of the last committed snapshot file
-	// (after a restart, the one recovery read); divided by the rotation
-	// threshold (Options.SnapshotBytes) it is the compaction's write
-	// amplification. WalSnapshotSeconds is the wall time of the compaction
+	// (after a restart, the one recovery read); the log compacts again once
+	// its active segment reaches twice it, or the SnapshotBytes floor when
+	// that is larger. WalSnapshotSeconds is the wall time of the compaction
 	// that wrote it and WalSnapshotStwSeconds the share of that spent
 	// holding the stop-the-world locks, when no job could close a round.
 	WalSnapshotBytes      int64   `json:"wal_snapshot_bytes"`
