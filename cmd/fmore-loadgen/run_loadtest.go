@@ -8,13 +8,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/bits"
 	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"fmore/internal/hist"
 	"fmore/pkg/api"
 )
 
@@ -134,7 +134,6 @@ type driver struct {
 	closes       atomic.Int64
 	closeShed    atomic.Int64 // 429 on a close — must stay 0
 	closeErrs    atomic.Int64 // non-quorum close failures — must stay 0
-	closeHist    hist         // close request latency
 	lastCloseOK  atomic.Int64 // unix nanos of the last successful close round-trip
 	maxCloseGapN atomic.Int64 // widest observed gap between successful closes
 
@@ -179,7 +178,6 @@ func (d *driver) closerLoop(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		start := time.Now()
 		resp, err := d.hc.Post(d.c.target+api.CloseRound.URL(d.c.job), "application/json", nil)
 		if err != nil {
 			d.closeErrs.Add(1)
@@ -201,7 +199,6 @@ func (d *driver) closerLoop(ctx context.Context) {
 			continue
 		}
 		now := time.Now()
-		d.closeHist.observe(now.Sub(start))
 		if gap := now.UnixNano() - d.lastCloseOK.Swap(now.UnixNano()); gap > d.maxCloseGapN.Load() {
 			d.maxCloseGapN.Store(gap)
 		}
@@ -238,7 +235,7 @@ func (d *driver) healthzLoop(ctx context.Context) {
 type stepResult struct {
 	offered, served, shed, errs int64
 	elapsed                     time.Duration
-	lat                         *hist
+	lat                         *hist.Hist
 }
 
 func (r stepResult) offeredQPS() float64 { return float64(r.offered) / r.elapsed.Seconds() }
@@ -251,7 +248,7 @@ func (d *driver) runStep(c config, st step) stepResult {
 	deadline := start.Add(st.dur)
 	var slot atomic.Int64 // next schedule slot to claim
 	var served, shed, errs, offered atomic.Int64
-	lat := &hist{}
+	lat := &hist.Hist{}
 
 	var wg sync.WaitGroup
 	for w := 0; w < c.workers; w++ {
@@ -285,7 +282,7 @@ func (d *driver) runStep(c config, st step) stepResult {
 					errs.Add(1)
 					continue
 				}
-				lat.observe(time.Since(t0))
+				lat.Record(time.Since(t0).Nanoseconds())
 				drain(resp)
 				switch resp.StatusCode {
 				case http.StatusAccepted, http.StatusOK:
@@ -312,7 +309,7 @@ func (d *driver) runStep(c config, st step) stepResult {
 		"p50_ms=%.1f p99_ms=%.1f closes=%d close_shed=%d close_errs=%d max_close_gap_ms=%d "+
 		"healthz_overloaded=%d/%d flips=%d",
 		c.scenario, st.name, res.offeredQPS(), res.servedQPS(), res.shed, res.errs,
-		res.lat.quantile(0.50).Seconds()*1e3, res.lat.quantile(0.99).Seconds()*1e3,
+		float64(res.lat.Quantile(0.50))/1e6, float64(res.lat.Quantile(0.99))/1e6,
 		d.closes.Load(), d.closeShed.Load(), d.closeErrs.Load(), d.maxCloseGapN.Load()/1e6,
 		d.hzOver.Load(), hzTotal, d.hzFlips.Load())
 	return res
@@ -364,42 +361,4 @@ func drain(resp *http.Response) {
 		}
 	}
 	resp.Body.Close()
-}
-
-// hist is a lock-free log-bucketed latency histogram: bucket i holds
-// samples in [2^i, 2^(i+1)) microseconds, which gives ~2x resolution from
-// 1µs to over a minute in 27 counters.
-type hist struct {
-	buckets [27]atomic.Int64
-	count   atomic.Int64
-}
-
-func (h *hist) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 1 {
-		us = 1
-	}
-	i := bits.Len64(uint64(us)) - 1
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-}
-
-// quantile returns the upper bound of the bucket containing quantile q.
-func (h *hist) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum > target {
-			return time.Duration(int64(1)<<(i+1)) * time.Microsecond
-		}
-	}
-	return time.Duration(int64(1)<<len(h.buckets)) * time.Microsecond
 }

@@ -267,9 +267,10 @@
 //     atomic load (so it cannot go stale across restarts or removals the
 //     way counter arithmetic can, and cannot block or be blocked by churn),
 //     wal_segment_count/wal_bytes mirror the segment scan and the log
-//     writer's running size. The round-latency ring (P50/P99) and the
-//     fixed-bucket latency histogram are atomic slots written once per
-//     close.
+//     writer's running size. Round-close latency is one internal/hist
+//     histogram, one lock-free Record per successful close: rounds_total
+//     is its count, the p50/p99 gauges its quantiles and the Prometheus
+//     histogram its le counts.
 //   - The firehose (Exchange.Firehose) taps closed rounds only — bids are
 //     sealed until their round is scored, and SubmitBid never touches it.
 //     CloseRound copies the canonical slate's (node, price) pairs into a
@@ -297,7 +298,7 @@
 //	jobs_active                 gauge      hosted jobs still accepting rounds (live map scan)
 //	jobs_created_total          counter    jobs ever created (replay included)
 //	nodes_known                 gauge      registry size
-//	rounds_total                counter    completed round closes (failed included)
+//	rounds_total                counter    successful round closes (a failed one counts only in rounds_failed_total)
 //	rounds_failed_total         counter    closes whose scoring/selection errored
 //	idle_ticks_total            counter    timer windows skipped for an empty bid set
 //	bids_accepted_total         counter    bids admitted into a round
@@ -315,8 +316,8 @@
 //	wal_last_error_unix         gauge      Unix time of that first sticky error, 0 while healthy
 //	firehose_events_total       counter    events of the rounds closed while a sink was attached
 //	firehose_dropped_total      counter    of those, events of whole rounds the tap's full queue refused
-//	round_latency_p50_seconds   gauge      nearest-rank p50 close latency (sliding ring)
-//	round_latency_p99_seconds   gauge      nearest-rank p99 close latency (sliding ring)
+//	round_latency_p50_seconds   gauge      nearest-rank p50 close latency since start, within 0.4%
+//	round_latency_p99_seconds   gauge      nearest-rank p99 close latency since start, within 0.4%
 //	round_latency_seconds       histogram  cumulative close latency, le= 250µs..2.5s buckets
 //
 // With Options.Admission installed the admission family joins the catalog
@@ -344,9 +345,14 @@
 // family of the table has its row here) and TestPrometheusGoldenPages pins
 // the page's bytes.
 //
-// The histogram is bucketed at write time (one atomic add per close) and
-// cumulated at scrape; its _count equals rounds_total, so the two read
-// consistently under concurrent closes.
+// The three close-latency families and rounds_total read one histogram
+// (internal/hist: 128 linear sub-buckets per power of two, every value
+// within 0.4%), so _count equals rounds_total. Two consequences:
+//
+//   - p50 and p99 are over every close since start, not a recent window;
+//     a windowed view is rate() over the Prometheus histogram.
+//   - An le count is exact up to the histogram's resolution: a close
+//     within 0.4% of a bound may count on the other side of it.
 //
 // # Admission & overload
 //

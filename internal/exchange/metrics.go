@@ -1,27 +1,24 @@
 package exchange
 
 import (
-	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
+	"fmore/internal/hist"
 	"fmore/pkg/api"
 )
 
-// latWindow is the sliding-window size of retained round latencies for the
-// percentile estimates. Rounds are rare events (one per job per bid window),
-// so 1024 samples cover minutes of heavy traffic.
-const latWindow = 1024
-
-// latencyBuckets are the cumulative histogram's upper bounds in seconds
-// (a final implicit +Inf bucket catches the rest). They span 250µs to
+// latencyBuckets are the le bounds of the Prometheus round-latency
+// histogram (a final +Inf bucket counts every round). They span 250µs to
 // 2.5s: the round close is a sub-millisecond operation at bench scale, and
-// anything past seconds is pathological. Exposed verbatim as the
-// Prometheus `le` labels, so changing them changes scrape output.
-var latencyBuckets = [...]float64{
-	0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+// anything past seconds is pathological. The page reads each through the
+// close-latency histogram's CountAtMost, so a close within 0.4% of a bound
+// may count on either side of it; changing them changes scrape output.
+var latencyBuckets = [...]time.Duration{
+	250 * time.Microsecond, 500 * time.Microsecond, time.Millisecond,
+	2500 * time.Microsecond, 5 * time.Millisecond, 10 * time.Millisecond,
+	25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond,
+	250 * time.Millisecond, 500 * time.Millisecond, time.Second, 2500 * time.Millisecond,
 }
 
 // acceptStripes is the number of stripes of the accepted-bid counter.
@@ -34,14 +31,13 @@ type paddedCounter struct {
 }
 
 // Metrics aggregates exchange-wide throughput counters. Every update is
-// lock-free — including the latency ring, whose slots are atomic bit
-// patterns — so a slow /metrics scrape can never stall bid submission or a
-// round close, and the round-close path never takes a metrics lock.
+// lock-free — the close-latency histogram included — so a slow /metrics
+// scrape can never stall bid submission or a round close, and the
+// round-close path never takes a metrics lock.
 type Metrics struct {
 	start time.Time
 
 	jobsCreated  atomic.Int64
-	roundsTotal  atomic.Int64
 	roundsFailed atomic.Int64
 	idleTicks    atomic.Int64
 	bidsRejected atomic.Int64
@@ -59,23 +55,10 @@ type Metrics struct {
 	// router or SDK map.
 	wrongPartition atomic.Int64
 
-	// latRing holds the last latWindow round latencies as float64 bit
-	// patterns. Writers claim a slot by incrementing latCount; a percentile
-	// scrape loads the slots without any lock, so a sample racing the copy
-	// is read as either the old or the new round's latency — both valid
-	// members of the sliding window.
-	latRing  [latWindow]atomic.Uint64
-	latCount atomic.Int64
-
-	// latHist/latSumNs are the round-latency histogram behind the
-	// Prometheus exposition, bucketed at write time alongside the
-	// percentile ring (one extra atomic add per round — a scrape never
-	// rescans history). latHist[i] counts rounds whose first fitting
-	// bucket is latencyBuckets[i] (non-cumulative; the exposition
-	// accumulates), rounds beyond the last bound count only in the
-	// histogram total, which is roundsTotal itself.
-	latHist  [len(latencyBuckets)]atomic.Int64
-	latSumNs atomic.Int64
+	// closeLat holds the latency of every successful round close since
+	// start: its Count is rounds_total, its quantiles the p50/p99 gauges
+	// and its le counts the Prometheus histogram.
+	closeLat hist.Hist
 
 	// bidsAccepted is the one counter every accepted bid writes, so it is
 	// striped by node (acceptBid): concurrent submitters mostly add to
@@ -107,17 +90,7 @@ func (m *Metrics) accepted() int64 {
 
 // observeRound records one completed round and its close-to-outcome latency.
 func (m *Metrics) observeRound(latency time.Duration) {
-	m.roundsTotal.Add(1)
-	i := m.latCount.Add(1) - 1
-	secs := latency.Seconds()
-	m.latRing[i%latWindow].Store(math.Float64bits(secs))
-	m.latSumNs.Add(latency.Nanoseconds())
-	for b := range latencyBuckets {
-		if secs <= latencyBuckets[b] {
-			m.latHist[b].Add(1)
-			break
-		}
-	}
+	m.closeLat.Record(latency.Nanoseconds())
 }
 
 // Snapshot is a point-in-time view of the exchange's health, the payload of
@@ -138,7 +111,7 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 		JobsActive:        int64(activeJobs),
 		JobsCreated:       m.jobsCreated.Load(),
 		NodesKnown:        nodes,
-		RoundsTotal:       m.roundsTotal.Load(),
+		RoundsTotal:       m.closeLat.Count(),
 		RoundsFailed:      m.roundsFailed.Load(),
 		IdleTicks:         m.idleTicks.Load(),
 		BidsAccepted:      m.accepted(),
@@ -151,62 +124,7 @@ func (m *Metrics) snapshot(nodes, activeJobs int) Snapshot {
 	s.WalSnapshotStwSeconds = time.Duration(m.snapshotStwNs.Load()).Seconds()
 	s.RoundsPerSec = float64(s.RoundsTotal) / elapsed
 	s.BidsPerSec = float64(s.BidsAccepted) / elapsed
-	s.RoundLatencyP50Ms, s.RoundLatencyP99Ms = m.latencyPercentiles()
+	s.RoundLatencyP50Ms = float64(m.closeLat.Quantile(0.50)) / 1e6
+	s.RoundLatencyP99Ms = float64(m.closeLat.Quantile(0.99)) / 1e6
 	return s
-}
-
-// latencyHistogram reads the write-time histogram in the cumulative form
-// the Prometheus exposition wants: cum[i] counts rounds <= the i-th
-// bucket bound, count is the total observations (the +Inf bucket) and
-// sumSec the latency sum in seconds. Buckets are loaded before the total,
-// and observeRound increments the total first — so count can only be >=
-// the loaded cumulative tail and the scraped histogram stays monotone.
-func (m *Metrics) latencyHistogram() (cum [len(latencyBuckets)]int64, count int64, sumSec float64) {
-	run := int64(0)
-	for i := range m.latHist {
-		run += m.latHist[i].Load()
-		cum[i] = run
-	}
-	return cum, m.roundsTotal.Load(), float64(m.latSumNs.Load()) / 1e9
-}
-
-// latencyPercentiles returns (p50, p99) in milliseconds over the ring. The
-// copy takes no lock at all: each slot is an atomic load, so the scrape
-// can be arbitrarily slow without ever blocking observeRound. A slot whose
-// writer claimed it (latCount incremented) but has not stored yet reads as
-// the zero bit pattern; real latencies are strictly positive, so zero
-// slots are unambiguously unwritten and skipped rather than polluting the
-// percentiles with phantom 0ms samples during the first window fill.
-func (m *Metrics) latencyPercentiles() (p50, p99 float64) {
-	claimed := m.latCount.Load()
-	if claimed > latWindow {
-		claimed = latWindow
-	}
-	if claimed == 0 {
-		return 0, 0
-	}
-	buf := make([]float64, 0, claimed)
-	for i := int64(0); i < claimed; i++ {
-		if bits := m.latRing[i].Load(); bits != 0 {
-			buf = append(buf, math.Float64frombits(bits))
-		}
-	}
-	n := int64(len(buf))
-	if n == 0 {
-		return 0, 0
-	}
-	sort.Float64s(buf)
-	pick := func(q float64) float64 {
-		// Nearest-rank: ⌈q·n⌉−1. Flooring q·(n−1) instead under-reports
-		// badly at small n — with 2 samples the "p99" would be the minimum.
-		i := int(math.Ceil(q*float64(n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= int(n) {
-			i = int(n) - 1
-		}
-		return buf[i] * 1e3
-	}
-	return pick(0.50), pick(0.99)
 }

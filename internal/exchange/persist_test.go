@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"fmore/internal/auction"
+	"fmore/internal/promtext"
 	"fmore/internal/wal"
 )
 
@@ -1179,6 +1181,29 @@ func TestOpenFailsOnUndecodableRecord(t *testing.T) {
 	}
 }
 
+// closedRounds reads rounds_total and the close-latency histogram's _count
+// off ex's Prometheus page.
+func closedRounds(t *testing.T, ex *Exchange) (total, count float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writePrometheus(&buf, ex); err != nil {
+		t.Fatal(err)
+	}
+	page, err := promtext.Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, err = page.Value("fmore_exchange_rounds_total"); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range page.Families["fmore_exchange_round_latency_seconds"].Samples {
+		if s.Name == "fmore_exchange_round_latency_seconds_count" {
+			count = s.Value
+		}
+	}
+	return total, count
+}
+
 // TestFailedRoundRecoversByteIdentical covers the one kind of round no other
 // exchange-level test produces: a failed one. An embedded caller breaks the
 // hand-over contract and poisons a quality of a bid it already submitted;
@@ -1220,6 +1245,9 @@ func TestFailedRoundRecoversByteIdentical(t *testing.T) {
 	if got := ex.Metrics().RoundsFailed; got != 1 {
 		t.Fatalf("rounds_failed = %d, want 1", got)
 	}
+	if total, count := closedRounds(t, ex); total != 0 || count != total {
+		t.Fatalf("after the failed close: rounds_total %v, latency _count %v; want both 0 (a failed close is no completed round)", total, count)
+	}
 	for _, b := range testBids(0, 2, 4) {
 		if _, err := ex.SubmitBid("poisoned", b); err != nil {
 			t.Fatal(err)
@@ -1227,6 +1255,9 @@ func TestFailedRoundRecoversByteIdentical(t *testing.T) {
 	}
 	if ro, err := ex.CloseRound("poisoned"); err != nil || ro.Round != 2 || len(ro.Outcome.Winners) != 2 {
 		t.Fatalf("round after the failed one: %+v, %v", ro, err)
+	}
+	if total, count := closedRounds(t, ex); total != 1 || count != total {
+		t.Fatalf("after the next close: rounds_total %v, latency _count %v; want both 1", total, count)
 	}
 	if err := ex.Sync(); err != nil {
 		t.Fatal(err)

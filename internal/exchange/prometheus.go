@@ -99,8 +99,8 @@ var metricCatalog = []metricRow{
 	{name: "admission_inflight", help: "Bid-submit requests currently inside the in-flight gate.", when: admitting, value: func(p *scrape) float64 { return float64(p.AdmissionInflight) }},
 	{name: "admission_sse_active", help: "SSE streams currently registered with the admission controller.", when: admitting, value: func(p *scrape) float64 { return float64(p.AdmissionSSEActive) }},
 	{name: "admission_overloaded", help: "1 while the exchange advertises overload on /v1/healthz, else 0.", when: admitting, value: func(p *scrape) float64 { return oneIf(p.AdmissionOverloaded) }},
-	{name: "round_latency_p50_seconds", help: "Median close-to-outcome latency over the sliding percentile window.", value: func(p *scrape) float64 { return p.RoundLatencyP50Ms / 1e3 }},
-	{name: "round_latency_p99_seconds", help: "99th-percentile close-to-outcome latency over the sliding percentile window.", value: func(p *scrape) float64 { return p.RoundLatencyP99Ms / 1e3 }},
+	{name: "round_latency_p50_seconds", help: "Median close-to-outcome latency since start.", value: func(p *scrape) float64 { return p.RoundLatencyP50Ms / 1e3 }},
+	{name: "round_latency_p99_seconds", help: "99th-percentile close-to-outcome latency since start.", value: func(p *scrape) float64 { return p.RoundLatencyP99Ms / 1e3 }},
 }
 
 // renderPrometheus renders snapshot s (plus ex's partition identity and
@@ -135,18 +135,19 @@ func renderPrometheus(w io.Writer, ex *Exchange, s Snapshot) error {
 		b.WriteString("fmore_exchange_" + row.name + labels + " " + text + "\n")
 	}
 
-	// The cumulative round-latency histogram, bucketed at write time by
-	// observeRound — a scrape only loads the bucket counters.
-	cum, count, sumSec := ex.metrics.latencyHistogram()
+	// The cumulative round-latency histogram. The le counts are loaded
+	// before the count, so +Inf is at least each of them (internal/hist).
+	lat := &ex.metrics.closeLat
 	b.WriteString("# HELP fmore_exchange_round_latency_seconds Close-to-outcome latency of completed rounds.\n")
 	b.WriteString("# TYPE fmore_exchange_round_latency_seconds histogram\n")
-	for i, bound := range latencyBuckets {
-		b.WriteString(`fmore_exchange_round_latency_seconds_bucket{le="` + formatFloat(bound) + `"} ` +
-			strconv.FormatInt(cum[i], 10) + "\n")
+	for _, bound := range latencyBuckets {
+		b.WriteString(`fmore_exchange_round_latency_seconds_bucket{le="` + formatFloat(bound.Seconds()) + `"} ` +
+			strconv.FormatInt(lat.CountAtMost(bound.Nanoseconds()), 10) + "\n")
 	}
-	b.WriteString(`fmore_exchange_round_latency_seconds_bucket{le="+Inf"} ` + strconv.FormatInt(count, 10) + "\n")
-	b.WriteString("fmore_exchange_round_latency_seconds_sum " + formatFloat(sumSec) + "\n")
-	b.WriteString("fmore_exchange_round_latency_seconds_count " + strconv.FormatInt(count, 10) + "\n")
+	count := strconv.FormatInt(lat.Count(), 10)
+	b.WriteString(`fmore_exchange_round_latency_seconds_bucket{le="+Inf"} ` + count + "\n")
+	b.WriteString("fmore_exchange_round_latency_seconds_sum " + formatFloat(float64(lat.Sum())/1e9) + "\n")
+	b.WriteString("fmore_exchange_round_latency_seconds_count " + count + "\n")
 	return b.Flush()
 }
 
