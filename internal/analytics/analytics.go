@@ -15,14 +15,15 @@
 // last_bid_ms is the time the aggregator saw its latest bid's round; the
 // bids of a round that never closes are never counted; and nothing about an
 // open round's bids is observable through the stats endpoints. A round the
-// tap dropped whole (its queue was full) is missing whole, and Dropped
-// counts its events.
+// tap dropped whole (its queue was full) is missing whole; the exchange
+// counts its events, in Firehose.Stats and as firehose_dropped on
+// /v1/metrics and the Prometheus page.
 //
 // Memory follows activity: an entity (job or node) holds one epoch-stamped
 // bucket — three scalars and its price histogram — per window slice it was
 // actually seen in, so the aggregator costs entities × buckets touched in
 // the window, not entities × Options.Buckets. A bucket is allocated on the
-// entity's first event in a slice the entity has no expired bucket to spare
+// entity's first round in a slice the entity has no expired bucket to spare
 // for; one that left the window is reset and reused in place, so once an
 // entity has as many buckets as it is ever live in at a time, aggregation
 // allocates nothing, as the tap's own steady state does. The round fields
@@ -103,13 +104,13 @@ type roundTally struct {
 	latMaxNs       int64
 }
 
-func (t *roundTally) closed(ev *exchange.TapEvent) {
-	lat := ev.Latency.Nanoseconds()
+func (t *roundTally) closed(ro *exchange.RoundOutcome) {
+	lat := ro.Latency.Nanoseconds()
 	t.rounds++
-	t.profit += ev.Profit
+	t.profit += ro.Outcome.AggregatorProfit
 	t.latSumNs += lat
 	t.latMaxNs = max(t.latMaxNs, lat)
-	if ev.Failed {
+	if ro.Err != nil {
 		t.failed++
 	}
 }
@@ -155,7 +156,6 @@ type Aggregator struct {
 	jobs    map[string]*series
 	nodes   []series // the node arena, in first-contact order
 	nodeIdx []int32  // open-addressed index of nodes: 1 + arena index, 0 = empty
-	dropped uint64
 }
 
 // minNodeSlots is the size of the first node index.
@@ -294,72 +294,55 @@ func (a *Aggregator) priceBucket(p float64) int {
 	return len(a.bounds)
 }
 
-// ConsumeTap implements exchange.Sink. One batch costs one mutex
-// acquisition, one job lookup per run of events of the same job, one node
-// index probe per bid or win, and in-place counter updates. The only
-// allocations are a new job's series, the node arena growing (as append
-// grows a slice) and its index doubling on a new node's first contact, and
-// a bucket for a window slice the entity has none to spare for (see at).
-func (a *Aggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
+// ConsumeRound implements exchange.Sink. A round costs one mutex
+// acquisition, one job lookup, one node index probe per bid or win, and
+// in-place counter updates. The only allocations are a new job's series, the
+// node arena growing (as append grows a slice) and its index doubling on a
+// new node's first contact, and a bucket for a window slice the entity has
+// none to spare for (see at).
+func (a *Aggregator) ConsumeRound(r *exchange.TapRound) {
 	now := a.now()
 	epoch := a.epochOf(now)
 	var nowMS int64
 	if !now.IsZero() {
 		nowMS = now.UnixMilli()
 	}
+	ro := &r.Outcome
+	winners := ro.Outcome.Winners
+	payment := ro.Outcome.TotalPayment()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.dropped += dropped
-	var job string // the current run of events' job, its series and bucket
-	var js *series
-	var jb *bucket
-	for i := range events {
-		ev := &events[i]
-		if ev.Kind < exchange.TapBidAccepted || ev.Kind > exchange.TapRoundClosed {
-			continue // no kind of ours: it names no job worth a series
-		}
-		if js == nil || ev.Job != job {
-			job, js = ev.Job, a.jobSeries(ev.Job)
-			jb = a.at(js, epoch)
-		}
-		switch ev.Kind {
-		case exchange.TapBidAccepted:
-			price := a.priceBucket(ev.Price)
-			jb.bids++
-			jb.prices[price]++
-			js.life.bids++
+	js := a.jobSeries(ro.JobID)
+	jb := a.at(js, epoch)
+	jb.bids += int64(len(r.Bids))
+	js.life.bids += int64(len(r.Bids))
+	for _, b := range r.Bids {
+		price := a.priceBucket(b.Price)
+		jb.prices[price]++
 
-			ns := a.nodeSeries(ev.Node)
-			nb := a.at(ns, epoch)
-			nb.bids++
-			nb.prices[price]++
-			ns.life.bids++
-			ns.lastBidMS = nowMS
-		case exchange.TapWinner:
-			jb.wins++
-			js.life.wins++
-
-			ns := a.nodeSeries(ev.Node)
-			nb := a.at(ns, epoch)
-			nb.wins++
-			nb.payment += ev.Payment
-			ns.life.wins++
-			ns.life.payment += ev.Payment
-			ns.lastWinMS = nowMS
-		case exchange.TapRoundClosed:
-			jb.payment += ev.Payment
-			jb.rounds.closed(ev)
-			js.life.payment += ev.Payment
-			js.rounds.closed(ev)
-		}
+		ns := a.nodeSeries(b.Node)
+		nb := a.at(ns, epoch)
+		nb.bids++
+		nb.prices[price]++
+		ns.life.bids++
+		ns.lastBidMS = nowMS
 	}
-}
-
-// Dropped returns the firehose events this aggregator was told it missed.
-func (a *Aggregator) Dropped() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
+	jb.wins += int64(len(winners))
+	js.life.wins += int64(len(winners))
+	for i := range winners {
+		w := &winners[i]
+		ns := a.nodeSeries(w.Bid.NodeID)
+		nb := a.at(ns, epoch)
+		nb.wins++
+		nb.payment += w.Payment
+		ns.life.wins++
+		ns.life.payment += w.Payment
+		ns.lastWinMS = nowMS
+	}
+	jb.payment += payment
+	jb.rounds.closed(ro)
+	js.life.payment += payment
+	js.rounds.closed(ro)
 }
 
 // windowRollup folds the live buckets (epoch within the window) into a

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fmore/internal/auction"
 	"fmore/internal/exchange"
 )
 
@@ -31,21 +32,17 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 func feedRound(a *Aggregator, job string, round int, nodes []int, winner int) {
-	events := make([]exchange.TapEvent, 0, len(nodes)+2)
+	r := &exchange.TapRound{Outcome: exchange.RoundOutcome{
+		JobID: job, Round: round, NumBids: len(nodes), Latency: 2 * time.Millisecond,
+		Outcome: auction.Outcome{
+			Winners:          []auction.Winner{{Bid: auction.Bid{NodeID: winner, Payment: 0.2}, Payment: 0.3, Score: 1.5}},
+			AggregatorProfit: 1.2,
+		},
+	}}
 	for _, n := range nodes {
-		events = append(events, exchange.TapEvent{
-			Kind: exchange.TapBidAccepted, Job: job, Round: round, Node: n, Price: 0.2,
-		})
+		r.Bids = append(r.Bids, exchange.TapBid{Node: n, Price: 0.2})
 	}
-	events = append(events, exchange.TapEvent{
-		Kind: exchange.TapWinner, Job: job, Round: round, Node: winner, Price: 0.2, Payment: 0.3, Score: 1.5,
-	})
-	events = append(events, exchange.TapEvent{
-		Kind: exchange.TapRoundClosed, Job: job, Round: round,
-		NumBids: len(nodes), Winners: 1, Payment: 0.3, Profit: 1.2,
-		Latency: 2 * time.Millisecond,
-	})
-	a.ConsumeTap(events, 0)
+	a.ConsumeRound(r)
 }
 
 func TestRollupMath(t *testing.T) {
@@ -146,12 +143,11 @@ func TestPriceHistogramBuckets(t *testing.T) {
 	clock := newFakeClock()
 	a := New(Options{PriceBounds: []float64{0.1, 0.5, 1}, Now: clock.now})
 
-	prices := []float64{0.05, 0.1, 0.3, 0.9, 2.5}
-	events := make([]exchange.TapEvent, len(prices))
-	for i, p := range prices {
-		events[i] = exchange.TapEvent{Kind: exchange.TapBidAccepted, Job: "j", Round: 1, Node: i, Price: p}
+	r := &exchange.TapRound{Outcome: exchange.RoundOutcome{JobID: "j", Round: 1}}
+	for i, p := range []float64{0.05, 0.1, 0.3, 0.9, 2.5} {
+		r.Bids = append(r.Bids, exchange.TapBid{Node: i, Price: p})
 	}
-	a.ConsumeTap(events, 0)
+	a.ConsumeRound(r)
 
 	js, _ := a.JobStats("j")
 	wantCounts := []int64{2, 1, 1, 1} // <=0.1 (boundary inclusive), <=0.5, <=1, overflow
@@ -165,15 +161,6 @@ func TestPriceHistogramBuckets(t *testing.T) {
 	}
 	if len(js.PriceHistogram.Bounds) != 3 || js.PriceHistogram.Bounds[2] != 1 {
 		t.Errorf("bounds = %v", js.PriceHistogram.Bounds)
-	}
-}
-
-func TestDroppedAccumulates(t *testing.T) {
-	a := New(Options{})
-	a.ConsumeTap(nil, 7)
-	a.ConsumeTap([]exchange.TapEvent{{Kind: exchange.TapBidAccepted, Job: "j", Node: 1}}, 3)
-	if got := a.Dropped(); got != 10 {
-		t.Errorf("Dropped = %d, want 10", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package analytics
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -166,5 +167,57 @@ func TestHandlerFallsThrough(t *testing.T) {
 	}
 	if code := get(t, srv, "/v1/jobs/busy", nil); code != 200 {
 		t.Errorf("job detail through the wrapper = %d", code)
+	}
+}
+
+// TestStatsUnencodableTotalRefused: a round that paid two winners 1e308
+// each gives its job a payment total of +Inf, which JSON cannot carry. The
+// job's stats route answers 500 internal_error with the encoder's message —
+// not 200 with an empty body — and each winner's node route, whose total is
+// 1e308, still answers 200.
+func TestStatsUnencodableTotalRefused(t *testing.T) {
+	srv, ex := fixture(t)
+	rule, err := auction.NewAdditive(0.3, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.CreateJob(exchange.JobSpec{ID: "inf", Auction: auction.Config{Rule: rule, K: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{101, 102} {
+		if _, err := ex.SubmitBid("inf", auction.Bid{NodeID: id, Qualities: []float64{1.4e308, 1.4e308}, Payment: 1e308}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ex.CloseRound("inf"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ex.Firehose().Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fetch := func(path string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	const refusal = `{"code":"internal_error","message":"json: unsupported value: +Inf"}` + "\n"
+	if code, body := fetch("/v1/jobs/inf/stats"); code != http.StatusInternalServerError || body != refusal {
+		t.Errorf("job stats = %d %q, want 500 %q", code, body, refusal)
+	}
+	for _, id := range []string{"101", "102"} {
+		var ns NodeStats
+		if code := get(t, srv, "/v1/nodes/"+id+"/stats", &ns); code != http.StatusOK || ns.Lifetime.TotalPayment != 1e308 {
+			t.Errorf("node %s stats = %d, payment %v; want 200 and 1e308", id, code, ns.Lifetime.TotalPayment)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fmore/internal/auction"
 	"fmore/internal/exchange"
 )
 
@@ -19,13 +20,13 @@ func nodeProbeLen(a *Aggregator, id int) int {
 	return n
 }
 
-// bidEvents is one bid of each of ids, into one job.
-func bidEvents(job string, ids []int) []exchange.TapEvent {
-	events := make([]exchange.TapEvent, len(ids))
-	for i, id := range ids {
-		events[i] = exchange.TapEvent{Kind: exchange.TapBidAccepted, Job: job, Round: 1, Node: id, Price: 0.2}
+// bidRound is one round of one bid from each of ids, into one job.
+func bidRound(job string, ids []int) *exchange.TapRound {
+	r := &exchange.TapRound{Outcome: exchange.RoundOutcome{JobID: job, Round: 1, NumBids: len(ids)}}
+	for _, id := range ids {
+		r.Bids = append(r.Bids, exchange.TapBid{Node: id, Price: 0.2})
 	}
-	return events
+	return r
 }
 
 // TestNodeIndexProbeSpread checks that the node ID schemes a deployment
@@ -56,17 +57,13 @@ func TestNodeIndexProbeSpread(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := New(Options{Now: newFakeClock().now})
-			// Every node bids once, the even-numbered ones twice, in pump-sized
-			// batches.
+			// Every node bids once, the even-numbered ones twice, in two rounds.
 			var evens []int
 			for i := 0; i < len(tc.ids); i += 2 {
 				evens = append(evens, tc.ids[i])
 			}
-			for _, events := range [][]exchange.TapEvent{bidEvents("spread", tc.ids), bidEvents("spread", evens)} {
-				for i := 0; i < len(events); i += 256 {
-					a.ConsumeTap(events[i:min(i+256, len(events))], 0)
-				}
-			}
+			a.ConsumeRound(bidRound("spread", tc.ids))
+			a.ConsumeRound(bidRound("spread", evens))
 			sum, worst := 0, 0
 			for i, id := range tc.ids {
 				st, ok := a.NodeStats(id)
@@ -95,28 +92,28 @@ func TestNodeIndexProbeSpread(t *testing.T) {
 	}
 }
 
-// TestNodeArenaGrowsMidBatch feeds one 256-event batch in which bids and
-// wins of warm nodes are interleaved with the first contacts that move the
-// node arena and double its index, three times over, and requires every
+// TestNodeArenaGrowsMidBatch feeds one round of 256 events in which bids
+// and wins of warm nodes are interleaved with the first contacts that move
+// the node arena and double its index, three times over, and requires every
 // node's and the job's rollup to equal the dense reference's on the same
-// events. A node *series held across one of those first contacts writes
-// into the arena's old backing array, and the rollup loses the write.
+// round. A node *series held across one of those first contacts writes into
+// the arena's old backing array, and the rollup loses the write.
 func TestNodeArenaGrowsMidBatch(t *testing.T) {
 	clock := newFakeClock()
 	got, want := New(Options{Now: clock.now}), newRef(Options{Now: clock.now})
-	feed := func(events []exchange.TapEvent) {
-		got.ConsumeTap(events, 0)
-		want.ConsumeTap(events, 0)
+	feed := func(r *exchange.TapRound) {
+		got.ConsumeRound(r)
+		want.ConsumeTap(refExpand(r), 0)
 	}
 
-	// 32 warm nodes fill the 64-slot index to half load, so the batch's
+	// 32 warm nodes fill the 64-slot index to half load, so the round's
 	// first contact doubles it.
 	const warm = 32
 	warmIDs := make([]int, warm)
 	for i := range warmIDs {
 		warmIDs[i] = i
 	}
-	feed(bidEvents("grow", warmIDs))
+	feed(bidRound("grow", warmIDs))
 	if len(got.nodes) != warm || len(got.nodeIdx) != 2*warm {
 		t.Fatalf("warm-up left %d nodes and %d index slots, want %d and %d",
 			len(got.nodes), len(got.nodeIdx), warm, 2*warm)
@@ -125,34 +122,31 @@ func TestNodeArenaGrowsMidBatch(t *testing.T) {
 	clock.advance(time.Second)
 
 	newID := func(i int) int { return 1<<20 + i*64 }
-	var batch []exchange.TapEvent
+	r := &exchange.TapRound{Outcome: exchange.RoundOutcome{JobID: "grow", Round: 2, NumBids: 224, Latency: time.Millisecond}}
 	var fresh []int
-	for i := 0; len(batch) < 224; i++ { // a warm bid, then a first contact
-		batch = append(batch,
-			exchange.TapEvent{Kind: exchange.TapBidAccepted, Job: "grow", Round: 2, Node: i % warm, Price: 0.07},
-			exchange.TapEvent{Kind: exchange.TapBidAccepted, Job: "grow", Round: 2, Node: newID(i), Price: 0.9})
+	for i := 0; len(r.Bids) < 224; i++ { // a warm bid, then a first contact
+		r.Bids = append(r.Bids, exchange.TapBid{Node: i % warm, Price: 0.07}, exchange.TapBid{Node: newID(i), Price: 0.9})
 		fresh = append(fresh, newID(i))
 	}
-	for i := 0; len(batch) < 255; i++ { // winners, warm and fresh alternating
+	o := &r.Outcome.Outcome
+	for i := 0; len(o.Winners) < 31; i++ { // winners, warm and fresh alternating
 		node := i % warm
 		if i%2 == 1 {
 			node = fresh[i*3]
 		}
-		batch = append(batch, exchange.TapEvent{Kind: exchange.TapWinner, Job: "grow", Round: 2,
-			Node: node, Price: 0.2, Payment: 0.25 + float64(i)/64, Score: 1})
+		o.Winners = append(o.Winners, auction.Winner{Bid: auction.Bid{NodeID: node, Payment: 0.2}, Payment: 0.25 + float64(i)/64, Score: 1})
 	}
-	batch = append(batch, exchange.TapEvent{Kind: exchange.TapRoundClosed, Job: "grow", Round: 2,
-		NumBids: 224, Winners: 31, Payment: 12, Profit: 3, Latency: time.Millisecond})
-	if len(batch) != 256 {
-		t.Fatalf("batch of %d events, want one pump batch of 256", len(batch))
+	o.AggregatorProfit = 3
+	if n := len(r.Bids) + len(o.Winners) + 1; n != 256 {
+		t.Fatalf("round of %d events, want 256", n)
 	}
-	feed(batch)
+	feed(r)
 	if n, slots := len(got.nodes), len(got.nodeIdx); n != warm+len(fresh) || slots != 512 || &got.nodes[0] == arena {
-		t.Fatalf("after the batch: %d nodes, %d index slots, arena moved %v; want %d, 512, true",
+		t.Fatalf("after the round: %d nodes, %d index slots, arena moved %v; want %d, 512, true",
 			n, slots, &got.nodes[0] != arena, warm+len(fresh))
 	}
 
-	// The job, every node and one that never bid, NodeIDs and Dropped.
+	// The job, every node and one that never bid, and NodeIDs.
 	s := &refStream{rng: rand.New(rand.NewSource(1)), clock: clock, jobs: []string{"grow"}, nodes: append(warmIDs, fresh...)}
 	probeAgainstReference(t, 0, got, want, s, len(s.nodes)+1)
 }

@@ -9,6 +9,7 @@ package analytics
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,8 +18,52 @@ import (
 	"testing"
 	"time"
 
+	"fmore/internal/auction"
 	"fmore/internal/exchange"
 )
+
+// refKind and refEvent are the event shape the tap delivered before it
+// handed its sink whole rounds, frozen with the reference that reads them.
+type refKind uint8
+
+const (
+	refBidAccepted refKind = 1 + iota
+	refWinner
+	refRoundClosed
+)
+
+type refEvent struct {
+	Kind    refKind
+	Job     string
+	Round   int
+	Node    int
+	Price   float64
+	Payment float64
+	Score   float64
+	NumBids int
+	Winners int
+	Latency time.Duration
+	Profit  float64
+	Failed  bool
+}
+
+// refExpand is the pump's old expansion of one round into its events: its
+// bids in slate order, its winners, then its close.
+func refExpand(r *exchange.TapRound) []refEvent {
+	ro := &r.Outcome
+	var events []refEvent
+	for _, b := range r.Bids {
+		events = append(events, refEvent{Kind: refBidAccepted, Job: ro.JobID, Round: ro.Round, Node: b.Node, Price: b.Price})
+	}
+	for i := range ro.Outcome.Winners {
+		w := &ro.Outcome.Winners[i]
+		events = append(events, refEvent{Kind: refWinner, Job: ro.JobID, Round: ro.Round,
+			Node: w.Bid.NodeID, Price: w.Bid.Payment, Payment: w.Payment, Score: w.Score})
+	}
+	return append(events, refEvent{Kind: refRoundClosed, Job: ro.JobID, Round: ro.Round,
+		NumBids: ro.NumBids, Winners: len(ro.Outcome.Winners), Payment: ro.Outcome.TotalPayment(),
+		Profit: ro.Outcome.AggregatorProfit, Latency: ro.Latency, Failed: ro.Err != nil})
+}
 
 // refCounters is the shared accumulator shape behind both refBucket and
 // lifetime totals.
@@ -56,8 +101,8 @@ type refSeries struct {
 	lastWin time.Time
 }
 
-// refAggregator consumes the firehose and answers stats queries. It
-// implements exchange.Sink; attach it via Exchange.Firehose().Attach.
+// refAggregator consumes the tap's events, as the tap delivered them before
+// it handed its sink whole rounds (refExpand), and answers stats queries.
 type refAggregator struct {
 	window    time.Duration
 	bucketDur time.Duration
@@ -154,10 +199,10 @@ func (a *refAggregator) priceBucket(p float64) int {
 	return len(a.bounds)
 }
 
-// ConsumeTap implements exchange.Sink. One batch costs one mutex
+// ConsumeTap was the tap's Sink method. One batch costs one mutex
 // acquisition and in-place counter updates; the only allocations are the
 // first-contact refSeries of a new job or node.
-func (a *refAggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
+func (a *refAggregator) ConsumeTap(events []refEvent, dropped uint64) {
 	now := a.now()
 	epoch := now.UnixNano()/int64(a.bucketDur) + 1 // +1: epoch 0 means "never"
 	a.mu.Lock()
@@ -166,7 +211,7 @@ func (a *refAggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
-		case exchange.TapBidAccepted:
+		case refBidAccepted:
 			js := a.jobSeries(ev.Job)
 			jb := a.at(js, epoch)
 			jb.bids++
@@ -179,7 +224,7 @@ func (a *refAggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 			nb.prices[a.priceBucket(ev.Price)]++
 			ns.life.bids++
 			ns.lastBid = now
-		case exchange.TapWinner:
+		case refWinner:
 			js := a.jobSeries(ev.Job)
 			a.at(js, epoch).wins++
 			js.life.wins++
@@ -191,7 +236,7 @@ func (a *refAggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 			ns.life.wins++
 			ns.life.payment += ev.Payment
 			ns.lastWin = now
-		case exchange.TapRoundClosed:
+		case refRoundClosed:
 			js := a.jobSeries(ev.Job)
 			jb := a.at(js, epoch)
 			lat := ev.Latency.Nanoseconds()
@@ -215,13 +260,6 @@ func (a *refAggregator) ConsumeTap(events []exchange.TapEvent, dropped uint64) {
 			}
 		}
 	}
-}
-
-// Dropped returns the firehose events this aggregator was told it missed.
-func (a *refAggregator) Dropped() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
 }
 
 // windowRollup folds the live buckets (epoch within the window) into a
@@ -328,8 +366,9 @@ func (a *refAggregator) NodeIDs() []int {
 	return ids
 }
 
-// refStream is one seeded event stream under a hand-advanced clock, fed
-// batch by batch to the live aggregator and the reference alike.
+// refStream is one seeded stream of closed rounds under a hand-advanced
+// clock, fed round by round to the live aggregator and, expanded into
+// events, to the reference.
 type refStream struct {
 	rng   *rand.Rand
 	clock *fakeClock
@@ -355,42 +394,40 @@ func newRefStream(seed int64, clock *fakeClock) *refStream {
 // send; payments stay finite so the bodies stay encodable.
 var refPrices = []float64{0, 0.01, 0.0100001, 0.07, 0.25, 0.9, 1, 3, 10, 11, 1e300, -1, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
 
-func (s *refStream) batch() []exchange.TapEvent {
+// errPoisoned fails the stream's failed rounds.
+var errPoisoned = errors.New("poisoned slate")
+
+// next is the stream's next round: a few dozen bids, sometimes hundreds,
+// from any of the stream's nodes at any of refPrices, and up to seven
+// winners; every fifth round or so failed.
+func (s *refStream) next() *exchange.TapRound {
 	n := s.rng.Intn(40)
 	if s.rng.Intn(8) == 0 {
-		n = 200 + s.rng.Intn(200) // a full pump batch and more
+		n = 200 + s.rng.Intn(200)
 	}
-	events := make([]exchange.TapEvent, 0, n)
-	job := s.jobs[s.rng.Intn(len(s.jobs))]
-	for len(events) < n {
-		if s.rng.Intn(6) == 0 { // runs of one job, as the pump delivers them
-			job = s.jobs[s.rng.Intn(len(s.jobs))]
-		}
-		ev := exchange.TapEvent{Job: job, Round: s.round, Node: s.nodes[s.rng.Intn(len(s.nodes))]}
-		switch k := s.rng.Intn(20); {
-		case k < 13:
-			ev.Kind = exchange.TapBidAccepted
-			ev.Price = refPrices[s.rng.Intn(len(refPrices))]
-		case k < 16:
-			ev.Kind = exchange.TapWinner
-			ev.Price = s.rng.Float64()
-			ev.Payment = s.rng.Float64() * 3
-			ev.Score = s.rng.NormFloat64()
-		case k < 19:
-			s.round++
-			ev.Kind = exchange.TapRoundClosed
-			ev.NumBids, ev.Winners = s.rng.Intn(100), s.rng.Intn(8)
-			ev.Payment = s.rng.Float64() * 10
-			ev.Profit = s.rng.NormFloat64() * 5
-			ev.Latency = time.Duration(s.rng.Int63n(int64(50 * time.Millisecond)))
-			ev.Failed = s.rng.Intn(5) == 0
-		default:
-			ev.Kind = exchange.TapKind(4 + s.rng.Intn(3)) // no kind of the tap's
-			ev.Job = "never-a-series"
-		}
-		events = append(events, ev)
+	s.round++
+	r := &exchange.TapRound{Outcome: exchange.RoundOutcome{
+		JobID:   s.jobs[s.rng.Intn(len(s.jobs))],
+		Round:   s.round,
+		NumBids: n,
+		Latency: time.Duration(s.rng.Int63n(int64(50 * time.Millisecond))),
+	}}
+	for range n {
+		r.Bids = append(r.Bids, exchange.TapBid{Node: s.nodes[s.rng.Intn(len(s.nodes))], Price: refPrices[s.rng.Intn(len(refPrices))]})
 	}
-	return events
+	o := &r.Outcome.Outcome
+	for range s.rng.Intn(8) {
+		o.Winners = append(o.Winners, auction.Winner{
+			Bid:     auction.Bid{NodeID: s.nodes[s.rng.Intn(len(s.nodes))], Payment: s.rng.Float64()},
+			Payment: s.rng.Float64() * 3,
+			Score:   s.rng.NormFloat64(),
+		})
+	}
+	o.AggregatorProfit = s.rng.NormFloat64() * 5
+	if s.rng.Intn(5) == 0 {
+		r.Outcome.Err = errPoisoned
+	}
+	return r
 }
 
 // step moves the clock: mostly inside a bucket, often across one or a few,
@@ -414,9 +451,10 @@ func (s *refStream) step(window, bucket time.Duration) {
 }
 
 // TestAnalyticsMatchesDenseReference is the witness that allocating
-// buckets on use changed no /stats body: under one event stream and one
-// clock the sparse aggregator and the frozen dense one must marshal every
-// JobStats, NodeStats and NodeIDs to the same bytes at every probe.
+// buckets on use, and taking whole rounds instead of their events, changed
+// no /stats body: under one stream of rounds and one clock the sparse
+// aggregator and the frozen dense one, fed the rounds' events, must marshal
+// every JobStats, NodeStats and NodeIDs to the same bytes at every probe.
 func TestAnalyticsMatchesDenseReference(t *testing.T) {
 	configs := []Options{
 		{},
@@ -433,9 +471,11 @@ func TestAnalyticsMatchesDenseReference(t *testing.T) {
 				got, want := New(opts), newRef(opts)
 				s := newRefStream(seed*31+int64(ci), clock)
 				for step := 0; step < 300; step++ {
-					events, dropped := s.batch(), uint64(s.rng.Intn(3))
-					got.ConsumeTap(events, dropped)
-					want.ConsumeTap(events, dropped)
+					for range 1 + s.rng.Intn(3) {
+						r := s.next()
+						got.ConsumeRound(r)
+						want.ConsumeTap(refExpand(r), 0)
+					}
 					s.step(got.window, got.bucketDur)
 					if s.rng.Intn(4) == 0 {
 						probeAgainstReference(t, step, got, want, s, 8)
@@ -460,7 +500,7 @@ func probeAgainstReference(t *testing.T, step int, got *Aggregator, want *refAgg
 				step, what, s.clock.now(), gb, gok, gerr, wb, wok, werr)
 		}
 	}
-	for _, job := range append([]string{"never-a-series", "ghost"}, s.jobs...) {
+	for _, job := range append([]string{"ghost"}, s.jobs...) {
 		g, gok := got.JobStats(job)
 		w, wok := want.JobStats(job)
 		same("job "+job, g, w, gok, wok)
@@ -473,5 +513,4 @@ func probeAgainstReference(t *testing.T, step int, got *Aggregator, want *refAgg
 		same(fmt.Sprint("node ", node), g, w, gok, wok)
 	}
 	same("NodeIDs", got.NodeIDs(), want.NodeIDs(), true, true)
-	same("Dropped", got.Dropped(), want.Dropped(), true, true)
 }

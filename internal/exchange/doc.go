@@ -274,12 +274,14 @@
 //   - The firehose (Exchange.Firehose) taps closed rounds only — bids are
 //     sealed until their round is scored, and SubmitBid never touches it.
 //     CloseRound copies the canonical slate's (node, price) pairs into a
-//     recycled batch and hands it to the pump of the exchange's one Sink,
-//     which expands it into the round's bids, winners and summary. The
-//     queue between them is bounded in events: a round that does not fit
-//     is dropped whole and counted (firehose_dropped), so a slow sink never
-//     stalls a close and a sink sees whole rounds, each job's in order. An
-//     idle pump sleeps; without a sink a close pays one atomic load.
+//     recycled TapRound beside the round's outcome, as the history keeps
+//     it, and queues it for the pump of the exchange's one Sink, which
+//     hands it over whole in one ConsumeRound call. The queue is bounded in
+//     events, one per bid, per winner and per close: a round that does not
+//     fit is dropped whole and counted (firehose_dropped), so a slow sink
+//     never stalls a close and a sink sees whole rounds, each job's in
+//     order. An idle pump sleeps; without a sink a close pays one atomic
+//     load.
 //   - Rollups (internal/analytics) ride the firehose as the Sink and serve
 //     windowed + lifetime per-job and per-node aggregates over
 //     GET /v1/jobs/{id}/stats and /v1/nodes/{id}/stats; its NewHandler

@@ -518,7 +518,7 @@ func (ex *Exchange) Close() error {
 		j.closeMu.Lock()
 		j.closeMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	}
-	// Signal-only: a sink wedged inside ConsumeTap must not wedge shutdown
+	// Signal-only: a sink wedged inside ConsumeRound must not wedge shutdown
 	// (callers that want delivery guarantees Drain the firehose first).
 	ex.fh.detach(nil)
 	// After the barrier no append can be in flight, so the final flush sees

@@ -14,24 +14,12 @@ import (
 	"fmore/internal/auction"
 )
 
-// sameEvent compares two events field by field with floats by bit pattern
-// (NaN payloads and the sign of zero are part of the round trip).
-func sameEvent(a, b TapEvent) bool {
-	bitsOf := func(ev TapEvent) [4]uint64 {
-		return [4]uint64{math.Float64bits(ev.Price), math.Float64bits(ev.Payment), math.Float64bits(ev.Score), math.Float64bits(ev.Profit)}
-	}
-	fa, fb := bitsOf(a), bitsOf(b)
-	a.Price, a.Payment, a.Score, a.Profit = 0, 0, 0, 0
-	b.Price, b.Payment, b.Score, b.Profit = 0, 0, 0, 0
-	return a == b && fa == fb
-}
-
-// TestTapEventsRoundTrip drives hostile values of every kind through an
-// offer and the pump: a round arrives as its bids in slate order, then its
-// winners, then its summary, every field bit for bit — NaN payloads, the
-// sign of zero, infinities and the extreme node IDs included, and a failed
-// round with a zero outcome alike. A round larger than a batch arrives in
-// calls of at most tapBatch events, in order.
+// TestTapEventsRoundTrip drives hostile values through an offer and the
+// pump: each round reaches ConsumeRound once, whole, with every bid of its
+// slate in order and bit for bit — NaN payloads, the sign of zero,
+// infinities and the extreme node IDs included — and with the history's
+// outcome itself (the same Winners backing array), for a failed round with
+// a zero outcome alike. A round of a thousand bids arrives in one call.
 func TestTapEventsRoundTrip(t *testing.T) {
 	f := new(Firehose)
 	sink := &collectSink{}
@@ -49,7 +37,7 @@ func TestTapEventsRoundTrip(t *testing.T) {
 		{Bid: auction.Bid{NodeID: math.MinInt64, Payment: nan}, Payment: math.Inf(-1), Score: negZero},
 		{Bid: auction.Bid{NodeID: math.MaxInt64, Payment: negZero}, Payment: nan, Score: math.Inf(1)},
 	}
-	var want []TapEvent
+	var want []RoundOutcome
 	for _, failed := range []bool{false, true} {
 		ro := RoundOutcome{JobID: "hostile", Round: farRound, NumBids: math.MaxInt64, Latency: math.MaxInt64,
 			Outcome: auction.Outcome{Winners: won, AggregatorProfit: math.Inf(-1)}}
@@ -57,26 +45,31 @@ func TestTapEventsRoundTrip(t *testing.T) {
 			ro = RoundOutcome{JobID: "hostile", Round: math.MaxInt64, NumBids: -1, Latency: -1, Err: errors.New("poisoned")}
 		}
 		f.offer(&ro, slate)
-		for _, b := range slate {
-			want = append(want, TapEvent{Kind: TapBidAccepted, Job: "hostile", Round: ro.Round, Node: b.NodeID, Price: b.Payment})
-		}
-		for _, w := range ro.Outcome.Winners {
-			want = append(want, TapEvent{Kind: TapWinner, Job: "hostile", Round: ro.Round,
-				Node: w.Bid.NodeID, Price: w.Bid.Payment, Payment: w.Payment, Score: w.Score})
-		}
-		want = append(want, TapEvent{Kind: TapRoundClosed, Job: "hostile", Round: ro.Round, NumBids: ro.NumBids,
-			Winners: len(ro.Outcome.Winners), Payment: ro.Outcome.TotalPayment(), Profit: ro.Outcome.AggregatorProfit,
-			Latency: ro.Latency, Failed: failed})
+		want = append(want, ro)
 	}
 	drainFirehose(t, f)
 
-	got, dropped := sink.snapshot()
-	if dropped != 0 || len(got) != len(want) {
-		t.Fatalf("delivered %d events with %d dropped, want %d and 0", len(got), dropped, len(want))
+	got := sink.snapshot()
+	if pub, dropped := f.Stats(); dropped != 0 || len(got) != len(want) || pub != uint64(2*len(slate)+len(won)+2) {
+		t.Fatalf("delivered %d rounds of %d events with %d dropped, want %d and 0", len(got), pub, dropped, len(want))
 	}
-	for i := range want {
-		if !sameEvent(got[i], want[i]) {
-			t.Errorf("event %d:\n got  %+v\n want %+v", i, got[i], want[i])
+	for i, w := range want {
+		g := got[i]
+		if len(g.Bids) != len(slate) {
+			t.Fatalf("round %d: %d bids, want %d", i, len(g.Bids), len(slate))
+		}
+		for k, b := range slate {
+			if g.Bids[k].Node != b.NodeID || math.Float64bits(g.Bids[k].Price) != math.Float64bits(b.Payment) {
+				t.Errorf("round %d bid %d = %+v (price bits %#x), want node %d price bits %#x",
+					i, k, g.Bids[k], math.Float64bits(g.Bids[k].Price), b.NodeID, math.Float64bits(b.Payment))
+			}
+		}
+		o := g.Outcome
+		if o.JobID != w.JobID || o.Round != w.Round || o.NumBids != w.NumBids || o.Latency != w.Latency || o.Err != w.Err ||
+			math.Float64bits(o.Outcome.AggregatorProfit) != math.Float64bits(w.Outcome.AggregatorProfit) ||
+			len(o.Outcome.Winners) != len(w.Outcome.Winners) ||
+			(len(w.Outcome.Winners) > 0 && &o.Outcome.Winners[0] != &w.Outcome.Winners[0]) {
+			t.Errorf("round %d outcome = %+v, want the history's %+v", i, o, w)
 		}
 	}
 
@@ -87,75 +80,43 @@ func TestTapEventsRoundTrip(t *testing.T) {
 	ro := RoundOutcome{JobID: "big", Round: 1, NumBids: len(slate)}
 	big.offer(&ro, slate)
 	drainFirehose(t, big)
-	got, _ = bigSink.snapshot()
-	if len(got) != len(slate)+1 || got[len(slate)].Kind != TapRoundClosed {
-		t.Fatalf("a %d-bid round arrived as %d events", len(slate), len(got))
+	got = bigSink.snapshot()
+	if len(got) != 1 || len(got[0].Bids) != len(slate) {
+		t.Fatalf("a %d-bid round arrived as %d rounds", len(slate), len(got))
 	}
 	for i, b := range slate {
-		if got[i].Kind != TapBidAccepted || got[i].Node != b.NodeID || got[i].Price != b.Payment {
-			t.Fatalf("bid event %d = %+v, want node %d price %v", i, got[i], b.NodeID, b.Payment)
-		}
-	}
-	for i, n := range bigSink.calls {
-		if n > tapBatch {
-			t.Fatalf("ConsumeTap call %d carried %d events, want at most %d", i, n, tapBatch)
+		if g := got[0].Bids[i]; g.Node != b.NodeID || g.Price != b.Payment {
+			t.Fatalf("bid %d = %+v, want node %d price %v", i, g, b.NodeID, b.Payment)
 		}
 	}
 }
 
 // roundCheckSink sleeps on every call — the first time until gate opens —
-// and checks, per job, that rounds arrive whole and in increasing order:
-// a round's bids, then its winners, then a summary whose counts match them.
+// and checks, per job, that rounds arrive in increasing order, each with
+// the bids and winners its outcome counts.
 type roundCheckSink struct {
 	gate  chan struct{}
 	first sync.Once
 
 	mu        sync.Mutex
-	jobs      map[string]*roundCursor
+	jobs      map[string]int // the last round delivered per job
 	delivered uint64
-	dropped   uint64
 	rounds    int
 	bad       error
 }
 
-// roundCursor is one job's position: the round being delivered (open) or
-// the last one whose summary arrived.
-type roundCursor struct {
-	round      int
-	open       bool
-	bids, wins int
-}
-
-func (s *roundCheckSink) ConsumeTap(events []TapEvent, dropped uint64) {
+func (s *roundCheckSink) ConsumeRound(r *TapRound) {
 	s.first.Do(func() { <-s.gate })
 	time.Sleep(100 * time.Microsecond)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.delivered += uint64(len(events))
-	s.dropped += dropped
-	for _, ev := range events {
-		c := s.jobs[ev.Job]
-		if c == nil {
-			c = new(roundCursor)
-			s.jobs[ev.Job] = c
-		}
-		same := c.open && ev.Round == c.round
-		switch {
-		case ev.Kind == TapBidAccepted && !c.open && ev.Round > c.round:
-			*c = roundCursor{round: ev.Round, open: true, bids: 1}
-		case ev.Kind == TapBidAccepted && same && c.wins == 0:
-			c.bids++
-		case ev.Kind == TapWinner && same:
-			c.wins++
-		case ev.Kind == TapRoundClosed && same && ev.NumBids == c.bids && ev.Winners == c.wins:
-			c.open = false
-			s.rounds++
-		default:
-			if s.bad == nil {
-				s.bad = fmt.Errorf("%v event of %s round %d after %+v", ev.Kind, ev.Job, ev.Round, *c)
-			}
-		}
+	ro := &r.Outcome
+	s.delivered += uint64(len(r.Bids) + len(ro.Outcome.Winners) + 1)
+	if last := s.jobs[ro.JobID]; (ro.Round <= last || len(r.Bids) != ro.NumBids) && s.bad == nil {
+		s.bad = fmt.Errorf("%s round %d with %d of %d bids after round %d", ro.JobID, ro.Round, len(r.Bids), ro.NumBids, last)
 	}
+	s.jobs[ro.JobID] = ro.Round
+	s.rounds++
 }
 
 // TestFirehoseConcurrentClosesDeliverWholeRounds closes rounds of eight
@@ -173,7 +134,7 @@ func TestFirehoseConcurrentClosesDeliverWholeRounds(t *testing.T) {
 	)
 	ex := New(Options{})
 	defer ex.Close()
-	sink := &roundCheckSink{gate: make(chan struct{}), jobs: map[string]*roundCursor{}}
+	sink := &roundCheckSink{gate: make(chan struct{}), jobs: map[string]int{}}
 	defer ex.Firehose().Attach(sink)()
 
 	var wg sync.WaitGroup
@@ -210,19 +171,13 @@ func TestFirehoseConcurrentClosesDeliverWholeRounds(t *testing.T) {
 	if sink.bad != nil {
 		t.Fatal(sink.bad)
 	}
-	for id, c := range sink.jobs {
-		if c.open {
-			t.Errorf("%s: round %d is still open after Drain: %+v", id, c.round, *c)
-		}
-	}
 	const perRound = bidders + k + 1
 	if sink.delivered+dropped != published || published != jobs*rounds*perRound {
 		t.Fatalf("delivered %d + dropped %d != published %d (want %d published)",
 			sink.delivered, dropped, published, jobs*rounds*perRound)
 	}
-	if dropped == 0 || dropped%perRound != 0 || sink.dropped != dropped {
-		t.Fatalf("dropped %d events (the sink was told of %d), want whole %d-event rounds and some of them",
-			dropped, sink.dropped, perRound)
+	if dropped == 0 || dropped%perRound != 0 {
+		t.Fatalf("dropped %d events, want whole %d-event rounds and some of them", dropped, perRound)
 	}
 	if sink.rounds != jobs*rounds-int(dropped/perRound) {
 		t.Fatalf("sink saw %d whole rounds, want %d", sink.rounds, jobs*rounds-int(dropped/perRound))
@@ -263,7 +218,7 @@ func TestFirehoseIdleSinkCostsNoCPU(t *testing.T) {
 
 // TestFirehoseParkedPumpAlwaysWakes: a round offered to a pump that has
 // run out of work — asleep in its receive, or on its way there after the
-// flush Drain saw — is always delivered. Every iteration offers one round
+// delivery Drain saw — is always delivered. Every iteration offers one round
 // and requires Drain to settle well inside its deadline.
 func TestFirehoseParkedPumpAlwaysWakes(t *testing.T) {
 	f := new(Firehose)
@@ -281,8 +236,8 @@ func TestFirehoseParkedPumpAlwaysWakes(t *testing.T) {
 			t.Fatalf("round %d offered to an idle pump was not delivered within 1s: %v", r, err)
 		}
 	}
-	if got, dropped := sink.snapshot(); len(got) != 2*rounds || dropped != 0 {
-		t.Fatalf("sink saw %d events and %d drops, want %d and 0", len(got), dropped, 2*rounds)
+	if got := len(sink.snapshot()); got != rounds {
+		t.Fatalf("sink saw %d rounds, want %d", got, rounds)
 	}
 }
 
@@ -298,7 +253,7 @@ func tapRoundFixture(n, k int) (RoundOutcome, []auction.Bid) {
 }
 
 // offerAndWait offers one round and waits, without allocating, until the
-// pump has handed it to the sink — and so recycled its batch.
+// pump has handed it to the sink — and so recycled it.
 func offerAndWait(f *Firehose, ro *RoundOutcome, slate []auction.Bid) {
 	f.offer(ro, slate)
 	p := f.pump.Load()
@@ -308,8 +263,8 @@ func offerAndWait(f *Firehose, ro *RoundOutcome, slate []auction.Bid) {
 }
 
 // TestFirehoseEmitAllocatesNothing: with a sink attached, a steady-state
-// offer allocates nothing on either side of the queue — the batch and its
-// slate copy are recycled, the pump's buffer is reused — for a
+// offer allocates nothing on either side of the queue — the round and its
+// slate copy are recycled — for a
 // round_churn_durable round and a mega_round one.
 func TestFirehoseEmitAllocatesNothing(t *testing.T) {
 	for _, shape := range []struct{ n, k, runs int }{{64, 8, 1000}, {16384, 64, 50}} {
@@ -328,7 +283,7 @@ func TestFirehoseEmitAllocatesNothing(t *testing.T) {
 // prices the tap, not a sink.
 type discardSink struct{}
 
-func (discardSink) ConsumeTap([]TapEvent, uint64) {}
+func (discardSink) ConsumeRound(*TapRound) {}
 
 // BenchmarkFirehoseRound offers one round and waits until the pump has
 // delivered it into a sink that discards everything: the tap's whole cost
@@ -346,7 +301,7 @@ func BenchmarkFirehoseRound(b *testing.B) {
 			f := new(Firehose)
 			defer f.Attach(discardSink{})()
 			ro, slate := tapRoundFixture(shape.n, shape.k)
-			offerAndWait(f, &ro, slate) // the one batch the loop recycles
+			offerAndWait(f, &ro, slate) // the one round the loop recycles
 			b.ReportAllocs()
 			for b.Loop() {
 				offerAndWait(f, &ro, slate)

@@ -2,6 +2,8 @@ package exchange
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,30 +11,26 @@ import (
 	"fmore/internal/auction"
 )
 
-// collectSink buffers every delivered event (copying out of the pump's
-// reused scratch), the size of every call and the reported drops.
+// collectSink keeps every delivered round, its bids copied out of the
+// pump's reused round.
 type collectSink struct {
-	mu      sync.Mutex
-	events  []TapEvent
-	calls   []int
-	dropped uint64
+	mu     sync.Mutex
+	rounds []TapRound
 }
 
-func (s *collectSink) ConsumeTap(events []TapEvent, dropped uint64) {
+func (s *collectSink) ConsumeRound(r *TapRound) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, events...)
-	s.calls = append(s.calls, len(events))
-	s.dropped += dropped
+	s.rounds = append(s.rounds, TapRound{Outcome: r.Outcome, Bids: slices.Clone(r.Bids)})
 }
 
-func (s *collectSink) snapshot() ([]TapEvent, uint64) {
+func (s *collectSink) snapshot() []TapRound {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]TapEvent(nil), s.events...), s.dropped
+	return slices.Clone(s.rounds)
 }
 
-// wedgedSink blocks inside its first ConsumeTap call until released — the
+// wedgedSink blocks inside its first ConsumeRound call until released — the
 // pathological slow consumer the never-block rule is about.
 type wedgedSink struct {
 	entered chan struct{}
@@ -46,7 +44,7 @@ func newWedgedSink(t *testing.T) *wedgedSink {
 	return s
 }
 
-func (s *wedgedSink) ConsumeTap([]TapEvent, uint64) {
+func (s *wedgedSink) ConsumeRound(*TapRound) {
 	s.once.Do(func() { close(s.entered) })
 	<-s.release
 }
@@ -72,9 +70,10 @@ func returnsWithin(t *testing.T, what string, fn func()) {
 	}
 }
 
-// TestFirehoseTapsAuctionEvents checks the event schema end to end: every
-// bid of a closed round, every winner and every round close surface
-// through an attached sink with the fields the aggregation layer depends on.
+// TestFirehoseTapsAuctionEvents checks the tap end to end: a closed round
+// reaches an attached sink once, with every bid of its slate in order, the
+// outcome the history keeps and the summary fields the aggregation layer
+// depends on, and Stats and the metrics count its events.
 func TestFirehoseTapsAuctionEvents(t *testing.T) {
 	const bidders = 8
 	ex := New(Options{})
@@ -100,66 +99,33 @@ func TestFirehoseTapsAuctionEvents(t *testing.T) {
 	}
 	drainFirehose(t, ex.Firehose())
 
-	events, dropped := sink.snapshot()
-	if dropped != 0 {
-		t.Fatalf("dropped = %d, want 0", dropped)
+	rounds := sink.snapshot()
+	if len(rounds) != 1 {
+		t.Fatalf("sink saw %d rounds, want 1", len(rounds))
 	}
-	var gotBids, gotWinners, gotRounds []TapEvent
-	for _, ev := range events {
-		if ev.Job != "tap-job" {
-			t.Fatalf("event job = %q, want tap-job", ev.Job)
-		}
-		if ev.Round != 1 {
-			t.Fatalf("event round = %d, want 1", ev.Round)
-		}
-		switch ev.Kind {
-		case TapBidAccepted:
-			gotBids = append(gotBids, ev)
-		case TapWinner:
-			gotWinners = append(gotWinners, ev)
-		case TapRoundClosed:
-			gotRounds = append(gotRounds, ev)
-		default:
-			t.Fatalf("unexpected kind %v", ev.Kind)
+	got := rounds[0]
+	if len(got.Bids) != bidders {
+		t.Fatalf("round carried %d bids, want %d", len(got.Bids), bidders)
+	}
+	for i, b := range got.Bids {
+		if b.Node != bids[i].NodeID || b.Price != bids[i].Payment {
+			t.Fatalf("bid %d = %+v, want node %d price %v", i, b, bids[i].NodeID, bids[i].Payment)
 		}
 	}
-	if len(gotBids) != bidders {
-		t.Fatalf("bid events = %d, want %d", len(gotBids), bidders)
-	}
-	for i, ev := range gotBids {
-		if ev.Node != bids[i].NodeID || ev.Price != bids[i].Payment {
-			t.Fatalf("bid event %d = node %d price %v, want node %d price %v",
-				i, ev.Node, ev.Price, bids[i].NodeID, bids[i].Payment)
-		}
-	}
-	if len(gotWinners) != len(ro.Outcome.Winners) {
-		t.Fatalf("winner events = %d, want %d", len(gotWinners), len(ro.Outcome.Winners))
-	}
-	for i, ev := range gotWinners {
-		w := ro.Outcome.Winners[i]
-		if ev.Node != w.Bid.NodeID || ev.Payment != w.Payment || ev.Score != w.Score {
-			t.Fatalf("winner event %d = %+v, want node %d payment %v score %v",
-				i, ev, w.Bid.NodeID, w.Payment, w.Score)
-		}
-	}
-	if len(gotRounds) != 1 {
-		t.Fatalf("round events = %d, want 1", len(gotRounds))
-	}
-	rc := gotRounds[0]
-	if rc.NumBids != bidders || rc.Winners != len(ro.Outcome.Winners) ||
-		rc.Payment != ro.Outcome.TotalPayment() || rc.Profit != ro.Outcome.AggregatorProfit ||
-		rc.Failed || rc.Latency <= 0 {
-		t.Fatalf("round event = %+v, want bids=%d winners=%d payment=%v profit=%v failed=false latency>0",
-			rc, bidders, len(ro.Outcome.Winners), ro.Outcome.TotalPayment(), ro.Outcome.AggregatorProfit)
+	o := &got.Outcome
+	if o.JobID != "tap-job" || o.Round != 1 || o.NumBids != bidders || o.Err != nil || o.Latency <= 0 ||
+		len(o.Outcome.Winners) != 3 || !reflect.DeepEqual(o.Outcome, ro.Outcome) {
+		t.Fatalf("round outcome = %+v, want %+v with latency > 0", *o, ro)
 	}
 
-	if pub, drop := ex.Firehose().Stats(); pub != uint64(len(events)) || drop != 0 {
-		t.Fatalf("Stats = (%d, %d), want (%d, 0)", pub, drop, len(events))
+	events := uint64(bidders + len(ro.Outcome.Winners) + 1)
+	if pub, drop := ex.Firehose().Stats(); pub != events || drop != 0 {
+		t.Fatalf("Stats = (%d, %d), want (%d, 0)", pub, drop, events)
 	}
 	snap := ex.Metrics()
-	if snap.FirehoseEvents != int64(len(events)) || snap.FirehoseDropped != 0 {
+	if snap.FirehoseEvents != int64(events) || snap.FirehoseDropped != 0 {
 		t.Fatalf("snapshot firehose = (%d, %d), want (%d, 0)",
-			snap.FirehoseEvents, snap.FirehoseDropped, len(events))
+			snap.FirehoseEvents, snap.FirehoseDropped, events)
 	}
 }
 
@@ -202,19 +168,14 @@ func TestFirehoseAttachStartsAtLivePosition(t *testing.T) {
 	}
 	drainFirehose(t, ex.Firehose())
 
-	events, _ := late.snapshot()
-	if len(events) == 0 {
-		t.Fatal("late sink saw nothing")
-	}
-	for _, ev := range events {
-		if ev.Round != 2 {
-			t.Fatalf("late sink saw round-%d event %+v, want only round 2", ev.Round, ev)
-		}
+	rounds := late.snapshot()
+	if len(rounds) != 1 || rounds[0].Outcome.Round != 2 {
+		t.Fatalf("late sink saw %d rounds (first %+v), want only round 2", len(rounds), rounds)
 	}
 }
 
 // TestFirehoseWedgedSinkNeverBlocksProducers is the never-block acceptance
-// test: with the sink stuck inside ConsumeTap, 64 bidders and repeated round
+// test: with the sink stuck inside ConsumeRound, 64 bidders and repeated round
 // closes must proceed unimpeded (any completion at all proves producers
 // never wait on the sink — it is wedged for the whole test), and detaching
 // the sink must not wait for the stuck call either.
@@ -235,7 +196,7 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wedge the pump inside ConsumeTap (not merely slow) with a first round
+	// Wedge the pump inside ConsumeRound (not merely slow) with a first round
 	// before the main workload.
 	runRound(t, ex, job.ID(), 1)
 	<-wedged.entered
@@ -274,7 +235,7 @@ func TestFirehoseWedgedSinkNeverBlocksProducers(t *testing.T) {
 // TestFirehoseOneSinkAttachDetach pins the attachment contract: an exchange
 // has one sink, so a second Attach panics; a detached sink makes room for
 // the next one, which starts at the live position; and neither detach nor
-// Exchange.Close waits for a sink wedged inside ConsumeTap.
+// Exchange.Close waits for a sink wedged inside ConsumeRound.
 func TestFirehoseOneSinkAttachDetach(t *testing.T) {
 	ex := New(Options{})
 	defer ex.Close()
@@ -301,9 +262,9 @@ func TestFirehoseOneSinkAttachDetach(t *testing.T) {
 	runRound(t, ex, "attach", 2)
 	drainFirehose(t, f)
 	detach()
-	events, _ := next.snapshot()
-	if len(events) != 6+2+1 || events[0].Round != 2 || events[len(events)-1].Kind != TapRoundClosed {
-		t.Fatalf("the sink attached after a detach saw %+v, want round 2 whole", events)
+	rounds := next.snapshot()
+	if len(rounds) != 1 || rounds[0].Outcome.Round != 2 || len(rounds[0].Bids) != 6 || len(rounds[0].Outcome.Outcome.Winners) != 2 {
+		t.Fatalf("the sink attached after a detach saw %+v, want round 2 whole", rounds)
 	}
 
 	wedgedAgain := newWedgedSink(t)

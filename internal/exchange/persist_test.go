@@ -1088,6 +1088,48 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	}
 }
 
+// TestIntervalTriggeredCompaction: with the size trigger off, the
+// SnapshotInterval ticker alone compacts the log — a snapshot lands within
+// two seconds of a closed round — and a reopen of the compacted directory
+// serves byte-identical outcome pages.
+func TestIntervalTriggeredCompaction(t *testing.T) {
+	const jobs, bidders = 2, 8
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1, SnapshotInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	ids := compactWorkload(t, ex, jobs, bidders, 3, true)
+	deadline := time.Now().Add(2 * time.Second)
+	for ex.Metrics().WalSnapshots == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot within 2s of a closed round with SnapshotInterval 20ms")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := ex.Metrics().WalSnapshotErrors; n != 0 {
+		t.Fatalf("%d compaction errors", n)
+	}
+	pages := make(map[string][]byte, jobs)
+	for _, id := range ids {
+		pages[id] = outcomesPageBytes(t, ex, id)
+	}
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatalf("reopen of the interval-compacted dir: %v", err)
+	}
+	defer ex2.Close()
+	for _, id := range ids {
+		if got := outcomesPageBytes(t, ex2, id); string(got) != string(pages[id]) {
+			t.Errorf("job %s: outcomes page diverged across the reopen:\n got: %s\nwant: %s", id, got, pages[id])
+		}
+	}
+}
+
 // TestOpenFreshDirIsEmptyExchange: Open on a new directory behaves exactly
 // like New, plus a durable log.
 func TestOpenFreshDirIsEmptyExchange(t *testing.T) {

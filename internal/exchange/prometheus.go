@@ -84,7 +84,7 @@ var metricCatalog = []metricRow{
 	// "ring overrun" of the dropped row is a whole round the tap's full
 	// queue refused.
 	{name: "firehose_events_total", help: "Events published into the firehose tap since a sink first attached.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseEvents) }},
-	{name: "firehose_dropped_total", help: "Firehose events lost to ring overrun across all sinks.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseDropped) }},
+	{name: "firehose_dropped_total", help: "Firehose events of whole rounds the tap's full queue refused.", counter: true, value: func(p *scrape) float64 { return float64(p.FirehoseDropped) }},
 	// partition_id is info-style: constant 1 with the partition as a label,
 	// the idiomatic way to join other series onto topology.
 	{name: "partition_id", help: "Partition served by this replica (info-style: constant 1, partition in the label).", when: partitioned,

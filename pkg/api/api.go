@@ -133,9 +133,10 @@ type Metrics struct {
 	// WrongPartition counts requests refused with wrong_partition — jobs
 	// the cluster map assigns to a different replica. Stays 0 unpartitioned.
 	WrongPartition int64 `json:"wrong_partition"`
-	// FirehoseEvents counts the tap events (bids, winners and summary) of
-	// every round closed while a sink was attached; FirehoseDropped counts
-	// those of the rounds the tap dropped whole because its queue was full.
+	// FirehoseEvents counts the events of every round closed while a sink
+	// was attached to the tap, one per bid, per winner and per close of the
+	// round; FirehoseDropped counts those of the rounds the tap dropped
+	// whole because its queue was full.
 	FirehoseEvents  int64 `json:"firehose_events"`
 	FirehoseDropped int64 `json:"firehose_dropped"`
 	// Nearest-rank percentiles of the latency of every successful round

@@ -135,9 +135,16 @@ func unescape(seg string) string {
 	return seg
 }
 
-// WriteJSON answers status with v as a newline-terminated JSON body.
+// WriteJSON answers status with v as a newline-terminated JSON body, or 500
+// internal_error with the encoder's message when v does not encode (a
+// non-finite float, say): the status line waits for the whole body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		WriteJSON(w, http.StatusInternalServerError, Error{Code: CodeInternal, Message: err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
