@@ -12,11 +12,12 @@ import (
 )
 
 // TestE2ELoadtestSmoke is the CI capacity smoke: build the real exchange
-// with tight admission limits and fmore-loadgen, run a short spike
-// through it, and assert the overload machinery actually
-// engaged — healthz flipped to 503 mid-burst and back to 200 after, the
-// driver saw sheds but zero close failures (its own exit gate), and the
-// admission_* Prometheus family is present and well formed.
+// with tight admission limits and fmore-loadgen, check that loadgen refuses
+// an unknown scenario, run a short spike through it, and assert the
+// overload machinery actually engaged — healthz flipped to 503 mid-burst
+// and back to 200 after, loadgen saw sheds but zero close failures (its
+// own exit gate), and the admission_* Prometheus family is present and
+// well formed.
 func TestE2ELoadtestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binaries")
@@ -36,6 +37,10 @@ func TestE2ELoadtestSmoke(t *testing.T) {
 	}
 	if got := healthz(); got != http.StatusOK {
 		t.Fatalf("healthz before load = %d, want 200", got)
+	}
+	// An unknown scenario is refused before anything runs.
+	if out, err := exec.Command(lgBin, "-target", url, "-scenario", "bogus").CombinedOutput(); err == nil {
+		t.Fatalf("loadgen -scenario bogus exited 0:\n%s", out)
 	}
 
 	// Drive the spike in the background while this goroutine watches

@@ -45,8 +45,12 @@ func run() error {
 	flag.Parse()
 
 	scenarios := []string{cfg.scenario}
-	if cfg.scenario == "all" {
+	switch cfg.scenario {
+	case "all":
 		scenarios = []string{"baseline", "spike", "soak", "stress"}
+	case "baseline", "spike", "soak", "stress":
+	default:
+		return fmt.Errorf("unknown -scenario %q (want baseline, spike, soak, stress or all)", cfg.scenario)
 	}
 	failed := false
 	for _, sc := range scenarios {

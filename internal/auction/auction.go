@@ -54,8 +54,6 @@ type Auctioneer struct {
 	cfg Config
 	rng *rand.Rand
 	sel Selector
-
-	round int
 }
 
 // NewAuctioneer validates cfg and returns an Auctioneer using rng for
@@ -71,13 +69,11 @@ func NewAuctioneer(cfg Config, rng *rand.Rand) (*Auctioneer, error) {
 	return &Auctioneer{cfg: cfg, rng: rng}, nil
 }
 
-// Run executes winner determination over the collected sealed bids and
-// advances the round counter, whether or not the slate turns out valid.
+// Run executes winner determination over the collected sealed bids.
 // With Psi < 1 it runs ψ-FMore admission. The selection runs on the
 // auctioneer's pooled Selector; the returned Outcome is an owning copy and
 // may be retained across rounds.
 func (a *Auctioneer) Run(bids []Bid) (Outcome, error) {
-	a.round++
 	out, err := a.sel.Select(SelectionRequest{
 		Rule:    a.cfg.Rule,
 		Bids:    bids,
@@ -90,15 +86,6 @@ func (a *Auctioneer) Run(bids []Bid) (Outcome, error) {
 	}
 	return out.Clone(), nil
 }
-
-// Round returns the number of completed auction rounds.
-func (a *Auctioneer) Round() int { return a.round }
-
-// Resume restores the completed-round counter, for callers reconstructing
-// an auctioneer from a persisted outcome log (see internal/exchange). It
-// does not touch the rng; the caller must restore the rng position to match
-// the recorded draw count alongside.
-func (a *Auctioneer) Resume(round int) { a.round = round }
 
 // Config returns the auctioneer's configuration (rule, K, payment, ψ).
 func (a *Auctioneer) Config() Config { return a.cfg }

@@ -93,12 +93,12 @@
 // share them with any number of readers as long as nobody mutates them.
 //
 // Select, Selector.Select (one-shot, pooled) and Auctioneer.Run (stateful:
-// a seeded rng and a round counter that advances on every call, failed
-// rounds included) are the only winner-determination entry points. They
-// are bit-for-bit compatible with the original full-sort
-// implementation — identical Outcomes, identical rng draw order — which the
-// exchange's write-ahead-log replay depends on and a seeded equivalence
-// property test against a frozen copy (reference_test.go) enforces.
+// one seeded rng whose position carries from call to call) are the only
+// winner-determination entry points. They are bit-for-bit compatible with
+// the original full-sort implementation — identical Outcomes, identical rng
+// draw order — which the exchange's write-ahead-log replay depends on and a
+// seeded equivalence property test against a frozen copy (reference_test.go)
+// enforces.
 //
 // # Wire specs
 //

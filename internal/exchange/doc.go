@@ -5,6 +5,9 @@
 //
 // The single-job auctioneer of internal/auction (Algorithm 1) scores one
 // round synchronously; the exchange scales that engine to service shape.
+// TestExchangeModel is the package's executable specification: one seeded
+// op stream holds a durable exchange, through failpoints, crash images and
+// restarts, to a reference of plain maps and one auctioneer per job.
 //
 // # Concurrency: the epoch-published job table, striped intake, round close
 //
@@ -80,8 +83,7 @@
 //     A slate poisoned in between (only an embedded caller mutating a bid
 //     it handed over can do that) fails the round with Run's error, which
 //     names the node, after one draw per bid before it; the failed round
-//     is retained and logged, and the auctioneer's round counter advances
-//     live as replay restores it.
+//     is retained and logged.
 //   - Registry is a node directory that readers never write: one
 //     open-addressed table, published through an atomic pointer and probed
 //     without a lock, one mutex for the once-per-node insert, and atomic

@@ -262,7 +262,9 @@ func (ex *Exchange) RemoveJob(id string) error {
 	// record under the same mutex, so the log can never read created →
 	// created or removed after the successor's records. The removal record
 	// alone keeps the job gone after recovery; no job-closed record is
-	// needed alongside.
+	// needed alongside. The bids of its collecting round leave their nodes'
+	// counters under the mutex too: no replay counts them, so no snapshot
+	// capture (which holds the mutex) may.
 	ex.mu.Lock()
 	if cur, present := ex.table.Load().jobs[id]; !present || cur != j {
 		// A concurrent RemoveJob won the eviction (and the slot may already
@@ -272,6 +274,10 @@ func (ex *Exchange) RemoveJob(id string) error {
 	}
 	ex.publishJobs(func(jobs map[string]*Job) { delete(jobs, id) })
 	ex.logJobRemoved(id)
+	for _, b := range j.intake.drain(nil) {
+		info, _ := ex.reg.Lookup(b.NodeID)
+		info.bids.Add(-1)
+	}
 	ex.mu.Unlock()
 	return nil
 }
@@ -441,7 +447,8 @@ func (ex *Exchange) Metrics() Snapshot {
 		s.WalFailed = ex.wal.Err() != nil
 		s.WalLastErrorUnix = ex.wal.FailedUnix()
 	}
-	s.FirehoseEvents, s.FirehoseDropped = fhStats(ex.fh)
+	published, dropped := ex.fh.Stats()
+	s.FirehoseEvents, s.FirehoseDropped = int64(published), int64(dropped)
 	if ex.adm != nil {
 		st := ex.adm.Stats()
 		s.AdmissionEnabled = true
@@ -456,12 +463,6 @@ func (ex *Exchange) Metrics() Snapshot {
 		s.AdmissionSSEEvicted = st.SSEEvicted
 	}
 	return s
-}
-
-// fhStats adapts the firehose counters to the snapshot's signed fields.
-func fhStats(f *Firehose) (published, dropped int64) {
-	p, d := f.Stats()
-	return int64(p), int64(d)
 }
 
 // Sync blocks until every record appended to the outcome log so far is

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,212 +326,5 @@ func TestIntakeSeenTableSpread(t *testing.T) {
 		if mean := float64(displaced) / n; mean > 1.5 {
 			t.Errorf("%s: mean displacement %.2f slots, want at most 1.5", name, mean)
 		}
-	}
-}
-
-// TestIntakeDedupModel drives one job of a durable exchange with a seeded
-// op stream and holds it, after every op, to a reference that is just a
-// map from node to the round of its last accepted bid: the accept or
-// duplicate verdict, the round a submit reports, PendingBids, the
-// collecting round, the accepted-bid metric and, at each close, NumBids.
-// The stream mixes single bids (dense, sparse, negative and high-bits-only
-// IDs, so duplicates are common and the dedup tables' hash meets IDs that
-// differ only in their high bits), closes below quorum (idle ticks the
-// dedup must survive), bursts of fresh nodes that grow the tables mid-
-// round, closes racing concurrent submitters, and reopening the exchange
-// from its log (pending bids are not durable, so the reopened round starts
-// empty and every node may bid again).
-func TestIntakeDedupModel(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runIntakeModel(t, seed) })
-	}
-}
-
-func runIntakeModel(t *testing.T, seed int64) {
-	const (
-		jobID   = "model"
-		minBids = 3
-		ops     = 600
-	)
-	rng := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { ex.Close() }() //nolint:errcheck // the last reopen's exchange
-	job, err := ex.CreateJob(JobSpec{
-		ID:      jobID,
-		Auction: auction.Config{Rule: testRule(t, 0), K: 4},
-		Seed:    seed,
-		MinBids: minBids,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The reference.
-	round, pending := 1, 0
-	lastBid := map[int]int{} // node -> round of its last accepted bid
-	accepted := int64(0)     // since the exchange was (re)opened
-
-	// The growth bursts and the racers draw from fixed sparse pools, so
-	// the registry — and the log every reopen replays — stays small.
-	burstPool := make([]int, 1024)
-	for i := range burstPool {
-		burstPool[i] = 1<<40 + i<<20 + i%3
-	}
-
-	pickNode := func() int {
-		switch rng.Intn(4) {
-		case 0:
-			return rng.Intn(48) // dense: duplicates are frequent
-		case 1:
-			return -1 - rng.Intn(48)
-		case 2:
-			return rng.Intn(8)<<32 | rng.Intn(4) // the same low bits
-		default:
-			return int(rng.Int63n(1 << 50))
-		}
-	}
-	bid := func(node int) auction.Bid {
-		return auction.Bid{NodeID: node, Qualities: []float64{rng.Float64(), rng.Float64()}, Payment: 0.1 + rng.Float64()}
-	}
-	submit := func(step, node int) {
-		t.Helper()
-		got, err := ex.SubmitBid(jobID, bid(node))
-		if lastBid[node] == round {
-			if !errors.Is(err, ErrDuplicateBid) {
-				t.Fatalf("op %d: node %d bid twice in round %d: (%d, %v), want ErrDuplicateBid", step, node, round, got, err)
-			}
-			return
-		}
-		if err != nil || got != round {
-			t.Fatalf("op %d: node %d: (%d, %v), want accepted into round %d", step, node, got, err, round)
-		}
-		lastBid[node] = round
-		pending++
-		accepted++
-	}
-	check := func(step int, op string) {
-		t.Helper()
-		if got := job.PendingBids(); got != pending {
-			t.Fatalf("op %d (%s): PendingBids %d, want %d", step, op, got, pending)
-		}
-		if got := job.Round(); got != round {
-			t.Fatalf("op %d (%s): collecting round %d, want %d", step, op, got, round)
-		}
-		if got := ex.Metrics().BidsAccepted; got != accepted {
-			t.Fatalf("op %d (%s): bids_accepted %d, want %d", step, op, got, accepted)
-		}
-	}
-
-	for step := 0; step < ops; step++ {
-		var op string
-		switch p := rng.Intn(100); {
-		case p < 70:
-			op = "bid"
-			submit(step, pickNode())
-		case p < 82:
-			op = "close"
-			ro, err := ex.CloseRound(jobID)
-			if pending < minBids {
-				if !errors.Is(err, ErrBelowQuorum) {
-					t.Fatalf("op %d: close with %d pending: %v, want ErrBelowQuorum", step, pending, err)
-				}
-				break
-			}
-			if err != nil || ro.Round != round || ro.NumBids != pending {
-				t.Fatalf("op %d: close = (round %d, %d bids, %v), want round %d with %d", step, ro.Round, ro.NumBids, err, round, pending)
-			}
-			round, pending = round+1, 0
-		case p < 88:
-			op = "growth"
-			n := 64 + rng.Intn(256)
-			off := rng.Intn(len(burstPool) - n)
-			for _, node := range burstPool[off : off+n] {
-				submit(step, node)
-			}
-		case p < 97:
-			op = "racing close"
-			for pending < minBids {
-				submit(step, pickNode())
-			}
-			// Each racer owns a disjoint run of nodes, a quarter of them
-			// already in this round, so each submit's verdict depends only
-			// on which side of its stripe's drain it lands.
-			nodes := make([][]int, 4)
-			for g := range nodes {
-				for i := 0; i < 24; i++ {
-					node := 1<<45 + g<<8 + i
-					if i%4 == 0 && lastBid[node] != round {
-						submit(step, node)
-					}
-					nodes[g] = append(nodes[g], node)
-				}
-			}
-			type result struct {
-				node, round int
-				err         error
-			}
-			results := make([][]result, len(nodes))
-			var wg sync.WaitGroup
-			for g := range nodes {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for _, node := range nodes[g] {
-						r, err := ex.SubmitBid(jobID, auction.Bid{NodeID: node, Qualities: []float64{0.5, 0.5}, Payment: 0.2})
-						results[g] = append(results[g], result{node, r, err})
-					}
-				}(g)
-			}
-			ro, err := ex.CloseRound(jobID)
-			wg.Wait()
-			if err != nil || ro.Round != round {
-				t.Fatalf("op %d: racing close = (round %d, %v), want round %d", step, ro.Round, err, round)
-			}
-			closing, next := pending, 0
-			for _, rs := range results {
-				for _, r := range rs {
-					switch {
-					case errors.Is(r.err, ErrDuplicateBid):
-						if lastBid[r.node] != round {
-							t.Fatalf("op %d: node %d refused as a duplicate, but had not bid in round %d", step, r.node, round)
-						}
-						continue
-					case r.err != nil:
-						t.Fatalf("op %d: node %d: %v", step, r.node, r.err)
-					case r.round == round && lastBid[r.node] != round:
-						closing++
-					case r.round == round+1:
-						next++
-					default:
-						t.Fatalf("op %d: node %d accepted into round %d while round %d closed (last bid round %d)", step, r.node, r.round, round, lastBid[r.node])
-					}
-					lastBid[r.node] = r.round
-					accepted++
-				}
-			}
-			if ro.NumBids != closing {
-				t.Fatalf("op %d: racing close scored %d bids, want %d", step, ro.NumBids, closing)
-			}
-			round, pending = round+1, next
-		default:
-			op = "reopen"
-			if err := ex.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if ex, err = Open(dir, Options{}); err != nil {
-				t.Fatalf("op %d: reopen: %v", step, err)
-			}
-			var ok bool
-			if job, ok = ex.Job(jobID); !ok {
-				t.Fatalf("op %d: job gone after reopen", step)
-			}
-			pending, accepted = 0, 0
-			clear(lastBid)
-		}
-		check(step, op)
 	}
 }

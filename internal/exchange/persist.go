@@ -126,7 +126,6 @@ type walSnapJob struct {
 	Round     int            `json:"round"`
 	BaseRound int            `json:"base_round"`
 	Draws     int64          `json:"draws"`
-	AuctRound int            `json:"auct_round"`
 	History   []walSnapRound `json:"history,omitempty"`
 }
 
@@ -215,7 +214,6 @@ type snapJob struct {
 	round     int
 	baseRound int
 	draws     int64
-	auctRound int
 	recsEnd   int
 }
 
@@ -273,8 +271,8 @@ func (c *snapCapture) encode(w *bufio.Writer) {
 		num(int64(sj.baseRound))
 		str(`,"draws":`)
 		num(sj.draws)
-		str(`,"auct_round":`)
-		num(int64(sj.auctRound))
+		str(`,"auct_round":`) // kept for readers of earlier versions
+		num(int64(sj.round - 1))
 		for k, rec := range c.recs[lo:sj.recsEnd] {
 			element(k, `,"history":[`)
 			w.Write(rec) //nolint:errcheck // sticky
@@ -456,7 +454,6 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 			round:     j.round,
 			baseRound: j.hist.evictedThrough(),
 			draws:     j.src.n,
-			auctRound: j.auct.Round(),
 			recsEnd:   len(snap.recs),
 		})
 		j.mu.Unlock()
@@ -530,7 +527,6 @@ func (ex *Exchange) applySnapshot(snap *walSnapshot) error {
 				j.hist.reset(sj.BaseRound)
 			}
 			j.src.fastForwardTo(sj.Draws)
-			j.auct.Resume(sj.AuctRound)
 			if sj.Closed {
 				j.closed.Store(true)
 			}
@@ -669,7 +665,6 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 		}
 		j.restoreRound(rec.Round.outcome(j.id), rec.roundRaw)
 		j.src.fastForwardTo(rec.Round.Draws)
-		j.auct.Resume(rec.Round.Round)
 		for _, id := range rec.Round.Bidders {
 			info, _ := ex.reg.Register(id, "")
 			info.bids.Add(1)

@@ -507,11 +507,16 @@ func cloneDataDir(t *testing.T, srcDir string) string {
 		if e.IsDir() {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(srcDir, e.Name()))
+		src, err := os.Open(filepath.Join(srcDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+		dst, err := os.Create(filepath.Join(dir, e.Name()))
+		if err == nil {
+			_, err = io.Copy(dst, src)
+		}
+		src.Close()
+		if err != nil || dst.Close() != nil {
 			t.Fatal(err)
 		}
 	}

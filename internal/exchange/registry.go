@@ -52,7 +52,8 @@ func (n *NodeInfo) Meta() string {
 	return ""
 }
 
-// Bids returns how many bids the node has had accepted.
+// Bids returns how many of the node's accepted bids are in closed rounds or
+// in the rounds still collecting (a job's removal takes its round's back).
 func (n *NodeInfo) Bids() int64 { return n.bids.Load() }
 
 // Blacklisted reports whether the node has been banned (contract breach).

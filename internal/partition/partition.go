@@ -74,7 +74,8 @@ func (m *Map) Validate() error {
 		if r.Partition == "" {
 			return fmt.Errorf("partition: empty partition id")
 		}
-		if strings.ContainsAny(r.Partition, "=, \t\n/") {
+		// '"' and '\' would need escaping inside a Prometheus label value.
+		if strings.ContainsAny(r.Partition, "=, \t\n/\"\\") {
 			return fmt.Errorf("partition: id %q contains a reserved character", r.Partition)
 		}
 		if _, dup := seen[r.Partition]; dup {

@@ -103,6 +103,11 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if _, err := Parse("justaurl"); err == nil {
 		t.Fatal("entry without '=' must not parse")
 	}
+	for _, id := range []string{`p"0`, `p\0`} {
+		if _, err := Parse(id + "=http://a"); err == nil {
+			t.Fatalf("partition id %s must not parse: it is a Prometheus label value", id)
+		}
+	}
 }
 
 func TestValidate(t *testing.T) {
