@@ -103,6 +103,10 @@
 // history's reference — so it may be read outside every lock, at any pace,
 // and a round replayed from the log is the same kind of entry as one closed
 // live. Holders must not mutate it; Outcome.Clone gives a private copy.
+// The history is a ring of KeepOutcomes slots: a close that pushes a round
+// out of the window overwrites the oldest slot and advances the ring's
+// head, so eviction is O(1) whatever KeepOutcomes is and no retained entry
+// moves.
 //
 // Still recycled, each for a measured beneficiary: the close's scratch
 // (see Job.closeMu), none of which outlives its close, and on a durable
@@ -132,10 +136,12 @@
 // contract and what pins it) — so the on-disk format never changed, and
 // logs written before and after that encoder replay on either side. A
 // round record is mostly floats (every bidder's score, each winner's
-// qualities and payments), so the encoder prints them itself: shortest.go
-// is a Schubfach shortest-decimal kernel that writes, in both of
-// encoding/json's notations, the bytes strconv.AppendFloat writes; strconv
-// stays in the tree as that kernel's test oracle only. The same encoder
+// qualities and payments), so the encoder prints its numbers itself:
+// shortest.go is a Dragonbox shortest-decimal kernel that writes, in both
+// of encoding/json's notations and in place in the buffer's spare
+// capacity, the bytes strconv.AppendFloat writes, and an integer writer
+// that writes what strconv.AppendInt writes; strconv stays in the tree as
+// the kernel's test oracle only. The same encoder
 // writes a round's third spelling, its /v1 body (appendOutcome): the close
 // answer, the outcome reads, the outcome pages and the round_closed events
 // are byte for byte what encoding/json writes for api.Outcome, built whole
@@ -232,7 +238,8 @@
 //
 //   - WALDegrade (default). The replica stays up but stops lying about
 //     durability: every durable mutation (bid submit, round close, job
-//     create/remove) refuses with a DegradedError — HTTP 503, code
+//     create/remove, node registration and ban) refuses with a
+//     DegradedError — HTTP 503, code
 //     durability_lost, retry_after_ms set — while reads, outcome pages,
 //     SSE streams and metrics keep serving what was already won.
 //     /v1/healthz flips to 503 {"status":"degraded","wal_failed_unix":…},

@@ -301,29 +301,39 @@ func (ex *Exchange) JobIDs() []string {
 
 // RegisterNode adds a node to the shared registry (idempotent). A no-op
 // re-registration (node known, meta unchanged) writes nothing to the
-// outcome log, so heartbeat-style re-registration does not grow it.
-func (ex *Exchange) RegisterNode(id int, meta string) *NodeInfo {
+// outcome log, so heartbeat-style re-registration does not grow it. A
+// degraded exchange refuses with *DegradedError and changes nothing: the
+// node's log record could no longer reach disk.
+func (ex *Exchange) RegisterNode(id int, meta string) (*NodeInfo, error) {
+	if err := ex.degradedErr(); err != nil {
+		return nil, err
+	}
 	if meta != "" {
 		if info, ok := ex.reg.Lookup(id); ok && info.Meta() == meta {
-			return info
+			return info, nil
 		}
 	}
 	info, created := ex.reg.Register(id, meta)
 	if created || meta != "" {
 		ex.logNode(id, meta)
 	}
-	return info
+	return info, nil
 }
 
 // BlacklistNode bans the node from all future rounds and records the ban in
 // the outcome log, so a restarted exchange still refuses its bids. It
-// reports whether the node was registered.
-func (ex *Exchange) BlacklistNode(id int) bool {
+// reports whether the node was registered. A degraded exchange refuses with
+// *DegradedError and bans nothing: a ban the log drops would be lifted by
+// the next restart.
+func (ex *Exchange) BlacklistNode(id int) (bool, error) {
+	if err := ex.degradedErr(); err != nil {
+		return false, err
+	}
 	if !ex.reg.Blacklist(id) {
-		return false
+		return false, nil
 	}
 	ex.logNodeBan(id)
-	return true
+	return true, nil
 }
 
 // Registry exposes the node directory. Note that bans applied directly via

@@ -251,6 +251,50 @@ func TestDegradedModeAfterFsyncFailure(t *testing.T) {
 	}
 }
 
+// TestDegradedNodeWritesRefused: a degraded replica refuses registrations
+// and bans like every other durable write — 503 durability_lost over HTTP,
+// *DegradedError embedded — and its registry stays as it was: a ban whose
+// log record is dropped would be lifted by the next restart.
+func TestDegradedNodeWritesRefused(t *testing.T) {
+	t.Cleanup(fault.DisableAll)
+	const bidders = 6
+	ex, err := Open(t.TempDir(), Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close() //nolint:errcheck // degraded on purpose
+	ids := compactWorkload(t, ex, 1, bidders, 1, true)
+	degradeViaFsync(t, ex, ids[0], bidders)
+
+	srv := httptest.NewServer(NewHandler(ex))
+	defer srv.Close()
+	resp, body := postJSON(t, srv.URL+"/v1/nodes/1/blacklist", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || body["code"] != "durability_lost" {
+		t.Errorf("degraded ban: status %d body %v, want 503 durability_lost", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, srv.URL+"/v1/nodes", map[string]any{"node_id": 77, "meta": "edge-77"})
+	if resp.StatusCode != http.StatusServiceUnavailable || body["code"] != "durability_lost" {
+		t.Errorf("degraded registration: status %d body %v, want 503 durability_lost", resp.StatusCode, body)
+	}
+	var dg *DegradedError
+	if banned, err := ex.BlacklistNode(2); banned || !errors.As(err, &dg) {
+		t.Errorf("degraded BlacklistNode = %v, %v; want false, *DegradedError", banned, err)
+	}
+	if info, err := ex.RegisterNode(78, ""); info != nil || !errors.As(err, &dg) {
+		t.Errorf("degraded RegisterNode = %v, %v; want nil, *DegradedError", info, err)
+	}
+	for _, id := range []int{1, 2} {
+		if info, ok := ex.Registry().Lookup(id); !ok || info.Blacklisted() {
+			t.Errorf("node %d after the refused ban: registered %v, banned %v", id, ok, ok && info.Blacklisted())
+		}
+	}
+	for _, id := range []int{77, 78} {
+		if _, ok := ex.Registry().Lookup(id); ok {
+			t.Errorf("node %d registered by a refused write", id)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close() //nolint:errcheck // test teardown

@@ -14,47 +14,66 @@ type historyEntry struct {
 	rec []byte
 }
 
-// history is a job's window of retained rounds, oldest first and
-// contiguous: entries[i] is round base+1+i. All window arithmetic lives
-// here. Job.mu guards it.
+// history is a job's window of retained rounds, contiguous in numbering:
+// the i-th retained round (oldest first) is round base+1+i and lives in
+// slots[(head+i) mod len(slots)]. The slots are a ring that grows, by
+// doubling, up to keep entries; once it is full, a push overwrites the
+// oldest slot and advances head, so eviction moves no other entry. All
+// window arithmetic lives here. Job.mu guards it.
 type history struct {
-	base    int // rounds 1..base have left the window
-	entries []historyEntry
+	base  int // rounds 1..base have left the window
+	head  int // slot of the oldest retained round
+	n     int // retained rounds
+	slots []historyEntry
 }
 
 // push appends the next completed round. A window already holding keep
-// rounds (keep >= 1) first evicts its oldest entry and returns that entry's
-// record bytes for recycling; the shift stays in the slice's storage. A
-// round that does not continue the numbering restarts the window at it:
-// replay cannot meet such a gap, but at must index contiguously.
+// rounds (keep >= 1, the same on every push) first evicts its oldest entry
+// and returns that entry's record bytes for recycling. A round that does
+// not continue the numbering restarts the window at it: replay cannot meet
+// such a gap, but at must index contiguously.
 func (h *history) push(e historyEntry, keep int) (evicted []byte) {
 	if e.Round != h.last()+1 {
 		h.reset(e.Round - 1)
 	}
-	if n := len(h.entries); n >= keep {
-		evicted = h.entries[0].rec
-		copy(h.entries, h.entries[1:])
-		h.entries[n-1] = e
+	if h.n >= keep {
+		evicted = h.slots[h.head].rec
+		h.head = h.slot(1)
+		h.n--
 		h.base++
-		return evicted
+	} else if h.n == len(h.slots) { // head is 0 until the ring first fills
+		h.slots = append(h.slots, make([]historyEntry, min(max(h.n, 4), keep-h.n))...)
 	}
-	h.entries = append(h.entries, e)
-	return nil
+	h.slots[h.slot(h.n)] = e
+	h.n++
+	return evicted
 }
 
+// slot is the ring index of the i-th retained round, 0 <= i <= len(slots).
+func (h *history) slot(i int) int {
+	if i += h.head; i >= len(h.slots) {
+		i -= len(h.slots)
+	}
+	return i
+}
+
+// count is the number of retained rounds, and entry the i-th of them,
+// oldest first, 0 <= i < count().
+func (h *history) count() int                { return h.n }
+func (h *history) entry(i int) *historyEntry { return &h.slots[h.slot(i)] }
+
 // evictedThrough is the last round preceding the window: what a snapshot
-// records, and reset restores, so that an empty window still tells evicted
-// rounds from pending ones.
+// records, so that an empty window still tells evicted rounds from pending
+// ones.
 func (h *history) evictedThrough() int { return h.base }
 
 // last is the latest completed round: the window's newest entry, or the
 // last evicted round while the window is empty.
-func (h *history) last() int { return h.base + len(h.entries) }
+func (h *history) last() int { return h.base + h.n }
 
 // reset empties the window and places it after round base.
 func (h *history) reset(base int) {
-	h.entries = h.entries[:0]
-	h.base = base
+	h.base, h.head, h.n = base, 0, 0
 }
 
 // at resolves a round number; found false with a nil error means the round
@@ -66,16 +85,16 @@ func (h *history) at(round int) (ro RoundOutcome, found bool, err error) {
 		return RoundOutcome{}, false, fmt.Errorf("exchange: round %d out of range", round)
 	case idx < 0:
 		return RoundOutcome{}, false, fmt.Errorf("%w: round %d (retained: %d+)", ErrOutcomeEvicted, round, h.base+1)
-	case idx < len(h.entries):
-		return h.entries[idx].RoundOutcome, true, nil
+	case idx < h.n:
+		return h.entry(idx).RoundOutcome, true, nil
 	}
 	return RoundOutcome{}, false, nil
 }
 
 // latest returns the most recent completed round, if any is retained.
 func (h *history) latest() (RoundOutcome, bool) {
-	if n := len(h.entries); n > 0 {
-		return h.entries[n-1].RoundOutcome, true
+	if h.n > 0 {
+		return h.entry(h.n - 1).RoundOutcome, true
 	}
 	return RoundOutcome{}, false
 }
@@ -84,16 +103,17 @@ func (h *history) latest() (RoundOutcome, bool) {
 // oldest first, and whether more remain. The page slice is the caller's;
 // the outcomes in it are the shared retained values.
 func (h *history) after(round, limit int) (page []RoundOutcome, more bool) {
-	rest := h.entries[min(max(round-h.base, 0), len(h.entries)):]
-	if limit > 0 && len(rest) > limit {
-		rest, more = rest[:limit], true
+	from := min(max(round-h.base, 0), h.n)
+	rest := h.n - from
+	if limit > 0 && rest > limit {
+		rest, more = limit, true
 	}
-	if len(rest) == 0 {
+	if rest == 0 {
 		return nil, false
 	}
-	page = make([]RoundOutcome, len(rest))
-	for i := range rest {
-		page[i] = rest[i].RoundOutcome
+	page = make([]RoundOutcome, rest)
+	for i := range page {
+		page[i] = h.entry(from + i).RoundOutcome
 	}
 	return page, more
 }

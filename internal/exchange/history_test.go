@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -253,8 +255,8 @@ func TestHistoryWindow(t *testing.T) {
 			t.Fatalf("push(%d) evicted %v", round, evicted)
 		}
 	}
-	if h.evictedThrough() != 2 || len(h.entries) != 3 || cap(h.entries) > 4 {
-		t.Fatalf("window = base %d, %d entries (cap %d); want rounds 3..5 in place", h.evictedThrough(), len(h.entries), cap(h.entries))
+	if h.evictedThrough() != 2 || h.count() != 3 {
+		t.Fatalf("window = base %d, %d entries; want rounds 3..5", h.evictedThrough(), h.count())
 	}
 	for round, want := range map[int]struct {
 		found   bool
@@ -292,10 +294,103 @@ func TestHistoryWindow(t *testing.T) {
 		}
 	}
 	// A round that does not continue the numbering restarts the window.
-	if evicted := h.push(entry(9), 3); evicted != nil || h.evictedThrough() != 8 || len(h.entries) != 1 {
-		t.Fatalf("gap: evicted %v, base %d, %d entries", evicted, h.evictedThrough(), len(h.entries))
+	if evicted := h.push(entry(9), 3); evicted != nil || h.evictedThrough() != 8 || h.count() != 1 {
+		t.Fatalf("gap: evicted %v, base %d, %d entries", evicted, h.evictedThrough(), h.count())
 	}
 	if _, found, err := h.at(5); found || !errors.Is(err, ErrOutcomeEvicted) {
 		t.Errorf("at(5) after the gap = %v, %v", found, err)
+	}
+}
+
+// TestHistoryRingModel holds the ring to a plain slice under one seeded op
+// stream per trial: a keep of 1–8, pushes that continue the numbering or
+// jump ahead of it, and resets. After every op the two agree on the record
+// a push evicts, evictedThrough, latest, every retained entry, at over and
+// around the window, and after at random cursors and limits.
+func TestHistoryRingModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		keep := 1 + rng.Intn(8)
+		var h history
+		var base int
+		var ref []historyEntry
+		last := func() int { return base + len(ref) }
+		recs := 0
+		for op := 0; op < 60; op++ {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				base = rng.Intn(50)
+				ref = ref[:0]
+				h.reset(base)
+			default:
+				round := last() + 1
+				if r == 1 {
+					round += 1 + rng.Intn(2*keep)
+				}
+				recs++
+				e := historyEntry{RoundOutcome{Round: round}, []byte(fmt.Sprint(recs))}
+				var want []byte
+				if round != last()+1 {
+					base, ref = round-1, ref[:0]
+				}
+				if len(ref) >= keep {
+					want, ref, base = ref[0].rec, ref[1:], base+1
+				}
+				ref = append(ref, e)
+				if got := h.push(e, keep); !bytes.Equal(got, want) {
+					t.Fatalf("trial %d op %d: push(%d) evicted %q, want %q", trial, op, round, got, want)
+				}
+			}
+			checkHistoryAgainst(t, &h, base, ref, keep, rng)
+			if t.Failed() {
+				t.Fatalf("trial %d (keep %d) op %d", trial, keep, op)
+			}
+		}
+	}
+}
+
+func checkHistoryAgainst(t *testing.T, h *history, base int, ref []historyEntry, keep int, rng *rand.Rand) {
+	t.Helper()
+	if h.evictedThrough() != base || h.last() != base+len(ref) || h.count() != len(ref) {
+		t.Errorf("window = base %d, last %d, %d entries; want %d, %d, %d", h.evictedThrough(), h.last(), h.count(), base, base+len(ref), len(ref))
+		return
+	}
+	for i := range ref {
+		if e := h.entry(i); e.Round != ref[i].Round || !bytes.Equal(e.rec, ref[i].rec) {
+			t.Errorf("entry(%d) = round %d %q, want %d %q", i, e.Round, e.rec, ref[i].Round, ref[i].rec)
+		}
+	}
+	ro, ok := h.latest()
+	if ok != (len(ref) > 0) || ok && ro.Round != ref[len(ref)-1].Round {
+		t.Errorf("latest = round %d, %v", ro.Round, ok)
+	}
+	for round := base - 2; round <= base+len(ref)+2; round++ {
+		ro, found, err := h.at(round)
+		retained := round > base && round <= base+len(ref)
+		if found != retained || found && ro.Round != round ||
+			errors.Is(err, ErrOutcomeEvicted) != (round >= 1 && round <= base) || (err != nil) != (round < 1 || round <= base) {
+			t.Errorf("at(%d) = (round %d, %v, %v) with rounds %d..%d retained", round, ro.Round, found, err, base+1, base+len(ref))
+		}
+	}
+	for range 4 {
+		after, limit := base-2+rng.Intn(len(ref)+5), rng.Intn(keep+2)
+		var want []int
+		for _, e := range ref {
+			if e.Round > after {
+				want = append(want, e.Round)
+			}
+		}
+		more := limit > 0 && len(want) > limit
+		if more {
+			want = want[:limit]
+		}
+		page, gotMore := h.after(after, limit)
+		var got []int
+		for _, ro := range page {
+			got = append(got, ro.Round)
+		}
+		if !slices.Equal(got, want) || gotMore != more {
+			t.Errorf("after(%d, %d) = %v, %v; want %v, %v", after, limit, got, gotMore, want, more)
+		}
 	}
 }

@@ -404,7 +404,7 @@ func (h *handler) submitBid(w http.ResponseWriter, r *http.Request) {
 	// registry, and on a gated exchange registration happens exclusively
 	// through POST /v1/nodes.
 	if req.Meta != "" && !h.ex.opts.RequireRegistration {
-		h.ex.RegisterNode(req.NodeID, req.Meta)
+		h.ex.RegisterNode(req.NodeID, req.Meta) //nolint:errcheck // the bid is in; only its label can be refused
 	}
 	h.writeJSONIdempotent(w, http.StatusAccepted, api.BidAck{Job: jobID, Round: round}, &tok)
 }
@@ -723,7 +723,11 @@ func (h *handler) registerNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("decoding node: %v", err))
 		return
 	}
-	info := h.ex.RegisterNode(req.NodeID, req.Meta)
+	info, err := h.ex.RegisterNode(req.NodeID, req.Meta)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 	api.WriteJSON(w, http.StatusOK, api.NodeRegistered{Bids: info.Bids(), NodeID: info.ID})
 }
 
@@ -735,7 +739,12 @@ func (h *handler) blacklistNode(w http.ResponseWriter, r *http.Request) {
 	}
 	// BlacklistNode (not Registry().Blacklist) so the ban lands in the
 	// outcome log and survives a restart.
-	if !h.ex.BlacklistNode(id) {
+	banned, err := h.ex.BlacklistNode(id)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	if !banned {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, fmt.Sprintf("node %d is not registered", id))
 		return
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -512,6 +514,97 @@ func TestHTTPOverflowingBidRefused(t *testing.T) {
 	if resp, body := getJSON(t, srv.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz after the refused bids: %d %v, want 200", resp.StatusCode, body)
 	}
+}
+
+// FuzzDecodeBid feeds arbitrary POST /v1/jobs/{id}/bids bodies through
+// NewHandler, against a two-dimensional additive job and a Cobb-Douglas one
+// (K = 1, manual mode). No body panics or answers 5xx; anything but a 202
+// is the api.Error envelope. A 202's bid is closed into a round of its own
+// at once: the bid the body decodes to is finite with its score inside
+// scoreInRange's ±MaxFloat64/(2K), the close succeeds, its /v1 body
+// encodes, and a winner, if the bid won, is that bid. Seeds: an ordinary bid, each overflow of
+// TestHTTPOverflowingBidRefused, exponents past the float range, a short
+// vector, a wrong type, a trailing byte, null and nothing.
+func FuzzDecodeBid(f *testing.F) {
+	for _, seed := range []string{
+		`{"node_id":1,"qualities":[0.5,0.5],"payment":0.1}`,
+		`{"node_id":2,"qualities":[1.7e308,1.7e308],"payment":0.1}`,
+		`{"node_id":3,"qualities":[1e200,1e200],"payment":0.1}`,
+		`{"node_id":4,"qualities":[0.5,0.5],"payment":-1.7e308}`,
+		`{"node_id":5,"qualities":[8e307,8e307],"payment":0.1}`,
+		`{"node_id":6,"qualities":[1e400,0.5],"payment":0.1}`,
+		`{"node_id":7,"qualities":[0.5,0.5],"payment":-1e-400}`,
+		`{"node_id":8,"qualities":[0.5],"payment":0.1}`,
+		`{"node_id":"9","qualities":[0.5,0.5],"payment":0.1}`,
+		`{"node_id":-9223372036854775808,"qualities":[0,0],"payment":0,"meta":"edge"}`,
+		`{"node_id":10,"qualities":[0.5,0.5],"payment":0.1}x`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed), false)
+		f.Add([]byte(seed), true)
+	}
+	ex := New(Options{})
+	defer ex.Close() //nolint:errcheck // test teardown
+	h := NewHandler(ex)
+	additive, err := auction.NewAdditive(1, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cobb, err := auction.NewCobbDouglas(1, 1, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	jobs := [2]*Job{}
+	for i, rule := range []auction.ScoringRule{additive, cobb} {
+		if jobs[i], err = ex.CreateJob(JobSpec{ID: fmt.Sprint("fuzz-", i), Auction: auction.Config{Rule: rule, K: 1}}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, cobbDouglas bool) {
+		job := jobs[0]
+		if cobbDouglas {
+			job = jobs[1]
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/"+job.ID()+"/bids", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%q: %d %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusAccepted {
+			var env api.Error
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Code == "" || env.Message == "" {
+				t.Fatalf("%q: %d answered outside the error envelope (%v)", body, rec.Code, err)
+			}
+			return
+		}
+		var req api.Bid
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%q: 202 for a body that does not decode: %v", body, err)
+		}
+		b := auction.Bid{NodeID: req.NodeID, Qualities: req.Qualities, Payment: req.Payment}
+		for _, v := range append([]float64{b.Payment}, b.Qualities...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: accepted a bid holding %v", body, v)
+			}
+		}
+		if !job.scoreInRange(b) {
+			t.Fatalf("%q: accepted a bid scoring outside ±MaxFloat64/(2K)", body)
+		}
+		ro, err := job.CloseRound()
+		if err != nil {
+			t.Fatalf("%q: closing the accepted bid's round: %v", body, err)
+		}
+		if _, err := appendOutcome(nil, &ro); err != nil {
+			t.Fatalf("%q: the round's /v1 body: %v", body, err)
+		}
+		if ro.NumBids != 1 || len(ro.Outcome.Winners) > 1 {
+			t.Fatalf("%q: a round of %d bids and %d winners", body, ro.NumBids, len(ro.Outcome.Winners))
+		}
+		if ws := ro.Outcome.Winners; len(ws) == 1 && (ws[0].Bid.NodeID != b.NodeID || ws[0].Bid.Payment != b.Payment || !slices.Equal(ws[0].Bid.Qualities, b.Qualities)) {
+			t.Fatalf("%q: the round's winner is %+v, the bid sent %+v", body, ws[0].Bid, b)
+		}
+	})
 }
 
 // FuzzCreateJob feeds arbitrary POST /v1/jobs bodies through NewHandler.

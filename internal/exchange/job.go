@@ -406,8 +406,8 @@ func (j *Job) takeRec() []byte {
 		return rec[:0]
 	}
 	hint := 0
-	if n := len(j.hist.entries); n > 0 {
-		hint = cap(j.hist.entries[n-1].rec)
+	if n := j.hist.count(); n > 0 {
+		hint = cap(j.hist.entry(n - 1).rec)
 	}
 	return make([]byte, 0, hint)
 }

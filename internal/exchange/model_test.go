@@ -51,13 +51,19 @@ import (
 // stay as the readable instances of its properties:
 //   - TestDuplicateBidRejected, TestRegistrationPolicyAndBlacklist: the
 //     submit verdicts ErrDuplicateBid, ErrNotRegistered and ErrBlacklisted,
-//     RegisterNode and BlacklistNode results, and bids_rejected.
+//     RegisterNode and BlacklistNode results (refused once degraded), and
+//     bids_rejected.
 //   - TestMaxRoundsClosesJob: State, and ErrJobClosed from submit, Outcome
 //     and WaitOutcome past the last round once MaxRounds closes the job.
 //   - TestOutcomeEviction, TestHistoryWindow: Outcome's evicted, retained,
 //     pending and out-of-range answers, Latest, and OutcomesAfter pages
 //     and their more flag at random cursors and limits; the window that
 //     restarts past evicted rounds is every restart of such a job.
+//     (TestHistoryRingModel holds the ring itself to a plain slice.) A job
+//     restored with an empty window has closed no round — with
+//     KeepOutcomes >= 1 every closed round leaves one retained — so the
+//     snapshot's base_round, once read there, is written for earlier
+//     readers only; the one-line mutant that ignored it was equivalent.
 //   - TestCloseRoundBelowQuorum: ErrBelowQuorum, idle_ticks, Round, PendingBids.
 //   - TestSubmitCloseMatchesPrivateAuctioneer: each close vs. the auctioneer.
 //   - TestCrashRecoveryIdenticalHistoryAndContinuation,
@@ -191,6 +197,14 @@ func (m *model) restarted() *model {
 	c.degraded = false
 	c.created, c.rounds, c.idle, c.accepted, c.rejected, c.snapshots, c.snapErrs = c.replayCreated, 0, 0, 0, 0, 0, 0
 	return c
+}
+
+// nodeWrite is the verdict of a registration or a ban.
+func (m *model) nodeWrite() error {
+	if m.degraded {
+		return errDegraded
+	}
+	return nil
 }
 
 func (m *model) create(spec JobSpec) error {
@@ -448,7 +462,8 @@ func (r *modelRun) apply(op string) (durable bool) {
 	case "ban":
 		id := r.pickNode()
 		n := m.nodes[id]
-		if got := r.ex.BlacklistNode(id); got != (n != nil) {
+		got, err := r.ex.BlacklistNode(id)
+		if r.expect(err, m.nodeWrite()); err == nil && got != (n != nil) {
 			r.fatalf("BlacklistNode(%d) = %v", id, got)
 		} else if got {
 			n.banned = true
@@ -608,6 +623,10 @@ func (r *modelRun) submit(id string, b auction.Bid) {
 }
 
 func (r *modelRun) register(id int, meta string) {
+	info, err := r.ex.RegisterNode(id, meta)
+	if r.expect(err, r.m.nodeWrite()); err != nil {
+		return
+	}
 	n := r.m.nodes[id]
 	if n == nil {
 		n = &modelNode{}
@@ -617,7 +636,7 @@ func (r *modelRun) register(id int, meta string) {
 		n.meta = meta
 	}
 	r.known = append(r.known, id)
-	if info := r.ex.RegisterNode(id, meta); info.ID != id || info.Meta() != n.meta {
+	if info.ID != id || info.Meta() != n.meta {
 		r.fatalf("RegisterNode(%d, %q) = node %d, meta %q", id, meta, info.ID, info.Meta())
 	}
 }

@@ -121,12 +121,11 @@ type walSnapshot struct {
 // with Bidders and Draws zero — counters and the cumulative draw count are
 // snapshotted once, not per retained round.
 type walSnapJob struct {
-	Spec      walJob         `json:"spec"`
-	Closed    bool           `json:"closed,omitempty"`
-	Round     int            `json:"round"`
-	BaseRound int            `json:"base_round"`
-	Draws     int64          `json:"draws"`
-	History   []walSnapRound `json:"history,omitempty"`
+	Spec    walJob         `json:"spec"`
+	Closed  bool           `json:"closed,omitempty"`
+	Round   int            `json:"round"`
+	Draws   int64          `json:"draws"`
+	History []walSnapRound `json:"history,omitempty"`
 }
 
 // walSnapRound is one retained round of a snapshot being read: the decoded
@@ -267,7 +266,7 @@ func (c *snapCapture) encode(w *bufio.Writer) {
 		}
 		str(`,"round":`)
 		num(int64(sj.round))
-		str(`,"base_round":`)
+		str(`,"base_round":`) // kept for readers of earlier versions
 		num(int64(sj.baseRound))
 		str(`,"draws":`)
 		num(sj.draws)
@@ -438,8 +437,8 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 	snap := &snapCapture{cutSeq: cut, jobs: make([]snapJob, 0, len(jobs))}
 	for _, j := range jobs {
 		j.mu.Lock()
-		for i := range j.hist.entries {
-			e := &j.hist.entries[i]
+		for i := range j.hist.count() {
+			e := j.hist.entry(i)
 			if e.rec == nil {
 				// The round's encode failed at close (the log's sticky error):
 				// there are no bytes to splice, and none to invent.
@@ -524,7 +523,6 @@ func (ex *Exchange) applySnapshot(snap *walSnapshot) error {
 			}
 			if len(sj.History) == 0 {
 				j.round = sj.Round
-				j.hist.reset(sj.BaseRound)
 			}
 			j.src.fastForwardTo(sj.Draws)
 			if sj.Closed {

@@ -120,8 +120,8 @@ func TestCrashRecoveryIdenticalHistoryAndContinuation(t *testing.T) {
 	for round := 1; round <= preRounds; round++ {
 		history = append(history, runRound(ex, round, bidders))
 	}
-	if !ex.BlacklistNode(31) {
-		t.Fatal("blacklist of node 31 failed")
+	if ok, err := ex.BlacklistNode(31); !ok || err != nil {
+		t.Fatalf("blacklist of node 31: %v, %v", ok, err)
 	}
 	if err := ex.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
@@ -611,8 +611,8 @@ func TestCompactionSnapshotReplayIdentical(t *testing.T) {
 	defer ex.Close()
 	ex.RegisterNode(3, "edge-03")
 	ids := compactWorkload(t, ex, jobs, bidders, preRounds, true)
-	if !ex.BlacklistNode(bidders - 1) {
-		t.Fatal("blacklist failed")
+	if ok, err := ex.BlacklistNode(bidders - 1); !ok || err != nil {
+		t.Fatalf("blacklist: %v, %v", ok, err)
 	}
 
 	if err := ex.Compact(); err != nil {

@@ -46,10 +46,12 @@ import (
 // added to api.Outcome or api.Winner must be added to appendOutcome in
 // struct order.
 //
-// Floats are most of a round and go through one path, roundEncoder.float:
-// appendShortest (shortest.go) writes every finite float64 as
-// strconv.AppendFloat would in the notation encoding/json picks — strconv is
-// its test oracle and is called here only for integers and the NaN/±Inf text.
+// Numbers are most of a round and go through the kernel in shortest.go:
+// floats through roundEncoder.float, that is appendShortest, which writes
+// every finite float64 as strconv.AppendFloat would in the notation
+// encoding/json picks, and integers through appendInt, which writes what
+// strconv.AppendInt writes. strconv is their test oracle and is called here
+// only for the NaN/±Inf text.
 const (
 	walRoundPrefix  = `{"k":"round","round":`
 	walRoundSuffix  = `}`
@@ -71,13 +73,13 @@ func appendWalRound(dst []byte, r *walRound) (out []byte, drawsAt int, err error
 	e.b = append(e.b, `{"job":`...)
 	e.b = appendJSONString(e.b, r.Job)
 	e.b = append(e.b, `,"r":`...)
-	e.b = strconv.AppendInt(e.b, int64(r.Round), 10)
+	e.b = appendInt(e.b, int64(r.Round))
 	e.b = append(e.b, `,"nb":`...)
-	e.b = strconv.AppendInt(e.b, int64(r.NumBids), 10)
+	e.b = appendInt(e.b, int64(r.NumBids))
 	drawsAt = len(e.b)
 	e.b = append(e.b, walRoundNoDraws...)
 	e.b = append(e.b, `,"lat":`...)
-	e.b = strconv.AppendInt(e.b, r.LatencyNS, 10)
+	e.b = appendInt(e.b, r.LatencyNS)
 	if r.Err != "" {
 		e.b = append(e.b, `,"err":`...)
 		e.b = appendJSONString(e.b, r.Err)
@@ -93,7 +95,7 @@ func appendWalRound(dst []byte, r *walRound) (out []byte, drawsAt int, err error
 				e.b = append(e.b, ',')
 			}
 			e.b = append(e.b, `{"n":`...)
-			e.b = strconv.AppendInt(e.b, int64(w.NodeID), 10)
+			e.b = appendInt(e.b, int64(w.NodeID))
 			e.b = append(e.b, `,"q":`...)
 			e.floats(w.Qualities)
 			e.b = append(e.b, `,"bp":`...)
@@ -123,9 +125,9 @@ func appendOutcome(dst []byte, ro *RoundOutcome) ([]byte, error) {
 	e.b = append(e.b, `{"job":`...)
 	e.b = appendJSONString(e.b, ro.JobID)
 	e.b = append(e.b, `,"round":`...)
-	e.b = strconv.AppendInt(e.b, int64(ro.Round), 10)
+	e.b = appendInt(e.b, int64(ro.Round))
 	e.b = append(e.b, `,"num_bids":`...)
-	e.b = strconv.AppendInt(e.b, int64(ro.NumBids), 10)
+	e.b = appendInt(e.b, int64(ro.NumBids))
 	e.b = append(e.b, `,"latency_ms":`...)
 	e.float(float64(ro.Latency) / float64(time.Millisecond))
 	if ro.Err != nil {
@@ -145,7 +147,7 @@ func appendOutcome(dst []byte, ro *RoundOutcome) ([]byte, error) {
 			e.b = append(e.b, ',')
 		}
 		e.b = append(e.b, `{"node_id":`...)
-		e.b = strconv.AppendInt(e.b, int64(w.Bid.NodeID), 10)
+		e.b = appendInt(e.b, int64(w.Bid.NodeID))
 		e.b = append(e.b, `,"score":`...)
 		e.float(w.Score)
 		e.b = append(e.b, `,"payment":`...)
@@ -175,12 +177,12 @@ func appendReplayFields(dst []byte, bidders []int, draws int64) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendInt(dst, int64(id), 10)
+			dst = appendInt(dst, int64(id))
 		}
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"draws":`...)
-	return strconv.AppendInt(dst, draws, 10)
+	return appendInt(dst, draws)
 }
 
 // historyForm returns the history form of a round in record form, as read
@@ -217,7 +219,7 @@ type roundEncoder struct {
 // float appends f as encoding/json does — appendShortest's contract — and
 // refuses what it refuses: the first NaN or ±Inf becomes the encoder's error.
 func (e *roundEncoder) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
+	if math.Float64bits(f)>>52&0x7FF == 0x7FF { // NaN or ±Inf
 		if e.err == nil {
 			e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 		}

@@ -66,6 +66,8 @@ func (c *shortestChecker) neighbours(f float64) {
 // which the sweep caught a mutant the other seeds let through (an interval
 // end that belongs to an even significand only, a candidate exactly half
 // way, a power of two whose lower neighbour is closer).
+//
+//ci:fuzztime 60s
 func FuzzShortestFloat(f *testing.F) {
 	seeds := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.1, 0.3, 5e-324, 1e-323, math.MaxFloat64, -math.MaxFloat64,
@@ -88,6 +90,30 @@ func FuzzShortestFloat(f *testing.F) {
 		}
 		c := shortestChecker{t: t}
 		c.check(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+	})
+}
+
+// FuzzAppendInt holds the integer kernel to strconv.AppendInt on every
+// int64, negatives included, appended behind a prefix into a buffer with
+// and without spare capacity. The seeds are zero, both ends of the range and
+// each side of every power of ten (where the digit count changes).
+func FuzzAppendInt(f *testing.F) {
+	f.Add(int64(0), uint8(0))
+	f.Add(int64(math.MaxInt64), uint8(3))
+	f.Add(int64(math.MinInt64), uint8(40))
+	for p := int64(1); p <= 1e18; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1} {
+			f.Add(v, uint8(p%7))
+			f.Add(-v, uint8(p%5))
+		}
+	}
+	f.Fuzz(func(t *testing.T, v int64, spare uint8) {
+		prefix := []byte(`{"n":`)
+		dst := append(make([]byte, 0, len(prefix)+int(spare)), prefix...)
+		got, want := appendInt(dst, v), strconv.AppendInt(prefix, v, 10)
+		if string(got) != string(want) {
+			t.Fatalf("appendInt(%d) = %s, strconv writes %s", v, got, want)
+		}
 	})
 }
 
