@@ -179,6 +179,50 @@ func TestWireDeclaredOnce(t *testing.T) {
 	}
 }
 
+// TestDurableWritesOnePath keeps one way to change durable state in
+// internal/exchange: every mutation but the round close goes through
+// Exchange.mutate, which gates on a degraded log, appends the record and
+// only then applies the change; the round close keeps its own encoder in
+// Job.logRound. So outside those two no code calls the log's Buf or Append
+// (a call of either name counts), and the degraded gate, degradedErr, is
+// called only in degraded.go, mutate and the three paths that refuse
+// before mutating: SubmitBid and CloseRound ahead of intake or scoring
+// work, RemoveJob before it closes the job.
+func TestDurableWritesOnePath(t *testing.T) {
+	appenders := map[string]bool{"mutate": true, "logRound": true}
+	gates := map[string]bool{"mutate": true, "SubmitBid": true, "CloseRound": true, "RemoveJob": true}
+	fset := token.NewFileSet()
+	for _, file := range nonTestGoFiles(t, "internal/exchange") {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch name := sel.Sel.Name; {
+				case (name == "Buf" || name == "Append") && !appenders[fn.Name.Name]:
+					t.Errorf("%s: %s calls the log's %s — durable writes go through Exchange.mutate", fset.Position(call.Pos()), fn.Name.Name, name)
+				case name == "degradedErr" && filepath.Base(file) != "degraded.go" && !gates[fn.Name.Name]:
+					t.Errorf("%s: %s calls degradedErr — Exchange.mutate gates durable writes", fset.Position(call.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 func nonTestGoFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	all, err := filepath.Glob(filepath.Join(dir, "*.go"))

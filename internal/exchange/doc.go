@@ -126,7 +126,8 @@
 //
 // Every durable mutation appends one JSON record: job created (full spec,
 // rule serialized as its wire form), round completed (outcome verbatim,
-// cumulative rng draw count included), job closed or removed, node
+// cumulative rng draw count included), job closed (Job.Close; a MaxRounds
+// close is derived from its round record on replay) or removed, node
 // registered, node blacklisted. CloseRound hands the record to the log and
 // never waits on disk (the payload is encoded before the hand-off, so the
 // close path's record scratch is reusable immediately); Sync flushes on
@@ -238,10 +239,15 @@
 //
 //   - WALDegrade (default). The replica stays up but stops lying about
 //     durability: every durable mutation (bid submit, round close, job
-//     create/remove, node registration and ban) refuses with a
-//     DegradedError — HTTP 503, code
-//     durability_lost, retry_after_ms set — while reads, outcome pages,
-//     SSE streams and metrics keep serving what was already won.
+//     create, Job.Close and RemoveJob, node registration and ban) refuses
+//     with a DegradedError — HTTP 503, code durability_lost,
+//     retry_after_ms set — and changes nothing, while reads, outcome
+//     pages, SSE streams and metrics keep serving what was already won.
+//     Every mutation but the round close takes one path, Exchange.mutate:
+//     the gate, the caller's own verdicts, the record's append, and only
+//     then the change, so no write the log refused is made in memory. The
+//     registry Exchange.Registry hands out is read-only; nodes are
+//     registered and banned through RegisterNode and BlacklistNode.
 //     /v1/healthz flips to 503 {"status":"degraded","wal_failed_unix":…},
 //     which the fmore-router's prober observes and steers sheddable bid
 //     traffic away; the pkg/client SDK treats durability_lost as routing

@@ -157,7 +157,7 @@ func New(opts Options) *Exchange {
 	ctx, cancel := context.WithCancel(context.Background())
 	ex := &Exchange{
 		opts:    opts,
-		reg:     NewRegistry(),
+		reg:     newRegistry(),
 		metrics: newMetrics(),
 		fh:      new(Firehose),
 		part:    opts.Partition,
@@ -185,44 +185,49 @@ func (ex *Exchange) CreateJob(spec JobSpec) (*Job, error) {
 	if ex.closed {
 		return nil, ErrExchangeClosed
 	}
-	// A degraded replica must not host new jobs: their created records
-	// would never reach disk, so a restart would forget them entirely.
-	if err := ex.degradedErr(); err != nil {
-		return nil, err
-	}
-	hosted := ex.table.Load().jobs
-	id := spec.ID
-	if id == "" {
-		// A partitioned replica keeps drawing sequence IDs until one
-		// rendezvous-hashes to its own partition, so a create without an
-		// explicit ID always lands locally (expected ~P draws for P
-		// partitions).
-		for {
-			id = fmt.Sprintf("job-%d", ex.seq.Add(1))
-			if _, taken := hosted[id]; !taken && ex.part.Owns(id) {
-				break
+	var j *Job
+	err := ex.mutate(func() (bool, error) {
+		hosted := ex.table.Load().jobs
+		id := spec.ID
+		if id == "" {
+			// A partitioned replica keeps drawing sequence IDs until one
+			// rendezvous-hashes to its own partition, so a create without an
+			// explicit ID always lands locally (expected ~P draws for P
+			// partitions).
+			for {
+				id = fmt.Sprintf("job-%d", ex.seq.Add(1))
+				if _, taken := hosted[id]; !taken && ex.part.Owns(id) {
+					break
+				}
 			}
+		} else if _, dup := hosted[id]; dup {
+			return false, fmt.Errorf("exchange: job %q already exists", id)
 		}
-	} else if _, dup := hosted[id]; dup {
-		return nil, fmt.Errorf("exchange: job %q already exists", id)
-	}
-	spec.ID = id
-
-	j, err := newJob(ex, id, spec)
+		spec.ID = id
+		var err error
+		j, err = newJob(ex, id, spec)
+		return err == nil, err
+	}, func() (walRecord, error) {
+		wj, err := walJobFromSpec(j.spec)
+		if err != nil {
+			// An unserializable rule cannot be recovered; refuse the job up
+			// front rather than silently dropping it from the log.
+			return walRecord{}, fmt.Errorf("exchange: job %q is not persistable: %w", j.id, err)
+		}
+		return walRecord{Kind: recJobCreated, Job: &wj}, nil
+	}, func() {
+		// loopDone must be in place before the job is published: the table
+		// store is the release barrier lock-free readers (and Close's table
+		// snapshot) synchronize on, so every job field write must precede it.
+		if spec.BidWindow > 0 {
+			j.loopDone = make(chan struct{})
+		}
+		ex.publishJobs(func(jobs map[string]*Job) { jobs[j.id] = j })
+		ex.metrics.jobsCreated.Add(1)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := ex.logJobCreated(j.spec); err != nil {
-		return nil, err
-	}
-	// loopDone must be in place before the job is published: the table
-	// store is the release barrier lock-free readers (and Close's table
-	// snapshot) synchronize on, so every job field write must precede it.
-	if spec.BidWindow > 0 {
-		j.loopDone = make(chan struct{})
-	}
-	ex.publishJobs(func(jobs map[string]*Job) { jobs[id] = j })
-	ex.metrics.jobsCreated.Add(1)
 	if j.loopDone != nil {
 		go j.loop()
 	}
@@ -244,7 +249,7 @@ func (ex *Exchange) RemoveJob(id string) error {
 	if err := ex.degradedErr(); err != nil {
 		return err
 	}
-	j.close(false)
+	j.close()
 	if j.loopDone != nil {
 		<-j.loopDone
 	}
@@ -257,7 +262,7 @@ func (ex *Exchange) RemoveJob(id string) error {
 	j.closeMu.Lock()
 	j.closeMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 
-	// Evict and log under the jobs mutex: CreateJob may only reuse the ID
+	// Log and evict under the jobs mutex: CreateJob may only reuse the ID
 	// once the published table is without the slot, and it logs its created
 	// record under the same mutex, so the log can never read created →
 	// created or removed after the successor's records. The removal record
@@ -266,20 +271,21 @@ func (ex *Exchange) RemoveJob(id string) error {
 	// counters under the mutex too: no replay counts them, so no snapshot
 	// capture (which holds the mutex) may.
 	ex.mu.Lock()
-	if cur, present := ex.table.Load().jobs[id]; !present || cur != j {
-		// A concurrent RemoveJob won the eviction (and the slot may already
-		// host a successor job, which must not be torn down here).
-		ex.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
-	}
-	ex.publishJobs(func(jobs map[string]*Job) { delete(jobs, id) })
-	ex.logJobRemoved(id)
-	for _, b := range j.intake.drain(nil) {
-		info, _ := ex.reg.Lookup(b.NodeID)
-		info.bids.Add(-1)
-	}
-	ex.mu.Unlock()
-	return nil
+	defer ex.mu.Unlock()
+	return ex.mutate(func() (bool, error) {
+		if cur, present := ex.table.Load().jobs[id]; !present || cur != j {
+			// A concurrent RemoveJob won the eviction (and the slot may already
+			// host a successor job, which must not be torn down here).
+			return false, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+		}
+		return true, nil
+	}, func() (walRecord, error) { return walRecord{Kind: recJobRemoved, ID: id}, nil }, func() {
+		ex.publishJobs(func(jobs map[string]*Job) { delete(jobs, id) })
+		for _, b := range j.intake.drain(nil) {
+			info, _ := ex.reg.Lookup(b.NodeID)
+			info.bids.Add(-1)
+		}
+	})
 }
 
 // Job resolves a hosted job by ID: one atomic table load, no locks. This
@@ -300,24 +306,22 @@ func (ex *Exchange) JobIDs() []string {
 }
 
 // RegisterNode adds a node to the shared registry (idempotent). A no-op
-// re-registration (node known, meta unchanged) writes nothing to the
-// outcome log, so heartbeat-style re-registration does not grow it. A
+// re-registration (node known, meta empty or unchanged) writes nothing to
+// the outcome log, so heartbeat-style re-registration does not grow it. A
 // degraded exchange refuses with *DegradedError and changes nothing: the
 // node's log record could no longer reach disk.
-func (ex *Exchange) RegisterNode(id int, meta string) (*NodeInfo, error) {
-	if err := ex.degradedErr(); err != nil {
-		return nil, err
-	}
-	if meta != "" {
-		if info, ok := ex.reg.Lookup(id); ok && info.Meta() == meta {
-			return info, nil
+func (ex *Exchange) RegisterNode(id int, meta string) (info *NodeInfo, err error) {
+	err = ex.mutate(func() (bool, error) {
+		known, ok := ex.reg.Lookup(id)
+		if ok && (meta == "" || known.Meta() == meta) {
+			info = known
+			return false, nil
 		}
-	}
-	info, created := ex.reg.Register(id, meta)
-	if created || meta != "" {
-		ex.logNode(id, meta)
-	}
-	return info, nil
+		return true, nil
+	}, func() (walRecord, error) {
+		return walRecord{Kind: recNode, Node: &walNode{ID: id, Meta: meta}}, nil
+	}, func() { info = ex.reg.register(id, meta) })
+	return info, err
 }
 
 // BlacklistNode bans the node from all future rounds and records the ban in
@@ -325,20 +329,19 @@ func (ex *Exchange) RegisterNode(id int, meta string) (*NodeInfo, error) {
 // reports whether the node was registered. A degraded exchange refuses with
 // *DegradedError and bans nothing: a ban the log drops would be lifted by
 // the next restart.
-func (ex *Exchange) BlacklistNode(id int) (bool, error) {
-	if err := ex.degradedErr(); err != nil {
-		return false, err
-	}
-	if !ex.reg.Blacklist(id) {
-		return false, nil
-	}
-	ex.logNodeBan(id)
-	return true, nil
+func (ex *Exchange) BlacklistNode(id int) (banned bool, err error) {
+	err = ex.mutate(func() (bool, error) {
+		info, ok := ex.reg.Lookup(id)
+		banned = ok && info.Blacklisted()
+		return ok && !banned, nil
+	}, func() (walRecord, error) {
+		return walRecord{Kind: recNodeBan, Node: &walNode{ID: id}}, nil
+	}, func() { banned = ex.reg.blacklist(id) })
+	return banned, err
 }
 
-// Registry exposes the node directory. Note that bans applied directly via
-// Registry().Blacklist bypass the outcome log; use BlacklistNode on a
-// persistent exchange.
+// Registry exposes the node directory, read-only: registrations and bans
+// go through RegisterNode and BlacklistNode, which log them.
 func (ex *Exchange) Registry() *Registry { return ex.reg }
 
 // SubmitBid admits one sealed bid into the job's current round, enforcing
@@ -388,24 +391,17 @@ func (ex *Exchange) SubmitBid(jobID string, bid auction.Bid) (round int, err err
 	// section, atomically with the buffer insert — the invariant the WAL
 	// snapshot's pending-bid accounting relies on. Registered nodes pass
 	// their counter directly (no allocation on the hot path); an unknown
-	// node's first bid registers-and-counts via the once-per-node-lifetime
-	// closure. Only an accepted bid auto-registers (open posture): rejected
-	// requests must not grow the registry, and the log write happens once
-	// per node lifetime, not per bid, so the hot path stays append-free.
+	// node's first bid registers it — one durable mutation per node
+	// lifetime, not per bid, so the hot path stays append-free. A
+	// registration the log refuses refuses the bid.
 	var accepted *atomic.Int64
-	var onAccept func()
+	var register func(id int, meta string) (*NodeInfo, error)
 	if registered {
 		accepted = &info.bids
 	} else {
-		onAccept = func() {
-			info, created := ex.reg.Register(bid.NodeID, "")
-			if created {
-				ex.logNode(bid.NodeID, "")
-			}
-			info.bids.Add(1)
-		}
+		register = ex.RegisterNode
 	}
-	round, err = j.submit(bid, accepted, onAccept)
+	round, err = j.submit(bid, accepted, register)
 	if err != nil {
 		ex.metrics.bidsRejected.Add(1)
 		return 0, err
@@ -517,7 +513,7 @@ func (ex *Exchange) Close() error {
 		<-ex.compactDone
 	}
 	for _, j := range jobs {
-		j.close(false)
+		j.close()
 		if j.loopDone != nil {
 			<-j.loopDone
 		}

@@ -215,49 +215,6 @@ func TestNextWindowDeadline(t *testing.T) {
 	}
 }
 
-func TestDuplicateBidRejected(t *testing.T) {
-	ex := New(Options{})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{Auction: auction.Config{Rule: testRule(t, 0), K: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bid := auction.Bid{NodeID: 4, Qualities: []float64{0.5, 0.5}, Payment: 0.1}
-	if _, err := ex.SubmitBid(job.ID(), bid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.SubmitBid(job.ID(), bid); !errors.Is(err, ErrDuplicateBid) {
-		t.Errorf("second bid: err = %v, want ErrDuplicateBid", err)
-	}
-	if snap := ex.Metrics(); snap.BidsRejected != 1 {
-		t.Errorf("bids_rejected = %d, want 1", snap.BidsRejected)
-	}
-}
-
-func TestRegistrationPolicyAndBlacklist(t *testing.T) {
-	ex := New(Options{RequireRegistration: true})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{Auction: auction.Config{Rule: testRule(t, 0), K: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bid := auction.Bid{NodeID: 9, Qualities: []float64{0.5, 0.5}, Payment: 0.1}
-	if _, err := ex.SubmitBid(job.ID(), bid); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("unregistered bid: err = %v, want ErrNotRegistered", err)
-	}
-	ex.RegisterNode(9, "edge-9")
-	if _, err := ex.SubmitBid(job.ID(), bid); err != nil {
-		t.Errorf("registered bid rejected: %v", err)
-	}
-	if !ex.Registry().Blacklist(9) {
-		t.Fatal("blacklist of registered node failed")
-	}
-	bid.NodeID = 9
-	if _, err := ex.SubmitBid(job.ID(), auction.Bid{NodeID: 9, Qualities: []float64{0.1, 0.1}, Payment: 0.1}); !errors.Is(err, ErrBlacklisted) {
-		t.Errorf("blacklisted bid: err = %v, want ErrBlacklisted", err)
-	}
-}
-
 func TestMaxRoundsClosesJob(t *testing.T) {
 	ex := New(Options{})
 	defer ex.Close()

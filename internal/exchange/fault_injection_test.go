@@ -251,14 +251,16 @@ func TestDegradedModeAfterFsyncFailure(t *testing.T) {
 	}
 }
 
-// TestDegradedNodeWritesRefused: a degraded replica refuses registrations
-// and bans like every other durable write — 503 durability_lost over HTTP,
-// *DegradedError embedded — and its registry stays as it was: a ban whose
-// log record is dropped would be lifted by the next restart.
+// TestDegradedNodeWritesRefused: a degraded replica refuses registrations,
+// bans and Job.Close like every other durable write — 503 durability_lost
+// over HTTP, *DegradedError embedded — and its state stays as it was: a
+// ban or a close whose log record is dropped would be undone by the next
+// restart.
 func TestDegradedNodeWritesRefused(t *testing.T) {
 	t.Cleanup(fault.DisableAll)
 	const bidders = 6
-	ex, err := Open(t.TempDir(), Options{SnapshotBytes: -1})
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +294,23 @@ func TestDegradedNodeWritesRefused(t *testing.T) {
 		if _, ok := ex.Registry().Lookup(id); ok {
 			t.Errorf("node %d registered by a refused write", id)
 		}
+	}
+
+	job, _ := ex.Job(ids[0])
+	if err := job.Close(); !errors.As(err, &dg) || job.State() != "collecting" {
+		t.Errorf("degraded Job.Close = %v, state %q; want *DegradedError, collecting", err, job.State())
+	}
+	ex.Close() //nolint:errcheck // the sticky error
+	fault.DisableAll()
+	re, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if job, ok := re.Job(ids[0]); !ok {
+		t.Error("the refused close's job is gone after a restart")
+	} else if got := job.State(); got != "collecting" {
+		t.Errorf("after a restart the refused close's job reads %q, want collecting", got)
 	}
 }
 

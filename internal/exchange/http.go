@@ -737,8 +737,6 @@ func (h *handler) blacklistNode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeInvalidRequest, fmt.Sprintf("bad node id %q", r.PathValue("id")))
 		return
 	}
-	// BlacklistNode (not Registry().Blacklist) so the ban lands in the
-	// outcome log and survives a restart.
 	banned, err := h.ex.BlacklistNode(id)
 	if err != nil {
 		writeErr(w, err)

@@ -609,8 +609,9 @@ func FuzzDecodeBid(f *testing.F) {
 
 // FuzzCreateJob feeds arbitrary POST /v1/jobs bodies through NewHandler.
 // No body panics or answers 5xx; a 201 is an api.Job that echoes the
-// request's k and bid_window_ms; any other answer is the api.Error
-// envelope. Seeds: the rule families, the jobs of
+// request's k and bid_window_ms, and whose spec, serialized as its job
+// record, rebuilds to a spec that serializes to the same bytes; any other
+// answer is the api.Error envelope. Seeds: the rule families, the jobs of
 // TestHTTPOverflowingBidRefused, and a bid_window_ms whose product with
 // time.Millisecond overflowed into a manual-mode job echoing -1.
 func FuzzCreateJob(f *testing.F) {
@@ -658,9 +659,36 @@ func FuzzCreateJob(f *testing.F) {
 		if job.K != req.K || job.BidWindowMS != req.BidWindowMS {
 			t.Fatalf("%q: created k=%d bid_window_ms=%d, asked for k=%d bid_window_ms=%d", body, job.K, job.BidWindowMS, req.K, req.BidWindowMS)
 		}
+		// The job record round-trips: the spec replay rebuilds from it
+		// serializes to the bytes that were logged.
+		hosted, _ := ex.Job(job.ID)
+		logged, err := walJobBytes(hosted.spec)
+		if err != nil {
+			t.Fatalf("%q: 201 for a job that does not serialize: %v", body, err)
+		}
+		var wj walJob
+		if err := json.Unmarshal(logged, &wj); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := wj.spec()
+		if err != nil {
+			t.Fatalf("%s: the logged spec does not rebuild: %v", logged, err)
+		}
+		if again, err := walJobBytes(spec); err != nil || !bytes.Equal(again, logged) {
+			t.Fatalf("logged %s, rebuilt %s (%v)", logged, again, err)
+		}
 		// The fuzzer reuses IDs; a removed job frees its own.
 		if err := ex.RemoveJob(job.ID); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// walJobBytes is a job record's spec as the log holds it.
+func walJobBytes(spec JobSpec) ([]byte, error) {
+	wj, err := walJobFromSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(wj)
 }

@@ -159,8 +159,11 @@ func (in *intake) pending() int {
 // is what lets the WAL snapshot subtract pending bids from the counters it
 // captures (see captureSnapshot) without racing half-applied submissions:
 // accepted, when non-nil, is the node's accepted-bid counter (registered
-// nodes — the allocation-free hot path); onAccept, when non-nil, is the
-// open posture's register-and-count slow path, run once per node lifetime.
+// nodes — the allocation-free hot path); register, when non-nil, is the
+// open posture's registration of an unknown node (Exchange.RegisterNode),
+// run once per node lifetime, which hands back the node or refuses the bid.
+// It runs before the duplicate check: a duplicate's node registered with
+// its first bid, so a refused bid never grows the registry.
 // The lock ordering stays acyclic: submit holds one shard lock and may take
 // the registry's insert mutex inside it (a node's first bid registering
 // it), the only shard→registry order there is — the registry takes no lock
@@ -169,12 +172,20 @@ func (in *intake) pending() int {
 // ex.mu.
 //
 // It returns the round the bid was entered into.
-func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.Int64, onAccept func()) (round int, err error) {
+func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.Int64, register func(int, string) (*NodeInfo, error)) (round int, err error) {
 	sh := in.shard(b.NodeID)
 	sh.mu.Lock()
 	if closed.Load() {
 		sh.mu.Unlock()
 		return 0, ErrJobClosed
+	}
+	if register != nil {
+		info, err := register(b.NodeID, "")
+		if err != nil {
+			sh.mu.Unlock()
+			return 0, err
+		}
+		accepted = &info.bids
 	}
 	if !sh.markSeen(b.NodeID) {
 		sh.mu.Unlock()
@@ -185,9 +196,6 @@ func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.In
 	round = sh.round
 	if accepted != nil {
 		accepted.Add(1)
-	}
-	if onAccept != nil {
-		onAccept()
 	}
 	sh.mu.Unlock()
 	return round, nil

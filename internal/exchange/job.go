@@ -258,13 +258,13 @@ func (j *Job) State() string {
 // ownership of the bid (the caller must not mutate Qualities afterwards).
 // The fast path touches only the node's intake shard — never j.mu — so
 // concurrent bidders serialize only on stripe collisions. accepted and
-// onAccept are the acceptance side effects, run inside the shard critical
+// register are the acceptance side effects, run inside the shard critical
 // section (see intake.submit). A bid whose score s(q) − p lies outside
 // ±MaxFloat64/(2K) is refused here (see scoreInRange): finite qualities
 // and payments can still overflow a score, or the aggregator profit over K
 // winners, and a round record that will not encode degrades a durable
 // exchange.
-func (j *Job) submit(b auction.Bid, accepted *atomic.Int64, onAccept func()) (round int, err error) {
+func (j *Job) submit(b auction.Bid, accepted *atomic.Int64, register func(int, string) (*NodeInfo, error)) (round int, err error) {
 	if err := b.Validate(j.spec.Auction.Rule.Dims()); err != nil {
 		return 0, err
 	}
@@ -272,7 +272,7 @@ func (j *Job) submit(b auction.Bid, accepted *atomic.Int64, onAccept func()) (ro
 		return 0, fmt.Errorf("bid from node %d: score %v outside ±%v, the bound that keeps a %d-winner round's profit finite",
 			b.NodeID, j.spec.Auction.Rule.Value(b.Qualities)-b.Payment, j.scoreMax, j.spec.Auction.K)
 	}
-	return j.intake.submit(b, &j.closed, accepted, onAccept)
+	return j.intake.submit(b, &j.closed, accepted, register)
 }
 
 // scoreInRange reports whether the bid's score s(q) − p lies within
@@ -519,8 +519,9 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 	// the canonical slate is still this round's.
 	j.ex.fh.offer(&ro, bids)
 	if maxed {
+		// No closed record: finishReplay derives this close from the round
+		// record.
 		j.cancel()
-		j.ex.logJobClosed(j.id)
 	}
 	if ro.Err == nil {
 		j.ex.metrics.observeRound(ro.Latency)
@@ -585,27 +586,40 @@ func nextWindowDeadline(prev, now time.Time, window time.Duration) time.Time {
 }
 
 // Close finishes the job: pending and future bids are rejected, waiters are
-// woken, and (in timer mode) the window goroutine stops. Idempotent.
-func (j *Job) Close() {
-	j.close(true)
+// woken, and (in timer mode) the window goroutine stops. The close is
+// logged, so the job stays closed after a restart; a degraded exchange
+// refuses with *DegradedError and the job keeps collecting. Closing a
+// closed job is a no-op.
+func (j *Job) Close() error {
+	// The record is appended under j.mu, while the job still reads open: a
+	// RemoveJob closes the job under j.mu before it logs the removal, so
+	// the closed record can never follow it.
+	j.mu.Lock()
+	err := j.ex.mutate(func() (bool, error) { return !j.closed.Load(), nil },
+		func() (walRecord, error) { return walRecord{Kind: recJobClosed, ID: j.id}, nil },
+		j.closeLocked)
+	j.mu.Unlock()
+	if err == nil {
+		j.cancel()
+	}
+	return err
 }
 
-// close implements Close. record says whether a job-closed record belongs
-// in the outcome log: a deliberate finish (MaxRounds, caller Close, DELETE)
-// is logged so the job stays closed after recovery, while exchange shutdown
-// is not — stopping the process must not close every job forever.
-func (j *Job) close(record bool) {
+// close finishes the job without a log record, for exchange shutdown (a
+// restart resumes every unfinished job) and RemoveJob (whose removal record
+// keeps the job gone). Idempotent.
+func (j *Job) close() {
 	j.mu.Lock()
-	if j.closed.Load() {
-		j.mu.Unlock()
-		return
-	}
-	j.closed.Store(true)
-	j.broadcastLocked()
+	j.closeLocked()
 	j.mu.Unlock()
 	j.cancel()
-	if record {
-		j.ex.logJobClosed(j.id)
+}
+
+// closeLocked marks the job closed and wakes its waiters; callers hold j.mu.
+func (j *Job) closeLocked() {
+	if !j.closed.Load() {
+		j.closed.Store(true)
+		j.broadcastLocked()
 	}
 }
 

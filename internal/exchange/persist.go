@@ -22,7 +22,7 @@ import (
 const (
 	recJobCreated = "job"     // a job was created (full spec)
 	recRound      = "round"   // a round completed (outcome verbatim)
-	recJobClosed  = "closed"  // a job finished (MaxRounds or explicit Close)
+	recJobClosed  = "closed"  // a job was closed by Job.Close; MaxRounds closes are derived on replay
 	recJobRemoved = "removed" // a job was evicted with RemoveJob
 	recNode       = "node"    // a node registered (or its meta changed)
 	recNodeBan    = "ban"     // a node was blacklisted
@@ -664,8 +664,7 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 		j.restoreRound(rec.Round.outcome(j.id), rec.roundRaw)
 		j.src.fastForwardTo(rec.Round.Draws)
 		for _, id := range rec.Round.Bidders {
-			info, _ := ex.reg.Register(id, "")
-			info.bids.Add(1)
+			ex.reg.register(id, "").bids.Add(1)
 		}
 	case recJobClosed:
 		j, ok := ex.table.Load().jobs[rec.ID]
@@ -682,13 +681,13 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 		if rec.Node == nil {
 			return errors.New("node record without payload")
 		}
-		ex.reg.Register(rec.Node.ID, rec.Node.Meta)
+		ex.reg.register(rec.Node.ID, rec.Node.Meta)
 	case recNodeBan:
 		if rec.Node == nil {
 			return errors.New("ban record without payload")
 		}
-		ex.reg.Register(rec.Node.ID, rec.Node.Meta)
-		ex.reg.Blacklist(rec.Node.ID)
+		ex.reg.register(rec.Node.ID, rec.Node.Meta)
+		ex.reg.blacklist(rec.Node.ID)
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
@@ -696,9 +695,9 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 }
 
 // finishReplay settles derived state the log does not spell out: a job
-// whose last persisted round hit MaxRounds crashed between its round record
-// and its close record, so the close is reconstructed here; and every job's
-// intake shards are aligned to its replayed collecting round.
+// whose last persisted round hit MaxRounds is closed here, since that close
+// writes no record of its own; and every job's intake shards are aligned to
+// its replayed collecting round.
 func (ex *Exchange) finishReplay() {
 	for _, j := range ex.table.Load().jobs {
 		if !j.closed.Load() && j.spec.MaxRounds > 0 && j.round > j.spec.MaxRounds {
@@ -827,44 +826,35 @@ func fillWalRound(rec *walRound, ro RoundOutcome) []walWinner {
 	return prev
 }
 
-// --- record hooks -----------------------------------------------------------
-//
-// Every mutation the exchange must survive goes through one of these. They
-// no-op on an in-memory exchange (New); on a persistent one (Open) they
-// enqueue a record for the log's writer goroutine, so none of them waits on
-// disk. The record (and every slice it references) is fully encoded before
-// a hook returns, so callers may reuse record scratch immediately. Errors
-// (encode or disk) stick to the log and surface through Sync and degraded
-// mode.
-
-// logRecord appends rec as json.Marshal spells it — the on-disk format of
-// every record kind since the log existed. Rounds, the one kind on a hot
-// path, take logRound instead.
-func (ex *Exchange) logRecord(rec walRecord) {
-	if ex.wal == nil {
-		return
+// mutate is the one path of every durable mutation but the round close
+// (Job.logRound). It runs, in this order: the degraded gate, so a refusal
+// comes before every other verdict; check, the caller's verdicts, where ok
+// false is an accepted no-op that writes nothing; on a durable exchange the
+// record's encode and append; and apply, so a change the log refused is
+// never made. An in-memory exchange (New) builds no record. The append
+// hands an encoded payload to the log's writer and never waits on disk; a
+// disk error sticks to the log and refuses the next mutation.
+func (ex *Exchange) mutate(check func() (ok bool, err error), record func() (walRecord, error), apply func()) error {
+	if err := ex.degradedErr(); err != nil {
+		return err
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		ex.wal.Fail(fmt.Errorf("exchange: encoding wal record: %w", err))
-		return
+	if ok, err := check(); !ok || err != nil {
+		return err
 	}
-	b := ex.wal.Buf()
-	b.Write(payload) // Write to a Buffer cannot fail
-	ex.wal.Append(b)
-}
-
-func (ex *Exchange) logJobCreated(spec JobSpec) error {
-	if ex.wal == nil {
-		return nil
+	if ex.wal != nil {
+		rec, err := record()
+		if err != nil {
+			return err
+		}
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("exchange: encoding wal record: %w", err)
+		}
+		b := ex.wal.Buf()
+		b.Write(payload) // Write to a Buffer cannot fail
+		ex.wal.Append(b)
 	}
-	wj, err := walJobFromSpec(spec)
-	if err != nil {
-		// An unserializable rule cannot be recovered; refuse the job up
-		// front rather than silently dropping it from the log.
-		return fmt.Errorf("exchange: job %q is not persistable: %w", spec.ID, err)
-	}
-	ex.logRecord(walRecord{Kind: recJobCreated, Job: &wj})
+	apply()
 	return nil
 }
 
@@ -891,21 +881,4 @@ func (j *Job) logRound(ro RoundOutcome, bidders []int) []byte {
 	frameRound(b, rec, drawsAt, bidders, j.src.n)
 	log.Append(b)
 	return rec
-}
-
-func (ex *Exchange) logJobClosed(id string)  { ex.logRecord(walRecord{Kind: recJobClosed, ID: id}) }
-func (ex *Exchange) logJobRemoved(id string) { ex.logRecord(walRecord{Kind: recJobRemoved, ID: id}) }
-
-// The node hooks check for the log themselves: the record's node would
-// otherwise be allocated on an in-memory exchange too.
-func (ex *Exchange) logNode(id int, meta string) {
-	if ex.wal != nil {
-		ex.logRecord(walRecord{Kind: recNode, Node: &walNode{ID: id, Meta: meta}})
-	}
-}
-
-func (ex *Exchange) logNodeBan(id int) {
-	if ex.wal != nil {
-		ex.logRecord(walRecord{Kind: recNodeBan, Node: &walNode{ID: id}})
-	}
 }

@@ -1135,26 +1135,6 @@ func TestIntervalTriggeredCompaction(t *testing.T) {
 	}
 }
 
-// TestOpenFreshDirIsEmptyExchange: Open on a new directory behaves exactly
-// like New, plus a durable log.
-func TestOpenFreshDirIsEmptyExchange(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "data")
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	if ids := ex.JobIDs(); len(ids) != 0 {
-		t.Errorf("fresh exchange hosts %v", ids)
-	}
-	if err := ex.Sync(); err != nil {
-		t.Errorf("sync on fresh exchange: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, wal.SegmentName)); err != nil {
-		t.Errorf("wal file not created: %v", err)
-	}
-}
-
 // TestOpenFailsOnUndecodableRecord: a frame that verifies on disk but does
 // not decode cannot come from a crash (zero-fill stops the scan, torn writes
 // fail the checksum), only from version skew or a bug — so it must fail the

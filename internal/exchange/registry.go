@@ -61,7 +61,9 @@ func (n *NodeInfo) Blacklisted() bool { return n.blacklisted.Load() }
 
 // Registry is the node directory of the exchange: one open-addressed table,
 // published through an atomic pointer, that readers probe without a lock
-// and without writing. All methods are safe for concurrent use.
+// and without writing. All methods are safe for concurrent use. Outside
+// the package it is read-only: the exchange writes it only through its
+// logged mutations (RegisterNode, BlacklistNode) and replay.
 type Registry struct {
 	table atomic.Pointer[regTable]
 	mu    sync.Mutex // serializes inserts, once per node lifetime
@@ -73,8 +75,8 @@ type Registry struct {
 // from nil to its node, and never emptied, so a nil slot ends every probe.
 type regTable []atomic.Pointer[NodeInfo]
 
-// NewRegistry returns an empty registry of 64 slots.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry of 64 slots.
+func newRegistry() *Registry {
 	r, t := &Registry{}, make(regTable, 64)
 	r.table.Store(&t)
 	return r
@@ -90,14 +92,14 @@ func (t regTable) find(id int) (*NodeInfo, int) {
 	}
 }
 
-// Register adds the node if absent and returns its info record. created
-// reports whether this call performed the registration. A non-empty meta
-// always updates the record (last non-empty write wins), so a node that
-// auto-registered through a bare bid can later be labeled via POST /nodes.
+// register adds the node if absent and returns its info record. A
+// non-empty meta always updates the record (last non-empty write wins), so
+// a node that auto-registered through a bare bid can later be labeled via
+// POST /nodes.
 //
 // Inserting re-probes under mu, publishes a doubled copy of the table before
 // the load would pass one half, and fills the empty slot atomically.
-func (r *Registry) Register(id int, meta string) (info *NodeInfo, created bool) {
+func (r *Registry) register(id int, meta string) (info *NodeInfo) {
 	if info, _ = r.table.Load().find(id); info == nil {
 		r.mu.Lock()
 		t := *r.table.Load()
@@ -115,7 +117,7 @@ func (r *Registry) Register(id int, meta string) (info *NodeInfo, created bool) 
 				r.table.Store(&t)
 				_, slot = t.find(id)
 			}
-			info, created = &NodeInfo{ID: id}, true
+			info = &NodeInfo{ID: id}
 			t[slot].Store(info)
 			r.size.Add(1)
 		}
@@ -124,7 +126,7 @@ func (r *Registry) Register(id int, meta string) (info *NodeInfo, created bool) 
 	if meta != "" {
 		info.meta.Store(&meta)
 	}
-	return info, created
+	return info
 }
 
 // Lookup resolves a node without write intent.
@@ -133,9 +135,9 @@ func (r *Registry) Lookup(id int) (*NodeInfo, bool) {
 	return info, info != nil
 }
 
-// Blacklist bans the node from all future rounds. It reports whether the
+// blacklist bans the node from all future rounds. It reports whether the
 // node was registered.
-func (r *Registry) Blacklist(id int) bool {
+func (r *Registry) blacklist(id int) bool {
 	info, ok := r.Lookup(id)
 	if !ok {
 		return false
@@ -152,7 +154,7 @@ func (r *Registry) Len() int { return int(r.size.Load()) }
 // before the exchange is reachable, and tail records replayed afterwards
 // (re-registrations, bans, per-round bid counts) layer on top of it.
 func (r *Registry) restore(id int, meta string, bids int64, banned bool) {
-	info, _ := r.Register(id, meta)
+	info := r.register(id, meta)
 	info.bids.Store(bids)
 	info.blacklisted.Store(banned)
 }

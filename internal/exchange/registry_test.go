@@ -9,16 +9,15 @@ import (
 )
 
 func TestRegistryRegisterLookup(t *testing.T) {
-	r := NewRegistry()
-	info, created := r.Register(7, "edge-7")
-	if !created || info.ID != 7 || info.Meta() != "edge-7" {
-		t.Fatalf("first Register = (%+v, %v)", info, created)
+	r := newRegistry()
+	info := r.register(7, "edge-7")
+	if r.Len() != 1 || info.ID != 7 || info.Meta() != "edge-7" {
+		t.Fatalf("first register = %+v with Len() %d", info, r.Len())
 	}
-	again, created := r.Register(7, "")
-	if created || again != info || info.Meta() != "edge-7" {
+	if again := r.register(7, ""); r.Len() != 1 || again != info || info.Meta() != "edge-7" {
 		t.Error("re-registration with empty meta must keep the record and its label")
 	}
-	if _, created := r.Register(7, "10.0.0.7:9000"); created || info.Meta() != "10.0.0.7:9000" {
+	if again := r.register(7, "10.0.0.7:9000"); r.Len() != 1 || again != info || info.Meta() != "10.0.0.7:9000" {
 		t.Error("re-registration with non-empty meta must relabel the existing record")
 	}
 	if _, ok := r.Lookup(8); ok {
@@ -27,11 +26,11 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len() = %d, want 1", r.Len())
 	}
-	if r.Blacklist(8) {
-		t.Error("Blacklist(8) succeeded on an unregistered node")
+	if r.blacklist(8) {
+		t.Error("blacklist(8) succeeded on an unregistered node")
 	}
-	if !r.Blacklist(7) || !info.Blacklisted() {
-		t.Error("Blacklist(7) did not stick")
+	if !r.blacklist(7) || !info.Blacklisted() {
+		t.Error("blacklist(7) did not stick")
 	}
 }
 
@@ -39,7 +38,7 @@ func TestRegistryRegisterLookup(t *testing.T) {
 // -race: concurrent registration, lookup and stat updates must be safe and
 // lose no registrations.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const (
 		workers = 16
 		nodes   = 2048
@@ -50,7 +49,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for id := 0; id < nodes; id++ {
-				info, _ := r.Register(id, "")
+				info := r.register(id, "")
 				info.bids.Add(1)
 				if got, ok := r.Lookup(id); !ok || got.ID != id {
 					t.Errorf("worker %d: Lookup(%d) = (%v, %v)", w, id, got, ok)
@@ -79,9 +78,9 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestRegistryRangeEarlyStop(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	for id := 0; id < 100; id++ {
-		r.Register(id, "")
+		r.register(id, "")
 	}
 	visited := 0
 	r.Range(func(*NodeInfo) bool {
@@ -128,9 +127,9 @@ func TestRegistryProbeSpread(t *testing.T) {
 		{"extremes", []int{math.MinInt, math.MaxInt}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegistry()
+			r := newRegistry()
 			for _, id := range tc.ids {
-				r.Register(id, "")
+				r.register(id, "")
 			}
 			tab := *r.table.Load()
 			sum, worst := 0, 0
@@ -159,14 +158,14 @@ func TestRegistryProbeSpread(t *testing.T) {
 
 // TestRegistryLookupDuringGrowth races readers against a writer that grows
 // the table from its first 64 slots past 2^17: Lookup must find every node
-// whose Register returned before the Lookup began, and Range must visit
+// whose register returned before the Lookup began, and Range must visit
 // each such node, and no node twice.
 func TestRegistryLookupDuringGrowth(t *testing.T) {
 	// One node past half of 2^16 slots, so the table ends at 2^17.
 	const nodes = 1<<15 + 1
 	id := func(i int) int { return i*64 - nodes } // strided, both signs
-	r := NewRegistry()
-	var done atomic.Int64 // nodes 0..done-1 have returned from Register
+	r := newRegistry()
+	var done atomic.Int64 // nodes 0..done-1 have returned from register
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -204,7 +203,7 @@ func TestRegistryLookupDuringGrowth(t *testing.T) {
 						break
 					}
 					if info, ok := r.Lookup(id(i)); !ok || info.ID != id(i) {
-						t.Errorf("Lookup(%d) = (%v, %v) after its Register returned", id(i), info, ok)
+						t.Errorf("Lookup(%d) = (%v, %v) after its register returned", id(i), info, ok)
 						return
 					}
 				}
@@ -215,7 +214,7 @@ func TestRegistryLookupDuringGrowth(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < nodes; i++ {
-		r.Register(id(i), "")
+		r.register(id(i), "")
 		done.Store(int64(i + 1))
 	}
 	wg.Wait()
@@ -231,9 +230,9 @@ func TestRegistryLookupDuringGrowth(t *testing.T) {
 // miss, allocates nothing.
 func TestRegistryLookupAllocatesNothing(t *testing.T) {
 	const n = 1 << 14
-	r := NewRegistry()
+	r := newRegistry()
 	for id := 0; id < n; id++ {
-		r.Register(id, "")
+		r.register(id, "")
 	}
 	id := 0
 	if allocs := testing.AllocsPerRun(1000, func() {
@@ -249,9 +248,9 @@ func TestRegistryLookupAllocatesNothing(t *testing.T) {
 // TestRegistryLookupAllocatesNothing).
 func BenchmarkRegistryLookup(b *testing.B) {
 	const n = 1 << 14
-	r := NewRegistry()
+	r := newRegistry()
 	for id := 0; id < n; id++ {
-		r.Register(id, "")
+		r.register(id, "")
 	}
 	var seed atomic.Int64
 	b.ReportAllocs()

@@ -181,20 +181,21 @@ func churnScore(rng *rand.Rand) float64 {
 // scores of uniform two-dimensional bids, what a round record mostly holds
 // — through the kernel and through its oracle's strconv call.
 func BenchmarkShortestFloat(b *testing.B) {
+	const n = 1024 // a power of two: i&(n-1) keeps a division out of the timed loop
 	rng := rand.New(rand.NewSource(24))
-	inputs := make([]float64, 1024)
+	inputs := make([]float64, n)
 	for i := range inputs {
 		inputs[i] = churnScore(rng)
 	}
 	buf := make([]byte, 0, 32)
 	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buf = appendShortest(buf[:0], inputs[i%len(inputs)])
+			buf = appendShortest(buf[:0], inputs[i&(n-1)])
 		}
 	})
 	b.Run("strconv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buf = strconv.AppendFloat(buf[:0], inputs[i%len(inputs)], 'f', -1, 64)
+			buf = strconv.AppendFloat(buf[:0], inputs[i&(n-1)], 'f', -1, 64)
 		}
 	})
 }
