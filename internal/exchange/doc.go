@@ -172,9 +172,10 @@
 // cumulative rng draw counts, the KeepOutcomes-bounded outcome history
 // verbatim, and the registry with per-node bid counters, meta and bans.
 // The steps and their order are the log's (internal/wal, "Compaction");
-// the exchange's part is to stop the world around the cut, capture its
-// state there (captureSnapshot), and stream the document once the locks
-// are gone.
+// the exchange's part is to stop the world around the cut, so that every
+// record before it is applied in the state captured there (captureSnapshot;
+// a node record holds ex.nodeMu from its check to its apply, and so does
+// the cut), and to stream the document once the locks are gone.
 //
 // The retained history is never re-encoded. Every history entry of a
 // durable exchange holds its round's record bytes, in the history form

@@ -146,6 +146,9 @@ type Exchange struct {
 	wal         *wal.Log
 	compactMu   sync.Mutex
 	compactDone chan struct{}
+	// nodeMu holds a node record's check, append and apply together
+	// (RegisterNode, BlacklistNode), and captureSnapshot's cut outside them.
+	nodeMu sync.Mutex
 	// snapStreaming is true from the stop-the-world capture of a snapshot
 	// until its file is written: the writer is reading history record bytes
 	// outside every lock, so evictions must not recycle them (Job.releaseRec).
@@ -309,8 +312,11 @@ func (ex *Exchange) JobIDs() []string {
 // re-registration (node known, meta empty or unchanged) writes nothing to
 // the outcome log, so heartbeat-style re-registration does not grow it. A
 // degraded exchange refuses with *DegradedError and changes nothing: the
-// node's log record could no longer reach disk.
+// node's log record could no longer reach disk. Registrations are
+// serialized: racing first ones write one record.
 func (ex *Exchange) RegisterNode(id int, meta string) (info *NodeInfo, err error) {
+	ex.nodeMu.Lock()
+	defer ex.nodeMu.Unlock()
 	err = ex.mutate(func() (bool, error) {
 		known, ok := ex.reg.Lookup(id)
 		if ok && (meta == "" || known.Meta() == meta) {
@@ -330,13 +336,15 @@ func (ex *Exchange) RegisterNode(id int, meta string) (info *NodeInfo, err error
 // *DegradedError and bans nothing: a ban the log drops would be lifted by
 // the next restart.
 func (ex *Exchange) BlacklistNode(id int) (banned bool, err error) {
+	ex.nodeMu.Lock()
+	defer ex.nodeMu.Unlock()
+	var info *NodeInfo
 	err = ex.mutate(func() (bool, error) {
-		info, ok := ex.reg.Lookup(id)
-		banned = ok && info.Blacklisted()
-		return ok && !banned, nil
+		info, banned = ex.reg.Lookup(id)
+		return banned && !info.Blacklisted(), nil
 	}, func() (walRecord, error) {
 		return walRecord{Kind: recNodeBan, Node: &walNode{ID: id}}, nil
-	}, func() { banned = ex.reg.blacklist(id) })
+	}, func() { info.blacklisted.Store(true) })
 	return banned, err
 }
 

@@ -165,11 +165,11 @@ func (in *intake) pending() int {
 // It runs before the duplicate check: a duplicate's node registered with
 // its first bid, so a refused bid never grows the registry.
 // The lock ordering stays acyclic: submit holds one shard lock and may take
-// the registry's insert mutex inside it (a node's first bid registering
-// it), the only shard→registry order there is — the registry takes no lock
-// while it holds that mutex, and the snapshot capture's Range, run with
-// every shard lock held, takes none — and submit never waits on closeMu or
-// ex.mu.
+// ex.nodeMu and the registry's insert mutex inside it (a node's first bid
+// registering it), the only shard→node order there is — no holder of those
+// waits on a shard lock, the snapshot capture releases nodeMu before it
+// takes the shard locks, and its Range, run with every shard lock held,
+// takes none — and submit never waits on closeMu or ex.mu.
 //
 // It returns the round the bid was entered into.
 func (in *intake) submit(b auction.Bid, closed *atomic.Bool, accepted *atomic.Int64, register func(int, string) (*NodeInfo, error)) (round int, err error) {

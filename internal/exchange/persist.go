@@ -345,6 +345,7 @@ func decodeHistories(snap *walSnapshot) error {
 var (
 	testHookAfterRotate   func() // rotation durable, snapshot not yet written
 	testHookAfterSnapshot func() // snapshot durable, old segments not yet deleted
+	testHookBeforeApply   func() // a mutation's record queued, its change not yet made
 )
 
 // Compact writes a snapshot of the exchange's durable state, rotates the
@@ -403,16 +404,16 @@ func (ex *Exchange) Compact() (err error) {
 }
 
 // captureSnapshot is a compaction's stop-the-world section: ex.mu freezes
-// the job set, each job's closeMu parks its round closes (and therefore all
-// round/job record appends; node records may still race, but replaying one
-// is idempotent). Under those locks the cut goes into the log's queue —
-// every record enqueued before it lands in the segments the snapshot
-// covers, everything after in the tail it does not — and the state as of
-// the cut is collected: per-job scalars and references to the retained
-// rounds' record bytes. Nothing is copied or encoded — the references stay
-// valid after the locks drop because history records are immutable while
-// retained and Exchange.snapStreaming keeps evicted ones from being
-// recycled until the snapshot file is written.
+// the job set and each job's closeMu parks its round closes (and therefore
+// all round/job record appends). Under those locks, and ex.nodeMu, which
+// waits out a node record between its append and its apply, the cut goes
+// into the log's queue — every record enqueued before it lands in the
+// segments the snapshot covers, everything after in the tail it does not —
+// and the state as of the cut is collected: per-job scalars and references
+// to the retained rounds' record bytes. Nothing is copied or encoded — the
+// references stay valid after the locks drop because history records are
+// immutable while retained and Exchange.snapStreaming keeps evicted ones
+// from being recycled until the snapshot file is written.
 func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -429,7 +430,9 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 		defer j.closeMu.Unlock()
 		jobs = append(jobs, j)
 	}
+	ex.nodeMu.Lock()
 	cut, ok := ex.wal.Cut()
+	ex.nodeMu.Unlock() // before lockAll: submit takes a shard lock, then nodeMu
 	if !ok {
 		return nil, ErrExchangeClosed
 	}
@@ -677,17 +680,14 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 			return fmt.Errorf("removal of unknown job %q", rec.ID)
 		}
 		ex.publishJobs(func(jobs map[string]*Job) { delete(jobs, rec.ID) })
-	case recNode:
+	case recNode, recNodeBan:
 		if rec.Node == nil {
-			return errors.New("node record without payload")
+			return fmt.Errorf("%s record without payload", rec.Kind)
 		}
-		ex.reg.register(rec.Node.ID, rec.Node.Meta)
-	case recNodeBan:
-		if rec.Node == nil {
-			return errors.New("ban record without payload")
+		info := ex.reg.register(rec.Node.ID, rec.Node.Meta)
+		if rec.Kind == recNodeBan {
+			info.blacklisted.Store(true)
 		}
-		ex.reg.register(rec.Node.ID, rec.Node.Meta)
-		ex.reg.blacklist(rec.Node.ID)
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
@@ -830,10 +830,11 @@ func fillWalRound(rec *walRound, ro RoundOutcome) []walWinner {
 // (Job.logRound). It runs, in this order: the degraded gate, so a refusal
 // comes before every other verdict; check, the caller's verdicts, where ok
 // false is an accepted no-op that writes nothing; on a durable exchange the
-// record's encode and append; and apply, so a change the log refused is
-// never made. An in-memory exchange (New) builds no record. The append
-// hands an encoded payload to the log's writer and never waits on disk; a
-// disk error sticks to the log and refuses the next mutation.
+// record's encode and append, which never waits on disk; and apply, so a
+// change the log refused is never made. A caller holds, from check to
+// apply, a lock captureSnapshot holds at or after its cut and before it
+// reads what apply changes (ex.mu, j.mu or ex.nodeMu), so a record before
+// the cut is in the state captured. An in-memory exchange builds no record.
 func (ex *Exchange) mutate(check func() (ok bool, err error), record func() (walRecord, error), apply func()) error {
 	if err := ex.degradedErr(); err != nil {
 		return err
@@ -853,6 +854,9 @@ func (ex *Exchange) mutate(check func() (ok bool, err error), record func() (wal
 		b := ex.wal.Buf()
 		b.Write(payload) // Write to a Buffer cannot fail
 		ex.wal.Append(b)
+	}
+	if hook := testHookBeforeApply; hook != nil {
+		hook()
 	}
 	apply()
 	return nil

@@ -1047,6 +1047,67 @@ func TestCompactionPendingBidCounters(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsRacingNodeRecords: a ban or a label acknowledged
+// while a compaction runs survives the restart. The hook starts a
+// compaction between each node record's append and its apply, and holds the
+// mutation there until the compaction is done or 200 ms have passed. A cut
+// taken in that gap would leave the record in a segment the snapshot covers
+// and Prune deletes, while the snapshot captured the node unbanned or
+// unlabeled.
+func TestCompactionKeepsRacingNodeRecords(t *testing.T) {
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	if _, err := ex.RegisterNode(1, ""); err != nil {
+		t.Fatal(err)
+	}
+	compacted := make(chan error, 1)
+	testHookBeforeApply = func() {
+		go func() { compacted <- ex.Compact() }()
+		select {
+		case err := <-compacted:
+			compacted <- err
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	defer func() { testHookBeforeApply = nil }()
+	for _, step := range []struct {
+		name    string
+		mutate  func() error
+		durable func(reg *Registry) bool
+	}{
+		{"ban", func() error { _, err := ex.BlacklistNode(1); return err }, func(reg *Registry) bool {
+			info, ok := reg.Lookup(1)
+			return ok && info.Blacklisted()
+		}},
+		{"label", func() error { _, err := ex.RegisterNode(2, "edge-2"); return err }, func(reg *Registry) bool {
+			info, ok := reg.Lookup(2)
+			return ok && info.Meta() == "edge-2"
+		}},
+	} {
+		if err := step.mutate(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if err := <-compacted; err != nil {
+			t.Fatalf("%s: compact: %v", step.name, err)
+		}
+		if err := ex.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(cloneDataDir(t, dir), Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !step.durable(re.Registry()) {
+			t.Errorf("%s: lost by the restart after a racing compaction", step.name)
+		}
+		re.Close()
+	}
+}
+
 // TestSizeTriggeredCompaction: with a tiny SnapshotBytes threshold the
 // exchange must compact on its own — snapshot written, log rotated, old
 // segments deleted — while rounds keep flowing, and a reopen of the

@@ -135,17 +135,6 @@ func (r *Registry) Lookup(id int) (*NodeInfo, bool) {
 	return info, info != nil
 }
 
-// blacklist bans the node from all future rounds. It reports whether the
-// node was registered.
-func (r *Registry) blacklist(id int) bool {
-	info, ok := r.Lookup(id)
-	if !ok {
-		return false
-	}
-	info.blacklisted.Store(true)
-	return true
-}
-
 // Len returns the registered-node count without taking any lock.
 func (r *Registry) Len() int { return int(r.size.Load()) }
 

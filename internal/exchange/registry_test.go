@@ -26,12 +26,6 @@ func TestRegistryRegisterLookup(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len() = %d, want 1", r.Len())
 	}
-	if r.blacklist(8) {
-		t.Error("blacklist(8) succeeded on an unregistered node")
-	}
-	if !r.blacklist(7) || !info.Blacklisted() {
-		t.Error("blacklist(7) did not stick")
-	}
 }
 
 // TestRegistryConcurrent hammers the registry from many goroutines under
