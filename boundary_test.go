@@ -122,7 +122,7 @@ func TestWireDeclaredOnce(t *testing.T) {
 	// Who may say 421, wrong_partition, a /v1 path and the event names.
 	eventNames := map[string]bool{`"round_open"`: true, `"round_closed"`: true, `"job_closed"`: true}
 	spelled := map[string][]string{}
-	for _, root := range []string{"cmd", "pkg", "internal", "examples"} {
+	for _, root := range []string{"cmd", "pkg", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -219,6 +219,33 @@ func TestDurableWritesOnePath(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestEveryCommandTested keeps every runnable program one that the tests
+// run: a main package lives under cmd/ and has a test file. A walkthrough
+// of the library is an Example in the package it shows, where its printed
+// output is checked.
+func TestEveryCommandTested(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells the go tool")
+	}
+	out, err := exec.Command("go", "list", "-f",
+		"{{.Name}} {{.ImportPath}} {{len .TestGoFiles}} {{len .XTestGoFiles}}", "./...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "main" {
+			continue
+		}
+		if !strings.HasPrefix(f[1], "fmore/cmd/") {
+			t.Errorf("%s is a main package outside cmd/", f[1])
+		}
+		if f[2] == "0" && f[3] == "0" {
+			t.Errorf("%s has no test file", f[1])
 		}
 	}
 }

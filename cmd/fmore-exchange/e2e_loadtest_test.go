@@ -1,85 +1,132 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"net/http"
-	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fmore/internal/promtext"
+	"fmore/pkg/api"
 )
 
-// TestE2ELoadtestSmoke is the CI capacity smoke: build the real exchange
-// with tight admission limits and fmore-loadgen, check that loadgen refuses
-// an unknown scenario, run a short spike through it, and assert the
-// overload machinery actually engaged — healthz flipped to 503 mid-burst
-// and back to 200 after, loadgen saw sheds but zero close failures (its
-// own exit gate), and the admission_* Prometheus family is present and
-// well formed.
+// TestE2ELoadtestSmoke is the CI capacity smoke: start the real exchange
+// with tight admission limits, fire a burst of bids well past its global
+// rate while a closer closes the round every 100 ms, and assert the
+// overload machinery engaged without touching the close path — healthz
+// flipped to 503 mid-burst and back to 200 after, no round close was
+// answered 429 or 5xx, and the admission_* Prometheus family is present
+// and well formed.
 func TestE2ELoadtestSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns the real binaries")
+		t.Skip("spawns the real binary")
 	}
-	exBin, lgBin := buildBinary(t, "."), buildBinary(t, "../fmore-loadgen")
-
-	url, _, _ := startExchange(t, exBin, filepath.Join(t.TempDir(), "data"),
+	const workers, nodes, burst = 8, 1024, 1500 * time.Millisecond
+	url, _, _ := startExchange(t, buildBinary(t, "."), filepath.Join(t.TempDir(), "data"),
 		"-rate-global", "200", "-max-inflight", "64", "-max-subscribers", "4")
-
+	hc := &http.Client{
+		Transport: &http.Transport{MaxIdleConnsPerHost: workers + 2},
+		Timeout:   10 * time.Second,
+	}
+	defer hc.CloseIdleConnections()
+	// post answers the status of one POST, or 0 when it never got one.
+	post := func(path, body string) int {
+		resp, err := hc.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for reuse
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 	healthz := func() int {
-		resp, err := http.Get(url + "/v1/healthz")
+		resp, err := hc.Get(url + api.GetHealthz.Path)
 		if err != nil {
 			return 0
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+
+	const job = "loadtest"
+	if got := post(api.CreateJob.Path,
+		`{"id":"`+job+`","k":2,"seed":7,"keep_outcomes":16,"rule":{"kind":"additive","alpha":[0.6,0.4]}}`); got != http.StatusCreated {
+		t.Fatalf("create job = %d, want 201", got)
+	}
 	if got := healthz(); got != http.StatusOK {
 		t.Fatalf("healthz before load = %d, want 200", got)
 	}
-	// An unknown scenario is refused before anything runs.
-	if out, err := exec.Command(lgBin, "-target", url, "-scenario", "bogus").CombinedOutput(); err == nil {
-		t.Fatalf("loadgen -scenario bogus exited 0:\n%s", out)
+
+	// The closer: closes are on the never-shed list, so every answer must
+	// be 200 or a 409 below_quorum (an empty round), never 429 or 5xx.
+	stop := make(chan struct{})
+	var closesOK, closesShed, closesFailed atomic.Int64
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			switch code := post(api.CloseRound.URL(job), ""); {
+			case code == http.StatusOK:
+				closesOK.Add(1)
+			case code == http.StatusTooManyRequests:
+				closesShed.Add(1)
+			case code == 0 || code >= 500:
+				closesFailed.Add(1)
+			}
+		}
+	}()
+	// The burst: workers bid back to back, far past -rate-global.
+	var bidsShed atomic.Int64
+	var node atomic.Int64
+	for w := 0; w < workers; w++ {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := node.Add(1) % nodes
+				q := 0.2 + float64(n%700)/1000
+				if post(api.SubmitBid.URL(job), fmt.Sprintf(
+					`{"node_id":%d,"qualities":[%.3f,%.3f],"payment":0.1}`, n, q, 1-q/2)) == http.StatusTooManyRequests {
+					bidsShed.Add(1)
+				}
+			}
+		}()
 	}
 
-	// Drive the spike in the background while this goroutine watches
-	// healthz for the overload flip.
-	lg := exec.Command(lgBin,
-		"-target", url, "-scenario", "spike", "-rate", "400",
-		"-duration", "2s", "-workers", "8", "-nodes", "1024")
-	lgDone := make(chan error, 1)
-	var lgOut []byte
-	go func() {
-		out, err := lg.CombinedOutput()
-		lgOut = out
-		lgDone <- err
-	}()
-
 	sawOverloaded := false
-	deadline := time.Now().Add(15 * time.Second)
-	for !sawOverloaded && time.Now().Before(deadline) {
+	for end := time.Now().Add(burst); time.Now().Before(end); time.Sleep(25 * time.Millisecond) {
 		if healthz() == http.StatusServiceUnavailable {
 			sawOverloaded = true
 		}
-		select {
-		case err := <-lgDone:
-			if err != nil {
-				t.Fatalf("loadgen failed: %v\n%s", err, lgOut)
-			}
-			lgDone <- nil         // keep the channel readable for the wait below
-			deadline = time.Now() // loadgen finished; stop polling either way
-		case <-time.After(25 * time.Millisecond):
-		}
 	}
-	if err := <-lgDone; err != nil {
-		t.Fatalf("loadgen failed (close invariant or transport): %v\n%s", err, lgOut)
-	}
+	close(stop)
+	bg.Wait()
 	if !sawOverloaded {
-		t.Fatalf("healthz never flipped to 503 during the spike\n%s", lgOut)
+		t.Fatalf("healthz never flipped to 503 during the burst (%d bids shed)", bidsShed.Load())
 	}
-	if !strings.Contains(string(lgOut), "step=burst") {
-		t.Fatalf("loadgen output missing the burst step:\n%s", lgOut)
+	if closesShed.Load() > 0 || closesFailed.Load() > 0 {
+		t.Errorf("round closes: %d shed with 429, %d failed (5xx or no answer)", closesShed.Load(), closesFailed.Load())
+	}
+	if closesOK.Load() == 0 {
+		t.Error("no round close succeeded during the burst")
 	}
 
 	// Overload clears once the burst's shed window passes.
@@ -91,12 +138,12 @@ func TestE2ELoadtestSmoke(t *testing.T) {
 		}
 	}
 	if !recovered {
-		t.Fatal("healthz did not return to 200 within 5s of the spike ending")
+		t.Fatal("healthz did not return to 200 within 5s of the burst ending")
 	}
 
 	// The admission metric family must be on the Prometheus surface and
 	// carry every shed scope; the global scope did the shedding here.
-	resp, err := http.Get(url + "/v1/metrics/prometheus")
+	resp, err := hc.Get(url + "/v1/metrics/prometheus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +170,7 @@ func TestE2ELoadtestSmoke(t *testing.T) {
 		}
 	}
 	if globalShed == 0 {
-		t.Fatal("spike ran but admission_shed_total{reason=\"global\"} is 0")
+		t.Fatal("burst ran but admission_shed_total{reason=\"global\"} is 0")
 	}
 	for _, g := range []string{
 		"fmore_exchange_admission_inflight",

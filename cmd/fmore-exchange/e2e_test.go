@@ -141,7 +141,8 @@ func startProcEnv(t *testing.T, bin string, extraEnv []string, args ...string) (
 // TestE2ESmoke is the CI end-to-end smoke: build the real binary, start it
 // with a data dir, drive one full round through the pkg/client SDK with
 // the event stream attached, check the metrics round counter, then restart
-// the process and verify the outcome survived byte-identically.
+// the process and verify the outcome survived byte-identically and the
+// bidders' registrations were replayed.
 func TestE2ESmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the real binary")
@@ -228,6 +229,10 @@ func TestE2ESmoke(t *testing.T) {
 	}
 	if rawAfter := rawOutcome(t, url2, "smoke", 1); rawAfter != rawBefore {
 		t.Fatalf("outcome bytes changed across process restart:\n%s\n%s", rawBefore, rawAfter)
+	}
+	// The four bidders' registrations are replayed too.
+	if m2, err := c2.Metrics(ctx); err != nil || m2.NodesKnown != 4 {
+		t.Fatalf("metrics after restart = %+v err %v, want 4 nodes known", m2, err)
 	}
 	// The pre-v1 aliases are gone: unversioned paths 404 with the v1 envelope.
 	resp, err := http.Get(url2 + "/jobs/smoke/outcome?round=1")

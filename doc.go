@@ -25,8 +25,10 @@
 //	pkg/api, pkg/client the /v1 wire contract and its Go SDK
 //
 // Entry points: cmd/fmore-sim, cmd/fmore-bench (every figure and the
-// headline numbers), cmd/fmore-exchange, cmd/fmore-router,
-// cmd/fmore-loadgen, cmd/edgenode (a standalone bidder against a remote
-// exchange), and the runnable programs in examples/.
-// The benchmark suite in bench_test.go regenerates every evaluation figure.
+// headline numbers), cmd/fmore-exchange, cmd/fmore-router and cmd/edgenode
+// (a standalone bidder against a remote exchange); each has a test. The
+// paper walkthroughs are Examples with checked output in the packages they
+// show (internal/auction, internal/sim, pkg/client), and bench/ is the
+// exchange's load harness. bench_test.go times the figure and ablation
+// runs.
 package fmore

@@ -504,10 +504,10 @@
 //
 // cmd/fmore-exchange is the runnable front end (see its -data-dir,
 // -snapshot-bytes, -sync-interval, -on-wal-failure and -pprof-addr flags),
-// and examples/exchange is a full SDK-driven quickstart including a
-// close-and-reopen pass. The paper reproduction (internal/fl, internal/sim,
-// Figs. 4-13 including the deployment of Figs. 12-13) does not go through
-// the exchange: its FMore selector runs a private auction.Auctioneer, the
-// two share only internal/auction, and a seeded job's SubmitBid +
-// CloseRound is pinned equal to that Auctioneer's Run.
+// and pkg/client's Example drives one round through the SDK. The paper
+// reproduction (internal/fl, internal/sim, Figs. 4-13 including the
+// deployment of Figs. 12-13) does not go through the exchange: its FMore
+// selector runs a private auction.Auctioneer, the two share only
+// internal/auction, and a seeded job's SubmitBid + CloseRound is pinned
+// equal to that Auctioneer's Run.
 package exchange

@@ -215,99 +215,6 @@ func TestNextWindowDeadline(t *testing.T) {
 	}
 }
 
-func TestMaxRoundsClosesJob(t *testing.T) {
-	ex := New(Options{})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{
-		Auction:   auction.Config{Rule: testRule(t, 1), K: 1},
-		MaxRounds: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 2; round++ {
-		for _, b := range testBids(1, round, 4) {
-			if _, err := ex.SubmitBid(job.ID(), b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ex.CloseRound(job.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := job.State(); got != "closed" {
-		t.Errorf("state = %q, want closed", got)
-	}
-	if _, err := ex.SubmitBid(job.ID(), auction.Bid{NodeID: 0, Qualities: []float64{0.5, 0.5}, Payment: 0.1}); !errors.Is(err, ErrJobClosed) {
-		t.Errorf("bid on maxed job: err = %v, want ErrJobClosed", err)
-	}
-	// Waiting on a round that will never come reports closure, not a hang.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := job.WaitOutcome(ctx, 3); !errors.Is(err, ErrJobClosed) {
-		t.Errorf("wait on closed job: err = %v, want ErrJobClosed", err)
-	}
-}
-
-func TestOutcomeEviction(t *testing.T) {
-	ex := New(Options{})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{
-		Auction:      auction.Config{Rule: testRule(t, 2), K: 1},
-		KeepOutcomes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 4; round++ {
-		for _, b := range testBids(2, round, 3) {
-			if _, err := ex.SubmitBid(job.ID(), b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ex.CloseRound(job.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := job.Outcome(1); !errors.Is(err, ErrOutcomeEvicted) {
-		t.Errorf("round 1: err = %v, want ErrOutcomeEvicted", err)
-	}
-	for round := 3; round <= 4; round++ {
-		if ro, err := job.Outcome(round); err != nil || ro.Round != round {
-			t.Errorf("round %d: (%v, %v), want retained", round, ro.Round, err)
-		}
-	}
-	if ro, ok := job.Latest(); !ok || ro.Round != 4 {
-		t.Errorf("Latest() = (%v, %v), want round 4", ro.Round, ok)
-	}
-}
-
-func TestCloseRoundBelowQuorum(t *testing.T) {
-	ex := New(Options{})
-	defer ex.Close()
-	job, err := ex.CreateJob(JobSpec{
-		Auction: auction.Config{Rule: testRule(t, 3), K: 1},
-		MinBids: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.SubmitBid(job.ID(), auction.Bid{NodeID: 1, Qualities: []float64{0.5, 0.5}, Payment: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.CloseRound(job.ID()); !errors.Is(err, ErrBelowQuorum) {
-		t.Fatalf("close below quorum: err = %v, want ErrBelowQuorum", err)
-	}
-	// The pending bid survives the failed close and counts toward the next
-	// attempt.
-	if n := job.PendingBids(); n != 1 {
-		t.Errorf("pending bids after refused close = %d, want 1", n)
-	}
-	if r := job.Round(); r != 1 {
-		t.Errorf("round advanced to %d on refused close, want 1", r)
-	}
-}
-
 // TestSubmitCloseMatchesPrivateAuctioneer is the shared-engine invariant:
 // SubmitBid×N + CloseRound on a seeded job yields exactly what a private
 // auction.Auctioneer with the same config and seed returns from Run — the

@@ -49,18 +49,15 @@ import (
 // ops (dense, negative, high-bit and sparse IDs, growth bursts, idle
 // ticks, racing closes, reopens) are ops here. The example tests below
 // stay as the readable instances of its properties:
-//   - TestMaxRoundsClosesJob: State, and ErrJobClosed from submit, Outcome
-//     and WaitOutcome past the last round once MaxRounds closes the job.
-//   - TestOutcomeEviction, TestHistoryWindow: Outcome's evicted, retained,
-//     pending and out-of-range answers, Latest, and OutcomesAfter pages
-//     and their more flag at random cursors and limits; the window that
+//   - TestHistoryWindow: Outcome's evicted, retained, pending and
+//     out-of-range answers, Latest, and OutcomesAfter pages and their
+//     more flag at random cursors and limits; the window that
 //     restarts past evicted rounds is every restart of such a job.
 //     (TestHistoryRingModel holds the ring itself to a plain slice.) A job
 //     restored with an empty window has closed no round — with
 //     KeepOutcomes >= 1 every closed round leaves one retained — so the
 //     snapshot's base_round, once read there, is written for earlier
 //     readers only; the one-line mutant that ignored it was equivalent.
-//   - TestCloseRoundBelowQuorum: ErrBelowQuorum, idle_ticks, Round, PendingBids.
 //   - TestSubmitCloseMatchesPrivateAuctioneer: each close vs. the auctioneer.
 //   - TestCrashRecoveryIdenticalHistoryAndContinuation,
 //     TestCompactionSnapshotReplayIdentical, TestRecoveryRespectsKeepOutcomes,
@@ -83,6 +80,12 @@ import (
 //     RegisterNode and BlacklistNode results (refused once degraded), and
 //     bids_rejected.
 //   - TestOpenFreshDirIsEmptyExchange: the first open, of a nested dir.
+//   - TestMaxRoundsClosesJob: State, and ErrJobClosed from submit, Outcome
+//     and WaitOutcome past the last round once MaxRounds closes the job.
+//   - TestOutcomeEviction: the KeepOutcomes window, Outcome's evicted and
+//     retained answers, and Latest.
+//   - TestCloseRoundBelowQuorum: ErrBelowQuorum, idle_ticks, Round and
+//     PendingBids after a refused close.
 func TestExchangeModel(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {

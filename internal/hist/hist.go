@@ -1,7 +1,6 @@
 // Package hist is a lock-free latency histogram in the HdrHistogram layout:
 // the one structure behind the exchange's round-close latency (its
-// percentile gauges and its Prometheus histogram) and fmore-loadgen's
-// per-step latencies.
+// percentile gauges and its Prometheus histogram).
 //
 // # Layout and error bound
 //

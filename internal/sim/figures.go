@@ -59,14 +59,12 @@ func accuracyLossFigure(id, title string, task data.TaskKind, scale Scale) (*Fig
 		}
 	}
 	// Derived note: speedup of FMore over RandFL at RandFL's final accuracy
-	// (the paper reports 42-68% round reductions).
-	target := randfl.FinalAccuracy()
-	rF := fmore.RoundsToAccuracy(target)
-	rR := randfl.RoundsToAccuracy(target)
-	if rR > 0 && rF > 0 && rF <= float64(scale.Rounds) {
+	// (the paper reports 42-68% round reductions), left out when FMore
+	// never reached it.
+	if rr, ok := reduceRounds(fmore, randfl); ok && rr.fmore <= float64(scale.Rounds) {
 		fr.Notes = append(fr.Notes, fmt.Sprintf(
 			"rounds to %.1f%% accuracy: FMore %.1f vs RandFL %.1f (%.0f%% reduction)",
-			100*target, rF, rR, 100*(1-rF/rR)))
+			100*rr.target, rr.fmore, rr.randfl, rr.pct))
 	}
 	fr.Notes = append(fr.Notes, fmt.Sprintf(
 		"final accuracy: FMore %.3f vs RandFL %.3f", fmore.FinalAccuracy(), randfl.FinalAccuracy()))

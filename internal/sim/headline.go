@@ -57,10 +57,8 @@ func HeadlineNumbers(scale, cs Scale) (*HeadlineResult, error) {
 			return nil, fmt.Errorf("headline %v RandFL: %w", task, err)
 		}
 		th := TaskHeadline{}
-		target := randfl.FinalAccuracy()
-		rF, rR := fmore.RoundsToAccuracy(target), randfl.RoundsToAccuracy(target)
-		if rR > 0 && rF > 0 {
-			th.RoundReductionPct = 100 * (1 - rF/rR)
+		if rr, ok := reduceRounds(fmore, randfl); ok {
+			th.RoundReductionPct = rr.pct
 			reductionSum += th.RoundReductionPct
 			reductionN++
 		}

@@ -110,6 +110,29 @@ func (a *AvgHistory) RoundsToAccuracy(target float64) float64 {
 	return total / float64(len(a.Histories))
 }
 
+// roundReduction is FMore's round reduction against RandFL (§V-B): the
+// rounds each takes to reach RandFL's final accuracy, and FMore's saving
+// in percent.
+type roundReduction struct {
+	target        float64
+	fmore, randfl float64
+	pct           float64
+}
+
+// reduceRounds computes the round reduction of fmore over randfl; ok is
+// false when either round count is not positive. A target that fmore never
+// reaches counts as Rounds+1 (RoundsToAccuracy), so the reduction may be
+// negative.
+func reduceRounds(fmore, randfl *AvgHistory) (rr roundReduction, ok bool) {
+	rr.target = randfl.FinalAccuracy()
+	rr.fmore, rr.randfl = fmore.RoundsToAccuracy(rr.target), randfl.RoundsToAccuracy(rr.target)
+	if rr.fmore <= 0 || rr.randfl <= 0 {
+		return rr, false
+	}
+	rr.pct = 100 * (1 - rr.fmore/rr.randfl)
+	return rr, true
+}
+
 // FinalAccuracy is the mean accuracy at the last round.
 func (a *AvgHistory) FinalAccuracy() float64 {
 	if len(a.Accuracy) == 0 {

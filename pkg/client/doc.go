@@ -1,8 +1,8 @@
 // Package client is the typed Go SDK for the FMore exchange's versioned
 // /v1 HTTP API (internal/exchange, served by cmd/fmore-exchange). It is the
-// single supported way for in-repo consumers — cmd/edgenode,
-// examples/exchange, the bench/ program — to talk to an exchange; nothing
-// else should construct raw exchange HTTP requests.
+// single supported way for in-repo consumers — cmd/edgenode and the bench/
+// program — to talk to an exchange; nothing else should construct raw
+// exchange HTTP requests.
 //
 // A Client wraps one exchange base URL with connection reuse, uniform
 // {code, message} error decoding (APIError), and context-aware retries with
