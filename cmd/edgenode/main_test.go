@@ -3,41 +3,20 @@ package main
 import (
 	"context"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"fmore/internal/cmdtest"
 	"fmore/internal/exchange"
 	"fmore/pkg/client"
 )
-
-// captureStdout runs f with os.Stdout sent to a file and returns what f
-// wrote there, with f's error.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	saved := os.Stdout
-	os.Stdout = file
-	defer func() { os.Stdout = saved }()
-	runErr := f()
-	out, err := os.ReadFile(file.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
-}
 
 // TestRunRequiresExchangeAndJob: without -exchange-url and -job the node
 // refuses to start.
 func TestRunRequiresExchangeAndJob(t *testing.T) {
 	for _, args := range [][]string{{}, {"-job", "demo"}, {"-exchange-url", "http://127.0.0.1:1"}} {
-		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {
+		if _, err := cmdtest.Stdout(t, func() error { return run(args) }); err == nil {
 			t.Errorf("run(%q) = nil, want an error", args)
 		}
 	}
@@ -90,7 +69,7 @@ func TestRunOneRound(t *testing.T) {
 		}
 		closed <- err
 	}()
-	out, err := captureStdout(t, func() error {
+	out, err := cmdtest.Stdout(t, func() error {
 		return run([]string{"-exchange-url", srv.URL, "-job", "demo", "-id", "3", "-rounds", "1"})
 	})
 	if cerr := <-closed; cerr != nil {

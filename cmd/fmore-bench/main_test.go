@@ -1,37 +1,17 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// captureStdout runs f with os.Stdout sent to a file and returns what f
-// wrote there, with f's error.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	saved := os.Stdout
-	os.Stdout = file
-	defer func() { os.Stdout = saved }()
-	runErr := f()
-	out, err := os.ReadFile(file.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
-}
+	"fmore/internal/cmdtest"
+)
 
 // TestRunRefusesUnknownValues: an unknown -figure, -scale or -format is an
 // error, and nothing is printed.
 func TestRunRefusesUnknownValues(t *testing.T) {
 	for _, args := range [][]string{{"-figure", "3"}, {"-scale", "huge"}, {"-format", "xml"}} {
-		out, err := captureStdout(t, func() error { return run(args) })
+		out, err := cmdtest.Stdout(t, func() error { return run(args) })
 		if err == nil || out != "" {
 			t.Errorf("run(%q) = %v and printed %q, want an error and nothing", args, err, out)
 		}
@@ -41,7 +21,7 @@ func TestRunRefusesUnknownValues(t *testing.T) {
 // TestRunOneRoundFigure: a one-round quick Fig. 4 prints its header, then
 // one row per round.
 func TestRunOneRoundFigure(t *testing.T) {
-	out, err := captureStdout(t, func() error {
+	out, err := cmdtest.Stdout(t, func() error {
 		return run([]string{"-figure", "4", "-scale", "quick", "-rounds", "1", "-repeats", "1"})
 	})
 	if err != nil {

@@ -1,37 +1,17 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// captureStdout runs f with os.Stdout sent to a file and returns what f
-// wrote there, with f's error.
-func captureStdout(t *testing.T, f func() error) (string, error) {
-	t.Helper()
-	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	saved := os.Stdout
-	os.Stdout = file
-	defer func() { os.Stdout = saved }()
-	runErr := f()
-	out, err := os.ReadFile(file.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
-}
+	"fmore/internal/cmdtest"
+)
 
 // TestRunRefusesUnknownValues: an unknown -method or -task is an error
 // before anything trains.
 func TestRunRefusesUnknownValues(t *testing.T) {
 	for _, args := range [][]string{{"-method", "bogus"}, {"-task", "bogus"}} {
-		if out, err := captureStdout(t, func() error { return run(args) }); err == nil {
+		if out, err := cmdtest.Stdout(t, func() error { return run(args) }); err == nil {
 			t.Errorf("run(%q) = nil, want an error; printed %q", args, out)
 		}
 	}
@@ -40,7 +20,7 @@ func TestRunRefusesUnknownValues(t *testing.T) {
 // TestRunOneRound: a one-round run prints its header, the table's column
 // line and the round.
 func TestRunOneRound(t *testing.T) {
-	out, err := captureStdout(t, func() error { return run([]string{"-rounds", "1", "-n", "12", "-k", "3"}) })
+	out, err := cmdtest.Stdout(t, func() error { return run([]string{"-rounds", "1", "-n", "12", "-k", "3"}) })
 	if err != nil {
 		t.Fatal(err)
 	}
