@@ -108,11 +108,11 @@
 // head, so eviction is O(1) whatever KeepOutcomes is and no retained entry
 // moves.
 //
-// Still recycled, each for a measured beneficiary: the close's scratch
-// (see Job.closeMu), none of which outlives its close, and on a durable
-// exchange the round's encoded log record, held beside the outcome and
-// reused after eviction (see "Snapshot + rotation"). A steady-state close
-// allocates the outcome's three blocks and nothing else
+// Still recycled, for a measured beneficiary: the close's scratch (see
+// Job.closeMu), none of which outlives its close. A history entry is the
+// outcome alone: on a durable exchange the round's log record is encoded
+// into the log's own frame buffer and not kept (see "Durability"). A
+// steady-state close allocates the outcome's three blocks and nothing else
 // (exchange.close_allocs = 3 in bench/'s traced run); a submit allocates 0.
 //
 // # Durability
@@ -130,24 +130,43 @@
 // close is derived from its round record on replay) or removed, node
 // registered, node blacklisted. CloseRound hands the record to the log and
 // never waits on disk (the payload is encoded before the hand-off, so the
-// close path's record scratch is reusable immediately); Sync flushes on
-// demand, Close on shutdown. A round's JSON is a write-once artefact: the
-// close encodes it exactly once, with a reflection-free encoder whose
-// output is byte-identical to encoding/json's (roundenc.go states the
-// contract and what pins it) — so the on-disk format never changed, and
-// logs written before and after that encoder replay on either side. A
-// round record is mostly floats (every bidder's score, each winner's
-// qualities and payments), so the encoder prints its numbers itself:
-// shortest.go is a Dragonbox shortest-decimal kernel that writes, in both
-// of encoding/json's notations and in place in the buffer's spare
-// capacity, the bytes strconv.AppendFloat writes, and an integer writer
-// that writes what strconv.AppendInt writes; strconv stays in the tree as
-// the kernel's test oracle only. The same encoder
-// writes a round's third spelling, its /v1 body (appendOutcome): the close
-// answer, the outcome reads, the outcome pages and the round_closed events
-// are byte for byte what encoding/json writes for api.Outcome, built whole
-// and sent with their Content-Length, and no round's floats go through
-// reflection anywhere.
+// close path's scratch is reusable immediately); Sync flushes on demand,
+// Close on shutdown.
+//
+// A round record is mostly floats (every bidder's score, each winner's
+// qualities and payments), and no reader of the log needs them as
+// decimals: replay only wants the bits back. So a round record spells
+// every float64 as the standard base64 of its little-endian bytes, and a
+// float list as one such string of its floats' bytes back to back — what
+// encoding/json writes for a []byte, exact and at most twelve characters
+// a float (`"profit":"AAAAAAAA8D8="` is 1.0). Keys, integers, strings, nulls and
+// the framing are encoding/json's. The close encodes the record once, with
+// a reflection-free encoder, straight into the log's frame buffer; its
+// output is byte-identical to json.Marshal of the record with those
+// []byte fields, and it refuses a NaN or ±Inf with json.Marshal's error in
+// a float64, so the log fails where it always did (roundenc.go states the
+// contract and what pins it). Job, node and close records go through
+// encoding/json unchanged.
+//
+// The data dir is forward-only across the bit spelling. Replay reads both
+// spellings — decimal floats, in every log and snapshot written before,
+// and bits — and the writer has one, so a dir written before opens here
+// and a compaction respells its retained rounds as bits. A binary from
+// before the bit spelling refuses a new round record or snapshot at Open
+// with a JSON type error (a string where it wants a number) rather than
+// misreading it: a data dir written by this version needs this version or
+// a later one.
+//
+// The /v1 body of a round, the close answer, the outcome reads, the
+// outcome pages and the round_closed events, keeps decimal floats: its
+// encoder (appendOutcome) writes what encoding/json writes for
+// api.Outcome, built whole and sent with its Content-Length, and prints
+// its numbers itself. shortest.go is a Dragonbox shortest-decimal kernel
+// that writes, in both of encoding/json's notations and in place in the
+// buffer's spare capacity, the bytes strconv.AppendFloat writes, and an
+// integer writer, which the log encoder uses too, that writes what
+// strconv.AppendInt writes; strconv stays in the tree as the kernel's test
+// oracle only. No round's floats go through reflection anywhere.
 //
 // Replay (Open) applies the snapshot, then every surviving record in order,
 // and is bit-for-bit: retained outcome responses are byte-identical, round
@@ -177,21 +196,15 @@
 // a node record holds ex.nodeMu from its check to its apply, and so does
 // the cut), and to stream the document once the locks are gone.
 //
-// The retained history is never re-encoded. Every history entry of a
-// durable exchange holds its round's record bytes, in the history form
-// roundenc.go defines — written once by the close, or kept as read from
-// disk by replay (from a segment or from the previous snapshot alike, so
-// the first compaction after a restart splices too; there is no
-// re-encoding fallback). So the stop-the-world section of a compaction
-// collects only scalars and slice references — no outcome is cloned,
-// nothing is encoded — and the snapshot is then streamed outside every
-// lock: a few hundred bytes of header state per job, the history bytes
-// spliced verbatim, the node table. The document is byte-identical to what
-// marshalling the walSnapshot schema produces, so snapshots too are
-// readable across versions in both directions. Record bytes are job-owned,
-// immutable while their entry is retained and recycled when it leaves the
-// KeepOutcomes window — except while a snapshot streams
-// (Exchange.snapStreaming), its one reader outside the job's locks. An
+// The stop-the-world section of a compaction collects per-job scalars and
+// a copy of each retained RoundOutcome, whose memory no close, eviction or
+// reader ever writes, and encodes nothing. The snapshot is then streamed
+// outside every lock while rounds keep closing: a few hundred bytes of
+// header state per job, each retained round encoded in the round record's
+// spelling into one reused buffer, the node table. The document is
+// byte-identical to what marshalling the walSnapshot schema with bit-spelled
+// floats produces. Replay decodes a snapshot's history entries, and a
+// segment's round records, into outcomes and keeps no bytes of them. An
 // in-memory exchange encodes and retains nothing.
 //
 // Why twice the snapshot: a compaction rewrites the whole retained state to

@@ -149,10 +149,6 @@ type Exchange struct {
 	// nodeMu holds a node record's check, append and apply together
 	// (RegisterNode, BlacklistNode), and captureSnapshot's cut outside them.
 	nodeMu sync.Mutex
-	// snapStreaming is true from the stop-the-world capture of a snapshot
-	// until its file is written: the writer is reading history record bytes
-	// outside every lock, so evictions must not recycle them (Job.releaseRec).
-	snapStreaming atomic.Bool
 }
 
 // New returns an in-memory exchange; it starts no goroutine.

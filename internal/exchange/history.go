@@ -2,51 +2,39 @@ package exchange
 
 import "fmt"
 
-// historyEntry is one retained round: the outcome every reader shares and,
-// on a durable exchange, the round's encoded log record in its history form
-// (see appendWalRound) — the bytes a snapshot splices instead of
-// re-encoding. Both are written once, at close or by replay, and never
-// change while retained; the outcome's memory is never reused at all, rec
-// is recycled through Job.freeRecs after eviction. rec is nil on an
-// in-memory exchange.
-type historyEntry struct {
-	RoundOutcome
-	rec []byte
-}
-
 // history is a job's window of retained rounds, contiguous in numbering:
 // the i-th retained round (oldest first) is round base+1+i and lives in
-// slots[(head+i) mod len(slots)]. The slots are a ring that grows, by
-// doubling, up to keep entries; once it is full, a push overwrites the
+// slots[(head+i) mod len(slots)]. An entry is the outcome alone, the one
+// every reader shares, whether a close or replay put it there: it is
+// written once and never changed while retained, and a snapshot encodes
+// its record from a copy (snapCapture). The slots are a ring that grows,
+// by doubling, up to keep entries; once it is full, a push overwrites the
 // oldest slot and advances head, so eviction moves no other entry. All
 // window arithmetic lives here. Job.mu guards it.
 type history struct {
 	base  int // rounds 1..base have left the window
 	head  int // slot of the oldest retained round
 	n     int // retained rounds
-	slots []historyEntry
+	slots []RoundOutcome
 }
 
 // push appends the next completed round. A window already holding keep
-// rounds (keep >= 1, the same on every push) first evicts its oldest entry
-// and returns that entry's record bytes for recycling. A round that does
-// not continue the numbering restarts the window at it: replay cannot meet
-// such a gap, but at must index contiguously.
-func (h *history) push(e historyEntry, keep int) (evicted []byte) {
-	if e.Round != h.last()+1 {
-		h.reset(e.Round - 1)
+// rounds (keep >= 1, the same on every push) first evicts its oldest
+// entry. A round that does not continue the numbering restarts the window
+// at it: replay cannot meet such a gap, but at must index contiguously.
+func (h *history) push(ro RoundOutcome, keep int) {
+	if ro.Round != h.last()+1 {
+		h.reset(ro.Round - 1)
 	}
 	if h.n >= keep {
-		evicted = h.slots[h.head].rec
 		h.head = h.slot(1)
 		h.n--
 		h.base++
 	} else if h.n == len(h.slots) { // head is 0 until the ring first fills
-		h.slots = append(h.slots, make([]historyEntry, min(max(h.n, 4), keep-h.n))...)
+		h.slots = append(h.slots, make([]RoundOutcome, min(max(h.n, 4), keep-h.n))...)
 	}
-	h.slots[h.slot(h.n)] = e
+	h.slots[h.slot(h.n)] = ro
 	h.n++
-	return evicted
 }
 
 // slot is the ring index of the i-th retained round, 0 <= i <= len(slots).
@@ -60,7 +48,7 @@ func (h *history) slot(i int) int {
 // count is the number of retained rounds, and entry the i-th of them,
 // oldest first, 0 <= i < count().
 func (h *history) count() int                { return h.n }
-func (h *history) entry(i int) *historyEntry { return &h.slots[h.slot(i)] }
+func (h *history) entry(i int) *RoundOutcome { return &h.slots[h.slot(i)] }
 
 // evictedThrough is the last round preceding the window: what a snapshot
 // records, so that an empty window still tells evicted rounds from pending
@@ -86,7 +74,7 @@ func (h *history) at(round int) (ro RoundOutcome, found bool, err error) {
 	case idx < 0:
 		return RoundOutcome{}, false, fmt.Errorf("%w: round %d (retained: %d+)", ErrOutcomeEvicted, round, h.base+1)
 	case idx < h.n:
-		return h.entry(idx).RoundOutcome, true, nil
+		return *h.entry(idx), true, nil
 	}
 	return RoundOutcome{}, false, nil
 }
@@ -94,7 +82,7 @@ func (h *history) at(round int) (ro RoundOutcome, found bool, err error) {
 // latest returns the most recent completed round, if any is retained.
 func (h *history) latest() (RoundOutcome, bool) {
 	if h.n > 0 {
-		return h.entry(h.n - 1).RoundOutcome, true
+		return *h.entry(h.n - 1), true
 	}
 	return RoundOutcome{}, false
 }
@@ -113,7 +101,7 @@ func (h *history) after(round, limit int) (page []RoundOutcome, more bool) {
 	}
 	page = make([]RoundOutcome, rest)
 	for i := range page {
-		page[i] = h.entry(from + i).RoundOutcome
+		page[i] = *h.entry(from + i)
 	}
 	return page, more
 }

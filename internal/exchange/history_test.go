@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -242,17 +241,14 @@ func TestRetainedOutcomesNeverChange(t *testing.T) {
 }
 
 // TestHistoryWindow pins the window arithmetic in the one place it lives:
-// contiguous indexing across eviction, page bounds, the record handed back
-// at eviction, and the restart on a numbering gap.
+// contiguous indexing across eviction, page bounds, the entries a push
+// keeps, and the restart on a numbering gap.
 func TestHistoryWindow(t *testing.T) {
 	var h history
-	entry := func(round int) historyEntry {
-		return historyEntry{RoundOutcome{Round: round}, []byte{byte(round)}}
-	}
 	for round := 1; round <= 5; round++ {
-		evicted := h.push(entry(round), 3)
-		if want := round - 3; (want >= 1) != (evicted != nil) || evicted != nil && int(evicted[0]) != want {
-			t.Fatalf("push(%d) evicted %v", round, evicted)
+		h.push(RoundOutcome{Round: round, NumBids: 10 * round}, 3)
+		if oldest := max(1, round-2); h.entry(0).Round != oldest || h.entry(0).NumBids != 10*oldest {
+			t.Fatalf("after push(%d) the oldest entry is %+v, want round %d", round, *h.entry(0), oldest)
 		}
 	}
 	if h.evictedThrough() != 2 || h.count() != 3 {
@@ -294,8 +290,8 @@ func TestHistoryWindow(t *testing.T) {
 		}
 	}
 	// A round that does not continue the numbering restarts the window.
-	if evicted := h.push(entry(9), 3); evicted != nil || h.evictedThrough() != 8 || h.count() != 1 {
-		t.Fatalf("gap: evicted %v, base %d, %d entries", evicted, h.evictedThrough(), h.count())
+	if h.push(RoundOutcome{Round: 9}, 3); h.evictedThrough() != 8 || h.count() != 1 {
+		t.Fatalf("gap: base %d, %d entries", h.evictedThrough(), h.count())
 	}
 	if _, found, err := h.at(5); found || !errors.Is(err, ErrOutcomeEvicted) {
 		t.Errorf("at(5) after the gap = %v, %v", found, err)
@@ -304,18 +300,19 @@ func TestHistoryWindow(t *testing.T) {
 
 // TestHistoryRingModel holds the ring to a plain slice under one seeded op
 // stream per trial: a keep of 1–8, pushes that continue the numbering or
-// jump ahead of it, and resets. After every op the two agree on the record
-// a push evicts, evictedThrough, latest, every retained entry, at over and
-// around the window, and after at random cursors and limits.
+// jump ahead of it, and resets. After every op the two agree on
+// evictedThrough, latest, every retained entry (each push is tagged, so an
+// entry left from the wrong push shows), at over and around the window,
+// and after at random cursors and limits.
 func TestHistoryRingModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 300; trial++ {
 		keep := 1 + rng.Intn(8)
 		var h history
 		var base int
-		var ref []historyEntry
+		var ref []RoundOutcome
 		last := func() int { return base + len(ref) }
-		recs := 0
+		pushes := 0
 		for op := 0; op < 60; op++ {
 			switch r := rng.Intn(20); {
 			case r == 0:
@@ -327,19 +324,16 @@ func TestHistoryRingModel(t *testing.T) {
 				if r == 1 {
 					round += 1 + rng.Intn(2*keep)
 				}
-				recs++
-				e := historyEntry{RoundOutcome{Round: round}, []byte(fmt.Sprint(recs))}
-				var want []byte
+				pushes++
+				ro := RoundOutcome{Round: round, NumBids: pushes}
 				if round != last()+1 {
 					base, ref = round-1, ref[:0]
 				}
 				if len(ref) >= keep {
-					want, ref, base = ref[0].rec, ref[1:], base+1
+					ref, base = ref[1:], base+1
 				}
-				ref = append(ref, e)
-				if got := h.push(e, keep); !bytes.Equal(got, want) {
-					t.Fatalf("trial %d op %d: push(%d) evicted %q, want %q", trial, op, round, got, want)
-				}
+				ref = append(ref, ro)
+				h.push(ro, keep)
 			}
 			checkHistoryAgainst(t, &h, base, ref, keep, rng)
 			if t.Failed() {
@@ -349,15 +343,15 @@ func TestHistoryRingModel(t *testing.T) {
 	}
 }
 
-func checkHistoryAgainst(t *testing.T, h *history, base int, ref []historyEntry, keep int, rng *rand.Rand) {
+func checkHistoryAgainst(t *testing.T, h *history, base int, ref []RoundOutcome, keep int, rng *rand.Rand) {
 	t.Helper()
 	if h.evictedThrough() != base || h.last() != base+len(ref) || h.count() != len(ref) {
 		t.Errorf("window = base %d, last %d, %d entries; want %d, %d, %d", h.evictedThrough(), h.last(), h.count(), base, base+len(ref), len(ref))
 		return
 	}
 	for i := range ref {
-		if e := h.entry(i); e.Round != ref[i].Round || !bytes.Equal(e.rec, ref[i].rec) {
-			t.Errorf("entry(%d) = round %d %q, want %d %q", i, e.Round, e.rec, ref[i].Round, ref[i].rec)
+		if e := h.entry(i); e.Round != ref[i].Round || e.NumBids != ref[i].NumBids {
+			t.Errorf("entry(%d) = round %d of push %d, want %d of push %d", i, e.Round, e.NumBids, ref[i].Round, ref[i].NumBids)
 		}
 	}
 	ro, ok := h.latest()

@@ -143,26 +143,21 @@ type Job struct {
 	// closeMu serializes round closes; everything below it is scratch reused
 	// across rounds, so all a steady-state close allocates is the outcome it
 	// hands to the history: gather collects the drained shard buffers,
-	// sorted and the two key buffers hold the canonical order, freeRecs
-	// recycles the encoded records evicted from history, and walScratch is
-	// the reusable WAL round record (safe because logRound encodes
-	// synchronously before returning). The auctioneer carries the job's
-	// pooled auction.Selector, so scoring and winner determination reuse
-	// their buffers round after round too.
-	closeMu    sync.Mutex
-	gather     []auction.Bid
-	sorted     []auction.Bid
-	sortKeys   []int64
-	sortSwap   []int64
-	freeRecs   [][]byte
-	auct       *auction.Auctioneer
-	src        *countingSource
-	loopDone   chan struct{} // non-nil iff a bid-window goroutine runs
-	walScratch struct {
-		rec     walRound
-		winners []walWinner
-		bidders []int
-	}
+	// sorted and the two key buffers hold the canonical order, and bidders
+	// the round's node IDs for its log record. The auctioneer carries the
+	// job's pooled auction.Selector, so scoring and winner determination
+	// reuse their buffers round after round too. unlogged is set when a
+	// round's record would not encode (logRound).
+	closeMu  sync.Mutex
+	gather   []auction.Bid
+	sorted   []auction.Bid
+	sortKeys []int64
+	sortSwap []int64
+	bidders  []int
+	unlogged bool
+	auct     *auction.Auctioneer
+	src      *countingSource
+	loopDone chan struct{} // non-nil iff a bid-window goroutine runs
 
 	// snapSpec caches the job's serialized spec for snapshots (the spec is
 	// immutable); guarded by the exchange's compactMu.
@@ -395,34 +390,6 @@ func radixSortKeys(keys, swap []int64, idBits int) (sorted, other []int64) {
 	return keys, swap
 }
 
-// takeRec pops a recycled record buffer, or sizes a new one like the
-// previous round's record (same job, same slate shape). Callers hold
-// closeMu, which also covers the read of the history: it only changes under
-// closeMu and j.mu together.
-func (j *Job) takeRec() []byte {
-	if n := len(j.freeRecs); n > 0 {
-		rec := j.freeRecs[n-1]
-		j.freeRecs = j.freeRecs[:n-1]
-		return rec[:0]
-	}
-	hint := 0
-	if n := j.hist.count(); n > 0 {
-		hint = cap(j.hist.entry(n - 1).rec)
-	}
-	return make([]byte, 0, hint)
-}
-
-// releaseRec recycles an evicted round's record bytes — unless a snapshot
-// is streaming: it may reference exactly these bytes (captured under
-// closeMu, written after it dropped), so the buffer is left to the garbage
-// collector instead of being overwritten by a later round. Callers hold
-// closeMu.
-func (j *Job) releaseRec(rec []byte) {
-	if rec != nil && !j.ex.snapStreaming.Load() {
-		j.freeRecs = append(j.freeRecs, rec)
-	}
-}
-
 // CloseRound closes the job's current collecting round now: it drains the
 // intake shards, puts the bids in canonical order, runs the job's auctioneer
 // on them and publishes the outcome. It returns ErrBelowQuorum (round keeps
@@ -471,13 +438,11 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 	// (dedup), so the unstable sort is total.
 	bids = j.canonicalize(bids)
 
-	var bidders []int
 	if j.ex.wal != nil {
-		bidders = j.walScratch.bidders[:0]
+		j.bidders = j.bidders[:0]
 		for i := range bids {
-			bidders = append(bidders, bids[i].NodeID)
+			j.bidders = append(j.bidders, bids[i].NodeID)
 		}
-		j.walScratch.bidders = bidders
 	}
 
 	// Run returns an owning copy, so the bid buffers are free to reuse.
@@ -497,14 +462,14 @@ func (j *Job) CloseRound() (RoundOutcome, error) {
 		ro.Err = fmt.Errorf("exchange: job %s round %d: %w", j.id, round, err)
 	}
 	// Persist before publishing; the append is a channel hand-off to the log
-	// writer (the record bytes are encoded before it returns, so the scratch
-	// record is free to reuse). j.src.n is stable here: only Run draws from
-	// it, and closeMu is held.
-	rec := j.logRound(ro, bidders)
+	// writer (the record bytes are encoded before it returns, so the bidder
+	// scratch is free to reuse). j.src.n is stable here: only Run draws
+	// from it, and closeMu is held.
+	j.logRound(&ro, j.bidders)
 
 	j.mu.Lock()
 	j.scoring = false
-	j.releaseRec(j.hist.push(historyEntry{ro, rec}, j.spec.KeepOutcomes))
+	j.hist.push(ro, j.spec.KeepOutcomes)
 	// !closed: a concurrent Close/RemoveJob may have already finished the
 	// job while we were scoring, and its close must not be redone here.
 	maxed := !j.closed.Load() && j.spec.MaxRounds > 0 && j.round > j.spec.MaxRounds
@@ -745,12 +710,10 @@ func (j *Job) Strategy() (*auction.Strategy, error) {
 // restoreRound reinstates one persisted round during log replay. Replay is
 // single-threaded and happens before the exchange is reachable, so no locks
 // are taken (finishReplay aligns the intake shards afterwards). The entry
-// is the kind a live close makes: ro owns its memory (the decoded record's)
-// and rec is the round's record object as read from disk, kept so the next
-// snapshot splices it like a live round's. What replay evicts is left to
-// the garbage collector; only the close path feeds freeRecs.
-func (j *Job) restoreRound(ro RoundOutcome, rec []byte) {
-	j.hist.push(historyEntry{ro, rec}, j.spec.KeepOutcomes)
+// is the kind a live close makes: ro owns its memory (the decoded
+// record's), and no bytes of the record are kept.
+func (j *Job) restoreRound(ro RoundOutcome) {
+	j.hist.push(ro, j.spec.KeepOutcomes)
 	j.round = ro.Round + 1
 }
 

@@ -2,16 +2,15 @@ package exchange
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"fmore/internal/auction"
@@ -37,11 +36,6 @@ type walRecord struct {
 	Node  *walNode  `json:"node,omitempty"`
 	// ID names the job of a closed/removed record.
 	ID string `json:"id,omitempty"`
-
-	// roundRaw is a replayed round record's Round object in history form
-	// (decodeRecord): the bytes read from disk minus the replay fields. The
-	// restored history entry keeps it.
-	roundRaw []byte
 }
 
 // walJob is a serialized JobSpec. The scoring rule travels as the wire-form
@@ -66,10 +60,65 @@ type walJob struct {
 // walWinner is one selected bid of a persisted outcome.
 type walWinner struct {
 	NodeID     int       `json:"n"`
-	Qualities  []float64 `json:"q"`
-	BidPayment float64   `json:"bp"`
-	Score      float64   `json:"s"`
-	Payment    float64   `json:"p"`
+	Qualities  walFloats `json:"q"`
+	BidPayment walFloat  `json:"bp"`
+	Score      walFloat  `json:"s"`
+	Payment    walFloat  `json:"p"`
+}
+
+// walFloat and walFloats are the floats of a round record, read in either
+// spelling (see roundenc.go): the JSON string of the base64 of their
+// little-endian bytes, which is what this package writes, or the JSON
+// numbers that logs and snapshots written before the bit spelling hold.
+type (
+	walFloat  float64
+	walFloats []float64
+)
+
+// UnmarshalJSON decodes a walFloat.
+func (f *walFloat) UnmarshalJSON(b []byte) error {
+	if b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(f))
+	}
+	var one [1]float64
+	fs, err := appendBitFloats(one[:0], b)
+	if err == nil && len(fs) != 1 {
+		err = fmt.Errorf("exchange: %s spells %d floats, want one", b, len(fs))
+	}
+	if err != nil {
+		return err
+	}
+	*f = walFloat(fs[0])
+	return nil
+}
+
+// UnmarshalJSON decodes a walFloats.
+func (fs *walFloats) UnmarshalJSON(b []byte) error {
+	if b[0] != '"' {
+		return json.Unmarshal(b, (*[]float64)(fs))
+	}
+	out, err := appendBitFloats(make([]float64, 0, len(b)*3/32), b)
+	*fs = out
+	return err
+}
+
+// appendBitFloats appends the floats whose little-endian bytes the JSON
+// string b spells in base64. Bits that are no finite float64 are refused,
+// as the encoder refuses to write them.
+func appendBitFloats(dst []float64, b []byte) ([]float64, error) {
+	var buf [64 * 8]byte // a round_churn_durable round's scores
+	raw, err := base64.StdEncoding.AppendDecode(buf[:0], b[1:len(b)-1])
+	if err != nil || len(raw)%8 != 0 {
+		return dst, fmt.Errorf("exchange: %s spells no float64 bits", b)
+	}
+	for i := 0; i < len(raw); i += 8 {
+		v := math.Float64frombits(word(raw[i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return dst, fmt.Errorf("exchange: %s spells a NaN or an infinity", b)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // walRound is one completed round, stored verbatim so a replayed exchange
@@ -88,8 +137,8 @@ type walRound struct {
 	LatencyNS int64       `json:"lat"`
 	Err       string      `json:"err,omitempty"`
 	Winners   []walWinner `json:"w"`
-	Scores    []float64   `json:"sc"`
-	Profit    float64     `json:"profit"`
+	Scores    walFloats   `json:"sc"`
+	Profit    walFloat    `json:"profit"`
 }
 
 // walNode is a registry entry.
@@ -121,26 +170,11 @@ type walSnapshot struct {
 // with Bidders and Draws zero — counters and the cumulative draw count are
 // snapshotted once, not per retained round.
 type walSnapJob struct {
-	Spec    walJob         `json:"spec"`
-	Closed  bool           `json:"closed,omitempty"`
-	Round   int            `json:"round"`
-	Draws   int64          `json:"draws"`
-	History []walSnapRound `json:"history,omitempty"`
-}
-
-// walSnapRound is one retained round of a snapshot being read: the decoded
-// record plus the bytes it was decoded from, which the restored history
-// entry keeps so the next snapshot can splice them again.
-type walSnapRound struct {
-	walRound
-	raw []byte
-}
-
-// UnmarshalJSON only takes a copy of the entry's bytes; replay decodes the
-// entries afterwards, on every CPU (decodeHistories).
-func (r *walSnapRound) UnmarshalJSON(b []byte) error {
-	r.raw = bytes.Clone(b)
-	return nil
+	Spec    walJob     `json:"spec"`
+	Closed  bool       `json:"closed,omitempty"`
+	Round   int        `json:"round"`
+	Draws   int64      `json:"draws"`
+	History []walRound `json:"history,omitempty"`
 }
 
 // walSnapNode is one registry entry with its counters.
@@ -151,58 +185,15 @@ type walSnapNode struct {
 	Banned bool   `json:"banned,omitempty"`
 }
 
-// frameRound writes a round record's payload into b around its
-// already-encoded Round object — appendWalRound's history form, turned into
-// the record form by putting the replay fields where drawsAt says its
-// placeholder is. The payload is exactly json.Marshal's for
-// walRecord{Kind: recRound, Round: …} (see appendWalRound's contract); it
-// is assembled around a copy of round, so the caller keeps ownership of
-// the bytes.
-func frameRound(b *bytes.Buffer, round []byte, drawsAt int, bidders []int, draws int64) {
-	b.WriteString(walRoundPrefix)
-	b.Write(round[:drawsAt])
-	b.Write(appendReplayFields(b.AvailableBuffer(), bidders, draws))
-	b.Write(round[drawsAt+len(walRoundNoDraws):])
-	b.WriteString(walRoundSuffix)
-}
-
-// decodeRecord decodes one record payload. A round record in the framing
-// every writer of this log produces is cut out by its fixed prefix, so its
-// Round object is decoded once and its bytes are kept (roundRaw); any other
-// spelling of a round record goes through the generic decode and is
-// re-encoded canonically, so replay accepts exactly what it always did.
-func decodeRecord(payload []byte) (walRecord, error) {
-	if raw, ok := bytes.CutPrefix(payload, []byte(walRoundPrefix)); ok {
-		if raw, ok = bytes.CutSuffix(raw, []byte(walRoundSuffix)); ok && len(raw) > 0 && raw[0] == '{' {
-			round := new(walRound)
-			if json.Unmarshal(raw, round) == nil {
-				return walRecord{Kind: recRound, Round: round, roundRaw: historyForm(raw)}, nil
-			}
-		}
-	}
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, err
-	}
-	if rec.Kind == recRound && rec.Round != nil {
-		raw, _, err := appendWalRound(nil, rec.Round)
-		if err != nil {
-			return rec, err
-		}
-		rec.roundRaw = raw
-	}
-	return rec, nil
-}
-
 // snapCapture is what Compact collects under the stop-the-world locks:
-// scalars and references only — nothing is cloned or encoded there.
-// jobs[i] owns recs[jobs[i-1].recsEnd:jobs[i].recsEnd], the record bytes of
-// its retained rounds, oldest first; they stay immutable until
-// Exchange.snapStreaming clears (see Job.releaseRec).
+// scalars and copies of the retained outcomes, whose memory is never
+// written again — nothing is encoded there. jobs[i] owns
+// rounds[jobs[i-1].roundsEnd:jobs[i].roundsEnd], its retained rounds,
+// oldest first.
 type snapCapture struct {
 	cutSeq int64
 	jobs   []snapJob
-	recs   [][]byte
+	rounds []RoundOutcome
 	nodes  []walSnapNode
 }
 
@@ -213,7 +204,7 @@ type snapJob struct {
 	round     int
 	baseRound int
 	draws     int64
-	recsEnd   int
+	roundsEnd int
 }
 
 // finish does, outside the stop-the-world locks, what the capture left
@@ -239,9 +230,9 @@ func (c *snapCapture) finish() error {
 }
 
 // encode streams the walSnapshot document — the bytes json.Marshal would
-// produce for it — with the header state encoded here and the history
-// records spliced verbatim. Write errors stick to w and surface at its
-// Flush.
+// produce for it, history entries in the log's spelling — encoding each
+// retained round into one reused buffer. Write errors stick to w and
+// surface at its Flush.
 func (c *snapCapture) encode(w *bufio.Writer) {
 	str := func(s string) { w.WriteString(s) }                                      //nolint:errcheck // sticky
 	num := func(n int64) { w.Write(strconv.AppendInt(w.AvailableBuffer(), n, 10)) } //nolint:errcheck // sticky
@@ -255,6 +246,7 @@ func (c *snapCapture) encode(w *bufio.Writer) {
 	}
 	str(`{"cut_seq":`)
 	num(c.cutSeq)
+	var entry []byte
 	lo := 0
 	for i := range c.jobs {
 		sj := &c.jobs[i]
@@ -272,14 +264,17 @@ func (c *snapCapture) encode(w *bufio.Writer) {
 		num(sj.draws)
 		str(`,"auct_round":`) // kept for readers of earlier versions
 		num(int64(sj.round - 1))
-		for k, rec := range c.recs[lo:sj.recsEnd] {
+		for k := range c.rounds[lo:sj.roundsEnd] {
 			element(k, `,"history":[`)
-			w.Write(rec) //nolint:errcheck // sticky
+			// Every captured round encodes: captureSnapshot refuses a job
+			// with one that did not (Job.unlogged).
+			entry, _ = appendWalRound(entry[:0], &c.rounds[lo+k], nil, 0)
+			w.Write(entry) //nolint:errcheck // sticky
 		}
-		if sj.recsEnd > lo {
+		if sj.roundsEnd > lo {
 			str("]")
 		}
-		lo = sj.recsEnd
+		lo = sj.roundsEnd
 		str("}")
 	}
 	if len(c.jobs) > 0 {
@@ -306,38 +301,6 @@ func (c *snapCapture) encode(w *bufio.Writer) {
 		str("]")
 	}
 	str("}")
-}
-
-// decodeHistories decodes the history entries walSnapRound.UnmarshalJSON
-// set aside. Keeping each entry's bytes costs a second pass over them;
-// spreading the decode — nearly all of a snapshot's decode work, and
-// independent per entry — over the CPUs keeps recovery time where one
-// pass over the whole document had it.
-func decodeHistories(snap *walSnapshot) error {
-	var entries []*walSnapRound
-	for i := range snap.Jobs {
-		h := snap.Jobs[i].History
-		for k := range h {
-			entries = append(entries, &h[k])
-		}
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(entries))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(entries); i += workers {
-				if err := json.Unmarshal(entries[i].raw, &entries[i].walRound); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Test hooks of the compaction crash matrix: persist_test simulates a
@@ -376,7 +339,6 @@ func (ex *Exchange) Compact() (err error) {
 	if err := ex.wal.Rotate(); err != nil {
 		return err
 	}
-	defer ex.snapStreaming.Store(false)
 	stwStart := time.Now()
 	snap, err := ex.captureSnapshot()
 	stw := time.Since(stwStart)
@@ -409,11 +371,10 @@ func (ex *Exchange) Compact() (err error) {
 // waits out a node record between its append and its apply, the cut goes
 // into the log's queue — every record enqueued before it lands in the
 // segments the snapshot covers, everything after in the tail it does not —
-// and the state as of the cut is collected: per-job scalars and references
-// to the retained rounds' record bytes. Nothing is copied or encoded — the
-// references stay valid after the locks drop because history records are
-// immutable while retained and Exchange.snapStreaming keeps evicted ones
-// from being recycled until the snapshot file is written.
+// and the state as of the cut is collected: per-job scalars and a copy of
+// each retained RoundOutcome. Nothing is encoded — the copies share the
+// outcomes' memory, which no close, eviction or reader ever writes, so the
+// snapshot encodes them after the locks drop while rounds close on.
 func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -436,19 +397,20 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 	if !ok {
 		return nil, ErrExchangeClosed
 	}
-	ex.snapStreaming.Store(true)
-	snap := &snapCapture{cutSeq: cut, jobs: make([]snapJob, 0, len(jobs))}
+	retained := 0
+	for _, j := range jobs {
+		if j.unlogged {
+			// A round's encode failed at close (the log's sticky error): it
+			// has no record, and the snapshot must not invent one.
+			return nil, fmt.Errorf("exchange: snapshotting job %q: a retained round has no log record", j.id)
+		}
+		retained += j.hist.count() // the history changes only under closeMu
+	}
+	snap := &snapCapture{cutSeq: cut, jobs: make([]snapJob, 0, len(jobs)), rounds: make([]RoundOutcome, 0, retained)}
 	for _, j := range jobs {
 		j.mu.Lock()
 		for i := range j.hist.count() {
-			e := j.hist.entry(i)
-			if e.rec == nil {
-				// The round's encode failed at close (the log's sticky error):
-				// there are no bytes to splice, and none to invent.
-				j.mu.Unlock()
-				return nil, fmt.Errorf("exchange: snapshotting job %q: round %d has no log record", j.id, e.Round)
-			}
-			snap.recs = append(snap.recs, e.rec)
+			snap.rounds = append(snap.rounds, *j.hist.entry(i))
 		}
 		snap.jobs = append(snap.jobs, snapJob{
 			job:       j,
@@ -456,7 +418,7 @@ func (ex *Exchange) captureSnapshot() (*snapCapture, error) {
 			round:     j.round,
 			baseRound: j.hist.evictedThrough(),
 			draws:     j.src.n,
-			recsEnd:   len(snap.recs),
+			roundsEnd: len(snap.rounds),
 		})
 		j.mu.Unlock()
 	}
@@ -521,8 +483,7 @@ func (ex *Exchange) applySnapshot(snap *walSnapshot) error {
 				return
 			}
 			for k := range sj.History {
-				wr := &sj.History[k]
-				j.restoreRound(wr.outcome(j.id), wr.raw)
+				j.restoreRound(sj.History[k].outcome(j.id))
 			}
 			if len(sj.History) == 0 {
 				j.round = sj.Round
@@ -587,9 +548,6 @@ func (ex *Exchange) replay(rec *wal.Recovery) error {
 		snap := new(walSnapshot)
 		err := json.Unmarshal(rec.Snapshot, snap)
 		if err == nil {
-			err = decodeHistories(snap)
-		}
-		if err == nil {
 			err = ex.applySnapshot(snap)
 		}
 		if err != nil {
@@ -598,7 +556,8 @@ func (ex *Exchange) replay(rec *wal.Recovery) error {
 	}
 	for _, seg := range rec.Segments {
 		for i, payload := range seg.Records {
-			r, err := decodeRecord(payload)
+			var r walRecord
+			err := json.Unmarshal(payload, &r)
 			if err == nil {
 				err = ex.applyRecord(r)
 			}
@@ -664,7 +623,7 @@ func (ex *Exchange) applyRecord(rec walRecord) error {
 		if !ok {
 			return fmt.Errorf("round for unknown job %q", rec.Round.Job)
 		}
-		j.restoreRound(rec.Round.outcome(j.id), rec.roundRaw)
+		j.restoreRound(rec.Round.outcome(j.id))
 		j.src.fastForwardTo(rec.Round.Draws)
 		for _, id := range rec.Round.Bidders {
 			ex.reg.register(id, "").bids.Add(1)
@@ -774,10 +733,10 @@ func (w *walRound) outcome(jobID string) RoundOutcome {
 			Bid: auction.Bid{
 				NodeID:    win.NodeID,
 				Qualities: win.Qualities,
-				Payment:   win.BidPayment,
+				Payment:   float64(win.BidPayment),
 			},
-			Score:   win.Score,
-			Payment: win.Payment,
+			Score:   float64(win.Score),
+			Payment: float64(win.Payment),
 		}
 	}
 	if w.Winners == nil {
@@ -786,44 +745,9 @@ func (w *walRound) outcome(jobID string) RoundOutcome {
 	ro.Outcome = auction.Outcome{
 		Winners:          winners,
 		Scores:           w.Scores,
-		AggregatorProfit: w.Profit,
+		AggregatorProfit: float64(w.Profit),
 	}
 	return ro
-}
-
-// fillWalRound populates one round record from a completed round — all of
-// it but the replay fields, which logRound hands to the frame directly —
-// reusing the winner slice rec arrives with (the job's scratch) and
-// returning it, grown or not, for the next round.
-func fillWalRound(rec *walRound, ro RoundOutcome) []walWinner {
-	prev := rec.Winners
-	*rec = walRound{
-		Job:       ro.JobID,
-		Round:     ro.Round,
-		NumBids:   ro.NumBids,
-		LatencyNS: int64(ro.Latency),
-	}
-	if ro.Err != nil {
-		rec.Err = ro.Err.Error()
-		return prev
-	}
-	rec.Scores = ro.Outcome.Scores
-	rec.Profit = ro.Outcome.AggregatorProfit
-	if ro.Outcome.Winners != nil {
-		ws := prev[:0]
-		for _, win := range ro.Outcome.Winners {
-			ws = append(ws, walWinner{
-				NodeID:     win.Bid.NodeID,
-				Qualities:  win.Bid.Qualities,
-				BidPayment: win.Bid.Payment,
-				Score:      win.Score,
-				Payment:    win.Payment,
-			})
-		}
-		rec.Winners = ws
-		return ws
-	}
-	return prev
 }
 
 // mutate is the one path of every durable mutation but the round close
@@ -862,27 +786,23 @@ func (ex *Exchange) mutate(check func() (ok bool, err error), record func() (wal
 	return nil
 }
 
-// logRound encodes one completed round — once — into a recycled job-owned
-// buffer, appends it to the log, and returns the bytes for the history
-// entry to keep (nil on an in-memory exchange, and after an encode failure,
-// which sticks to the log like any other). The record is built in the
-// job's scratch, reused across rounds. Callers hold closeMu.
-func (j *Job) logRound(ro RoundOutcome, bidders []int) []byte {
+// logRound encodes one completed round, once, in record form, straight
+// into the log's frame buffer and appends it. Nothing is kept: a snapshot
+// encodes the retained outcome again. An in-memory exchange encodes
+// nothing; an encode failure sticks to the log like any other and marks
+// the job unlogged. Callers hold closeMu.
+func (j *Job) logRound(ro *RoundOutcome, bidders []int) {
 	log := j.ex.wal
 	if log == nil {
-		return nil
-	}
-	sc := &j.walScratch
-	sc.rec.Winners = sc.winners
-	sc.winners = fillWalRound(&sc.rec, ro)
-	rec, drawsAt, err := appendWalRound(j.takeRec(), &sc.rec)
-	if err != nil {
-		j.freeRecs = append(j.freeRecs, rec)
-		log.Fail(fmt.Errorf("exchange: encoding wal record: %w", err))
-		return nil
+		return
 	}
 	b := log.Buf()
-	frameRound(b, rec, drawsAt, bidders, j.src.n)
+	rec, err := appendWalRound(append(b.AvailableBuffer(), walRoundPrefix...), ro, bidders, j.src.n)
+	if err != nil {
+		j.unlogged = true
+		log.Fail(fmt.Errorf("exchange: encoding wal record: %w", err))
+		return
+	}
+	b.Write(append(rec, walRoundSuffix...)) // in place unless it outgrew b
 	log.Append(b)
-	return rec
 }

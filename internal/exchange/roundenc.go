@@ -1,105 +1,124 @@
 package exchange
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
+
+	"fmore/internal/auction"
 )
 
-// A round has three spellings, one encoder each, and none of them goes
-// through encoding/json's reflection: the record form and the history form
-// (appendWalRound, below) are what the log and the snapshots hold, and the
-// /v1 body (appendOutcome) is what the close answer, the outcome reads, the
-// outcome pages and the round_closed events carry. All three print their
-// floats through roundEncoder.float, that is appendShortest.
+// A round has two spellings, one encoder each, and neither goes through
+// encoding/json's reflection: the log's (appendWalRound, below) is what
+// round records and snapshot histories hold, and the /v1 body
+// (appendOutcome) is what the close answer, the outcome reads, the outcome
+// pages and the round_closed events carry.
 //
-// The log's round is encoded exactly once, when it closes: the same bytes
-// are framed into the log, kept beside the retained history entry, and
-// later spliced verbatim into snapshots. The /v1 body is encoded per
-// response from the retained RoundOutcome.
+// The log's spelling is the walRound object with its floats as JSON
+// strings: a float64 is the standard base64 of its eight little-endian
+// bytes, and a []float64 one such string of its floats' bytes back to
+// back, which is what encoding/json writes for those []byte. Replay only
+// wants the bits back, so the record carries them exactly, in about twelve
+// characters a float whatever the value, and prints no decimal: the record
+// no longer goes through appendShortest. Keys, integers, strings, nulls
+// and the framing are encoding/json's. The record form, what the log
+// holds, carries the replay fields (`"bidders"` when there are any, and
+// the job's cumulative `"draws"`) and is framed as {"k":"round","round":…};
+// the history form, what a snapshot's history holds, has no bidders and
+// draws 0, since replay takes the counters and the draw count from the
+// snapshot's own state. A close encodes the record form once, straight
+// into the log's frame buffer (Job.logRound); a snapshot encodes the
+// history form of each retained outcome while it streams
+// (snapCapture.encode).
 //
-// The two log spellings differ in one span. The history form is
-// the walRound object with Bidders omitted and Draws zero: what a snapshot's
-// history holds (replay takes bid counters and the draw count from the
-// snapshot's own state, not per retained round) and what a history entry
-// keeps. Its record form, what the log holds, has the replay fields —
-// `,"bidders":[…]` when there are any, and the real `,"draws":N` — where
-// the history form has walRoundNoDraws. frameRound makes the substitution
-// one way, historyForm the other.
-//
-// Contract: for every *walRound r, frameRound over appendWalRound's output
-// builds the payload json.Marshal builds for walRecord{Kind: recRound,
-// Round: r}, byte for byte, and appendWalRound fails
-// on exactly the values (NaN, ±Inf) encoding/json refuses, with the same
-// error text. That identity is what keeps logs and snapshots written before
-// and after this encoder mutually readable; FuzzAppendWalRound and the
-// seeded property test in roundenc_test.go pin it. A field added to
-// walRound or walWinner must be added here in struct order.
+// Contract: appendWalRound writes exactly what json.Marshal writes for the
+// round with each float64 and []float64 replaced by the []byte of its
+// bits, and it fails
+// on exactly the values (NaN, ±Inf) json.Marshal refuses in a float64,
+// with the same error text, so the log fails where it always did.
+// FuzzAppendWalRound and the seeded property test in roundenc_test.go pin
+// it. A field added to walRound or walWinner must be added here in struct
+// order. Reading takes both spellings (walFloat, walFloats): the bits, and
+// the decimal numbers of every log and snapshot written before them.
 //
 // The /v1 body has the same kind of contract: appendOutcome writes what
 // json.Marshal writes for the api.Outcome a round renders to (the tests'
 // outcomeView), byte for byte, and refuses the same values with the same
 // error; FuzzAppendOutcome and its seeded property test pin it, and a field
 // added to api.Outcome or api.Winner must be added to appendOutcome in
-// struct order.
-//
-// Numbers are most of a round and go through the kernel in shortest.go:
-// floats through roundEncoder.float, that is appendShortest, which writes
-// every finite float64 as strconv.AppendFloat would in the notation
-// encoding/json picks, and integers through appendInt, which writes what
-// strconv.AppendInt writes. strconv is their test oracle and is called here
-// only for the NaN/±Inf text.
+// struct order. Its numbers go through the kernel in shortest.go: floats
+// through roundEncoder.float, that is appendShortest, which writes every
+// finite float64 as strconv.AppendFloat would in the notation
+// encoding/json picks. Integers of both spellings go through appendInt,
+// which writes what strconv.AppendInt writes. strconv is their test oracle
+// and is called here only for the NaN/±Inf text.
 const (
-	walRoundPrefix  = `{"k":"round","round":`
-	walRoundSuffix  = `}`
-	walRoundNoDraws = `,"draws":0`
+	walRoundPrefix = `{"k":"round","round":`
+	walRoundSuffix = `}`
 )
 
 // testHookEncodeRound, when set, observes every round encode: tests use it
-// to prove that recovery and compaction reuse bytes instead of re-encoding.
+// to count the encodes of closes and compactions.
 var testHookEncodeRound func()
 
-// appendWalRound appends r's history form to dst without reflection
-// (r.Bidders and r.Draws play no part) and returns the index in out of its
-// walRoundNoDraws span.
-func appendWalRound(dst []byte, r *walRound) (out []byte, drawsAt int, err error) {
+// appendWalRound appends the log spelling of ro to dst without reflection:
+// its record form, given the round's bidders and the job's draw count, or
+// its history form, given nil and 0. A failed round carries its error
+// text and no outcome ("w" and "sc" null, profit zero).
+func appendWalRound(dst []byte, ro *RoundOutcome, bidders []int, draws int64) ([]byte, error) {
 	if hook := testHookEncodeRound; hook != nil {
 		hook()
 	}
-	e := roundEncoder{b: dst}
+	e := roundEncoder{b: dst, bits: true}
 	e.b = append(e.b, `{"job":`...)
-	e.b = appendJSONString(e.b, r.Job)
+	e.b = appendJSONString(e.b, ro.JobID)
 	e.b = append(e.b, `,"r":`...)
-	e.b = appendInt(e.b, int64(r.Round))
+	e.b = appendInt(e.b, int64(ro.Round))
 	e.b = append(e.b, `,"nb":`...)
-	e.b = appendInt(e.b, int64(r.NumBids))
-	drawsAt = len(e.b)
-	e.b = append(e.b, walRoundNoDraws...)
+	e.b = appendInt(e.b, int64(ro.NumBids))
+	for i, id := range bidders {
+		if i == 0 {
+			e.b = append(e.b, `,"bidders":[`...)
+		} else {
+			e.b = append(e.b, ',')
+		}
+		e.b = appendInt(e.b, int64(id))
+	}
+	if len(bidders) > 0 {
+		e.b = append(e.b, ']')
+	}
+	e.b = append(e.b, `,"draws":`...)
+	e.b = appendInt(e.b, draws)
 	e.b = append(e.b, `,"lat":`...)
-	e.b = appendInt(e.b, r.LatencyNS)
-	if r.Err != "" {
-		e.b = append(e.b, `,"err":`...)
-		e.b = appendJSONString(e.b, r.Err)
+	e.b = appendInt(e.b, int64(ro.Latency))
+	out := &ro.Outcome
+	if ro.Err != nil {
+		if msg := ro.Err.Error(); msg != "" {
+			e.b = append(e.b, `,"err":`...)
+			e.b = appendJSONString(e.b, msg)
+		}
+		out = &auction.Outcome{}
 	}
 	e.b = append(e.b, `,"w":`...)
-	if r.Winners == nil {
+	if out.Winners == nil {
 		e.b = append(e.b, "null"...) // ψ-FMore's zero-eligible outcome
 	} else {
 		e.b = append(e.b, '[')
-		for i := range r.Winners {
-			w := &r.Winners[i]
+		for i := range out.Winners {
+			w := &out.Winners[i]
 			if i > 0 {
 				e.b = append(e.b, ',')
 			}
 			e.b = append(e.b, `{"n":`...)
-			e.b = appendInt(e.b, int64(w.NodeID))
+			e.b = appendInt(e.b, int64(w.Bid.NodeID))
 			e.b = append(e.b, `,"q":`...)
-			e.floats(w.Qualities)
+			e.floats(w.Bid.Qualities)
 			e.b = append(e.b, `,"bp":`...)
-			e.float(w.BidPayment)
+			e.float(w.Bid.Payment)
 			e.b = append(e.b, `,"s":`...)
 			e.float(w.Score)
 			e.b = append(e.b, `,"p":`...)
@@ -109,11 +128,11 @@ func appendWalRound(dst []byte, r *walRound) (out []byte, drawsAt int, err error
 		e.b = append(e.b, ']')
 	}
 	e.b = append(e.b, `,"sc":`...)
-	e.floats(r.Scores)
+	e.floats(out.Scores)
 	e.b = append(e.b, `,"profit":`...)
-	e.float(r.Profit)
+	e.float(out.AggregatorProfit)
 	e.b = append(e.b, '}')
-	return e.b, drawsAt, e.err
+	return e.b, e.err
 }
 
 // appendOutcome appends ro's /v1 body, the api.Outcome spelling of a round,
@@ -168,80 +187,124 @@ func appendOutcome(dst []byte, ro *RoundOutcome) ([]byte, error) {
 	return e.b, e.err
 }
 
-// appendReplayFields appends what the record form has in place of
-// walRoundNoDraws.
-func appendReplayFields(dst []byte, bidders []int, draws int64) []byte {
-	if len(bidders) > 0 {
-		dst = append(dst, `,"bidders":[`...)
-		for i, id := range bidders {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendInt(dst, int64(id))
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `,"draws":`...)
-	return appendInt(dst, draws)
-}
-
-// historyForm returns the history form of a round in record form, as read
-// from the log, without decoding it: the replay fields are cut out where
-// every writer of this log puts them. (Inside a JSON string a quote is
-// always escaped, so the first `,"draws":` is the member itself.) A record
-// spelled any other way is returned as it is — replay ignores the fields
-// in a snapshot's history either way; they only take space there.
-func historyForm(record []byte) []byte {
-	at := bytes.Index(record, []byte(`,"draws":`))
-	if at < 0 {
-		return record
-	}
-	end := at + len(`,"draws":`)
-	for end < len(record) && (record[end] == '-' || '0' <= record[end] && record[end] <= '9') {
-		end++
-	}
-	if b := bytes.Index(record[:at], []byte(`,"bidders":[`)); b >= 0 && bytes.IndexByte(record[b:at], ']') == at-b-1 {
-		at = b
-	}
-	out := make([]byte, 0, at+len(walRoundNoDraws)+len(record)-end)
-	out = append(out, record[:at]...)
-	out = append(out, walRoundNoDraws...)
-	return append(out, record[end:]...)
-}
-
-// roundEncoder carries the output and the first unsupported float, so the
-// field sequence above reads straight through.
+// roundEncoder carries the output, the spelling of its floats and the
+// first unsupported float, so the field sequences above read straight
+// through.
 type roundEncoder struct {
-	b   []byte
-	err error
+	b    []byte
+	bits bool // the log's spelling; the /v1 body's otherwise
+	err  error
 }
 
-// float appends f as encoding/json does — appendShortest's contract — and
-// refuses what it refuses: the first NaN or ±Inf becomes the encoder's error.
+// finite reports whether f is finite. The first NaN or ±Inf becomes the
+// encoder's error, the one json.Marshal refuses it with in a float64.
+func (e *roundEncoder) finite(f float64) bool {
+	if math.Float64bits(f)>>52&0x7FF != 0x7FF {
+		return true
+	}
+	if e.err == nil {
+		e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return false
+}
+
+// float appends the finite f: appendShortest's decimal, or in the log's
+// spelling the JSON string of the base64 of its eight little-endian bytes.
 func (e *roundEncoder) float(f float64) {
-	if math.Float64bits(f)>>52&0x7FF == 0x7FF { // NaN or ±Inf
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
+	switch {
+	case !e.finite(f):
+	case !e.bits:
+		e.b = appendShortest(e.b, f)
+	default:
+		e.b = append(e.b, '"')
+		e.b = appendBase64Floats(e.b, []float64{f})
+		e.b = append(e.b, '"')
 	}
-	e.b = appendShortest(e.b, f)
 }
 
-// floats appends a []float64: null when nil, like encoding/json.
+// floats appends a []float64: null when nil, like encoding/json, and
+// otherwise a JSON array of decimals or, in the log's spelling, one JSON
+// string: the base64 of the floats' little-endian bytes back to back,
+// which is what encoding/json writes for that []byte.
 func (e *roundEncoder) floats(fs []float64) {
-	if fs == nil {
+	switch {
+	case fs == nil:
 		e.b = append(e.b, "null"...)
-		return
-	}
-	e.b = append(e.b, '[')
-	for i, f := range fs {
-		if i > 0 {
-			e.b = append(e.b, ',')
+	case e.bits:
+		for _, f := range fs {
+			e.finite(f)
 		}
-		e.float(f)
+		e.b = append(e.b, '"')
+		e.b = appendBase64Floats(e.b, fs)
+		e.b = append(e.b, '"')
+	default:
+		e.b = append(e.b, '[')
+		for i, f := range fs {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.float(f)
+		}
+		e.b = append(e.b, ']')
 	}
-	e.b = append(e.b, ']')
+}
+
+// base64Pairs[v] is the two standard base64 digits of the 12-bit v, the
+// first in the low byte.
+var base64Pairs = func() (t [1 << 12]uint16) {
+	const digits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	for v := range t {
+		t[v] = uint16(digits[v>>6]) | uint16(digits[v&0x3F])<<8
+	}
+	return t
+}()
+
+// appendBase64Floats appends the standard base64 of the floats'
+// little-endian bytes back to back, padding included: what
+// base64.StdEncoding writes, a digit pair per table lookup. Read as
+// big-endian words, three floats' bytes are the 192-bit stream of 32
+// digits, written as four words; one or two floats left over are encoded
+// with zero words after them, and their first 11 or 22 digits and the
+// padding are the encoding.
+func appendBase64Floats(dst []byte, fs []float64) []byte {
+	p := func(v uint64) uint64 { return uint64(base64Pairs[v&0xFFF]) }
+	for len(fs) > 0 {
+		var w [3]uint64
+		for i := range min(3, len(fs)) {
+			w[i] = bits.ReverseBytes64(math.Float64bits(fs[i]))
+		}
+		a, b, c := w[0], w[1], w[2]
+		n := len(dst)
+		dst = slices.Grow(dst, 32)[:n+32]
+		d := dst[n : n+32]
+		putWord(d[0:], p(a>>52)|p(a>>40)<<16|p(a>>28)<<32|p(a>>16)<<48)
+		putWord(d[8:], p(a>>4)|p(a<<8|b>>56)<<16|p(b>>44)<<32|p(b>>32)<<48)
+		putWord(d[16:], p(b>>20)|p(b>>8)<<16|p(b<<4|c>>60)<<32|p(c>>48)<<48)
+		putWord(d[24:], p(c>>36)|p(c>>24)<<16|p(c>>12)<<32|p(c)<<48)
+		switch len(fs) {
+		case 1:
+			dst = append(dst[:n+11], '=')
+		case 2:
+			dst = append(dst[:n+22], "=="...)
+		}
+		fs = fs[min(3, len(fs)):]
+	}
+	return dst
+}
+
+// putWord stores v in b[:8] and word loads it, least significant byte
+// first, as encoding/binary's LittleEndian does; the exchange's non-test
+// files stay off the byte-level packages (TestImportBoundary).
+func putWord(b []byte, v uint64) {
+	_ = b[7]
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+}
+
+func word(b []byte) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 const hexDigits = "0123456789abcdef"

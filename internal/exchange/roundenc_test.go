@@ -12,69 +12,159 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"fmore/internal/auction"
 	"fmore/internal/wal"
 	"fmore/pkg/api"
 )
 
-// checkRoundEncoding asserts the round encoder's whole contract on one
-// record: the payload built around its output equals the reflective encoder's
-// byte for byte (or both refuse the record with the same error), the output
-// itself is the record minus its replay fields, and decodeRecord hands back
-// that same history form plus the record encoding/json would have decoded.
-func checkRoundEncoding(t *testing.T, r *walRound) {
+// parentWinner and parentRound are walWinner and walRound as they were
+// before the bit spelling, every float a JSON number: json.Marshal over
+// them writes the decimal spelling of the logs and snapshots written
+// before, and refuses a NaN or ±Inf with the error text the log still
+// fails with. parentRecord frames a round record the same way.
+type parentWinner struct {
+	NodeID     int       `json:"n"`
+	Qualities  []float64 `json:"q"`
+	BidPayment float64   `json:"bp"`
+	Score      float64   `json:"s"`
+	Payment    float64   `json:"p"`
+}
+
+type parentRound struct {
+	Job       string         `json:"job"`
+	Round     int            `json:"r"`
+	NumBids   int            `json:"nb"`
+	Bidders   []int          `json:"bidders,omitempty"`
+	Draws     int64          `json:"draws"`
+	LatencyNS int64          `json:"lat"`
+	Err       string         `json:"err,omitempty"`
+	Winners   []parentWinner `json:"w"`
+	Scores    []float64      `json:"sc"`
+	Profit    float64        `json:"profit"`
+}
+
+type parentRecord struct {
+	Kind  string       `json:"k"`
+	Round *parentRound `json:"round,omitempty"`
+}
+
+// parentForm is the round record the code before the bit spelling built
+// for ro: a failed round keeps its header and error text, and nothing of
+// its outcome.
+func parentForm(ro *RoundOutcome, bidders []int, draws int64) *parentRound {
+	r := &parentRound{Job: ro.JobID, Round: ro.Round, NumBids: ro.NumBids, Bidders: bidders, Draws: draws, LatencyNS: int64(ro.Latency)}
+	if ro.Err != nil {
+		r.Err = ro.Err.Error()
+		return r
+	}
+	r.Scores, r.Profit = ro.Outcome.Scores, ro.Outcome.AggregatorProfit
+	if ro.Outcome.Winners != nil {
+		r.Winners = make([]parentWinner, len(ro.Outcome.Winners))
+		for i, w := range ro.Outcome.Winners {
+			r.Winners[i] = parentWinner{NodeID: w.Bid.NodeID, Qualities: w.Bid.Qualities, BidPayment: w.Bid.Payment, Score: w.Score, Payment: w.Payment}
+		}
+	}
+	return r
+}
+
+// bitsWinner and bitsRound are the same records with every float64 as
+// the []byte of its little-endian bits, and every []float64 as the []byte
+// of its floats' bits back to back: json.Marshal over them is the oracle
+// of appendWalRound's output.
+type bitsWinner struct {
+	NodeID     int    `json:"n"`
+	Qualities  []byte `json:"q"`
+	BidPayment []byte `json:"bp"`
+	Score      []byte `json:"s"`
+	Payment    []byte `json:"p"`
+}
+
+type bitsRound struct {
+	Job       string       `json:"job"`
+	Round     int          `json:"r"`
+	NumBids   int          `json:"nb"`
+	Bidders   []int        `json:"bidders,omitempty"`
+	Draws     int64        `json:"draws"`
+	LatencyNS int64        `json:"lat"`
+	Err       string       `json:"err,omitempty"`
+	Winners   []bitsWinner `json:"w"`
+	Scores    []byte       `json:"sc"`
+	Profit    []byte       `json:"profit"`
+}
+
+// bitsForm respells a parent record's floats as bits.
+func bitsForm(r *parentRound) *bitsRound {
+	le := func(f float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
+	list := func(fs []float64) []byte {
+		if fs == nil {
+			return nil
+		}
+		out := []byte{}
+		for _, f := range fs {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+		}
+		return out
+	}
+	b := &bitsRound{Job: r.Job, Round: r.Round, NumBids: r.NumBids, Bidders: r.Bidders, Draws: r.Draws, LatencyNS: r.LatencyNS, Err: r.Err, Scores: list(r.Scores), Profit: le(r.Profit)}
+	if r.Winners != nil {
+		b.Winners = make([]bitsWinner, len(r.Winners))
+		for i, w := range r.Winners {
+			b.Winners[i] = bitsWinner{NodeID: w.NodeID, Qualities: list(w.Qualities), BidPayment: le(w.BidPayment), Score: le(w.Score), Payment: le(w.Payment)}
+		}
+	}
+	return b
+}
+
+// walPayload is the round record of ro as the close frames it.
+func walPayload(ro *RoundOutcome, bidders []int, draws int64) ([]byte, error) {
+	b, err := appendWalRound([]byte(walRoundPrefix), ro, bidders, draws)
+	return append(b, walRoundSuffix...), err
+}
+
+// checkRoundEncoding asserts the round encoder's contract on one round:
+// the record form, framed, and the history form are what json.Marshal
+// writes for the bit-spelled record, byte for byte; a round the decimal
+// record of which json.Marshal refuses is refused with the same error.
+func checkRoundEncoding(t *testing.T, ro *RoundOutcome, bidders []int, draws int64) {
 	t.Helper()
-	rec := walRecord{Kind: recRound, Round: r}
-	reflective, wantErr := json.Marshal(rec)
-	history, drawsAt, err := appendWalRound(nil, r)
+	parent := parentForm(ro, bidders, draws)
+	_, wantErr := json.Marshal(parentRecord{Kind: recRound, Round: parent})
+	payload, err := walPayload(ro, bidders, draws)
 	if wantErr != nil {
 		if err == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("encode error = %v, the reflective encoder refuses with %v", err, wantErr)
+			t.Fatalf("encode error = %v, encoding/json refuses the decimal record with %v", err, wantErr)
 		}
 		return
 	}
 	if err != nil {
-		t.Fatalf("encode error %v, the reflective encoder accepts: %s", err, reflective)
+		t.Fatalf("encode error %v, encoding/json accepts the decimal record", err)
 	}
-	spliced := new(bytes.Buffer)
-	frameRound(spliced, history, drawsAt, r.Bidders, r.Draws)
-	if !bytes.Equal(spliced.Bytes(), reflective) {
-		t.Fatalf("payload differs from the reflective encoder's:\n got: %s\nwant: %s", spliced.Bytes(), reflective)
+	want, err := json.Marshal(struct {
+		Kind  string     `json:"k"`
+		Round *bitsRound `json:"round"`
+	}{recRound, bitsForm(parent)})
+	if err != nil || !bytes.Equal(payload, want) {
+		t.Fatalf("record differs from encoding/json's (%v):\n got: %s\nwant: %s", err, payload, want)
 	}
-
-	inHistory := *r
-	inHistory.Bidders, inHistory.Draws = nil, 0
-	if want, err := json.Marshal(&inHistory); err != nil || !bytes.Equal(history, want) {
-		t.Fatalf("history form differs from encoding/json (%v):\n got: %s\nwant: %s", err, history, want)
-	}
-
-	payload := bytes.Clone(reflective)
-	back, err := decodeRecord(payload)
-	if err != nil {
-		t.Fatalf("decodeRecord: %v", err)
-	}
-	if !bytes.Equal(back.roundRaw, history) {
-		t.Fatalf("decodeRecord kept %s, the history form is %s", back.roundRaw, history)
-	}
-	var generic walRecord
-	if err := json.Unmarshal(payload, &generic); err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != recRound || !reflect.DeepEqual(back.Round, generic.Round) {
-		t.Fatalf("decodeRecord = %+v, encoding/json decodes %+v", back.Round, generic.Round)
+	history, _ := appendWalRound(nil, ro, nil, 0)
+	if want, err := json.Marshal(bitsForm(parentForm(ro, nil, 0))); err != nil || !bytes.Equal(history, want) {
+		t.Fatalf("history form differs from encoding/json's (%v):\n got: %s\nwant: %s", err, history, want)
 	}
 }
 
-// walRoundFromFuzz builds a record from fuzzer-controlled primitives. data
-// is consumed eight bytes at a time as raw float64 bit patterns, so NaNs,
-// infinities, subnormals and negative zero are all reachable; shape picks
-// nil versus empty versus filled slices.
-func walRoundFromFuzz(job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) *walRound {
+// walRoundFromFuzz builds a round, its bidders and its draw count from
+// fuzzer-controlled primitives. data is consumed eight bytes at a time as
+// raw float64 bit patterns, so NaNs, infinities, subnormals and negative
+// zero are all reachable; shape picks nil versus empty versus filled
+// slices. A non-empty errStr fails the round over an outcome that must not
+// show.
+func walRoundFromFuzz(job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) (*RoundOutcome, []int) {
 	next := func() float64 {
 		if len(data) < 8 {
 			return 0
@@ -83,31 +173,36 @@ func walRoundFromFuzz(job, errStr string, round, numBids int, draws, lat int64, 
 		data = data[8:]
 		return f
 	}
-	r := &walRound{Job: job, Round: round, NumBids: numBids, Draws: draws, LatencyNS: lat, Err: errStr}
-	if shape&1 != 0 {
-		r.Bidders = []int{numBids, -round, int(draws)}
+	ro := &RoundOutcome{JobID: job, Round: round, NumBids: numBids, Latency: time.Duration(lat)}
+	if errStr != "" {
+		ro.Err = errors.New(errStr)
 	}
+	var bidders []int
+	if shape&1 != 0 {
+		bidders = []int{numBids, -round, int(draws)}
+	}
+	out := &ro.Outcome
 	if shape&2 != 0 {
-		r.Winners = make([]walWinner, int(shape>>4)&3)
-		for i := range r.Winners {
-			w := walWinner{NodeID: int(lat) + i, BidPayment: next(), Score: next(), Payment: next()}
+		out.Winners = make([]auction.Winner, int(shape>>4)&3)
+		for i := range out.Winners {
+			w := auction.Winner{Bid: auction.Bid{NodeID: int(lat) + i, Payment: next()}, Score: next(), Payment: next()}
 			if shape&4 != 0 {
-				w.Qualities = make([]float64, i)
-				for k := range w.Qualities {
-					w.Qualities[k] = next()
+				w.Bid.Qualities = make([]float64, i)
+				for k := range w.Bid.Qualities {
+					w.Bid.Qualities[k] = next()
 				}
 			}
-			r.Winners[i] = w
+			out.Winners[i] = w
 		}
 	}
 	if shape&8 != 0 {
-		r.Scores = []float64{}
+		out.Scores = []float64{}
 		for len(data) >= 8 {
-			r.Scores = append(r.Scores, next())
+			out.Scores = append(out.Scores, next())
 		}
 	}
-	r.Profit = next()
-	return r
+	out.AggregatorProfit = next()
+	return ro, bidders
 }
 
 func floatBits(fs ...float64) []byte {
@@ -119,12 +214,11 @@ func floatBits(fs ...float64) []byte {
 }
 
 // FuzzAppendWalRound holds the hand-written round encoder to encoding/json
-// on arbitrary records: the log and the snapshots stay readable across
-// versions only while the two write the same bytes. The seed corpus names the places the two could
-// drift apart: negative zero, subnormals, the 'f'/'e' format switches at
-// 1e-6 and 1e21 (and the 1e-7 exponent clean-up), MaxFloat64, nil versus
-// empty slices, and strings that need HTML, control, U+2028 or
-// invalid-UTF-8 escaping; NaN and ±Inf must be refused identically. The
+// on arbitrary rounds: the log and the snapshots stay readable only while
+// the two write the same bytes. The seeds: negative zero, subnormals,
+// MaxFloat64, nil versus empty slices, failed rounds, and strings that
+// need HTML, control, U+2028 or invalid-UTF-8 escaping; NaN and ±Inf must
+// be refused as encoding/json refuses them in the decimal record. The
 // bytes it guards are on disk, so CI fuzzes it twice as long as the rest.
 //
 //ci:fuzztime 20s
@@ -134,41 +228,160 @@ func FuzzAppendWalRound(f *testing.F) {
 	f.Add("job", "", 1, 0, int64(0), int64(0), uint8(0), []byte(nil)) // ψ zero-eligible: "w":null, "sc":null
 	f.Add("", "", 0, 0, int64(0), int64(0), uint8(0x0a), []byte(nil)) // empty, non-nil slices
 	f.Add("z", "", 1, 3, int64(9), int64(1), uint8(0x3f), floatBits(negZero, 5e-324, math.SmallestNonzeroFloat64*3, 1e-7, 1e-6, 9.999999e-7, 1e21, 9.99999999e20, math.MaxFloat64, -math.MaxFloat64, 1e-9, 123456789.125))
-	f.Add("j", `round 3: <bad> & "quoted" \ slash`+"\n\t\b\f\x00\x1f\x7f", 3, 2, int64(1), int64(2), uint8(8), floatBits(1))
+	f.Add("j", `round 3: <bad> & "quoted" \ slash`+"\n\t\b\f\x00\x1f\x7f", 3, 2, int64(1), int64(2), uint8(0x2e), floatBits(1, 2, 3, 4))
 	f.Add("sep\u2028\u2029é世界", "bad utf8 \xff\xc0\xaf tail \xe2\x80", 1, 1, int64(1), int64(1), uint8(2), []byte(nil))
 	f.Add("nan", "", 1, 1, int64(1), int64(1), uint8(8), floatBits(math.NaN()))
 	f.Add("inf", "", 1, 1, int64(1), int64(1), uint8(0x1e), floatBits(1, math.Inf(1), math.Inf(-1)))
 	f.Add("neg", "", -1, -5, int64(math.MinInt64), int64(math.MaxInt64), uint8(1), []byte(nil))
 	f.Fuzz(func(t *testing.T, job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) {
-		checkRoundEncoding(t, walRoundFromFuzz(job, errStr, round, numBids, draws, lat, shape, data))
+		ro, bidders := walRoundFromFuzz(job, errStr, round, numBids, draws, lat, shape, data)
+		checkRoundEncoding(t, ro, bidders, draws)
 	})
 }
 
-// FuzzDecodeHistories feeds arbitrary bytes to replay as one history entry
-// of a snapshot. decodeHistories must refuse or decode them without a
-// panic, and what it decodes is a fixed point of the history form:
-// appendWalRound writes it in bytes that decode to the same round (less
-// the replay fields the history form drops) and encode to the same bytes.
-// Entries an exchange wrote — the parent-pr12 fixture's snapshot, and
-// rounds of the shapes the encoder tests use — come back byte-identical.
-func FuzzDecodeHistories(f *testing.F) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "parent-pr12", "data", wal.SnapshotName))
+// replayed decodes a round record as replay does and returns the round it
+// restores, re-encoded in record form: two records restore the same round,
+// bit for bit, exactly when these bytes are equal.
+func replayed(t testing.TB, payload []byte, jobID string) []byte {
+	t.Helper()
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil || rec.Round == nil {
+		t.Fatalf("%s does not decode: %v", payload, err)
+	}
+	ro := rec.Round.outcome(jobID)
+	b, err := walPayload(&ro, rec.Round.Bidders, rec.Round.Draws)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatalf("round decoded from %s does not encode: %v", payload, err)
 	}
-	var fixture walSnapshot
-	if err := json.Unmarshal(raw[8:], &fixture); err != nil { // the payload behind the frame header
-		f.Fatal(err)
+	return b
+}
+
+// checkSpellingsAgree holds one decimal round record to its bit spelling:
+// both restore the same round, and the code before the bit spelling
+// refuses the bit spelling with a type error instead of misreading it.
+func checkSpellingsAgree(t testing.TB, decimal []byte, jobID string) {
+	t.Helper()
+	restored := replayed(t, decimal, jobID)
+	bits := replayed(t, restored, jobID)
+	if !bytes.Equal(bits, restored) {
+		t.Fatalf("the decimal spelling restores\n%s\nand its bit spelling\n%s", restored, bits)
 	}
-	written := map[string]bool{}
-	for _, j := range fixture.Jobs {
-		for _, h := range j.History {
-			written[string(h.raw)] = true
+	var old parentRecord
+	var typeErr *json.UnmarshalTypeError
+	if err := json.Unmarshal(bits, &old); !errors.As(err, &typeErr) {
+		t.Fatalf("the parent's types read the bit spelling %s with error %v, want a type error", bits, err)
+	}
+}
+
+// FuzzRoundSpellings holds the two spellings of a round record to each
+// other on rounds of finite values (a non-finite bit pattern in data has
+// its top exponent bit cleared): the decimal one, json.Marshal of the
+// parent's types, and the bit one restore the same round, bit for bit, and
+// the parent's types refuse the bit one. The seeds add every round record
+// and snapshot history entry of testdata/parent-pr12, written by the code
+// before the bit spelling.
+func FuzzRoundSpellings(f *testing.F) {
+	dir := filepath.Join("testdata", "parent-pr12", "data")
+	decimals := parentRoundRecords(f, dir)
+	if len(decimals) < 16 {
+		f.Fatalf("%d round records in %s", len(decimals), dir)
+	}
+	for _, d := range decimals {
+		checkSpellingsAgree(f, d.payload, d.job)
+	}
+	f.Add("job-1", "", 7, 64, int64(3), int64(125000), uint8(0x2f), floatBits(0.25, 0.5, 0.125, 0.75, 1, 2, 3))
+	f.Add("z", "", 1, 3, int64(9), int64(1), uint8(0x3f), floatBits(math.Copysign(0, -1), 5e-324, 1e-7, 1e21, math.MaxFloat64, -math.MaxFloat64, math.NaN(), math.Inf(-1)))
+	f.Add("j", "auction: <no> bid", 3, 2, int64(1), int64(2), uint8(0x2e), floatBits(1, 2, 3, 4))
+	f.Add("psi", "", 1, 0, int64(0), int64(0), uint8(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, job, errStr string, round, numBids int, draws, lat int64, shape uint8, data []byte) {
+		data = bytes.Clone(data)
+		for i := 0; i+8 <= len(data); i += 8 {
+			if u := binary.LittleEndian.Uint64(data[i:]); u>>52&0x7FF == 0x7FF {
+				binary.LittleEndian.PutUint64(data[i:], u&^(1<<62))
+			}
+		}
+		ro, bidders := walRoundFromFuzz(job, errStr, round, numBids, draws, lat, shape, data)
+		decimal, err := json.Marshal(parentRecord{Kind: recRound, Round: parentForm(ro, bidders, draws)})
+		if err != nil {
+			t.Fatalf("a finite round's decimal record: %v", err)
+		}
+		checkSpellingsAgree(t, decimal, job)
+		// Decoding replaces invalid UTF-8 in the error text, so only a valid
+		// one comes back as the round's own bytes.
+		if bits, _ := walPayload(ro, bidders, draws); utf8.ValidString(errStr) && !bytes.Equal(replayed(t, decimal, job), bits) {
+			t.Fatalf("the decimal spelling %s restores another round than %s", decimal, bits)
+		}
+	})
+}
+
+// decimalRecord is one round as the code before the bit spelling wrote it.
+type decimalRecord struct {
+	job     string
+	payload []byte // a round record; a history entry is framed as one
+	entry   bool   // a snapshot history entry
+}
+
+// parentRoundRecords reads every round record and snapshot history entry
+// of a data dir.
+func parentRoundRecords(t testing.TB, dir string) []decimalRecord {
+	t.Helper()
+	tmp := t.TempDir()
+	if err := os.CopyFS(tmp, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	log, rec, err := wal.Open(tmp, wal.Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close() //nolint:errcheck // only read
+	var out []decimalRecord
+	for _, seg := range rec.Segments {
+		for _, payload := range seg.Records {
+			var wr walRecord
+			if err := json.Unmarshal(payload, &wr); err != nil {
+				t.Fatal(err)
+			}
+			if wr.Kind == recRound {
+				out = append(out, decimalRecord{wr.Round.Job, payload, false})
+			}
 		}
 	}
-	failed := &walRound{Job: "job-2", Round: 9, NumBids: 3, LatencyNS: 77, Err: `auction: no "valid" bid`, Scores: []float64{}}
-	for _, r := range []*walRound{churnWalRound(), failed, {Job: "psi", Round: 1}} {
-		b, _, err := appendWalRound(nil, r)
+	var snap struct {
+		Jobs []struct {
+			History []json.RawMessage `json:"history"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range snap.Jobs {
+		for _, entry := range j.History {
+			var r walRound
+			if err := json.Unmarshal(entry, &r); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, decimalRecord{r.Job, []byte(walRoundPrefix + string(entry) + walRoundSuffix), true})
+		}
+	}
+	return out
+}
+
+// FuzzDecodeHistories feeds arbitrary bytes to replay as one history entry
+// of a snapshot. Replay must refuse or decode them without a panic, and
+// what it restores is a fixed point of the history form: appendWalRound
+// writes it in bytes that restore the same round. Entries this code wrote
+// come back byte-identical; the parent-pr12 fixture's decimal entries come
+// back in the bit spelling.
+func FuzzDecodeHistories(f *testing.F) {
+	written := map[string]bool{}
+	for _, d := range parentRoundRecords(f, filepath.Join("testdata", "parent-pr12", "data")) {
+		if d.entry {
+			written[strings.TrimSuffix(strings.TrimPrefix(string(d.payload), walRoundPrefix), walRoundSuffix)] = false
+		}
+	}
+	failed := &RoundOutcome{JobID: "job-2", Round: 9, NumBids: 3, Latency: 77, Err: errors.New(`auction: no "valid" bid`)}
+	for _, ro := range []*RoundOutcome{churnOutcome(), failed, {JobID: "psi", Round: 1}} {
+		b, err := appendWalRound(nil, ro, nil, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -180,34 +393,31 @@ func FuzzDecodeHistories(f *testing.F) {
 	for _, entry := range slices.Sorted(maps.Keys(written)) {
 		f.Add([]byte(entry))
 	}
-	f.Add([]byte(`{"job":"x","r":1,"nb":2,"bidders":[4,5],"draws":7,"lat":1,"w":[null,{"q":[]}],"sc":[-0,1e-7]}`))
+	f.Add([]byte(`{"job":"x","r":1,"nb":2,"bidders":[4,5],"draws":7,"lat":1,"w":[null,{"q":[]}],"sc":[-0,"AAAAAAAA8D8="]}`))
 	f.Add([]byte(`{"JOB":"\ud800","r":1,"job":"y","sc":null}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"r":1e3}`))
-	decode := func(entry []byte) (*walRound, error) {
-		snap := &walSnapshot{Jobs: []walSnapJob{{History: []walSnapRound{{raw: entry}}}}}
-		err := decodeHistories(snap)
-		return &snap.Jobs[0].History[0].walRound, err
-	}
-	f.Fuzz(func(t *testing.T, entry []byte) {
-		first, err := decode(entry)
-		if err != nil {
-			return
+	// restore is the history form of the round replay restores from entry.
+	restore := func(t *testing.T, entry []byte) ([]byte, error) {
+		var r walRound
+		if err := json.Unmarshal(entry, &r); err != nil {
+			return nil, err
 		}
-		enc, _, err := appendWalRound(nil, first)
+		ro := r.outcome(r.Job)
+		enc, err := appendWalRound(nil, &ro, nil, 0)
 		if err != nil {
 			t.Fatalf("a decoded entry does not encode: %v", err)
 		}
-		second, err := decode(enc)
+		return enc, nil
+	}
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		enc, err := restore(t, entry)
 		if err != nil {
-			t.Fatalf("history form %s does not decode: %v", enc, err)
+			return
 		}
-		first.Bidders, first.Draws = nil, 0
-		if !reflect.DeepEqual(second, first) {
-			t.Fatalf("decode → encode → decode changed the round:\n got %+v\nwant %+v", second, first)
-		}
-		if again, _, _ := appendWalRound(nil, second); !bytes.Equal(again, enc) {
-			t.Fatalf("history form is not a fixed point:\n%s\n%s", enc, again)
+		again, err := restore(t, enc)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("history form is not a fixed point (%v):\n%s\n%s", err, enc, again)
 		}
 		if written[string(entry)] && !bytes.Equal(enc, entry) {
 			t.Fatalf("a written entry came back changed:\n got %s\nwant %s", enc, entry)
@@ -216,8 +426,8 @@ func FuzzDecodeHistories(f *testing.F) {
 }
 
 // TestAppendWalRoundMatchesEncodingJSON is the seeded property test: random
-// records in the shape real rounds have (and real failed rounds), floats
-// drawn across the whole exponent range.
+// rounds in the shape real ones have (and real failed rounds), floats
+// drawn across the whole exponent range, NaN and ±Inf included.
 func TestAppendWalRoundMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	float := func() float64 {
@@ -244,92 +454,88 @@ func TestAppendWalRoundMatchesEncodingJSON(t *testing.T) {
 	}
 	strs := []string{"", "churn-17", "snap-job-0", `a"b\c`, "<script>&", "tab\there", "\u2028", "\xff", "日本"}
 	for i := 0; i < 2000; i++ {
-		r := &walRound{
-			Job:       strs[rng.Intn(len(strs))],
-			Round:     rng.Intn(1 << 20),
-			NumBids:   rng.Intn(128),
-			Draws:     rng.Int63n(1 << 40),
-			LatencyNS: rng.Int63n(1 << 30),
-			Scores:    floats(rng.Intn(66) - 1),
-			Profit:    float(),
+		ro := &RoundOutcome{
+			JobID:   strs[rng.Intn(len(strs))],
+			Round:   rng.Intn(1 << 20),
+			NumBids: rng.Intn(128),
+			Latency: time.Duration(rng.Int63n(1 << 30)),
 		}
+		draws := rng.Int63n(1 << 40)
+		var bidders []int
 		for n := rng.Intn(4) * 16; n > 0; n-- {
-			r.Bidders = append(r.Bidders, rng.Intn(1<<16))
+			bidders = append(bidders, rng.Intn(1<<16))
 		}
-		if rng.Intn(10) == 0 {
-			r.Err = "exchange: job x round 3: " + strs[rng.Intn(len(strs))]
-		}
+		out := &ro.Outcome
+		out.Scores = floats(rng.Intn(66) - 1)
+		out.AggregatorProfit = float()
 		if rng.Intn(5) != 0 {
-			r.Winners = make([]walWinner, rng.Intn(9))
-			for k := range r.Winners {
-				r.Winners[k] = walWinner{
-					NodeID:     rng.Intn(1 << 16),
-					Qualities:  floats(rng.Intn(5) - 1),
-					BidPayment: float(),
-					Score:      float(),
-					Payment:    float(),
+			out.Winners = make([]auction.Winner, rng.Intn(9))
+			for k := range out.Winners {
+				out.Winners[k] = auction.Winner{
+					Bid:     auction.Bid{NodeID: rng.Intn(1 << 16), Qualities: floats(rng.Intn(5) - 1), Payment: float()},
+					Score:   float(),
+					Payment: float(),
 				}
 			}
 		}
-		checkRoundEncoding(t, r)
+		if rng.Intn(10) == 0 {
+			ro.Err = errors.New("exchange: job x round 3: " + strs[rng.Intn(len(strs))])
+		}
+		checkRoundEncoding(t, ro, bidders, draws)
 	}
 }
 
-// TestDecodeRecordAcceptsForeignRoundSpelling: a round record that is valid
-// JSON but not in the writers' exact framing still replays, as it always
-// did, and gets canonical bytes to keep. And historyForm leaves alone what
-// it does not recognize.
+// TestDecodeRecordAcceptsForeignRoundSpelling: a round record that is
+// valid JSON but not in the writer's exact framing still replays — members
+// reordered, whitespace, and floats in either spelling, mixed within one
+// record — to the round its writer's own bytes restore.
 func TestDecodeRecordAcceptsForeignRoundSpelling(t *testing.T) {
-	r := &walRound{Job: "j", Round: 2, NumBids: 1, Bidders: []int{7}, Draws: 4, Scores: []float64{0.5}, Winners: []walWinner{}}
-	history, _, err := appendWalRound(nil, r)
+	ro := &RoundOutcome{JobID: "j", Round: 2, NumBids: 1, Outcome: auction.Outcome{
+		Winners: []auction.Winner{{Bid: auction.Bid{NodeID: 7, Qualities: []float64{0.25, 1e-9}, Payment: 0.5}, Score: 0.75, Payment: 0.5}},
+		Scores:  []float64{0.75}, AggregatorProfit: 0.25,
+	}}
+	canonical, err := walPayload(ro, []int{7}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record, err := json.Marshal(r)
+	decimal, err := json.Marshal(parentForm(ro, []int{7}, 4))
 	if err != nil {
 		t.Fatal(err)
+	}
+	round := strings.TrimSuffix(strings.TrimPrefix(string(canonical), walRoundPrefix), walRoundSuffix)
+	mixed := strings.Replace(round, `"sc":"AAAAAAAA6D8="`, `"sc":[0.75]`, 1)
+	if mixed == round {
+		t.Fatal("the fixture edit did not apply")
 	}
 	for _, payload := range []string{
-		`{ "k":"round", "round": ` + string(record) + ` }`,
-		`{"round":` + string(record) + `,"k":"round"}`,
+		`{ "k":"round", "round": ` + round + ` }`,
+		`{"round":` + string(decimal) + `,"k":"round"}`,
+		`{"k":"round","round":` + mixed + `}`,
 	} {
-		rec, err := decodeRecord([]byte(payload))
-		if err != nil {
-			t.Fatalf("%s: %v", payload, err)
-		}
-		if rec.Kind != recRound || !reflect.DeepEqual(rec.Round, r) || !bytes.Equal(rec.roundRaw, history) {
-			t.Errorf("%s decoded to %+v with raw %s", payload, rec.Round, rec.roundRaw)
+		if got := replayed(t, []byte(payload), "j"); !bytes.Equal(got, canonical) {
+			t.Errorf("%s restored\n%s\nwant\n%s", payload, got, canonical)
 		}
 	}
-	if rec, err := decodeRecord([]byte(`{"k":"round","round":null}`)); err != nil || rec.Round != nil {
-		t.Errorf("null round = (%+v, %v), want the generic decode's nil payload", rec.Round, err)
+	var rec walRecord
+	if err := json.Unmarshal([]byte(`{"k":"round","round":null}`), &rec); err != nil || rec.Round != nil {
+		t.Errorf("null round = (%+v, %v), want a nil payload", rec.Round, err)
 	}
-	for _, tc := range [][2]string{
-		{`{"draws":3,"job":"j"}`, `{"draws":3,"job":"j"}`},                                               // no member before it: left alone
-		{`{"job":"j","bidders":[1],"lat":2,"draws":3}`, `{"job":"j","bidders":[1],"lat":2,"draws":0}`},   // bidders not adjacent: kept
-		{`{"job":"a,\"draws\":9","r":1,"nb":0,"lat":2}`, `{"job":"a,\"draws\":9","r":1,"nb":0,"lat":2}`}, // the key's text inside a string
-		{`{"job":"j","r":1,"nb":2,"bidders":[4,-5],"draws":-7,"lat":2}`, `{"job":"j","r":1,"nb":2,"draws":0,"lat":2}`},
-	} {
-		if got := string(historyForm([]byte(tc[0]))); got != tc[1] {
-			t.Errorf("historyForm(%s) = %s, want %s", tc[0], got, tc[1])
+	for _, spelled := range []string{`"AAAAAAAA+H8="`, `"AAAAAAAA8H8="`, `"AAAAAAAA8D8"`, `"AAAAAAAA8D8=AAAA"`, `"AAAAAAAA8D\u0038="`, `1e400`, `"0.5"`, `""`, `"AAAAAAAA8D8AAAAAAAAAAAA="`} {
+		var f walFloat
+		if err := json.Unmarshal([]byte(spelled), &f); err == nil {
+			t.Errorf("%s decoded to %v, want an error (NaN, +Inf, wrong length, escapes or count, out of range, a decimal in quotes)", spelled, f)
+		}
+		var fs walFloats
+		if err := json.Unmarshal([]byte(`["x",`+spelled+`]`), &fs); err == nil {
+			t.Errorf("[%s] decoded to %v, want an error", spelled, fs)
 		}
 	}
-}
-
-// churnWalRound is a round_churn_durable round's record: 64 scores and K=8
-// two-dimensional winners.
-func churnWalRound() *walRound {
-	rng := rand.New(rand.NewSource(24))
-	unit := func() float64 { return unitQuality(rng) }
-	r := &walRound{Job: "churn-17", Round: 4211, NumBids: 64, LatencyNS: 20417, Scores: make([]float64, 64), Winners: make([]walWinner, 8)}
-	for i := range r.Scores {
-		r.Scores[i] = churnScore(rng)
+	for spelled, want := range map[string][]float64{`""`: {}, `"AAAAAAAA8D8AAAAAAAAAQA=="`: {1, 2}, `null`: nil, `[0.5,-0]`: {0.5, math.Copysign(0, -1)}} {
+		var fs walFloats
+		if err := json.Unmarshal([]byte(spelled), &fs); err != nil || (fs == nil) != (want == nil) || !slices.Equal(floatBits(fs...), floatBits(want...)) {
+			t.Errorf("%s decoded to %v (%v), want %v", spelled, fs, err, want)
+		}
 	}
-	for i := range r.Winners {
-		r.Winners[i] = walWinner{NodeID: i * 7, Qualities: []float64{unit(), unit()}, BidPayment: 0.3 * unit(), Score: r.Scores[i], Payment: 0.3 * unit()}
-		r.Profit += r.Winners[i].Score
-	}
-	return r
 }
 
 // churnOutcome is the same shape of round as the /v1 body spells it.
@@ -354,11 +560,17 @@ func churnOutcome() *RoundOutcome {
 	return ro
 }
 
-// TestRoundEncodersAllocateNothing: a round's record and its /v1 body,
-// each encoded into a recycled buffer, allocate nothing.
+// TestRoundEncodersAllocateNothing: a round's record, in record form with
+// its bidders, and its /v1 body, each encoded into a recycled buffer,
+// allocate nothing; nor does a failed round's record.
 func TestRoundEncodersAllocateNothing(t *testing.T) {
-	r, ro := churnWalRound(), churnOutcome()
-	rec, _, err := appendWalRound(nil, r)
+	ro := churnOutcome()
+	failed := &RoundOutcome{JobID: "j", Round: 3, Err: errors.New("auction: no valid bid")}
+	bidders := make([]int, 64)
+	for i := range bidders {
+		bidders[i] = i * 7
+	}
+	rec, err := appendWalRound(nil, ro, bidders, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,20 +578,26 @@ func TestRoundEncodersAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { rec, _, _ = appendWalRound(rec[:0], r) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { rec, _ = appendWalRound(rec[:0], ro, bidders, 1<<20) }); n != 0 {
 		t.Errorf("appendWalRound into a recycled buffer: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { rec, _ = appendWalRound(rec[:0], failed, nil, 0) }); n != 0 {
+		t.Errorf("appendWalRound of a failed round: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { body, _ = appendOutcome(body[:0], ro) }); n != 0 {
 		t.Errorf("appendOutcome into a recycled buffer: %v allocs, want 0", n)
 	}
 }
 
-// BenchmarkAppendWalRound prices the one encode of a round_churn_durable
-// round: 64 scores and K=8 two-dimensional winners into a recycled buffer
-// (0 allocs/op, TestRoundEncodersAllocateNothing).
+// BenchmarkAppendWalRound prices the encode of a round_churn_durable
+// round: 64 scores and K=8 two-dimensional winners, in history form, into
+// a recycled buffer (0 allocs/op, TestRoundEncodersAllocateNothing). The
+// round and form are the ones this benchmark priced before the bit
+// spelling, so the two read side by side.
 func BenchmarkAppendWalRound(b *testing.B) {
-	r := churnWalRound()
-	buf, _, err := appendWalRound(nil, r)
+	ro := churnOutcome()
+	ro.JobID = "churn-17"
+	buf, err := appendWalRound(nil, ro, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -387,7 +605,7 @@ func BenchmarkAppendWalRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _, _ = appendWalRound(buf[:0], r)
+		buf, _ = appendWalRound(buf[:0], ro, nil, 0)
 	}
 }
 

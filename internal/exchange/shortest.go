@@ -7,9 +7,10 @@ import (
 	"slices"
 )
 
-// The number kernel: every float and integer of a round's three spellings
-// (roundenc.go) is written here, in place in the destination's spare
-// capacity.
+// The number kernel: every float of a round's /v1 body, and every integer
+// of both of a round's spellings (roundenc.go), is written here, in place
+// in the destination's spare capacity. The log's spelling writes no
+// decimal float.
 //
 // Floats take the shortest decimal that parses back to the value — the
 // closest one when several are that short, the even one on a tie — from

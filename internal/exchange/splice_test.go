@@ -64,12 +64,12 @@ func assertSameRounds(t *testing.T, id string, got, want []RoundOutcome) {
 
 // TestParentWrittenDataDirReplaysAndCompacts is the cross-version format
 // test. testdata/parent-pr12 holds a data dir written by the commit before
-// rounds were encoded once (reflective encoder, re-marshalled snapshot) —
-// one exchange.snap plus a tail segment — and the outcome pages that commit
-// served from it. The dir must open with byte-identical pages, compact
-// (splicing bytes the parent wrote: no round is re-encoded anywhere in the
-// chain) and reopen with the same pages, then run a continuation round
-// bit-identical to a fork of the same dir that never compacted.
+// rounds were encoded once (reflective encoder, re-marshalled snapshot,
+// floats as decimals) — one exchange.snap plus a tail segment — and the
+// outcome pages that commit served from it. The dir must open with
+// byte-identical pages, compact (which writes its retained rounds in the
+// bit spelling) and reopen with the same pages, then run a continuation
+// round bit-identical to a fork of the same dir that never compacted.
 //
 // Regenerate (only if the fixture must change) from a checkout of that
 // commit: the workload is TestCompactionSnapshotReplayIdentical's up to its
@@ -87,7 +87,6 @@ func TestParentWrittenDataDirReplaysAndCompacts(t *testing.T) {
 		}
 		pages[ids[j]] = page
 	}
-	encodes := countRoundEncodes(t)
 	open := func(dir string) *Exchange {
 		t.Helper()
 		ex, err := Open(dir, Options{SnapshotBytes: -1})
@@ -112,11 +111,8 @@ func TestParentWrittenDataDirReplaysAndCompacts(t *testing.T) {
 	ex = open(dir) // from the spliced snapshot alone
 	defer ex.Close()
 	assertPages(t, ex, pages, "reopened after compaction")
-	if err := ex.Compact(); err != nil { // splices what the last snapshot spliced
+	if err := ex.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	if n := encodes.Load(); n != 0 {
-		t.Errorf("recover → compact → recover → compact encoded %d rounds, want none", n)
 	}
 
 	fork := open(cloneDataDir(t, filepath.Join(golden, "data")))
@@ -132,11 +128,90 @@ func TestParentWrittenDataDirReplaysAndCompacts(t *testing.T) {
 	}
 }
 
-// TestRecoveryChainNeverReencodes runs the same chain on a dir this code
-// wrote: rounds are encoded when they close and never again — not by
-// replaying a segment, not by compacting replayed rounds, not by replaying
-// the snapshot and compacting that.
-func TestRecoveryChainNeverReencodes(t *testing.T) {
+// TestParentWrittenDataDirTakesNewRounds holds both spellings in one data
+// dir: testdata/parent-pr12, in the decimal spelling, takes rounds this
+// code closes in the bit spelling, and a compaction writes the parent's
+// retained rounds, re-encoded as bits, beside the new ones. The pages
+// serve the parent's outcome bodies and the new rounds byte-identically
+// before the compaction and after a reopen from its snapshot.
+func TestParentWrittenDataDirTakesNewRounds(t *testing.T) {
+	const jobs, bidders, more = 4, 16, 2
+	golden := filepath.Join("testdata", "parent-pr12")
+	dir := cloneDataDir(t, filepath.Join(golden, "data"))
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := compactWorkload(t, ex, jobs, bidders-1, more, false) // node 15 is banned in the fixture
+	pages := allPages(t, ex, ids)
+	outcomes := func(page []byte) []json.RawMessage {
+		var p struct{ Outcomes []json.RawMessage }
+		if err := json.Unmarshal(page, &p); err != nil {
+			t.Fatal(err)
+		}
+		return p.Outcomes
+	}
+	retained := 0
+	for _, id := range ids {
+		parentPage, err := os.ReadFile(filepath.Join(golden, id+".outcomes.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, now := outcomes(parentPage), outcomes(pages[id])
+		if len(parent) <= more || len(now) != len(parent) {
+			t.Fatalf("job %s: the parent's page has %d outcomes, after %d more rounds %d", id, len(parent), more, len(now))
+		}
+		for i, body := range parent[more:] {
+			if !bytes.Equal(now[i], body) {
+				t.Errorf("job %s: the parent's outcome\n%s\nis served as\n%s", id, body, now[i])
+			}
+		}
+		retained += len(now)
+	}
+	if err := ex.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(dir, wal.SnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Jobs []struct{ History []json.RawMessage }
+	}
+	if err := json.Unmarshal(raw[8:], &snap); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, j := range snap.Jobs {
+		for _, entry := range j.History {
+			entries++
+			var old parentRound
+			if err := json.Unmarshal(entry, &old); err == nil {
+				t.Errorf("a history entry is still in the decimal spelling: %s", entry)
+			}
+		}
+	}
+	if entries != retained {
+		t.Errorf("the snapshot holds %d history entries, the jobs retained %d rounds", entries, retained)
+	}
+	ex, err = Open(dir, Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	assertPages(t, ex, pages, "reopened from the mixed snapshot")
+}
+
+// TestRecoveryChainEncodeCounts runs the recovery chain on a dir this code
+// wrote and counts round encodes: each close encodes its round once, a
+// replay — of a segment or of a snapshot — encodes nothing, and each
+// compaction encodes exactly the rounds it retains. The outcome pages stay
+// byte-identical along the chain.
+func TestRecoveryChainEncodeCounts(t *testing.T) {
 	const jobs, bidders, rounds = 3, 8, 6
 	dir := t.TempDir()
 	encodes := countRoundEncodes(t)
@@ -149,31 +224,43 @@ func TestRecoveryChainNeverReencodes(t *testing.T) {
 		t.Fatalf("%d rounds closed with %d encodes, want one each", jobs*rounds, n)
 	}
 	pages := allPages(t, ex, ids)
+	retained := 0
+	for _, id := range ids {
+		job, _ := ex.Job(id)
+		page, _ := job.OutcomesAfter(0, 0)
+		retained += len(page)
+	}
+	if retained == 0 || retained == jobs*rounds {
+		t.Fatalf("%d of %d rounds retained: the chain must evict some and keep some", retained, jobs*rounds)
+	}
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
-	encodes.Store(0)
 	for _, step := range []string{"segment replay", "snapshot replay", "second snapshot replay"} {
+		encodes.Store(0)
 		ex, err := Open(dir, Options{SnapshotBytes: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
+		}
+		if n := encodes.Load(); n != 0 {
+			t.Errorf("%s encoded %d rounds, want none", step, n)
 		}
 		assertPages(t, ex, pages, step)
 		if err := ex.Compact(); err != nil {
 			t.Fatalf("compact after %s: %v", step, err)
 		}
+		if n := encodes.Load(); n != int64(retained) {
+			t.Errorf("the compaction after %s encoded %d rounds, want the %d retained", step, n, retained)
+		}
 		if err := ex.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := encodes.Load(); n != 0 {
-		t.Errorf("the recovery chain encoded %d rounds, want none", n)
-	}
 }
 
 // The snapshot schema as the parent commit declared it, history entries as
-// plain round records. A snapshot written by the streaming writer must be
-// this document.
+// plain round records with their floats as bits (bitsRound). A snapshot
+// written by the streaming writer must be this document.
 type parentSnapshot struct {
 	CutSeq int64           `json:"cut_seq"`
 	Jobs   []parentSnapJob `json:"jobs,omitempty"`
@@ -181,21 +268,21 @@ type parentSnapshot struct {
 }
 
 type parentSnapJob struct {
-	Spec      walJob     `json:"spec"`
-	Closed    bool       `json:"closed,omitempty"`
-	Round     int        `json:"round"`
-	BaseRound int        `json:"base_round"`
-	Draws     int64      `json:"draws"`
-	AuctRound int        `json:"auct_round"`
-	History   []walRound `json:"history,omitempty"`
+	Spec      walJob      `json:"spec"`
+	Closed    bool        `json:"closed,omitempty"`
+	Round     int         `json:"round"`
+	BaseRound int         `json:"base_round"`
+	Draws     int64       `json:"draws"`
+	AuctRound int         `json:"auct_round"`
+	History   []bitsRound `json:"history,omitempty"`
 }
 
 // TestSnapshotIsTheParentSchemaDocument decodes a streamed snapshot with
-// the parent's structs: the frame validates (the reopen at the end reads
-// it), json.Marshal of the decoded
-// value reproduces the payload byte for byte (the hand-written header and
-// node encoders emit exactly the schema's document), and the histories are
-// the live exchange's. It also covers the compaction gauges.
+// the parent's structs, floats as bits: the frame validates (the reopen at
+// the end reads it), json.Marshal of the decoded value reproduces the
+// payload byte for byte (the hand-written header, history and node
+// encoders emit exactly the schema's document), and the histories are the
+// live exchange's. It also covers the compaction gauges.
 func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
 	const jobs, bidders, rounds = 4, 16, 6
 	dir := t.TempDir()
@@ -246,7 +333,15 @@ func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
 			continue
 		}
 		for i := range live {
-			if got := sj.History[i].outcome(sj.Spec.ID); !reflect.DeepEqual(got, live[i]) {
+			entry, err := json.Marshal(sj.History[i])
+			var wr walRound
+			if err == nil {
+				err = json.Unmarshal(entry, &wr)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := wr.outcome(sj.Spec.ID); !reflect.DeepEqual(got, live[i]) {
 				t.Errorf("job %s round %d: snapshot holds %+v, live history %+v", sj.Spec.ID, live[i].Round, got, live[i])
 			}
 		}
@@ -467,9 +562,9 @@ func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
 	})
 }
 
-// TestOpenRejectsUndecodableHistoryEntry: history entries are decoded apart
-// from the document around them; one that is valid JSON but not a round
-// must fail the Open like any other undecodable snapshot, not vanish.
+// TestOpenRejectsUndecodableHistoryEntry: a history entry that is valid
+// JSON but not a round must fail the Open like any other undecodable
+// snapshot, not vanish.
 func TestOpenRejectsUndecodableHistoryEntry(t *testing.T) {
 	dir := t.TempDir()
 	ex, err := Open(dir, Options{SnapshotBytes: -1})
@@ -512,15 +607,13 @@ func TestOpenRejectsUndecodableHistoryEntry(t *testing.T) {
 
 // TestRealLogsReencodeToThemselves is the round encoder's identity on bytes
 // that exist: every round record in the tail segment and every history
-// entry in the snapshot — of testdata/parent-pr12, written by the reflective
-// encoder of the commit before rounds were encoded once, and of a compacted
-// dir this code writes — is decoded and run back through appendWalRound and
-// frameRound, and must come out as the bytes on disk. A float the encoder
-// spelled differently from the writer of those bytes would show here even
-// if both spellings parsed to the same value.
+// entry in the snapshot of a compacted dir this code writes is restored as
+// replay restores it and encoded again, and must come out as the bytes on
+// disk. (The decimal records of testdata/parent-pr12 are held to their
+// bit spelling by FuzzRoundSpellings.)
 func TestRealLogsReencodeToThemselves(t *testing.T) {
-	fresh := t.TempDir()
-	ex, err := Open(fresh, Options{SnapshotBytes: -1})
+	dir := t.TempDir()
+	ex, err := Open(dir, Options{SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,57 +625,47 @@ func TestRealLogsReencodeToThemselves(t *testing.T) {
 	if err := ex.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, dir := range map[string]string{"parent-pr12": filepath.Join("testdata", "parent-pr12", "data"), "written here": fresh} {
-		log, rec, err := wal.Open(cloneDataDir(t, dir), wal.Options{SegmentBytes: -1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		t.Cleanup(func() { log.Close() }) //nolint:errcheck // only read
-		// reencoded is r's payload as this code writes it.
-		reencoded := func(r *walRound) []byte {
-			history, drawsAt, err := appendWalRound(nil, r)
-			if err != nil {
-				t.Fatalf("%s: job %s round %d: %v", name, r.Job, r.Round, err)
+	log, rec, err := wal.Open(cloneDataDir(t, dir), wal.Options{SegmentBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close() //nolint:errcheck // only read
+	records, entries := 0, 0
+	for _, seg := range rec.Segments {
+		for _, payload := range seg.Records {
+			var wr walRecord
+			if err := json.Unmarshal(payload, &wr); err != nil {
+				t.Fatal(err)
 			}
-			var b bytes.Buffer
-			frameRound(&b, history, drawsAt, r.Bidders, r.Draws)
-			return b.Bytes()
-		}
-		records, entries := 0, 0
-		for _, seg := range rec.Segments {
-			for _, payload := range seg.Records {
-				var wr walRecord
-				if err := json.Unmarshal(payload, &wr); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if wr.Kind != recRound {
-					continue
-				}
-				records++
-				if got := reencoded(wr.Round); !bytes.Equal(got, payload) {
-					t.Errorf("%s: round record re-encodes differently:\n got: %s\nwant: %s", name, got, payload)
-				}
+			if wr.Kind != recRound {
+				continue
+			}
+			records++
+			if got := replayed(t, payload, wr.Round.Job); !bytes.Equal(got, payload) {
+				t.Errorf("round record re-encodes differently:\n got: %s\nwant: %s", got, payload)
 			}
 		}
-		var snap walSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			t.Fatalf("%s: snapshot: %v", name, err)
-		}
-		for _, job := range snap.Jobs {
-			for _, entry := range job.History {
-				var r walRound
-				if err := json.Unmarshal(entry.raw, &r); err != nil {
-					t.Fatalf("%s: history entry: %v", name, err)
-				}
-				entries++
-				want := walRoundPrefix + string(entry.raw) + walRoundSuffix
-				if got := reencoded(&r); string(got) != want {
-					t.Errorf("%s: history entry re-encodes differently:\n got: %s\nwant: %s", name, got, want)
-				}
+	}
+	var snap struct {
+		Jobs []struct{ History []json.RawMessage }
+	}
+	if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	for _, job := range snap.Jobs {
+		for _, entry := range job.History {
+			var r walRound
+			if err := json.Unmarshal(entry, &r); err != nil {
+				t.Fatalf("history entry: %v", err)
+			}
+			entries++
+			ro := r.outcome(r.Job)
+			if got, err := appendWalRound(nil, &ro, nil, 0); err != nil || !bytes.Equal(got, entry) {
+				t.Errorf("history entry re-encodes differently (%v):\n got: %s\nwant: %s", err, got, entry)
 			}
 		}
-		if records == 0 || entries == 0 {
-			t.Errorf("%s: checked %d round records and %d history entries, want some of each", name, records, entries)
-		}
+	}
+	if records == 0 || entries == 0 {
+		t.Errorf("checked %d round records and %d history entries, want some of each", records, entries)
 	}
 }

@@ -61,7 +61,7 @@ func accuracyLossFigure(id, title string, task data.TaskKind, scale Scale) (*Fig
 	// Derived note: speedup of FMore over RandFL at RandFL's final accuracy
 	// (the paper reports 42-68% round reductions), left out when FMore
 	// never reached it.
-	if rr, ok := reduceRounds(fmore, randfl); ok && rr.fmore <= float64(scale.Rounds) {
+	if rr, ok := reduceRounds(fmore, randfl); ok {
 		fr.Notes = append(fr.Notes, fmt.Sprintf(
 			"rounds to %.1f%% accuracy: FMore %.1f vs RandFL %.1f (%.0f%% reduction)",
 			100*rr.target, rr.fmore, rr.randfl, rr.pct))

@@ -18,8 +18,8 @@ type HeadlineResult struct {
 	// PerTask maps each simulated workload to its round reduction (vs
 	// RandFL, at RandFL's final accuracy) and relative accuracy gain.
 	PerTask map[string]TaskHeadline
-	// MeanRoundReductionPct averages the per-task round reductions (the
-	// paper reports 51.3%).
+	// MeanRoundReductionPct averages the round reductions of the tasks
+	// whose FMore reached the target (the paper reports 51.3%).
 	MeanRoundReductionPct float64
 	// LSTMAccuracyGainPct is the relative accuracy improvement on the LSTM
 	// task at the final round (the paper reports 28%).
@@ -30,10 +30,13 @@ type HeadlineResult struct {
 	ClusterTimeReductionPct float64
 }
 
-// TaskHeadline is one workload's headline pair.
+// TaskHeadline is one workload's headline pair. Unreached marks a task
+// whose FMore never reached RandFL's final accuracy (see reduceRounds): it
+// has no round reduction and is left out of the mean.
 type TaskHeadline struct {
 	RoundReductionPct float64
 	AccuracyGainPct   float64
+	Unreached         bool
 }
 
 // headlineTasks is the order HeadlineNumbers runs the simulated workloads
@@ -56,9 +59,9 @@ func HeadlineNumbers(scale, cs Scale) (*HeadlineResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("headline %v RandFL: %w", task, err)
 		}
-		th := TaskHeadline{}
+		th := TaskHeadline{Unreached: true}
 		if rr, ok := reduceRounds(fmore, randfl); ok {
-			th.RoundReductionPct = rr.pct
+			th = TaskHeadline{RoundReductionPct: rr.pct}
 			reductionSum += th.RoundReductionPct
 			reductionN++
 		}
@@ -127,8 +130,11 @@ func (h *HeadlineResult) Write(w interface{ Write([]byte) (int, error) }) error 
 		}
 		// A reduction prints as the signed change in rounds, so a run that
 		// took more rounds reads "+5.0%", not "--5.0%".
-		lines = append(lines, fmt.Sprintf("  %-10s rounds %+.1f%%  accuracy %+.1f%%",
-			task, -th.RoundReductionPct, th.AccuracyGainPct))
+		rounds := fmt.Sprintf("%+.1f%%", -th.RoundReductionPct)
+		if th.Unreached {
+			rounds = "not reached"
+		}
+		lines = append(lines, fmt.Sprintf("  %-10s rounds %s  accuracy %+.1f%%", task, rounds, th.AccuracyGainPct))
 	}
 	for _, l := range lines {
 		if _, err := w.Write([]byte(l + "\n")); err != nil {

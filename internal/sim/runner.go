@@ -120,13 +120,15 @@ type roundReduction struct {
 }
 
 // reduceRounds computes the round reduction of fmore over randfl; ok is
-// false when either round count is not positive. A target that fmore never
-// reaches counts as Rounds+1 (RoundsToAccuracy), so the reduction may be
-// negative.
+// false when either round count is not positive, and when fmore's exceeds
+// the runs' rounds. RoundsToAccuracy counts a run that never reaches the
+// target as Rounds+1, so a task whose FMore does not reach RandFL's final
+// accuracy would otherwise read as a negative reduction. The figure notes
+// and the headline share this rule.
 func reduceRounds(fmore, randfl *AvgHistory) (rr roundReduction, ok bool) {
 	rr.target = randfl.FinalAccuracy()
 	rr.fmore, rr.randfl = fmore.RoundsToAccuracy(rr.target), randfl.RoundsToAccuracy(rr.target)
-	if rr.fmore <= 0 || rr.randfl <= 0 {
+	if rr.fmore <= 0 || rr.randfl <= 0 || rr.fmore > float64(len(fmore.Accuracy)) {
 		return rr, false
 	}
 	rr.pct = 100 * (1 - rr.fmore/rr.randfl)

@@ -414,14 +414,16 @@ func TestHeadlineWritesTasksInRunOrder(t *testing.T) {
 	for i, task := range headlineTasks {
 		h.PerTask[task.String()] = TaskHeadline{RoundReductionPct: float64(i)}
 	}
-	// A negative reduction (FMore took more rounds) prints one sign.
+	// A negative reduction (FMore took more rounds) prints one sign, and a
+	// target FMore never reached prints as such.
 	h.PerTask[headlineTasks[1].String()] = TaskHeadline{RoundReductionPct: -5}
+	h.PerTask[headlineTasks[3].String()] = TaskHeadline{Unreached: true}
 	var buf bytes.Buffer
 	if err := h.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"rounds -0.0%", "rounds +5.0%", "rounds -2.0%"} {
+	for _, want := range []string{"rounds -0.0%", "rounds +5.0%", "rounds -2.0%", "rounds not reached"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
@@ -436,6 +438,27 @@ func TestHeadlineWritesTasksInRunOrder(t *testing.T) {
 			t.Fatalf("task %s missing or out of order:\n%s", task, out)
 		}
 		last = at
+	}
+}
+
+// TestReduceRoundsLeavesOutUnreachedTargets: RoundsToAccuracy counts a
+// run that never reaches the target as Rounds+1, and reduceRounds reports
+// no reduction for such a task instead of a negative one, so the headline
+// mean and the Figs. 4-7 notes leave it out alike.
+func TestReduceRoundsLeavesOutUnreachedTargets(t *testing.T) {
+	avg := func(acc ...float64) *AvgHistory {
+		h := &fl.History{}
+		for i, a := range acc {
+			h.Rounds = append(h.Rounds, fl.RoundMetrics{Round: i + 1, Accuracy: a})
+		}
+		return &AvgHistory{Accuracy: acc, Histories: []*fl.History{h}}
+	}
+	randfl := avg(0.2, 0.4, 0.6, 0.8)
+	if rr, ok := reduceRounds(avg(0.5, 0.8, 0.9, 0.9), randfl); !ok || rr.fmore != 2 || rr.randfl != 4 || rr.pct != 50 {
+		t.Errorf("reached in 2 of RandFL's 4 rounds: %+v, %v", rr, ok)
+	}
+	if rr, ok := reduceRounds(avg(0.1, 0.2, 0.3, 0.7), randfl); ok {
+		t.Errorf("a target FMore never reached gave a reduction of %.1f%%", rr.pct)
 	}
 }
 
