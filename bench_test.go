@@ -820,36 +820,3 @@ func BenchmarkAblationScoringRules(b *testing.B) {
 		b.ReportMetric(overlap(wAdd, wCD), "additive-cobbdouglas-overlap")
 	}
 }
-
-// BenchmarkAblationBudget exercises the budget-constrained winner
-// determination (the paper's named future-work extension): how the winner
-// count and outlay respond as the aggregator budget tightens.
-func BenchmarkAblationBudget(b *testing.B) {
-	rule, err := auction.NewAdditive(0.5, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	bids := make([]auction.Bid, 100)
-	for i := range bids {
-		bids[i] = auction.Bid{
-			NodeID:    i,
-			Qualities: []float64{rng.Float64(), rng.Float64()},
-			Payment:   0.05 + 0.25*rng.Float64(),
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tight, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Budget: 1.0, Payment: auction.FirstPrice}, rand.New(rand.NewSource(8)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		loose, err := auction.Select(auction.SelectionRequest{Rule: rule, Bids: bids, K: 20, Budget: 10.0, Payment: auction.FirstPrice}, rand.New(rand.NewSource(8)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(tight.Winners)), "winners-budget-1")
-		b.ReportMetric(float64(len(loose.Winners)), "winners-budget-10")
-		b.ReportMetric(tight.TotalPayment(), "outlay-budget-1")
-	}
-}

@@ -25,8 +25,8 @@
 // # The selection pipeline
 //
 // All winner-determination variants run through one configurable core:
-// build a SelectionRequest (rule, bids, K, ψ or per-node ψ vector, budget,
-// payment rule) and call Selector.Select. The pipeline stages are
+// build a SelectionRequest (rule, bids, K, ψ, payment rule) and call
+// Selector.Select. The pipeline stages are
 //
 //	score → rank → select → pay
 //
@@ -49,9 +49,9 @@
 // on the score first: a bid scoring strictly below both the heap's root and
 // the best excluded candidate changes neither, whatever its tiebreak, and is
 // passed over before its record is built (a NaN score compares false and
-// takes the full comparison). Variants that can look past the K-th
-// candidate (ψ-admission, budget knapsack) fall back to a full O(N log N)
-// in-place heapsort over the same pooled buffers.
+// takes the full comparison). ψ-admission, which can look past the K-th
+// candidate, falls back to a full O(N log N) in-place heapsort over the same
+// pooled buffers.
 //
 // # One definition of s(q)
 //

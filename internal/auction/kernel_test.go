@@ -410,17 +410,7 @@ func selectWithScores(req SelectionRequest, scores []float64, rng *rand.Rand) (O
 	if err := s.draw(req, len(req.Bids), rng); err != nil {
 		return Outcome{}, err
 	}
-	var out Outcome
-	var err error
-	if req.Psi > 0 && req.Psi < 1 {
-		out, err = s.selectPsi(req, func(int) float64 { return req.Psi }, rng)
-	} else {
-		out, err = s.selectTopK(req)
-	}
-	if err != nil {
-		return Outcome{}, err
-	}
-	return out.Clone(), nil
+	return s.pick(req, rng).Clone(), nil
 }
 
 // frozenTopK is the bounded-heap top-K loop as it stood before the

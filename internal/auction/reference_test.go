@@ -144,85 +144,3 @@ func refDetermineWinnersPsi(rule ScoringRule, bids []Bid, pre []float64, k int, 
 	}
 	return refBuildOutcome(rule, ranked, selected, scores, payment)
 }
-
-func refDetermineWinnersBudget(rule ScoringRule, bids []Bid, k int, budget float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if budget <= 0 || math.IsNaN(budget) {
-		return Outcome{}, fmt.Errorf("auction: budget must be positive, got %v", budget)
-	}
-	ranked, scores, err := refRankWith(rule, bids, nil, rng)
-	if err != nil {
-		return Outcome{}, err
-	}
-	remaining := budget
-	selected := make([]scoredBid, 0, k)
-	for _, sb := range ranked {
-		if len(selected) >= k {
-			break
-		}
-		if sb.score < 0 {
-			break
-		}
-		if sb.bid.Payment > remaining {
-			continue
-		}
-		selected = append(selected, sb)
-		remaining -= sb.bid.Payment
-	}
-	out, err := refBuildOutcome(rule, ranked, selected, scores, payment)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if payment == SecondPrice {
-		clampToBudget(rule, &out, budget)
-	}
-	return out, nil
-}
-
-func refDetermineWinnersPsiVector(rule ScoringRule, bids []Bid, k int, psiOf func(nodeID int) float64, payment PaymentRule, rng *rand.Rand) (Outcome, error) {
-	if k < 1 {
-		return Outcome{}, fmt.Errorf("auction: K must be >= 1, got %d", k)
-	}
-	if psiOf == nil {
-		return Outcome{}, fmt.Errorf("auction: psiOf is required")
-	}
-	ranked, scores, err := refRankWith(rule, bids, nil, rng)
-	if err != nil {
-		return Outcome{}, err
-	}
-	eligible := ranked[:0:0]
-	for _, sb := range ranked {
-		if sb.score < 0 {
-			continue
-		}
-		psi := psiOf(sb.bid.NodeID)
-		if psi <= 0 || psi > 1 || math.IsNaN(psi) {
-			return Outcome{}, fmt.Errorf("auction: psi for node %d = %v outside (0, 1]", sb.bid.NodeID, psi)
-		}
-		eligible = append(eligible, sb)
-	}
-	if len(eligible) == 0 {
-		return Outcome{Scores: scores}, nil
-	}
-	const maxPasses = 1 << 16
-	selected := make([]scoredBid, 0, k)
-	remaining := append([]scoredBid(nil), eligible...)
-	for pass := 0; len(selected) < k && len(remaining) > 0 && pass < maxPasses; pass++ {
-		next := remaining[:0]
-		for _, sb := range remaining {
-			if len(selected) >= k {
-				next = append(next, sb)
-				continue
-			}
-			if rng.Float64() < psiOf(sb.bid.NodeID) {
-				selected = append(selected, sb)
-			} else {
-				next = append(next, sb)
-			}
-		}
-		remaining = next
-	}
-	return refBuildOutcome(rule, ranked, selected, scores, payment)
-}

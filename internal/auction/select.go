@@ -8,8 +8,8 @@ import (
 
 // This file is the winner-determination core every public entry point of the
 // package routes through. One request type describes all supported variants
-// (plain FMore top-K, ψ-FMore, per-node ψ vectors, aggregator budgets, first-
-// and second-price payments), and one pipeline executes them:
+// (plain FMore top-K, ψ-FMore, first- and second-price payments), and one
+// pipeline executes them:
 //
 //	score → rank → select → pay
 //
@@ -20,9 +20,9 @@ import (
 // partial top-K selection: a size-K min-heap over (score, tiebreak, position)
 // that also tracks the best excluded candidate, i.e. the (K+1)-th reference
 // score the second-price rule needs, in O(N log K) instead of the O(N log N)
-// full sort. Variants that walk past the K-th candidate (ψ-admission, budget
-// knapsack) fall back to a full in-place heapsort over the same pooled buffer.
-// The select and pay stages are shared by all variants.
+// full sort. ψ-admission, which may walk past the K-th candidate, falls back
+// to a full in-place heapsort over the same pooled buffer. The select and pay
+// stages are shared by both variants.
 //
 // All scratch memory lives on the Selector, so a caller that keeps one
 // Selector per auction stream (one per exchange job, one per Auctioneer)
@@ -30,8 +30,7 @@ import (
 
 // SelectionRequest describes one winner-determination problem. The zero
 // value of every optional field means "off": Psi 0 (or 1) is deterministic
-// admission, PsiOf nil uses the scalar Psi, Budget 0 is unconstrained,
-// Payment 0 is FirstPrice.
+// admission, Payment 0 is FirstPrice.
 type SelectionRequest struct {
 	// Rule is the broadcast scoring rule S(q, p) = Rule.Value(q) − p.
 	Rule ScoringRule
@@ -42,12 +41,6 @@ type SelectionRequest struct {
 	// Psi in (0, 1) runs ψ-FMore admission (§III-C); 0 means plain top-K,
 	// and so does 1 (every candidate admitted, no admission draws).
 	Psi float64
-	// PsiOf, when non-nil, runs the per-node ψ generalization: it must
-	// return an admission probability in (0, 1] for every bidding node.
-	PsiOf func(nodeID int) float64
-	// Budget, when positive, caps the cumulative asked payment of the
-	// winner set (greedy knapsack admission).
-	Budget float64
 	// Payment selects first- or second-price payments (default FirstPrice).
 	Payment PaymentRule
 }
@@ -67,9 +60,9 @@ type Selector struct {
 	scores   []float64   // per-bid S(qᵢ, pᵢ), input order; aliased by Outcome.Scores
 	tiebreak []float64   // per-bid coin-flip key, input order
 	heap     []scoredBid // bounded top-K heap (deterministic top-K path)
-	ranked   []scoredBid // full descending ranking (ψ and budget paths)
+	ranked   []scoredBid // full descending ranking (ψ path)
 	walk     []scoredBid // ψ-admission working set
-	selected []scoredBid // winners in selection order (ψ and budget paths)
+	selected []scoredBid // winners in selection order (ψ path)
 	winners  []Winner    // outcome assembly buffer; aliased by Outcome.Winners
 	join     spanJoin    // brings a large slate's concurrently scored spans together
 }
@@ -87,7 +80,7 @@ type scoredBid struct {
 //
 // The rng contract matches the original full-sort implementation (frozen in
 // reference_test.go) bit for bit: exactly one Float64 tiebreak draw per bid
-// in input order, followed (for ψ variants) by one admission draw per
+// in input order, followed (for ψ-FMore) by one admission draw per
 // candidate visit in descending score order.
 func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error) {
 	if req.K < 1 {
@@ -97,28 +90,19 @@ func (s *Selector) Select(req SelectionRequest, rng *rand.Rand) (Outcome, error)
 		// NaN compares unequal to 0, so a NaN Psi lands here too.
 		return Outcome{}, fmt.Errorf("auction: psi must be in (0, 1], got %v", req.Psi)
 	}
-	if req.Budget != 0 && (req.Budget <= 0 || math.IsNaN(req.Budget)) {
-		return Outcome{}, fmt.Errorf("auction: budget must be positive, got %v", req.Budget)
-	}
-	if req.PsiOf != nil && req.Psi != 0 {
-		return Outcome{}, fmt.Errorf("auction: Psi and PsiOf are mutually exclusive")
-	}
-	if req.Budget > 0 && (req.PsiOf != nil || req.Psi > 0) {
-		return Outcome{}, fmt.Errorf("auction: Budget cannot be combined with ψ-admission")
-	}
 	if err := s.score(req, rng); err != nil {
 		return Outcome{}, err
 	}
-	switch {
-	case req.PsiOf != nil:
-		return s.selectPsi(req, req.PsiOf, rng)
-	case req.Psi > 0 && req.Psi < 1:
-		return s.selectPsi(req, func(int) float64 { return req.Psi }, rng)
-	case req.Budget > 0:
-		return s.selectBudget(req)
-	default:
-		return s.selectTopK(req)
+	return s.pick(req, rng), nil
+}
+
+// pick runs the rank, select and pay stages over the scored slate: the ψ
+// walk for ψ in (0, 1), the bounded top-K heap otherwise.
+func (s *Selector) pick(req SelectionRequest, rng *rand.Rand) Outcome {
+	if req.Psi > 0 && req.Psi < 1 {
+		return s.selectPsi(req, rng)
 	}
+	return s.selectTopK(req)
 }
 
 // score evaluates S(qᵢ, pᵢ) into s.scores through the slate scorer, which
@@ -224,7 +208,7 @@ func (s *Selector) sortDescending(h []scoredBid) {
 // heap: O(N log K) with K ≪ N instead of a full sort. The best candidate
 // excluded from the heap is tracked as it goes — that is exactly the
 // (K+1)-th ranked score the second-price rule references.
-func (s *Selector) selectTopK(req SelectionRequest) (Outcome, error) {
+func (s *Selector) selectTopK(req SelectionRequest) Outcome {
 	n := len(req.Bids)
 	k := min(req.K, n)
 	if cap(s.heap) < k {
@@ -284,12 +268,12 @@ func (s *Selector) selectTopK(req SelectionRequest) (Outcome, error) {
 	case haveExcl:
 		refScore, hasRef = excl.score, true
 	}
-	return s.outcome(req, selected, refScore, hasRef), nil
+	return s.outcome(req, selected, refScore, hasRef)
 }
 
 // rankAll fills s.ranked with every bid in descending better-order — the
-// full ranking the ψ-admission and budget walks need because they may visit
-// candidates past the K-th.
+// full ranking the ψ-admission walk needs because it may visit candidates
+// past the K-th.
 func (s *Selector) rankAll(req SelectionRequest) {
 	n := len(req.Bids)
 	if cap(s.ranked) < n {
@@ -303,21 +287,11 @@ func (s *Selector) rankAll(req SelectionRequest) {
 	s.sortDescending(r)
 }
 
-// refAfter returns the second-price reference after nsel winners were taken
-// from the full ranking: the (nsel+1)-th ranked score, when one exists.
-func (s *Selector) refAfter(nsel int) (float64, bool) {
-	if nsel < len(s.ranked) {
-		return s.ranked[nsel].score, true
-	}
-	return 0, false
-}
-
-// selectPsi implements ψ-FMore (§III-C) and its per-node generalization:
-// bids are visited in descending score order and each is admitted with
-// probability psiOf(node) — a constant for the scalar ψ — repeating passes
-// over the remaining candidates until K winners are chosen or every
-// eligible bid has been admitted. Each node's ψ is validated on first visit.
-func (s *Selector) selectPsi(req SelectionRequest, psiOf func(nodeID int) float64, rng *rand.Rand) (Outcome, error) {
+// selectPsi implements ψ-FMore (§III-C): bids are visited in descending
+// score order and each is admitted with probability ψ, repeating passes over
+// the remaining candidates until K winners are chosen or every eligible bid
+// has been admitted.
+func (s *Selector) selectPsi(req SelectionRequest, rng *rand.Rand) Outcome {
 	s.rankAll(req)
 	if cap(s.walk) < len(s.ranked) {
 		s.walk = make([]scoredBid, 0, len(s.ranked))
@@ -327,18 +301,16 @@ func (s *Selector) selectPsi(req SelectionRequest, psiOf func(nodeID int) float6
 		if !(sb.score >= 0) {
 			continue // IR-violating (or unordered, NaN) bids are dropped up front
 		}
-		psi := psiOf(sb.bid.NodeID)
-		if psi <= 0 || psi > 1 || math.IsNaN(psi) {
-			s.walk = remaining
-			return Outcome{}, fmt.Errorf("auction: psi for node %d = %v outside (0, 1]", sb.bid.NodeID, psi)
-		}
 		remaining = append(remaining, sb)
 	}
 	s.walk = remaining
 	if len(remaining) == 0 {
-		return Outcome{Scores: s.scores}, nil
+		return Outcome{Scores: s.scores}
 	}
-	selected := s.selectedBuf(req.K, len(remaining))
+	if need := min(req.K, len(remaining)); cap(s.selected) < need {
+		s.selected = make([]scoredBid, 0, need)
+	}
+	selected := s.selected[:0]
 	// A pass may select nobody (every ψ-flip fails), so termination is only
 	// almost-sure; the pass cap keeps it deterministic against a pathological
 	// rng while being unreachable in practice (P(no progress per pass) =
@@ -351,7 +323,7 @@ func (s *Selector) selectPsi(req SelectionRequest, psiOf func(nodeID int) float6
 				next = append(next, sb)
 				continue
 			}
-			if rng.Float64() < psiOf(sb.bid.NodeID) {
+			if rng.Float64() < req.Psi {
 				selected = append(selected, sb)
 			} else {
 				next = append(next, sb)
@@ -360,51 +332,12 @@ func (s *Selector) selectPsi(req SelectionRequest, psiOf func(nodeID int) float6
 		remaining = next
 	}
 	s.selected = selected
-	refScore, hasRef := s.refAfter(len(selected))
-	return s.outcome(req, selected, refScore, hasRef), nil
-}
-
-// selectBudget admits bids in descending score order while the cumulative
-// asked payment stays within budget, stopping at K winners. A bid too
-// expensive for the remaining budget is skipped (not terminal), so cheaper
-// lower-score bids can still fill the set — the greedy knapsack heuristic.
-func (s *Selector) selectBudget(req SelectionRequest) (Outcome, error) {
-	s.rankAll(req)
-	remaining := req.Budget
-	selected := s.selectedBuf(req.K, len(req.Bids))
-	for _, sb := range s.ranked {
-		if len(selected) >= req.K {
-			break
-		}
-		if sb.score < 0 {
-			break // sorted: everything after violates aggregator IR too
-		}
-		if sb.bid.Payment > remaining {
-			continue // skip, cheaper bids may still fit
-		}
-		selected = append(selected, sb)
-		remaining -= sb.bid.Payment
+	// The second-price reference is the (len(selected)+1)-th ranked score.
+	refScore, hasRef := 0.0, false
+	if len(selected) < len(s.ranked) {
+		refScore, hasRef = s.ranked[len(selected)].score, true
 	}
-	s.selected = selected
-	refScore, hasRef := s.refAfter(len(selected))
-	out := s.outcome(req, selected, refScore, hasRef)
-	// Under second-price payments the raise could exceed the budget; clamp
-	// the raises so the total stays within it, preserving per-winner
-	// payment >= asked payment.
-	if req.Payment == SecondPrice {
-		clampToBudget(req.Rule, &out, req.Budget)
-	}
-	return out, nil
-}
-
-// selectedBuf returns the pooled winner-candidate buffer, grown to hold at
-// most min(k, n) entries.
-func (s *Selector) selectedBuf(k, n int) []scoredBid {
-	need := min(k, n)
-	if cap(s.selected) < need {
-		s.selected = make([]scoredBid, 0, need)
-	}
-	return s.selected[:0]
+	return s.outcome(req, selected, refScore, hasRef)
 }
 
 // outcome applies the payment rule and assembles the Outcome from pooled

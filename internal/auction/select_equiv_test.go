@@ -9,7 +9,7 @@ import (
 
 // This file holds the seeded equivalence property test: for random slates
 // (ties forced, negative scores, K above and below N, first- and
-// second-price, ψ and budget variants, precomputed and inline scores) the
+// second-price, ψ variants, precomputed and inline scores) the
 // heap-based Select pipeline must produce exactly the Outcome and consume
 // exactly the rng draws of the frozen full-sort reference in
 // reference_test.go. This guards the exchange's WAL replay guarantee from
@@ -141,10 +141,7 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 			scores[i] = s
 		}
 		psi := []float64{0.25, 0.6, 0.9, 1}[gen.Intn(4)]
-		budget := 0.25 + 2*gen.Float64()
-		psiOf := func(nodeID int) float64 {
-			return []float64{0.3, 0.7, 1}[nodeID%3]
-		}
+		_ = gen.Float64() // unused; dropping this draw would shift every later slate
 		seed := gen.Int63()
 
 		for _, payment := range []PaymentRule{FirstPrice, SecondPrice} {
@@ -195,22 +192,6 @@ func TestSelectEquivalenceProperty(t *testing.T) {
 				},
 				func(rng *rand.Rand) (Outcome, error) {
 					return refPsi(rule, bids, scores, k, psi, payment, rng)
-				})
-
-			runEquiv(t, fmt.Sprintf("%s budget=%v", tag, budget), seed,
-				func(rng *rand.Rand) (Outcome, error) {
-					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, Budget: budget, Payment: payment}, rng)
-				},
-				func(rng *rand.Rand) (Outcome, error) {
-					return refDetermineWinnersBudget(rule, bids, k, budget, payment, rng)
-				})
-
-			runEquiv(t, tag+" psi-vector", seed,
-				func(rng *rand.Rand) (Outcome, error) {
-					return Select(SelectionRequest{Rule: rule, Bids: bids, K: k, PsiOf: psiOf, Payment: payment}, rng)
-				},
-				func(rng *rand.Rand) (Outcome, error) {
-					return refDetermineWinnersPsiVector(rule, bids, k, psiOf, payment, rng)
 				})
 		}
 	}

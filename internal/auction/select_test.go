@@ -223,23 +223,18 @@ func TestSelectorZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Select allocates %v objects per run, want 0", allocs)
 	}
 
-	// The ψ and budget walks share the pooled buffers too.
-	for name, req := range map[string]SelectionRequest{
-		"psi":    {Rule: rule, Bids: bids, K: 8, Psi: 0.5},
-		"budget": {Rule: rule, Bids: bids, K: 8, Budget: 1.5},
-	} {
-		req := req
+	// The ψ walk shares the pooled buffers too.
+	req.Psi = 0.5
+	if _, err := sel.Select(req, rng); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
 		if _, err := sel.Select(req, rng); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := sel.Select(req, rng); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("steady-state %s Select allocates %v objects per run, want 0", name, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state psi Select allocates %v objects per run, want 0", allocs)
 	}
 }
 
@@ -256,9 +251,6 @@ func TestSelectRequestValidation(t *testing.T) {
 	}{
 		{"k", SelectionRequest{Rule: rule, Bids: bids}, "K must be >= 1"},
 		{"psi", SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 1.5}, "psi must be in (0, 1]"},
-		{"budget", SelectionRequest{Rule: rule, Bids: bids, K: 2, Budget: -1}, "budget must be positive"},
-		{"psi+psiOf", SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.5, PsiOf: func(int) float64 { return 1 }}, "mutually exclusive"},
-		{"budget+psi", SelectionRequest{Rule: rule, Bids: bids, K: 2, Psi: 0.5, Budget: 1}, "cannot be combined"},
 		{"no bids", SelectionRequest{Rule: rule, K: 2}, "no bids"},
 	}
 	for _, tc := range cases {

@@ -139,82 +139,6 @@ func TestDifficultyOrdering(t *testing.T) {
 	}
 }
 
-func TestPartitionShardsInvariants(t *testing.T) {
-	corpus, err := GenerateTask(MNISTO, 400, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PartitionShards(corpus.Train, NumClasses, 20, 2, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Nodes) != 20 {
-		t.Fatalf("nodes = %d, want 20", len(p.Nodes))
-	}
-	// No sample lost or duplicated.
-	if p.TotalSamples() != len(corpus.Train) {
-		t.Errorf("total = %d, want %d", p.TotalSamples(), len(corpus.Train))
-	}
-	// Shard partition limits per-node label diversity: with 2 shards a node
-	// sees at most a handful of classes.
-	for i := range p.Nodes {
-		if prop := p.CategoryProportion(i); prop > 0.5 {
-			t.Errorf("node %d category proportion %v; shards should limit diversity", i, prop)
-		}
-		if p.NodeSize(i) == 0 {
-			t.Errorf("node %d received no data", i)
-		}
-	}
-}
-
-func TestPartitionDirichletInvariants(t *testing.T) {
-	corpus, err := GenerateTask(MNISTO, 500, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PartitionDirichlet(corpus.Train, NumClasses, 10, 0.5, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalSamples() != len(corpus.Train) {
-		t.Errorf("total = %d, want %d", p.TotalSamples(), len(corpus.Train))
-	}
-	// Severe skew (alpha=0.5) should leave at least one node without full
-	// class coverage.
-	full := 0
-	for i := range p.Nodes {
-		if p.CategoryProportion(i) == 1 {
-			full++
-		}
-	}
-	if full == len(p.Nodes) {
-		t.Error("alpha=0.5 should produce label skew, but every node has all classes")
-	}
-}
-
-func TestPartitionDirichletAlphaControlsSkew(t *testing.T) {
-	corpus, err := GenerateTask(MNISTO, 1000, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanProp := func(alpha float64) float64 {
-		p, err := PartitionDirichlet(corpus.Train, NumClasses, 10, alpha, rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0.0
-		for i := range p.Nodes {
-			sum += p.CategoryProportion(i)
-		}
-		return sum / float64(len(p.Nodes))
-	}
-	skewed := meanProp(0.1)
-	iid := meanProp(100)
-	if skewed >= iid {
-		t.Errorf("category coverage at alpha=0.1 (%v) should be below alpha=100 (%v)", skewed, iid)
-	}
-}
-
 func TestPartitionHeterogeneous(t *testing.T) {
 	corpus, err := GenerateTask(MNISTF, 600, 20, 3)
 	if err != nil {
@@ -252,16 +176,10 @@ func TestPartitionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := PartitionShards(corpus.Train, NumClasses, 0, 1, rng); err == nil {
+	if _, err := PartitionHeterogeneous(corpus.Train, NumClasses, 0, 10, 20, 1, rng); err == nil {
 		t.Error("zero nodes: want error")
 	}
-	if _, err := PartitionShards(corpus.Train, NumClasses, 200, 2, rng); err == nil {
-		t.Error("more shards than samples: want error")
-	}
-	if _, err := PartitionDirichlet(corpus.Train, NumClasses, 5, 0, rng); err == nil {
-		t.Error("alpha=0: want error")
-	}
-	if _, err := PartitionDirichlet(nil, NumClasses, 5, 1, rng); err == nil {
+	if _, err := PartitionHeterogeneous(nil, NumClasses, 5, 10, 20, 1, rng); err == nil {
 		t.Error("no samples: want error")
 	}
 	if _, err := PartitionHeterogeneous(corpus.Train, NumClasses, 5, 10, 5, 1, rng); err == nil {
@@ -271,28 +189,8 @@ func TestPartitionErrors(t *testing.T) {
 		t.Error("minClasses > classes: want error")
 	}
 	bad := []ml.Sample{{Features: []float64{1}, Label: 99}}
-	if _, err := PartitionDirichlet(bad, NumClasses, 5, 1, rng); err == nil {
-		t.Error("out-of-range label: want error")
-	}
 	if _, err := PartitionHeterogeneous(bad, NumClasses, 5, 1, 2, 1, rng); err == nil {
 		t.Error("out-of-range label: want error")
-	}
-}
-
-func TestDirichletSamplesAreDistributions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, alpha := range []float64{0.1, 1, 10} {
-		w := dirichlet(8, alpha, rng)
-		sum := 0.0
-		for _, v := range w {
-			if v < 0 {
-				t.Fatalf("alpha=%v: negative weight %v", alpha, v)
-			}
-			sum += v
-		}
-		if sum < 0.999 || sum > 1.001 {
-			t.Fatalf("alpha=%v: weights sum to %v", alpha, sum)
-		}
 	}
 }
 

@@ -3,9 +3,7 @@ package data
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 
 	"fmore/internal/ml"
 )
@@ -37,79 +35,8 @@ func (p *Partition) CategoryProportion(i int) float64 {
 	return float64(len(seen)) / float64(p.Classes)
 }
 
-// TotalSamples returns the number of samples across all nodes.
-func (p *Partition) TotalSamples() int {
-	total := 0
-	for _, n := range p.Nodes {
-		total += len(n)
-	}
-	return total
-}
-
 // ErrPartition reports invalid partitioning arguments.
 var ErrPartition = errors.New("data: invalid partition arguments")
-
-// PartitionShards implements the McMahan-style pathological non-IID split:
-// samples are sorted by label, cut into equal shards, and each node receives
-// shardsPerNode shards — so each node sees only a few classes. All samples
-// are assigned (trailing remainder joins the last shard).
-func PartitionShards(samples []ml.Sample, classes, nodes, shardsPerNode int, rng *rand.Rand) (*Partition, error) {
-	if nodes < 1 || shardsPerNode < 1 {
-		return nil, fmt.Errorf("%w: nodes=%d shardsPerNode=%d", ErrPartition, nodes, shardsPerNode)
-	}
-	if len(samples) < nodes*shardsPerNode {
-		return nil, fmt.Errorf("%w: %d samples cannot fill %d shards", ErrPartition, len(samples), nodes*shardsPerNode)
-	}
-	bylabel := append([]ml.Sample(nil), samples...)
-	sort.SliceStable(bylabel, func(a, b int) bool { return bylabel[a].Label < bylabel[b].Label })
-
-	numShards := nodes * shardsPerNode
-	shardSize := len(bylabel) / numShards
-	shards := make([][]ml.Sample, numShards)
-	for i := 0; i < numShards; i++ {
-		lo := i * shardSize
-		hi := lo + shardSize
-		if i == numShards-1 {
-			hi = len(bylabel)
-		}
-		shards[i] = bylabel[lo:hi]
-	}
-	order := rng.Perm(numShards)
-	p := &Partition{Nodes: make([][]ml.Sample, nodes), Classes: classes}
-	for n := 0; n < nodes; n++ {
-		for s := 0; s < shardsPerNode; s++ {
-			shard := shards[order[n*shardsPerNode+s]]
-			p.Nodes[n] = append(p.Nodes[n], shard...)
-		}
-	}
-	return p, nil
-}
-
-// PartitionDirichlet assigns each sample to a node according to per-class
-// node weights drawn from a symmetric Dirichlet(alpha). Small alpha yields
-// severe label skew; large alpha approaches IID.
-func PartitionDirichlet(samples []ml.Sample, classes, nodes int, alpha float64, rng *rand.Rand) (*Partition, error) {
-	if nodes < 1 || alpha <= 0 {
-		return nil, fmt.Errorf("%w: nodes=%d alpha=%v", ErrPartition, nodes, alpha)
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("%w: no samples", ErrPartition)
-	}
-	// Per class, draw node weights ~ Dir(alpha).
-	weights := make([][]float64, classes)
-	for c := range weights {
-		weights[c] = dirichlet(nodes, alpha, rng)
-	}
-	p := &Partition{Nodes: make([][]ml.Sample, nodes), Classes: classes}
-	for _, s := range samples {
-		if s.Label < 0 || s.Label >= classes {
-			return nil, fmt.Errorf("%w: label %d outside [0, %d)", ErrPartition, s.Label, classes)
-		}
-		n := sampleCategorical(weights[s.Label], rng)
-		p.Nodes[n] = append(p.Nodes[n], s)
-	}
-	return p, nil
-}
 
 // PartitionHeterogeneous models the MEC population of the paper's
 // simulator: node data sizes vary widely (uniform in [minSize, maxSize])
@@ -147,68 +74,4 @@ func PartitionHeterogeneous(samples []ml.Sample, classes, nodes, minSize, maxSiz
 		p.Nodes[n] = local
 	}
 	return p, nil
-}
-
-// dirichlet draws one symmetric Dirichlet(alpha) sample of length n using
-// Gamma(alpha, 1) marginals (Marsaglia–Tsang).
-func dirichlet(n int, alpha float64, rng *rand.Rand) []float64 {
-	w := make([]float64, n)
-	sum := 0.0
-	for i := range w {
-		w[i] = gammaSample(alpha, rng)
-		sum += w[i]
-	}
-	if sum <= 0 {
-		// Numerically possible for tiny alpha; fall back to uniform.
-		for i := range w {
-			w[i] = 1 / float64(n)
-		}
-		return w
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
-}
-
-// gammaSample draws Gamma(shape, 1) via Marsaglia–Tsang, with the boost
-// trick for shape < 1.
-func gammaSample(shape float64, rng *rand.Rand) float64 {
-	if shape < 1 {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		return gammaSample(shape+1, rng) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3
-	c := 1 / (3 * math.Sqrt(d))
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// sampleCategorical draws an index proportional to weights.
-func sampleCategorical(weights []float64, rng *rand.Rand) int {
-	r := rng.Float64()
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if r < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

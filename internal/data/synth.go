@@ -8,10 +8,9 @@
 // MNIST-O < MNIST-F < CIFAR-10, with HPNews as the text task. Difficulty is
 // controlled by prototype similarity, noise level, and random translations.
 //
-// It also implements the non-IID partitioning of training data across edge
-// nodes (shard-based as in McMahan et al., and Dirichlet), which produces
-// exactly the two resource dimensions the paper's simulator bids with: data
-// size q₁ and data-category proportion q₂.
+// It also implements the heterogeneous partitioning of training data across
+// edge nodes, which produces exactly the two resource dimensions the paper's
+// simulator bids with: data size q₁ and data-category proportion q₂.
 package data
 
 import (

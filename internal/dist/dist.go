@@ -63,16 +63,5 @@ func (u Uniform) CDF(x float64) float64 {
 // Support implements Distribution.
 func (u Uniform) Support() (lo, hi float64) { return u.Lo, u.Hi }
 
-// PDF returns the density, 1/(Hi−Lo) inside the support and 0 outside.
-func (u Uniform) PDF(x float64) float64 {
-	if x < u.Lo || x > u.Hi {
-		return 0
-	}
-	return 1 / (u.Hi - u.Lo)
-}
-
-// Mean returns the expectation (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
 // String implements fmt.Stringer.
 func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g, %g]", u.Lo, u.Hi) }

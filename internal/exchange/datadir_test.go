@@ -108,7 +108,7 @@ func TestParentWrittenDataDirReplaysAndCompacts(t *testing.T) {
 	assertPages(t, ex, pages, "after compaction")
 	ex.Close()
 
-	ex = open(dir) // from the spliced snapshot alone
+	ex = open(dir) // from the compacted snapshot alone
 	defer ex.Close()
 	assertPages(t, ex, pages, "reopened after compaction")
 	if err := ex.Compact(); err != nil {
@@ -365,9 +365,9 @@ func TestSnapshotIsTheParentSchemaDocument(t *testing.T) {
 	}
 }
 
-// spliceJobs creates n jobs with a two-round history window — every close
+// evictingJobs creates n jobs with a two-round history window — every close
 // past the second evicts — and returns their IDs.
-func spliceJobs(t *testing.T, ex *Exchange, n int) []string {
+func evictingJobs(t *testing.T, ex *Exchange, n int) []string {
 	t.Helper()
 	ids := make([]string, n)
 	for j := range ids {
@@ -427,13 +427,13 @@ func snapshotOnly(t *testing.T, dir string) {
 	}
 }
 
-// TestSnapshotStreamsWhileHistoryEvicts pins the buffer-ownership rule of
-// the splice: the snapshot is written from references captured under the
-// stop-the-world locks, after they dropped — so rounds closing meanwhile
-// evict exactly the records being written, and their buffers must not be
-// reused until the file is complete. The crash copy taken the moment the
-// snapshot commits, cut down to the snapshot itself, must hold exactly the
-// history at the cut.
+// TestSnapshotStreamsWhileHistoryEvicts pins the ownership rule of the
+// snapshot's outcomes: a snapshot encodes the outcome copies captured under
+// the stop-the-world locks, after they dropped — so rounds closing meanwhile
+// evict exactly the outcomes being encoded, and eviction must leave those
+// copies intact until the file is complete. The crash copy taken the moment
+// the snapshot commits, cut down to the snapshot itself, must hold exactly
+// the history at the cut.
 func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
 	const jobs, bidders = 3, 8
 	t.Cleanup(func() {
@@ -450,7 +450,7 @@ func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ex.Close()
-		ids := spliceJobs(t, ex, jobs)
+		ids := evictingJobs(t, ex, jobs)
 		for r := 0; r < 3; r++ {
 			for j, id := range ids {
 				closeOneRound(t, ex, id, j, bidders)
@@ -491,7 +491,7 @@ func TestSnapshotStreamsWhileHistoryEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ex.Close()
-		ids := spliceJobs(t, ex, jobs)
+		ids := evictingJobs(t, ex, jobs)
 
 		var mu sync.Mutex
 		closed := make(map[string]map[int]RoundOutcome, jobs)

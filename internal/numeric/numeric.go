@@ -53,19 +53,6 @@ func RK4Solve(f ODEFunc, x0, y0, x1 float64, steps int) float64 {
 	return y
 }
 
-// Trapezoid integrates f over [a, b] with n trapezoids.
-func Trapezoid(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	sum := (f(a) + f(b)) / 2
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
-}
-
 // Simpson integrates f over [a, b] with Simpson's composite rule; n is
 // rounded up to the next even number of intervals.
 func Simpson(f func(float64) float64, a, b float64, n int) float64 {
@@ -286,11 +273,6 @@ func (m *MonotoneInterp) Inverse(y float64) float64 {
 	return m.xs[i] + t*(m.xs[i+1]-m.xs[i])
 }
 
-// Domain returns the x-range of the interpolant.
-func (m *MonotoneInterp) Domain() (lo, hi float64) {
-	return m.xs[0], m.xs[len(m.xs)-1]
-}
-
 // Range returns the y-range of the interpolant in ascending order.
 func (m *MonotoneInterp) Range() (lo, hi float64) {
 	a, b := m.ys[0], m.ys[len(m.ys)-1]
@@ -346,17 +328,5 @@ func MinMaxNormalize(v, lo, hi float64) float64 {
 		return 1
 	default:
 		return t
-	}
-}
-
-// Clamp restricts v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo
-	case v > hi:
-		return hi
-	default:
-		return v
 	}
 }

@@ -46,9 +46,6 @@ func TestSolversBackwardDirection(t *testing.T) {
 func TestTrapezoidAndSimpson(t *testing.T) {
 	f := func(x float64) float64 { return x * x }
 	wantThird := 1.0 / 3
-	if got := Trapezoid(f, 0, 1, 2000); math.Abs(got-wantThird) > 1e-5 {
-		t.Errorf("Trapezoid x^2 = %v, want 1/3", got)
-	}
 	if got := Simpson(f, 0, 1, 10); math.Abs(got-wantThird) > 1e-12 {
 		t.Errorf("Simpson x^2 = %v, want exactly 1/3 (polynomial degree <= 3)", got)
 	}
@@ -219,17 +216,5 @@ func TestMinMaxNormalize(t *testing.T) {
 		if got := MinMaxNormalize(c.v, c.lo, c.hi); got != c.want {
 			t.Errorf("MinMaxNormalize(%v, %v, %v) = %v, want %v", c.v, c.lo, c.hi, got, c.want)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp high = %v, want 3", got)
-	}
-	if got := Clamp(-1, 0, 3); got != 0 {
-		t.Errorf("Clamp low = %v, want 0", got)
-	}
-	if got := Clamp(2, 0, 3); got != 2 {
-		t.Errorf("Clamp mid = %v, want 2", got)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,6 +263,44 @@ func TestFigure9And10Quick(t *testing.T) {
 		if !names[want] {
 			t.Errorf("fig10 missing series %q", want)
 		}
+	}
+}
+
+// TestFigure8SelectsRightOfTotal holds Fig. 8's claim at tiny scale: on
+// both panels the mean score of the bids FMore selected exceeds the mean of
+// all bids, and the figure says so in its note.
+func TestFigure8SelectsRightOfTotal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure generation")
+	}
+	s := tinyScale()
+	for taskIdx, task := range []data.TaskKind{data.CIFAR10, data.HPNews} {
+		taskScale := s
+		taskScale.Seed += int64(taskIdx) * 7777
+		avg, err := RunAveraged(ExperimentConfig{Task: task, Method: MethodFMore, Scale: taskScale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all, won []float64
+		for _, h := range avg.Histories {
+			for _, rm := range h.Rounds {
+				all = append(all, rm.AllScores...)
+				won = append(won, rm.WinnerScores...)
+			}
+		}
+		if meanOf(won) <= meanOf(all) {
+			t.Errorf("%v: selected mean %.3f not above total mean %.3f", task, meanOf(won), meanOf(all))
+		}
+	}
+	fr, err := Figure8(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fr.Series) != 4 {
+		t.Errorf("fig8 series = %d, want 4", len(fr.Series))
+	}
+	if !slices.Contains(fr.Notes, fig8RightOfTotal) {
+		t.Errorf("fig8 notes %q lack %q", fr.Notes, fig8RightOfTotal)
 	}
 }
 
