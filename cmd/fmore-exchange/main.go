@@ -30,25 +30,24 @@
 // identical retained outcome history and continues its jobs with
 // consistent round numbering and the same deterministic draw sequence.
 // The log compacts itself: once the active segment reaches -snapshot-bytes
-// (default 8 MiB) or twice the last snapshot, whichever is larger
-// (-snapshot-interval adds a timer), the exchange snapshots its durable
-// state, rotates onto a fresh segment and deletes the covered ones, so
-// replay time and disk usage stay bounded by live state instead of total
-// rounds served. Without the flag the exchange is in-memory only.
+// (default 8 MiB) or twice the last snapshot, whichever is larger, the
+// exchange snapshots its durable state, rotates onto a fresh segment and
+// deletes the covered ones, so replay time and disk usage stay bounded by
+// live state instead of total rounds served. Without -data-dir the
+// exchange is in-memory only.
 // The files, their format and the crash-safety of every step are
 // internal/wal's (its package comment is the reference); what the records
 // say and how they replay is internal/exchange's. A record that verifies
 // on disk but no longer decodes — version skew, never a crash — fails the
 // start loudly and leaves the file untouched.
 //
-// The durability/latency tradeoff is tunable without recompiling:
-// -sync-interval (default 2ms) bounds how long the log writer coalesces
-// records before an fsync when nothing is waiting on durability — the
-// crash-loss window is at most that hold plus one fsync. Once a
-// durability waiter is pending the writer commits the moment its queue
-// drains, so a waiter never idles out the hold while records racing in
-// behind it still share its fsync. The achieved batching is observable as
-// wal_fsync_total vs wal_fsync_batched_records in the metric catalog.
+// The log writer holds each commit for a fixed 2 ms, coalescing records
+// before an fsync while nothing is waiting on durability — the crash-loss
+// window is at most that hold plus one fsync. Once a durability waiter is
+// pending the writer commits the moment its queue drains, so a waiter
+// never idles out the hold while records racing in behind it still share
+// its fsync. The achieved batching is observable as wal_fsync_total vs
+// wal_fsync_batched_records in the metric catalog.
 //
 // # Storage failure policy
 //
@@ -77,22 +76,22 @@
 //	-rate-global N      exchange-wide bid-submit ceiling, bids/sec
 //	-rate-node N        per-node bid-submit ceiling, bids/sec
 //	-rate-job N         per-job bid-submit ceiling, bids/sec
-//	-admission-burst D  burst window each limit absorbs (default 250ms;
-//	                    burst = rate x window, min 1)
 //	-max-inflight N     concurrent bid submits inside the handler; beyond
 //	                    it requests shed before the body is read
 //	-max-subscribers N  SSE stream cap; the oldest stream is evicted to
 //	                    admit a new one
 //
-// Shed bid submits answer 429 {"code":"overloaded","retry_after_ms":N};
-// the pkg/client SDK sleeps the hint and retries with the same
-// Idempotency-Key (a shed never burns the key). Round closes, WAL commits
-// and SSE heartbeats are never shed. GET /v1/healthz reports the overload
-// state: 200 {"status":"ok"} normally, 503 {"status":"overloaded",
-// "retry_after_ms":N} while shedding — the fmore-router probes it and
-// fails fast on the replica's behalf. The admission_* metric family
-// (sheds by scope, in-flight gauge, SSE occupancy/evictions, overload
-// bit) appears in both /v1/metrics and /v1/metrics/prometheus.
+// Each rate limit absorbs a fixed 250 ms burst (burst = rate x 250 ms,
+// min 1). Shed bid submits answer 429
+// {"code":"overloaded","retry_after_ms":N}; the pkg/client SDK sleeps the
+// hint and retries with the same Idempotency-Key (a shed never burns the
+// key). Round closes, WAL commits and SSE heartbeats are never shed.
+// GET /v1/healthz reports the overload state: 200 {"status":"ok"}
+// normally, 503 {"status":"overloaded","retry_after_ms":N} while shedding
+// — the fmore-router probes it and fails fast on the replica's behalf.
+// The admission_* metric family (sheds by scope, in-flight gauge, SSE
+// occupancy/evictions, overload bit) appears in both /v1/metrics and
+// /v1/metrics/prometheus.
 //
 // -pprof-addr (off by default) serves net/http/pprof on a separate
 // listener for live profiling; while it is up, mutex contention is
@@ -177,6 +176,10 @@ import (
 	"fmore/internal/partition"
 )
 
+// admissionBurst is the burst window each admission rate limit absorbs at
+// once: burst = rate x window, min 1.
+const admissionBurst = 250 * time.Millisecond
+
 func main() {
 	addr := flag.String("addr", ":8780", "HTTP listen address (:0 picks a free port, logged on start)")
 	dataDir := flag.String("data-dir", "",
@@ -185,10 +188,6 @@ func main() {
 		"reject bids from nodes that have not registered via POST /v1/nodes")
 	snapshotBytes := flag.Int64("snapshot-bytes", 0,
 		"floor of the WAL segment size that triggers snapshot + log rotation; the trigger is this or twice the last snapshot, whichever is larger (0 = default 8 MiB, negative disables)")
-	snapshotInterval := flag.Duration("snapshot-interval", 0,
-		"additionally snapshot + rotate the WAL on this period (0 = size trigger only)")
-	syncInterval := flag.Duration("sync-interval", 0,
-		"WAL group-commit hold: how long the log writer coalesces records before each fsync when no Sync waiter is pending (0 = default 2ms); the crash-loss window is bounded by this plus one fsync")
 	onWALFailure := flag.String("on-wal-failure", "degrade",
 		`storage failure policy after the WAL's first sticky error: "degrade" (default; keep serving reads, answer durable writes with 503 durability_lost, report degraded on /v1/healthz) or "failstop" (exit immediately)`)
 	pprofAddr := flag.String("pprof-addr", "",
@@ -205,8 +204,6 @@ func main() {
 		"admission: per-node bid-submit ceiling in bids/sec (0 = unlimited)")
 	rateJob := flag.Float64("rate-job", 0,
 		"admission: per-job bid-submit ceiling in bids/sec (0 = unlimited)")
-	admissionBurst := flag.Duration("admission-burst", 250*time.Millisecond,
-		"admission: burst window each rate limit may absorb at once (burst = rate x window, min 1)")
 	maxInflight := flag.Int64("max-inflight", 0,
 		"admission: bid submits allowed inside the handler at once; beyond it requests shed with 429 before the body is read (0 = unlimited)")
 	maxSubscribers := flag.Int("max-subscribers", 0,
@@ -216,8 +213,6 @@ func main() {
 	opts := exchange.Options{
 		RequireRegistration: *requireReg,
 		SnapshotBytes:       *snapshotBytes,
-		SnapshotInterval:    *snapshotInterval,
-		SyncInterval:        *syncInterval,
 	}
 	switch *onWALFailure {
 	case "degrade":

@@ -40,18 +40,17 @@
 // environment proxy, and every replica on a platform without the peek go
 // through partition.Transport (net/http's transport).
 //
-// Overload protection: with -healthz-interval > 0 (default 1s) the router
-// probes each replica's GET /v1/healthz on that cadence. While a replica
-// advertises overload or durability loss (503 {"status":"overloaded"} or
-// {"status":"degraded"} — the latter after a WAL failure under the
-// degrade policy), bid submits bound for it are failed fast with
-// 429 {"code":"overloaded","retry_after_ms":N} — the replica's own hint —
-// without consuming a connection on the struggling backend. A per-replica
-// circuit breaker does the same for replicas that stop answering at the
-// transport level: three consecutive forward errors open the circuit and
-// bid submits shed until a cooldown probe succeeds. Only bid submits are
-// ever shed; job creation, round closes, registry writes and event streams
-// always forward.
+// Overload protection: the router probes each replica's GET /v1/healthz
+// once a second. While a replica advertises overload or durability loss
+// (503 {"status":"overloaded"} or {"status":"degraded"} — the latter after
+// a WAL failure under the degrade policy), bid submits bound for it are
+// failed fast with 429 {"code":"overloaded","retry_after_ms":N} — the
+// replica's own hint — without consuming a connection on the struggling
+// backend. A per-replica circuit breaker does the same for replicas that
+// stop answering at the transport level: three consecutive forward errors
+// open the circuit and bid submits shed until a cooldown probe succeeds.
+// Only bid submits are ever shed; job creation, round closes, registry
+// writes and event streams always forward.
 //
 // The router's own counters are at GET /router/metrics in Prometheus text
 // format: fmore_router_forward_total{partition=...}, fmore_router_fanout_total,
@@ -323,18 +322,15 @@ func shedOverloaded(w http.ResponseWriter, retryMS int64) {
 	})
 }
 
-// probeLoop re-checks every replica's /v1/healthz on the given cadence
-// until ctx is cancelled.
-func (rt *router) probeLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.probeOnce(ctx)
-		}
+// probeInterval is how often the router re-checks every replica's
+// /v1/healthz.
+const probeInterval = time.Second
+
+// probeLoop re-checks every replica's /v1/healthz once per probeInterval,
+// for the life of the process.
+func (rt *router) probeLoop() {
+	for range time.Tick(probeInterval) {
+		rt.probeOnce(context.Background())
 	}
 }
 
@@ -476,8 +472,6 @@ func main() {
 	addr := flag.String("addr", ":8779", "HTTP listen address (:0 picks a free port, logged on start)")
 	replicas := flag.String("replicas", "",
 		`cluster partition map, "p0=http://host:port,p1=..." (same spec the replicas were started with)`)
-	healthzInterval := flag.Duration("healthz-interval", time.Second,
-		"how often to probe each replica's /v1/healthz for overload (0 disables probing and health-based shedding)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"serve net/http/pprof on this address (empty = disabled); keep it loopback-only in production")
 	flag.Parse()
@@ -502,9 +496,7 @@ func main() {
 		log.Fatalf("parsing -replicas: %v", err)
 	}
 	rt := newRouter(m)
-	if *healthzInterval > 0 {
-		go rt.probeLoop(context.Background(), *healthzInterval)
-	}
+	go rt.probeLoop()
 
 	listener, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -50,9 +50,6 @@ type Config struct {
 	// MaxStreams caps concurrent SSE subscribers; at the cap the oldest
 	// stream is evicted (its context canceled) to make room — newest wins.
 	MaxStreams int
-	// OverloadWindow is how long after a shed the controller reports
-	// overloaded (default 1s).
-	OverloadWindow time.Duration
 	// Now overrides the clock (tests). Defaults to time.Now.
 	Now func() time.Time
 }
@@ -106,9 +103,6 @@ type stream struct {
 // zero Config yields a controller that admits everything but still counts
 // in-flight requests and serves healthz stats.
 func NewController(cfg Config) *Controller {
-	if cfg.OverloadWindow <= 0 {
-		cfg.OverloadWindow = defaultOverloadWindow
-	}
 	c := &Controller{
 		cfg:    cfg,
 		global: NewBucket(cfg.GlobalRate, cfg.GlobalBurst),
@@ -315,7 +309,7 @@ func (c *Controller) Overloaded() (bool, time.Duration) {
 		return true, inflightRetryHint
 	}
 	if last := c.lastShed.Load(); last > 0 {
-		if rem := int64(c.cfg.OverloadWindow) - (c.nowNano() - last); rem > 0 {
+		if rem := int64(defaultOverloadWindow) - (c.nowNano() - last); rem > 0 {
 			return true, time.Duration(rem)
 		}
 	}

@@ -25,7 +25,7 @@
 // # Overload signal
 //
 // Controller.Overloaded reports true while the in-flight gate is saturated
-// or within OverloadWindow (default 1s) of the most recent shed. The
-// exchange surfaces it on GET /v1/healthz (503 + retry_after_ms), which
-// the router probes to fail fast on behalf of overloaded replicas.
+// or within a fixed 1 s overload window of the most recent shed. The
+// exchange surfaces it on GET /v1/healthz (503 + retry_after_ms), which the
+// router probes to fail fast on behalf of overloaded replicas.
 package admission

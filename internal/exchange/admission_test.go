@@ -257,8 +257,7 @@ func TestAdmissionHealthzFlip(t *testing.T) {
 	clock.Store(time.Now().UnixNano())
 	ex := admittedFixture(t, admission.Config{
 		GlobalRate: 1, GlobalBurst: 1,
-		OverloadWindow: time.Second,
-		Now:            func() time.Time { return time.Unix(0, clock.Load()) },
+		Now: func() time.Time { return time.Unix(0, clock.Load()) },
 	})
 	srv := httptest.NewServer(NewHandler(ex))
 	defer srv.Close()

@@ -185,8 +185,7 @@
 //
 // Compaction (Exchange.Compact, triggered automatically once the active
 // segment reaches Options.SnapshotBytes — default 8 MiB — or twice the last
-// snapshot, whichever is larger, and optionally every
-// Options.SnapshotInterval) collapses everything before a cut into
+// snapshot, whichever is larger) collapses everything before a cut into
 // one snapshot document: job specs, closed flags, round numbering,
 // cumulative rng draw counts, the KeepOutcomes-bounded outcome history
 // verbatim, and the registry with per-node bid counters, meta and bans.
@@ -421,8 +420,8 @@
 // GET /v1/healthz is the overload signal for probers (the fmore-router
 // polls it and fails fast on a replica's behalf): 200 {"status":"ok"}
 // normally, 503 {"status":"overloaded","retry_after_ms":N} while the
-// in-flight gate is saturated or within one OverloadWindow (default 1s)
-// of the most recent shed, so the bit is stable rather than flapping
+// in-flight gate is saturated or within the fixed 1 s overload window of
+// the most recent shed, so the bit is stable rather than flapping
 // per-request.
 //
 // # The /v1 API
@@ -516,7 +515,8 @@
 // fmore_exchange_wrong_partition_total.
 //
 // cmd/fmore-exchange is the runnable front end (see its -data-dir,
-// -snapshot-bytes, -sync-interval, -on-wal-failure and -pprof-addr flags),
+// -snapshot-bytes, -on-wal-failure and -pprof-addr flags; the log's
+// group-commit hold is a fixed 2 ms),
 // and pkg/client's Example drives one round through the SDK. The paper
 // reproduction (internal/fl, internal/sim, Figs. 4-13 including the
 // deployment of Figs. 12-13) does not go through the exchange: its FMore

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fmore/internal/admission"
 	"fmore/internal/auction"
@@ -25,17 +24,6 @@ type Options struct {
 	// POST /v1/nodes before bidding). When false, first contact
 	// auto-registers — the open posture of the HTTP front end.
 	RequireRegistration bool
-	// SyncInterval is the outcome log's group-commit window (default 2ms):
-	// the log writer coalesces records for up to this long before each
-	// fsync while nothing waits on durability, so it caps the crash-loss
-	// window. Smaller tightens the durability lag; larger trades lag for
-	// fewer flushes. Appends are fire-and-forget, so holding a commit
-	// delays nobody until someone calls Sync or Close; then the writer
-	// commits the moment its queue drains — records racing in behind the
-	// waiter still share its fsync, and the waiter never idles out the rest
-	// of the window. The achieved batching is observable as wal_fsync_total
-	// vs wal_fsync_batched_records. Only meaningful with Open.
-	SyncInterval time.Duration
 	// SnapshotBytes is the floor of the WAL's size trigger (default 8 MiB;
 	// negative disables the size trigger): compaction (snapshot + segment
 	// rotation) runs once the active segment reaches this many bytes or
@@ -46,10 +34,6 @@ type Options struct {
 	// segment being retired — see "Snapshot + rotation" in the package
 	// comment. Only meaningful with Open.
 	SnapshotBytes int64
-	// SnapshotInterval additionally compacts the WAL on a fixed period
-	// (0 disables the timer; the size trigger still applies). Only
-	// meaningful with Open.
-	SnapshotInterval time.Duration
 	// Partition scopes the exchange to one partition of a multi-replica
 	// cluster: Local names the partition this replica owns and Map is the
 	// live cluster map (swappable through its atomic handle without a

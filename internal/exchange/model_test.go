@@ -60,9 +60,7 @@ import (
 //     readers only; the one-line mutant that ignored it was equivalent.
 //   - TestSubmitCloseMatchesPrivateAuctioneer: each close vs. the auctioneer.
 //   - TestCrashRecoveryIdenticalHistoryAndContinuation,
-//     TestCompactionSnapshotReplayIdentical, TestRecoveryRespectsKeepOutcomes,
-//     TestRecoveryRestoresClosedAndRemovedJobs,
-//     TestRecoveryAfterRemoveAndRecreateSameID: every restart, compacted or
+//     TestCompactionSnapshotReplayIdentical: every restart, compacted or
 //     not, matches a reference state (jobs, specs, closed flags, round
 //     numbering, retained bytes, registry, bans), a compaction leaves the
 //     snapshot and no first segment, and the rounds closed after a restart
@@ -86,6 +84,16 @@ import (
 //     retained answers, and Latest.
 //   - TestCloseRoundBelowQuorum: ErrBelowQuorum, idle_ticks, Round and
 //     PendingBids after a refused close.
+//   - TestRecoveryRespectsKeepOutcomes: replay rebuilds the KeepOutcomes
+//     window, not the whole log. Mutant: restoreRound pushes with
+//     KeepOutcomes+1.
+//   - TestRecoveryRestoresClosedAndRemovedJobs: a MaxRounds-finished job
+//     replays closed and a removed one stays gone. Mutants: finishReplay
+//     closes only past MaxRounds+1; recJobRemoved replays as a no-op.
+//   - TestRecoveryAfterRemoveAndRecreateSameID: created → removed →
+//     created replays to the successor alone. Mutant: RemoveJob logs
+//     recJobClosed instead of recJobRemoved (replay then meets the ID
+//     created twice).
 func TestExchangeModel(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {

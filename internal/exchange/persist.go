@@ -316,8 +316,8 @@ var (
 // The whole mutation history up to the cut collapses into one state
 // capture, so replay cost and disk usage stay bounded by live state
 // (KeepOutcomes history, registry size) instead of growing with every round
-// ever closed. Durable exchanges trigger it automatically (size threshold
-// and optional interval — see Options); calling it manually is also safe at
+// ever closed. Durable exchanges trigger it automatically (size threshold —
+// see Options.SnapshotBytes); calling it manually is also safe at
 // any time. On an in-memory exchange it is a no-op. The steps, and the
 // crash-safety argument for their order, are the log's (internal/wal).
 func (ex *Exchange) Compact() (err error) {
@@ -329,7 +329,7 @@ func (ex *Exchange) Compact() (err error) {
 	start := time.Now()
 	// Any failure, at any step, is counted and handed to the log to clean
 	// up after — which also re-arms the size trigger, so the next
-	// over-threshold commit (or the interval) retries.
+	// over-threshold commit retries.
 	defer func() {
 		if err != nil {
 			ex.metrics.snapshotErrs.Add(1)
@@ -512,7 +512,6 @@ func Open(dir string, opts Options) (*Exchange, error) {
 		dir = filepath.Join(dir, "replica-"+p.Local)
 	}
 	log, rec, err := wal.Open(dir, wal.Options{
-		SyncInterval: opts.SyncInterval,
 		SegmentBytes: opts.SnapshotBytes,
 		OnFail:       walFailure(opts.OnWALFailure),
 	})
@@ -570,24 +569,16 @@ func (ex *Exchange) replay(rec *wal.Recovery) error {
 	return nil
 }
 
-// compactLoop runs background compaction for a durable exchange: the
-// writer's size trigger and (when configured) the periodic interval both
-// land here. Failures are counted in the metrics snapshot and retried on
-// the next trigger; they never poison the log itself.
+// compactLoop runs background compaction for a durable exchange on the
+// writer's size trigger. Failures are counted in the metrics snapshot and
+// retried on the next trigger; they never poison the log itself.
 func (ex *Exchange) compactLoop() {
 	defer close(ex.compactDone)
-	var tick <-chan time.Time
-	if ex.opts.SnapshotInterval > 0 {
-		t := time.NewTicker(ex.opts.SnapshotInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-ex.ctx.Done():
 			return
 		case <-ex.wal.Full():
-		case <-tick:
 		}
 		ex.Compact() //nolint:errcheck // counted in metrics; next trigger retries
 	}

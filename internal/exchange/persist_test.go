@@ -283,112 +283,6 @@ func TestHTTPOutcomesByteIdenticalAfterRestart(t *testing.T) {
 	}
 }
 
-// TestRecoveryRespectsKeepOutcomes: replay must rebuild the bounded history
-// window, not the whole log — old rounds stay evicted and numbering
-// continues past them.
-func TestRecoveryRespectsKeepOutcomes(t *testing.T) {
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := ex.CreateJob(JobSpec{
-		ID:           "bounded",
-		Auction:      auction.Config{Rule: testRule(t, 2), K: 1},
-		KeepOutcomes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; round <= 5; round++ {
-		for _, b := range testBids(2, round, 4) {
-			if _, err := ex.SubmitBid(job.ID(), b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ex.CloseRound(job.ID()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ex.Close()
-
-	ex2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex2.Close()
-	job2, ok := ex2.Job("bounded")
-	if !ok {
-		t.Fatal("job missing after reopen")
-	}
-	if _, err := job2.Outcome(3); !errors.Is(err, ErrOutcomeEvicted) {
-		t.Errorf("round 3 after reopen: err = %v, want ErrOutcomeEvicted", err)
-	}
-	for round := 4; round <= 5; round++ {
-		if ro, err := job2.Outcome(round); err != nil || ro.Round != round {
-			t.Errorf("round %d after reopen: (%v, %v), want retained", round, ro.Round, err)
-		}
-	}
-	if r := job2.Round(); r != 6 {
-		t.Errorf("collecting round after reopen = %d, want 6", r)
-	}
-}
-
-// TestRecoveryRestoresClosedAndRemovedJobs: a MaxRounds-finished job stays
-// closed (history served, bids refused) and a removed job stays gone.
-func TestRecoveryRestoresClosedAndRemovedJobs(t *testing.T) {
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished, err := ex.CreateJob(JobSpec{
-		ID:        "finished",
-		Auction:   auction.Config{Rule: testRule(t, 1), K: 1},
-		MaxRounds: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.CreateJob(JobSpec{ID: "doomed", Auction: auction.Config{Rule: testRule(t, 1), K: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range testBids(1, 1, 4) {
-		if _, err := ex.SubmitBid(finished.ID(), b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ex.CloseRound(finished.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.RemoveJob("doomed"); err != nil {
-		t.Fatal(err)
-	}
-	ex.Close()
-
-	ex2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex2.Close()
-	if _, ok := ex2.Job("doomed"); ok {
-		t.Error("removed job resurrected by replay")
-	}
-	job, ok := ex2.Job("finished")
-	if !ok {
-		t.Fatal("finished job missing after reopen")
-	}
-	if got := job.State(); got != "closed" {
-		t.Errorf("finished job state after reopen = %q, want closed", got)
-	}
-	if _, err := job.Outcome(1); err != nil {
-		t.Errorf("finished job history after reopen: %v", err)
-	}
-	if _, err := ex2.SubmitBid("finished", auction.Bid{NodeID: 1, Qualities: []float64{0.5, 0.5}, Payment: 0.1}); !errors.Is(err, ErrJobClosed) {
-		t.Errorf("bid on finished job after reopen: err = %v, want ErrJobClosed", err)
-	}
-}
-
 // TestRecoveryResumesTimerJobs: a timer-mode job's bid window goroutine
 // restarts after reopen and keeps the round numbering going.
 func TestRecoveryResumesTimerJobs(t *testing.T) {
@@ -435,61 +329,6 @@ func TestRecoveryResumesTimerJobs(t *testing.T) {
 	}
 	if _, err := job2.WaitOutcome(ctx, 2); err != nil {
 		t.Fatalf("window did not resume after reopen: %v", err)
-	}
-}
-
-// TestRecoveryAfterRemoveAndRecreateSameID: the log must replay a removed
-// job's lifecycle and its successor's in order — created → rounds →
-// removed → created → rounds — leaving only the successor, with its own
-// spec and history.
-func TestRecoveryAfterRemoveAndRecreateSameID(t *testing.T) {
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runOne := func(jobIdx, round int) {
-		t.Helper()
-		for _, b := range testBids(jobIdx, round, 4) {
-			if _, err := ex.SubmitBid("reused", b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ex.CloseRound("reused"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ex.CreateJob(JobSpec{ID: "reused", Auction: auction.Config{Rule: testRule(t, 0), K: 1}, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	runOne(0, 1)
-	if err := ex.RemoveJob("reused"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.CreateJob(JobSpec{ID: "reused", Auction: auction.Config{Rule: testRule(t, 5), K: 2}, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	runOne(5, 1)
-	runOne(5, 2)
-	ex.Close()
-
-	ex2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex2.Close()
-	job, ok := ex2.Job("reused")
-	if !ok {
-		t.Fatal("recreated job missing after reopen")
-	}
-	if spec := job.Spec(); spec.Auction.K != 2 || spec.Seed != 2 {
-		t.Errorf("replayed spec (K=%d, seed=%d), want the successor's (K=2, seed=2)", spec.Auction.K, spec.Seed)
-	}
-	if r := job.Round(); r != 3 {
-		t.Errorf("collecting round = %d, want 3 (the successor's history, not the predecessor's)", r)
-	}
-	if ro, err := job.Outcome(2); err != nil || len(ro.Outcome.Winners) != 2 {
-		t.Errorf("successor round 2: (%d winners, %v), want 2 winners", len(ro.Outcome.Winners), err)
 	}
 }
 
@@ -1151,48 +990,6 @@ func TestSizeTriggeredCompaction(t *testing.T) {
 	defer ex2.Close()
 	if got := waitIdle(ex2); !reflect.DeepEqual(got, before) {
 		t.Error("retained outcomes diverged across the auto-compacted reopen")
-	}
-}
-
-// TestIntervalTriggeredCompaction: with the size trigger off, the
-// SnapshotInterval ticker alone compacts the log — a snapshot lands within
-// two seconds of a closed round — and a reopen of the compacted directory
-// serves byte-identical outcome pages.
-func TestIntervalTriggeredCompaction(t *testing.T) {
-	const jobs, bidders = 2, 8
-	dir := t.TempDir()
-	ex, err := Open(dir, Options{SnapshotBytes: -1, SnapshotInterval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	ids := compactWorkload(t, ex, jobs, bidders, 3, true)
-	deadline := time.Now().Add(2 * time.Second)
-	for ex.Metrics().WalSnapshots == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot within 2s of a closed round with SnapshotInterval 20ms")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := ex.Metrics().WalSnapshotErrors; n != 0 {
-		t.Fatalf("%d compaction errors", n)
-	}
-	pages := make(map[string][]byte, jobs)
-	for _, id := range ids {
-		pages[id] = outcomesPageBytes(t, ex, id)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := Open(dir, Options{SnapshotBytes: -1})
-	if err != nil {
-		t.Fatalf("reopen of the interval-compacted dir: %v", err)
-	}
-	defer ex2.Close()
-	for _, id := range ids {
-		if got := outcomesPageBytes(t, ex2, id); string(got) != string(pages[id]) {
-			t.Errorf("job %s: outcomes page diverged across the reopen:\n got: %s\nwant: %s", id, got, pages[id])
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"fmore/internal/data"
 	"fmore/internal/fl"
-	"fmore/internal/numeric"
 )
 
 // Series is one named curve of a figure.
@@ -416,40 +415,6 @@ func cumTimes(h *fl.History) []float64 {
 	out := make([]float64, len(h.Rounds))
 	for i, r := range h.Rounds {
 		out[i] = r.CumTimeSec
-	}
-	return out
-}
-
-// interpolateSeries is a helper for smoothing sparse sweep outputs in
-// reports (currently used by tests to sanity-check monotone trends).
-func interpolateSeries(s Series, points int) (Series, error) {
-	if len(s.X) < 2 {
-		return s, fmt.Errorf("sim: series %q too short to interpolate", s.Name)
-	}
-	interp, err := numeric.NewMonotoneInterp(s.X, monotoneCopy(s.Y))
-	if err != nil {
-		return s, err
-	}
-	xs := numeric.Linspace(s.X[0], s.X[len(s.X)-1], points)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = interp.At(x)
-	}
-	return Series{Name: s.Name + "/interp", X: xs, Y: ys}, nil
-}
-
-// monotoneCopy nudges a nearly monotone series into a strictly monotone one
-// so it can be interpolated.
-func monotoneCopy(y []float64) []float64 {
-	out := append([]float64(nil), y...)
-	increasing := out[len(out)-1] >= out[0]
-	for i := 1; i < len(out); i++ {
-		if increasing && out[i] <= out[i-1] {
-			out[i] = out[i-1] + 1e-9
-		}
-		if !increasing && out[i] >= out[i-1] {
-			out[i] = out[i-1] - 1e-9
-		}
 	}
 	return out
 }

@@ -501,20 +501,6 @@ func TestReduceRoundsLeavesOutUnreachedTargets(t *testing.T) {
 	}
 }
 
-func TestInterpolateSeries(t *testing.T) {
-	s := Series{Name: "t", X: []float64{1, 2, 3}, Y: []float64{1, 4, 9}}
-	out, err := interpolateSeries(s, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.X) != 5 {
-		t.Errorf("points = %d, want 5", len(out.X))
-	}
-	if _, err := interpolateSeries(Series{X: []float64{1}, Y: []float64{1}}, 3); err == nil {
-		t.Error("short series: want error")
-	}
-}
-
 func TestWriteFigureCSV(t *testing.T) {
 	fr := &FigureResult{
 		ID: "figY",

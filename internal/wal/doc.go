@@ -30,8 +30,8 @@
 // queued into one write syscall and settles it with one fdatasync (data
 // plus size, not timestamps; plain Sync off Linux). Group commit is
 // adaptive. While nobody waits on durability the writer holds each commit
-// open for Options.SyncInterval: the hold delays nobody, it turns a trickle
-// of records into one fsync instead of one each, and it is the crash-loss
+// open for a fixed 2 ms: the hold delays nobody, it turns a trickle of
+// records into one fsync instead of one each, and it is the crash-loss
 // cap — a kill -9 loses at most that window plus one fsync of
 // acknowledged-but-unflushed records, and never tears what an earlier fsync
 // settled. The moment a Sync or Close is waiting, the writer instead

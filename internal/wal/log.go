@@ -37,10 +37,12 @@ const (
 	// writeBuffer bounds the writer-local batch: a batch that outgrows it
 	// is written early (its fsync still waits for the commit).
 	writeBuffer = 1 << 20
-	// Back-to-back fsyncs are not just slow — each blocking syscall also
-	// steals the writer's scheduler slot, which on small machines stalls
-	// the appending goroutines too.
-	defaultSyncInterval = 2 * time.Millisecond
+	// syncHold is the group-commit window: while nobody waits on
+	// durability the writer holds each fsync this long. Back-to-back
+	// fsyncs are not just slow — each blocking syscall also steals the
+	// writer's scheduler slot, which on small machines stalls the
+	// appending goroutines too.
+	syncHold = 2 * time.Millisecond
 	// defaultSegmentBytes is large enough that compaction is rare, small
 	// enough that replay and disk usage stay bounded for a long-lived log.
 	defaultSegmentBytes = 8 << 20
@@ -54,8 +56,6 @@ const (
 
 // Options configures a Log.
 type Options struct {
-	// SyncInterval is the group-commit window; <= 0 means 2ms.
-	SyncInterval time.Duration
 	// SegmentBytes is the floor of the size trigger: Full signals once the
 	// active segment reaches SegmentBytes or twice the committed snapshot,
 	// whichever is larger, and a new segment is created with that much
@@ -93,9 +93,8 @@ type Log struct {
 	dir       string
 	lock      *os.File // dir lock, held until Close
 	f         *os.File // active segment; the writer's until it exits
-	syncDelay time.Duration
-	threshold int64 // floor of the size trigger, <= 0 when disabled
-	prealloc  int64 // floor of a new segment's reservation
+	threshold int64    // floor of the size trigger, <= 0 when disabled
+	prealloc  int64    // floor of a new segment's reservation
 	onFail    func(error)
 
 	fsyncs    atomic.Int64
@@ -165,16 +164,12 @@ func start(dir string, lock, f *os.File, size, snapBytes int64, opts Options) *L
 		dir:       dir,
 		lock:      lock,
 		f:         f,
-		syncDelay: opts.SyncInterval,
 		threshold: opts.SegmentBytes,
 		prealloc:  reservation(opts),
 		onFail:    opts.OnFail,
 		full:      make(chan struct{}, 1),
 		ch:        make(chan message, queueDepth),
 		done:      make(chan struct{}),
-	}
-	if l.syncDelay <= 0 {
-		l.syncDelay = defaultSyncInterval
 	}
 	if l.threshold == 0 {
 		l.threshold = defaultSegmentBytes
@@ -437,7 +432,7 @@ func (l *Log) run() {
 		if len(flushes) == 0 {
 			// No durability waiter: hold the fsync while more records
 			// trickle in.
-			timer := time.NewTimer(l.syncDelay)
+			timer := time.NewTimer(syncHold)
 		coalesce:
 			for {
 				select {

@@ -120,8 +120,8 @@ type Metrics struct {
 	WalBytes        int64 `json:"wal_bytes"`
 	// WalFsyncTotal counts the log's group commits (fsyncs) and
 	// WalFsyncBatchedRecords the records those commits made durable;
-	// their ratio is the achieved group-commit batch size (see
-	// Options.SyncInterval). Both 0 in-memory.
+	// their ratio is the achieved group-commit batch size under the log's
+	// fixed 2 ms hold. Both 0 in-memory.
 	WalFsyncTotal          int64 `json:"wal_fsync_total"`
 	WalFsyncBatchedRecords int64 `json:"wal_fsync_batched_records"`
 	// WalFailed reports durability loss: the outcome log took a sticky

@@ -33,12 +33,19 @@ var fpTransport = fault.New("sdk/transport")
 // Client is a typed client for the exchange's /v1 API. All methods are safe
 // for concurrent use; the underlying http.Client reuses connections.
 type Client struct {
-	base    string
-	hc      *http.Client
-	retries int
-	backoff time.Duration
-	// retryBudget caps the total time one call may spend sleeping between
-	// retry attempts; see WithRetryBudget.
+	base string
+	hc   *http.Client
+	// The retry schedule, fixed by New (the package's tests shorten it):
+	// an idempotent request is retried up to retries times after a
+	// transient failure (network error or 502/503/504); attempt n sleeps
+	// roughly backoff·2ⁿ with ±50% jitter, capped at 5s, unless the server
+	// hints a delay. retryBudget caps the total time one call may spend
+	// sleeping between attempts (hints and computed backoff alike); once
+	// the next sleep would exceed it the call fails with the last error, so
+	// a degraded cluster — every replica answering 503 durability_lost with
+	// a retry hint — fails fast rather than backing off for every retry.
+	retries     int
+	backoff     time.Duration
 	retryBudget time.Duration
 	// routes holds the cluster partition map once EnableRouting (or a
 	// re-aim) fetched one; with no map every request goes to base.
@@ -54,29 +61,6 @@ type Option func(*Client)
 // instead of two.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithRetries sets how many times an idempotent request is retried after a
-// transient failure (network error or 502/503/504). Default 3; 0 disables.
-func WithRetries(n int) Option {
-	return func(c *Client) { c.retries = n }
-}
-
-// WithBackoff sets the base retry delay; attempt n sleeps roughly
-// base·2ⁿ with ±50% jitter, capped at 5s. Default 100ms.
-func WithBackoff(d time.Duration) Option {
-	return func(c *Client) { c.backoff = d }
-}
-
-// WithRetryBudget caps the total time one call may spend sleeping between
-// retry attempts (server hints and computed backoff alike); once the next
-// sleep would exceed the budget the call fails with the last error
-// instead. A degraded cluster — every replica answering 503
-// durability_lost with a retry hint — therefore fails fast rather than
-// backing off for the full retry count. Default 5s; 0 or negative removes
-// the cap.
-func WithRetryBudget(d time.Duration) Option {
-	return func(c *Client) { c.retryBudget = d }
 }
 
 // New returns a client for the exchange at baseURL (e.g.
@@ -402,7 +386,7 @@ func (c *Client) do(ctx context.Context, req request) error {
 			// The retry budget fails the call fast once the retries' sleep
 			// time is spent — a fully degraded cluster answers in ~budget,
 			// not retries x hint.
-			if c.retryBudget > 0 && slept+d > c.retryBudget {
+			if slept+d > c.retryBudget {
 				return lastErr
 			}
 			slept += d
@@ -517,9 +501,6 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 // backoffDelay computes base·2ᵃᵗᵗᵉᵐᵖᵗ with ±50% jitter, capped at 5s. The
 // delay is materialized before sleeping so the retry budget can charge it.
 func backoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
 	d := time.Duration(float64(base) * math.Pow(2, float64(attempt)))
 	if d > 5*time.Second {
 		d = 5 * time.Second

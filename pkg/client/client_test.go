@@ -206,10 +206,11 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		srv.Close()
 		ex.Close()
 	})
-	c, err := New(srv.URL, WithBackoff(time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Millisecond
 	job, err := c.CreateJob(context.Background(), additiveSpec("flaky", 1, 3))
 	if err != nil {
 		t.Fatalf("create through flaky front end: %v", err)
@@ -220,10 +221,12 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 	// With retries exhausted the APIError surfaces.
 	failures.Store(100)
-	c2, err := New(srv.URL, WithRetries(1), WithBackoff(time.Millisecond))
+	c2, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.retries = 1
+	c2.backoff = time.Millisecond
 	_, err = c2.Job(context.Background(), "flaky")
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
@@ -326,10 +329,11 @@ func TestClientHonorsRetryAfterHint(t *testing.T) {
 	})
 	// 1ms backoff: any observed inter-attempt gap near the hint must come
 	// from the retry_after_ms path, not the computed backoff.
-	c, err := New(srv.URL, WithBackoff(time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Millisecond
 	ctx := context.Background()
 	if _, err := c.CreateJob(ctx, additiveSpec("hint", 1, 7)); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,8 @@
 //
 // A Client wraps one exchange base URL with connection reuse, uniform
 // {code, message} error decoding (APIError), and context-aware retries with
-// jittered exponential backoff. Mutating calls are made retry-safe with
+// jittered exponential backoff: 3 retries from a 100 ms base, at most 5 s
+// of sleep per call. Mutating calls are made retry-safe with
 // idempotency keys: CreateJob and SubmitBid attach one automatically, so a
 // request replayed after a network failure returns the original result
 // instead of a duplicate-ID or duplicate-bid conflict.

@@ -93,10 +93,12 @@ func TestClientDurabilityLostReroutesOnce(t *testing.T) {
 		_, _ = io.WriteString(w, `{"code":"durability_lost","message":"wal failed","retry_after_ms":100}`)
 	}))
 	t.Cleanup(srv.Close)
-	c, err := New(srv.URL, WithRetries(10), WithRetryBudget(250*time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retries = 10
+	c.retryBudget = 250 * time.Millisecond
 
 	start := time.Now()
 	_, err = c.SubmitBid(context.Background(), "dl", Bid{NodeID: 1, Qualities: []float64{0.5, 0.5}, Payment: 0.1})
@@ -132,10 +134,12 @@ func TestClientRetryBudgetCapsSleep(t *testing.T) {
 		_, _ = io.WriteString(w, `{"code":"unavailable","message":"down","retry_after_ms":200}`)
 	}))
 	t.Cleanup(srv.Close)
-	c, err := New(srv.URL, WithRetries(10), WithRetryBudget(250*time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retries = 10
+	c.retryBudget = 250 * time.Millisecond
 
 	start := time.Now()
 	_, err = c.Jobs(context.Background())
@@ -177,10 +181,11 @@ func TestClientTransportFailpoint(t *testing.T) {
 	if err := fault.Enable("sdk/transport", fault.Config{Err: fault.ErrIO, Nth: 1}); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := New(c.base, WithRetries(0))
+	c2, err := New(c.base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.retries = 0
 	if _, err := c2.Jobs(ctx); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("unretried transport fault = %v, want EIO", err)
 	}

@@ -107,10 +107,11 @@ func TestWatchRoundsReaimStaleMap(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c, err := New(srv0.URL, WithBackoff(time.Millisecond))
+	c, err := New(srv0.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Millisecond
 	if err := c.EnableRouting(ctx); err != nil || c.RoutingVersion() != 1 {
 		t.Fatalf("EnableRouting: %v (version %d)", err, c.RoutingVersion())
 	}

@@ -98,10 +98,11 @@ func TestWatchReconnectResumesLosslessly(t *testing.T) {
 		srv.Close()
 		ex.Close()
 	})
-	c, err := New(srv.URL, WithBackoff(time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if _, err := c.CreateJob(ctx, additiveSpec("drop", 1, 13)); err != nil {
@@ -247,10 +248,11 @@ func TestWatchDurableRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(exchange.NewHandler(ex))
-	c, err := New(srv.URL, WithBackoff(time.Millisecond))
+	c, err := New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.backoff = time.Millisecond
 	ctx := context.Background()
 	if _, err := c.CreateJob(ctx, additiveSpec("dur", 2, 99)); err != nil {
 		t.Fatal(err)
